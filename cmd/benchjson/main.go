@@ -9,6 +9,10 @@
 //
 // The file holds a list of records in insertion order; re-using a label
 // replaces that record in place. `make bench-kernel` wraps the invocation.
+//
+// Every record carries its provenance — host CPU count and model, the
+// GOMAXPROCS the benchmarks ran at, the Go version and the VCS revision —
+// so a number is a claim about one commit on one machine.
 package main
 
 import (
@@ -17,9 +21,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
+
+	"bgpchurn/internal/obs"
 )
 
 // Benchmark is one benchmark's measurements: every "value unit" pair from
@@ -31,9 +39,15 @@ type Benchmark struct {
 
 // Record is one labeled benchmark run.
 type Record struct {
-	Label      string               `json:"label"`
-	Date       string               `json:"date"`
-	Go         string               `json:"go,omitempty"`
+	Label string `json:"label"`
+	Date  string `json:"date"`
+	// Provenance (absent from records older than the fields).
+	NumCPU     int    `json:"num_cpu,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+	GoVersion  string `json:"go_version,omitempty"`
+	Revision   string `json:"revision,omitempty"`
+	CPU        string `json:"cpu,omitempty"`
+
 	Benchmarks map[string]Benchmark `json:"benchmarks"`
 }
 
@@ -57,6 +71,10 @@ func main() {
 	rec := Record{
 		Label:      *label,
 		Date:       time.Now().UTC().Format("2006-01-02"),
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+		Revision:   revision(),
 		Benchmarks: map[string]Benchmark{},
 	}
 	sc := bufio.NewScanner(os.Stdin)
@@ -64,15 +82,20 @@ func main() {
 	for sc.Scan() {
 		line := sc.Text()
 		fmt.Println(line) // pass the run through for the terminal
-		if strings.HasPrefix(line, "goos:") || strings.HasPrefix(line, "goarch:") {
+		if model, ok := strings.CutPrefix(line, "cpu:"); ok {
+			rec.CPU = strings.TrimSpace(model)
 			continue
 		}
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
-		name, bm, ok := parseLine(line)
+		name, procs, bm, ok := parseLine(line)
 		if ok {
 			rec.Benchmarks[name] = bm
+			if procs > 0 {
+				// What the benchmarks ran at, not what this process sees.
+				rec.GOMAXPROCS = procs
+			}
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -115,31 +138,52 @@ func main() {
 // parseLine parses one benchmark result line:
 //
 //	BenchmarkName-8 <tab> 100 <tab> 123 ns/op <tab> 7 allocs/op ...
-func parseLine(line string) (string, Benchmark, bool) {
+//
+// procs is the GOMAXPROCS suffix of the name (0 when absent: the testing
+// package omits it at GOMAXPROCS=1).
+func parseLine(line string) (name string, procs int, bm Benchmark, ok bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 2 {
-		return "", Benchmark{}, false
+		return "", 0, Benchmark{}, false
 	}
-	name := fields[0]
+	name = fields[0]
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		// Strip the GOMAXPROCS suffix.
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+		if p, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, procs = name[:i], p
 		}
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
-		return "", Benchmark{}, false
+		return "", 0, Benchmark{}, false
 	}
-	bm := Benchmark{Iterations: iters, Metrics: map[string]float64{}}
+	bm = Benchmark{Iterations: iters, Metrics: map[string]float64{}}
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
-			return "", Benchmark{}, false
+			return "", 0, Benchmark{}, false
 		}
 		bm.Metrics[fields[i+1]] = v
 	}
-	return name, bm, true
+	return name, procs, bm, true
+}
+
+// revision is the VCS revision the record is taken at: the one stamped into
+// this binary, or — `go run`, which is how the Makefile invokes this tool,
+// stamps none — what git reports for the working directory, with "+dirty"
+// when there are uncommitted changes. "unknown" outside a repository.
+func revision() string {
+	if rev := obs.GitRevision(); rev != "unknown" {
+		return rev
+	}
+	head, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if err != nil {
+		return "unknown"
+	}
+	rev := strings.TrimSpace(string(head))
+	if st, err := exec.Command("git", "status", "--porcelain").Output(); err == nil && len(st) > 0 {
+		rev += "+dirty"
+	}
+	return rev
 }
 
 func fatal(err error) {

@@ -35,6 +35,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strings"
 	"syscall"
@@ -90,6 +91,53 @@ func armSecondSignalExit(ctx context.Context, stderr io.Writer) (disarm func()) 
 	return func() { close(done) }
 }
 
+// figure is one entry of the -fig selection.
+type figure struct {
+	id  string
+	fn  func(*runner) error
+	des string
+}
+
+// figures lists every figure the binary can regenerate, in rendering order.
+var figures = []figure{
+	{"1", (*runner).fig1, "churn growth at a monitor (Mann-Kendall)"},
+	{"4", (*runner).fig4, "U(X) per node type vs n"},
+	{"5", (*runner).fig5, "per-relation split at T and M nodes"},
+	{"6", (*runner).fig6, "relative increase of Uc(T), Up(T), Ud(M)"},
+	{"7", (*runner).fig7, "m/e/q factor growth"},
+	{"8", (*runner).fig8, "AS population mix deviations"},
+	{"9", (*runner).fig9, "multihoming degree deviations"},
+	{"10", (*runner).fig10, "peering deviations"},
+	{"11", (*runner).fig11, "provider preference deviations"},
+	{"12", (*runner).fig12, "WRATE vs NO-WRATE"},
+	{"ext", (*runner).extensions, "extensions: L-events, exploration, burstiness"},
+}
+
+// selectFigures parses the -fig value: "all" or a comma-separated list of
+// figure ids. An unknown id or an empty selection is an error naming the
+// valid ids — a typo must not turn into a run that renders nothing.
+func selectFigures(spec string) (map[string]bool, error) {
+	valid := make([]string, len(figures))
+	for i, f := range figures {
+		valid[i] = f.id
+	}
+	wanted := map[string]bool{}
+	if spec == "all" {
+		for _, id := range valid {
+			wanted[id] = true
+		}
+		return wanted, nil
+	}
+	for _, id := range strings.Split(spec, ",") {
+		id = strings.TrimSpace(id)
+		if !slices.Contains(valid, id) {
+			return nil, fmt.Errorf("-fig: unknown figure %q (valid: %s, or all)", id, strings.Join(valid, ","))
+		}
+		wanted[id] = true
+	}
+	return wanted, nil
+}
+
 // run is the whole binary behind a testable seam: parse flags, execute,
 // return the exit code. Cleanup happens in defers, so every exit path
 // flushes profiles, the journal, and the obs server.
@@ -127,6 +175,10 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "experiments:", err)
 		return exitError
+	}
+	wanted, err := selectFigures(*figs)
+	if err != nil {
+		return fail(err)
 	}
 
 	if *cpuprof != "" {
@@ -247,35 +299,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	wanted := map[string]bool{}
-	if *figs == "all" {
-		for _, f := range []string{"1", "4", "5", "6", "7", "8", "9", "10", "11", "12", "ext"} {
-			wanted[f] = true
-		}
-	} else {
-		for _, f := range strings.Split(*figs, ",") {
-			wanted[strings.TrimSpace(f)] = true
-		}
-	}
-
-	type figure struct {
-		id  string
-		fn  func(*runner) error
-		des string
-	}
-	figures := []figure{
-		{"1", (*runner).fig1, "churn growth at a monitor (Mann-Kendall)"},
-		{"4", (*runner).fig4, "U(X) per node type vs n"},
-		{"5", (*runner).fig5, "per-relation split at T and M nodes"},
-		{"6", (*runner).fig6, "relative increase of Uc(T), Up(T), Ud(M)"},
-		{"7", (*runner).fig7, "m/e/q factor growth"},
-		{"8", (*runner).fig8, "AS population mix deviations"},
-		{"9", (*runner).fig9, "multihoming degree deviations"},
-		{"10", (*runner).fig10, "peering deviations"},
-		{"11", (*runner).fig11, "provider preference deviations"},
-		{"12", (*runner).fig12, "WRATE vs NO-WRATE"},
-		{"ext", (*runner).extensions, "extensions: L-events, exploration, burstiness"},
-	}
 	start := time.Now()
 	var runErr error
 	// Warm the scheduler cache: every sweep the selected figures need runs

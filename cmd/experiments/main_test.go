@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -270,8 +271,17 @@ func TestRunExitCodes(t *testing.T) {
 	if code := run([]string{"-no-such-flag"}, io.Discard, io.Discard); code != exitUsage {
 		t.Fatalf("bad flag: exit %d, want %d", code, exitUsage)
 	}
-	if code := run([]string{"-fig", "nope", "-manifest", "", "-journal", ""}, io.Discard, io.Discard); code != exitOK {
-		t.Fatalf("no matching figures: exit %d, want %d (vacuous success)", code, exitOK)
+	// A selection that names an unknown figure, or nothing at all, is
+	// rejected before any work — with the valid ids — not silently skipped.
+	for _, sel := range []string{"nope", "4,13", "", "4,", " "} {
+		var stderr bytes.Buffer
+		code := run([]string{"-fig", sel, "-fast", "-manifest", "", "-journal", ""}, io.Discard, &stderr)
+		if code != exitError {
+			t.Fatalf("-fig %q: exit %d, want %d", sel, code, exitError)
+		}
+		if msg := stderr.String(); !strings.Contains(msg, "unknown figure") || !strings.Contains(msg, "1,4,5,6,7,8,9,10,11,12,ext") {
+			t.Fatalf("-fig %q: stderr %q does not name the unknown figure and the valid ids", sel, msg)
+		}
 	}
 	// Figure 1 runs no sweeps, so this exercises the full pipeline —
 	// journal, manifest, epilogue — in milliseconds.

@@ -9,7 +9,7 @@ import (
 )
 
 // Kernel micro-benchmarks for the simulation inner loop: decide, reconcile,
-// the transmit → procEvent → Fire cycle, and the MRAI flush machinery.
+// the transmit → deliver → Fire cycle, and the MRAI flush machinery.
 // These pin the zero-allocation property of the steady-state path (see
 // DESIGN.md, kernel memory model); `make bench-kernel` records them in
 // BENCH_kernel.json.
@@ -71,9 +71,9 @@ func steadyNet() (*Network, topology.NodeID) {
 // path it currently advertises there, for re-announcement benchmarks.
 func coreLink(net *Network) (m *node, slot int, path Path) {
 	m = &net.nodes[1]
-	for j, id := range m.nbrIDs {
+	for j, id := range net.nbrIDs(m) {
 		if id == 0 {
-			path, ok := m.out[j].lastSent.Get(benchPrefix)
+			path, ok := net.out(m)[j].lastSent.Get(benchPrefix)
 			if !ok {
 				panic("bench setup: M node does not advertise the prefix to the core")
 			}
@@ -95,7 +95,7 @@ func BenchmarkKernelDecide(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		slot, _ := core.decide(ps)
+		slot, _ := net.decide(core, ps)
 		if slot == noneSlot {
 			b.Fatal("no route decided")
 		}
@@ -117,8 +117,8 @@ func BenchmarkKernelReconcileUnchanged(b *testing.B) {
 }
 
 // BenchmarkKernelTransmitFire measures one full steady-state hop: transmit
-// schedules a pooled procEvent, the scheduler pops it off the typed heap,
-// and Fire re-runs the decision process to an unchanged best path.
+// schedules the receiving node as its own delivery event, the scheduler
+// pops it off the queue, and Fire re-runs the decision process to an unchanged best path.
 // Expected allocs/op: 0.
 func BenchmarkKernelTransmitFire(b *testing.B) {
 	net, _ := steadyNet()
@@ -132,8 +132,8 @@ func BenchmarkKernelTransmitFire(b *testing.B) {
 }
 
 // BenchmarkKernelFlushLoop measures a C-event on a rate-limited network
-// (30 s MRAI): queueing into pending, pooled flush events draining via the
-// scratch buffer, and timer restarts.
+// (30 s MRAI): queueing into pending, the queues' own flush events draining
+// via the scratch buffer, and timer restarts.
 func BenchmarkKernelFlushLoop(b *testing.B) {
 	topo := fanTopo(8)
 	net := MustNew(topo, DefaultConfig(1)) // default 30 s MRAI
@@ -153,7 +153,7 @@ func BenchmarkKernelFlushLoop(b *testing.B) {
 
 // BenchmarkKernelCEventReset measures the whole per-origin experiment cycle
 // core.RunCEvents performs on a reused Network: Reset (recycling prefix
-// state, queues and pools), initial propagation, DOWN and UP phases.
+// state and queues), initial propagation, DOWN and UP phases.
 func BenchmarkKernelCEventReset(b *testing.B) {
 	topo := fanTopo(8)
 	net := MustNew(topo, DefaultConfig(1))
@@ -173,13 +173,13 @@ func BenchmarkKernelCEventReset(b *testing.B) {
 }
 
 // TestSteadyStateZeroAlloc enforces the zero-allocation contract of the
-// steady-state kernel path (transmit → procEvent → Fire → reconcile with an
+// steady-state kernel path (transmit → deliver → Fire → reconcile with an
 // unchanged best path) so a regression fails `go test`, not just a
 // benchmark reading.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	net, _ := steadyNet()
 	m, slot, path := coreLink(net)
-	// Warm the event pool and heap storage.
+	// Warm the queue storage.
 	for i := 0; i < 16; i++ {
 		net.transmit(m, slot, benchPrefix, Announce, path, NoPath)
 		net.shards[0].sched.Run()

@@ -217,11 +217,10 @@ type eventTally struct {
 
 // causalTrace is the per-network tracer state (nil when tracing is off).
 type causalTrace struct {
-	// rowOff[i] is node i's base offset into slotCount — its CSR row start.
-	// slotCount[rowOff[i]+j] counts updates node i received from neighbor
-	// slot j during the current event. Writes are shard-disjoint: a node's
-	// row is written only by the shard owning the node.
-	rowOff    []int32
+	// slotCount[nd.row+j] counts updates node nd received from neighbor slot
+	// j during the current event (parallel to the CSR adjacency, like every
+	// per-session array). Writes are shard-disjoint: a node's row is written
+	// only by the shard owning the node.
 	slotCount []uint32
 	// tallies is indexed by shard index.
 	tallies []eventTally
@@ -265,20 +264,13 @@ func (net *Network) attachCausal() {
 	} else {
 		tr.slotCount = tr.slotCount[:sessions]
 	}
-	if cap(tr.rowOff) < len(net.nodes) {
-		tr.rowOff = make([]int32, len(net.nodes))
-	} else {
-		tr.rowOff = tr.rowOff[:len(net.nodes)]
-	}
 	tr.tallies = make([]eventTally, len(net.shards))
 	tr.typeNodes = [4]uint64{}
 	tr.typeSessions = [4][3]uint64{}
 	for i := range net.nodes {
 		nd := &net.nodes[i]
-		lo, _ := net.adj.Row(nd.id)
-		tr.rowOff[i] = lo
 		tr.typeNodes[nd.typ]++
-		for _, rel := range nd.nbrRels {
+		for _, rel := range net.nbrRels(nd) {
 			tr.typeSessions[nd.typ][rel]++
 		}
 	}
@@ -324,9 +316,8 @@ func (net *Network) EndCause() EventAttribution {
 	for i := range net.nodes {
 		nd := &net.nodes[i]
 		ta := &a.ByType[nd.typ]
-		base := tr.rowOff[i]
-		for j, rel := range nd.nbrRels {
-			c := tr.slotCount[base+int32(j)]
+		for j, rel := range net.nbrRels(nd) {
+			c := tr.slotCount[nd.row+int32(j)]
 			if c == 0 {
 				continue
 			}
@@ -360,8 +351,8 @@ func (net *Network) EndCause() EventAttribution {
 // whether the update left the receiver's Adj-RIB-In entry unchanged;
 // hadNone whether no route was held from the sender before it. Runs on the
 // receiver's shard.
-func (tr *causalTrace) record(sh *netShard, to topology.NodeID, fromSlot int32, kind UpdateKind, same, hadNone bool) {
-	tr.slotCount[tr.rowOff[to]+fromSlot]++
+func (tr *causalTrace) record(sh *netShard, to *node, fromSlot int32, kind UpdateKind, same, hadNone bool) {
+	tr.slotCount[to.row+fromSlot]++
 	t := &tr.tallies[sh.idx]
 	t.updates++
 	if kind == Withdraw {

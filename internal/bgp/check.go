@@ -27,16 +27,17 @@ func (net *Network) CheckConsistency() error {
 	for i := range net.nodes {
 		nd := &net.nodes[i]
 		// (3) Loc-RIB is a fixed point of the decision process.
-		for _, f := range nd.sortedPrefixes() {
+		for _, f := range nd.prefixes.sortedKeys() {
 			ps, _ := nd.prefixes.Get(f)
-			slot, path := nd.freshDecide(ps)
+			slot, path := net.freshDecide(nd, ps)
 			if slot != ps.bestSlot || !path.Equal(ps.bestPath) {
 				return fmt.Errorf("bgp: node %d prefix %d: stale Loc-RIB (have slot %d, decide says %d)",
 					nd.id, f, ps.bestSlot, slot)
 			}
 		}
-		for j := range nd.nbrIDs {
-			q := &nd.out[j]
+		ids, out := net.nbrIDs(nd), net.out(nd)
+		for j := range out {
+			q := &out[j]
 			// (2) no residual queued updates.
 			if n := q.pending.Len(); n != 0 {
 				return fmt.Errorf("bgp: node %d slot %d: %d updates still queued on a quiescent network",
@@ -48,13 +49,13 @@ func (net *Network) CheckConsistency() error {
 				}
 				continue
 			}
-			peer := &net.nodes[nd.nbrIDs[j]]
-			rev := nd.reverse[j]
+			peer := &net.nodes[ids[j]]
+			rev := net.reverse(nd)[j]
 			for _, f := range q.lastSent.SortedKeysInto(nil) {
 				sent, _ := q.lastSent.Get(f)
 				// (1) wire agreement.
 				pps, ok := peer.prefixes.Get(f)
-				if !ok || !sent.Equal(peer.ribPath(pps, int(rev))) {
+				if !ok || !sent.Equal(net.ribPath(peer, pps, int(rev))) {
 					return fmt.Errorf("bgp: session %d->%d prefix %d: adj-rib-out and adj-rib-in disagree",
 						nd.id, peer.id, f)
 				}
@@ -63,9 +64,9 @@ func (net *Network) CheckConsistency() error {
 				}
 			}
 			// (1) converse direction: nothing in v's RIB that u did not send.
-			for _, f := range peer.sortedPrefixes() {
+			for _, f := range peer.prefixes.sortedKeys() {
 				pps, _ := peer.prefixes.Get(f)
-				if peer.ribHas(pps, int(rev)) {
+				if net.ribHas(peer, pps, int(rev)) {
 					if _, ok := q.lastSent.Get(f); !ok {
 						return fmt.Errorf("bgp: session %d->%d prefix %d: receiver holds a route the sender never advertised",
 							nd.id, peer.id, f)
@@ -79,10 +80,11 @@ func (net *Network) CheckConsistency() error {
 
 // checkAdvertisement verifies invariants (4) and (5) for one wire entry.
 func (net *Network) checkAdvertisement(nd *node, j int, f Prefix, sent Path) error {
+	nbr, rels := net.nbrIDs(nd)[j], net.nbrRels(nd)
 	ps, ok := nd.prefixes.Get(f)
 	if !ok || ps.bestSlot == noneSlot {
 		return fmt.Errorf("bgp: node %d advertises prefix %d to %d without a best route",
-			nd.id, f, nd.nbrIDs[j])
+			nd.id, f, nbr)
 	}
 	var want Path
 	fromCustomerOrSelf := false
@@ -91,7 +93,7 @@ func (net *Network) checkAdvertisement(nd *node, j int, f Prefix, sent Path) err
 		fromCustomerOrSelf = true
 	} else {
 		want = ps.bestPath.Prepend(nd.id)
-		fromCustomerOrSelf = nd.nbrRels[ps.bestSlot] == topology.Customer
+		fromCustomerOrSelf = rels[ps.bestSlot] == topology.Customer
 	}
 	if !sent.Equal(want) {
 		return fmt.Errorf("bgp: node %d prefix %d: wire path %v is not the current best %v",
@@ -104,25 +106,25 @@ func (net *Network) checkAdvertisement(nd *node, j int, f Prefix, sent Path) err
 		}
 		seen[v] = struct{}{}
 	}
-	if sent.Contains(nd.nbrIDs[j]) {
+	if sent.Contains(nbr) {
 		return fmt.Errorf("bgp: node %d prefix %d: path through recipient %d on the wire",
-			nd.id, f, nd.nbrIDs[j])
+			nd.id, f, nbr)
 	}
-	if !fromCustomerOrSelf && nd.nbrRels[j] != topology.Customer {
+	if !fromCustomerOrSelf && rels[j] != topology.Customer {
 		return fmt.Errorf("bgp: node %d prefix %d: valley export to %v neighbor %d",
-			nd.id, f, nd.nbrRels[j], nd.nbrIDs[j])
+			nd.id, f, rels[j], nbr)
 	}
 	return nil
 }
 
 // freshDecide re-runs the decision process in the node's engine
 // representation and returns the winning slot and path content.
-func (nd *node) freshDecide(ps *prefixState) (slot int, path Path) {
-	if nd.it != nil {
-		slot, id := nd.decideCompact(ps)
-		return slot, nd.it.path(id)
+func (net *Network) freshDecide(nd *node, ps *prefixState) (slot int32, path Path) {
+	if net.intern != nil {
+		slot, id := net.decideCompact(nd, ps)
+		return slot, net.intern.path(id)
 	}
-	return nd.decide(ps)
+	return net.decide(nd, ps)
 }
 
 // checkReconciled is the debug-only (Config.Check) RIB invariant checker,
@@ -145,18 +147,24 @@ func (nd *node) freshDecide(ps *prefixState) (slot int, path Path) {
 // is a bug in the engine, never a recoverable condition.
 func (net *Network) checkReconciled(nd *node, f Prefix, ps *prefixState) {
 	// (1) decision fixpoint.
-	slot, path := nd.freshDecide(ps)
+	slot, path := net.freshDecide(nd, ps)
 	if slot != ps.bestSlot || !path.Equal(ps.bestPath) {
 		panic(fmt.Sprintf("bgp: check: node %d prefix %d: Loc-RIB not a decision fixpoint (have slot %d, decide says %d)",
 			nd.id, f, ps.bestSlot, slot))
 	}
 	// (2) intern-table ID validity and cache consistency (compact mode).
-	if it := nd.it; it != nil {
+	if it := net.intern; it != nil {
 		limit := PathID(it.len())
-		for j, pid := range ps.ribID {
-			if pid > limit {
+		rows, rels := net.rib(nd, ps), net.nbrRels(nd)
+		for j := range rows {
+			s := &rows[j]
+			if s.id > limit {
 				panic(fmt.Sprintf("bgp: check: node %d prefix %d slot %d: dangling PathID %d (table holds %d)",
-					nd.id, f, j, pid, limit))
+					nd.id, f, j, s.id, limit))
+			}
+			if plen := it.lenOf(s.id); s.rel() != rels[j] || int(s.rank&rankLenMask) != plen {
+				panic(fmt.Sprintf("bgp: check: node %d prefix %d slot %d: session rank %#x inconsistent with relation %v and path length %d",
+					nd.id, f, j, s.rank, rels[j], plen))
 			}
 		}
 		if ps.bestID > limit || !it.path(ps.bestID).Equal(ps.bestPath) {
@@ -177,15 +185,16 @@ func (net *Network) checkReconciled(nd *node, f Prefix, ps *prefixState) {
 		}
 	}
 	// (3) per-neighbor reconciliation postcondition.
-	full, fromCustomerOrSelf := nd.advertisement(ps)
-	for j := range nd.nbrIDs {
-		q := &nd.out[j]
+	full, fromCustomerOrSelf := net.advertisement(nd, ps)
+	ids, rels, out := net.nbrIDs(nd), net.nbrRels(nd), net.out(nd)
+	for j := range out {
+		q := &out[j]
 		if q.down {
 			continue
 		}
 		last, onWire := q.lastSent.Get(f)
 		pu, queued := q.pending.Get(f)
-		if nd.exportable(j, full, fromCustomerOrSelf) {
+		if exportable(ids[j], rels[j], full, fromCustomerOrSelf) {
 			wireOK := onWire && last.Equal(full)
 			queueOK := queued && pu.kind == Announce && pu.path.Equal(full)
 			if !wireOK && !queueOK {

@@ -28,31 +28,41 @@ type NodeCounters struct {
 // measurement window.
 func (net *Network) Counters(id topology.NodeID) NodeCounters {
 	nd := &net.nodes[id]
-	per := make([]uint32, len(nd.recvBySlot))
-	copy(per, nd.recvBySlot)
+	per := recvCounts(make([]uint32, 0, nd.deg), net.sessions(nd))
 	return NodeCounters{
-		Received:      nd.recvAnnounce + nd.recvWithdraw,
-		Announcements: nd.recvAnnounce,
-		Withdrawals:   nd.recvWithdraw,
-		Sent:          nd.sentUpdates,
-		RouteChanges:  nd.bestChanges,
-		Suppressions:  nd.suppressions,
+		Received:      uint64(nd.recvAnnounce) + uint64(nd.recvWithdraw),
+		Announcements: uint64(nd.recvAnnounce),
+		Withdrawals:   uint64(nd.recvWithdraw),
+		Sent:          uint64(nd.sentUpdates),
+		RouteChanges:  uint64(nd.bestChanges),
+		Suppressions:  uint64(nd.suppressions),
 		PerNeighbor:   per,
 	}
 }
 
 // PerNeighborCounts returns node id's per-slot receive counts without
-// copying; the slice is owned by the engine and must not be modified. Use
-// together with NeighborRelations for the Eq.-1 factor decomposition.
+// allocating: the counters live inside the session rows, so they are
+// gathered into a buffer owned by the engine that stays valid only until the
+// next PerNeighborCounts call and must not be modified. Use together with
+// NeighborRelations for the Eq.-1 factor decomposition.
 func (net *Network) PerNeighborCounts(id topology.NodeID) []uint32 {
-	return net.nodes[id].recvBySlot
+	net.recvScratch = recvCounts(net.recvScratch[:0], net.sessions(&net.nodes[id]))
+	return net.recvScratch
+}
+
+// recvCounts appends the receive counter of every row to dst.
+func recvCounts(dst []uint32, rows []session) []uint32 {
+	for j := range rows {
+		dst = append(dst, rows[j].recv)
+	}
+	return dst
 }
 
 // NeighborRelations returns node id's per-slot neighbor relations in slot
 // order, as a view of the topology's shared CSR adjacency: zero-alloc, owned
 // by the topology, must not be modified.
 func (net *Network) NeighborRelations(id topology.NodeID) []topology.Relation {
-	return net.nodes[id].nbrRels
+	return net.nbrRels(&net.nodes[id])
 }
 
 // RIBSize returns the number of prefixes node id currently has a selected
@@ -73,16 +83,8 @@ func (net *Network) AdjRIBInSize(id topology.NodeID) int {
 	n := 0
 	nd := &net.nodes[id]
 	nd.prefixes.ForEach(func(_ Prefix, ps *prefixState) {
-		if nd.it != nil {
-			for _, pid := range ps.ribID {
-				if pid != NoPath {
-					n++
-				}
-			}
-			return
-		}
-		for _, p := range ps.ribIn {
-			if p != nil {
+		for j := 0; j < int(nd.deg); j++ {
+			if net.ribHas(nd, ps, j) {
 				n++
 			}
 		}
@@ -93,7 +95,7 @@ func (net *Network) AdjRIBInSize(id topology.NodeID) int {
 // RouteChanges returns node id's Loc-RIB best-route change count for the
 // current window without allocating (see NodeCounters.RouteChanges).
 func (net *Network) RouteChanges(id topology.NodeID) uint64 {
-	return net.nodes[id].bestChanges
+	return uint64(net.nodes[id].bestChanges)
 }
 
 // TotalUpdates returns the number of updates processed network-wide during
@@ -160,8 +162,8 @@ func (net *Network) ResetCounters() {
 		nd := &net.nodes[i]
 		nd.recvAnnounce, nd.recvWithdraw, nd.sentUpdates = 0, 0, 0
 		nd.bestChanges, nd.suppressions = 0, 0
-		for j := range nd.recvBySlot {
-			nd.recvBySlot[j] = 0
-		}
+	}
+	for k := range net.sess {
+		net.sess[k].recv = 0
 	}
 }

@@ -103,9 +103,9 @@ func (s *dampState) decayedPenalty(now des.Time, halfLife des.Time) float64 {
 // process if it did.
 func (net *Network) recordFlap(nd *node, slot int32, f Prefix, add float64) (changed bool) {
 	d := &net.cfg.Dampening
-	ps := nd.state(f)
+	ps := net.state(nd, f)
 	if ps.damp == nil {
-		ps.damp = make([]dampState, len(nd.nbrIDs))
+		ps.damp, ps.dampened = make([]dampState, nd.deg), true
 	}
 	s := &ps.damp[slot]
 	now := nd.sh.sched.Now()
@@ -176,11 +176,11 @@ func (e *reuseEvent) Fire(*des.Scheduler) {
 
 // suppressedAt reports whether the route from slot is currently dampened.
 func (ps *prefixState) suppressedAt(slot int) bool {
-	return ps.damp != nil && ps.damp[slot].suppressed
+	return ps.dampened && ps.damp[slot].suppressed
 }
 
 // Suppressions returns how many times node id suppressed a route since the
 // last ResetCounters (0 unless dampening is enabled).
 func (net *Network) Suppressions(id topology.NodeID) uint64 {
-	return net.nodes[id].suppressions
+	return uint64(net.nodes[id].suppressions)
 }

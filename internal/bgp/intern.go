@@ -200,6 +200,9 @@ func (it *internTable) prepend(first topology.NodeID, tail Path) (Path, PathID) 
 	}
 	// Miss: copy the content into slab storage and publish the new ID.
 	n := len(tail) + 1
+	if n > rankLenMask {
+		panic("bgp: AS path too long for session.rank")
+	}
 	dst := it.alloc(n)
 	dst[0] = first
 	copy(dst[1:], tail)

@@ -205,7 +205,9 @@ func TestRelabelingIsomorphismInvariance(t *testing.T) {
 			master := rng.New(0x5eed)
 			for i := range a.nodes {
 				na, nb := &a.nodes[i], &b.nodes[perm[i]]
-				copy(nb.tieHash, na.tieHash)
+				for j, s := range a.sessions(na) {
+					b.sessions(nb)[j].tie = s.tie
+				}
 				s := master.Uint64()
 				na.src.Reseed(s)
 				nb.src.Reseed(s)

@@ -1,0 +1,64 @@
+package bgp
+
+import (
+	"testing"
+	"unsafe"
+)
+
+// TestKernelLayoutBudget pins the cache-line budget of the kernel state
+// (DESIGN.md, "Kernel memory model"): struct size ceilings, and the rule
+// that everything deliver reads or writes on the receiving node lies in the
+// node's first 128 bytes. A field added or moved past a ceiling fails here,
+// not in a benchmark three PRs later.
+func TestKernelLayoutBudget(t *testing.T) {
+	const line = 64
+	sizes := []struct {
+		name      string
+		got, ceil uintptr
+	}{
+		{"session", unsafe.Sizeof(session{}), 16},
+		{"inMsg", unsafe.Sizeof(inMsg{}), 48},
+		{"outQueue", unsafe.Sizeof(outQueue{}), 128},
+		{"prefixState", unsafe.Sizeof(prefixState{}), 136},
+		{"node", unsafe.Sizeof(node{}), 5 * line},
+	}
+	for _, s := range sizes {
+		if s.got > s.ceil {
+			t.Errorf("sizeof(%s) = %d bytes, budget %d", s.name, s.got, s.ceil)
+		}
+	}
+	// The node array is walked by index from a page-aligned base; a size
+	// that is a whole number of lines keeps every node's field groups on the
+	// lines the budget assigns them.
+	if sz := unsafe.Sizeof(node{}); sz%line != 0 {
+		t.Errorf("sizeof(node) = %d is not a multiple of the %d-byte cache line", sz, line)
+	}
+	if sz := unsafe.Sizeof(outQueue{}); sz&(sz-1) != 0 {
+		t.Errorf("sizeof(outQueue) = %d is not a power of two", sz)
+	}
+
+	var nd node
+	deliverFields := []struct {
+		name     string
+		off, len uintptr
+	}{
+		{"sh", unsafe.Offsetof(nd.sh), unsafe.Sizeof(nd.sh)},
+		{"busyUntil", unsafe.Offsetof(nd.busyUntil), unsafe.Sizeof(nd.busyUntil)},
+		{"src", unsafe.Offsetof(nd.src), unsafe.Sizeof(nd.src)},
+		{"inbox", unsafe.Offsetof(nd.inbox), unsafe.Sizeof(nd.inbox)},
+		{"delivering", unsafe.Offsetof(nd.delivering), unsafe.Sizeof(nd.delivering)},
+		{"cur", unsafe.Offsetof(nd.cur), unsafe.Sizeof(nd.cur)},
+	}
+	for _, f := range deliverFields {
+		if end := f.off + f.len; end > 2*line {
+			t.Errorf("node.%s ends at byte %d: deliver's fields must lie in the first %d", f.name, end, 2*line)
+		}
+	}
+	// What an update that leaves the best route alone reads next — the
+	// node's identity and row, the receive counters, the prefix key and the
+	// hot head of the inline prefixState — fits the third line.
+	hotEnd := unsafe.Offsetof(nd.prefixes) + unsafe.Offsetof(nd.prefixes.first) + unsafe.Offsetof(nd.prefixes.first.damp)
+	if hotEnd > 3*line {
+		t.Errorf("node's unchanged-route fields end at byte %d, budget %d", hotEnd, 3*line)
+	}
+}

@@ -20,7 +20,7 @@ func (net *Network) FailLink(a, b topology.NodeID) error {
 		return err
 	}
 	na, nb := &net.nodes[a], &net.nodes[b]
-	if na.out[ja].down {
+	if net.out(na)[ja].down {
 		return fmt.Errorf("bgp: link %d-%d already down", a, b)
 	}
 	net.sessionDown(na, ja)
@@ -38,11 +38,11 @@ func (net *Network) RestoreLink(a, b topology.NodeID) error {
 		return err
 	}
 	na, nb := &net.nodes[a], &net.nodes[b]
-	if !na.out[ja].down {
+	if !net.out(na)[ja].down {
 		return fmt.Errorf("bgp: link %d-%d is not down", a, b)
 	}
-	na.out[ja].down = false
-	nb.out[jb].down = false
+	net.out(na)[ja].down = false
+	net.out(nb)[jb].down = false
 	net.resyncSlot(na, ja)
 	net.resyncSlot(nb, jb)
 	return nil
@@ -54,19 +54,19 @@ func (net *Network) LinkDown(a, b topology.NodeID) bool {
 	if err != nil {
 		return false
 	}
-	return net.nodes[a].out[ja].down
+	return net.out(&net.nodes[a])[ja].down
 }
 
 // slots resolves the slot of b in a's neighbor list and vice versa.
 func (net *Network) slots(a, b topology.NodeID) (ja, jb int, err error) {
 	ja, jb = -1, -1
-	for j, id := range net.nodes[a].nbrIDs {
+	for j, id := range net.nbrIDs(&net.nodes[a]) {
 		if id == b {
 			ja = j
 			break
 		}
 	}
-	for j, id := range net.nodes[b].nbrIDs {
+	for j, id := range net.nbrIDs(&net.nodes[b]) {
 		if id == a {
 			jb = j
 			break
@@ -81,21 +81,18 @@ func (net *Network) slots(a, b topology.NodeID) (ja, jb int, err error) {
 // sessionDown clears all state of nd's session at slot j and re-runs the
 // decision process for every prefix that was learned over it.
 func (net *Network) sessionDown(nd *node, j int) {
-	q := &nd.out[j]
+	q := &net.out(nd)[j]
 	q.down = true
-	q.scheduled = false // a queued flush event will find down=true and bail
 	q.pending.Clear()
 	q.lastSent.Clear()
-	q.expiry = 0
-	q.prefixExpiry.Clear()
-	q.prefixScheduled.Clear()
-	for _, f := range nd.sortedPrefixes() {
+	q.clearTimers() // a queued flush event will find down=true and bail
+	for _, f := range nd.prefixes.sortedKeys() {
 		ps, _ := nd.prefixes.Get(f)
-		if !nd.ribHas(ps, j) {
+		if !net.ribHas(nd, ps, j) {
 			continue
 		}
-		if nd.it != nil {
-			ps.ribID[j] = NoPath
+		if net.intern != nil {
+			net.rib(nd, ps)[j].install(NoPath, 0)
 		} else {
 			ps.ribIn[j] = nil
 		}
@@ -106,14 +103,16 @@ func (net *Network) sessionDown(nd *node, j int) {
 // resyncSlot advertises nd's current best routes to the neighbor at slot j,
 // as on session (re-)establishment.
 func (net *Network) resyncSlot(nd *node, j int) {
-	for _, f := range nd.sortedPrefixes() {
+	q := &net.out(nd)[j]
+	nbr, rel := net.nbrIDs(nd)[j], net.nbrRels(nd)[j]
+	for _, f := range nd.prefixes.sortedKeys() {
 		ps, _ := nd.prefixes.Get(f)
 		if ps.bestSlot == noneSlot {
 			continue
 		}
-		full, fromCustomerOrSelf := nd.advertisement(ps)
-		if nd.exportable(j, full, fromCustomerOrSelf) {
-			net.setDesired(nd, j, f, full, ps.fullID)
+		full, fromCustomerOrSelf := net.advertisement(nd, ps)
+		if exportable(nbr, rel, full, fromCustomerOrSelf) {
+			net.setDesired(nd, q, f, full, ps.fullID)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package bgp
 import (
 	"fmt"
 	"time"
+	"unsafe"
 
 	"bgpchurn/internal/des"
 	"bgpchurn/internal/obs"
@@ -17,9 +18,9 @@ import (
 // public API remains single-caller.)
 type Network struct {
 	topo *topology.Topology
-	// adj is the topology's shared CSR adjacency; every node's
-	// nbrIDs/nbrRels/reverse are rows of it. Immutable, shared across
-	// Networks over the same topology.
+	// adj is the topology's shared CSR adjacency; every node's neighbor
+	// IDs, relations and reverse slots are rows of it (see node.row).
+	// Immutable, shared across Networks over the same topology.
 	adj   *topology.Adjacency
 	cfg   Config
 	nodes []node
@@ -42,24 +43,23 @@ type Network struct {
 	// shards (see ShardInfo).
 	crossSessions int
 
-	// tieFlat, recvFlat and outFlat are this network's per-session state in
-	// one contiguous block each, parallel to adj.IDs; node j's rows are
-	// sub-slices. Flat layout keeps the hot loop cache-friendly and lets
-	// Reset clear whole arrays in single passes.
-	tieFlat  []uint64
-	recvFlat []uint32
-	outFlat  []outQueue
+	// sess and outq are this network's per-session state in one contiguous
+	// block each, parallel to adj.IDs; node i's rows start at nodes[i].row.
+	// sess is the receive side (Adj-RIB-In entry, decision rank and
+	// tie-break, receive counter; see session), outq the send side.
+	sess []session
+	outq []outQueue
+	// salt seeds the decision tie-break hashes of the current Reset epoch.
+	salt uint64
 
 	// intern is the compact engine's path intern table (nil in classic
 	// mode). It survives Reset: the distinct paths of one topology recur
 	// across events, and PathIDs handed out earlier stay valid (see PathID).
 	// All shards share it (mutex writers, lock-free readers; see intern.go).
 	intern *internTable
-	// ribInFlat is the compact engine's network-wide Adj-RIB-In: one PathID
-	// per CSR session slot. Each node's row backs its first prefixState, so
-	// the single-prefix workload of a C-event keeps the whole Adj-RIB-In in
-	// one contiguous 4-byte-per-route array with zero allocation.
-	ribInFlat []PathID
+
+	// recvScratch is the buffer PerNeighborCounts gathers into.
+	recvScratch []uint32
 
 	// ws holds WarmStart's scratch arrays, lazily sized to N() on first use
 	// and reused across calls so repeated warm starts on the same network
@@ -100,9 +100,9 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 }
 
 // build (re)creates the structural wiring for topo: the shard array, the
-// node array and the flat per-session state blocks, with every per-node
-// slice a row of a shared flat array (the topology's CSR block or this
-// network's own session arrays). It is the structural half of construction,
+// node array and the flat per-session state blocks, with every node's
+// per-neighbor state a row of a shared flat array (the topology's CSR block
+// or this network's own session arrays). It is the structural half of construction,
 // shared by New and Grow; runtime state is initialized separately by reinit.
 // The intern table, when already present, is kept — interned paths are
 // content-addressed and node IDs survive growth, so existing PathIDs stay
@@ -116,14 +116,13 @@ func (net *Network) build(topo *topology.Topology) error {
 	net.topo = topo
 	net.adj = adj
 	net.nodes = make([]node, topo.N())
-	net.tieFlat = make([]uint64, sessions)
-	net.recvFlat = make([]uint32, sessions)
-	net.outFlat = make([]outQueue, sessions)
-	if net.cfg.CompactRIB {
-		if net.intern == nil {
-			net.intern = newInternTable()
-		}
-		net.ribInFlat = make([]PathID, sessions)
+	net.sess = make([]session, sessions)
+	for k, rel := range adj.Rels {
+		net.sess[k].rank = uint32(rel) << rankRelShift
+	}
+	net.outq = make([]outQueue, sessions)
+	if net.cfg.CompactRIB && net.intern == nil {
+		net.intern = newInternTable()
 	}
 
 	// Shard partition: contiguous node ranges balanced by session count.
@@ -162,16 +161,11 @@ func (net *Network) build(topo *topology.Topology) error {
 		nd.id = topology.NodeID(i)
 		nd.typ = topo.Nodes[i].Type
 		nd.sh = sh
-		nd.nbrIDs = adj.IDs[lo:hi:hi]
-		nd.nbrRels = adj.Rels[lo:hi:hi]
-		nd.reverse = adj.Reverse[lo:hi:hi]
-		nd.tieHash = net.tieFlat[lo:hi:hi]
-		nd.recvBySlot = net.recvFlat[lo:hi:hi]
-		nd.out = net.outFlat[lo:hi:hi]
-		nd.arena = &sh.paths
-		nd.it = net.intern
-		if net.intern != nil {
-			nd.ribRow = net.ribInFlat[lo:hi:hi]
+		nd.row, nd.deg = lo, hi-lo
+		nd.prefixes.first.bestSlot = noneSlot
+		out := net.out(nd)
+		for j := range out {
+			out[j].nd, out[j].slot = nd, int32(j)
 		}
 	}
 	// Re-attach probe blocks after Grow recreated the shards (no-op when no
@@ -354,45 +348,36 @@ func (net *Network) reinit(seed uint64) {
 		}
 	}
 	master := rng.New(seed)
-	salt := master.Uint64() // first draw: the tie-break salt
+	net.salt = master.Uint64() // first draw: the tie-break salt
 	for i := range net.nodes {
 		nd := &net.nodes[i]
 		nd.busyUntil = 0
 		nd.msgSeq = 0
 		clear(nd.inbox) // release parked paths
 		nd.inbox, nd.inboxHead, nd.delivering = nd.inbox[:0], 0, false
+		nd.cur = inMsg{}
 		nd.recvAnnounce, nd.recvWithdraw, nd.sentUpdates = 0, 0, 0
 		nd.bestChanges, nd.suppressions = 0, 0
-		for j := range nd.recvBySlot {
-			nd.recvBySlot[j] = 0
+		// Rewind every prefixState (own rows, ribIn and damp storage kept);
+		// the next event's state() calls hand them out again. The flat
+		// session row loses its routes and counts and gets the new epoch's
+		// tie-breaks.
+		nd.prefixes.recycle()
+		rows := net.sessions(nd)
+		for j, id := range net.nbrIDs(nd) {
+			rows[j] = session{rank: rows[j].rank &^ rankLenMask, tie: uint32(hashID(net.salt, id) >> 32)}
 		}
-		// Recycle every prefixState (ribIn/ribID and damp storage included)
-		// into the free list; the next event's state() calls pop them back.
-		// A prefixState that claimed the node's flat ribRow keeps it across
-		// the recycle, so the row can never back two live prefixes.
-		nd.prefixes.ForEach(func(_ Prefix, ps *prefixState) {
-			ps.reset()
-			nd.psFree = append(nd.psFree, ps)
-		})
-		nd.prefixes.Clear()
-		// One draw per node, in node order (New's Split consumes the same).
-		if nd.src == nil {
-			nd.src = rng.New(master.Uint64())
-		} else {
-			nd.src.Reseed(master.Uint64())
-		}
-		for j, id := range nd.nbrIDs {
-			nd.tieHash[j] = hashID(salt, id)
-		}
-		for j := range nd.out {
-			q := &nd.out[j]
-			q.expiry, q.scheduled, q.down = 0, false, false
+		// One draw per node, in node order.
+		nd.src.Reseed(master.Uint64())
+		out := net.out(nd)
+		for j := range out {
+			q := &out[j]
+			q.down = false
 			q.pending.Clear()
 			q.lastSent.Clear()
-			// Clear, not drop: repeated C-events on one Network reuse the
-			// per-prefix timer storage instead of re-allocating it.
-			q.prefixExpiry.Clear()
-			q.prefixScheduled.Clear()
+			// Rewound, not dropped: repeated C-events on one Network reuse
+			// the per-prefix timer storage instead of re-allocating it.
+			q.clearTimers()
 		}
 	}
 }
@@ -401,7 +386,7 @@ func (net *Network) reinit(seed uint64) {
 // Call Run afterwards to propagate.
 func (net *Network) Originate(origin topology.NodeID, f Prefix) {
 	nd := &net.nodes[origin]
-	ps := nd.state(f)
+	ps := net.state(nd, f)
 	if ps.selfOrigin {
 		return
 	}
@@ -413,7 +398,7 @@ func (net *Network) Originate(origin topology.NodeID, f Prefix) {
 // C-event). Call Run afterwards to propagate.
 func (net *Network) WithdrawPrefix(origin topology.NodeID, f Prefix) {
 	nd := &net.nodes[origin]
-	ps := nd.state(f)
+	ps := net.state(nd, f)
 	if !ps.selfOrigin {
 		return
 	}
@@ -444,72 +429,65 @@ func (net *Network) BestPath(id topology.NodeID, f Prefix) Path {
 // NextHop returns the neighbor node id routes through for prefix f, the
 // node itself if it originates f, or topology.None if it has no route.
 func (net *Network) NextHop(id topology.NodeID, f Prefix) topology.NodeID {
-	ps, ok := net.nodes[id].prefixes.Get(f)
+	nd := &net.nodes[id]
+	ps, ok := nd.prefixes.Get(f)
 	if !ok || ps.bestSlot == noneSlot {
 		return topology.None
 	}
 	if ps.bestSlot == selfSlot {
 		return id
 	}
-	return net.nodes[id].nbrIDs[ps.bestSlot]
+	return net.adj.IDs[nd.row+ps.bestSlot]
 }
 
-// --- event types ---------------------------------------------------------
+// --- events ----------------------------------------------------------------
+//
+// The engine allocates no event objects. Each of its three recurring event
+// kinds is a long-lived object that some piece of state already guarantees
+// is pending at most once, so the object itself is handed to the scheduler:
+// a node is the completion of the update it is processing (delivering), an
+// outQueue the expiry of its per-interface MRAI timer (scheduled), a
+// prefixTimer the expiry of its per-prefix one. Ownership rules are in
+// DESIGN.md (kernel memory model).
 
-// inMsg is a message parked in a receiver's inbox: the full delivery
-// payload plus the scheduler ticket reserved for it at admission time.
-type inMsg struct {
-	tk       des.Ticket
-	fromSlot int32
-	kind     UpdateKind
-	prefix   Prefix
-	path     Path
-	pathID   PathID  // interned ID of path (compact mode)
-	cause    CauseID // root cause of the update (0 when tracing is off)
+// path returns the update's AS path (nil for withdrawals).
+func (m *inMsg) path() Path { return unsafe.Slice(m.pathPtr, m.pathLen) }
+
+// setPath stores p as pointer + length; see inMsg.
+func (m *inMsg) setPath(p Path) {
+	m.pathPtr, m.pathLen = unsafe.SliceData(p), int32(len(p))
 }
 
-// procEvent is the completion of processing one received update at a node.
-// procEvents are pooled per shard: deliver takes one from the shard's
-// procFree and Fire returns its receiver there once it is done reading the
-// fields, so the steady-state update flow allocates no events.
-type procEvent struct {
-	sh       *netShard
-	to       topology.NodeID
-	fromSlot int32
-	kind     UpdateKind
-	prefix   Prefix
-	path     Path
-	pathID   PathID  // interned ID of path (compact mode)
-	cause    CauseID // root cause of the update (0 when tracing is off)
-}
-
-// newProcEvent takes a recycled procEvent or allocates a fresh one.
-func (sh *netShard) newProcEvent() *procEvent {
-	if n := len(sh.procFree); n > 0 {
-		e := sh.procFree[n-1]
-		sh.procFree[n-1] = nil
-		sh.procFree = sh.procFree[:n-1]
-		if p := sh.probes; p != nil {
-			p.PoolHits.Inc()
-		}
-		return e
-	}
-	if p := sh.probes; p != nil {
-		p.PoolMisses.Inc()
-	}
-	return &procEvent{sh: sh}
-}
-
-// Fire consumes the update: counters, Adj-RIB-In, decision, exports.
-func (e *procEvent) Fire(*des.Scheduler) {
-	sh := e.sh
+// Fire completes the processing of the update in nd.cur: counters,
+// Adj-RIB-In, decision, exports. The node is its own event (see deliver),
+// so Fire first copies the payload out of cur and then reuses the node for
+// the next parked delivery, if any, before running the decision process.
+func (nd *node) Fire(*des.Scheduler) {
+	sh := nd.sh
 	net := sh.net
-	nd := &net.nodes[e.to]
-	// The event's root cause becomes the shard's active cause: every update
+	m := &nd.cur
+	fromSlot, kind, prefix, path, pathID, cause := m.fromSlot, m.kind, m.prefix, m.path(), m.pathID, m.cause
+	// Chain the next parked delivery under its reserved ticket (see
+	// deliver). Completion times are monotone per receiver, so the ticket
+	// can never be in the past.
+	if int(nd.inboxHead) < len(nd.inbox) {
+		*m = nd.inbox[nd.inboxHead]
+		nd.inbox[nd.inboxHead] = inMsg{} // release the path
+		nd.inboxHead++
+		if int(nd.inboxHead) == len(nd.inbox) {
+			nd.inbox, nd.inboxHead = nd.inbox[:0], 0
+		}
+		sh.sched.AtTicket(m.tk, nd)
+	} else {
+		nd.delivering = false
+		m.pathPtr = nil // release the path
+	}
+	// The update's root cause becomes the shard's active cause: every update
 	// this processing step transmits (or queues behind an MRAI timer)
 	// inherits it.
-	sh.activeCause = e.cause
-	nd.recvBySlot[e.fromSlot]++
+	sh.activeCause = cause
+	row := &net.sess[nd.row+fromSlot]
+	row.recv++
 	sh.totalUpdates++
 	sh.tickRate()
 	if p := sh.probes; p != nil {
@@ -518,131 +496,66 @@ func (e *procEvent) Fire(*des.Scheduler) {
 	if net.updateHook != nil {
 		net.updateHook(UpdateRecord{
 			Time:   sh.sched.Now(),
-			From:   nd.nbrIDs[e.fromSlot],
+			From:   net.adj.IDs[nd.row+fromSlot],
 			To:     nd.id,
-			Kind:   e.kind,
-			Prefix: e.prefix,
-			Path:   e.path,
-			PathID: e.pathID,
-			Cause:  e.cause,
+			Kind:   kind,
+			Prefix: prefix,
+			Path:   path,
+			PathID: pathID,
+			Cause:  cause,
 		})
 	}
-	ps := nd.state(e.prefix)
-	if nd.it != nil {
-		// Compact engine: the Adj-RIB-In write is a 4-byte store and the
-		// dampening "did the path change" test an ID compare.
-		had := ps.ribID[e.fromSlot]
-		now := NoPath
-		if e.kind == Withdraw {
-			nd.recvWithdraw++
-		} else {
-			nd.recvAnnounce++
-			if !e.path.Contains(nd.id) {
-				now = e.pathID
-			}
-			// else: receiver-side loop detection; unreachable given
-			// sender-side suppression, kept as defense in depth.
-		}
-		ps.ribID[e.fromSlot] = now
-		if tr := net.causal; tr != nil {
-			tr.record(sh, e.to, e.fromSlot, e.kind, had == now, had == NoPath)
-		}
-		if d := &net.cfg.Dampening; d.Enabled && had != NoPath {
-			switch {
-			case e.kind == Withdraw:
-				net.recordFlap(nd, e.fromSlot, e.prefix, d.WithdrawPenalty)
-			case had != now:
-				net.recordFlap(nd, e.fromSlot, e.prefix, d.UpdatePenalty)
-			}
-		}
+	ps := net.state(nd, prefix)
+	if kind == Withdraw {
+		nd.recvWithdraw++
 	} else {
-		had := ps.ribIn[e.fromSlot]
-		if e.kind == Withdraw {
-			nd.recvWithdraw++
-			ps.ribIn[e.fromSlot] = nil
-		} else {
-			nd.recvAnnounce++
-			if e.path.Contains(nd.id) {
-				// Receiver-side loop detection; unreachable given
-				// sender-side suppression, kept as defense in depth.
-				ps.ribIn[e.fromSlot] = nil
-			} else {
-				ps.ribIn[e.fromSlot] = e.path
-			}
-		}
-		if tr := net.causal; tr != nil {
-			tr.record(sh, e.to, e.fromSlot, e.kind, had.Equal(ps.ribIn[e.fromSlot]), had == nil)
-		}
-		if d := &net.cfg.Dampening; d.Enabled && had != nil {
-			// RFC 2439 flap accounting: a withdrawal of a reachable route,
-			// or an announcement replacing it with a different path.
-			switch {
-			case e.kind == Withdraw:
-				net.recordFlap(nd, e.fromSlot, e.prefix, d.WithdrawPenalty)
-			case !had.Equal(ps.ribIn[e.fromSlot]):
-				net.recordFlap(nd, e.fromSlot, e.prefix, d.UpdatePenalty)
-			}
+		nd.recvAnnounce++
+		if path.Contains(nd.id) {
+			// Receiver-side loop detection; unreachable given sender-side
+			// suppression, kept as defense in depth.
+			path, pathID = nil, NoPath
 		}
 	}
-	prefix := e.prefix
-	// All fields are consumed; recycle before the decision process so the
-	// event is available for the sends applyDecision may trigger. The Path
-	// is NOT pooled — it lives on in the Adj-RIB-In.
-	e.path, e.pathID = nil, NoPath
-	sh.procFree = append(sh.procFree, e)
-	// Chain the next parked delivery, if any, under its reserved ticket
-	// (see deliver). Completion times are monotone per receiver, so the
-	// ticket can never be in the past.
-	if nd.inboxHead < len(nd.inbox) {
-		m := nd.inbox[nd.inboxHead]
-		nd.inbox[nd.inboxHead] = inMsg{} // release the path
-		nd.inboxHead++
-		if nd.inboxHead == len(nd.inbox) {
-			nd.inbox, nd.inboxHead = nd.inbox[:0], 0
+	var same, hadNone bool
+	if net.intern != nil {
+		// Compact engine: the Adj-RIB-In write is an 8-byte store into the
+		// session row — for the node's first prefix the very record whose
+		// receive counter was just bumped — and the dampening "did the path
+		// change" test an ID compare.
+		r := row
+		if ps != &nd.prefixes.first {
+			r = &ps.own[fromSlot]
 		}
-		next := sh.newProcEvent()
-		next.to, next.fromSlot, next.kind, next.prefix, next.path, next.pathID, next.cause = nd.id, m.fromSlot, m.kind, m.prefix, m.path, m.pathID, m.cause
-		sh.sched.AtTicket(m.tk, next)
+		had := r.id
+		same, hadNone = had == pathID, had == NoPath
+		r.install(pathID, len(path))
 	} else {
-		nd.delivering = false
+		had := ps.ribIn[fromSlot]
+		same, hadNone = had.Equal(path), had == nil
+		ps.ribIn[fromSlot] = path
+	}
+	if tr := net.causal; tr != nil {
+		tr.record(sh, nd, fromSlot, kind, same, hadNone)
+	}
+	if d := &net.cfg.Dampening; d.Enabled && !hadNone {
+		// RFC 2439 flap accounting: a withdrawal of a reachable route, or an
+		// announcement replacing it with a different path.
+		switch {
+		case kind == Withdraw:
+			net.recordFlap(nd, fromSlot, prefix, d.WithdrawPenalty)
+		case !same:
+			net.recordFlap(nd, fromSlot, prefix, d.UpdatePenalty)
+		}
 	}
 	net.applyDecision(nd, prefix, ps)
 }
 
-// flushEvent fires when a per-interface MRAI timer expires with queued
-// updates. Pooled like procEvent.
-type flushEvent struct {
-	sh   *netShard
-	node topology.NodeID
-	slot int32
-}
-
-// newFlushEvent takes a recycled flushEvent or allocates a fresh one.
-func (sh *netShard) newFlushEvent() *flushEvent {
-	if n := len(sh.flushFree); n > 0 {
-		e := sh.flushFree[n-1]
-		sh.flushFree[n-1] = nil
-		sh.flushFree = sh.flushFree[:n-1]
-		if p := sh.probes; p != nil {
-			p.PoolHits.Inc()
-		}
-		return e
-	}
-	if p := sh.probes; p != nil {
-		p.PoolMisses.Inc()
-	}
-	return &flushEvent{sh: sh}
-}
-
-// Fire sends every queued update on the interface and restarts the timer if
-// anything was sent.
-func (e *flushEvent) Fire(*des.Scheduler) {
-	sh := e.sh
+// Fire is the expiry of q's per-interface MRAI timer: it sends every update
+// queued on the interface and, having sent any, restarts the timer.
+func (q *outQueue) Fire(*des.Scheduler) {
+	nd := q.nd
+	sh := nd.sh
 	net := sh.net
-	nd := &net.nodes[e.node]
-	q := &nd.out[e.slot]
-	slot := int(e.slot)
-	sh.flushFree = append(sh.flushFree, e)
 	q.scheduled = false
 	if p := sh.probes; p != nil {
 		p.MRAIFlushes.Inc()
@@ -650,81 +563,40 @@ func (e *flushEvent) Fire(*des.Scheduler) {
 	if q.down || q.pending.Len() == 0 {
 		return
 	}
-	sent := false
-	nd.scratch = q.pending.SortedKeysInto(nd.scratch)
-	for _, f := range nd.scratch {
+	sh.scratch = q.pending.SortedKeysInto(sh.scratch)
+	for _, f := range sh.scratch {
 		pu, _ := q.pending.Get(f)
 		q.pending.Delete(f)
 		// Each drained update is attributed to the cause that queued (or
 		// last replaced) it, not to whatever fired most recently.
 		sh.activeCause = pu.cause
-		net.transmit(nd, slot, f, pu.kind, pu.path, pu.id)
-		if pu.kind == Withdraw {
-			q.lastSent.Delete(f)
-		} else {
-			q.lastSent.Set(f, pu.path)
-		}
-		sent = true
+		net.send(nd, q, f, pu.kind, pu.path, pu.id)
 	}
-	if sent {
-		q.expiry = sh.sched.Now() + des.Time(nd.src.Jitter(int64(net.cfg.MRAI), net.cfg.JitterLo, net.cfg.JitterHi))
-	}
+	q.expiry = net.nextExpiry(nd)
 }
 
-// prefixFlushEvent is flushEvent for PerPrefix MRAI scope. Pooled like
-// procEvent.
-type prefixFlushEvent struct {
-	sh     *netShard
-	node   topology.NodeID
-	slot   int32
-	prefix Prefix
-}
-
-// newPrefixFlushEvent takes a recycled event or allocates a fresh one.
-func (sh *netShard) newPrefixFlushEvent() *prefixFlushEvent {
-	if n := len(sh.prefixFlushFree); n > 0 {
-		e := sh.prefixFlushFree[n-1]
-		sh.prefixFlushFree[n-1] = nil
-		sh.prefixFlushFree = sh.prefixFlushFree[:n-1]
-		if p := sh.probes; p != nil {
-			p.PoolHits.Inc()
-		}
-		return e
-	}
-	if p := sh.probes; p != nil {
-		p.PoolMisses.Inc()
-	}
-	return &prefixFlushEvent{sh: sh}
-}
-
-// Fire sends the queued update for one (interface, prefix) pair.
-func (e *prefixFlushEvent) Fire(*des.Scheduler) {
-	sh := e.sh
+// Fire is the expiry of one (interface, prefix) MRAI timer under PerPrefix
+// scope: it sends the update queued for that pair, if any.
+func (t *prefixTimer) Fire(*des.Scheduler) {
+	q := t.q
+	nd := q.nd
+	sh := nd.sh
 	net := sh.net
-	nd := &net.nodes[e.node]
-	q := &nd.out[e.slot]
-	slot, f := int(e.slot), e.prefix
-	sh.prefixFlushFree = append(sh.prefixFlushFree, e)
-	q.prefixScheduled.Delete(f)
+	t.scheduled = false
 	if p := sh.probes; p != nil {
 		p.PrefixMRAIFlushes.Inc()
 	}
 	if q.down {
 		return
 	}
-	pu, ok := q.pending.Get(f)
+	pu, ok := q.pending.Get(t.prefix)
 	if !ok {
 		return
 	}
-	q.pending.Delete(f)
+	q.pending.Delete(t.prefix)
 	sh.activeCause = pu.cause
-	net.transmit(nd, slot, f, pu.kind, pu.path, pu.id)
-	if pu.kind == Withdraw {
-		q.lastSent.Delete(f)
-	} else {
-		q.lastSent.Set(f, pu.path)
-	}
-	q.prefixExpiry.Set(f, sh.sched.Now()+des.Time(nd.src.Jitter(int64(net.cfg.MRAI), net.cfg.JitterLo, net.cfg.JitterHi)))
+	net.send(nd, q, t.prefix, pu.kind, pu.path, pu.id)
+	t.expiry = net.nextExpiry(nd)
 }
 
 // --- core protocol flow --------------------------------------------------
@@ -735,15 +607,15 @@ func (e *prefixFlushEvent) Fire(*des.Scheduler) {
 // compare — the hash-consing invariant (equal IDs ⟺ equal content) makes it
 // exactly equivalent to the classic Path.Equal.
 func (net *Network) applyDecision(nd *node, f Prefix, ps *prefixState) {
-	if nd.it != nil {
-		slot, id := nd.decideCompact(ps)
+	if net.intern != nil {
+		slot, id := net.decideCompact(nd, ps)
 		if slot == ps.bestSlot && id == ps.bestID {
 			return
 		}
 		ps.bestSlot, ps.bestID = slot, id
-		ps.bestPath = nd.it.path(id)
+		ps.bestPath = net.intern.path(id)
 	} else {
-		slot, path := nd.decide(ps)
+		slot, path := net.decide(nd, ps)
 		if slot == ps.bestSlot && path.Equal(ps.bestPath) {
 			return
 		}
@@ -763,17 +635,19 @@ func (net *Network) applyDecision(nd *node, f Prefix, ps *prefixState) {
 // reconcile recomputes the desired advertisement toward every neighbor and
 // feeds differences into the rate-limited output queues.
 func (net *Network) reconcile(nd *node, f Prefix, ps *prefixState) {
-	full, fromCustomerOrSelf := nd.advertisement(ps)
-	for j := range nd.nbrIDs {
-		if nd.out[j].down {
+	full, fromCustomerOrSelf := net.advertisement(nd, ps)
+	out, rows, ids := net.out(nd), net.sessions(nd), net.nbrIDs(nd)
+	for j := range out {
+		q := &out[j]
+		if q.down {
 			continue
 		}
 		var want Path
 		wantID := NoPath
-		if nd.exportable(j, full, fromCustomerOrSelf) {
+		if exportable(ids[j], rows[j].rel(), full, fromCustomerOrSelf) {
 			want, wantID = full, ps.fullID
 		}
-		net.setDesired(nd, j, f, want, wantID)
+		net.setDesired(nd, q, f, want, wantID)
 	}
 }
 
@@ -782,59 +656,69 @@ func (net *Network) timerIdle(nd *node, q *outQueue, f Prefix) bool {
 	if net.cfg.MRAI == 0 {
 		return true
 	}
+	now := nd.sh.sched.Now()
 	if net.cfg.Scope == PerPrefix {
-		exp, _ := q.prefixExpiry.Get(f)
-		return exp <= nd.sh.sched.Now()
+		t := q.prefixTimers[f]
+		return t == nil || t.expiry <= now
 	}
-	return q.expiry <= nd.sh.sched.Now()
+	return q.expiry <= now
 }
 
-// restartTimer starts the MRAI timer for (nd, j[, f]) after a send.
-func (net *Network) restartTimer(nd *node, j int, f Prefix) {
+// nextExpiry draws the jittered expiry of an MRAI timer of nd started now.
+func (net *Network) nextExpiry(nd *node) des.Time {
+	return nd.sh.sched.Now() + des.Time(nd.src.Jitter(int64(net.cfg.MRAI), net.cfg.JitterLo, net.cfg.JitterHi))
+}
+
+// restartTimer starts the MRAI timer for (q[, f]) after a send.
+func (net *Network) restartTimer(nd *node, q *outQueue, f Prefix) {
 	if net.cfg.MRAI == 0 {
 		return
 	}
-	expiry := nd.sh.sched.Now() + des.Time(nd.src.Jitter(int64(net.cfg.MRAI), net.cfg.JitterLo, net.cfg.JitterHi))
-	q := &nd.out[j]
+	expiry := net.nextExpiry(nd)
 	if net.cfg.Scope == PerPrefix {
-		q.prefixExpiry.Set(f, expiry)
+		q.prefixTimer(f).expiry = expiry
 	} else {
 		q.expiry = expiry
 	}
 }
 
-// ensureFlush schedules the flush event that will drain (nd, j[, f]) when
-// its MRAI timer expires.
-func (net *Network) ensureFlush(nd *node, j int, f Prefix) {
-	q := &nd.out[j]
-	sh := nd.sh
+// ensureFlush schedules the flush event that will drain (q[, f]) when its
+// MRAI timer expires: the queue itself, or the prefix's timer.
+func (net *Network) ensureFlush(nd *node, q *outQueue, f Prefix) {
+	sched := &nd.sh.sched
 	if net.cfg.Scope == PerPrefix {
-		if armed, _ := q.prefixScheduled.Get(f); armed {
-			return
+		t := q.prefixTimer(f)
+		if !t.scheduled {
+			t.scheduled = true
+			sched.At(t.expiry, t)
 		}
-		q.prefixScheduled.Set(f, true)
-		e := sh.newPrefixFlushEvent()
-		e.node, e.slot, e.prefix = nd.id, int32(j), f
-		exp, _ := q.prefixExpiry.Get(f)
-		sh.sched.At(exp, e)
 		return
 	}
-	if q.scheduled {
-		return
+	if !q.scheduled {
+		q.scheduled = true
+		sched.At(q.expiry, q)
 	}
-	q.scheduled = true
-	e := sh.newFlushEvent()
-	e.node, e.slot = nd.id, int32(j)
-	sh.sched.At(q.expiry, e)
 }
 
-// setDesired reconciles the wire state toward neighbor j for prefix f with
-// the desired advertisement want (nil = withdrawn/none; wantID is its
-// interned ID in compact mode, NoPath otherwise). It sends immediately when
-// rate limiting allows, otherwise replaces the queued update.
-func (net *Network) setDesired(nd *node, j int, f Prefix, want Path, wantID PathID) {
-	q := &nd.out[j]
+// send transmits one update on q's session and records it in the
+// Adj-RIB-Out.
+func (net *Network) send(nd *node, q *outQueue, f Prefix, kind UpdateKind, path Path, pathID PathID) {
+	net.transmit(nd, int(q.slot), f, kind, path, pathID)
+	if kind == Withdraw {
+		q.lastSent.Delete(f)
+	} else {
+		q.lastSent.Set(f, path)
+	}
+}
+
+// setDesired reconciles the wire state toward the neighbor behind q for
+// prefix f with the desired advertisement want (nil = withdrawn/none; wantID
+// is its interned ID in compact mode, NoPath otherwise). It sends
+// immediately when rate limiting allows, otherwise replaces the queued
+// update.
+func (net *Network) setDesired(nd *node, q *outQueue, f Prefix, want Path, wantID PathID) {
 	last, onWire := q.lastSent.Get(f)
+	kind := Announce
 	if want == nil {
 		// Any queued announcement is now invalid.
 		q.pending.Delete(f)
@@ -844,21 +728,11 @@ func (net *Network) setDesired(nd *node, j int, f Prefix, want Path, wantID Path
 		if !net.cfg.RateLimitWithdrawals {
 			// NO-WRATE: explicit withdrawals bypass the MRAI timer entirely
 			// and do not restart it.
-			net.transmit(nd, j, f, Withdraw, nil, NoPath)
-			q.lastSent.Delete(f)
+			net.send(nd, q, f, Withdraw, nil, NoPath)
 			return
 		}
-		if net.timerIdle(nd, q, f) {
-			net.transmit(nd, j, f, Withdraw, nil, NoPath)
-			q.lastSent.Delete(f)
-			net.restartTimer(nd, j, f)
-			return
-		}
-		q.pending.Set(f, pendingUpdate{kind: Withdraw, cause: nd.sh.activeCause})
-		net.ensureFlush(nd, j, f)
-		return
-	}
-	if onWire && last.Equal(want) {
+		kind = Withdraw
+	} else if onWire && last.Equal(want) {
 		// Wire state already matches; drop any queued update (it has been
 		// invalidated by this newer state). In compact mode both paths are
 		// canonical, so Equal's identity fast-path resolves this compare.
@@ -866,17 +740,16 @@ func (net *Network) setDesired(nd *node, j int, f Prefix, want Path, wantID Path
 		return
 	}
 	if net.timerIdle(nd, q, f) {
-		net.transmit(nd, j, f, Announce, want, wantID)
-		q.lastSent.Set(f, want)
-		net.restartTimer(nd, j, f)
+		net.send(nd, q, f, kind, want, wantID)
+		net.restartTimer(nd, q, f)
 		return
 	}
-	q.pending.Set(f, pendingUpdate{kind: Announce, path: want, id: wantID, cause: nd.sh.activeCause})
-	net.ensureFlush(nd, j, f)
+	q.pending.Set(f, pendingUpdate{kind: kind, path: want, id: wantID, cause: nd.sh.activeCause})
+	net.ensureFlush(nd, q, f)
 }
 
 // transmit sends one update to the neighbor at slot j. With zero LinkDelay
-// (the classic engine) the update is admitted to the receiver's processor
+// (the inline engine) the update is admitted to the receiver's processor
 // inline — identical op order, RNG draws and ticket reservations to the
 // historical single-threaded engine. In windowed mode the update is
 // appended to the sender shard's outbox, stamped with its arrival time
@@ -884,47 +757,49 @@ func (net *Network) setDesired(nd *node, j int, f Prefix, want Path, wantID Path
 // barrier admits it on the receiver's shard in canonical
 // (arrival, sender, seq) order (see exchange).
 func (net *Network) transmit(nd *node, j int, f Prefix, kind UpdateKind, path Path, pathID PathID) {
+	sh := nd.sh
 	nd.sentUpdates++
-	if p := nd.sh.probes; p != nil {
+	if p := sh.probes; p != nil {
 		if kind == Withdraw {
 			p.WithdrawalsSent.Inc()
 		} else {
 			p.AnnouncementsSent.Inc()
 		}
 	}
+	k := int(nd.row) + j
+	to, fromSlot := net.adj.IDs[k], net.adj.Reverse[k]
 	if net.windowed {
-		sh := nd.sh
 		nd.msgSeq++
-		to := nd.nbrIDs[j]
 		d := net.nodes[to].sh.idx
 		sh.outbox[d] = append(sh.outbox[d], wireMsg{
 			arrival:  sh.sched.Now() + net.cfg.LinkDelay,
 			sender:   nd.id,
 			seq:      nd.msgSeq,
 			to:       to,
-			fromSlot: nd.reverse[j],
+			fromSlot: fromSlot,
 			kind:     kind,
 			prefix:   f,
 			path:     path,
 			pathID:   pathID,
-			cause:    nd.sh.activeCause,
+			cause:    sh.activeCause,
 		})
 		return
 	}
-	net.deliver(&net.nodes[nd.nbrIDs[j]], nd.sh.sched.Now(), nd.reverse[j], f, kind, path, pathID, nd.sh.activeCause)
+	net.deliver(&net.nodes[to], sh.sched.Now(), fromSlot, f, kind, path, pathID, sh.activeCause)
 }
 
 // deliver admits one arriving update to the receiver's FIFO queue + single
 // processor: processing completes a uniform (0, MaxProcessingDelay] after
 // the receiver becomes free (and never before the message arrives). Shared
-// by the classic inline path (arrival = send time) and barrier admission
-// (arrival = send time + LinkDelay).
+// by the inline path (arrival = send time) and barrier admission (arrival =
+// send time + LinkDelay).
 //
-// Only the receiver's next completion lives in the scheduler queue; while
-// it is pending, further messages park in the receiver's inbox with their
-// tickets reserved here, in admission order. procEvent.Fire re-schedules
-// the front of the inbox, so deliveries chain one at a time — same fire
-// times, same fire order, a fraction of the queued events.
+// Only the receiver's next completion lives in the scheduler queue, and the
+// event is the receiver itself with the message in node.cur; while it is
+// pending, further messages park in the receiver's inbox with their tickets
+// reserved here, in admission order. node.Fire re-schedules the front of
+// the inbox, so deliveries chain one at a time — same fire times, same fire
+// order, a fraction of the queued events, no event objects.
 func (net *Network) deliver(to *node, arrival des.Time, fromSlot int32, f Prefix, kind UpdateKind, path Path, pathID PathID, cause CauseID) {
 	sh := to.sh
 	start := to.busyUntil
@@ -933,16 +808,16 @@ func (net *Network) deliver(to *node, arrival des.Time, fromSlot int32, f Prefix
 	}
 	done := start + des.Time(to.src.UniformDuration(int64(net.cfg.MaxProcessingDelay)))
 	to.busyUntil = done
-	tk := sh.sched.Reserve(done)
+	m := inMsg{tk: sh.sched.Reserve(done), fromSlot: fromSlot, kind: kind, prefix: f, pathID: pathID, cause: cause}
+	m.setPath(path)
 	if to.delivering {
-		to.inbox = append(to.inbox, inMsg{tk: tk, fromSlot: fromSlot, kind: kind, prefix: f, path: path, pathID: pathID, cause: cause})
+		to.inbox = append(to.inbox, m)
 		if p := sh.probes; p != nil {
 			p.InboxDeferrals.Inc()
 		}
 		return
 	}
 	to.delivering = true
-	e := sh.newProcEvent()
-	e.to, e.fromSlot, e.kind, e.prefix, e.path, e.pathID, e.cause = to.id, fromSlot, kind, f, path, pathID, cause
-	sh.sched.AtTicket(tk, e)
+	to.cur = m
+	sh.sched.AtTicket(m.tk, to)
 }

@@ -1,6 +1,8 @@
 package bgp
 
 import (
+	"slices"
+
 	"bgpchurn/internal/des"
 	"bgpchurn/internal/rng"
 	"bgpchurn/internal/topology"
@@ -12,30 +14,84 @@ const (
 	noneSlot = -2 // no route
 )
 
+// session is one CSR slot's receive-side record: everything the decision
+// path needs to know about what the neighbor at that slot told us, packed so
+// that a whole row of neighbors is a few contiguous cache lines (four
+// sessions per line). The network-wide row array (Network.sess) is parallel
+// to the topology's CSR adjacency; node i's row starts at node.row.
+//
+//   - id is the compact engine's Adj-RIB-In entry for the node's first
+//     prefix: the interned ID of the path most recently announced by the
+//     neighbor (NoPath = none). Unused by the classic engine.
+//   - rank packs the two leading steps of the decision process into one
+//     integer that orders like them: the neighbor relation in the top two
+//     bits (Customer < Peer < Provider, i.e. descending local preference)
+//     above the cached length of path id in the low 30 (0 without a route).
+//     A lower rank wins. The relation bits are written once at build time
+//     and serve every hot-path relation test in both engines.
+//   - tie is the top half of the neighbor's decision tie-break hash ("hashed
+//     value of the node IDs"), consulted only between equal ranks. Two
+//     neighbors whose top halves collide (2^-32) are ordered by the full
+//     hash, recomputed on the spot (see tieLess).
+//   - recv counts the updates received over the session in the current
+//     measurement window (both engines).
+type session struct {
+	id   PathID
+	rank uint32
+	tie  uint32
+	recv uint32
+}
+
+const (
+	rankRelShift = 30
+	rankLenMask  = 1<<rankRelShift - 1
+)
+
+// rel returns the neighbor's relation as seen from the row's node.
+func (s *session) rel() topology.Relation { return topology.Relation(s.rank >> rankRelShift) }
+
+// install records the route the neighbor now advertises (NoPath, 0 for
+// none), keeping the relation bits.
+func (s *session) install(id PathID, plen int) {
+	s.id = id
+	s.rank = s.rank&^rankLenMask | uint32(plen)
+}
+
+// blank returns s without route and receive count: relation and tie-break
+// only.
+func (s session) blank() session {
+	return session{rank: s.rank &^ rankLenMask, tie: s.tie}
+}
+
 // prefixState is a node's routing state for one prefix: the Adj-RIB-In
-// (best route learned per neighbor) and the selected best route.
+// (best route learned per neighbor) and the selected best route. The fields
+// an update that leaves the best route alone needs come first.
 type prefixState struct {
-	// ribIn[j] is the path most recently announced by neighbor j, or nil.
-	// Paths are immutable once created and may be shared between nodes.
-	// Used by the classic engine only; nil in compact mode.
-	ribIn []Path
-	// ribID[j] is the compact engine's Adj-RIB-In: the interned ID of the
-	// path most recently announced by neighbor j (NoPath = none). The
-	// node's first prefixState borrows the node's row of the network-wide
-	// flat PathID array (see node.ribRow); further prefixes allocate their
-	// own rows. Nil in classic mode.
-	ribID []PathID
 	// bestSlot is the neighbor slot of the selected route, selfSlot or
 	// noneSlot.
-	bestSlot int
-	// bestPath is ribIn[bestSlot] (nil when bestSlot is selfSlot/noneSlot).
-	// Maintained by both engines; in compact mode it is the canonical
-	// interned slice for bestID.
-	bestPath Path
+	bestSlot int32
 	// bestID is the interned ID of bestPath (compact mode only; NoPath for
 	// selfSlot/noneSlot). The decision-change test in applyDecision is an
 	// ID compare.
 	bestID PathID
+	// fullID is the interned ID of full (compact mode only), threaded into
+	// output queues and update events so receivers install routes without
+	// re-hashing.
+	fullID    PathID
+	fullValid bool
+	// selfOrigin marks the node as the owner currently announcing the
+	// prefix.
+	selfOrigin bool
+	// dampened is damp != nil, kept beside the other hot flags so the
+	// decision scan of an undampened prefix never reads the slice header.
+	dampened bool
+	// damp is the per-neighbor flap-dampening state, allocated on the
+	// first flap (nil while the prefix never flapped or dampening is off).
+	damp []dampState
+	// bestPath is the selected route's path as received (nil when bestSlot
+	// is selfSlot/noneSlot). Maintained by both engines; in compact mode it
+	// is the canonical interned slice for bestID.
+	bestPath Path
 	// full caches the advertisement body for the current best route:
 	// bestPath prepended with the node's own ID ([self] for a
 	// self-originated prefix, nil without a route). It is rebuilt lazily by
@@ -43,28 +99,27 @@ type prefixState struct {
 	// decision change pays for exactly one Prepend no matter how many
 	// neighbors, resyncs or consistency checks read it. Like every Path it
 	// is immutable and freely shared (see DESIGN.md, kernel memory model).
-	full      Path
-	fullValid bool
-	// fullID is the interned ID of full (compact mode only), threaded into
-	// output queues and update events so receivers install routes without
-	// re-hashing.
-	fullID PathID
-	// selfOrigin marks the node as the owner currently announcing the
-	// prefix.
-	selfOrigin bool
-	// damp is the per-neighbor flap-dampening state, allocated on the
-	// first flap (nil while the prefix never flapped or dampening is off).
-	damp []dampState
+	full Path
+	// own holds the compact engine's Adj-RIB-In rows of a prefix other than
+	// the node's first (relation and tie-break copied from the node's flat
+	// row, recv unused). The first prefix has none: its Adj-RIB-In IS the
+	// node's row of Network.sess, so the single-prefix workload of a
+	// C-event keeps the whole Adj-RIB-In in that contiguous block with zero
+	// allocation. Always reach the rows through Network.rib.
+	own []session
+	// ribIn[j] is the path most recently announced by neighbor j, or nil.
+	// Paths are immutable once created and may be shared between nodes.
+	// Used by the classic engine only; nil in compact mode.
+	ribIn []Path
 }
 
 // reset rewinds ps to the no-route state while keeping its allocations
-// (ribIn and damp storage), so Network.Reset can recycle it.
+// (own rows, ribIn and damp storage), so Network.Reset can recycle it. The
+// flat session row behind a node's first prefix is rewound by reinit.
 func (ps *prefixState) reset() {
-	for j := range ps.ribIn {
-		ps.ribIn[j] = nil
-	}
-	for j := range ps.ribID {
-		ps.ribID[j] = NoPath
+	clear(ps.ribIn)
+	for j := range ps.own {
+		ps.own[j] = ps.own[j].blank()
 	}
 	ps.bestSlot = noneSlot
 	ps.bestPath = nil
@@ -73,29 +128,433 @@ func (ps *prefixState) reset() {
 	ps.fullValid = false
 	ps.fullID = NoPath
 	ps.selfOrigin = false
-	for j := range ps.damp {
-		ps.damp[j] = dampState{}
+	clear(ps.damp)
+}
+
+// prefixTable holds a node's per-prefix routing state. The paper's workload
+// is one prefix per C-event, so the first prefix a node meets gets the
+// inline state — no allocation, no pointer chase, and its Adj-RIB-In is the
+// node's row of the flat session array. Further prefixes live behind one
+// lazily allocated pointer.
+type prefixTable struct {
+	firstKey Prefix
+	hasFirst bool
+	more     *prefixSpill
+	first    prefixState
+}
+
+// prefixSpill is the multi-prefix remainder of a prefixTable.
+type prefixSpill struct {
+	m map[Prefix]*prefixState
+	// free recycles the states released by Network.Reset, so repeated
+	// C-events on one Network reuse their rib/damp storage.
+	free []*prefixState
+}
+
+// Get returns the state for f and whether the node has one.
+func (pt *prefixTable) Get(f Prefix) (*prefixState, bool) {
+	if pt.hasFirst && pt.firstKey == f {
+		return &pt.first, true
 	}
+	if pt.more != nil {
+		ps, ok := pt.more.m[f]
+		return ps, ok
+	}
+	return nil, false
+}
+
+// Len returns the number of prefixes with state.
+func (pt *prefixTable) Len() int {
+	n := 0
+	if pt.hasFirst {
+		n = 1
+	}
+	if pt.more != nil {
+		n += len(pt.more.m)
+	}
+	return n
+}
+
+// ForEach calls fn for every state in unspecified order. Callers that need
+// determinism must use sortedKeys instead.
+func (pt *prefixTable) ForEach(fn func(Prefix, *prefixState)) {
+	if pt.hasFirst {
+		fn(pt.firstKey, &pt.first)
+	}
+	if pt.more != nil {
+		for f, ps := range pt.more.m {
+			fn(f, ps)
+		}
+	}
+}
+
+// sortedKeys returns the known prefixes in ascending order. Cold path (link
+// events, consistency checks).
+func (pt *prefixTable) sortedKeys() []Prefix {
+	keys := make([]Prefix, 0, pt.Len())
+	pt.ForEach(func(f Prefix, _ *prefixState) { keys = append(keys, f) })
+	slices.Sort(keys)
+	return keys
+}
+
+// recycle resets every state and returns the spilled ones to the free list.
+func (pt *prefixTable) recycle() {
+	if pt.hasFirst {
+		pt.first.reset()
+		pt.hasFirst = false
+	}
+	if sp := pt.more; sp != nil {
+		for _, ps := range sp.m {
+			ps.reset()
+			sp.free = append(sp.free, ps)
+		}
+		clear(sp.m)
+	}
+}
+
+// pendingUpdate is an update waiting in an output queue for its MRAI timer.
+type pendingUpdate struct {
+	path Path
+	// id is the interned ID of path (compact mode only; NoPath otherwise).
+	id PathID
+	// cause is the root cause of the queued update. A newer update for the
+	// same prefix replaces the whole pendingUpdate — cause included — so
+	// MRAI coalescing attributes the eventual send to the newest
+	// invalidating cause.
+	cause CauseID
+	kind  UpdateKind
+}
+
+// prefixTimer is the PerPrefix-scope MRAI timer of one (session, prefix)
+// pair and, like outQueue for the per-interface timer, its own flush event:
+// scheduled admits at most one pending firing, so the object is never in
+// the scheduler twice with different meanings.
+type prefixTimer struct {
+	q         *outQueue
+	expiry    des.Time
+	prefix    Prefix
+	scheduled bool
+}
+
+// outQueue is the per-neighbor output state: the MRAI timer, the queue of
+// rate-limited updates, and the Adj-RIB-Out (what is currently on the wire).
+// The per-prefix tables are prefixMaps: the paper's workload is one prefix
+// per C-event, so the dominant case is a single inline entry with no map
+// allocation at all.
+//
+// An outQueue is also the flush event of its own per-interface MRAI timer
+// (see Fire): scheduled admits at most one pending flush per queue, and the
+// event carries no payload beyond the queue's identity, so no event object
+// is ever allocated or pooled.
+type outQueue struct {
+	// lastSent is the Adj-RIB-Out: the path currently advertised to this
+	// neighbor per prefix. Absence means not advertised (never, or
+	// withdrawn).
+	lastSent prefixMap[Path]
+	// slot is the queue's neighbor slot at nd.
+	slot int32
+	// scheduled marks a pending flush event for this queue (PerInterface).
+	scheduled bool
+	// down marks a failed link; no updates flow and state is cleared.
+	down bool
+	// expiry is when the per-interface MRAI timer expires; a value <= now
+	// means the timer is idle. Used only with PerInterface scope.
+	expiry des.Time
+	// nd is the node owning the queue.
+	nd *node
+	// pending holds the latest not-yet-sent update per prefix. A newer
+	// update for the same prefix replaces the queued one (the paper's
+	// "queued update invalidated by a new update is removed").
+	pending prefixMap[pendingUpdate]
+	// prefixTimers holds the PerPrefix-scope timers, allocated on first use
+	// and kept (rewound) across Reset. Nil under PerInterface scope.
+	prefixTimers map[Prefix]*prefixTimer
+}
+
+// prefixTimer returns the PerPrefix timer for f, creating it on first use.
+func (q *outQueue) prefixTimer(f Prefix) *prefixTimer {
+	if t := q.prefixTimers[f]; t != nil {
+		return t
+	}
+	if q.prefixTimers == nil {
+		q.prefixTimers = make(map[Prefix]*prefixTimer, 1)
+	}
+	t := &prefixTimer{q: q, prefix: f}
+	q.prefixTimers[f] = t
+	return t
+}
+
+// clearTimers rewinds every MRAI timer of the queue to idle and unarmed.
+// Flush events already in the scheduler stay there; they find nothing to do.
+func (q *outQueue) clearTimers() {
+	q.expiry, q.scheduled = 0, false
+	for _, t := range q.prefixTimers {
+		t.expiry, t.scheduled = 0, false
+	}
+}
+
+// inMsg is one received update: the delivery payload plus the scheduler
+// ticket reserved for it at admission time. It is both the element type of a
+// receiver's inbox and the payload of the receiver's in-flight delivery
+// (node.cur). The path is held as pointer + length — engine paths always
+// have cap == len — which is what keeps the struct at 48 bytes and node.cur
+// inside the node's first two cache lines.
+type inMsg struct {
+	tk       des.Ticket
+	pathPtr  *topology.NodeID
+	pathLen  int32
+	fromSlot int32
+	prefix   Prefix
+	pathID   PathID  // interned ID of the path (compact mode)
+	cause    CauseID // root cause of the update (0 when tracing is off)
+	kind     UpdateKind
+}
+
+// node is one AS in the simulation and, at the same time, the completion
+// event of the update its single processor is working on (see Fire). All
+// per-neighbor state lives in rows of flat arrays parallel to the topology's
+// CSR adjacency — the neighbor IDs, relations and reverse slots in the
+// shared Adjacency itself, the session records and output queues in the
+// Network — and a node addresses its rows through one offset (row)
+// and a length (deg) instead of carrying a slice header per array.
+//
+// Field order is the cache-line budget (DESIGN.md, "Kernel memory model"):
+// everything deliver touches sits in the first 128 bytes; the third line
+// holds what Fire and the decision process read when the best route stays
+// put; the rest is written only on a route change. The struct is exactly
+// five 64-byte lines, so in the (page-aligned) node array no field group
+// ever straddles more lines than it has to. TestKernelLayoutBudget pins it.
+//
+// The measurement-window counters are 32-bit: every update a node receives,
+// sends or reacts to consumes one scheduler sequence number, and the
+// scheduler refuses to hand out more than 2^32 per Reset (des.Reserve), so
+// they cannot wrap.
+type node struct {
+	// sh is the shard owning this node: its event queue, path arena and
+	// counters (the inline engine has exactly one shard).
+	sh *netShard
+	// busyUntil models the single update processor with its FIFO queue: a
+	// message arriving at t completes processing at max(t, busyUntil) + d.
+	busyUntil des.Time
+	// src is the node's private randomness stream (processing delays,
+	// MRAI jitter).
+	src rng.Source
+	// inbox holds messages waiting behind the one delivery this node keeps
+	// in the scheduler queue (inboxHead indexes the front; delivering is
+	// true while that delivery is pending). Each message carries the
+	// scheduler ticket reserved at transmit time, so deferred insertion
+	// cannot change the global fire order — it only keeps the hot event
+	// queue at one entry per busy receiver instead of one per in-flight
+	// message.
+	inbox      []inMsg
+	inboxHead  int32
+	delivering bool
+	typ        topology.NodeType
+	// cur is the delivery in flight: the payload of the event this node is
+	// while delivering is true.
+	cur inMsg
+
+	id topology.NodeID
+	// row is the node's first slot in every flat per-session array (its CSR
+	// row start); deg is its neighbor count.
+	row, deg int32
+	// Measurement-window counters (reset by Network.ResetCounters).
+	// bestChanges counts Loc-RIB best-route changes (path exploration
+	// depth); suppressions counts dampening suppression episodes.
+	recvAnnounce uint32
+	recvWithdraw uint32
+	sentUpdates  uint32
+	bestChanges  uint32
+	suppressions uint32
+	// prefixes holds per-prefix routing state, created on first contact.
+	prefixes prefixTable
+	// msgSeq numbers this node's transmitted updates in windowed mode; the
+	// (arrival, sender, msgSeq) triple is the canonical barrier-admission
+	// order that makes results independent of the shard count.
+	msgSeq uint64
+}
+
+// Per-node rows of the flat per-session arrays. Slot j of node nd is element
+// nd.row+j of each array; the accessors below cut the row out for code that
+// walks it.
+
+func (net *Network) nbrIDs(nd *node) []topology.NodeID {
+	return net.adj.IDs[nd.row : nd.row+nd.deg]
+}
+
+func (net *Network) nbrRels(nd *node) []topology.Relation {
+	return net.adj.Rels[nd.row : nd.row+nd.deg]
+}
+
+func (net *Network) reverse(nd *node) []int32 {
+	return net.adj.Reverse[nd.row : nd.row+nd.deg]
+}
+
+func (net *Network) sessions(nd *node) []session {
+	return net.sess[nd.row : nd.row+nd.deg : nd.row+nd.deg]
+}
+
+func (net *Network) out(nd *node) []outQueue {
+	return net.outq[nd.row : nd.row+nd.deg]
+}
+
+// rib returns the compact engine's Adj-RIB-In rows of ps, a prefixState of
+// nd: the node's flat session row for its first prefix, private rows
+// otherwise.
+func (net *Network) rib(nd *node, ps *prefixState) []session {
+	if ps == &nd.prefixes.first {
+		return net.sessions(nd)
+	}
+	return ps.own
+}
+
+// tieLess reports whether neighbor slot a of nd beats slot b in the final
+// decision tie-break: the lower ID hash wins. The decision scans inline the
+// session.tie compare and come here only when the top halves collide.
+func (net *Network) tieLess(nd *node, a, b int32) bool {
+	ka, kb := nd.row+a, nd.row+b
+	if ta, tb := net.sess[ka].tie, net.sess[kb].tie; ta != tb {
+		return ta < tb
+	}
+	return hashID(net.salt, net.adj.IDs[ka]) < hashID(net.salt, net.adj.IDs[kb])
+}
+
+// state returns the node's prefixState for f, creating it on first use: the
+// inline first state, then recycled or freshly allocated spill states.
+func (net *Network) state(nd *node, f Prefix) *prefixState {
+	pt := &nd.prefixes
+	if ps, ok := pt.Get(f); ok {
+		return ps
+	}
+	if !pt.hasFirst {
+		// Nothing spills before the inline state is taken, and recycle
+		// releases both together.
+		ps := &pt.first
+		pt.firstKey, pt.hasFirst = f, true
+		if net.intern == nil && ps.ribIn == nil {
+			ps.ribIn = make([]Path, nd.deg)
+		}
+		return ps
+	}
+	if pt.more == nil {
+		pt.more = &prefixSpill{m: make(map[Prefix]*prefixState, 2)}
+	}
+	sp := pt.more
+	var ps *prefixState
+	if n := len(sp.free); n > 0 {
+		ps = sp.free[n-1]
+		sp.free[n-1] = nil
+		sp.free = sp.free[:n-1]
+	} else if net.intern != nil {
+		ps = &prefixState{bestSlot: noneSlot, own: make([]session, nd.deg)}
+	} else {
+		ps = &prefixState{bestSlot: noneSlot, ribIn: make([]Path, nd.deg)}
+	}
+	if net.intern != nil {
+		// Private rows: the flat row's relations and this epoch's
+		// tie-breaks (a recycled state carries the last epoch's), no routes.
+		for j, s := range net.sessions(nd) {
+			ps.own[j] = s.blank()
+		}
+	}
+	sp.m[f] = ps
+	return ps
+}
+
+// decide runs the BGP decision process over the Adj-RIB-In: highest local
+// preference (customer > peer > provider), then shortest AS path — together
+// the lowest session rank — then the ID hash, then (vanishingly unlikely)
+// the lower slot. A self-originated prefix always wins.
+func (net *Network) decide(nd *node, ps *prefixState) (slot int32, path Path) {
+	if ps.selfOrigin {
+		return selfSlot, nil
+	}
+	rows := net.sessions(nd)
+	best := int32(noneSlot)
+	var bestRank, bestTie uint32
+	for j, p := range ps.ribIn {
+		if p == nil || ps.suppressedAt(j) {
+			continue
+		}
+		// The session's relation bits over the path length: the rank the
+		// compact engine keeps precomputed in the row.
+		s := &rows[j]
+		rank := s.rank | uint32(len(p))
+		if best == noneSlot || rank < bestRank || (rank == bestRank &&
+			(s.tie < bestTie || (s.tie == bestTie && net.tieLess(nd, int32(j), best)))) {
+			best, bestRank, bestTie = int32(j), rank, s.tie
+		}
+	}
+	if best == noneSlot {
+		return noneSlot, nil
+	}
+	return best, ps.ribIn[best]
+}
+
+// decideCompact is decide over the session rows alone: preference and path
+// length are one integer compare on session.rank and the tie-break (almost
+// always) one on session.tie, so the scan reads nothing but the row itself.
+// Returns the ID of the winning path (NoPath for selfSlot/noneSlot).
+func (net *Network) decideCompact(nd *node, ps *prefixState) (slot int32, id PathID) {
+	if ps.selfOrigin {
+		return selfSlot, NoPath
+	}
+	rows := net.rib(nd, ps)
+	best := int32(noneSlot)
+	var bestRank, bestTie uint32
+	for j := range rows {
+		s := &rows[j]
+		if s.id == NoPath || ps.suppressedAt(j) {
+			continue
+		}
+		if best == noneSlot || s.rank < bestRank || (s.rank == bestRank &&
+			(s.tie < bestTie || (s.tie == bestTie && net.tieLess(nd, int32(j), best)))) {
+			best, bestRank, bestTie = int32(j), s.rank, s.tie
+		}
+	}
+	if best == noneSlot {
+		return noneSlot, NoPath
+	}
+	return best, rows[best].id
+}
+
+// ribHas reports whether ps holds a route from neighbor slot j, in either
+// engine representation.
+func (net *Network) ribHas(nd *node, ps *prefixState, j int) bool {
+	if net.intern != nil {
+		return net.rib(nd, ps)[j].id != NoPath
+	}
+	return ps.ribIn[j] != nil
+}
+
+// ribPath returns the route ps holds from neighbor slot j (nil if none),
+// resolving interned IDs to their canonical paths in compact mode. Cold
+// paths (consistency checks, link events) use it so they read one code path
+// regardless of engine.
+func (net *Network) ribPath(nd *node, ps *prefixState, j int) Path {
+	if net.intern != nil {
+		return net.intern.path(net.rib(nd, ps)[j].id)
+	}
+	return ps.ribIn[j]
 }
 
 // advertisement returns the full AS path nd advertises for ps (nil when it
 // has no route) and whether the best route came from a customer or is
 // self-originated (the no-valley export predicate). The path is served from
 // ps.full, computed at most once per best-route change.
-func (nd *node) advertisement(ps *prefixState) (full Path, fromCustomerOrSelf bool) {
+func (net *Network) advertisement(nd *node, ps *prefixState) (full Path, fromCustomerOrSelf bool) {
 	if !ps.fullValid {
 		switch {
 		case ps.bestSlot == noneSlot:
 			ps.full, ps.fullID = nil, NoPath
-		case nd.it != nil:
+		case net.intern != nil:
 			// Compact engine: the advertisement body is interned, so the
 			// same [self, best...] content network-wide shares one slab
 			// entry and one PathID.
-			ps.full, ps.fullID = nd.it.prepend(nd.id, ps.bestPath)
-		case ps.bestSlot == selfSlot:
-			ps.full = nd.arena.prepend(nd.id, nil)
+			ps.full, ps.fullID = net.intern.prepend(nd.id, ps.bestPath)
 		default:
-			ps.full = nd.arena.prepend(nd.id, ps.bestPath)
+			// bestPath is nil for a self-originated prefix: [self].
+			ps.full = nd.sh.paths.prepend(nd.id, ps.bestPath)
 		}
 		ps.fullValid = true
 	}
@@ -105,266 +564,29 @@ func (nd *node) advertisement(ps *prefixState) (full Path, fromCustomerOrSelf bo
 	case selfSlot:
 		return ps.full, true
 	default:
-		return ps.full, nd.nbrRels[ps.bestSlot] == topology.Customer
+		return ps.full, net.sess[nd.row+ps.bestSlot].rel() == topology.Customer
 	}
 }
 
-// pendingUpdate is an update waiting in an output queue for its MRAI timer.
-type pendingUpdate struct {
-	kind UpdateKind
-	path Path
-	// id is the interned ID of path (compact mode only; NoPath otherwise).
-	id PathID
-	// cause is the root cause of the queued update. A newer update for the
-	// same prefix replaces the whole pendingUpdate — cause included — so
-	// MRAI coalescing attributes the eventual send to the newest
-	// invalidating cause.
-	cause CauseID
-}
-
-// outQueue is the per-neighbor output state: the MRAI timer, the queue of
-// rate-limited updates, and the Adj-RIB-Out (what is currently on the wire).
-// All per-prefix tables are prefixMaps: the paper's workload is one prefix
-// per C-event, so the dominant case is a single inline entry with no map
-// allocation at all.
-type outQueue struct {
-	// expiry is when the per-interface MRAI timer expires; a value <= now
-	// means the timer is idle. Used only with PerInterface scope.
-	expiry des.Time
-	// scheduled marks a pending flush event for this queue (PerInterface).
-	scheduled bool
-	// pending holds the latest not-yet-sent update per prefix. A newer
-	// update for the same prefix replaces the queued one (the paper's
-	// "queued update invalidated by a new update is removed").
-	pending prefixMap[pendingUpdate]
-	// lastSent is the Adj-RIB-Out: the path currently advertised to this
-	// neighbor per prefix. Absence means not advertised (never, or
-	// withdrawn).
-	lastSent prefixMap[Path]
-	// prefixExpiry and prefixScheduled are the PerPrefix-scope analogues of
-	// expiry/scheduled.
-	prefixExpiry    prefixMap[des.Time]
-	prefixScheduled prefixMap[bool]
-	// down marks a failed link; no updates flow and state is cleared.
-	down bool
-}
-
-// node is one AS in the simulation. All per-neighbor state is laid out as
-// rows of shared flat arrays (struct-of-arrays): nbrIDs/nbrRels/reverse are
-// sub-slices of the topology's CSR adjacency (immutable, shared by every
-// Network over the topology), and tieHash/recvBySlot/out are sub-slices of
-// the Network's own flat per-session arrays. The hot transmit→reconcile
-// loop therefore walks contiguous memory instead of chasing per-node
-// allocations.
-type node struct {
-	id  topology.NodeID
-	typ topology.NodeType
-	// sh is the shard owning this node: its event queue, path arena,
-	// counters and event pools (the classic engine has exactly one shard).
-	sh *netShard
-	// msgSeq numbers this node's transmitted updates in windowed mode; the
-	// (arrival, sender, msgSeq) triple is the canonical barrier-admission
-	// order that makes results independent of the shard count.
-	msgSeq uint64
-	// nbrIDs[j] and nbrRels[j] are the neighbor's ID and relation at slot
-	// j, in the canonical CSR order (customers, peers, providers).
-	nbrIDs  []topology.NodeID
-	nbrRels []topology.Relation
-	// reverse[j] is this node's slot index in neighbor j's neighbor list,
-	// so messages can be delivered without per-message lookups.
-	reverse []int32
-	// tieHash[j] is the deterministic per-neighbor hash used as the final
-	// decision tie-break ("hashed value of the node IDs").
-	tieHash []uint64
-	// busyUntil models the single update processor with its FIFO queue: a
-	// message arriving at t completes processing at max(t, busyUntil) + d.
-	busyUntil des.Time
-	// inbox holds messages waiting behind the one delivery event this node
-	// keeps in the scheduler queue (inboxHead indexes the front; delivering
-	// is true while that event is pending). Each message carries the
-	// scheduler ticket reserved at transmit time, so deferred insertion
-	// cannot change the global fire order — it only keeps the hot event
-	// queue at one entry per busy receiver instead of one per in-flight
-	// message.
-	inbox      []inMsg
-	inboxHead  int
-	delivering bool
-	// src is the node's private randomness stream (processing delays,
-	// MRAI jitter).
-	src *rng.Source
-	// arena is the owning Network's path arena (advertisement bodies are
-	// built in it; see pathArena). Classic engine only.
-	arena *pathArena
-	// it is the owning Network's path intern table; non-nil selects the
-	// compact engine on every per-node code path (Config.CompactRIB).
-	it *internTable
-	// ribRow is this node's row of the network-wide flat Adj-RIB-In PathID
-	// array (compact mode), claimed by the node's first prefixState and
-	// owned by it from then on — across reset/recycle cycles — so the flat
-	// row can never alias two live prefixes. ribRowTaken marks the claim.
-	ribRow      []PathID
-	ribRowTaken bool
-	// out is the per-neighbor output state, parallel to nbrIDs.
-	out []outQueue
-	// prefixes holds per-prefix routing state, allocated on first contact.
-	prefixes prefixMap[*prefixState]
-	// psFree recycles prefixStates released by Network.Reset, so repeated
-	// C-events on one Network reuse the ribIn/damp storage instead of
-	// re-allocating it per event.
-	psFree []*prefixState
-	// scratch is a reused buffer for sorted per-prefix iteration on hot
-	// paths (flush drains). Valid only within one event's Fire; never
-	// retained.
-	scratch []Prefix
-
-	// Measurement-window counters (reset by Network.ResetCounters).
-	recvBySlot   []uint32
-	recvAnnounce uint64
-	recvWithdraw uint64
-	sentUpdates  uint64
-	// bestChanges counts Loc-RIB best-route changes (path exploration
-	// depth); suppressions counts dampening suppression episodes.
-	bestChanges  uint64
-	suppressions uint64
-}
-
-// state returns the node's prefixState for f, taking it from the free list
-// or allocating it on first use.
-func (nd *node) state(f Prefix) *prefixState {
-	if ps, ok := nd.prefixes.Get(f); ok {
-		return ps
-	}
-	var ps *prefixState
-	if n := len(nd.psFree); n > 0 {
-		ps = nd.psFree[n-1]
-		nd.psFree[n-1] = nil
-		nd.psFree = nd.psFree[:n-1]
-	} else if nd.it != nil {
-		ps = &prefixState{bestSlot: noneSlot}
-		if !nd.ribRowTaken {
-			// First prefix: zero-allocation Adj-RIB-In over the CSR row.
-			nd.ribRowTaken = true
-			ps.ribID = nd.ribRow
-		} else {
-			ps.ribID = make([]PathID, len(nd.nbrIDs))
-		}
-	} else {
-		ps = &prefixState{
-			ribIn:    make([]Path, len(nd.nbrIDs)),
-			bestSlot: noneSlot,
-		}
-	}
-	nd.prefixes.Set(f, ps)
-	return ps
-}
-
-// decide runs the BGP decision process over the Adj-RIB-In: highest local
-// preference (customer > peer > provider), then shortest AS path, then the
-// ID hash, then (vanishingly unlikely) the lower slot. A self-originated
-// prefix always wins.
-func (nd *node) decide(ps *prefixState) (slot int, path Path) {
-	if ps.selfOrigin {
-		return selfSlot, nil
-	}
-	best := noneSlot
-	var bestPath Path
-	bestPref, bestLen := -1, 0
-	var bestHash uint64
-	for j, p := range ps.ribIn {
-		if p == nil || ps.suppressedAt(j) {
-			continue
-		}
-		pref := localPref(nd.nbrRels[j])
-		plen := len(p)
-		h := nd.tieHash[j]
-		better := best == noneSlot ||
-			pref > bestPref ||
-			(pref == bestPref && plen < bestLen) ||
-			(pref == bestPref && plen == bestLen && h < bestHash)
-		if better {
-			best, bestPath, bestPref, bestLen, bestHash = j, p, pref, plen, h
-		}
-	}
-	return best, bestPath
-}
-
-// decideCompact is decide over the interned Adj-RIB-In: the same comparison
-// chain, but walking 4-byte PathIDs and reading path lengths out of the
-// intern table, so the scan never touches path content. Returns the ID of
-// the winning path (NoPath for selfSlot/noneSlot).
-func (nd *node) decideCompact(ps *prefixState) (slot int, id PathID) {
-	if ps.selfOrigin {
-		return selfSlot, NoPath
-	}
-	best := noneSlot
-	bestID := NoPath
-	bestPref, bestLen := -1, 0
-	var bestHash uint64
-	for j, pid := range ps.ribID {
-		if pid == NoPath || ps.suppressedAt(j) {
-			continue
-		}
-		pref := localPref(nd.nbrRels[j])
-		plen := nd.it.lenOf(pid)
-		h := nd.tieHash[j]
-		better := best == noneSlot ||
-			pref > bestPref ||
-			(pref == bestPref && plen < bestLen) ||
-			(pref == bestPref && plen == bestLen && h < bestHash)
-		if better {
-			best, bestID, bestPref, bestLen, bestHash = j, pid, pref, plen, h
-		}
-	}
-	return best, bestID
-}
-
-// ribHas reports whether ps holds a route from neighbor slot j, in either
-// engine representation.
-func (nd *node) ribHas(ps *prefixState, j int) bool {
-	if nd.it != nil {
-		return ps.ribID[j] != NoPath
-	}
-	return ps.ribIn[j] != nil
-}
-
-// ribPath returns the route ps holds from neighbor slot j (nil if none),
-// resolving interned IDs to their canonical paths in compact mode. Cold
-// paths (consistency checks, link events) use it so they read one code path
-// regardless of engine.
-func (nd *node) ribPath(ps *prefixState, j int) Path {
-	if nd.it != nil {
-		return nd.it.path(ps.ribID[j])
-	}
-	return ps.ribIn[j]
-}
-
-// exportable reports whether the node's current best route for ps may be
-// advertised to neighbor slot j under the no-valley policy, and returns the
-// full AS path to advertise. full must be the best path prepended with the
-// node's own ID (computed once by the caller); fromCustomerOrSelf says the
-// best route was learned from a customer or originated locally.
-func (nd *node) exportable(j int, full Path, fromCustomerOrSelf bool) bool {
+// exportable reports whether the best route with advertisement body full
+// may be sent to a neighbor nbr of relation rel under the no-valley policy.
+// full must be the best path prepended with the node's own ID (computed
+// once by the caller); fromCustomerOrSelf says the best route was learned
+// from a customer or originated locally.
+func exportable(nbr topology.NodeID, rel topology.Relation, full Path, fromCustomerOrSelf bool) bool {
 	if full == nil {
 		return false
 	}
 	// No-valley: routes from peers/providers go only to customers; routes
 	// from customers (or our own prefixes) go to everyone.
-	if !fromCustomerOrSelf && nd.nbrRels[j] != topology.Customer {
+	if !fromCustomerOrSelf && rel != topology.Customer {
 		return false
 	}
 	// Sender-side loop detection: never advertise a path through the
 	// recipient (this also suppresses the advertisement to the next hop,
 	// the paper's "unless its preferred path goes through the customer
 	// itself").
-	return !full.Contains(nd.nbrIDs[j])
-}
-
-// sortedPrefixes returns the node's known prefixes in ascending order, for
-// deterministic iteration. Cold path (link events, consistency checks); the
-// hot flush path uses prefixMap.SortedKeysInto with the node's scratch
-// buffer instead.
-func (nd *node) sortedPrefixes() []Prefix {
-	return nd.prefixes.SortedKeysInto(make([]Prefix, 0, nd.prefixes.Len()))
+	return !full.Contains(nbr)
 }
 
 // hashID mixes a node ID with the simulation salt for decision tie-breaks.

@@ -10,12 +10,14 @@ import "sort"
 // (Clear empties it but keeps it allocated so Network.Reset reuses the
 // storage).
 //
-// The zero value is an empty, ready-to-use map.
+// The zero value is an empty, ready-to-use map. Field order keeps the
+// struct at 8 + sizeof(V) + 8 bytes for pointer-aligned V: key and has share
+// the trailing word.
 type prefixMap[V any] struct {
-	key Prefix
-	val V
-	has bool
 	m   map[Prefix]V
+	val V
+	key Prefix
+	has bool
 }
 
 // Len returns the number of entries.
@@ -97,18 +99,4 @@ func (pm *prefixMap[V]) SortedKeysInto(buf []Prefix) []Prefix {
 		buf = append(buf, pm.key)
 	}
 	return buf
-}
-
-// ForEach calls fn for every entry in unspecified order. Callers that need
-// determinism must use SortedKeysInto instead. fn must not mutate the map.
-func (pm *prefixMap[V]) ForEach(fn func(Prefix, V)) {
-	if pm.m != nil {
-		for f, v := range pm.m {
-			fn(f, v)
-		}
-		return
-	}
-	if pm.has {
-		fn(pm.key, pm.val)
-	}
 }

@@ -123,19 +123,6 @@ func (p Path) String() string {
 	return b.String()
 }
 
-// localPref maps a neighbor relation to the paper's preference order:
-// customer routes over peer routes over provider routes.
-func localPref(rel topology.Relation) int {
-	switch rel {
-	case topology.Customer:
-		return 2
-	case topology.Peer:
-		return 1
-	default:
-		return 0
-	}
-}
-
 // UpdateKind distinguishes announcements from explicit withdrawals.
 type UpdateKind uint8
 

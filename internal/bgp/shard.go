@@ -53,8 +53,8 @@ type rateSec struct {
 }
 
 // netShard is one barrier-synchronized partition of the network: a
-// contiguous node range with a private event queue, path arena, counters
-// and event pools. The classic engine runs exactly one; the windowed
+// contiguous node range with a private event queue, path arena and
+// counters. The inline engine runs exactly one; the windowed
 // engine runs Config.Shards of them. During a window only the owning
 // goroutine touches a shard's state (and the state of the nodes it owns);
 // between windows the barrier's WaitGroup edges order all cross-shard
@@ -107,15 +107,9 @@ type netShard struct {
 	inbox []wireMsg
 	cross uint64
 
-	// procFree, flushFree and prefixFlushFree recycle the dominant event
-	// kinds: an event returns its receiver to the free list at the end of
-	// Fire (the scheduler holds no reference by then), and deliver or
-	// ensureFlush reuse it for the next send. Steady-state simulation
-	// therefore allocates no event objects at all. Ownership rules are in
-	// DESIGN.md (kernel memory model).
-	procFree        []*procEvent
-	flushFree       []*flushEvent
-	prefixFlushFree []*prefixFlushEvent
+	// scratch is a reused buffer for sorted per-prefix iteration in MRAI
+	// flush drains. Valid only within one event's Fire; never retained.
+	scratch []Prefix
 }
 
 // runWindowed is the barrier-synchronized executor: admit pending wire

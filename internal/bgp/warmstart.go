@@ -117,11 +117,12 @@ func (net *Network) WarmStart(origin topology.NodeID, f Prefix) {
 		next = next[:0]
 		for _, u := range frontier {
 			nd := &net.nodes[u]
-			for j, rel := range nd.nbrRels {
+			ids := net.nbrIDs(nd)
+			for j, rel := range net.nbrRels(nd) {
 				if rel != topology.Provider {
 					continue
 				}
-				p := nd.nbrIDs[j]
+				p := ids[j]
 				if class[p] != wsNone || pending[p] || adv[u].Contains(p) {
 					continue
 				}
@@ -134,7 +135,7 @@ func (net *Network) WarmStart(origin topology.NodeID, f Prefix) {
 			nd := &net.nodes[pid]
 			if slot, _ := net.warmBest(nd, adv, class, topology.Customer); slot >= 0 {
 				class[pid] = wsCustomer
-				adv[pid], advID[pid] = net.warmPrepend(pid, adv[nd.nbrIDs[slot]])
+				adv[pid], advID[pid] = net.warmPrepend(pid, adv[net.nbrIDs(nd)[slot]])
 			}
 		}
 		frontier, next = next, frontier
@@ -151,7 +152,7 @@ func (net *Network) WarmStart(origin topology.NodeID, f Prefix) {
 		nd := &net.nodes[i]
 		if slot, _ := net.warmBest(nd, adv, class, topology.Peer); slot >= 0 {
 			class[i] = wsPeer
-			adv[i], advID[i] = net.warmPrepend(nd.id, adv[nd.nbrIDs[slot]])
+			adv[i], advID[i] = net.warmPrepend(nd.id, adv[net.nbrIDs(nd)[slot]])
 		}
 	}
 
@@ -171,14 +172,15 @@ func (net *Network) WarmStart(origin topology.NodeID, f Prefix) {
 		if class[v] == wsNone {
 			if slot, _ := net.warmBest(nd, adv, class, topology.Provider); slot >= 0 {
 				class[v] = wsProvider
-				adv[v], advID[v] = net.warmPrepend(v, adv[nd.nbrIDs[slot]])
+				adv[v], advID[v] = net.warmPrepend(v, adv[net.nbrIDs(nd)[slot]])
 			}
 		}
-		for j, rel := range nd.nbrRels {
+		ids := net.nbrIDs(nd)
+		for j, rel := range net.nbrRels(nd) {
 			if rel != topology.Customer {
 				continue
 			}
-			c := nd.nbrIDs[j]
+			c := ids[j]
 			if indeg[c]--; indeg[c] == 0 {
 				order = append(order, c)
 			}
@@ -197,16 +199,17 @@ func (net *Network) WarmStart(origin topology.NodeID, f Prefix) {
 			continue
 		}
 		fromCustomerOrSelf := class[i] == wsSelf || class[i] == wsCustomer
-		for j := range nd.nbrIDs {
-			if !nd.exportable(j, full, fromCustomerOrSelf) {
+		ids, rels, rev, out := net.nbrIDs(nd), net.nbrRels(nd), net.reverse(nd), net.out(nd)
+		for j, nbr := range ids {
+			if !exportable(nbr, rels[j], full, fromCustomerOrSelf) {
 				continue
 			}
-			nd.out[j].lastSent.Set(f, full)
-			to := &net.nodes[nd.nbrIDs[j]]
+			out[j].lastSent.Set(f, full)
+			ps := net.state(&net.nodes[nbr], f)
 			if net.intern != nil {
-				to.state(f).ribID[nd.reverse[j]] = advID[i]
+				net.rib(&net.nodes[nbr], ps)[rev[j]].install(advID[i], len(full))
 			} else {
-				to.state(f).ribIn[nd.reverse[j]] = full
+				ps.ribIn[rev[j]] = full
 			}
 		}
 	}
@@ -219,7 +222,7 @@ func (net *Network) WarmStart(origin topology.NodeID, f Prefix) {
 	// Every full path ends at the origin, so sender-side loop suppression
 	// blocks every advertisement toward it: the origin's state must be
 	// created explicitly.
-	ops := net.nodes[origin].state(f)
+	ops := net.state(&net.nodes[origin], f)
 	ops.selfOrigin = true
 	for i := range net.nodes {
 		nd := &net.nodes[i]
@@ -228,11 +231,11 @@ func (net *Network) WarmStart(origin topology.NodeID, f Prefix) {
 			continue
 		}
 		if net.intern != nil {
-			ps.bestSlot, ps.bestID = nd.decideCompact(ps)
+			ps.bestSlot, ps.bestID = net.decideCompact(nd, ps)
 			ps.bestPath = net.intern.path(ps.bestID)
 			ps.fullID = advID[i]
 		} else {
-			ps.bestSlot, ps.bestPath = nd.decide(ps)
+			ps.bestSlot, ps.bestPath = net.decide(nd, ps)
 		}
 		ps.full, ps.fullValid = adv[i], true
 	}
@@ -247,7 +250,7 @@ func (net *Network) warmPrepend(id topology.NodeID, tail Path) (Path, PathID) {
 	if net.intern != nil {
 		return net.intern.prepend(id, tail)
 	}
-	return net.nodes[id].arena.prepend(id, tail), NoPath
+	return net.nodes[id].sh.paths.prepend(id, tail), NoPath
 }
 
 // warmBest runs the decision process over the subset of nd's neighbors with
@@ -260,15 +263,15 @@ func (net *Network) warmPrepend(id topology.NodeID, tail Path) (Path, PathID) {
 // shortest path, then lowest tieHash, then (via strict improvement) the
 // lowest slot.
 func (net *Network) warmBest(nd *node, adv []Path, class []uint8, rel topology.Relation) (slot int, path Path) {
-	best := noneSlot
+	best := int32(noneSlot)
 	var bestPath Path
 	bestLen := 0
-	var bestHash uint64
-	for j, r := range nd.nbrRels {
+	ids := net.nbrIDs(nd)
+	for j, r := range net.nbrRels(nd) {
 		if r != rel {
 			continue
 		}
-		u := nd.nbrIDs[j]
+		u := ids[j]
 		p := adv[u]
 		if p == nil || p.Contains(nd.id) {
 			continue
@@ -276,13 +279,13 @@ func (net *Network) warmBest(nd *node, adv []Path, class []uint8, rel topology.R
 		if rel != topology.Provider && class[u] != wsSelf && class[u] != wsCustomer {
 			continue
 		}
-		plen, h := len(p), nd.tieHash[j]
-		if best == noneSlot || plen < bestLen || (plen == bestLen && h < bestHash) {
-			best, bestPath, bestLen, bestHash = j, p, plen, h
+		plen := len(p)
+		if best == noneSlot || plen < bestLen || (plen == bestLen && net.tieLess(nd, int32(j), best)) {
+			best, bestPath, bestLen = int32(j), p, plen
 		}
 	}
 	if best == noneSlot {
 		return -1, nil
 	}
-	return best, bestPath
+	return int(best), bestPath
 }

@@ -77,7 +77,8 @@ func compareConverged(t *testing.T, cold, warm *Network, label string, n int, se
 		if !cps.bestPath.Equal(wps.bestPath) {
 			t.Errorf("node %d: bestPath cold=%v warm=%v", i, cps.bestPath, wps.bestPath)
 		}
-		for j := range cn.nbrIDs {
+		cIDs, cOut, wOut := cold.nbrIDs(cn), cold.out(cn), warm.out(wn)
+		for j := range cIDs {
 			var cRib, wRib Path
 			if cps.ribIn != nil {
 				cRib = cps.ribIn[j]
@@ -87,9 +88,9 @@ func compareConverged(t *testing.T, cold, warm *Network, label string, n int, se
 			}
 			if !cRib.Equal(wRib) {
 				t.Errorf("node %d slot %d (from %d): ribIn cold=%v warm=%v",
-					i, j, cn.nbrIDs[j], cRib, wRib)
+					i, j, cIDs[j], cRib, wRib)
 			}
-			cq, wq := &cn.out[j], &wn.out[j]
+			cq, wq := &cOut[j], &wOut[j]
 			if cq.pending.Len() != 0 || wq.pending.Len() != 0 {
 				t.Errorf("node %d slot %d: queued updates on a converged network (cold=%d warm=%d)",
 					i, j, cq.pending.Len(), wq.pending.Len())
@@ -98,7 +99,7 @@ func compareConverged(t *testing.T, cold, warm *Network, label string, n int, se
 			wSent, wOn := wq.lastSent.Get(wsPrefix)
 			if cOn != wOn || !cSent.Equal(wSent) {
 				t.Errorf("node %d slot %d (to %d): adj-rib-out cold=(%v,%v) warm=(%v,%v)",
-					i, j, cn.nbrIDs[j], cSent, cOn, wSent, wOn)
+					i, j, cIDs[j], cSent, cOn, wSent, wOn)
 			}
 		}
 		// The cached advertisement body must agree whenever there is a route;

@@ -184,16 +184,27 @@ func (h *eventHeap) reset() {
 // seconds) stay out of the hot band entirely.
 
 // Ring geometry: ringBuckets buckets of 2^ringShift virtual nanoseconds
-// (≈1.05 ms), spanning ≈134 ms. ringHorizon is one bucket short of the full
-// span so that the absolute bucket numbers of coexisting entries — all in
-// [now, now+ringHorizon] — cover at most ringBuckets distinct values and a
-// masked slot never holds two epochs at once.
+// (≈65.5 µs), spanning ≈134 ms. A bucket is sized so that even the densest
+// phase of an internet-scale cell (hundreds of deliveries per virtual
+// millisecond) leaves a handful of entries per bucket and the insertion sort
+// in push stays a one- or two-step affair. ringHorizon bounds how far ahead
+// of the clock an entry may sit: it must stay at least one bucket short of
+// the full span so that the absolute bucket numbers of coexisting entries —
+// all in [now, now+ringHorizon] — cover at most ringBuckets distinct values
+// and a masked slot never holds two epochs at once. It is pinned to the
+// value the coarser 128 × 2^20 ns geometry used (127 << 20 ns, i.e. 2032 of
+// the 2048 buckets), so which band an event lands in — and with it every
+// push counter — is independent of the bucket width.
 const (
-	ringShift   = 20
-	ringBuckets = 128
+	ringShift   = 16
+	ringBuckets = 2048
 	ringMask    = ringBuckets - 1
-	ringHorizon = Time((ringBuckets - 1) << ringShift)
+	ringHorizon = Time(127 << 20)
 )
+
+// The horizon must leave at least one bucket of slack (see above); a
+// geometry that violates it fails to compile.
+const _ = uint((ringBuckets-1)<<ringShift - ringHorizon)
 
 // ringBucket is one time slice of the ring: entries[head:] is the bucket's
 // live content, sorted by (at, seq). head advances on pop so the front is
@@ -207,17 +218,25 @@ type ringBucket struct {
 // push appends into the target bucket with a short insertion sort (buckets
 // hold a handful of entries), pop takes the front of the first non-empty
 // bucket at or after the clock's bucket — no sifting at all, which is what
-// makes it beat the heap for the delivery-dominated near band. A two-word
-// occupancy bitmap makes skipping empty buckets O(1). Events live in the
-// same stable-slab arrangement as eventHeap, keyed by heapKey.idx.
+// makes it beat the heap for the delivery-dominated near band. A two-level
+// occupancy bitmap (one bit per bucket, one summary bit per bitmap word)
+// makes skipping any run of empty buckets O(1), and lets reset visit only
+// the buckets in use. Events live in the same stable-slab arrangement as
+// eventHeap, keyed by heapKey.idx.
 type timeRing struct {
 	buckets [ringBuckets]ringBucket
-	occ     [ringBuckets / 64]uint64 // occupancy bitmap over masked indices
-	cur     int64                    // absolute bucket number (at>>ringShift), ≤ every entry's
+	occ     [ringWords]uint64 // occupancy bitmap over masked indices
+	words   uint64            // bit w set iff occ[w] != 0
+	cur     int64             // absolute bucket number (at>>ringShift), ≤ every entry's
 	count   int
 	slab    []Event
 	free    []int32
 }
+
+// ringWords is the occupancy bitmap's length; its summary fits one word.
+const ringWords = ringBuckets / 64
+
+const _ = uint(64 - ringWords)
 
 func (r *timeRing) len() int { return r.count }
 
@@ -247,28 +266,32 @@ func (r *timeRing) push(at Time, seq uint32, e Event) {
 		b.entries[i-1] = k
 	}
 	r.occ[m>>6] |= 1 << (m & 63)
+	r.words |= 1 << (m >> 6)
 	r.count++
 }
 
 // advance moves cur forward to the first non-empty bucket. The caller must
 // ensure the ring is non-empty. All entries sit within ringBuckets of cur,
-// so a single wrapping scan of the occupancy bitmap finds the right
-// absolute bucket.
+// so the first occupied bucket in wrapping order from cur's masked index is
+// the right absolute bucket: the rest of cur's own bitmap word, else the
+// first non-empty word after it (wrapping, and ending on cur's word again
+// for buckets below cur's bit), found through the summary word.
 func (r *timeRing) advance() {
 	m := int(r.cur) & ringMask
-	if x := r.occ[m>>6] >> (m & 63); x != 0 {
+	w := m >> 6
+	if x := r.occ[w] >> (m & 63); x != 0 {
 		r.cur += int64(bits.TrailingZeros64(x))
 		return
 	}
-	for i := 1; i <= len(r.occ); i++ {
-		w := (m>>6 + i) % len(r.occ)
-		if r.occ[w] != 0 {
-			next := w<<6 + bits.TrailingZeros64(r.occ[w])
-			r.cur += int64((next - m + ringBuckets) & ringMask)
-			return
-		}
+	// Rotate the summary so that bit 0 stands for word w+1.
+	k := (w + 1) % ringWords
+	rot := (r.words>>k | r.words<<(ringWords-k)) & (1<<ringWords - 1)
+	if rot == 0 {
+		panic("des: timeRing.advance on empty ring")
 	}
-	panic("des: timeRing.advance on empty ring")
+	w = (k + bits.TrailingZeros64(rot)) % ringWords
+	next := w<<6 + bits.TrailingZeros64(r.occ[w])
+	r.cur += int64((next - m + ringBuckets) & ringMask)
 }
 
 // min returns the earliest entry's key without removing it. The caller must
@@ -292,7 +315,9 @@ func (r *timeRing) pop() (heapKey, Event) {
 	if b.head == len(b.entries) {
 		b.entries = b.entries[:0]
 		b.head = 0
-		r.occ[m>>6] &^= 1 << (m & 63)
+		if r.occ[m>>6] &^= 1 << (m & 63); r.occ[m>>6] == 0 {
+			r.words &^= 1 << (m >> 6)
+		}
 	}
 	r.count--
 	e := r.slab[k.idx]
@@ -303,13 +328,17 @@ func (r *timeRing) pop() (heapKey, Event) {
 
 // reset discards all entries, keeping the storage.
 func (r *timeRing) reset() {
-	for i := range r.buckets {
-		r.buckets[i].entries = r.buckets[i].entries[:0]
-		r.buckets[i].head = 0
+	// A bucket that emptied by popping has rewound itself; the occupied
+	// ones are exactly those the bitmap names.
+	for ws := r.words; ws != 0; ws &= ws - 1 {
+		w := bits.TrailingZeros64(ws)
+		for x := r.occ[w]; x != 0; x &= x - 1 {
+			b := &r.buckets[w<<6+bits.TrailingZeros64(x)]
+			b.entries, b.head = b.entries[:0], 0
+		}
+		r.occ[w] = 0
 	}
-	for i := range r.occ {
-		r.occ[i] = 0
-	}
+	r.words = 0
 	r.cur = 0
 	r.count = 0
 	clear(r.slab) // release the dropped events for GC

@@ -125,7 +125,9 @@ func TestHeapFIFOWithinBurst(t *testing.T) {
 // fire order matches the (at, seq) sort exactly. The near/far split must be
 // invisible. Delays are biased toward the ring's sore spots: zero delays,
 // exact bucket-boundary multiples, both sides of ringHorizon, and in-ring
-// chains long enough to wrap the ring many times over.
+// chains long enough to wrap the ring many times over. Bucket boundaries are
+// probed in absolute time (a bucket is at>>ringShift, not a delay), from
+// both sides, as is the ring's full span beyond the horizon.
 func TestSchedulerSplitQueueOrdering(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		r := rand.New(rand.NewSource(int64(trial) + 77))
@@ -150,7 +152,7 @@ func TestSchedulerSplitQueueOrdering(t *testing.T) {
 				if depth > 0 {
 					for k := 0; k < 1+r.Intn(2); k++ {
 						var nd Time
-						switch r.Intn(6) {
+						switch r.Intn(9) {
 						case 0:
 							nd = 0
 						case 1:
@@ -161,6 +163,18 @@ func TestSchedulerSplitQueueOrdering(t *testing.T) {
 							nd = ringHorizon - Time(r.Intn(3))
 						case 4:
 							nd = ringHorizon + Time(r.Intn(3))
+						case 5:
+							// Land on, just below or just above an absolute
+							// bucket boundary a few buckets ahead.
+							edge := (int64(s.Now())>>ringShift + 1 + int64(r.Intn(8))) << ringShift
+							nd = Time(edge) - s.Now() + Time(r.Intn(3)-1)
+						case 6:
+							// Both sides of the ring's full span, which the
+							// horizon must keep out of reach.
+							nd = Time(ringBuckets<<ringShift) + Time(r.Intn(5)-2)
+						case 7:
+							// Several events inside one bucket.
+							nd = Time(r.Int63n(1 << ringShift))
 						default:
 							nd = Time(r.Int63n(int64(40 * Second)))
 						}
@@ -189,6 +203,110 @@ func TestSchedulerSplitQueueOrdering(t *testing.T) {
 			if fired[i] != want[i] {
 				t.Fatalf("trial %d: fire order diverged at %d: got %+v, want %+v", trial, i, fired[i], want[i])
 			}
+		}
+	}
+}
+
+// TestRingMatchesContainerHeap is the eventHeap property for the time ring:
+// a randomized push/pop schedule under a moving clock, every push within
+// ringHorizon of it as the Scheduler guarantees, biased toward bucket
+// boundaries, the horizon edge and same-instant bursts. Pop order must equal
+// the container/heap reference exactly.
+func TestRingMatchesContainerHeap(t *testing.T) {
+	for trial := 0; trial < 50; trial++ {
+		r := rand.New(rand.NewSource(int64(trial) + 1001))
+		var got timeRing
+		var want refHeap
+		var seq uint32
+		var now Time
+		for op := 0; op < 3000; op++ {
+			if got.len() > 0 && r.Intn(3) == 0 {
+				g, e := got.pop()
+				w := heap.Pop(&want).(refItem)
+				if g.at != w.at || g.seq != w.seq || int(e.(idEvent)) != w.id {
+					t.Fatalf("trial %d op %d: pop mismatch: got (at=%d seq=%d), want (at=%d seq=%d)",
+						trial, op, g.at, g.seq, w.at, w.seq)
+				}
+				now = g.at
+				continue
+			}
+			var d Time
+			switch r.Intn(6) {
+			case 0:
+				d = 0
+			case 1:
+				d = ringHorizon - 1 - Time(r.Intn(2))
+			case 2:
+				edge := (int64(now)>>ringShift + 1 + int64(r.Intn(ringBuckets-40))) << ringShift
+				d = Time(edge) - now + Time(r.Intn(3)-1)
+			case 3:
+				d = Time(r.Int63n(1 << ringShift))
+			default:
+				d = Time(r.Int63n(int64(ringHorizon)))
+			}
+			if d >= ringHorizon {
+				d = ringHorizon - 1
+			}
+			got.push(now+d, seq, idEvent(int(seq)))
+			heap.Push(&want, refItem{at: now + d, seq: seq, id: int(seq)})
+			seq++
+		}
+		for got.len() > 0 {
+			g, _ := got.pop()
+			w := heap.Pop(&want).(refItem)
+			if g.at != w.at || g.seq != w.seq {
+				t.Fatalf("trial %d drain: pop mismatch: got (at=%d seq=%d), want (at=%d seq=%d)",
+					trial, g.at, g.seq, w.at, w.seq)
+			}
+		}
+	}
+}
+
+// TestSchedulerDenseBurstOrdering packs thousands of events into one virtual
+// millisecond — the density of an internet-scale cell's busiest phase, where
+// the former 1 ms buckets degenerated into long insertion sorts — with pops
+// interleaved between pushes, and asserts the fire order is exactly the
+// (at, seq) sort.
+func TestSchedulerDenseBurstOrdering(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	var s Scheduler
+	type key struct {
+		at  Time
+		seq int
+	}
+	var fired, want []key
+	seq := 0
+	push := func() {
+		// Never before the clock; mostly inside the next millisecond, with
+		// repeated instants for FIFO ties.
+		at := s.Now() + Time(r.Int63n(int64(Millisecond)))
+		if r.Intn(8) == 0 {
+			at = s.Now() + Time(r.Intn(4))*100*Microsecond
+		}
+		k := key{at, seq}
+		seq++
+		want = append(want, k)
+		s.At(at, EventFunc(func(*Scheduler) { fired = append(fired, k) }))
+	}
+	for i := 0; i < 6000; i++ {
+		push()
+		if i%3 == 2 {
+			s.Step()
+		}
+	}
+	s.Run()
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].at != want[j].at {
+			return want[i].at < want[j].at
+		}
+		return want[i].seq < want[j].seq
+	})
+	if len(fired) != len(want) {
+		t.Fatalf("fired %d of %d events", len(fired), len(want))
+	}
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Fatalf("fire order diverged at %d: got %+v, want %+v", i, fired[i], want[i])
 		}
 	}
 }

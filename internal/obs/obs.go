@@ -158,8 +158,6 @@ type Metrics struct {
 		UpdatesProcessed  *Counter // procEvent completions
 		MRAIFlushes       *Counter // per-interface flush events fired
 		PrefixMRAIFlushes *Counter // per-prefix flush events fired
-		EventPoolHits     *Counter // pooled events reused
-		EventPoolMisses   *Counter // pooled events freshly allocated
 		PathArenaBytes    *Counter // bytes bump-allocated for AS paths
 		InboxDeferrals    *Counter // deliveries parked behind a busy receiver
 		InternedPaths     *Counter // distinct AS paths interned (compact engine)
@@ -244,8 +242,6 @@ func New() *Metrics {
 	m.BGP.UpdatesProcessed = m.counter("bgpchurn_bgp_updates_processed_total", "Updates fully processed by receivers.")
 	m.BGP.MRAIFlushes = m.counter("bgpchurn_bgp_mrai_flushes_total", "Per-interface MRAI flush events fired.")
 	m.BGP.PrefixMRAIFlushes = m.counter("bgpchurn_bgp_prefix_mrai_flushes_total", "Per-prefix MRAI flush events fired.")
-	m.BGP.EventPoolHits = m.counter("bgpchurn_bgp_event_pool_hits_total", "Pooled simulation events reused from a free list.")
-	m.BGP.EventPoolMisses = m.counter("bgpchurn_bgp_event_pool_misses_total", "Pooled simulation events freshly allocated.")
 	m.BGP.PathArenaBytes = m.counter("bgpchurn_bgp_path_arena_bytes_total", "Bytes bump-allocated for AS paths in the path arenas.")
 	m.BGP.InboxDeferrals = m.counter("bgpchurn_bgp_inbox_deferrals_total", "Deliveries parked in a receiver inbox behind an in-flight event.")
 	m.BGP.InternedPaths = m.counter("bgpchurn_bgp_interned_paths_total", "Distinct AS paths interned by compact-RIB engines.")

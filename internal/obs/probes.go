@@ -39,8 +39,6 @@ type BGPProbes struct {
 	UpdatesProcessed  *Cell
 	MRAIFlushes       *Cell
 	PrefixMRAIFlushes *Cell
-	PoolHits          *Cell
-	PoolMisses        *Cell
 	ArenaBytes        *Cell
 	InboxDeferrals    *Cell
 	InternedPaths     *Cell
@@ -57,8 +55,6 @@ func (m *Metrics) NewBGPProbes() *BGPProbes {
 		UpdatesProcessed:  m.BGP.UpdatesProcessed.Cell(s),
 		MRAIFlushes:       m.BGP.MRAIFlushes.Cell(s),
 		PrefixMRAIFlushes: m.BGP.PrefixMRAIFlushes.Cell(s),
-		PoolHits:          m.BGP.EventPoolHits.Cell(s),
-		PoolMisses:        m.BGP.EventPoolMisses.Cell(s),
 		ArenaBytes:        m.BGP.PathArenaBytes.Cell(s),
 		InboxDeferrals:    m.BGP.InboxDeferrals.Cell(s),
 		InternedPaths:     m.BGP.InternedPaths.Cell(s),

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -45,47 +46,16 @@ func (c *coneSet) contains(d NodeID) bool {
 func (g *builder) prepareConesShared() {
 	n := len(g.topo.Nodes)
 	g.coneSets = make([]coneSet, n)
-	// Break-even size for switching to a bitset, with a small floor so tiny
-	// topologies don't bounce representations.
-	threshold := n/32 + 8
-	words := (n + 63) / 64
+	threshold := coneThreshold(n)
 	var scratch []NodeID
 	for i := n - 1; i >= 0; i-- {
 		nd := &g.topo.Nodes[i]
 		if nd.Type != M || len(nd.Customers) == 0 {
 			continue
 		}
-		// Upper-bound the union size to pick the representation: any dense
-		// child forces dense (the parent cone is a superset).
-		est := 0
-		dense := false
-		for _, c := range nd.Customers {
-			cs := &g.coneSets[c]
-			est += 1 + cs.size
-			if cs.bits != nil {
-				dense = true
-			}
-		}
+		est, dense := coneEstimate(nd.Customers, g.coneSets)
 		if dense || est > threshold {
-			b := make([]uint64, words)
-			for _, c := range nd.Customers {
-				cs := &g.coneSets[c]
-				if cs.bits != nil {
-					for w, v := range cs.bits {
-						b[w] |= v
-					}
-				} else {
-					for _, m := range cs.list {
-						b[m>>6] |= 1 << (uint(m) & 63)
-					}
-				}
-				b[c>>6] |= 1 << (uint(c) & 63)
-			}
-			size := 0
-			for _, v := range b {
-				size += bits.OnesCount64(v)
-			}
-			g.coneSets[i] = coneSet{bits: b, size: size}
+			g.coneSets[i] = denseUnion(n, nd.Customers, g.coneSets)
 			continue
 		}
 		// Sorted-list union by iterative two-way merge. A customer's cone
@@ -100,6 +70,98 @@ func (g *builder) prepareConesShared() {
 		}
 		g.coneSets[i] = coneSet{list: out, size: len(out)}
 	}
+}
+
+// coneThreshold is the break-even cone size for switching from a sorted
+// list to a bitset over n nodes, with a small floor so tiny topologies
+// don't bounce representations.
+func coneThreshold(n int) int { return n/32 + 8 }
+
+// coneEstimate upper-bounds the size of the cone whose direct customers are
+// given (their own cones already built in sets) to pick its representation:
+// any dense child forces dense (the parent cone is a superset).
+func coneEstimate(customers []NodeID, sets []coneSet) (est int, dense bool) {
+	for _, c := range customers {
+		cs := &sets[c]
+		est += 1 + cs.size
+		if cs.bits != nil {
+			dense = true
+		}
+	}
+	return est, dense
+}
+
+// denseUnion builds the bitset cone over n nodes of a node with the given
+// direct customers: the customers plus their already-built cones.
+func denseUnion(n int, customers []NodeID, sets []coneSet) coneSet {
+	b := make([]uint64, (n+63)/64)
+	for _, c := range customers {
+		cs := &sets[c]
+		if cs.bits != nil {
+			for w, v := range cs.bits {
+				b[w] |= v
+			}
+		} else {
+			for _, m := range cs.list {
+				b[m>>6] |= 1 << (uint(m) & 63)
+			}
+		}
+		b[c>>6] |= 1 << (uint(c) & 63)
+	}
+	size := 0
+	for _, v := range b {
+		size += bits.OnesCount64(v)
+	}
+	return coneSet{bits: b, size: size}
+}
+
+// customerCones materializes the customer cone of every node of a finished
+// topology in one bottom-up pass, for Validate. It is prepareConesShared
+// without the generator's assumptions: nodes are visited in a
+// customers-first topological order of the provider DAG instead of by
+// descending ID (hand-built and relabeled topologies number their nodes
+// freely), every node with customers gets a cone (T nodes included), and
+// list-form unions sort instead of relying on ID order. The provider
+// relation must be acyclic and the neighbor lists symmetric; Validate
+// checks both first.
+func customerCones(t *Topology) []coneSet {
+	n := len(t.Nodes)
+	sets := make([]coneSet, n)
+	threshold := coneThreshold(n)
+	// Kahn's algorithm upward from the stubs: a node is ready once every
+	// customer's cone is built.
+	waiting := make([]int32, n)
+	ready := make([]NodeID, 0, n)
+	for i := range t.Nodes {
+		waiting[i] = int32(len(t.Nodes[i].Customers))
+		if waiting[i] == 0 {
+			ready = append(ready, NodeID(i))
+		}
+	}
+	for k := 0; k < len(ready); k++ {
+		nd := &t.Nodes[ready[k]]
+		for _, p := range nd.Providers {
+			if waiting[p]--; waiting[p] == 0 {
+				ready = append(ready, p)
+			}
+		}
+		if len(nd.Customers) == 0 {
+			continue
+		}
+		est, dense := coneEstimate(nd.Customers, sets)
+		if dense || est > threshold {
+			sets[nd.ID] = denseUnion(n, nd.Customers, sets)
+			continue
+		}
+		out := make([]NodeID, 0, est)
+		for _, c := range nd.Customers {
+			out = append(append(out, c), sets[c].list...)
+		}
+		slices.Sort(out)
+		out = slices.Compact(out)
+		sets[nd.ID] = coneSet{list: out, size: len(out)}
+	}
+	return sets
 }
 
 // mergeWithCone merges sorted acc with the sorted sequence (c, cone...)

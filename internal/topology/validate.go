@@ -35,7 +35,27 @@ func (t *Topology) Validate() error {
 }
 
 func (t *Topology) validateLists() error {
-	seen := make(map[uint64]Relation)
+	// seen maps every directed listing from→to to the relation from lists to
+	// under — the first one in (customers, peers, providers) order, which is
+	// what Relation(from, to) returns — so the back-link test below is a
+	// lookup instead of a scan of the neighbor's lists (quadratic at the
+	// high-degree core).
+	links := 0
+	for i := range t.Nodes {
+		links += t.Nodes[i].Degree()
+	}
+	seen := make(map[uint64]Relation, links)
+	directed := func(from, to NodeID) uint64 { return uint64(uint32(from))<<32 | uint64(uint32(to)) }
+	for i := range t.Nodes {
+		n := &t.Nodes[i]
+		for rel, list := range [][]NodeID{Customer: n.Customers, Peer: n.Peers, Provider: n.Providers} {
+			for _, nb := range list {
+				if _, ok := seen[directed(NodeID(i), nb)]; !ok {
+					seen[directed(NodeID(i), nb)] = Relation(rel)
+				}
+			}
+		}
+	}
 	for i := range t.Nodes {
 		n := &t.Nodes[i]
 		if n.ID != NodeID(i) {
@@ -51,24 +71,15 @@ func (t *Topology) validateLists() error {
 			if !n.Regions.Overlaps(t.Nodes[nb].Regions) {
 				return fmt.Errorf("topology: link %d-%d crosses disjoint regions", n.ID, nb)
 			}
-			if back := t.Relation(nb, n.ID); back != rel.Invert() {
+			back, ok := seen[directed(nb, n.ID)]
+			if !ok {
+				back = NotConnected
+			}
+			if back != rel.Invert() {
 				return fmt.Errorf("topology: asymmetric link %d-%d: %v vs %v", n.ID, nb, rel, back)
 			}
-			key := edgeKey(n.ID, nb)
-			if prev, ok := seen[key]; ok {
-				canon := rel
-				if n.ID > nb {
-					canon = rel.Invert()
-				}
-				if prev != canon {
-					return fmt.Errorf("topology: parallel links %d-%d with different relations", n.ID, nb)
-				}
-			} else {
-				canon := rel
-				if n.ID > nb {
-					canon = rel.Invert()
-				}
-				seen[key] = canon
+			if seen[directed(n.ID, nb)] != rel {
+				return fmt.Errorf("topology: parallel links %d-%d with different relations", n.ID, nb)
 			}
 			return nil
 		}
@@ -148,10 +159,11 @@ func (t *Topology) validateTypes() error {
 }
 
 func (t *Topology) validatePeering() error {
+	cones := customerCones(t)
 	for i := range t.Nodes {
 		n := &t.Nodes[i]
 		for _, p := range n.Peers {
-			if t.InCustomerTree(n.ID, p) {
+			if cones[i].contains(p) {
 				return fmt.Errorf("topology: node %d peers with %d inside its customer tree", n.ID, p)
 			}
 		}
