@@ -18,9 +18,15 @@ test: build
 # (bgp.Config.Check) re-verifies decision fixpoints, PathID validity and
 # export closure after every reconcile, and the compact-vs-classic
 # differential tests exercise it inside parallel origin workers at small n.
+# Last, the windowed executor's own tests (worker crew, partition and
+# deadline invariance) ten times over: the race tier starts Config.Shards
+# workers whatever the CPU count, so a lost wake-up or a claim that crosses
+# windows gets many schedules to show itself, and the timeout turns a hung
+# barrier into a failure instead of a stuck job.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 -run 'Consistency|Checker|CompactEngine|GrowThenReset|Sharded' ./internal/bgp/ .
+	$(GO) test -race -count=10 -timeout 15m -run 'Crew|PartitionInvariance|Windowed' ./internal/des/ ./internal/bgp/
 
 bench:
 	$(GO) test -bench . -benchtime 1x .
@@ -84,26 +90,35 @@ gen-smoke:
 		| $(GO) run ./cmd/benchguard -guard BenchmarkTopologyGenerate/n=50000 -metric ns/op -budget 10e9
 	$(GO) run ./cmd/benchguard -guard BenchmarkTopologyGenerate/n=50000 -metric peakRSS-MB -budget 256 < /tmp/gen-smoke.txt
 
-# bench-shard runs the sharded-executor trajectory: one warm-start windowed
-# churn cell at n ∈ {10k, 50k} × shards ∈ {1, 2, 4, 8}, recording ns/op,
-# total updates and peak RSS per point in BENCH_shard.json. Every point
-# simulates the same model (fixed 50 ms link delay), so the shard axis
-# isolates executor scaling; the speedup requires that many idle cores — a
-# single-CPU host runs the shards sequentially (see bgp.fanoutOK) and
-# measures ~1x everywhere.
+# bench-shard runs the windowed-executor trajectory: one warm-start windowed
+# churn cell at n ∈ {10k, 50k} × shards ∈ {1, 2, 4, 8}, three times at each
+# GOMAXPROCS in SHARD_CPUS, recording the median ns/op, total updates and
+# peak RSS per point in BENCH_shard.json — one record per core count,
+# labeled "$(BENCH_LABEL) cpu=N". Every point simulates the same model
+# (fixed 50 ms link delay), so the shard axis isolates executor scaling.
+# -shards is a worker count and the executor never starts more workers than
+# GOMAXPROCS (bgp.windowWorkers): at cpu=1 every point runs on the caller and
+# differs only in how finely the node array is partitioned; the parallel
+# speedup is the cpu=N record against the cpu=1 one. List only core counts
+# the host really has.
+SHARD_CPUS ?= 1 2
 bench-shard:
-	$(GO) test -run '^$$' -bench 'BenchmarkShardedCell' -benchtime 1x -timeout 60m . \
-		| $(GO) run ./cmd/benchjson -label "$(BENCH_LABEL)" -out BENCH_shard.json
+	for c in $(SHARD_CPUS); do \
+		$(GO) test -run '^$$' -bench 'BenchmarkShardedCell' -benchtime 1x -count 3 -cpu $$c -timeout 120m . \
+			| $(GO) run ./cmd/benchjson -label "$(BENCH_LABEL) cpu=$$c" -out BENCH_shard.json || exit 1; \
+	done
 
 # shard-smoke mirrors the CI job of the same name: the n=10k shards=4
 # windowed cell must stay under the scale tier's peak-RSS budget, and must
-# not run slower than the same cell on one shard beyond a noise tolerance
-# (single-core runners measure ~1x, multi-core runners a speedup — a real
-# serialization bug in the sharded path shows up as a large ratio on both).
+# not run slower than the same cell on one worker beyond a noise tolerance.
+# Both runs state their core count: at -cpu 2 shards=4 means two workers
+# over 32 partitions against one worker over 8, so a runner with two idle
+# cores measures a speedup and a single-core one ~1x — a real serialization
+# bug in the barrier path shows up as a large ratio on both.
 shard-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkShardedCell/n=10000/shards=4$$' -benchtime 1x -timeout 20m . \
+	$(GO) test -run '^$$' -bench 'BenchmarkShardedCell/n=10000/shards=4$$' -benchtime 1x -cpu 2 -timeout 20m . \
 		| $(GO) run ./cmd/benchguard -guard BenchmarkShardedCell/n=10000/shards=4 -metric peakRSS-MB -budget 128
-	$(GO) test -run '^$$' -bench 'BenchmarkShardedCell/n=10000/shards=(1|4)$$' -benchtime 3x -timeout 20m . \
+	$(GO) test -run '^$$' -bench 'BenchmarkShardedCell/n=10000/shards=(1|4)$$' -benchtime 3x -cpu 2 -timeout 20m . \
 		| $(GO) run ./cmd/benchguard -base BenchmarkShardedCell/n=10000/shards=1 -guard BenchmarkShardedCell/n=10000/shards=4 -metric ns/op -tolerance 0.25
 
 # fuzz-smoke gives each fuzz harness a short adversarial run on top of the

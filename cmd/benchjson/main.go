@@ -9,6 +9,8 @@
 //
 // The file holds a list of records in insertion order; re-using a label
 // replaces that record in place. `make bench-kernel` wraps the invocation.
+// A benchmark that appears several times on the input (`go test -count N`)
+// is recorded once, as the per-metric median of its runs with their range.
 //
 // Every record carries its provenance — host CPU count and model, the
 // GOMAXPROCS the benchmarks ran at, the Go version and the VCS revision —
@@ -23,6 +25,7 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -35,6 +38,11 @@ import (
 type Benchmark struct {
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
+	// Runs, Min and Max are present when the benchmark ran more than once
+	// (-count): Metrics then holds each metric's median over the runs.
+	Runs int                `json:"runs,omitempty"`
+	Min  map[string]float64 `json:"min,omitempty"`
+	Max  map[string]float64 `json:"max,omitempty"`
 }
 
 // Record is one labeled benchmark run.
@@ -77,6 +85,7 @@ func main() {
 		Revision:   revision(),
 		Benchmarks: map[string]Benchmark{},
 	}
+	runs := map[string][]Benchmark{}
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -91,15 +100,17 @@ func main() {
 		}
 		name, procs, bm, ok := parseLine(line)
 		if ok {
-			rec.Benchmarks[name] = bm
-			if procs > 0 {
-				// What the benchmarks ran at, not what this process sees.
-				rec.GOMAXPROCS = procs
-			}
+			runs[name] = append(runs[name], bm)
+			// What the benchmarks ran at, not what this process sees; the
+			// testing package omits the suffix at GOMAXPROCS=1.
+			rec.GOMAXPROCS = max(procs, 1)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		fatal(err)
+	}
+	for name, r := range runs {
+		rec.Benchmarks[name] = summarize(r)
 	}
 	if len(rec.Benchmarks) == 0 {
 		fatal(fmt.Errorf("no benchmark result lines on stdin"))
@@ -165,6 +176,33 @@ func parseLine(line string) (name string, procs int, bm Benchmark, ok bool) {
 		bm.Metrics[fields[i+1]] = v
 	}
 	return name, procs, bm, true
+}
+
+// summarize folds the runs of one benchmark into one entry: a single run as
+// it is, several as the median of every metric plus the range they spanned.
+func summarize(runs []Benchmark) Benchmark {
+	if len(runs) == 1 {
+		return runs[0]
+	}
+	out := Benchmark{
+		Iterations: runs[0].Iterations,
+		Metrics:    map[string]float64{},
+		Runs:       len(runs),
+		Min:        map[string]float64{},
+		Max:        map[string]float64{},
+	}
+	for unit := range runs[0].Metrics {
+		var vs []float64
+		for _, r := range runs {
+			if v, ok := r.Metrics[unit]; ok {
+				vs = append(vs, v)
+			}
+		}
+		slices.Sort(vs)
+		out.Min[unit], out.Max[unit] = vs[0], vs[len(vs)-1]
+		out.Metrics[unit] = (vs[(len(vs)-1)/2] + vs[len(vs)/2]) / 2
+	}
+	return out
 }
 
 // revision is the VCS revision the record is taken at: the one stamped into

@@ -163,7 +163,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		resume      = fs.Bool("resume", false, "replay the cell journal into the scheduler cache before running, so only missing cells are recomputed")
 		retries     = fs.Int("retries", 0, "recompute a cell up to this many times after a transient fault (panic, timeout) before quarantining it")
 		cellTimeout = fs.Duration("cell-timeout", 0, "per-cell wall-clock deadline (0 = none); a timed-out cell counts as a transient fault")
-		shards      = fs.Int("shards", 0, "barrier-synchronized node shards per simulation run (0/1 = unsharded; >1 requires -link-delay); results are byte-identical at every value")
+		shards      = fs.Int("shards", 0, "worker goroutines per simulation run on the windowed executor (0/1 = the caller alone; >1 requires -link-delay); results are byte-identical at every value")
 		linkDelay   = fs.Duration("link-delay", 0, "per-session propagation latency (0 = the paper's instant-admission model); positive values select the windowed executor that -shards parallelizes")
 		spansPath   = fs.String("spans", "", "write sweep/cell/origin/event causal spans as JSONL to this file (enables root-cause tracing; results stay byte-identical)")
 		chromePath  = fs.String("chrome-trace", "", "write the causal spans as Chrome trace_event JSON to this file (open in chrome://tracing or Perfetto); implies span recording")

@@ -9,9 +9,9 @@
 // (the historical model: updates are admitted to the receiver's processor at
 // send time) a Network is single-threaded and parallel experiments run one
 // Network per goroutine. With a positive LinkDelay the engine runs a
-// barrier-synchronized windowed executor that can additionally partition the
-// node array into Config.Shards shards and run the windows on multiple cores
-// — with byte-identical results at every shard count (see DESIGN.md,
+// barrier-synchronized windowed executor that partitions the node array and
+// can run each window's partitions on Config.Shards worker goroutines — with
+// byte-identical results at every worker and partition count (see DESIGN.md,
 // "Sharded DES").
 package bgp
 
@@ -66,11 +66,14 @@ type Config struct {
 	// the windowed executor whose results are invariant under Shards: the
 	// delay is the conservative lookahead that spaces the time barriers.
 	LinkDelay des.Time
-	// Shards is the number of barrier-synchronized node shards a single
-	// run executes on (0 or 1 = one shard). Values above 1 require a
-	// positive LinkDelay — the lookahead that makes parallel windows
-	// causally safe. Shards never affects results, only wall-clock, and is
-	// therefore excluded from the experiment cell cache key.
+	// Shards is the number of worker goroutines a single run executes its
+	// windows on (0 or 1 = the calling goroutine alone; never more than
+	// GOMAXPROCS are started). The engine cuts the node array into its own,
+	// finer set of partitions and the workers claim them window by window.
+	// Values above 1 require a positive LinkDelay — the lookahead that
+	// makes parallel windows causally safe. Shards never affects results,
+	// only wall-clock, and is therefore excluded from the experiment cell
+	// cache key.
 	Shards int
 	// Seed drives all protocol randomness (jitter, processing delays,
 	// tie-break hashing).

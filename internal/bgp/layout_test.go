@@ -3,6 +3,8 @@ package bgp
 import (
 	"testing"
 	"unsafe"
+
+	"bgpchurn/internal/des"
 )
 
 // TestKernelLayoutBudget pins the cache-line budget of the kernel state
@@ -18,6 +20,7 @@ func TestKernelLayoutBudget(t *testing.T) {
 	}{
 		{"session", unsafe.Sizeof(session{}), 16},
 		{"inMsg", unsafe.Sizeof(inMsg{}), 48},
+		{"wireMsg", unsafe.Sizeof(wireMsg{}), 56},
 		{"outQueue", unsafe.Sizeof(outQueue{}), 128},
 		{"prefixState", unsafe.Sizeof(prefixState{}), 136},
 		{"node", unsafe.Sizeof(node{}), 5 * line},
@@ -35,6 +38,13 @@ func TestKernelLayoutBudget(t *testing.T) {
 	}
 	if sz := unsafe.Sizeof(outQueue{}); sz&(sz-1) != 0 {
 		t.Errorf("sizeof(outQueue) = %d is not a power of two", sz)
+	}
+
+	// A shard's scheduler keeps its clock word ahead of the time ring's
+	// 32-byte buckets; with the ring 32-byte aligned no bucket straddles a
+	// cache line (shards are large objects, hence page-aligned).
+	if off := unsafe.Offsetof(netShard{}.sched) + unsafe.Sizeof(des.Time(0)); off%32 != 0 {
+		t.Errorf("netShard.sched puts the time ring at byte %d, not 32-byte aligned", off)
 	}
 
 	var nd node

@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"fmt"
+	"math"
 	"time"
 	"unsafe"
 
@@ -28,20 +29,34 @@ type Network struct {
 	// shards partitions the node array into contiguous ranges, each with a
 	// private event queue and runtime counters (see netShard). The classic
 	// zero-LinkDelay engine always runs one shard; the windowed engine runs
-	// Config.Shards of them in barrier-synchronized lockstep.
+	// partitions(workerLimit, n) of them in barrier-synchronized lockstep
+	// on up to Config.Shards workers.
 	shards []*netShard
-	// scheds caches &shards[i].sched for des.RunGroupUntil.
-	scheds []*des.Scheduler
-	// firedScratch/elapsedScratch are RunGroupUntil scratch (see there).
-	firedScratch   []uint64
-	elapsedScratch []time.Duration
+	// forceParts, when positive, overrides the partition count (tests only:
+	// the public Shards values reach few distinct counts).
+	forceParts int
 	// windowed selects the barrier-synchronized executor (LinkDelay > 0);
 	// multi is len(shards) > 1 (implies windowed).
 	windowed bool
 	multi    bool
-	// crossSessions counts the sessions whose endpoints live in different
-	// shards (see ShardInfo).
-	crossSessions int
+	// partOf[i] is the index of the shard owning node i, so transmit can
+	// route a message without touching the receiver's node.
+	partOf []uint8
+	// outbox[g][src*len(shards)+dst] accumulates the wire messages shard src
+	// emits for shard dst (including dst == src: in windowed mode every
+	// update crosses a barrier, so every partition count admits in identical
+	// order). There are two generations: transmit appends to generation
+	// parity while the window in progress admits from the other (see
+	// runWindowed).
+	outbox [2][][]wireMsg
+	parity int
+	// windowEnd and order are the window in progress: its end time and the
+	// shard indices in the order the workers claim them. busy is each
+	// worker's wall time in the window's tasks (nil unless shardProbes is
+	// attached).
+	windowEnd des.Time
+	order     []int32
+	busy      []time.Duration
 
 	// sess and outq are this network's per-session state in one contiguous
 	// block each, parallel to adj.IDs; node i's rows start at nodes[i].row.
@@ -68,7 +83,7 @@ type Network struct {
 
 	// updateHook, when set, observes every processed update (see
 	// SetUpdateHook). The hook is not required to be thread-safe, so the
-	// windowed executor runs shards sequentially while it is attached.
+	// windowed executor runs its windows on one worker while it is attached.
 	updateHook func(UpdateRecord)
 
 	// causal is the attached causal tracer (nil when tracing is off; see
@@ -88,10 +103,18 @@ type Network struct {
 // New builds the per-node protocol state for the topology. The topology
 // must be valid (see topology.Validate); New does not re-validate it.
 func New(topo *topology.Topology, cfg Config) (*Network, error) {
+	return newNetwork(topo, cfg, 0)
+}
+
+// newNetwork is New with the windowed executor's partition count forced to
+// parts when positive (at most maxPartitions; ignored by the inline engine).
+// The count never affects results; the seam exists so tests can prove that
+// at counts the public Shards values do not reach.
+func newNetwork(topo *topology.Topology, cfg Config, parts int) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	net := &Network{cfg: cfg}
+	net := &Network{cfg: cfg, forceParts: parts}
 	if err := net.build(topo); err != nil {
 		return nil, err
 	}
@@ -129,25 +152,25 @@ func (net *Network) build(topo *topology.Topology) error {
 	// The classic zero-LinkDelay engine has no lookahead to parallelize
 	// under, so it always runs the single-shard inline path.
 	net.windowed = net.cfg.LinkDelay > 0
-	s := net.cfg.Shards
-	if s < 1 || !net.windowed {
-		s = 1
+	s := 1
+	if net.windowed {
+		s = partitions(net.workerLimit(), topo.N())
+		if net.forceParts > 0 {
+			s = min(net.forceParts, maxPartitions)
+		}
 	}
 	bounds := adj.ShardRanges(s)
 	net.multi = s > 1
-	if net.multi {
-		net.crossSessions = adj.CrossShardSessions(bounds)
-	} else {
-		net.crossSessions = 0
-	}
 	net.shards = make([]*netShard, s)
-	net.scheds = make([]*des.Scheduler, s)
-	net.firedScratch = make([]uint64, s)
+	net.order = make([]int32, s)
 	for k := range net.shards {
-		sh := &netShard{net: net, idx: k, lo: bounds[k], hi: bounds[k+1]}
-		sh.outbox = make([][]wireMsg, s)
-		net.shards[k] = sh
-		net.scheds[k] = &sh.sched
+		net.shards[k] = &netShard{net: net, idx: k}
+		net.order[k] = int32(k)
+	}
+	net.partOf = nil
+	if net.windowed {
+		net.partOf = make([]uint8, topo.N())
+		net.outbox = [2][][]wireMsg{make([][]wireMsg, s*s), make([][]wireMsg, s*s)}
 	}
 
 	shard := 0
@@ -157,6 +180,9 @@ func (net *Network) build(topo *topology.Topology) error {
 			shard++
 		}
 		sh := net.shards[shard]
+		if net.windowed {
+			net.partOf[i] = uint8(shard)
+		}
 		lo, hi := adj.Row(topology.NodeID(i))
 		nd.id = topology.NodeID(i)
 		nd.typ = topo.Nodes[i].Type
@@ -234,7 +260,6 @@ func (net *Network) attachObs() {
 			sh.paths.probe = nil
 		}
 		net.shardProbes = nil
-		net.elapsedScratch = nil
 		if net.intern != nil {
 			net.intern.setProbes(nil, nil, nil)
 		}
@@ -247,7 +272,6 @@ func (net *Network) attachObs() {
 	}
 	if net.windowed {
 		net.shardProbes = m.NewShardProbes()
-		net.elapsedScratch = make([]time.Duration, len(net.shards))
 	}
 	if net.intern != nil {
 		// The intern table is shared by all shards; its cells live on shard
@@ -264,28 +288,17 @@ func (net *Network) Topology() *topology.Topology { return net.topo }
 // Config returns the protocol configuration.
 func (net *Network) Config() Config { return net.cfg }
 
-// ShardInfo reports the effective shard count and the number of sessions
-// crossing shard boundaries under the current partition (0 for a
-// single-shard network). The partition affects wall-clock only, never
-// results.
-func (net *Network) ShardInfo() (shards, crossSessions int) {
-	return len(net.shards), net.crossSessions
-}
-
 // Now returns the current virtual time. In windowed mode all shard clocks
 // agree whenever the network is quiescent (between Run/Settle calls).
 func (net *Network) Now() des.Time { return net.shards[0].sched.Now() }
 
 // Pending returns the number of queued simulation events (including
-// messages awaiting a barrier exchange); zero means the network is
+// messages awaiting admission at the next window); zero means the network is
 // quiescent (converged).
 func (net *Network) Pending() int {
 	n := 0
 	for _, sh := range net.shards {
-		n += sh.sched.Len()
-		for _, ob := range sh.outbox {
-			n += len(ob)
-		}
+		n += sh.sched.Len() + sh.emitted
 	}
 	return n
 }
@@ -342,9 +355,12 @@ func (net *Network) reinit(seed uint64) {
 		sh.rateLog = sh.rateLog[:0]
 		// Drop (never rewind) the path slab, keeping the probe: see pathArena.
 		sh.paths = pathArena{probe: sh.paths.probe}
-		for d := range sh.outbox {
-			clear(sh.outbox[d]) // release in-flight paths
-			sh.outbox[d] = sh.outbox[d][:0]
+		sh.emitted = 0
+	}
+	for _, gen := range net.outbox {
+		for k, run := range gen {
+			clear(run) // release in-flight paths
+			gen[k] = run[:0]
 		}
 	}
 	master := rng.New(seed)
@@ -752,10 +768,10 @@ func (net *Network) setDesired(nd *node, q *outQueue, f Prefix, want Path, wantI
 // (the inline engine) the update is admitted to the receiver's processor
 // inline — identical op order, RNG draws and ticket reservations to the
 // historical single-threaded engine. In windowed mode the update is
-// appended to the sender shard's outbox, stamped with its arrival time
-// (now + LinkDelay) and the sender's per-node sequence number; the next
-// barrier admits it on the receiver's shard in canonical
-// (arrival, sender, seq) order (see exchange).
+// appended to the sender shard's outbox for the receiver's shard, stamped
+// with its arrival time (now + LinkDelay) and the sender's per-node sequence
+// number; the next window admits it on the receiver's shard in canonical
+// (arrival, sender, seq) order (see admit).
 func (net *Network) transmit(nd *node, j int, f Prefix, kind UpdateKind, path Path, pathID PathID) {
 	sh := nd.sh
 	nd.sentUpdates++
@@ -769,19 +785,30 @@ func (net *Network) transmit(nd *node, j int, f Prefix, kind UpdateKind, path Pa
 	k := int(nd.row) + j
 	to, fromSlot := net.adj.IDs[k], net.adj.Reverse[k]
 	if net.windowed {
+		if nd.msgSeq == math.MaxUint32 {
+			// wireMsg narrows seq to uint32; wrapping would corrupt the
+			// admission order silently. Reset rewinds the counter.
+			panic("bgp: per-node message counter exhausted; Reset the network")
+		}
 		nd.msgSeq++
-		d := net.nodes[to].sh.idx
-		sh.outbox[d] = append(sh.outbox[d], wireMsg{
-			arrival:  sh.sched.Now() + net.cfg.LinkDelay,
+		arrival := sh.sched.Now() + net.cfg.LinkDelay
+		if sh.emitted == 0 {
+			sh.firstArrival = arrival
+		}
+		sh.emitted++
+		ob := &net.outbox[net.parity][sh.idx*len(net.shards)+int(net.partOf[to])]
+		*ob = append(*ob, wireMsg{
+			arrival:  arrival,
+			pathPtr:  unsafe.SliceData(path),
 			sender:   nd.id,
-			seq:      nd.msgSeq,
+			seq:      uint32(nd.msgSeq),
 			to:       to,
 			fromSlot: fromSlot,
-			kind:     kind,
+			pathLen:  int32(len(path)),
 			prefix:   f,
-			path:     path,
 			pathID:   pathID,
 			cause:    sh.activeCause,
+			kind:     kind,
 		})
 		return
 	}

@@ -3,6 +3,6 @@
 package bgp
 
 // raceEnabled is true in race-instrumented builds: the windowed executor
-// always fans out to per-shard goroutines so the race tier exercises the
-// concurrent paths regardless of GOMAXPROCS (see fanoutOK).
+// starts Config.Shards workers whatever GOMAXPROCS is, so the race tier
+// exercises the concurrent paths on any host (see windowWorkers).
 const raceEnabled = true

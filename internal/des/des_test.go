@@ -225,3 +225,31 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 	}
 	s.Run()
 }
+
+func TestNextWindow(t *testing.T) {
+	const w = 50 * Millisecond
+	cases := []struct{ tmin, want Time }{
+		{-3, w}, // nothing has a negative time; the first window still ends at w
+		{0, w},  // an event at 0 belongs to the first window
+		{1, w},
+		{w - 1, w},
+		{w, w},         // an exact multiple closes its own window
+		{w + 1, 2 * w}, // one past it opens the next
+		{2 * w, 2 * w},
+		{7*w + 1, 8 * w},
+		{7*w + w/2, 8 * w},
+	}
+	for _, c := range cases {
+		got := NextWindow(c.tmin, w)
+		if got != c.want {
+			t.Errorf("NextWindow(%d, %d) = %d, want %d", c.tmin, w, got, c.want)
+		}
+		// The lookahead property: tmin lies in (end-w, end].
+		if c.tmin > 0 && !(got-w < c.tmin && c.tmin <= got) {
+			t.Errorf("NextWindow(%d, %d) = %d does not contain tmin", c.tmin, w, got)
+		}
+	}
+	if got := NextWindow(5, 1); got != 5 {
+		t.Errorf("NextWindow(5, 1) = %d, want 5", got)
+	}
+}

@@ -249,8 +249,8 @@ func New() *Metrics {
 	m.BGP.InternHits = m.counter("bgpchurn_bgp_intern_hits_total", "Path intern lookups served by an existing entry.")
 
 	m.Shards.Barriers = m.counter("bgpchurn_shard_barriers_total", "Synchronization windows executed by the sharded DES coordinator.")
-	m.Shards.CrossUpdates = m.counter("bgpchurn_shard_cross_updates_total", "Updates exchanged across shard boundaries at barriers.")
-	m.Shards.WindowSkew = m.histogram("bgpchurn_shard_window_skew_seconds", "Per-window shard skew: max minus min shard wall time (stall waiting at the barrier).",
+	m.Shards.CrossUpdates = m.counter("bgpchurn_shard_cross_updates_total", "Updates admitted from another partition of the sharded DES at a window barrier.")
+	m.Shards.WindowSkew = m.histogram("bgpchurn_shard_window_skew_seconds", "Per-window worker skew of the sharded DES: max minus min over the workers of the wall time spent in the window's tasks (what the least loaded worker idles at the barrier).",
 		[]float64{0.000001, 0.00001, 0.0001, 0.0005, 0.001, 0.005, 0.025, 0.1, 0.5, 1})
 
 	m.Core.CellsComputed = m.counter("bgpchurn_core_cells_computed_total", "Experiment grid cells computed.")

@@ -63,12 +63,12 @@ func (m *Metrics) NewBGPProbes() *BGPProbes {
 	}
 }
 
-// ShardProbes instruments one sharded network's barrier coordinator.
+// ShardProbes instruments one windowed network's barrier coordinator.
 // Incremented only by the coordinator goroutine (between windows), never by
-// shard goroutines.
+// the window workers.
 type ShardProbes struct {
-	Barriers     *Cell // synchronization windows executed
-	CrossUpdates *Cell // updates exchanged across shard boundaries
+	Barriers     *Cell // synchronization windows executed (one barrier each)
+	CrossUpdates *Cell // updates admitted from a partition other than the receiver's
 	windowSkew   *Histogram
 	shard        ShardID
 }
@@ -85,9 +85,10 @@ func (m *Metrics) NewShardProbes() *ShardProbes {
 	}
 }
 
-// ObserveSkew records one window's shard skew: the max-min spread of the
-// shards' wall-clock run times, i.e. how long the fastest shard stalled at
-// the barrier.
+// ObserveSkew records one window's worker skew: the max-min spread of the
+// wall-clock time each worker spent in the window's tasks (admitting and
+// running the partitions it claimed), i.e. how long the least loaded worker
+// idled at the barrier. Zero on a single worker.
 func (p *ShardProbes) ObserveSkew(d time.Duration) {
 	p.windowSkew.Observe(p.shard, d.Seconds())
 }

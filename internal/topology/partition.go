@@ -36,27 +36,3 @@ func (a *Adjacency) ShardRanges(s int) []int32 {
 	bounds[s] = int32(n)
 	return bounds
 }
-
-// shardOf returns the shard owning node id under the given boundaries.
-func shardOf(bounds []int32, id NodeID) int {
-	return sort.Search(len(bounds)-1, func(k int) bool { return bounds[k+1] > int32(id) })
-}
-
-// CrossShardSessions counts the sessions whose endpoints fall in different
-// ranges of the partition — the traffic that crosses a barrier per
-// simulated exchange, reported by the sharded engine's census. Each
-// undirected session is counted once.
-func (a *Adjacency) CrossShardSessions(bounds []int32) int {
-	cross := 0
-	n := len(a.Offsets) - 1
-	for i := 0; i < n; i++ {
-		si := shardOf(bounds, NodeID(i))
-		for k := a.Offsets[i]; k < a.Offsets[i+1]; k++ {
-			j := a.IDs[k]
-			if int32(j) > int32(i) && shardOf(bounds, j) != si {
-				cross++
-			}
-		}
-	}
-	return cross
-}
