@@ -1,17 +1,29 @@
-# bgpchurn — stdlib-only Go; these targets mirror CI.
+# bgpchurn — stdlib only, plus two 5-line prefetch stubs in assembly
+# (internal/des); these targets mirror CI.
 
 GO ?= go
 
 # Label under which `make bench-kernel` records its run in BENCH_kernel.json.
 BENCH_LABEL ?= current
 
-.PHONY: test race bench bench-kernel bench-e2e bench-scale scale-smoke bench-gen gen-smoke bench-shard shard-smoke fuzz-smoke obs-guard bench-obs sse-smoke resume-smoke resume-guard churnd-smoke build
+.PHONY: test cross race bench bench-kernel bench-e2e bench-scale scale-smoke bench-gen gen-smoke bench-shard shard-smoke fuzz-smoke obs-guard bench-obs sse-smoke resume-smoke resume-guard churnd-smoke build
 
 build:
 	$(GO) build ./...
 
 test: build
 	$(GO) test ./...
+
+# cross keeps the architecture-specific files honest (internal/des has the
+# repository's only assembly: a one-instruction prefetch stub for amd64 and
+# one for arm64, and an empty Go fallback elsewhere). arm64 is built and
+# vetted — vet's asmdecl pass checks the stub's frame against its Go
+# declaration — and riscv64 stands for every architecture without a stub,
+# so the fallback cannot rot.
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/...
+	GOARCH=riscv64 $(GO) build ./...
 
 # race runs the full suite under the race detector, then reruns the
 # checker-enabled tiers with -count=1: the RIB invariant checker

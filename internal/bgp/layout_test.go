@@ -8,10 +8,13 @@ import (
 )
 
 // TestKernelLayoutBudget pins the cache-line budget of the kernel state
-// (DESIGN.md, "Kernel memory model"): struct size ceilings, and the rule
-// that everything deliver reads or writes on the receiving node lies in the
-// node's first 128 bytes. A field added or moved past a ceiling fails here,
-// not in a benchmark three PRs later.
+// (DESIGN.md, "Kernel memory model"): struct size ceilings, the rule that
+// everything deliver reads or writes on the receiving node lies in the
+// node's first 128 bytes, and the rule that everything an event's Fire
+// touches first on its own object lies in the span the scheduler's
+// look-ahead prefetches (des.LookaheadBytes). A field added or moved past a
+// ceiling — or out of the prefetched span — fails here, not in a benchmark
+// three PRs later.
 func TestKernelLayoutBudget(t *testing.T) {
 	const line = 64
 	sizes := []struct {
@@ -70,5 +73,26 @@ func TestKernelLayoutBudget(t *testing.T) {
 	hotEnd := unsafe.Offsetof(nd.prefixes) + unsafe.Offsetof(nd.prefixes.first) + unsafe.Offsetof(nd.prefixes.first.damp)
 	if hotEnd > 3*line {
 		t.Errorf("node's unchanged-route fields end at byte %d, budget %d", hotEnd, 3*line)
+	}
+
+	// The scheduler prefetches des.LookaheadBytes of the next event's object
+	// one event ahead, and the engine's events are these objects. The span
+	// must be whole lines (owners are line-aligned: a node is five lines, a
+	// queue two, in page-aligned arrays) and must hold the node lines the
+	// DESIGN.md table says node.Fire touches when the best route stays put —
+	// deliver's group and the unchanged-route group above — and the whole
+	// output queue, which a flush reads end to end.
+	span := uintptr(des.LookaheadBytes)
+	if span%line != 0 {
+		t.Errorf("des.LookaheadBytes = %d is not a whole number of %d-byte lines", span, line)
+	}
+	if hotEnd > span {
+		t.Errorf("node.Fire's unchanged-route fields end at byte %d, beyond the %d the look-ahead prefetches", hotEnd, span)
+	}
+	if sz := unsafe.Sizeof(outQueue{}); sz > span {
+		t.Errorf("sizeof(outQueue) = %d exceeds the %d bytes the look-ahead prefetches", sz, span)
+	}
+	if sz := unsafe.Sizeof(prefixTimer{}); sz > span {
+		t.Errorf("sizeof(prefixTimer) = %d exceeds the %d bytes the look-ahead prefetches", sz, span)
 	}
 }

@@ -10,6 +10,7 @@ package des
 import (
 	"math/bits"
 	"time"
+	"unsafe"
 
 	"bgpchurn/internal/obs"
 )
@@ -366,22 +367,31 @@ type Scheduler struct {
 // made while attached, so attaching mid-flight would skew them.
 func (s *Scheduler) SetProbes(p *obs.DESProbes) { s.probes = p }
 
-// peek returns the key of the earliest pending event. The caller must
-// ensure at least one event is pending.
-func (s *Scheduler) peek() heapKey {
-	if s.near.len() == 0 {
-		return s.far.keys[0]
+// peek returns the key of the earliest pending event and whether it sits in
+// the near band. The caller must ensure at least one event is pending.
+func (s *Scheduler) peek() (k heapKey, near bool) {
+	if s.near.len() > 0 {
+		if nk := s.near.min(); s.far.len() == 0 || before(nk, s.far.keys[0]) {
+			return nk, true
+		}
 	}
-	if nk := s.near.min(); s.far.len() == 0 || before(nk, s.far.keys[0]) {
-		return nk
+	return s.far.keys[0], false
+}
+
+// peekEvent returns the earliest pending event without removing it. The
+// caller must ensure at least one event is pending.
+func (s *Scheduler) peekEvent() Event {
+	k, near := s.peek()
+	if near {
+		return s.near.slab[k.idx]
 	}
-	return s.far.keys[0]
+	return s.far.slab[k.idx]
 }
 
 // popNext removes and returns the earliest pending event. The caller must
 // ensure at least one event is pending.
 func (s *Scheduler) popNext() (heapKey, Event) {
-	if s.far.len() == 0 || (s.near.len() > 0 && before(s.near.min(), s.far.keys[0])) {
+	if _, near := s.peek(); near {
 		if p := s.probes; p != nil {
 			p.RingOcc.Add(-1)
 		}
@@ -487,17 +497,13 @@ func (s *Scheduler) RunUntil(deadline Time) uint64 {
 	s.stopped = false
 	var fired uint64
 	for s.Len() > 0 && !s.stopped {
-		if deadline >= 0 && s.peek().at > deadline {
-			break
+		if deadline >= 0 {
+			if k, _ := s.peek(); k.at > deadline {
+				break
+			}
 		}
-		k, e := s.popNext()
-		s.now = k.at
-		e.Fire(s)
+		s.fireNext()
 		fired++
-		s.fired++
-		if p := s.probes; p != nil {
-			p.Fired.Inc()
-		}
 	}
 	if deadline >= 0 && s.now < deadline && !s.stopped {
 		s.now = deadline
@@ -510,14 +516,59 @@ func (s *Scheduler) Step() bool {
 	if s.Len() == 0 {
 		return false
 	}
+	s.fireNext()
+	return true
+}
+
+// LookaheadBytes is how much of the next event's object fireNext prefetches
+// while the current event fires: three 64-byte cache lines from the address
+// in the Event interface's data word. An event type that is a long-lived
+// object (the BGP engine schedules its nodes and output queues themselves)
+// gets the most out of it by keeping what its Fire touches first inside
+// that span. Measured on an n = 50k cell, run-loop time per event: two lines
+// -16 %, three -20 %, four -20 % (DESIGN.md, "Miss overlap").
+const LookaheadBytes = 3 * cacheLine
+
+const cacheLine = 64
+
+// fireNext pops the earliest pending event, advances the clock to it and
+// fires it; the caller must ensure one is pending. It is the only place
+// events fire, and it is a two-deep software pipeline: before firing event k
+// it peeks the event that is the queue minimum now — with rare exceptions
+// the one that fires next — and prefetches the head of that event's object,
+// so the cache misses of the next Fire's first touches overlap this Fire's
+// work instead of stalling the next one. At internet scale an event lands on
+// an effectively random node and those first touches were a fifth of the run.
+//
+// The look-ahead cannot change a result: it reads the queue without
+// modifying its content (peek may advance the ring's cursor over buckets that
+// are already empty, exactly as the next pop would), reads no clock, draws no
+// randomness, counts nothing, and the prefetch instruction itself has no
+// architectural effect. If Fire schedules something earlier than the peeked
+// event, a line was fetched early for nothing.
+func (s *Scheduler) fireNext() {
 	k, e := s.popNext()
 	s.now = k.at
+	if s.Len() > 0 {
+		a := eventData(s.peekEvent())
+		for off := uintptr(0); off < LookaheadBytes; off += cacheLine {
+			prefetchLine(a + off)
+		}
+	}
 	e.Fire(s)
 	s.fired++
 	if p := s.probes; p != nil {
 		p.Fired.Inc()
 	}
-	return true
+}
+
+// eventData returns the data word of e's interface value: for an event of
+// pointer type, the address of the object itself (the engine allocates no
+// event objects — its events are its nodes, queues and timers); for any other
+// dynamic type, the address of the boxed copy, or of the closure for an
+// EventFunc. Only ever used as a prefetch hint.
+func eventData(e Event) uintptr {
+	return uintptr((*[2]unsafe.Pointer)(unsafe.Pointer(&e))[1])
 }
 
 // Reset discards all pending events and rewinds the clock to zero, reusing
@@ -544,5 +595,6 @@ func (s *Scheduler) PeekTime() (at Time, ok bool) {
 	if s.Len() == 0 {
 		return 0, false
 	}
-	return s.peek().at, true
+	k, _ := s.peek()
+	return k.at, true
 }

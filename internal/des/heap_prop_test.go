@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // refItem mirrors item for the container/heap reference implementation the
@@ -308,5 +309,155 @@ func TestSchedulerDenseBurstOrdering(t *testing.T) {
 		if fired[i] != want[i] {
 			t.Fatalf("fire order diverged at %d: got %+v, want %+v", i, fired[i], want[i])
 		}
+	}
+}
+
+// The shapes an Event's dynamic value can take, so that the look-ahead's
+// read of the interface data word (eventData) meets each of them: a pointer
+// to a long-lived object (what the BGP engine schedules), a closure, a
+// multi-word value the interface boxes and — in TestEventDataIsTheOwner only,
+// since it can carry no id — a zero-size value. The others can tell their id
+// without firing.
+type ptrEvent struct {
+	id   int
+	fire func(*Scheduler)
+	pad  [LookaheadBytes]byte
+}
+
+func (e *ptrEvent) Fire(s *Scheduler) { e.fire(s) }
+
+// funcEvent fires when called with a scheduler and only reports its id when
+// called with nil.
+type funcEvent func(*Scheduler) int
+
+func (f funcEvent) Fire(s *Scheduler) { f(s) }
+
+type boxedEvent struct {
+	id   int
+	fire func(*Scheduler)
+}
+
+func (e boxedEvent) Fire(s *Scheduler) { e.fire(s) }
+
+type zeroEvent struct{}
+
+func (zeroEvent) Fire(*Scheduler) {}
+
+func idOf(e Event) int {
+	switch e := e.(type) {
+	case *ptrEvent:
+		return e.id
+	case funcEvent:
+		return e(nil)
+	case boxedEvent:
+		return e.id
+	}
+	panic("unknown event type")
+}
+
+// TestLookaheadIsInert drives the whole Scheduler — Step, RunUntil with
+// deadlines, Run, and Reset with events still pending — in lockstep with a
+// container/heap reference, using events of every dynamic shape that
+// schedule follow-ups from inside Fire, a share of them at the current
+// instant, i.e. ahead of the event fireNext has just peeked and prefetched.
+// Every fire must be the reference's minimum. And whenever the look-ahead
+// could run — at the start of every Fire, which is the queue state fireNext
+// peeked, and between calls — the event it would name (peekEvent) must be
+// the reference's pending minimum: a prefetch aimed at a fired, reset or
+// recycled slab entry would name some other id.
+func TestLookaheadIsInert(t *testing.T) {
+	for trial := 0; trial < 30; trial++ {
+		r := rand.New(rand.NewSource(int64(trial) + 4242))
+		var s Scheduler
+		for epoch := 0; epoch < 3; epoch++ {
+			var want refHeap
+			var seq uint32
+			fires := 0
+			checkLookahead := func(when string) {
+				if s.Len() != want.Len() {
+					t.Fatalf("trial %d epoch %d %s: %d pending, reference has %d", trial, epoch, when, s.Len(), want.Len())
+				}
+				if s.Len() > 0 {
+					if got := idOf(s.peekEvent()); got != want[0].id {
+						t.Fatalf("trial %d epoch %d %s: look-ahead names event %d, the pending minimum is %d", trial, epoch, when, got, want[0].id)
+					}
+				}
+			}
+			var schedule func(d Time, depth int)
+			schedule = func(d Time, depth int) {
+				id := int(seq)
+				fire := func(s *Scheduler) {
+					fires++
+					if w := heap.Pop(&want).(refItem); w.id != id || w.at != s.Now() {
+						t.Fatalf("trial %d epoch %d: fired event %d at %d, reference minimum is %d at %d", trial, epoch, id, s.Now(), w.id, w.at)
+					}
+					checkLookahead("at the start of Fire")
+					for k := 0; depth > 0 && k < r.Intn(3); k++ {
+						switch r.Intn(4) {
+						case 0:
+							schedule(0, depth-1) // ahead of whatever was peeked
+						case 1:
+							schedule(Time(r.Int63n(int64(Millisecond))), depth-1)
+						case 2:
+							schedule(Time(r.Int63n(int64(ringHorizon))), depth-1)
+						default:
+							schedule(ringHorizon+Time(r.Int63n(int64(40*Second))), depth-1)
+						}
+					}
+				}
+				var e Event
+				switch r.Intn(4) {
+				case 0:
+					e = funcEvent(func(s *Scheduler) int {
+						if s != nil {
+							fire(s)
+						}
+						return id
+					})
+				case 1:
+					e = boxedEvent{id: id, fire: fire}
+				default:
+					e = &ptrEvent{id: id, fire: fire}
+				}
+				heap.Push(&want, refItem{at: s.Now() + d, seq: seq, id: id})
+				seq++
+				s.After(d, e)
+			}
+			for i := 0; i < 40; i++ {
+				schedule(Time(r.Int63n(int64(2*ringHorizon))), 3)
+			}
+			abandon := 1 << 30
+			if epoch < 2 {
+				abandon = 60 + r.Intn(60) // Reset with events pending
+			}
+			for s.Len() > 0 && fires < abandon {
+				checkLookahead("between calls")
+				switch r.Intn(8) {
+				case 0:
+					s.Run()
+				case 1, 2:
+					s.RunUntil(s.Now() + Time(r.Int63n(int64(ringHorizon))))
+				default:
+					s.Step()
+				}
+			}
+			checkLookahead("at the end")
+			s.Reset(true)
+		}
+	}
+}
+
+// TestEventDataIsTheOwner pins what the look-ahead prefetches: for an event
+// of pointer type the interface's data word is the object's own address, so
+// the LookaheadBytes that follow are the object's first lines.
+func TestEventDataIsTheOwner(t *testing.T) {
+	e := &ptrEvent{}
+	if got, want := eventData(e), uintptr(unsafe.Pointer(e)); got != want {
+		t.Fatalf("eventData(*ptrEvent) = %#x, the object is at %#x", got, want)
+	}
+	// Any other shape yields some address; the prefetch must accept all of
+	// them, nil included.
+	for _, ev := range []Event{EventFunc(func(*Scheduler) {}), boxedEvent{}, zeroEvent{}, nil} {
+		prefetchLine(eventData(ev) + LookaheadBytes - cacheLine)
 	}
 }
