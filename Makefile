@@ -34,11 +34,14 @@ cross:
 # deadline invariance) ten times over: the race tier starts Config.Shards
 # workers whatever the CPU count, so a lost wake-up or a claim that crosses
 # windows gets many schedules to show itself, and the timeout turns a hung
-# barrier into a failure instead of a stuck job.
+# barrier into a failure instead of a stuck job. The same ten rounds run
+# the admission-time-completion differential (bare against hook-attached,
+# i.e. all-evented, networks), whose windowed cases complete updates on the
+# worker that admits them.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 -run 'Consistency|Checker|CompactEngine|GrowThenReset|Sharded' ./internal/bgp/ .
-	$(GO) test -race -count=10 -timeout 15m -run 'Crew|PartitionInvariance|Windowed' ./internal/des/ ./internal/bgp/
+	$(GO) test -race -count=10 -timeout 15m -run 'Crew|PartitionInvariance|Windowed|AdmissionCompletion' ./internal/des/ ./internal/bgp/
 
 bench:
 	$(GO) test -bench . -benchtime 1x .

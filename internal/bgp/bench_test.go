@@ -37,17 +37,22 @@ func benchTopo(types []topology.NodeType, transit, peers [][2]topology.NodeID) *
 // fanTopo is a T core with m M-nodes multihomed to it and one C origin
 // multihomed to every M node: every M node offers the origin's prefix to
 // the core, exercising multi-candidate decisions.
-func fanTopo(m int) *topology.Topology {
+func fanTopo(m int) *topology.Topology { return fanTopoStubs(m, 1) }
+
+// fanTopoStubs is fanTopo with the given number of C nodes under the M
+// nodes, each multihomed to all of them; the last one is the origin.
+func fanTopoStubs(m, stubs int) *topology.Topology {
 	types := []topology.NodeType{topology.T}
 	var transit [][2]topology.NodeID
 	for i := 1; i <= m; i++ {
 		types = append(types, topology.M)
 		transit = append(transit, [2]topology.NodeID{0, topology.NodeID(i)})
 	}
-	origin := topology.NodeID(m + 1)
-	types = append(types, topology.C)
-	for i := 1; i <= m; i++ {
-		transit = append(transit, [2]topology.NodeID{topology.NodeID(i), origin})
+	for s := 1; s <= stubs; s++ {
+		types = append(types, topology.C)
+		for i := 1; i <= m; i++ {
+			transit = append(transit, [2]topology.NodeID{topology.NodeID(i), topology.NodeID(m + s)})
+		}
 	}
 	return benchTopo(types, transit, nil)
 }
@@ -56,8 +61,9 @@ const benchPrefix Prefix = 1
 
 // steadyNet returns a converged MRAI-0 network on fanTopo(8) with the
 // origin's prefix propagated everywhere.
-func steadyNet() (*Network, topology.NodeID) {
-	topo := fanTopo(8)
+func steadyNet() (*Network, topology.NodeID) { return steadyNetOn(fanTopo(8)) }
+
+func steadyNetOn(topo *topology.Topology) (*Network, topology.NodeID) {
 	cfg := DefaultConfig(1)
 	cfg.MRAI = 0
 	net := MustNew(topo, cfg)
@@ -69,18 +75,41 @@ func steadyNet() (*Network, topology.NodeID) {
 
 // coreLink returns the slot of node 1 (an M node) toward the T core and the
 // path it currently advertises there, for re-announcement benchmarks.
-func coreLink(net *Network) (m *node, slot int, path Path) {
+func coreLink(net *Network) (m *node, slot int, path Path) { return linkTo(net, 0) }
+
+// linkTo returns the slot of node 1 (an M node) toward its neighbor nbr and
+// the path it currently advertises there.
+func linkTo(net *Network, nbr topology.NodeID) (m *node, slot int, path Path) {
 	m = &net.nodes[1]
 	for j, id := range net.nbrIDs(m) {
-		if id == 0 {
+		if id == nbr {
 			path, ok := net.out(m)[j].lastSent.Get(benchPrefix)
 			if !ok {
-				panic("bench setup: M node does not advertise the prefix to the core")
+				panic("bench setup: M node does not advertise the prefix to the neighbor")
 			}
 			return m, j, path
 		}
 	}
-	panic("bench setup: M node is not connected to the core")
+	panic("bench setup: M node is not connected to the neighbor")
+}
+
+// sinkNet is steadyNet with a second stub under the M nodes: a sink that
+// hears the prefix from all of them and says nothing. Returns the M node, its
+// slot toward the stub and the path it advertises there. Inside a run
+// (inRun) deliver may complete that stub's updates at admission.
+func sinkNet() (net *Network, m *node, slot int, path Path) {
+	net, _ = steadyNetOn(fanTopoStubs(8, 2))
+	m, slot, path = linkTo(net, 9)
+	return net, m, slot, path
+}
+
+// inRun calls fn from inside net.RunUntil(deadline), as an event at the
+// current time, so a test that drives transmit by hand sees deliver as a run
+// shows it: RunUntil's own completion limit while fn runs, its horizon and
+// clock fix-up afterwards. Inline networks only.
+func inRun(net *Network, deadline des.Time, fn func()) {
+	net.shards[0].sched.At(net.Now(), des.EventFunc(func(*des.Scheduler) { fn() }))
+	net.RunUntil(deadline)
 }
 
 // BenchmarkKernelDecide measures the bare decision process over a RIB with
@@ -129,6 +158,24 @@ func BenchmarkKernelTransmitFire(b *testing.B) {
 		net.transmit(m, slot, benchPrefix, Announce, path, NoPath)
 		net.shards[0].sched.Run()
 	}
+}
+
+// BenchmarkKernelSinkDeliver measures the same hop into a stub: deliver
+// completes the update at admission — decision included — and no event is
+// scheduled, popped or fired. Expected allocs/op: 0.
+func BenchmarkKernelSinkDeliver(b *testing.B) {
+	net, m, slot, path := sinkNet()
+	inRun(net, -1, func() {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			net.transmit(m, slot, benchPrefix, Announce, path, NoPath)
+		}
+		b.StopTimer()
+		if net.Pending() != 0 {
+			b.Fatal("the stub's updates were scheduled")
+		}
+	})
 }
 
 // BenchmarkKernelFlushLoop measures a C-event on a rate-limited network
@@ -198,6 +245,28 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("unchanged-best applyDecision allocates %.1f objects, want 0", allocs)
+	}
+
+	// The hop into a silent sink, completed at admission. Its only growing
+	// state is the per-second rate histogram: warm it past the virtual time
+	// the measured updates reach (at most 100 ms each).
+	net, m, slot, path = sinkNet()
+	stub := &net.nodes[9]
+	send := func() { net.transmit(m, slot, benchPrefix, Announce, path, NoPath) }
+	inRun(net, -1, func() {
+		for i := 0; i < 1024; i++ {
+			send()
+		}
+	})
+	net.ResetCounters()
+	inRun(net, -1, func() {
+		allocs = testing.AllocsPerRun(200, send)
+		if net.Pending() != 0 || stub.recvAnnounce != 201 {
+			t.Fatalf("sink hop: %d events pending, %d updates processed at the stub; want 0 and 201", net.Pending(), stub.recvAnnounce)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("admission-time completion allocates %.1f objects per update, want 0", allocs)
 	}
 }
 

@@ -16,7 +16,10 @@ package bgp
 //   - procEvent.Fire sets the firing shard's active cause to the event's
 //     cause before anything else, so every update transmitted while
 //     processing it — and the updateHook record — inherits the cause of
-//     the update that triggered it.
+//     the update that triggered it. (An update deliver completes at
+//     admission fires no event and sets nothing: it runs inside the sender's
+//     fan-out, whose later sends must keep the sender's cause, and a silent
+//     node transmits nothing that could inherit one.)
 //   - An update queued behind an MRAI timer carries its cause in the
 //     pendingUpdate; a newer update for the same prefix replaces the queued
 //     one together with its cause (coalescing attributes the eventual send

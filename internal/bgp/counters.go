@@ -1,9 +1,6 @@
 package bgp
 
-import (
-	"bgpchurn/internal/des"
-	"bgpchurn/internal/topology"
-)
+import "bgpchurn/internal/topology"
 
 // NodeCounters is the per-node measurement snapshot for one window.
 type NodeCounters struct {
@@ -111,41 +108,22 @@ func (net *Network) TotalUpdates() uint64 {
 // PeakUpdateRate returns the largest number of updates processed
 // network-wide within any single virtual second of the current window —
 // the burstiness measure motivating the paper's concern that routers must
-// absorb peaks far above daily means. A single shard tracks its running
-// peak inline; a multi-shard network merges the shards' per-second rate
-// logs (each nondecreasing in time), summing counts for each second and
-// maximizing over the sums — the same value the single-shard counter would
-// have produced for the merged event stream.
+// absorb peaks far above daily means: the maximum, over the seconds of the
+// window, of the shards' per-second counts summed (see netShard.rate).
 func (net *Network) PeakUpdateRate() uint64 {
-	if !net.multi {
-		return net.shards[0].ratePeak
-	}
-	idx := make([]int, len(net.shards))
 	var peak uint64
-	for {
-		// Earliest unconsumed second across the shard logs.
-		var sec des.Time
-		found := false
-		for k, sh := range net.shards {
-			if idx[k] < len(sh.rateLog) {
-				if s := sh.rateLog[idx[k]].sec; !found || s < sec {
-					sec, found = s, true
-				}
+	for i := 0; ; i++ {
+		var sum uint64
+		live := false
+		for _, sh := range net.shards {
+			if i < len(sh.rate) {
+				sum, live = sum+uint64(sh.rate[i]), true
 			}
 		}
-		if !found {
+		if !live {
 			return peak
 		}
-		var sum uint64
-		for k, sh := range net.shards {
-			if idx[k] < len(sh.rateLog) && sh.rateLog[idx[k]].sec == sec {
-				sum += sh.rateLog[idx[k]].count
-				idx[k]++
-			}
-		}
-		if sum > peak {
-			peak = sum
-		}
+		peak = max(peak, sum)
 	}
 }
 
@@ -154,9 +132,7 @@ func (net *Network) PeakUpdateRate() uint64 {
 // the initial prefix propagation, then measures the C-event.
 func (net *Network) ResetCounters() {
 	for _, sh := range net.shards {
-		sh.totalUpdates = 0
-		sh.rateBucket, sh.rateCount, sh.ratePeak = 0, 0, 0
-		sh.rateLog = sh.rateLog[:0]
+		sh.resetRate()
 	}
 	for i := range net.nodes {
 		nd := &net.nodes[i]

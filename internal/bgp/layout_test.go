@@ -60,6 +60,8 @@ func TestKernelLayoutBudget(t *testing.T) {
 		{"src", unsafe.Offsetof(nd.src), unsafe.Sizeof(nd.src)},
 		{"inbox", unsafe.Offsetof(nd.inbox), unsafe.Sizeof(nd.inbox)},
 		{"delivering", unsafe.Offsetof(nd.delivering), unsafe.Sizeof(nd.delivering)},
+		{"sink", unsafe.Offsetof(nd.sink), unsafe.Sizeof(nd.sink)},
+		{"spoke", unsafe.Offsetof(nd.spoke), unsafe.Sizeof(nd.spoke)},
 		{"cur", unsafe.Offsetof(nd.cur), unsafe.Sizeof(nd.cur)},
 	}
 	for _, f := range deliverFields {
@@ -67,9 +69,10 @@ func TestKernelLayoutBudget(t *testing.T) {
 			t.Errorf("node.%s ends at byte %d: deliver's fields must lie in the first %d", f.name, end, 2*line)
 		}
 	}
-	// What an update that leaves the best route alone reads next — the
+	// What an update that leaves the best route alone reads next — whether
+	// it is the node's event or deliver completes it at admission — the
 	// node's identity and row, the receive counters, the prefix key and the
-	// hot head of the inline prefixState — fits the third line.
+	// hot head of the inline prefixState, fits the third line.
 	hotEnd := unsafe.Offsetof(nd.prefixes) + unsafe.Offsetof(nd.prefixes.first) + unsafe.Offsetof(nd.prefixes.first.damp)
 	if hotEnd > 3*line {
 		t.Errorf("node's unchanged-route fields end at byte %d, budget %d", hotEnd, 3*line)

@@ -3,6 +3,7 @@ package bgp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 	"unsafe"
 
@@ -35,10 +36,8 @@ type Network struct {
 	// forceParts, when positive, overrides the partition count (tests only:
 	// the public Shards values reach few distinct counts).
 	forceParts int
-	// windowed selects the barrier-synchronized executor (LinkDelay > 0);
-	// multi is len(shards) > 1 (implies windowed).
+	// windowed selects the barrier-synchronized executor (LinkDelay > 0).
 	windowed bool
-	multi    bool
 	// partOf[i] is the index of the shard owning node i, so transmit can
 	// route a message without touching the receiver's node.
 	partOf []uint8
@@ -57,6 +56,13 @@ type Network struct {
 	windowEnd des.Time
 	order     []int32
 	busy      []time.Duration
+	// limit is the latest virtual time the run in progress is certain to
+	// reach: the far future inside Run, the deadline inside RunUntil and
+	// Settle, zero — before every completion time — outside a run, and
+	// whenever something must see updates in time order (completionLimit).
+	// deliver completes a silent node's update on the spot when it is done by
+	// then, because nothing can reach that node's state any sooner.
+	limit des.Time
 
 	// sess and outq are this network's per-session state in one contiguous
 	// block each, parallel to adj.IDs; node i's rows start at nodes[i].row.
@@ -160,7 +166,6 @@ func (net *Network) build(topo *topology.Topology) error {
 		}
 	}
 	bounds := adj.ShardRanges(s)
-	net.multi = s > 1
 	net.shards = make([]*netShard, s)
 	net.order = make([]int32, s)
 	for k := range net.shards {
@@ -186,6 +191,7 @@ func (net *Network) build(topo *topology.Topology) error {
 		lo, hi := adj.Row(topology.NodeID(i))
 		nd.id = topology.NodeID(i)
 		nd.typ = topo.Nodes[i].Type
+		nd.sink = !slices.Contains(adj.Rels[lo:hi], topology.Customer)
 		nd.sh = sh
 		nd.row, nd.deg = lo, hi-lo
 		nd.prefixes.first.bestSlot = noneSlot
@@ -304,20 +310,53 @@ func (net *Network) Pending() int {
 }
 
 // Run advances the simulation until quiescence and returns the number of
-// events fired.
-func (net *Network) Run() uint64 {
+// events fired (updates completed at admission fire none; see deliver).
+func (net *Network) Run() uint64 { return net.RunUntil(-1) }
+
+// RunUntil advances the simulation up to the given deadline (to quiescence
+// if it is negative) and returns the number of events fired.
+func (net *Network) RunUntil(deadline des.Time) uint64 {
+	net.limit = net.completionLimit(deadline)
+	var fired uint64
 	if net.windowed {
-		return net.runWindowed(-1)
+		fired = net.runWindowed(deadline)
+	} else {
+		fired = net.shards[0].sched.RunUntil(deadline)
 	}
-	return net.shards[0].sched.Run()
+	net.limit = 0
+	// The clock of a quiescent network stands at its last completion, and
+	// the last one may have been completed at admission rather than fired
+	// (sh.horizon). A deadline run ends at its deadline, past every horizon.
+	var last des.Time
+	for _, sh := range net.shards {
+		last, sh.horizon = max(last, sh.horizon), 0
+	}
+	if deadline < 0 && last > 0 {
+		if net.windowed {
+			// Where the window that fired it would have left every clock.
+			last = des.NextWindow(last, net.cfg.LinkDelay)
+		}
+		for _, sh := range net.shards {
+			if sh.sched.Now() < last {
+				sh.sched.RunUntil(last) // nothing is pending: moves the clock only
+			}
+		}
+	}
+	return fired
 }
 
-// RunUntil advances the simulation up to the given deadline.
-func (net *Network) RunUntil(deadline des.Time) uint64 {
-	if net.windowed {
-		return net.runWindowed(deadline)
+// completionLimit returns Network.limit for a run to deadline (negative: to
+// quiescence). Two things keep every update an event of its own: an update
+// hook, whose contract is records in time order, and flap dampening, whose
+// penalties decay with the clock a node is processed at.
+func (net *Network) completionLimit(deadline des.Time) des.Time {
+	switch {
+	case net.updateHook != nil || net.cfg.Dampening.Enabled:
+		return 0
+	case deadline < 0:
+		return math.MaxInt64
 	}
-	return net.shards[0].sched.RunUntil(deadline)
+	return deadline
 }
 
 // Settle advances virtual time by d, firing any events that fall inside the
@@ -350,9 +389,8 @@ func (net *Network) reinit(seed uint64) {
 	for _, sh := range net.shards {
 		sh.sched.Reset(true)
 		sh.activeCause = 0
-		sh.totalUpdates = 0
-		sh.rateBucket, sh.rateCount, sh.ratePeak = 0, 0, 0
-		sh.rateLog = sh.rateLog[:0]
+		sh.horizon = 0
+		sh.resetRate()
 		// Drop (never rewind) the path slab, keeping the probe: see pathArena.
 		sh.paths = pathArena{probe: sh.paths.probe}
 		sh.emitted = 0
@@ -371,6 +409,7 @@ func (net *Network) reinit(seed uint64) {
 		nd.msgSeq = 0
 		clear(nd.inbox) // release parked paths
 		nd.inbox, nd.inboxHead, nd.delivering = nd.inbox[:0], 0, false
+		nd.spoke = false
 		nd.cur = inMsg{}
 		nd.recvAnnounce, nd.recvWithdraw, nd.sentUpdates = 0, 0, 0
 		nd.bestChanges, nd.suppressions = 0, 0
@@ -407,6 +446,7 @@ func (net *Network) Originate(origin topology.NodeID, f Prefix) {
 		return
 	}
 	ps.selfOrigin = true
+	nd.spoke = true
 	net.applyDecision(nd, f, ps)
 }
 
@@ -474,13 +514,12 @@ func (m *inMsg) setPath(p Path) {
 	m.pathPtr, m.pathLen = unsafe.SliceData(p), int32(len(p))
 }
 
-// Fire completes the processing of the update in nd.cur: counters,
-// Adj-RIB-In, decision, exports. The node is its own event (see deliver),
-// so Fire first copies the payload out of cur and then reuses the node for
-// the next parked delivery, if any, before running the decision process.
+// Fire completes the processing of the update in nd.cur. The node is its own
+// event (see deliver), so Fire first copies the payload out of cur and then
+// reuses the node for the next parked delivery, if any, before processing
+// the update.
 func (nd *node) Fire(*des.Scheduler) {
 	sh := nd.sh
-	net := sh.net
 	m := &nd.cur
 	fromSlot, kind, prefix, path, pathID, cause := m.fromSlot, m.kind, m.prefix, m.path(), m.pathID, m.cause
 	// Chain the next parked delivery under its reserved ticket (see
@@ -502,16 +541,28 @@ func (nd *node) Fire(*des.Scheduler) {
 	// this processing step transmits (or queues behind an MRAI timer)
 	// inherits it.
 	sh.activeCause = cause
+	sh.net.process(nd, sh.sched.Now(), fromSlot, kind, prefix, path, pathID, cause)
+}
+
+// process is what a node does with one received update, completed at virtual
+// time at: counters, Adj-RIB-In, decision, exports. It is the only such
+// path; at is the clock when the update is nd's event (Fire) and a time
+// still ahead of it when deliver completes the update at admission, so
+// nothing here or below reads the clock for a silent node. It leaves the
+// shard's active cause alone — Fire sets it; a completion at admission runs
+// inside the sender's fan-out and transmits nothing.
+func (net *Network) process(nd *node, at des.Time, fromSlot int32, kind UpdateKind, prefix Prefix, path Path, pathID PathID, cause CauseID) {
+	sh := nd.sh
 	row := &net.sess[nd.row+fromSlot]
 	row.recv++
 	sh.totalUpdates++
-	sh.tickRate()
+	sh.tickRate(at)
 	if p := sh.probes; p != nil {
 		p.UpdatesProcessed.Inc()
 	}
 	if net.updateHook != nil {
 		net.updateHook(UpdateRecord{
-			Time:   sh.sched.Now(),
+			Time:   at,
 			From:   net.adj.IDs[nd.row+fromSlot],
 			To:     nd.id,
 			Kind:   kind,
@@ -642,7 +693,13 @@ func (net *Network) applyDecision(nd *node, f Prefix, ps *prefixState) {
 	if tr := net.causal; tr != nil {
 		tr.tallies[nd.sh.idx].exploration[nd.typ]++
 	}
-	net.reconcile(nd, f, ps)
+	// A silent node exports to nobody and has nothing on any wire: reconcile
+	// would build (and intern) an advertisement body no one is ever sent and
+	// walk every output queue to find it empty. The checker below still
+	// verifies the postcondition reconcile would have established.
+	if !nd.silent() {
+		net.reconcile(nd, f, ps)
+	}
 	if net.cfg.Check {
 		net.checkReconciled(nd, f, ps)
 	}
@@ -719,6 +776,7 @@ func (net *Network) ensureFlush(nd *node, q *outQueue, f Prefix) {
 // send transmits one update on q's session and records it in the
 // Adj-RIB-Out.
 func (net *Network) send(nd *node, q *outQueue, f Prefix, kind UpdateKind, path Path, pathID PathID) {
+	nd.spoke = true
 	net.transmit(nd, int(q.slot), f, kind, path, pathID)
 	if kind == Withdraw {
 		q.lastSent.Delete(f)
@@ -827,6 +885,16 @@ func (net *Network) transmit(nd *node, j int, f Prefix, kind UpdateKind, path Pa
 // reserved here, in admission order. node.Fire re-schedules the front of
 // the inbox, so deliveries chain one at a time — same fire times, same fire
 // order, a fraction of the queued events, no event objects.
+//
+// Most updates need no event at all. The completion time is known here, and
+// when the receiver is silent nothing it does with the update leaves it; when
+// the run in progress is certain to pass that time (Network.limit), no API
+// call can look at the receiver before then either; and when no earlier
+// update of its own is still an event (delivering), doing it now keeps its
+// FIFO order. Then the update is processed on the spot, stamped with its
+// completion time — the shard's horizon remembers the latest such time for
+// the clock a run ends at (see RunUntil). DESIGN.md, "Admission-time
+// completion", has the argument.
 func (net *Network) deliver(to *node, arrival des.Time, fromSlot int32, f Prefix, kind UpdateKind, path Path, pathID PathID, cause CauseID) {
 	sh := to.sh
 	start := to.busyUntil
@@ -835,7 +903,15 @@ func (net *Network) deliver(to *node, arrival des.Time, fromSlot int32, f Prefix
 	}
 	done := start + des.Time(to.src.UniformDuration(int64(net.cfg.MaxProcessingDelay)))
 	to.busyUntil = done
-	m := inMsg{tk: sh.sched.Reserve(done), fromSlot: fromSlot, kind: kind, prefix: f, pathID: pathID, cause: cause}
+	// Reserved whether or not it is redeemed: a sequence number per update is
+	// what bounds the 32-bit counters (see node).
+	tk := sh.sched.Reserve(done)
+	if to.silent() && !to.delivering && done <= net.limit {
+		sh.horizon = max(sh.horizon, done)
+		net.process(to, done, fromSlot, kind, f, path, pathID, cause)
+		return
+	}
+	m := inMsg{tk: tk, fromSlot: fromSlot, kind: kind, prefix: f, pathID: pathID, cause: cause}
 	m.setPath(path)
 	if to.delivering {
 		to.inbox = append(to.inbox, m)

@@ -326,9 +326,10 @@ type inMsg struct {
 // ever straddles more lines than it has to. TestKernelLayoutBudget pins it.
 //
 // The measurement-window counters are 32-bit: every update a node receives,
-// sends or reacts to consumes one scheduler sequence number, and the
-// scheduler refuses to hand out more than 2^32 per Reset (des.Reserve), so
-// they cannot wrap.
+// sends or reacts to consumes one scheduler sequence number — deliver
+// reserves a ticket for an update it completes at admission too, redeemed or
+// not — and the scheduler refuses to hand out more than 2^32 per Reset
+// (des.Reserve), so they cannot wrap.
 type node struct {
 	// sh is the shard owning this node: its event queue, path arena and
 	// counters (the inline engine has exactly one shard).
@@ -350,6 +351,14 @@ type node struct {
 	inboxHead  int32
 	delivering bool
 	typ        topology.NodeType
+	// sink: the node has no customer session, so under no-valley export a
+	// route it learns goes nowhere; only a prefix of its own ever leaves it.
+	// spoke: since the last Reset it has originated a prefix or been given an
+	// Adj-RIB-Out entry (send, WarmStart). A sink that never spoke has empty
+	// output queues and nothing to say, which is what lets deliver complete
+	// its updates at admission (see silent).
+	sink  bool
+	spoke bool
 	// cur is the delivery in flight: the payload of the event this node is
 	// while delivering is true.
 	cur inMsg
@@ -373,6 +382,13 @@ type node struct {
 	// order that makes results independent of the shard count.
 	msgSeq uint64
 }
+
+// silent reports whether processing an update at nd can have no effect
+// outside nd: it has no customer to export a learned route to, originates
+// nothing, and every one of its output queues is empty, so whatever best
+// route it selects, reconcile would find every neighbor unexportable and
+// every Adj-RIB-Out already empty.
+func (nd *node) silent() bool { return nd.sink && !nd.spoke }
 
 // Per-node rows of the flat per-session arrays. Slot j of node nd is element
 // nd.row+j of each array; the accessors below cut the row out for code that

@@ -66,12 +66,6 @@ func (m *wireMsg) before(o *wireMsg) bool {
 	return m.seq < o.seq
 }
 
-// rateSec is one second of a shard's update-rate log (see tickRate).
-type rateSec struct {
-	sec   des.Time
-	count uint64
-}
-
 // netShard is one partition of the network: a contiguous node range with a
 // private event queue, path arena and counters. The inline engine runs
 // exactly one; the windowed engine cuts the node array into partitions(…)
@@ -103,17 +97,22 @@ type netShard struct {
 	// pathArena.
 	paths pathArena
 
-	// rateBucket/rateCount/ratePeak track the busiest virtual second inline
-	// — constant space — on single-shard networks, where the shard's peak
-	// is the network's peak.
-	rateBucket des.Time
-	rateCount  uint64
-	ratePeak   uint64
-	// rateLog records (second, count) pairs, nondecreasing in time, on
-	// multi-shard networks; PeakUpdateRate merges the shard logs and takes
-	// the max of the per-second sums, which no running per-shard max could
-	// reconstruct. Capacity is retained across ResetCounters.
-	rateLog []rateSec
+	// rate[i] counts the updates this shard's nodes completed in virtual
+	// second rateBase+i of the current measurement window; rateBase is the
+	// second the window began in, the same on every shard. A histogram, so
+	// the order updates are counted in does not matter (one completed at
+	// admission is counted ahead of the clock) and PeakUpdateRate sums the
+	// shards second by second. 32 bits hold any second's count: every update
+	// consumed a scheduler sequence number. It spans the window's first
+	// second to the latest one an update completed in — four bytes per
+	// virtual second, whatever the update count (a day-long window: 345 kB a
+	// shard) — and its capacity is retained across windows.
+	rate     []uint32
+	rateBase des.Time
+	// horizon is the latest completion time among the updates deliver
+	// completed at admission in the run in progress (zero: none): the event
+	// that would have fired last, had they been events.
+	horizon des.Time
 
 	// probes is this shard's protocol probe block; nil when obs is
 	// detached.
@@ -386,24 +385,21 @@ func siftRuns(runs [][]wireMsg, i int) {
 	}
 }
 
-// tickRate advances the shard's updates-per-second accounting by one
-// processed update (see the field comments on netShard for the two
-// representations).
-func (sh *netShard) tickRate() {
-	bucket := sh.sched.Now() / des.Second
-	if !sh.net.multi {
-		if bucket != sh.rateBucket {
-			sh.rateBucket, sh.rateCount = bucket, 0
-		}
-		sh.rateCount++
-		if sh.rateCount > sh.ratePeak {
-			sh.ratePeak = sh.rateCount
-		}
-		return
+// tickRate counts one update completed at virtual time at, which is never
+// before the measurement window began, in the shard's per-second histogram.
+func (sh *netShard) tickRate(at des.Time) {
+	i := int(at/des.Second - sh.rateBase)
+	if n := len(sh.rate); i >= n {
+		// One step however long the quiet gap; retained capacity holds the
+		// previous window's counts.
+		sh.rate = slices.Grow(sh.rate, i+1-n)[:i+1]
+		clear(sh.rate[n:])
 	}
-	if n := len(sh.rateLog); n > 0 && sh.rateLog[n-1].sec == bucket {
-		sh.rateLog[n-1].count++
-		return
-	}
-	sh.rateLog = append(sh.rateLog, rateSec{sec: bucket, count: 1})
+	sh.rate[i]++
+}
+
+// resetRate starts a new measurement window at the shard's clock.
+func (sh *netShard) resetRate() {
+	sh.totalUpdates = 0
+	sh.rate, sh.rateBase = sh.rate[:0], sh.sched.Now()/des.Second
 }

@@ -133,17 +133,24 @@ func replay(t *testing.T, net *Network, ops []scriptOp) []byte {
 		if err := op.do(net); err != nil {
 			t.Fatalf("step %d (%s): %v", i, op.name, err)
 		}
-		for _, sh := range net.shards {
-			if sh.sched.Now() != net.Now() {
-				t.Fatalf("step %d (%s): shard %d clock %v, network clock %v", i, op.name, sh.idx, sh.sched.Now(), net.Now())
-			}
-		}
+		requireOneClock(t, net, i, op.name)
 		fmt.Fprintf(&g.buf, "# %d %s: now=%d pending=%d total=%d\n", i, op.name, int64(net.Now()), net.Pending(), net.TotalUpdates())
 		if op.snap {
 			g.snapshot(op.name, net)
 		}
 	}
 	return g.buf.Bytes()
+}
+
+// requireOneClock fails the test unless every shard's clock reads the
+// network's: between runs there is one virtual time.
+func requireOneClock(t *testing.T, net *Network, step int, name string) {
+	t.Helper()
+	for _, sh := range net.shards {
+		if sh.sched.Now() != net.Now() {
+			t.Fatalf("step %d (%s): shard %d clock %v, network clock %v", step, name, sh.idx, sh.sched.Now(), net.Now())
+		}
+	}
 }
 
 // TestPartitionInvariance is the randomized form of the executor's central
@@ -301,10 +308,17 @@ func TestWindowedSteadyStateZeroAlloc(t *testing.T) {
 		m := obs.New()
 		net.SetObs(m)
 		windowedCEvent(net, origin)
-		windows := m.Snapshot()["bgpchurn_shard_barriers_total"]
+		snap := m.Snapshot()
+		windows := snap["bgpchurn_shard_barriers_total"]
 		net.SetObs(nil)
 		if windows < 1000 {
 			t.Fatalf("workload runs only %v windows", windows)
+		}
+		// The budget below covers admission-time completion too: most of the
+		// topology is stubs, so the cycle must have completed updates without
+		// an event (an all-evented cycle fires at least one per update).
+		if fired, updates := snap["bgpchurn_des_events_fired_total"], snap["bgpchurn_bgp_updates_processed_total"]; fired >= updates {
+			t.Fatalf("cycle fired %v events for %v updates: no update was completed at admission", fired, updates)
 		}
 		// Warm up: both outbox generations of every pair grow to the workload.
 		for i := 0; i < 3; i++ {

@@ -145,11 +145,20 @@ func (net *Network) WarmStart(origin topology.NodeID, f Prefix) {
 	// Stage B: one peer hop. Only customer- or self-routed peers export
 	// across peering links, so these routes never propagate further and the
 	// stage is a single order-independent pass.
+	//
+	// Stages B and C skip sinks (every node without a customer; the origin,
+	// if it is one, got its class above). A sink's advertisement is read by
+	// nobody — stage A climbs from customers, stage B takes customer- or
+	// self-routed peers, stage C takes providers, and the install phase finds
+	// a peer- or provider-learned route exportable to customers only — so it
+	// is neither chosen nor built here. The sink's Loc-RIB comes out of the
+	// finalize pass like everyone's, from the Adj-RIB-In its neighbors fill;
+	// the body stays unbuilt, as the DES leaves it (see applyDecision).
 	for i := range net.nodes {
-		if class[i] != wsNone {
+		nd := &net.nodes[i]
+		if class[i] != wsNone || nd.sink {
 			continue
 		}
-		nd := &net.nodes[i]
 		if slot, _ := net.warmBest(nd, adv, class, topology.Peer); slot >= 0 {
 			class[i] = wsPeer
 			adv[i], advID[i] = net.warmPrepend(nd.id, adv[net.nbrIDs(nd)[slot]])
@@ -169,7 +178,7 @@ func (net *Network) WarmStart(origin topology.NodeID, f Prefix) {
 	for k := 0; k < len(order); k++ {
 		v := order[k]
 		nd := &net.nodes[v]
-		if class[v] == wsNone {
+		if class[v] == wsNone && !nd.sink {
 			if slot, _ := net.warmBest(nd, adv, class, topology.Provider); slot >= 0 {
 				class[v] = wsProvider
 				adv[v], advID[v] = net.warmPrepend(v, adv[net.nbrIDs(nd)[slot]])
@@ -198,6 +207,9 @@ func (net *Network) WarmStart(origin topology.NodeID, f Prefix) {
 		if full == nil {
 			continue
 		}
+		// Adj-RIB-Out entries are written without going through send: the
+		// origin in particular must not look silent to WithdrawPrefix.
+		nd.spoke = true
 		fromCustomerOrSelf := class[i] == wsSelf || class[i] == wsCustomer
 		ids, rels, rev, out := net.nbrIDs(nd), net.nbrRels(nd), net.reverse(nd), net.out(nd)
 		for j, nbr := range ids {
@@ -217,7 +229,8 @@ func (net *Network) WarmStart(origin topology.NodeID, f Prefix) {
 	// Finalize every Loc-RIB with the engine's own decision process over the
 	// installed Adj-RIB-In, and pre-validate the cached advertisement body
 	// (adv[i] is bestPath prepended with the own ID by construction, which is
-	// what a converged network holds after its last reconcile).
+	// what a converged network holds after its last reconcile) — only where
+	// one was built: stages B and C left every other sink's to applyDecision.
 	//
 	// Every full path ends at the origin, so sender-side loop suppression
 	// blocks every advertisement toward it: the origin's state must be
@@ -233,11 +246,12 @@ func (net *Network) WarmStart(origin topology.NodeID, f Prefix) {
 		if net.intern != nil {
 			ps.bestSlot, ps.bestID = net.decideCompact(nd, ps)
 			ps.bestPath = net.intern.path(ps.bestID)
-			ps.fullID = advID[i]
 		} else {
 			ps.bestSlot, ps.bestPath = net.decide(nd, ps)
 		}
-		ps.full, ps.fullValid = adv[i], true
+		if adv[i] != nil {
+			ps.full, ps.fullID, ps.fullValid = adv[i], advID[i], true
+		}
 	}
 }
 

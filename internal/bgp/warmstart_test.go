@@ -104,8 +104,19 @@ func compareConverged(t *testing.T, cold, warm *Network, label string, n int, se
 		}
 		// The cached advertisement body must agree whenever there is a route;
 		// without one, a lazily-invalidated cache and an absent state are the
-		// same observable state.
-		if cps.bestSlot != noneSlot {
+		// same observable state. So are a built and an unbuilt body at a node
+		// that can export to nobody: a silent node (a sink other than the
+		// origin) never reconciles, so the DES leaves its body unbuilt, and
+		// WarmStart does not build it either — there the cache is compared by
+		// what it must not be: valid.
+		if cn.silent() != wn.silent() {
+			t.Errorf("node %d: silent cold=%v warm=%v", i, cn.silent(), wn.silent())
+		}
+		if cn.silent() {
+			if cps.fullValid || wps.fullValid {
+				t.Errorf("node %d: silent, yet fullValid cold=%v warm=%v", i, cps.fullValid, wps.fullValid)
+			}
+		} else if cps.bestSlot != noneSlot {
 			if !cps.fullValid || !wps.fullValid {
 				t.Errorf("node %d: fullValid cold=%v warm=%v with a selected route",
 					i, cps.fullValid, wps.fullValid)

@@ -230,8 +230,8 @@ func New() *Metrics {
 	}
 	m := &Metrics{shards: shards}
 
-	m.DES.EventsScheduled = m.counter("bgpchurn_des_events_scheduled_total", "Events inserted into the pending queue (time ring + far heap).")
-	m.DES.EventsFired = m.counter("bgpchurn_des_events_fired_total", "Events executed by the schedulers.")
+	m.DES.EventsScheduled = m.counter("bgpchurn_des_events_scheduled_total", "Events inserted into the pending queue (time ring + far heap). An update the BGP engine completes at admission (a stub's, inside a run) is no event and is not counted.")
+	m.DES.EventsFired = m.counter("bgpchurn_des_events_fired_total", "Events executed by the schedulers. Updates completed at admission fire none: compare bgpchurn_bgp_updates_processed_total.")
 	m.DES.RingPushes = m.counter("bgpchurn_des_ring_pushes_total", "Insertions into the near-band time ring.")
 	m.DES.FarPushes = m.counter("bgpchurn_des_far_pushes_total", "Insertions into the far 4-ary heap.")
 	m.DES.RingOccupancy = m.gauge("bgpchurn_des_ring_occupancy", "Events currently pending in the time ring.")
@@ -243,12 +243,12 @@ func New() *Metrics {
 	m.BGP.MRAIFlushes = m.counter("bgpchurn_bgp_mrai_flushes_total", "Per-interface MRAI flush events fired.")
 	m.BGP.PrefixMRAIFlushes = m.counter("bgpchurn_bgp_prefix_mrai_flushes_total", "Per-prefix MRAI flush events fired.")
 	m.BGP.PathArenaBytes = m.counter("bgpchurn_bgp_path_arena_bytes_total", "Bytes bump-allocated for AS paths in the path arenas.")
-	m.BGP.InboxDeferrals = m.counter("bgpchurn_bgp_inbox_deferrals_total", "Deliveries parked in a receiver inbox behind an in-flight event.")
+	m.BGP.InboxDeferrals = m.counter("bgpchurn_bgp_inbox_deferrals_total", "Deliveries parked in a receiver inbox behind an in-flight event (updates completed at admission never park).")
 	m.BGP.InternedPaths = m.counter("bgpchurn_bgp_interned_paths_total", "Distinct AS paths interned by compact-RIB engines.")
 	m.BGP.InternBytes = m.counter("bgpchurn_bgp_intern_bytes_total", "Slab bytes storing interned AS path content.")
 	m.BGP.InternHits = m.counter("bgpchurn_bgp_intern_hits_total", "Path intern lookups served by an existing entry.")
 
-	m.Shards.Barriers = m.counter("bgpchurn_shard_barriers_total", "Synchronization windows executed by the sharded DES coordinator.")
+	m.Shards.Barriers = m.counter("bgpchurn_shard_barriers_total", "Synchronization windows executed by the sharded DES coordinator; a window that would hold only updates completed at admission is never opened.")
 	m.Shards.CrossUpdates = m.counter("bgpchurn_shard_cross_updates_total", "Updates admitted from another partition of the sharded DES at a window barrier.")
 	m.Shards.WindowSkew = m.histogram("bgpchurn_shard_window_skew_seconds", "Per-window worker skew of the sharded DES: max minus min over the workers of the wall time spent in the window's tasks (what the least loaded worker idles at the barrier).",
 		[]float64{0.000001, 0.00001, 0.0001, 0.0005, 0.001, 0.005, 0.025, 0.1, 0.5, 1})
