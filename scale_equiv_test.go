@@ -9,11 +9,44 @@ package bgpchurn
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"bgpchurn/internal/report"
 )
+
+var updateGoldens = flag.Bool("update-goldens", false, "rewrite testdata/golden from the current engine")
+
+// checkGolden compares got with testdata/golden/<name>.golden, first writing
+// the file when record is set.
+func checkGolden(t *testing.T, name string, got []byte, record bool) {
+	t.Helper()
+	file := filepath.Join("testdata", "golden", name+".golden")
+	if record {
+		if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(file, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("result differs from %s:\n--- got\n%s--- want\n%s", file, got, want)
+	}
+}
+
+// sweepArtifact renders everything a sweep golden pins: every point's
+// complete Result and the U(X) CSV.
+func sweepArtifact(sw *SweepResult) []byte {
+	return append([]byte(fingerprintSweep(sw)+"--- U(X) CSV\n"), uCSV(sw)...)
+}
 
 // compactVariant returns cfg with the interned-path engine selected.
 func compactVariant(cfg Experiment) Experiment {
@@ -51,19 +84,13 @@ func TestCompactEngineEquivalentAcrossScenarios(t *testing.T) {
 				t.Parallel()
 				ev := DefaultExperiment(seed)
 				ev.Origins = 4
-				classic, err := Sweep(sc, SweepConfig{Sizes: sizes, TopologySeed: seed, Event: ev})
-				if err != nil {
-					t.Fatal(err)
-				}
-				compact, err := Sweep(sc, SweepConfig{Sizes: sizes, TopologySeed: seed, Event: compactVariant(ev)})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if a, b := fingerprintSweep(classic), fingerprintSweep(compact); a != b {
-					t.Fatalf("compact engine diverges:\nclassic %s\ncompact %s", a, b)
-				}
-				if a, b := uCSV(classic), uCSV(compact); !bytes.Equal(a, b) {
-					t.Fatalf("U(X) CSV differs between engines:\nclassic:\n%s\ncompact:\n%s", a, b)
+				for i, e := range []Experiment{ev, compactVariant(ev)} {
+					sw, err := Sweep(sc, SweepConfig{Sizes: sizes, TopologySeed: seed, Event: e})
+					if err != nil {
+						t.Fatal(err)
+					}
+					// Recorded from the classic engine only.
+					checkGolden(t, fmt.Sprintf("scenario.%s.seed%d", sc.Name, seed), sweepArtifact(sw), *updateGoldens && i == 0)
 				}
 			})
 		}
@@ -142,16 +169,12 @@ func TestCompactEngineEquivalentProtocolVariants(t *testing.T) {
 		name, cfg := name, cfg
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			classic, err := RunCEvents(topo, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			compact, err := RunCEvents(topo, compactVariant(cfg))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a, b := fingerprint(classic), fingerprint(compact); a != b {
-				t.Fatalf("%s: compact engine diverges:\nclassic %s\ncompact %s", name, a, b)
+			for i, e := range []Experiment{cfg, compactVariant(cfg)} {
+				res, err := RunCEvents(topo, e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkGolden(t, "protocol."+name, []byte(fingerprint(res)+"\n"), *updateGoldens && i == 0)
 			}
 		})
 	}
@@ -168,17 +191,13 @@ func TestCompactEngineEquivalentWithChecker(t *testing.T) {
 	}
 	cfg := DefaultExperiment(53)
 	cfg.Origins = 2
-	classic, err := RunCEvents(topo, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	checked := compactVariant(cfg)
 	checked.BGP.Check = true
-	compact, err := RunCEvents(topo, checked)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := fingerprint(classic), fingerprint(compact); a != b {
-		t.Fatalf("checked compact engine diverges:\nclassic %s\ncompact %s", a, b)
+	for i, e := range []Experiment{cfg, checked} {
+		res, err := RunCEvents(topo, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, "checker", []byte(fingerprint(res)+"\n"), *updateGoldens && i == 0)
 	}
 }
