@@ -28,8 +28,8 @@ cross:
 # race runs the full suite under the race detector, then reruns the
 # checker-enabled tiers with -count=1: the RIB invariant checker
 # (bgp.Config.Check) re-verifies decision fixpoints, PathID validity and
-# export closure after every reconcile, and the compact-vs-classic
-# differential tests exercise it inside parallel origin workers at small n.
+# export closure after every reconcile, and the checked golden cell
+# exercises it inside parallel origin workers at small n.
 # Last, the windowed executor's own tests (worker crew, partition and
 # deadline invariance) ten times over: the race tier starts Config.Shards
 # workers whatever the CPU count, so a lost wake-up or a claim that crosses
@@ -40,7 +40,7 @@ cross:
 # worker that admits them.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=1 -run 'Consistency|Checker|CompactEngine|GrowThenReset|Sharded' ./internal/bgp/ .
+	$(GO) test -race -count=1 -run 'Consistency|Checker|GrowThenReset|Sharded' ./internal/bgp/ .
 	$(GO) test -race -count=10 -timeout 15m -run 'Crew|PartitionInvariance|Windowed|AdmissionCompletion' ./internal/des/ ./internal/bgp/
 
 bench:
@@ -60,8 +60,8 @@ bench-e2e:
 	$(GO) test -run '^$$' -bench 'BenchmarkRunCEvents' -benchmem -benchtime 5x . \
 		| $(GO) run ./cmd/benchjson -label "$(BENCH_LABEL)" -out BENCH_e2e.json
 
-# bench-scale runs the internet-scale trajectory: one warm-start compact-RIB
-# churn cell at n ∈ {10k, 50k, 100k} on a growth-chained Baseline topology,
+# bench-scale runs the internet-scale trajectory: one warm-start churn cell
+# at n ∈ {10k, 50k, 100k} on a growth-chained Baseline topology,
 # recording ns/op plus peak RSS (VmHWM) per size in BENCH_scale.json. The
 # growth chain runs on the Fenwick-indexed generator (see bench-gen), so
 # setup is seconds per size; the cells themselves are sub-minute.
@@ -127,7 +127,7 @@ bench-shard:
 # windowed cell must stay under the scale tier's peak-RSS budget, and must
 # not run slower than the same cell on one worker beyond a noise tolerance.
 # Both runs state their core count: at -cpu 2 shards=4 means two workers
-# over 32 partitions against one worker over 8, so a runner with two idle
+# over 16 partitions against one worker on one, so a runner with two idle
 # cores measures a speedup and a single-core one ~1x — a real serialization
 # bug in the barrier path shows up as a large ratio on both.
 shard-smoke:

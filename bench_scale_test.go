@@ -1,9 +1,8 @@
 package bgpchurn
 
 // Internet-scale benchmark: one warm-start churn cell per iteration on
-// Baseline topologies at n ∈ {10k, 50k, 100k}, with the compact-RIB engine
-// and streaming aggregation — the configuration that makes n=100k fit on a
-// single machine. `make bench-scale` records ns/op plus peak RSS per size
+// Baseline topologies at n ∈ {10k, 50k, 100k}, with streaming aggregation —
+// the configuration that makes n=100k fit on a single machine. `make bench-scale` records ns/op plus peak RSS per size
 // in BENCH_scale.json; the CI scale-smoke job holds the n=10k cell under an
 // absolute peak-RSS budget via cmd/benchguard.
 //
@@ -72,7 +71,6 @@ func BenchmarkScaleCell(b *testing.B) {
 			cfg.Origins = 4
 			cfg.WarmStart = true
 			cfg.Parallelism = 1 // one origin worker: O(N) aggregation state
-			cfg.BGP.CompactRIB = true
 			var total float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

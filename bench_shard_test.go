@@ -38,7 +38,6 @@ func BenchmarkShardedCell(b *testing.B) {
 				cfg.Origins = 4
 				cfg.WarmStart = true
 				cfg.Parallelism = 1 // one origin worker: shards supply the parallelism
-				cfg.BGP.CompactRIB = true
 				cfg.BGP.LinkDelay = 50 * des.Millisecond
 				cfg.BGP.Shards = shards
 				var total float64

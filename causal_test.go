@@ -223,7 +223,7 @@ func TestEq1AttributionReconcilesWithAggregates(t *testing.T) {
 // TestTraceRingRecordsCauseAndPathIdentity covers the -trace ring's
 // fixed-size retention: records must carry the root-cause ID and the
 // interned path identity instead of the engine-owned path slice, and stay
-// meaningful after the per-origin arena Resets.
+// meaningful after the per-origin Resets.
 func TestTraceRingRecordsCauseAndPathIdentity(t *testing.T) {
 	topo, err := Baseline.Generate(300, 7)
 	if err != nil {
@@ -231,7 +231,6 @@ func TestTraceRingRecordsCauseAndPathIdentity(t *testing.T) {
 	}
 	cfg := DefaultExperiment(7)
 	cfg.Origins = 2
-	cfg = compactVariant(cfg) // interned engine: announces carry a PathID
 	// Warm start: the pre-event routing state is installed directly, so every
 	// update the ring sees belongs to a cause window. (A cold start's initial
 	// propagation flood is deliberately uncaused — it is setup, not an event.)

@@ -60,32 +60,26 @@ var shardCounts = []int{1, 2, 4, 8}
 
 // TestShardedResultInvariantAcrossShardCounts demands that the windowed
 // executor produce byte-identical results at every shard count, for both
-// protocol variants and both RIB engines. Shards=1 is the reference: the
-// same windowed schedule executed on a single shard.
+// protocol variants. Shards=1 is the reference: the same windowed schedule
+// executed on a single shard.
 func TestShardedResultInvariantAcrossShardCounts(t *testing.T) {
 	topo, err := Baseline.Generate(400, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for variant, cfg := range protocolVariants(21, 6) {
-		for _, engine := range []string{"classic", "compact"} {
-			base := cfg
-			if engine == "compact" {
-				base = compactVariant(base)
+		var want string
+		for _, shards := range shardCounts {
+			res, err := RunCEvents(topo, shardedVariant(cfg, shards))
+			if err != nil {
+				t.Fatal(err)
 			}
-			var want string
-			for _, shards := range shardCounts {
-				res, err := RunCEvents(topo, shardedVariant(base, shards))
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := fingerprint(res)
-				if want == "" {
-					want = got
-				} else if got != want {
-					t.Fatalf("%s/%s: Shards=%d changed the result:\nwant %s\ngot  %s",
-						variant, engine, shards, want, got)
-				}
+			got := fingerprint(res)
+			if want == "" {
+				want = got
+			} else if got != want {
+				t.Fatalf("%s: Shards=%d changed the result:\nwant %s\ngot  %s",
+					variant, shards, want, got)
 			}
 		}
 	}
@@ -104,7 +98,6 @@ func TestRaceShardedCell(t *testing.T) {
 	}
 	cfg := DefaultExperiment(43)
 	cfg.Origins = 4
-	cfg = compactVariant(cfg)
 	ref, err := RunCEvents(topo, shardedVariant(cfg, 1))
 	if err != nil {
 		t.Fatal(err)

@@ -45,7 +45,7 @@ func replayEveryStep(t *testing.T, net *Network, ops []scriptOp) ([]byte, uint64
 }
 
 // TestAdmissionCompletionMatchesEvented: over random topologies, seeds,
-// protocol variants, RIB engines, MRAI scopes, both executors (the windowed
+// protocol variants, MRAI scopes, both executors (the windowed
 // one at several partition and worker counts) and random schedules of
 // Originate/WithdrawPrefix/FailLink/RestoreLink at stubs and non-stubs
 // interleaved with Run, ResetCounters and RunUntil deadlines that cut
@@ -64,7 +64,6 @@ func TestAdmissionCompletionMatchesEvented(t *testing.T) {
 		cfg := DefaultConfig(seed)
 		cfg.Check = true
 		cfg.RateLimitWithdrawals = src.Bernoulli(0.5)
-		cfg.CompactRIB = src.Bernoulli(0.5)
 		if src.Bernoulli(0.25) {
 			cfg.Scope = PerPrefix
 		}
@@ -76,8 +75,8 @@ func TestAdmissionCompletionMatchesEvented(t *testing.T) {
 			w = []des.Time{des.Millisecond, 7 * des.Millisecond, 20 * des.Millisecond, 50 * des.Millisecond, 250 * des.Millisecond}[src.Intn(5)]
 			cfg.LinkDelay, cfg.Shards, parts = w, 1+src.Intn(4), 1+src.Intn(12)
 		}
-		name := fmt.Sprintf("case %d: %s n=%d seed=%#x wrate=%v compact=%v scope=%v mrai=%v delay=%v parts=%d workers=%d",
-			c, sc.Name, n, seed, cfg.RateLimitWithdrawals, cfg.CompactRIB, cfg.Scope, cfg.MRAI, cfg.LinkDelay, parts, cfg.Shards)
+		name := fmt.Sprintf("case %d: %s n=%d seed=%#x wrate=%v scope=%v mrai=%v delay=%v parts=%d workers=%d",
+			c, sc.Name, n, seed, cfg.RateLimitWithdrawals, cfg.Scope, cfg.MRAI, cfg.LinkDelay, parts, cfg.Shards)
 		topo, err := sc.Generate(n, seed)
 		if err != nil {
 			// Some scenarios fix absolute node counts that small n cannot hold.

@@ -29,8 +29,7 @@ func (net *Network) CheckConsistency() error {
 		// (3) Loc-RIB is a fixed point of the decision process.
 		for _, f := range nd.prefixes.sortedKeys() {
 			ps, _ := nd.prefixes.Get(f)
-			slot, path := net.freshDecide(nd, ps)
-			if slot != ps.bestSlot || !path.Equal(ps.bestPath) {
+			if slot, id := net.decide(nd, ps); slot != ps.bestSlot || id != ps.bestID {
 				return fmt.Errorf("bgp: node %d prefix %d: stale Loc-RIB (have slot %d, decide says %d)",
 					nd.id, f, ps.bestSlot, slot)
 			}
@@ -55,7 +54,7 @@ func (net *Network) CheckConsistency() error {
 				sent, _ := q.lastSent.Get(f)
 				// (1) wire agreement.
 				pps, ok := peer.prefixes.Get(f)
-				if !ok || !sent.Equal(net.ribPath(peer, pps, int(rev))) {
+				if !ok || !sent.Equal(net.intern.path(net.rib(peer, pps)[rev].id)) {
 					return fmt.Errorf("bgp: session %d->%d prefix %d: adj-rib-out and adj-rib-in disagree",
 						nd.id, peer.id, f)
 				}
@@ -66,7 +65,7 @@ func (net *Network) CheckConsistency() error {
 			// (1) converse direction: nothing in v's RIB that u did not send.
 			for _, f := range peer.prefixes.sortedKeys() {
 				pps, _ := peer.prefixes.Get(f)
-				if net.ribHas(peer, pps, int(rev)) {
+				if net.rib(peer, pps)[rev].id != NoPath {
 					if _, ok := q.lastSent.Get(f); !ok {
 						return fmt.Errorf("bgp: session %d->%d prefix %d: receiver holds a route the sender never advertised",
 							nd.id, peer.id, f)
@@ -92,7 +91,7 @@ func (net *Network) checkAdvertisement(nd *node, j int, f Prefix, sent Path) err
 		want = Path{nd.id}
 		fromCustomerOrSelf = true
 	} else {
-		want = ps.bestPath.Prepend(nd.id)
+		want = net.bestPath(ps).Prepend(nd.id)
 		fromCustomerOrSelf = rels[ps.bestSlot] == topology.Customer
 	}
 	if !sent.Equal(want) {
@@ -117,16 +116,6 @@ func (net *Network) checkAdvertisement(nd *node, j int, f Prefix, sent Path) err
 	return nil
 }
 
-// freshDecide re-runs the decision process in the node's engine
-// representation and returns the winning slot and path content.
-func (net *Network) freshDecide(nd *node, ps *prefixState) (slot int32, path Path) {
-	if net.intern != nil {
-		slot, id := net.decideCompact(nd, ps)
-		return slot, net.intern.path(id)
-	}
-	return net.decide(nd, ps)
-}
-
 // checkReconciled is the debug-only (Config.Check) RIB invariant checker,
 // run after every reconcile on the node that just changed its best route.
 // Unlike CheckConsistency it must hold mid-convergence, so it checks only
@@ -135,8 +124,8 @@ func (net *Network) freshDecide(nd *node, ps *prefixState) (slot int32, path Pat
 //  1. best-route consistency: the Loc-RIB is a fixpoint of the decision
 //     process, and the cached advertisement body matches it;
 //  2. no dangling PathID: every Adj-RIB-In entry, the best-route ID and the
-//     advertisement ID resolve inside the intern table, and resolve to
-//     content consistent with the cached slices (compact mode);
+//     advertisement ID resolve inside the intern table, and every session's
+//     rank agrees with its relation and the length of its path;
 //  3. Adj-RIB-Out ⊆ export-policy closure: for every live neighbor, the
 //     wire-or-queued state setDesired just reconciled is exactly the
 //     export-policy image of the best route — an exportable route is on the
@@ -147,41 +136,35 @@ func (net *Network) freshDecide(nd *node, ps *prefixState) (slot int32, path Pat
 // is a bug in the engine, never a recoverable condition.
 func (net *Network) checkReconciled(nd *node, f Prefix, ps *prefixState) {
 	// (1) decision fixpoint.
-	slot, path := net.freshDecide(nd, ps)
-	if slot != ps.bestSlot || !path.Equal(ps.bestPath) {
+	if slot, id := net.decide(nd, ps); slot != ps.bestSlot || id != ps.bestID {
 		panic(fmt.Sprintf("bgp: check: node %d prefix %d: Loc-RIB not a decision fixpoint (have slot %d, decide says %d)",
 			nd.id, f, ps.bestSlot, slot))
 	}
-	// (2) intern-table ID validity and cache consistency (compact mode).
-	if it := net.intern; it != nil {
-		limit := PathID(it.len())
-		rows, rels := net.rib(nd, ps), net.nbrRels(nd)
-		for j := range rows {
-			s := &rows[j]
-			if s.id > limit {
-				panic(fmt.Sprintf("bgp: check: node %d prefix %d slot %d: dangling PathID %d (table holds %d)",
-					nd.id, f, j, s.id, limit))
-			}
-			if plen := it.lenOf(s.id); s.rel() != rels[j] || int(s.rank&rankLenMask) != plen {
-				panic(fmt.Sprintf("bgp: check: node %d prefix %d slot %d: session rank %#x inconsistent with relation %v and path length %d",
-					nd.id, f, j, s.rank, rels[j], plen))
-			}
+	// (2) intern-table ID validity and rank consistency.
+	it := net.intern
+	limit := PathID(it.len())
+	rows, rels := net.rib(nd, ps), net.nbrRels(nd)
+	for j := range rows {
+		s := &rows[j]
+		if s.id > limit {
+			panic(fmt.Sprintf("bgp: check: node %d prefix %d slot %d: dangling PathID %d (table holds %d)",
+				nd.id, f, j, s.id, limit))
 		}
-		if ps.bestID > limit || !it.path(ps.bestID).Equal(ps.bestPath) {
-			panic(fmt.Sprintf("bgp: check: node %d prefix %d: bestID %d inconsistent with bestPath %v",
-				nd.id, f, ps.bestID, ps.bestPath))
+		if plen := it.lenOf(s.id); s.rel() != rels[j] || int(s.rank&rankLenMask) != plen {
+			panic(fmt.Sprintf("bgp: check: node %d prefix %d slot %d: session rank %#x inconsistent with relation %v and path length %d",
+				nd.id, f, j, s.rank, rels[j], plen))
 		}
-		if ps.fullValid && (ps.fullID > limit || !it.path(ps.fullID).Equal(ps.full)) {
-			panic(fmt.Sprintf("bgp: check: node %d prefix %d: fullID %d inconsistent with advertisement %v",
-				nd.id, f, ps.fullID, ps.full))
-		}
+	}
+	if ps.bestID > limit || (ps.fullValid && ps.fullID > limit) {
+		panic(fmt.Sprintf("bgp: check: node %d prefix %d: bestID %d or fullID %d dangling (table holds %d)",
+			nd.id, f, ps.bestID, ps.fullID, limit))
 	}
 	// (1b) the cached advertisement body is the best route prepended.
 	if ps.fullValid && ps.bestSlot != noneSlot {
-		want := ps.bestPath.Prepend(nd.id)
-		if !ps.full.Equal(want) {
+		want := net.bestPath(ps).Prepend(nd.id)
+		if full := it.path(ps.fullID); !full.Equal(want) {
 			panic(fmt.Sprintf("bgp: check: node %d prefix %d: cached advertisement %v is not best+self %v",
-				nd.id, f, ps.full, want))
+				nd.id, f, full, want))
 		}
 	}
 	// (3) per-neighbor reconciliation postcondition.

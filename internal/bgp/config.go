@@ -81,14 +81,10 @@ type Config struct {
 	// Dampening configures RFC 2439 route flap dampening (disabled by
 	// default; the paper's model has no dampening, listed as future work).
 	Dampening Dampening
-	// CompactRIB selects the interned-path RIB engine: every distinct AS
-	// path is hash-consed once into a per-network intern table, routes hold
-	// 32-bit PathIDs, and the Adj-RIB-In is a flat PathID array laid out
-	// over the CSR neighbor slots. Results are byte-identical to the
-	// default slice-path engine (the scale-equivalence test tier enforces
-	// this); what changes is memory — the representation that makes n≥100k
-	// cells fit on one machine. Default false preserves the historical
-	// representation exactly, pointer identities included.
+	// CompactRIB once selected the interned-path RIB.
+	//
+	// Deprecated: ignored, the interned RIB is the only engine; kept only so
+	// benchmark/ compiles.
 	CompactRIB bool
 	// Check enables the debug-only RIB invariant checker: after every
 	// reconcile the engine verifies the node's decision fixpoint, the

@@ -80,8 +80,8 @@ func (net *Network) AdjRIBInSize(id topology.NodeID) int {
 	n := 0
 	nd := &net.nodes[id]
 	nd.prefixes.ForEach(func(_ Prefix, ps *prefixState) {
-		for j := 0; j < int(nd.deg); j++ {
-			if net.ribHas(nd, ps, j) {
+		for _, s := range net.rib(nd, ps) {
+			if s.id != NoPath {
 				n++
 			}
 		}

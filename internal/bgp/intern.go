@@ -4,13 +4,14 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"bgpchurn/internal/obs"
 	"bgpchurn/internal/topology"
 )
 
-// Path interning (the compact-RIB engine's storage layer). Every distinct
-// AS path is stored exactly once in slab-backed storage and identified by a
+// Path interning (the RIB's storage layer). Every distinct AS path is
+// stored exactly once in slab-backed storage and identified by a
 // dense 32-bit PathID, so routing tables hold 4-byte IDs instead of 24-byte
 // slice headers and path equality is an integer compare. See DESIGN.md
 // (intern-table memory model) for ownership and lifetime rules.
@@ -61,6 +62,9 @@ type internChunk [internChunkSize]pathSpan
 // the table stay valid forever — and a path never spans two slabs
 // (oversized paths get a dedicated slab).
 const internSlabElems = 1 << 14
+
+// nodeIDBytes is the slab allocation unit for byte accounting.
+const nodeIDBytes = uint64(unsafe.Sizeof(topology.NodeID(0)))
 
 // internTable hash-conses AS paths: intern maps path content to a PathID,
 // path maps the ID back to a canonical Path sub-slice of the slab storage.
@@ -176,9 +180,9 @@ func (it *internTable) spanEqualSeq(id PathID, first topology.NodeID, tail Path)
 
 // prepend interns the path [first, tail...] and returns its canonical Path
 // and PathID. tail may be nil (a one-element origin path). This is the
-// engine's only path constructor in compact mode: advertisement bodies and
-// warm-start routes all funnel through it, so every Path in a compact
-// network is canonical. Safe for concurrent use by shard goroutines.
+// engine's only path constructor: advertisement bodies and warm-start routes
+// all funnel through it, so every Path in a network is canonical. Safe for
+// concurrent use by shard goroutines.
 func (it *internTable) prepend(first topology.NodeID, tail Path) (Path, PathID) {
 	h := hashSeq(first, tail)
 	it.mu.Lock()
@@ -297,14 +301,4 @@ func (it *internTable) bytesStored() uint64 {
 		n += uint64(len(b)) * nodeIDBytes
 	}
 	return n
-}
-
-// InternStats reports the compact engine's intern-table occupancy: distinct
-// paths stored and the bytes of path content backing them. Zero when the
-// network runs the classic slice-path engine.
-func (net *Network) InternStats() (paths int, bytes uint64) {
-	if net.intern == nil {
-		return 0, 0
-	}
-	return net.intern.len(), net.intern.bytesStored()
 }

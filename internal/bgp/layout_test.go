@@ -25,8 +25,8 @@ func TestKernelLayoutBudget(t *testing.T) {
 		{"inMsg", unsafe.Sizeof(inMsg{}), 48},
 		{"wireMsg", unsafe.Sizeof(wireMsg{}), 56},
 		{"outQueue", unsafe.Sizeof(outQueue{}), 128},
-		{"prefixState", unsafe.Sizeof(prefixState{}), 136},
-		{"node", unsafe.Sizeof(node{}), 5 * line},
+		{"prefixState", unsafe.Sizeof(prefixState{}), line},
+		{"node", unsafe.Sizeof(node{}), 4 * line},
 	}
 	for _, s := range sizes {
 		if s.got > s.ceil {
@@ -80,7 +80,7 @@ func TestKernelLayoutBudget(t *testing.T) {
 
 	// The scheduler prefetches des.LookaheadBytes of the next event's object
 	// one event ahead, and the engine's events are these objects. The span
-	// must be whole lines (owners are line-aligned: a node is five lines, a
+	// must be whole lines (owners are line-aligned: a node is four lines, a
 	// queue two, in page-aligned arrays) and must hold the node lines the
 	// DESIGN.md table says node.Fire touches when the best route stays put —
 	// deliver's group and the unchanged-route group above — and the whole

@@ -88,14 +88,11 @@ func (net *Network) sessionDown(nd *node, j int) {
 	q.clearTimers() // a queued flush event will find down=true and bail
 	for _, f := range nd.prefixes.sortedKeys() {
 		ps, _ := nd.prefixes.Get(f)
-		if !net.ribHas(nd, ps, j) {
+		r := &net.rib(nd, ps)[j]
+		if r.id == NoPath {
 			continue
 		}
-		if net.intern != nil {
-			net.rib(nd, ps)[j].install(NoPath, 0)
-		} else {
-			ps.ribIn[j] = nil
-		}
+		r.install(NoPath, 0)
 		net.applyDecision(nd, f, ps)
 	}
 }

@@ -28,7 +28,7 @@ type Network struct {
 	nodes []node
 
 	// shards partitions the node array into contiguous ranges, each with a
-	// private event queue and runtime counters (see netShard). The classic
+	// private event queue and runtime counters (see netShard). The inline
 	// zero-LinkDelay engine always runs one shard; the windowed engine runs
 	// partitions(workerLimit, n) of them in barrier-synchronized lockstep
 	// on up to Config.Shards workers.
@@ -73,10 +73,11 @@ type Network struct {
 	// salt seeds the decision tie-break hashes of the current Reset epoch.
 	salt uint64
 
-	// intern is the compact engine's path intern table (nil in classic
-	// mode). It survives Reset: the distinct paths of one topology recur
-	// across events, and PathIDs handed out earlier stay valid (see PathID).
-	// All shards share it (mutex writers, lock-free readers; see intern.go).
+	// intern is the path intern table: every AS path the engine holds is an
+	// entry of it. It survives Reset and Grow: the distinct paths of one
+	// topology recur across events, and PathIDs handed out earlier stay
+	// valid (see PathID). All shards share it (mutex writers, lock-free
+	// readers; see intern.go).
 	intern *internTable
 
 	// recvScratch is the buffer PerNeighborCounts gathers into.
@@ -120,7 +121,7 @@ func newNetwork(topo *topology.Topology, cfg Config, parts int) (*Network, error
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	net := &Network{cfg: cfg, forceParts: parts}
+	net := &Network{cfg: cfg, forceParts: parts, intern: newInternTable()}
 	if err := net.build(topo); err != nil {
 		return nil, err
 	}
@@ -133,9 +134,8 @@ func newNetwork(topo *topology.Topology, cfg Config, parts int) (*Network, error
 // per-neighbor state a row of a shared flat array (the topology's CSR block
 // or this network's own session arrays). It is the structural half of construction,
 // shared by New and Grow; runtime state is initialized separately by reinit.
-// The intern table, when already present, is kept — interned paths are
-// content-addressed and node IDs survive growth, so existing PathIDs stay
-// valid (see PathID).
+// The intern table is not touched — interned paths are content-addressed and
+// node IDs survive growth, so existing PathIDs stay valid (see PathID).
 func (net *Network) build(topo *topology.Topology) error {
 	adj := topo.CSR()
 	if !adj.Symmetric() {
@@ -150,12 +150,9 @@ func (net *Network) build(topo *topology.Topology) error {
 		net.sess[k].rank = uint32(rel) << rankRelShift
 	}
 	net.outq = make([]outQueue, sessions)
-	if net.cfg.CompactRIB && net.intern == nil {
-		net.intern = newInternTable()
-	}
 
 	// Shard partition: contiguous node ranges balanced by session count.
-	// The classic zero-LinkDelay engine has no lookahead to parallelize
+	// The inline zero-LinkDelay engine has no lookahead to parallelize
 	// under, so it always runs the single-shard inline path.
 	net.windowed = net.cfg.LinkDelay > 0
 	s := 1
@@ -209,8 +206,8 @@ func (net *Network) build(topo *topology.Topology) error {
 
 // Grow rewires the network onto a grown topology (see topology.Grow) and
 // reinitializes it from seed, preserving the Config, the attached probes and
-// — in compact mode — the path intern table, whose entries remain valid
-// because growth preserves node IDs. Grow and Reset share the same
+// the path intern table, whose entries remain valid because growth
+// preserves node IDs. Grow and Reset share the same
 // reinitialization path (reinit), so a grown network is observably identical
 // to one freshly built with New(topo, cfg-with-seed): the grow-then-reset
 // regression test pins that equivalence. The topology must contain at least
@@ -243,8 +240,8 @@ func MustNew(topo *topology.Topology, cfg Config) *Network {
 }
 
 // SetObs attaches the metrics hub to this network: every shard's protocol
-// engine, event scheduler and path arena gets its own probe block on a
-// fresh metrics shard, and — in windowed mode — the barrier coordinator
+// engine and event scheduler gets its own probe block on a fresh metrics
+// shard, and — in windowed mode — the barrier coordinator
 // gets a ShardProbes block. Pass nil to detach. Call before the first event
 // is scheduled — the kernel's occupancy gauges assume an empty queue at
 // attach time. Probes never read the virtual clock, consume randomness or
@@ -263,29 +260,23 @@ func (net *Network) attachObs() {
 		for _, sh := range net.shards {
 			sh.probes = nil
 			sh.sched.SetProbes(nil)
-			sh.paths.probe = nil
 		}
 		net.shardProbes = nil
-		if net.intern != nil {
-			net.intern.setProbes(nil, nil, nil)
-		}
+		net.intern.setProbes(nil, nil, nil)
 		return
 	}
 	for _, sh := range net.shards {
 		sh.probes = m.NewBGPProbes()
 		sh.sched.SetProbes(m.NewDESProbes())
-		sh.paths.probe = sh.probes.ArenaBytes
 	}
 	if net.windowed {
 		net.shardProbes = m.NewShardProbes()
 	}
-	if net.intern != nil {
-		// The intern table is shared by all shards; its cells live on shard
-		// 0's probe block (atomic cells tolerate the shared writers, which
-		// already serialize on the table mutex).
-		p := net.shards[0].probes
-		net.intern.setProbes(p.InternedPaths, p.InternBytes, p.InternHits)
-	}
+	// The intern table is shared by all shards; its cells live on shard 0's
+	// probe block (atomic cells tolerate the shared writers, which already
+	// serialize on the table mutex).
+	p := net.shards[0].probes
+	net.intern.setProbes(p.InternedPaths, p.InternBytes, p.InternHits)
 }
 
 // Topology returns the underlying topology.
@@ -377,22 +368,19 @@ func (net *Network) Reset(seed uint64) { net.reinit(seed) }
 
 // reinit is the single reinitialization path shared by New and Reset: it
 // (re)seeds all randomness and rewinds every piece of runtime state —
-// schedulers, counters, arenas, outboxes, per-node timers, queues and
-// prefix tables — to the pristine post-New condition. New calls it on
+// schedulers, counters, outboxes, per-node timers, queues and prefix
+// tables — to the pristine post-New condition. New calls it on
 // freshly zeroed structures, Reset on used ones; both end in the identical
 // observable state for a given seed, which is what lets experiment sweeps
 // (and the grow-then-reset regression test) treat "Reset(s)" and "rebuilt
 // with New(s)" as interchangeable. The intern table is intentionally NOT
-// cleared (see PathID); each shard's path arena's current slab is dropped,
-// never rewound (see pathArena).
+// cleared (see PathID).
 func (net *Network) reinit(seed uint64) {
 	for _, sh := range net.shards {
 		sh.sched.Reset(true)
 		sh.activeCause = 0
 		sh.horizon = 0
 		sh.resetRate()
-		// Drop (never rewind) the path slab, keeping the probe: see pathArena.
-		sh.paths = pathArena{probe: sh.paths.probe}
 		sh.emitted = 0
 	}
 	for _, gen := range net.outbox {
@@ -413,7 +401,7 @@ func (net *Network) reinit(seed uint64) {
 		nd.cur = inMsg{}
 		nd.recvAnnounce, nd.recvWithdraw, nd.sentUpdates = 0, 0, 0
 		nd.bestChanges, nd.suppressions = 0, 0
-		// Rewind every prefixState (own rows, ribIn and damp storage kept);
+		// Rewind every prefixState (own rows and damp storage kept);
 		// the next event's state() calls hand them out again. The flat
 		// session row loses its routes and counts and gets the new epoch's
 		// tie-breaks.
@@ -479,7 +467,7 @@ func (net *Network) BestPath(id topology.NodeID, f Prefix) Path {
 	if ps.bestSlot == selfSlot {
 		return Path{id}
 	}
-	return ps.bestPath.Prepend(id)
+	return net.bestPath(ps).Prepend(id)
 }
 
 // NextHop returns the neighbor node id routes through for prefix f, the
@@ -583,24 +571,16 @@ func (net *Network) process(nd *node, at des.Time, fromSlot int32, kind UpdateKi
 			path, pathID = nil, NoPath
 		}
 	}
-	var same, hadNone bool
-	if net.intern != nil {
-		// Compact engine: the Adj-RIB-In write is an 8-byte store into the
-		// session row — for the node's first prefix the very record whose
-		// receive counter was just bumped — and the dampening "did the path
-		// change" test an ID compare.
-		r := row
-		if ps != &nd.prefixes.first {
-			r = &ps.own[fromSlot]
-		}
-		had := r.id
-		same, hadNone = had == pathID, had == NoPath
-		r.install(pathID, len(path))
-	} else {
-		had := ps.ribIn[fromSlot]
-		same, hadNone = had.Equal(path), had == nil
-		ps.ribIn[fromSlot] = path
+	// The Adj-RIB-In write is an 8-byte store into the session row — for the
+	// node's first prefix the very record whose receive counter was just
+	// bumped — and the dampening "did the path change" test an ID compare.
+	r := row
+	if ps != &nd.prefixes.first {
+		r = &ps.own[fromSlot]
 	}
+	had := r.id
+	same, hadNone := had == pathID, had == NoPath
+	r.install(pathID, len(path))
 	if tr := net.causal; tr != nil {
 		tr.record(sh, nd, fromSlot, kind, same, hadNone)
 	}
@@ -670,24 +650,14 @@ func (t *prefixTimer) Fire(*des.Scheduler) {
 
 // applyDecision re-runs the decision process for (nd, f); if the selected
 // route changed it updates the Loc-RIB and reconciles every neighbor's
-// output state. In compact mode the "did the route change" test is a PathID
-// compare — the hash-consing invariant (equal IDs ⟺ equal content) makes it
-// exactly equivalent to the classic Path.Equal.
+// output state. The "did the route change" test is a PathID compare: the
+// hash-consing invariant (equal IDs ⟺ equal content) makes it exact.
 func (net *Network) applyDecision(nd *node, f Prefix, ps *prefixState) {
-	if net.intern != nil {
-		slot, id := net.decideCompact(nd, ps)
-		if slot == ps.bestSlot && id == ps.bestID {
-			return
-		}
-		ps.bestSlot, ps.bestID = slot, id
-		ps.bestPath = net.intern.path(id)
-	} else {
-		slot, path := net.decide(nd, ps)
-		if slot == ps.bestSlot && path.Equal(ps.bestPath) {
-			return
-		}
-		ps.bestSlot, ps.bestPath = slot, path
+	slot, id := net.decide(nd, ps)
+	if slot == ps.bestSlot && id == ps.bestID {
+		return
 	}
+	ps.bestSlot, ps.bestID = slot, id
 	ps.fullValid = false // the cached advertisement body is stale
 	nd.bestChanges++
 	if tr := net.causal; tr != nil {
@@ -787,7 +757,7 @@ func (net *Network) send(nd *node, q *outQueue, f Prefix, kind UpdateKind, path 
 
 // setDesired reconciles the wire state toward the neighbor behind q for
 // prefix f with the desired advertisement want (nil = withdrawn/none; wantID
-// is its interned ID in compact mode, NoPath otherwise). It sends
+// is its interned ID). It sends
 // immediately when rate limiting allows, otherwise replaces the queued
 // update.
 func (net *Network) setDesired(nd *node, q *outQueue, f Prefix, want Path, wantID PathID) {
@@ -808,8 +778,8 @@ func (net *Network) setDesired(nd *node, q *outQueue, f Prefix, want Path, wantI
 		kind = Withdraw
 	} else if onWire && last.Equal(want) {
 		// Wire state already matches; drop any queued update (it has been
-		// invalidated by this newer state). In compact mode both paths are
-		// canonical, so Equal's identity fast-path resolves this compare.
+		// invalidated by this newer state). Both paths are canonical, so
+		// Equal's identity fast-path resolves this compare.
 		q.pending.Delete(f)
 		return
 	}

@@ -20,21 +20,20 @@ const (
 // sessions per line). The network-wide row array (Network.sess) is parallel
 // to the topology's CSR adjacency; node i's row starts at node.row.
 //
-//   - id is the compact engine's Adj-RIB-In entry for the node's first
-//     prefix: the interned ID of the path most recently announced by the
-//     neighbor (NoPath = none). Unused by the classic engine.
+//   - id is the Adj-RIB-In entry for the node's first prefix: the interned
+//     ID of the path most recently announced by the neighbor (NoPath = none).
 //   - rank packs the two leading steps of the decision process into one
 //     integer that orders like them: the neighbor relation in the top two
 //     bits (Customer < Peer < Provider, i.e. descending local preference)
 //     above the cached length of path id in the low 30 (0 without a route).
 //     A lower rank wins. The relation bits are written once at build time
-//     and serve every hot-path relation test in both engines.
+//     and serve every hot-path relation test.
 //   - tie is the top half of the neighbor's decision tie-break hash ("hashed
 //     value of the node IDs"), consulted only between equal ranks. Two
 //     neighbors whose top halves collide (2^-32) are ordered by the full
 //     hash, recomputed on the spot (see tieLess).
 //   - recv counts the updates received over the session in the current
-//     measurement window (both engines).
+//     measurement window.
 type session struct {
 	id   PathID
 	rank uint32
@@ -64,19 +63,24 @@ func (s session) blank() session {
 }
 
 // prefixState is a node's routing state for one prefix: the Adj-RIB-In
-// (best route learned per neighbor) and the selected best route. The fields
-// an update that leaves the best route alone needs come first.
+// (best route learned per neighbor) and the selected best route, every path
+// held as its interned ID. One cache line; the fields an update that leaves
+// the best route alone needs come first.
 type prefixState struct {
 	// bestSlot is the neighbor slot of the selected route, selfSlot or
 	// noneSlot.
 	bestSlot int32
-	// bestID is the interned ID of bestPath (compact mode only; NoPath for
+	// bestID is the selected route's path as received (NoPath for
 	// selfSlot/noneSlot). The decision-change test in applyDecision is an
-	// ID compare.
+	// ID compare: hash-consing makes equal IDs ⟺ equal content.
 	bestID PathID
-	// fullID is the interned ID of full (compact mode only), threaded into
-	// output queues and update events so receivers install routes without
-	// re-hashing.
+	// fullID caches the advertisement body for the current best route: the
+	// best path prepended with the node's own ID ([self] for a
+	// self-originated prefix), valid while fullValid. advertisement builds
+	// it lazily and applyDecision invalidates it, so a decision change pays
+	// for exactly one prepend no matter how many neighbors, resyncs or
+	// consistency checks read it. The ID is threaded into output queues and
+	// update events so receivers install routes without re-hashing.
 	fullID    PathID
 	fullValid bool
 	// selfOrigin marks the node as the owner currently announcing the
@@ -88,43 +92,24 @@ type prefixState struct {
 	// damp is the per-neighbor flap-dampening state, allocated on the
 	// first flap (nil while the prefix never flapped or dampening is off).
 	damp []dampState
-	// bestPath is the selected route's path as received (nil when bestSlot
-	// is selfSlot/noneSlot). Maintained by both engines; in compact mode it
-	// is the canonical interned slice for bestID.
-	bestPath Path
-	// full caches the advertisement body for the current best route:
-	// bestPath prepended with the node's own ID ([self] for a
-	// self-originated prefix, nil without a route). It is rebuilt lazily by
-	// advertisement and invalidated whenever the best route changes, so a
-	// decision change pays for exactly one Prepend no matter how many
-	// neighbors, resyncs or consistency checks read it. Like every Path it
-	// is immutable and freely shared (see DESIGN.md, kernel memory model).
-	full Path
-	// own holds the compact engine's Adj-RIB-In rows of a prefix other than
-	// the node's first (relation and tie-break copied from the node's flat
-	// row, recv unused). The first prefix has none: its Adj-RIB-In IS the
-	// node's row of Network.sess, so the single-prefix workload of a
-	// C-event keeps the whole Adj-RIB-In in that contiguous block with zero
-	// allocation. Always reach the rows through Network.rib.
+	// own holds the Adj-RIB-In rows of a prefix other than the node's first
+	// (relation and tie-break copied from the node's flat row, recv
+	// unused). The first prefix has none: its Adj-RIB-In IS the node's row
+	// of Network.sess, so the single-prefix workload of a C-event keeps the
+	// whole Adj-RIB-In in that contiguous block with zero allocation.
+	// Always reach the rows through Network.rib.
 	own []session
-	// ribIn[j] is the path most recently announced by neighbor j, or nil.
-	// Paths are immutable once created and may be shared between nodes.
-	// Used by the classic engine only; nil in compact mode.
-	ribIn []Path
 }
 
 // reset rewinds ps to the no-route state while keeping its allocations
-// (own rows, ribIn and damp storage), so Network.Reset can recycle it. The
-// flat session row behind a node's first prefix is rewound by reinit.
+// (own rows and damp storage), so Network.Reset can recycle it. The flat
+// session row behind a node's first prefix is rewound by reinit.
 func (ps *prefixState) reset() {
-	clear(ps.ribIn)
 	for j := range ps.own {
 		ps.own[j] = ps.own[j].blank()
 	}
 	ps.bestSlot = noneSlot
-	ps.bestPath = nil
 	ps.bestID = NoPath
-	ps.full = nil
 	ps.fullValid = false
 	ps.fullID = NoPath
 	ps.selfOrigin = false
@@ -215,7 +200,7 @@ func (pt *prefixTable) recycle() {
 // pendingUpdate is an update waiting in an output queue for its MRAI timer.
 type pendingUpdate struct {
 	path Path
-	// id is the interned ID of path (compact mode only; NoPath otherwise).
+	// id is the interned ID of path.
 	id PathID
 	// cause is the root cause of the queued update. A newer update for the
 	// same prefix replaces the whole pendingUpdate — cause included — so
@@ -305,7 +290,7 @@ type inMsg struct {
 	pathLen  int32
 	fromSlot int32
 	prefix   Prefix
-	pathID   PathID  // interned ID of the path (compact mode)
+	pathID   PathID  // interned ID of the path
 	cause    CauseID // root cause of the update (0 when tracing is off)
 	kind     UpdateKind
 }
@@ -321,9 +306,10 @@ type inMsg struct {
 // Field order is the cache-line budget (DESIGN.md, "Kernel memory model"):
 // everything deliver touches sits in the first 128 bytes; the third line
 // holds what Fire and the decision process read when the best route stays
-// put; the rest is written only on a route change. The struct is exactly
-// five 64-byte lines, so in the (page-aligned) node array no field group
-// ever straddles more lines than it has to. TestKernelLayoutBudget pins it.
+// put; the fourth is read only with dampening on, a second prefix or the
+// windowed executor. The struct is exactly four 64-byte lines, so in the
+// (page-aligned) node array no field group ever straddles more lines than
+// it has to. TestKernelLayoutBudget pins it.
 //
 // The measurement-window counters are 32-bit: every update a node receives,
 // sends or reacts to consumes one scheduler sequence number — deliver
@@ -331,8 +317,8 @@ type inMsg struct {
 // not — and the scheduler refuses to hand out more than 2^32 per Reset
 // (des.Reserve), so they cannot wrap.
 type node struct {
-	// sh is the shard owning this node: its event queue, path arena and
-	// counters (the inline engine has exactly one shard).
+	// sh is the shard owning this node: its event queue and counters (the
+	// inline engine has exactly one shard).
 	sh *netShard
 	// busyUntil models the single update processor with its FIFO queue: a
 	// message arriving at t completes processing at max(t, busyUntil) + d.
@@ -381,6 +367,7 @@ type node struct {
 	// (arrival, sender, msgSeq) triple is the canonical barrier-admission
 	// order that makes results independent of the shard count.
 	msgSeq uint64
+	_      [8]byte // rounds the struct up to its fourth line
 }
 
 // silent reports whether processing an update at nd can have no effect
@@ -414,9 +401,8 @@ func (net *Network) out(nd *node) []outQueue {
 	return net.outq[nd.row : nd.row+nd.deg]
 }
 
-// rib returns the compact engine's Adj-RIB-In rows of ps, a prefixState of
-// nd: the node's flat session row for its first prefix, private rows
-// otherwise.
+// rib returns the Adj-RIB-In rows of ps, a prefixState of nd: the node's
+// flat session row for its first prefix, private rows otherwise.
 func (net *Network) rib(nd *node, ps *prefixState) []session {
 	if ps == &nd.prefixes.first {
 		return net.sessions(nd)
@@ -445,12 +431,8 @@ func (net *Network) state(nd *node, f Prefix) *prefixState {
 	if !pt.hasFirst {
 		// Nothing spills before the inline state is taken, and recycle
 		// releases both together.
-		ps := &pt.first
 		pt.firstKey, pt.hasFirst = f, true
-		if net.intern == nil && ps.ribIn == nil {
-			ps.ribIn = make([]Path, nd.deg)
-		}
-		return ps
+		return &pt.first
 	}
 	if pt.more == nil {
 		pt.more = &prefixSpill{m: make(map[Prefix]*prefixState, 2)}
@@ -461,17 +443,13 @@ func (net *Network) state(nd *node, f Prefix) *prefixState {
 		ps = sp.free[n-1]
 		sp.free[n-1] = nil
 		sp.free = sp.free[:n-1]
-	} else if net.intern != nil {
-		ps = &prefixState{bestSlot: noneSlot, own: make([]session, nd.deg)}
 	} else {
-		ps = &prefixState{bestSlot: noneSlot, ribIn: make([]Path, nd.deg)}
+		ps = &prefixState{bestSlot: noneSlot, own: make([]session, nd.deg)}
 	}
-	if net.intern != nil {
-		// Private rows: the flat row's relations and this epoch's
-		// tie-breaks (a recycled state carries the last epoch's), no routes.
-		for j, s := range net.sessions(nd) {
-			ps.own[j] = s.blank()
-		}
+	// Private rows: the flat row's relations and this epoch's tie-breaks (a
+	// recycled state carries the last epoch's), no routes.
+	for j, s := range net.sessions(nd) {
+		ps.own[j] = s.blank()
 	}
 	sp.m[f] = ps
 	return ps
@@ -479,39 +457,12 @@ func (net *Network) state(nd *node, f Prefix) *prefixState {
 
 // decide runs the BGP decision process over the Adj-RIB-In: highest local
 // preference (customer > peer > provider), then shortest AS path — together
-// the lowest session rank — then the ID hash, then (vanishingly unlikely)
-// the lower slot. A self-originated prefix always wins.
-func (net *Network) decide(nd *node, ps *prefixState) (slot int32, path Path) {
-	if ps.selfOrigin {
-		return selfSlot, nil
-	}
-	rows := net.sessions(nd)
-	best := int32(noneSlot)
-	var bestRank, bestTie uint32
-	for j, p := range ps.ribIn {
-		if p == nil || ps.suppressedAt(j) {
-			continue
-		}
-		// The session's relation bits over the path length: the rank the
-		// compact engine keeps precomputed in the row.
-		s := &rows[j]
-		rank := s.rank | uint32(len(p))
-		if best == noneSlot || rank < bestRank || (rank == bestRank &&
-			(s.tie < bestTie || (s.tie == bestTie && net.tieLess(nd, int32(j), best)))) {
-			best, bestRank, bestTie = int32(j), rank, s.tie
-		}
-	}
-	if best == noneSlot {
-		return noneSlot, nil
-	}
-	return best, ps.ribIn[best]
-}
-
-// decideCompact is decide over the session rows alone: preference and path
-// length are one integer compare on session.rank and the tie-break (almost
-// always) one on session.tie, so the scan reads nothing but the row itself.
-// Returns the ID of the winning path (NoPath for selfSlot/noneSlot).
-func (net *Network) decideCompact(nd *node, ps *prefixState) (slot int32, id PathID) {
+// the lowest session rank, one integer compare — then the ID hash (almost
+// always one compare on session.tie), then (vanishingly unlikely) the lower
+// slot, so the scan reads nothing but the row itself. A self-originated
+// prefix always wins. Returns the ID of the winning path (NoPath for
+// selfSlot/noneSlot).
+func (net *Network) decide(nd *node, ps *prefixState) (slot int32, id PathID) {
 	if ps.selfOrigin {
 		return selfSlot, NoPath
 	}
@@ -534,54 +485,27 @@ func (net *Network) decideCompact(nd *node, ps *prefixState) (slot int32, id Pat
 	return best, rows[best].id
 }
 
-// ribHas reports whether ps holds a route from neighbor slot j, in either
-// engine representation.
-func (net *Network) ribHas(nd *node, ps *prefixState, j int) bool {
-	if net.intern != nil {
-		return net.rib(nd, ps)[j].id != NoPath
-	}
-	return ps.ribIn[j] != nil
-}
-
-// ribPath returns the route ps holds from neighbor slot j (nil if none),
-// resolving interned IDs to their canonical paths in compact mode. Cold
-// paths (consistency checks, link events) use it so they read one code path
-// regardless of engine.
-func (net *Network) ribPath(nd *node, ps *prefixState, j int) Path {
-	if net.intern != nil {
-		return net.intern.path(net.rib(nd, ps)[j].id)
-	}
-	return ps.ribIn[j]
-}
+// bestPath returns the selected route's path as received (nil when bestSlot
+// is selfSlot/noneSlot). Cold paths only; the engine compares IDs.
+func (net *Network) bestPath(ps *prefixState) Path { return net.intern.path(ps.bestID) }
 
 // advertisement returns the full AS path nd advertises for ps (nil when it
 // has no route) and whether the best route came from a customer or is
-// self-originated (the no-valley export predicate). The path is served from
-// ps.full, computed at most once per best-route change.
+// self-originated (the no-valley export predicate). The body is interned —
+// the same [self, best...] content network-wide shares one slab entry and
+// one PathID — at most once per best-route change (see prefixState.fullID).
 func (net *Network) advertisement(nd *node, ps *prefixState) (full Path, fromCustomerOrSelf bool) {
-	if !ps.fullValid {
-		switch {
-		case ps.bestSlot == noneSlot:
-			ps.full, ps.fullID = nil, NoPath
-		case net.intern != nil:
-			// Compact engine: the advertisement body is interned, so the
-			// same [self, best...] content network-wide shares one slab
-			// entry and one PathID.
-			ps.full, ps.fullID = net.intern.prepend(nd.id, ps.bestPath)
-		default:
-			// bestPath is nil for a self-originated prefix: [self].
-			ps.full = nd.sh.paths.prepend(nd.id, ps.bestPath)
-		}
+	if ps.bestSlot == noneSlot {
+		return nil, false
+	}
+	if ps.fullValid {
+		full = net.intern.path(ps.fullID)
+	} else {
+		// The best path is nil for a self-originated prefix: [self].
+		full, ps.fullID = net.intern.prepend(nd.id, net.bestPath(ps))
 		ps.fullValid = true
 	}
-	switch ps.bestSlot {
-	case noneSlot:
-		return nil, false
-	case selfSlot:
-		return ps.full, true
-	default:
-		return ps.full, net.sess[nd.row+ps.bestSlot].rel() == topology.Customer
-	}
+	return full, ps.bestSlot == selfSlot || net.sess[nd.row+ps.bestSlot].rel() == topology.Customer
 }
 
 // exportable reports whether the best route with advertisement body full

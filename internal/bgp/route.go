@@ -3,9 +3,7 @@ package bgp
 import (
 	"fmt"
 	"strings"
-	"unsafe"
 
-	"bgpchurn/internal/obs"
 	"bgpchurn/internal/topology"
 )
 
@@ -56,52 +54,6 @@ func (p Path) Clone() Path {
 	c := make(Path, len(p))
 	copy(c, p)
 	return c
-}
-
-// pathArena bump-allocates the backing arrays of engine-created paths. The
-// decision churn of a C-event creates tens of thousands of short paths that
-// all share one lifetime — live until the next Network.Reset — so carving
-// them out of large slabs replaces one garbage-collected allocation per
-// best-route change with one per slab. Reset drops the current slab rather
-// than rewinding it, so a path handed out before a Reset is never
-// overwritten: anything still referencing it (an update hook, a test) sees
-// the same immutable content it always did, at the cost of letting the GC
-// reclaim the old slabs.
-type pathArena struct {
-	buf []topology.NodeID
-	off int
-	// probe, when non-nil, accumulates bytes handed out (not slab bytes
-	// reserved) into bgpchurn_bgp_path_arena_bytes_total.
-	probe *obs.Cell
-}
-
-// nodeIDBytes is the arena's allocation unit for byte accounting.
-const nodeIDBytes = uint64(unsafe.Sizeof(topology.NodeID(0)))
-
-// pathArenaSlab is the slab size in NodeIDs (32 KiB): large enough that a
-// full C-event at paper scale stays within a handful of slabs, small enough
-// that the tail wasted by Reset is irrelevant.
-const pathArenaSlab = 8192
-
-// prepend builds [id, p...] in the arena. The result has clamped capacity,
-// so appending to it can never bleed into a neighboring path.
-func (a *pathArena) prepend(id topology.NodeID, p Path) Path {
-	n := len(p) + 1
-	if a.off+n > len(a.buf) {
-		sz := pathArenaSlab
-		if n > sz {
-			sz = n
-		}
-		a.buf, a.off = make([]topology.NodeID, sz), 0
-	}
-	c := a.buf[a.off : a.off+n : a.off+n]
-	a.off += n
-	c[0] = id
-	copy(c[1:], p)
-	if a.probe != nil {
-		a.probe.Add(uint64(n) * nodeIDBytes)
-	}
-	return Path(c)
 }
 
 // Prepend returns a new path with id in front.

@@ -67,7 +67,7 @@ func (m *wireMsg) before(o *wireMsg) bool {
 }
 
 // netShard is one partition of the network: a contiguous node range with a
-// private event queue, path arena and counters. The inline engine runs
+// private event queue and counters. The inline engine runs
 // exactly one; the windowed engine cuts the node array into partitions(…)
 // of them, independently of how many workers execute the windows. During a
 // window only the worker that claimed a shard touches its state (and the
@@ -91,11 +91,6 @@ type netShard struct {
 	// API-triggered sends inherit the root. Only the owning worker touches
 	// it during a window.
 	activeCause CauseID
-
-	// paths bump-allocates every path the shard's nodes create
-	// (advertisement bodies, warm-start routes); Reset drops its slab, see
-	// pathArena.
-	paths pathArena
 
 	// rate[i] counts the updates this shard's nodes completed in virtual
 	// second rateBase+i of the current measurement window; rateBase is the
@@ -156,12 +151,13 @@ const (
 )
 
 // partitions returns the number of node ranges a windowed network of n nodes
-// run by the given number of workers is cut into. A single worker gets
-// several too: it has no barrier to stall at, but partsPerWorker private
-// queues each hold a fraction of the pending events, which measures faster
-// than one big queue (DESIGN.md).
+// run by the given number of workers is cut into. A single worker has no
+// barrier to stall at: one worker, one partition.
 func partitions(workers, n int) int {
-	return max(1, min(partsPerWorker*max(workers, 1), n/partMinNodes, maxPartitions))
+	if workers <= 1 {
+		return 1
+	}
+	return max(1, min(partsPerWorker*workers, n/partMinNodes, maxPartitions))
 }
 
 // workerLimit returns how many window workers this network may use:

@@ -25,17 +25,15 @@ type UpdateRecord struct {
 	Kind UpdateKind
 	// Prefix is the affected destination.
 	Prefix Prefix
-	// Path is the announced AS path (nil for withdrawals). The slice is
-	// shared with the engine and must not be modified. It must also not be
-	// retained past the hook call: Network.Reset drops the arena slabs
-	// backing it. A hook that buffers records must either copy the slice
-	// or keep only the fixed-size identity below (PathID + len) — the
-	// bounded -trace ring does the latter (see obs.TraceRecord).
+	// Path is the announced AS path (nil for withdrawals). The slice is the
+	// intern table's canonical storage, shared with the engine and every
+	// other record of the same path: it must not be modified. A hook that
+	// buffers records can keep the fixed-size identity below (PathID + len)
+	// instead — the bounded -trace ring does (see obs.TraceRecord).
 	Path Path
-	// PathID is the hash-consed identity of Path under the compact engine
-	// (NoPath otherwise, and on withdrawals). Unlike Path it stays valid
-	// across Reset — the intern table is never cleared — so it is the safe
-	// form to retain.
+	// PathID is the hash-consed identity of Path (NoPath on withdrawals).
+	// Like Path it stays valid across Reset: the intern table is never
+	// cleared.
 	PathID PathID
 	// Cause is the root-cause ID of the routing event whose propagation
 	// produced this update (0 when causal tracing is off; see CauseID).

@@ -47,7 +47,7 @@ const (
 // so that the per-origin warm starts of an experiment sweep allocate it once.
 type warmScratch struct {
 	adv      []Path            // adv[v]: v's full advertisement path, nil = no route
-	advID    []PathID          // advID[v]: interned ID of adv[v] (compact mode)
+	advID    []PathID          // advID[v]: interned ID of adv[v]
 	class    []uint8           // class[v]: preference class of v's best route
 	pending  []bool            // stage A: already queued for the next BFS level
 	indeg    []int32           // stage C: unprocessed-provider counts
@@ -101,7 +101,7 @@ func (net *Network) WarmStart(origin topology.NodeID, f Prefix) {
 	net.ws.reset(n)
 	adv, advID, class := net.ws.adv, net.ws.advID, net.ws.class
 	class[origin] = wsSelf
-	adv[origin], advID[origin] = net.warmPrepend(origin, nil)
+	adv[origin], advID[origin] = net.intern.prepend(origin, nil)
 
 	// Stage A: customer routes, breadth-first up the provider DAG. A node
 	// enters the frontier the first level one of its customers exports to
@@ -135,7 +135,7 @@ func (net *Network) WarmStart(origin topology.NodeID, f Prefix) {
 			nd := &net.nodes[pid]
 			if slot, _ := net.warmBest(nd, adv, class, topology.Customer); slot >= 0 {
 				class[pid] = wsCustomer
-				adv[pid], advID[pid] = net.warmPrepend(pid, adv[net.nbrIDs(nd)[slot]])
+				adv[pid], advID[pid] = net.intern.prepend(pid, adv[net.nbrIDs(nd)[slot]])
 			}
 		}
 		frontier, next = next, frontier
@@ -161,7 +161,7 @@ func (net *Network) WarmStart(origin topology.NodeID, f Prefix) {
 		}
 		if slot, _ := net.warmBest(nd, adv, class, topology.Peer); slot >= 0 {
 			class[i] = wsPeer
-			adv[i], advID[i] = net.warmPrepend(nd.id, adv[net.nbrIDs(nd)[slot]])
+			adv[i], advID[i] = net.intern.prepend(nd.id, adv[net.nbrIDs(nd)[slot]])
 		}
 	}
 
@@ -181,7 +181,7 @@ func (net *Network) WarmStart(origin topology.NodeID, f Prefix) {
 		if class[v] == wsNone && !nd.sink {
 			if slot, _ := net.warmBest(nd, adv, class, topology.Provider); slot >= 0 {
 				class[v] = wsProvider
-				adv[v], advID[v] = net.warmPrepend(v, adv[net.nbrIDs(nd)[slot]])
+				adv[v], advID[v] = net.intern.prepend(v, adv[net.nbrIDs(nd)[slot]])
 			}
 		}
 		ids := net.nbrIDs(nd)
@@ -198,8 +198,8 @@ func (net *Network) WarmStart(origin topology.NodeID, f Prefix) {
 	net.ws.order = order // retain grown capacity
 
 	// Install phase: put each advertisement on the wire of every session its
-	// export predicate allows, exactly as reconcile would — the same shared
-	// Path slice lands in the sender's Adj-RIB-Out and the receiver's
+	// export predicate allows, exactly as reconcile would — the canonical
+	// Path lands in the sender's Adj-RIB-Out and its ID in the receiver's
 	// Adj-RIB-In.
 	for i := range net.nodes {
 		nd := &net.nodes[i]
@@ -217,20 +217,17 @@ func (net *Network) WarmStart(origin topology.NodeID, f Prefix) {
 				continue
 			}
 			out[j].lastSent.Set(f, full)
-			ps := net.state(&net.nodes[nbr], f)
-			if net.intern != nil {
-				net.rib(&net.nodes[nbr], ps)[rev[j]].install(advID[i], len(full))
-			} else {
-				ps.ribIn[rev[j]] = full
-			}
+			to := &net.nodes[nbr]
+			net.rib(to, net.state(to, f))[rev[j]].install(advID[i], len(full))
 		}
 	}
 
 	// Finalize every Loc-RIB with the engine's own decision process over the
 	// installed Adj-RIB-In, and pre-validate the cached advertisement body
-	// (adv[i] is bestPath prepended with the own ID by construction, which is
-	// what a converged network holds after its last reconcile) — only where
-	// one was built: stages B and C left every other sink's to applyDecision.
+	// (adv[i] is the best path prepended with the own ID by construction,
+	// which is what a converged network holds after its last reconcile) —
+	// only where one was built: stages B and C left every other sink's to
+	// applyDecision.
 	//
 	// Every full path ends at the origin, so sender-side loop suppression
 	// blocks every advertisement toward it: the origin's state must be
@@ -243,28 +240,11 @@ func (net *Network) WarmStart(origin topology.NodeID, f Prefix) {
 		if !ok {
 			continue
 		}
-		if net.intern != nil {
-			ps.bestSlot, ps.bestID = net.decideCompact(nd, ps)
-			ps.bestPath = net.intern.path(ps.bestID)
-		} else {
-			ps.bestSlot, ps.bestPath = net.decide(nd, ps)
-		}
+		ps.bestSlot, ps.bestID = net.decide(nd, ps)
 		if adv[i] != nil {
-			ps.full, ps.fullID, ps.fullValid = adv[i], advID[i], true
+			ps.fullID, ps.fullValid = advID[i], true
 		}
 	}
-}
-
-// warmPrepend builds the advertisement [id, tail...] in the engine's path
-// storage: interned (deduplicated, with a stable PathID) in compact mode,
-// allocated in the advertising node's shard arena otherwise. WarmStart is
-// single-threaded, so the cross-shard arena writes are unsynchronized by
-// design.
-func (net *Network) warmPrepend(id topology.NodeID, tail Path) (Path, PathID) {
-	if net.intern != nil {
-		return net.intern.prepend(id, tail)
-	}
-	return net.nodes[id].sh.paths.prepend(id, tail), NoPath
 }
 
 // warmBest runs the decision process over the subset of nd's neighbors with

@@ -74,20 +74,16 @@ func compareConverged(t *testing.T, cold, warm *Network, label string, n int, se
 		if cps.bestSlot != wps.bestSlot {
 			t.Errorf("node %d: bestSlot cold=%d warm=%d", i, cps.bestSlot, wps.bestSlot)
 		}
-		if !cps.bestPath.Equal(wps.bestPath) {
-			t.Errorf("node %d: bestPath cold=%v warm=%v", i, cps.bestPath, wps.bestPath)
+		// PathIDs are private to a network's intern table: compare content.
+		if c, w := cold.bestPath(cps), warm.bestPath(wps); !c.Equal(w) {
+			t.Errorf("node %d: bestPath cold=%v warm=%v", i, c, w)
 		}
+		cRows, wRows := ribOrEmpty(cold, cn, cps), ribOrEmpty(warm, wn, wps)
 		cIDs, cOut, wOut := cold.nbrIDs(cn), cold.out(cn), warm.out(wn)
 		for j := range cIDs {
-			var cRib, wRib Path
-			if cps.ribIn != nil {
-				cRib = cps.ribIn[j]
-			}
-			if wps.ribIn != nil {
-				wRib = wps.ribIn[j]
-			}
+			cRib, wRib := cold.intern.path(cRows[j].id), warm.intern.path(wRows[j].id)
 			if !cRib.Equal(wRib) {
-				t.Errorf("node %d slot %d (from %d): ribIn cold=%v warm=%v",
+				t.Errorf("node %d slot %d (from %d): Adj-RIB-In cold=%v warm=%v",
 					i, j, cIDs[j], cRib, wRib)
 			}
 			cq, wq := &cOut[j], &wOut[j]
@@ -121,8 +117,8 @@ func compareConverged(t *testing.T, cold, warm *Network, label string, n int, se
 				t.Errorf("node %d: fullValid cold=%v warm=%v with a selected route",
 					i, cps.fullValid, wps.fullValid)
 			}
-			if !cps.full.Equal(wps.full) {
-				t.Errorf("node %d: full cold=%v warm=%v", i, cps.full, wps.full)
+			if c, w := cold.intern.path(cps.fullID), warm.intern.path(wps.fullID); !c.Equal(w) {
+				t.Errorf("node %d: full cold=%v warm=%v", i, c, w)
 			}
 		}
 	}
@@ -137,6 +133,14 @@ func psOrEmpty(nd *node, f Prefix) *prefixState {
 		return ps
 	}
 	return &emptyPS
+}
+
+// ribOrEmpty returns the Adj-RIB-In rows of ps, all NoPath for emptyPS.
+func ribOrEmpty(net *Network, nd *node, ps *prefixState) []session {
+	if ps == &emptyPS {
+		return make([]session, nd.deg)
+	}
+	return net.rib(nd, ps)
 }
 
 // TestWarmStartOriginState pins the origin's own state: self-originated,
@@ -156,13 +160,13 @@ func TestWarmStartOriginState(t *testing.T) {
 	if !ok || !ps.selfOrigin || ps.bestSlot != selfSlot {
 		t.Fatalf("origin state = %+v, ok=%v; want self-originated", ps, ok)
 	}
-	for j, p := range ps.ribIn {
-		if p != nil {
-			t.Errorf("origin ribIn[%d] = %v; want nil", j, p)
+	for j, s := range net.rib(nd, ps) {
+		if s.id != NoPath {
+			t.Errorf("origin Adj-RIB-In[%d] = %v; want none", j, net.intern.path(s.id))
 		}
 	}
-	if !ps.fullValid || !ps.full.Equal(Path{origin}) {
-		t.Errorf("origin full = %v (valid=%v); want [%d]", ps.full, ps.fullValid, origin)
+	if full := net.intern.path(ps.fullID); !ps.fullValid || !full.Equal(Path{origin}) {
+		t.Errorf("origin full = %v (valid=%v); want [%d]", full, ps.fullValid, origin)
 	}
 	if !net.HasRoute(origin, wsPrefix) {
 		t.Error("origin has no route to its own prefix")

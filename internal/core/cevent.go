@@ -254,10 +254,8 @@ func RunCEventsContext(ctx context.Context, topo *topology.Topology, cfg Config)
 			}
 			if tr := cfg.Trace; tr != nil {
 				net.SetUpdateHook(func(u bgp.UpdateRecord) {
-					// Only fixed-size fields cross into the ring: the
-					// engine-owned u.Path slice is reduced to its interned
-					// identity + length, so no record can retain arena
-					// storage across the per-origin Resets.
+					// Only fixed-size fields cross into the ring: u.Path is
+					// reduced to its interned identity + length.
 					tr.Append(obs.TraceRecord{
 						T:       int64(u.Time),
 						From:    int32(u.From),

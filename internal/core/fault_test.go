@@ -287,6 +287,49 @@ func TestCancellationMidGrid(t *testing.T) {
 	}
 }
 
+func TestResumeIgnoresRIBRepresentation(t *testing.T) {
+	// bgp.Config.CompactRIB is ignored by the engine but was part of the
+	// cell key once, so journals exist with either value: a request must be
+	// served from them whichever value it carries itself.
+	for _, journaled := range []bool{false, true} {
+		path := filepath.Join(t.TempDir(), "cells.journal")
+		j, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := gridReq(1, 2, 3)
+		for _, n := range req[0].Sizes {
+			key := cellKey(req[0].Scenario.Name, n, req[0].TopologySeed, req[0].Event)
+			key.BGP.CompactRIB = journaled
+			if err := j.Append(key, &Result{N: n}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		j.Close()
+		recs, truncated, err := LoadJournal(path)
+		if err != nil || truncated {
+			t.Fatalf("load: truncated=%v err=%v", truncated, err)
+		}
+
+		s := NewScheduler(2)
+		var runs atomic.Int64
+		fakeGrid(s, func(_ context.Context, n int) (*Result, error) {
+			runs.Add(1)
+			return &Result{N: n}, nil
+		})
+		if got := s.Resume(recs); got != 3 {
+			t.Fatalf("journaled=%v: Resume seeded %d, want 3", journaled, got)
+		}
+		req[0].Event.BGP.CompactRIB = !journaled
+		if _, err := s.RunGrid(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+		if runs.Load() != 0 {
+			t.Fatalf("journaled=%v: resumed run recomputed %d cells", journaled, runs.Load())
+		}
+	}
+}
+
 func TestResumeGrowsCacheCapToFitJournal(t *testing.T) {
 	// A journal larger than the cache cap must not evict the cells it just
 	// seeded — that would silently recompute the head of the grid and defeat

@@ -30,6 +30,7 @@ import (
 // sharded executor is byte-identical at every shard count (the determinism
 // tier enforces it), so cells dedupe across shard counts — but LinkDelay
 // stays in the key, because the propagation latency does change results.
+// bgp.Config.CompactRIB, which the engine ignores, is zeroed too.
 // Scenario names are unique across the package, which makes the name a
 // faithful stand-in for the (unexported) parameter transform.
 type CellKey struct {
@@ -51,9 +52,15 @@ func KeyFor(scenarioName string, n int, topoSeed uint64, ev Config) CellKey {
 	return cellKey(scenarioName, n, topoSeed, ev)
 }
 
+// keyBGP zeroes the protocol-config fields no result depends on; see CellKey.
+func keyBGP(c bgp.Config) bgp.Config {
+	c.Shards = 0
+	c.CompactRIB = false
+	return c
+}
+
 // cellKey projects the cacheable part of an event config onto a key.
 func cellKey(scName string, n int, topoSeed uint64, ev Config) CellKey {
-	ev.BGP.Shards = 0 // results are shard-count invariant; see CellKey
 	return CellKey{
 		Scenario:     scName,
 		N:            n,
@@ -62,7 +69,7 @@ func cellKey(scName string, n int, topoSeed uint64, ev Config) CellKey {
 		Settle:       ev.Settle,
 		Kind:         ev.Kind,
 		WarmStart:    ev.WarmStart,
-		BGP:          ev.BGP,
+		BGP:          keyBGP(ev.BGP),
 	}
 }
 
@@ -447,14 +454,17 @@ func (s *Scheduler) Resume(recs []JournalRecord) int {
 		if rec.Result == nil {
 			continue
 		}
-		if _, ok := s.cache[rec.Key]; ok {
+		// A journal may predate a projection cellKey applies today.
+		key := rec.Key
+		key.BGP = keyBGP(key.BGP)
+		if _, ok := s.cache[key]; ok {
 			continue
 		}
 		ready := make(chan struct{})
 		close(ready)
 		e := &cacheEntry{ready: ready, res: rec.Result, resumed: true}
-		e.elem = s.lru.PushFront(rec.Key)
-		s.cache[rec.Key] = e
+		e.elem = s.lru.PushFront(key)
+		s.cache[key] = e
 		seeded++
 	}
 	if p := s.probes; p != nil && seeded > 0 {

@@ -158,9 +158,8 @@ type Metrics struct {
 		UpdatesProcessed  *Counter // procEvent completions
 		MRAIFlushes       *Counter // per-interface flush events fired
 		PrefixMRAIFlushes *Counter // per-prefix flush events fired
-		PathArenaBytes    *Counter // bytes bump-allocated for AS paths
 		InboxDeferrals    *Counter // deliveries parked behind a busy receiver
-		InternedPaths     *Counter // distinct AS paths interned (compact engine)
+		InternedPaths     *Counter // distinct AS paths interned
 		InternBytes       *Counter // slab bytes storing interned path content
 		InternHits        *Counter // intern lookups served by an existing entry
 	}
@@ -242,9 +241,8 @@ func New() *Metrics {
 	m.BGP.UpdatesProcessed = m.counter("bgpchurn_bgp_updates_processed_total", "Updates fully processed by receivers.")
 	m.BGP.MRAIFlushes = m.counter("bgpchurn_bgp_mrai_flushes_total", "Per-interface MRAI flush events fired.")
 	m.BGP.PrefixMRAIFlushes = m.counter("bgpchurn_bgp_prefix_mrai_flushes_total", "Per-prefix MRAI flush events fired.")
-	m.BGP.PathArenaBytes = m.counter("bgpchurn_bgp_path_arena_bytes_total", "Bytes bump-allocated for AS paths in the path arenas.")
 	m.BGP.InboxDeferrals = m.counter("bgpchurn_bgp_inbox_deferrals_total", "Deliveries parked in a receiver inbox behind an in-flight event (updates completed at admission never park).")
-	m.BGP.InternedPaths = m.counter("bgpchurn_bgp_interned_paths_total", "Distinct AS paths interned by compact-RIB engines.")
+	m.BGP.InternedPaths = m.counter("bgpchurn_bgp_interned_paths_total", "Distinct AS paths interned.")
 	m.BGP.InternBytes = m.counter("bgpchurn_bgp_intern_bytes_total", "Slab bytes storing interned AS path content.")
 	m.BGP.InternHits = m.counter("bgpchurn_bgp_intern_hits_total", "Path intern lookups served by an existing entry.")
 

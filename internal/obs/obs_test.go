@@ -67,7 +67,7 @@ func TestProbeIncrementsAreAllocFree(t *testing.T) {
 		des.RingOcc.Add(1)
 		des.RingOcc.Add(-1)
 		bgp.AnnouncementsSent.Inc()
-		bgp.ArenaBytes.Add(48)
+		bgp.InternBytes.Add(48)
 	})
 	if allocs != 0 {
 		t.Fatalf("probe increments allocated %.1f per run, want 0", allocs)

@@ -39,7 +39,6 @@ type BGPProbes struct {
 	UpdatesProcessed  *Cell
 	MRAIFlushes       *Cell
 	PrefixMRAIFlushes *Cell
-	ArenaBytes        *Cell
 	InboxDeferrals    *Cell
 	InternedPaths     *Cell
 	InternBytes       *Cell
@@ -55,7 +54,6 @@ func (m *Metrics) NewBGPProbes() *BGPProbes {
 		UpdatesProcessed:  m.BGP.UpdatesProcessed.Cell(s),
 		MRAIFlushes:       m.BGP.MRAIFlushes.Cell(s),
 		PrefixMRAIFlushes: m.BGP.PrefixMRAIFlushes.Cell(s),
-		ArenaBytes:        m.BGP.PathArenaBytes.Cell(s),
 		InboxDeferrals:    m.BGP.InboxDeferrals.Cell(s),
 		InternedPaths:     m.BGP.InternedPaths.Cell(s),
 		InternBytes:       m.BGP.InternBytes.Cell(s),

@@ -31,8 +31,7 @@ type TraceRecord struct {
 	// link event) whose propagation produced this update; 0 when causal
 	// tracing is off.
 	Cause uint32 `json:"cause,omitempty"`
-	// PathID is the hash-consed path identity under the compact RIB
-	// engine (0 when the classic engine is running or on withdrawals).
+	// PathID is the hash-consed path identity (0 on withdrawals).
 	PathID uint32 `json:"path_id,omitempty"`
 }
 

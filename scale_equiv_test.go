@@ -1,34 +1,67 @@
 package bgpchurn
 
-// Differential tier for the compact-RIB engine: enabling CompactRIB swaps
-// the RIB representation (interned 32-bit path IDs over CSR slot arrays in
-// place of per-node slice maps) but must not change a single observable
-// bit. These tests run every growth scenario at paper scales with both
-// engines and compare the complete rendered results and the U(X) CSV
-// artifacts byte for byte.
+// Golden tier for the RIB engine. The engine holds routes as interned 32-bit
+// path IDs over CSR slot arrays; a second engine holding them as per-node
+// path slices used to run beside it, and before it was deleted its complete
+// rendered results and U(X) CSV artifacts — every growth scenario at paper
+// scales, every protocol variant — were frozen under testdata/golden. The
+// TestCompactEngineEquivalent* tests demand the engine reproduce those files
+// byte for byte: it still may not differ from the slice-path engine in a
+// single observable bit.
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"bgpchurn/internal/report"
 )
 
+// Regenerate the goldens (only after an intended model change) with
+//
+//	go test . -run 'TestCompactEngine|TestGoldenFilesPinned' -update-goldens
+//
+// after which TestGoldenFilesPinned fails until goldenTreeSHA256 is edited by
+// hand to match.
 var updateGoldens = flag.Bool("update-goldens", false, "rewrite testdata/golden from the current engine")
 
-// checkGolden compares got with testdata/golden/<name>.golden, first writing
-// the file when record is set.
-func checkGolden(t *testing.T, name string, got []byte, record bool) {
-	t.Helper()
-	file := filepath.Join("testdata", "golden", name+".golden")
-	if record {
-		if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
+// goldenTreeSHA256 pins the bytes of every file under testdata/golden (see
+// TestGoldenFilesPinned): no second engine cross-checks the oracle any more,
+// so a stray -update-goldens must not be able to rewrite it silently.
+const goldenTreeSHA256 = "d053ac9fbfba4534ac04e28f3812c14b5d9c4e16c3065ca7df48f55299d23e12"
+
+// TestGoldenFilesPinned hashes testdata/golden — names and contents, in name
+// order — against goldenTreeSHA256.
+func TestGoldenFilesPinned(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "golden", "*.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(files)
+	h := sha256.New()
+	for _, file := range files {
+		b, err := os.ReadFile(file)
+		if err != nil {
 			t.Fatal(err)
 		}
+		fmt.Fprintf(h, "%s %x\n", filepath.Base(file), sha256.Sum256(b))
+	}
+	if sum := fmt.Sprintf("%x", h.Sum(nil)); sum != goldenTreeSHA256 {
+		t.Fatalf("testdata/golden hashes to %s, pinned %s: the oracle was rewritten", sum, goldenTreeSHA256)
+	}
+}
+
+// checkGolden compares got with testdata/golden/<name>.golden, first writing
+// the file under -update-goldens.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	file := filepath.Join("testdata", "golden", name+".golden")
+	if *updateGoldens {
 		if err := os.WriteFile(file, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -48,13 +81,6 @@ func sweepArtifact(sw *SweepResult) []byte {
 	return append([]byte(fingerprintSweep(sw)+"--- U(X) CSV\n"), uCSV(sw)...)
 }
 
-// compactVariant returns cfg with the interned-path engine selected.
-func compactVariant(cfg Experiment) Experiment {
-	c := cfg
-	c.BGP.CompactRIB = true
-	return c
-}
-
 // uCSV renders the Fig-4 U(X) table of a sweep as CSV bytes, the artifact
 // cmd/experiments emits.
 func uCSV(sw *SweepResult) []byte {
@@ -72,8 +98,8 @@ func uCSV(sw *SweepResult) []byte {
 }
 
 // TestCompactEngineEquivalentAcrossScenarios sweeps every growth model at
-// n ∈ {1000, 3000} under two independent seeds and demands the compact
-// engine reproduce the classic engine's results and U(X) CSVs exactly.
+// n ∈ {1000, 3000} under two independent seeds and demands the slice-path
+// engine's frozen results and U(X) CSVs exactly.
 func TestCompactEngineEquivalentAcrossScenarios(t *testing.T) {
 	sizes := []int{1000, 3000}
 	for _, sc := range Scenarios() {
@@ -84,14 +110,11 @@ func TestCompactEngineEquivalentAcrossScenarios(t *testing.T) {
 				t.Parallel()
 				ev := DefaultExperiment(seed)
 				ev.Origins = 4
-				for i, e := range []Experiment{ev, compactVariant(ev)} {
-					sw, err := Sweep(sc, SweepConfig{Sizes: sizes, TopologySeed: seed, Event: e})
-					if err != nil {
-						t.Fatal(err)
-					}
-					// Recorded from the classic engine only.
-					checkGolden(t, fmt.Sprintf("scenario.%s.seed%d", sc.Name, seed), sweepArtifact(sw), *updateGoldens && i == 0)
+				sw, err := Sweep(sc, SweepConfig{Sizes: sizes, TopologySeed: seed, Event: ev})
+				if err != nil {
+					t.Fatal(err)
 				}
+				checkGolden(t, fmt.Sprintf("scenario.%s.seed%d", sc.Name, seed), sweepArtifact(sw))
 			})
 		}
 	}
@@ -99,10 +122,8 @@ func TestCompactEngineEquivalentAcrossScenarios(t *testing.T) {
 
 // TestShardedSweepEquivalentAcrossScenarios sweeps every growth model at
 // n ∈ {1000, 3000} on the windowed executor and demands byte-identical
-// results and U(X) CSV artifacts for shards ∈ {1, 2, 4, 8}, under both the
-// classic and the compact RIB engine. The shards=1 classic sweep is the
-// reference; every other (engine, shards) combination must reproduce it —
-// so the test also proves the two engines agree on the windowed schedule.
+// results and U(X) CSV artifacts for shards ∈ {1, 2, 4, 8}. The shards=1
+// sweep is the reference.
 func TestShardedSweepEquivalentAcrossScenarios(t *testing.T) {
 	sizes := []int{1000, 3000}
 	for _, sc := range Scenarios() {
@@ -113,29 +134,21 @@ func TestShardedSweepEquivalentAcrossScenarios(t *testing.T) {
 			ev.Origins = 4
 			var wantFP string
 			var wantCSV []byte
-			for _, engine := range []string{"classic", "compact"} {
-				base := shardedVariant(ev, 0)
-				if engine == "compact" {
-					base = compactVariant(base)
+			for _, shards := range shardCounts {
+				sw, err := Sweep(sc, SweepConfig{Sizes: sizes, TopologySeed: 7, Event: shardedVariant(ev, shards)})
+				if err != nil {
+					t.Fatal(err)
 				}
-				for _, shards := range shardCounts {
-					cfg := base
-					cfg.BGP.Shards = shards
-					sw, err := Sweep(sc, SweepConfig{Sizes: sizes, TopologySeed: 7, Event: cfg})
-					if err != nil {
-						t.Fatal(err)
-					}
-					fp, csv := fingerprintSweep(sw), uCSV(sw)
-					if wantFP == "" {
-						wantFP, wantCSV = fp, csv
-						continue
-					}
-					if fp != wantFP {
-						t.Fatalf("%s/shards=%d diverges:\nwant %s\ngot  %s", engine, shards, wantFP, fp)
-					}
-					if !bytes.Equal(csv, wantCSV) {
-						t.Fatalf("%s/shards=%d U(X) CSV differs:\nwant:\n%s\ngot:\n%s", engine, shards, wantCSV, csv)
-					}
+				fp, csv := fingerprintSweep(sw), uCSV(sw)
+				if wantFP == "" {
+					wantFP, wantCSV = fp, csv
+					continue
+				}
+				if fp != wantFP {
+					t.Fatalf("shards=%d diverges:\nwant %s\ngot  %s", shards, wantFP, fp)
+				}
+				if !bytes.Equal(csv, wantCSV) {
+					t.Fatalf("shards=%d U(X) CSV differs:\nwant:\n%s\ngot:\n%s", shards, wantCSV, csv)
 				}
 			}
 		})
@@ -144,8 +157,8 @@ func TestShardedSweepEquivalentAcrossScenarios(t *testing.T) {
 
 // TestCompactEngineEquivalentProtocolVariants covers the protocol paths the
 // scenario sweep leaves at defaults: WRATE withdrawal rate-limiting,
-// per-prefix MRAI scope, MRAI disabled, and RFC 2439 dampening. Each runs
-// both engines on one Baseline topology at n=1000.
+// per-prefix MRAI scope, MRAI disabled, and RFC 2439 dampening, each on one
+// Baseline topology at n=1000.
 func TestCompactEngineEquivalentProtocolVariants(t *testing.T) {
 	topo, err := Baseline.Generate(1000, 41)
 	if err != nil {
@@ -169,19 +182,17 @@ func TestCompactEngineEquivalentProtocolVariants(t *testing.T) {
 		name, cfg := name, cfg
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			for i, e := range []Experiment{cfg, compactVariant(cfg)} {
-				res, err := RunCEvents(topo, e)
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkGolden(t, "protocol."+name, []byte(fingerprint(res)+"\n"), *updateGoldens && i == 0)
+			res, err := RunCEvents(topo, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
+			checkGolden(t, "protocol."+name, []byte(fingerprint(res)+"\n"))
 		})
 	}
 }
 
-// TestCompactEngineEquivalentWithChecker reruns the Baseline cell with the
-// RIB invariant checker active inside the compact engine, proving the
+// TestCompactEngineEquivalentWithChecker reruns a Baseline cell with the RIB
+// invariant checker active (the golden was recorded without), proving the
 // equivalence is not an artifact of unverified internal state. Kept to one
 // small cell — the checker re-decides every touched RIB entry per event.
 func TestCompactEngineEquivalentWithChecker(t *testing.T) {
@@ -191,13 +202,10 @@ func TestCompactEngineEquivalentWithChecker(t *testing.T) {
 	}
 	cfg := DefaultExperiment(53)
 	cfg.Origins = 2
-	checked := compactVariant(cfg)
-	checked.BGP.Check = true
-	for i, e := range []Experiment{cfg, checked} {
-		res, err := RunCEvents(topo, e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkGolden(t, "checker", []byte(fingerprint(res)+"\n"), *updateGoldens && i == 0)
+	cfg.BGP.Check = true
+	res, err := RunCEvents(topo, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	checkGolden(t, "checker", []byte(fingerprint(res)+"\n"))
 }
