@@ -166,9 +166,10 @@ bench-obs:
 	$(GO) test -run '^$$' -bench 'BenchmarkRunCEvents/(warm|obs|spans)' -benchmem -benchtime 5x . \
 		| $(GO) run ./cmd/benchjson -label "$(BENCH_LABEL)" -out BENCH_obs.json
 
-# sse-smoke streams /progress from a live -fast grid and asserts the SSE
-# frames are well-formed (see scripts/sse_smoke.sh). Mirrors the CI
-# obs-guard job's smoke step.
+# sse-smoke streams /progress from both binaries — a live cmd/experiments
+# -fast grid and a two-cell churnd job — and asserts the SSE frames are
+# well-formed (see scripts/sse_smoke.sh). Mirrors the CI obs-guard job's
+# smoke step.
 sse-smoke:
 	./scripts/sse_smoke.sh
 

@@ -267,36 +267,19 @@ func TestTraceRingRecordsCauseAndPathIdentity(t *testing.T) {
 }
 
 // TestObsProgressSSEUnderConcurrentGrid streams /progress while a
-// concurrent scheduler grid publishes cell and attribution events through
-// the broker — the cmd/experiments wiring, exercised under -race by the CI
-// obs tier. Every data line must be valid JSON and follow SSE framing.
+// concurrent scheduler grid publishes through Scheduler.PublishProgress —
+// the feed both cmd/experiments and churnd serve, exercised under -race by
+// the CI obs tier. Every data line must be valid JSON and follow SSE
+// framing, both event types must arrive, and the last attribution's rolling
+// mean must be the mean of the streamed cells' U(X).
 func TestObsProgressSSEUnderConcurrentGrid(t *testing.T) {
 	srv, err := ServeObs("127.0.0.1:0", NewObsMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	broker := srv.Progress()
-
 	sched := NewScheduler(4)
-	sched.OnCell = func(cs CellStatus) {
-		broker.Publish("cell", map[string]any{
-			"scenario": cs.Scenario, "n": cs.N, "state": cs.State.String(),
-		})
-	}
-	sched.OnResult = func(cs CellStatus, res *Result) {
-		broker.Publish("attribution", map[string]any{
-			"scenario": cs.Scenario, "n": cs.N, "total_updates": res.TotalUpdates,
-		})
-	}
-
-	cfg := protocolVariants(11, 3)["NO-WRATE"]
-	done := make(chan error, 1)
-	go func() {
-		_, err := sched.RunSweep(context.Background(), Baseline,
-			SweepConfig{Sizes: []int{200, 300, 400}, TopologySeed: 11, Event: cfg})
-		done <- err
-	}()
+	defer sched.PublishProgress(srv.Progress())()
 
 	client := &http.Client{Timeout: 2 * time.Minute}
 	resp, err := client.Get("http://" + srv.Addr() + "/progress")
@@ -304,25 +287,91 @@ func TestObsProgressSSEUnderConcurrentGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	sawCell, sawAttr := false, false
 	sc := bufio.NewScanner(resp.Body)
-	for (!sawCell || !sawAttr) && sc.Scan() {
+	// The banner is written after the subscription exists: from here on no
+	// event of the grid can be missed.
+	if !sc.Scan() || !strings.HasPrefix(sc.Text(), ": bgpchurn progress stream") {
+		t.Fatalf("missing stream banner: %q (err %v)", sc.Text(), sc.Err())
+	}
+
+	sizes := []int{200, 300, 400}
+	cfg := protocolVariants(11, 3)["NO-WRATE"]
+	type outcome struct {
+		sw  *SweepResult
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		sw, err := sched.RunSweep(context.Background(), Baseline,
+			SweepConfig{Sizes: sizes, TopologySeed: 11, Event: cfg})
+		done <- outcome{sw, err}
+	}()
+
+	type attribution struct {
+		Cells       int                `json:"cells"`
+		Cell        map[string]any     `json:"cell"`
+		RollingMean map[string]float64 `json:"rolling_mean"`
+	}
+	var cellEvents int
+	var attrs []attribution
+	event := ""
+	for len(attrs) < len(sizes) && sc.Scan() {
 		line := sc.Text()
 		switch {
-		case strings.HasPrefix(line, "event: cell"):
-			sawCell = true
-		case strings.HasPrefix(line, "event: attribution"):
-			sawAttr = true
+		case strings.HasPrefix(line, "event: "):
+			event = strings.TrimPrefix(line, "event: ")
 		case strings.HasPrefix(line, "data: "):
-			if payload := strings.TrimPrefix(line, "data: "); !json.Valid([]byte(payload)) {
+			payload := []byte(strings.TrimPrefix(line, "data: "))
+			if !json.Valid(payload) {
 				t.Fatalf("data line is not valid JSON: %q", line)
+			}
+			switch event {
+			case "cell":
+				cellEvents++
+			case "attribution":
+				var a attribution
+				if err := json.Unmarshal(payload, &a); err != nil {
+					t.Fatal(err)
+				}
+				attrs = append(attrs, a)
 			}
 		}
 	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	out := <-done
+	if out.err != nil {
+		t.Fatal(out.err)
 	}
-	if !sawCell || !sawAttr {
-		t.Fatalf("stream missing events: cell=%v attribution=%v (scan err %v)", sawCell, sawAttr, sc.Err())
+	if cellEvents != 2*len(sizes) || len(attrs) != len(sizes) {
+		t.Fatalf("stream: %d cell and %d attribution events, want %d and %d (scan err %v)",
+			cellEvents, len(attrs), 2*len(sizes), len(sizes), sc.Err())
+	}
+
+	byN := map[int]*Result{}
+	for _, p := range out.sw.Points {
+		byN[p.N] = p.R
+	}
+	types := map[string]NodeType{"u_T": T, "u_M": M, "u_CP": CP, "u_C": C}
+	sum := map[string]float64{}
+	for i, a := range attrs {
+		if a.Cells != i+1 {
+			t.Fatalf("attribution %d counts %d cells", i, a.Cells)
+		}
+		res := byN[int(a.Cell["n"].(float64))]
+		if res == nil {
+			t.Fatalf("attribution %d names a cell the grid did not return: %v", i, a.Cell)
+		}
+		for k, typ := range types {
+			u := a.Cell[k].(float64)
+			if u != res.U(typ) {
+				t.Fatalf("attribution %d: cell %s = %v, grid result says %v", i, k, u, res.U(typ))
+			}
+			sum[k] += u
+		}
+	}
+	last := attrs[len(attrs)-1].RollingMean
+	for k := range types {
+		if want := sum[k] / float64(len(attrs)); last[k] != want {
+			t.Fatalf("last rolling_mean[%s] = %v, want the streamed cells' mean %v", k, last[k], want)
+		}
 	}
 }

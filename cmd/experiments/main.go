@@ -157,7 +157,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		obsAddr     = fs.String("obs", "", "serve live metrics on this address (e.g. :8080; :0 picks a free port): /metrics, /debug/vars, /debug/pprof/")
 		manifest    = fs.String("manifest", "results/manifest.json", "write the run manifest (config, seeds, timings, counters) to this file; empty disables")
 		logFormat   = fs.String("log-format", "text", "cell progress log format: text or json")
-		tracePath   = fs.String("trace", "", "write a JSONL trace of the most recent updates to this file (bounded ring)")
+		tracePath   = fs.String("trace", "", "write a JSONL trace of the most recent updates to this file (bounded ring); routes every update through the event queue, turning admission-time completion off: results stay byte-identical, runs are slower")
 		traceCap    = fs.Int("trace-cap", 0, "update-trace ring capacity in records (0 = 65536)")
 		journalPath = fs.String("journal", "results/cells.journal", "cell checkpoint journal (JSONL); empty disables checkpointing")
 		resume      = fs.Bool("resume", false, "replay the cell journal into the scheduler cache before running, so only missing cells are recomputed")
@@ -247,13 +247,15 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		defer srv.Close()
-		r.progress = srv.Progress()
+		// Cell status and rolling attribution stream to /progress through the
+		// scheduler's shared feed (the same code churnd runs); spans, when
+		// recorded, stream as they land.
+		progress := srv.Progress()
+		r.sched.PublishProgress(progress)
+		if r.spans != nil {
+			r.spans.OnSpan(func(s bgpchurn.SpanRecord) { progress.Publish("span", s) })
+		}
 		fmt.Fprintf(stdout, "obs: serving /metrics, /debug/vars, /debug/pprof/, /progress on http://%s\n", srv.Addr())
-	}
-	if r.spans != nil && r.progress != nil {
-		// Stream each completed span to /progress subscribers as it lands.
-		progress := r.progress
-		r.spans.OnSpan(func(s bgpchurn.SpanRecord) { progress.Publish("span", s) })
 	}
 	if *journalPath != "" {
 		if *resume {
@@ -282,17 +284,13 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	r.sched.OnCell = func(cs bgpchurn.CellStatus) {
+	r.sched.SubscribeCells(func(cs bgpchurn.CellStatus) {
 		r.recordCell(cs)
-		r.publishCell(cs)
 		logCell(report.CellEvent{
 			Scenario: cs.Scenario, N: cs.N, Seed: cs.Seed, State: cs.State.String(),
 			Attempt: cs.Attempt, Elapsed: cs.Elapsed, Err: cs.Err,
 		})
-	}
-	r.sched.OnResult = func(cs bgpchurn.CellStatus, res *bgpchurn.Result) {
-		r.publishResult(cs, res)
-	}
+	})
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			return fail(err)
@@ -471,62 +469,10 @@ type runner struct {
 	// spans, when non-nil, collects the sweep→cell→origin→event causal span
 	// hierarchy (-spans / -chrome-trace flags).
 	spans *bgpchurn.SpanRecorder
-	// progress, when non-nil, is the obs server's /progress SSE broker;
-	// cell status, results and spans stream into it mid-grid.
-	progress *bgpchurn.ProgressBroker
-	// cells accumulates manifest entries, one per OnCell progress event
-	// except "start". Appends happen inside the serialized OnCell callback.
+	// cells accumulates manifest entries, one per scheduler progress event
+	// except "start". Appends happen inside the serialized SubscribeCells
+	// callback.
 	cells []bgpchurn.CellTiming
-	// rollCells/rollU accumulate the rolling Eq.-1 attribution summary
-	// streamed on /progress: completed-cell count and running sums of U(X)
-	// per node type. Updated only inside the serialized OnResult callback.
-	rollCells int
-	rollU     [4]float64
-}
-
-// publishCell streams one scheduler progress event to /progress.
-func (r *runner) publishCell(cs bgpchurn.CellStatus) {
-	if r.progress == nil {
-		return
-	}
-	payload := map[string]any{
-		"scenario":   cs.Scenario,
-		"n":          cs.N,
-		"state":      cs.State.String(),
-		"attempt":    cs.Attempt,
-		"elapsed_ms": float64(cs.Elapsed) / float64(time.Millisecond),
-	}
-	if cs.Err != nil {
-		payload["err"] = cs.Err.Error()
-	}
-	r.progress.Publish("cell", payload)
-}
-
-// publishResult folds one available cell result into the rolling Eq.-1
-// attribution summary and streams it. Calls arrive serialized (the
-// scheduler's OnResult mutex), so the accumulators need no locking.
-func (r *runner) publishResult(cs bgpchurn.CellStatus, res *bgpchurn.Result) {
-	if r.progress == nil || res == nil {
-		return
-	}
-	r.rollCells++
-	cell := map[string]any{
-		"scenario":      cs.Scenario,
-		"n":             cs.N,
-		"total_updates": res.TotalUpdates,
-		"peak_rate":     res.PeakRate,
-	}
-	mean := map[string]float64{}
-	for _, t := range []bgpchurn.NodeType{bgpchurn.T, bgpchurn.M, bgpchurn.CP, bgpchurn.C} {
-		r.rollU[t] += res.U(t)
-		cell["u_"+t.String()] = res.U(t)
-		mean["u_"+t.String()] = r.rollU[t] / float64(r.rollCells)
-	}
-	r.progress.Publish("attribution", map[string]any{
-		"cells":        r.rollCells,
-		"cell":         cell,
-		"rolling_mean": mean,
-	})
 }
 
 // recordCell stores one scheduler progress event for the run manifest.
@@ -736,7 +682,7 @@ func (r *runner) workers() int {
 }
 
 // sweep fetches one scenario sweep through the scheduler. After prefetch
-// this is pure cache traffic (hits are logged by the OnCell callback);
+// this is pure cache traffic (hits are logged by the SubscribeCells callback);
 // results are byte-identical to the sequential bgpchurn.Sweep.
 func (r *runner) sweep(sc bgpchurn.Scenario, wrate bool) (*bgpchurn.SweepResult, error) {
 	return r.sched.RunSweep(r.ctx, sc, bgpchurn.SweepConfig{

@@ -210,11 +210,11 @@ func TestKillAndResumeByteIdenticalCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	interrupted.sched.SetJournal(j)
-	interrupted.sched.OnCell = func(cs bgpchurn.CellStatus) {
+	interrupted.sched.SubscribeCells(func(cs bgpchurn.CellStatus) {
 		if cs.State == bgpchurn.CellDone {
 			cancel()
 		}
-	}
+	})
 	if err := interrupted.fig4(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run: want context.Canceled, got %v", err)
 	}
@@ -240,11 +240,11 @@ func TestKillAndResumeByteIdenticalCSV(t *testing.T) {
 		t.Fatalf("Resume seeded %d cells, journal had %d", got, checkpointed)
 	}
 	var resumedCells int
-	resumed.sched.OnCell = func(cs bgpchurn.CellStatus) {
+	resumed.sched.SubscribeCells(func(cs bgpchurn.CellStatus) {
 		if cs.State == bgpchurn.CellResumed {
 			resumedCells++
 		}
-	}
+	})
 	if err := resumed.fig4(); err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestWriteManifestEndToEnd(t *testing.T) {
 	r.outDir = dir
 	r.metrics = bgpchurn.NewObsMetrics()
 	r.sched.SetObs(r.metrics)
-	r.sched.OnCell = r.recordCell
+	r.sched.SubscribeCells(r.recordCell)
 	if err := r.fig4(); err != nil {
 		t.Fatal(err)
 	}

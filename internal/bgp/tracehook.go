@@ -1,11 +1,6 @@
 package bgp
 
 import (
-	"bufio"
-	"fmt"
-	"io"
-	"strings"
-
 	"bgpchurn/internal/des"
 	"bgpchurn/internal/topology"
 )
@@ -43,67 +38,13 @@ type UpdateRecord struct {
 // SetUpdateHook installs fn to be called for every update processed from
 // now on (nil uninstalls). The hook runs synchronously inside the event
 // loop: keep it cheap, and do not call back into the Network from it.
+//
+// It has two users: the input of the bounded -trace ring (obs.UpdateTrace,
+// via core.Config.Trace) and the all-evented reference of
+// TestAdmissionCompletionMatchesEvented. An installed hook turns
+// admission-time completion off — every update goes through the event
+// queue — and runs the windowed executor on one worker; results stay
+// byte-identical, runs get slower.
 func (net *Network) SetUpdateHook(fn func(UpdateRecord)) {
 	net.updateHook = fn
-}
-
-// TraceWriter returns an update hook that writes one line per update to w
-// in a stable text format:
-//
-//	<seconds> <from> <to> announce|withdraw <prefix> [path...]
-//
-// Call Flush on the returned writer (or the convenience closure) when done.
-func TraceWriter(w io.Writer) (hook func(UpdateRecord), flush func() error) {
-	bw := bufio.NewWriter(w)
-	hook = func(r UpdateRecord) {
-		if r.Kind == Withdraw {
-			fmt.Fprintf(bw, "%.6f %d %d withdraw %d\n", r.Time.Seconds(), r.From, r.To, r.Prefix)
-			return
-		}
-		fmt.Fprintf(bw, "%.6f %d %d announce %d %s\n", r.Time.Seconds(), r.From, r.To, r.Prefix, r.Path)
-	}
-	return hook, bw.Flush
-}
-
-// ParseTraceLine parses one line produced by TraceWriter.
-func ParseTraceLine(line string) (UpdateRecord, error) {
-	fields := strings.Fields(line)
-	if len(fields) < 5 {
-		return UpdateRecord{}, fmt.Errorf("bgp: short trace line %q", line)
-	}
-	var rec UpdateRecord
-	var sec float64
-	if _, err := fmt.Sscanf(fields[0], "%f", &sec); err != nil {
-		return UpdateRecord{}, fmt.Errorf("bgp: bad timestamp %q: %v", fields[0], err)
-	}
-	rec.Time = des.Time(sec * float64(des.Second))
-	var from, to, prefix int64
-	if _, err := fmt.Sscanf(fields[1], "%d", &from); err != nil {
-		return UpdateRecord{}, fmt.Errorf("bgp: bad from %q", fields[1])
-	}
-	if _, err := fmt.Sscanf(fields[2], "%d", &to); err != nil {
-		return UpdateRecord{}, fmt.Errorf("bgp: bad to %q", fields[2])
-	}
-	switch fields[3] {
-	case "announce":
-		rec.Kind = Announce
-	case "withdraw":
-		rec.Kind = Withdraw
-	default:
-		return UpdateRecord{}, fmt.Errorf("bgp: bad kind %q", fields[3])
-	}
-	if _, err := fmt.Sscanf(fields[4], "%d", &prefix); err != nil {
-		return UpdateRecord{}, fmt.Errorf("bgp: bad prefix %q", fields[4])
-	}
-	rec.From, rec.To, rec.Prefix = topology.NodeID(from), topology.NodeID(to), Prefix(prefix)
-	if rec.Kind == Announce {
-		for _, f := range fields[5:] {
-			var id int64
-			if _, err := fmt.Sscanf(f, "%d", &id); err != nil {
-				return UpdateRecord{}, fmt.Errorf("bgp: bad path element %q", f)
-			}
-			rec.Path = append(rec.Path, topology.NodeID(id))
-		}
-	}
-	return rec, nil
 }

@@ -1,9 +1,6 @@
 package bgp
 
 import (
-	"bufio"
-	"bytes"
-	"strings"
 	"testing"
 
 	"bgpchurn/internal/topology"
@@ -39,83 +36,5 @@ func TestUpdateHookObservesEveryUpdate(t *testing.T) {
 	net.Run()
 	if len(records) != n {
 		t.Fatal("hook fired after uninstall")
-	}
-}
-
-func TestTraceWriterRoundTrip(t *testing.T) {
-	topo := build(t,
-		[]topology.NodeType{topology.T, topology.M, topology.C},
-		[][2]topology.NodeID{{0, 1}, {1, 2}}, nil)
-	net := MustNew(topo, fastConfig(1))
-	var buf bytes.Buffer
-	hook, flush := TraceWriter(&buf)
-	net.SetUpdateHook(hook)
-	net.Originate(2, 1)
-	net.Run()
-	net.WithdrawPrefix(2, 1)
-	net.Run()
-	if err := flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	var announces, withdraws int
-	sc := bufio.NewScanner(&buf)
-	var prev UpdateRecord
-	firstLine := true
-	for sc.Scan() {
-		rec, err := ParseTraceLine(sc.Text())
-		if err != nil {
-			t.Fatalf("%q: %v", sc.Text(), err)
-		}
-		if rec.Kind == Announce {
-			announces++
-			if len(rec.Path) == 0 {
-				t.Fatalf("announce without path: %q", sc.Text())
-			}
-			if rec.Path[0] != rec.From {
-				t.Fatalf("path head %d != sender %d", rec.Path[0], rec.From)
-			}
-		} else {
-			withdraws++
-		}
-		if !firstLine && rec.Time < prev.Time {
-			t.Fatal("trace not time-ordered")
-		}
-		prev, firstLine = rec, false
-	}
-	if announces != 2 || withdraws != 2 {
-		t.Fatalf("announces=%d withdraws=%d, want 2 and 2", announces, withdraws)
-	}
-}
-
-func TestParseTraceLineErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"1.0 2 3",
-		"x 2 3 announce 1 2",
-		"1.0 x 3 announce 1 2",
-		"1.0 2 x announce 1 2",
-		"1.0 2 3 frobnicate 1",
-		"1.0 2 3 announce x",
-		"1.0 2 3 announce 1 x",
-	}
-	for _, line := range bad {
-		if _, err := ParseTraceLine(line); err == nil {
-			t.Errorf("accepted %q", line)
-		}
-	}
-	rec, err := ParseTraceLine("2.5 7 9 announce 3 7 4 1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.From != 7 || rec.To != 9 || rec.Prefix != 3 || !rec.Path.Equal(Path{7, 4, 1}) {
-		t.Fatalf("parsed %+v", rec)
-	}
-	if rec.Time.Seconds() != 2.5 {
-		t.Fatalf("time = %v", rec.Time.Seconds())
-	}
-	wd, err := ParseTraceLine(strings.TrimSpace("  10.0 1 2 withdraw 5  "))
-	if err != nil || wd.Kind != Withdraw || wd.Path != nil {
-		t.Fatalf("withdraw parse: %+v %v", wd, err)
 	}
 }

@@ -254,22 +254,6 @@ func TestSweepSeries(t *testing.T) {
 	}
 }
 
-func TestSweepProgressCallback(t *testing.T) {
-	var calls []int
-	_, err := Sweep(scenario.Tree, SweepConfig{
-		Sizes:        []int{150, 250},
-		TopologySeed: 3,
-		Event:        testConfig(3, 3),
-		Progress:     func(name string, n int) { calls = append(calls, n) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(calls) != 2 || calls[0] != 150 || calls[1] != 250 {
-		t.Fatalf("progress calls = %v", calls)
-	}
-}
-
 func TestLinkEventExperiment(t *testing.T) {
 	topo, err := scenario.Baseline.Generate(500, 29)
 	if err != nil {

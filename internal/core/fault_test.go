@@ -89,11 +89,11 @@ func TestRetryThenSucceedDeterministicSchedule(t *testing.T) {
 		return &Result{N: n}, nil
 	})
 	var events []CellStatus
-	s.OnCell = func(cs CellStatus) {
+	s.SubscribeCells(func(cs CellStatus) {
 		if cs.N == 2 {
 			events = append(events, cs)
 		}
-	}
+	})
 	out, err := s.RunGrid(context.Background(), gridReq(1, 2, 3))
 	if err != nil {
 		t.Fatalf("retry did not recover the cell: %v", err)
@@ -162,11 +162,11 @@ func TestQuarantineAfterBudgetAndCached(t *testing.T) {
 		return &Result{N: n}, nil
 	})
 	var quarEvents []CellStatus
-	s.OnCell = func(cs CellStatus) {
+	s.SubscribeCells(func(cs CellStatus) {
 		if cs.State == CellQuarantined {
 			quarEvents = append(quarEvents, cs)
 		}
-	}
+	})
 	_, err := s.RunGrid(context.Background(), gridReq(1, 2, 3))
 	if !IsQuarantined(err) {
 		t.Fatalf("want quarantine, got %v", err)
@@ -494,11 +494,11 @@ func TestResumeServesCellsWithoutRecompute(t *testing.T) {
 		t.Fatalf("Resume seeded %d, want 3", got)
 	}
 	var resumed int
-	s2.OnCell = func(cs CellStatus) {
+	s2.SubscribeCells(func(cs CellStatus) {
 		if cs.State == CellResumed {
 			resumed++
 		}
-	}
+	})
 	second, err := s2.RunGrid(context.Background(), gridReq(1, 2, 3))
 	if err != nil {
 		t.Fatal(err)

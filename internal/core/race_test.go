@@ -24,7 +24,7 @@ import (
 // byte-identical results.
 func TestRaceConcurrentSweepsShareOneCache(t *testing.T) {
 	s := NewScheduler(4)
-	s.OnCell = func(CellStatus) {} // exercise the emit path too
+	s.SubscribeCells(func(CellStatus) {}) // exercise the emit path too
 	cfg := SweepConfig{Sizes: []int{150, 250}, TopologySeed: 13, Event: testConfig(13, 3)}
 
 	const callers = 4
@@ -79,19 +79,19 @@ func TestRaceGridAcrossScenarios(t *testing.T) {
 	}
 }
 
-// TestRaceOnCellSerialized documents and enforces the OnCell contract: the
-// scheduler serializes all OnCell invocations, so a callback may mutate
-// plain (unsynchronized) state. The callback below deliberately uses a bare
-// int and slice append — if two workers ever invoked OnCell concurrently,
+// TestRaceOnCellSerialized documents and enforces the SubscribeCells
+// contract: the scheduler serializes all deliveries, so a subscriber may
+// mutate plain (unsynchronized) state. The callback below deliberately uses
+// a bare int and slice append — if two workers ever delivered concurrently,
 // the race detector would flag it and the count would drift.
 func TestRaceOnCellSerialized(t *testing.T) {
 	s := NewScheduler(8)
 	var calls int          // intentionally unsynchronized
 	var states []CellState // ditto
-	s.OnCell = func(cs CellStatus) {
+	s.SubscribeCells(func(cs CellStatus) {
 		calls++
 		states = append(states, cs.State)
-	}
+	})
 	ev := testConfig(23, 3)
 	reqs := []GridRequest{
 		{Scenario: scenario.Baseline, Sizes: []int{150, 250}, TopologySeed: 23, Event: ev},
@@ -102,7 +102,7 @@ func TestRaceOnCellSerialized(t *testing.T) {
 	}
 	// 4 unique cells, each emitting a start and a done event.
 	if calls != 8 || len(states) != 8 {
-		t.Fatalf("OnCell fired %d times with %d recorded states, want 8/8", calls, len(states))
+		t.Fatalf("subscriber fired %d times with %d recorded states, want 8/8", calls, len(states))
 	}
 }
 
@@ -160,7 +160,7 @@ func TestRaceCancellationMidGrid(t *testing.T) {
 	m := obs.New()
 	s := NewScheduler(8)
 	s.SetObs(m)
-	s.OnCell = func(CellStatus) {}
+	s.SubscribeCells(func(CellStatus) {})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	var once sync.Once

@@ -125,7 +125,8 @@ func (s CellState) String() string {
 	return fmt.Sprintf("CellState(%d)", uint8(s))
 }
 
-// CellStatus is one progress event delivered to Scheduler.OnCell.
+// CellStatus is one progress event delivered to every Scheduler.SubscribeCells
+// subscriber.
 type CellStatus struct {
 	// Scenario and N name the grid cell.
 	Scenario string
@@ -152,6 +153,10 @@ type CellStatus struct {
 	// CellCancelled (and for CellCached when the cached computation had
 	// failed).
 	Err error
+	// Result is the cell's result on error-free CellDone, CellCached and
+	// CellResumed events, nil otherwise. It is the pointer the cache holds
+	// and RunGrid returns: read-only.
+	Result *Result
 }
 
 // GridRequest names one scenario sweep inside a grid run: the scheduler
@@ -166,10 +171,6 @@ type GridRequest struct {
 	TopologySeed uint64
 	// Event is the per-topology experiment configuration.
 	Event Config
-	// Progress, when non-nil, is called when a cell of this request starts
-	// computing (not for cache hits), mirroring SweepConfig.Progress. Cells
-	// run concurrently, so calls arrive in completion order, serialized.
-	Progress func(scenarioName string, n int)
 }
 
 // CacheStats counts scheduler cache traffic.
@@ -227,25 +228,9 @@ const retrySeedSalt = 0x5ca1ab1e0ddba11
 // result is checkpointed to a crash-safe JSONL journal that Resume replays
 // into the cache, so a killed run recomputes only missing cells.
 //
-// A Scheduler is safe for concurrent use. Set OnCell before the first run.
+// A Scheduler is safe for concurrent use; observe it with SubscribeCells.
 type Scheduler struct {
 	parallelism int
-
-	// OnCell, when non-nil, receives one CellStart and one CellDone (or
-	// CellFailed/CellQuarantined) event per computed cell, a CellRetried
-	// event per retry attempt, one CellCached/CellResumed event per cache
-	// hit, and one CellCancelled event per abandoned cell. Calls are
-	// serialized; the callback needs no locking.
-	OnCell func(CellStatus)
-
-	// OnResult, when non-nil, receives every cell Result the moment it is
-	// available — once per computed cell (State == CellDone) and once per
-	// cache hit that carries a result (CellCached/CellResumed). It exists so
-	// a progress plane can stream rolling attribution summaries mid-grid
-	// without waiting for assembly. Calls are serialized with OnCell on the
-	// same mutex; the Result is shared with the cache and must be treated as
-	// read-only.
-	OnResult func(CellStatus, *Result)
 
 	mu       sync.Mutex
 	cache    map[CellKey]*cacheEntry
@@ -265,12 +250,11 @@ type Scheduler struct {
 	// quarantine order.
 	quarantined []*CellQuarantinedError
 
-	// emitMu serializes every progress delivery (OnCell, OnResult and all
-	// subscribers) and guards the subscriber lists.
-	emitMu     sync.Mutex
-	cellSubs   []cellSubscriber
-	resultSubs []resultSubscriber
-	nextSubID  int
+	// emitMu serializes every progress delivery and guards the subscriber
+	// list.
+	emitMu    sync.Mutex
+	cellSubs  []cellSubscriber
+	nextSubID int
 
 	// probes is the scheduler's observability block; nil when disabled
 	// (see SetObs).
@@ -314,25 +298,23 @@ type cacheEntry struct {
 	elem *list.Element
 }
 
-// cellSubscriber and resultSubscriber are fan-out registrations added by
-// SubscribeCells/SubscribeResults, delivered in registration order.
+// cellSubscriber is a fan-out registration added by SubscribeCells,
+// delivered in registration order.
 type cellSubscriber struct {
 	id int
 	fn func(CellStatus)
 }
 
-type resultSubscriber struct {
-	id int
-	fn func(CellStatus, *Result)
-}
-
-// SubscribeCells registers an additional progress callback alongside OnCell:
-// every event OnCell would see is also delivered to fn, serialized on the
-// same mutex (subscribers never need their own locking, and must not block —
-// a slow subscriber stalls every worker's progress reporting). Unlike the
-// single OnCell field, any number of subscribers may coexist, which is what
-// lets several serving-layer jobs watch one shared scheduler. The returned
-// cancel function removes the subscription; it is idempotent.
+// SubscribeCells registers a progress callback, the scheduler's only event
+// API. fn receives one CellStart and one CellDone (or CellFailed /
+// CellQuarantined) event per computed cell, a CellRetried event per retry
+// attempt, one CellCached/CellResumed event per cache hit, and one
+// CellCancelled event per abandoned cell; events that carry a result set
+// CellStatus.Result. Deliveries to all subscribers are serialized on one
+// mutex, so fn needs no locking of its own, and it must not block — a slow
+// subscriber stalls every worker's progress reporting. Any number of
+// subscribers may coexist. The returned cancel function removes the
+// subscription; it is idempotent.
 func (s *Scheduler) SubscribeCells(fn func(CellStatus)) (cancel func()) {
 	s.emitMu.Lock()
 	defer s.emitMu.Unlock()
@@ -351,25 +333,52 @@ func (s *Scheduler) SubscribeCells(fn func(CellStatus)) (cancel func()) {
 	}
 }
 
-// SubscribeResults registers an additional result callback alongside
-// OnResult, with the same delivery and blocking rules as SubscribeCells.
-// The *Result is shared with the cache and must be treated as read-only.
-func (s *Scheduler) SubscribeResults(fn func(CellStatus, *Result)) (cancel func()) {
-	s.emitMu.Lock()
-	defer s.emitMu.Unlock()
-	id := s.nextSubID
-	s.nextSubID++
-	s.resultSubs = append(s.resultSubs, resultSubscriber{id, fn})
-	return func() {
-		s.emitMu.Lock()
-		defer s.emitMu.Unlock()
-		for i, sub := range s.resultSubs {
-			if sub.id == id {
-				s.resultSubs = append(s.resultSubs[:i:i], s.resultSubs[i+1:]...)
-				return
-			}
+// PublishProgress mirrors the scheduler's events onto b, the /progress feed
+// of both cmd/experiments and churnd. Every CellStatus becomes a "cell"
+// event {scenario, n, state, attempt, elapsed_ms, err}; every one carrying a
+// Result is followed by an "attribution" event {cells, cell{scenario, n,
+// total_updates, peak_rate, u_T…u_C}, rolling_mean{u_T…u_C}} — U(X) per node
+// type (Eq. 1) for the cell and its running mean over every result so far.
+// The running sums live in the subscription, serialized by SubscribeCells.
+// The returned cancel function stops the mirror.
+func (s *Scheduler) PublishProgress(b *obs.ProgressBroker) (cancel func()) {
+	var cells int
+	var sumU [len(topology.NodeTypes)]float64
+	return s.SubscribeCells(func(cs CellStatus) {
+		payload := map[string]any{
+			"scenario":   cs.Scenario,
+			"n":          cs.N,
+			"state":      cs.State.String(),
+			"attempt":    cs.Attempt,
+			"elapsed_ms": float64(cs.Elapsed) / float64(time.Millisecond),
 		}
-	}
+		if cs.Err != nil {
+			payload["err"] = cs.Err.Error()
+		}
+		b.Publish("cell", payload)
+		res := cs.Result
+		if res == nil {
+			return
+		}
+		cells++
+		cell := map[string]any{
+			"scenario":      cs.Scenario,
+			"n":             cs.N,
+			"total_updates": res.TotalUpdates,
+			"peak_rate":     res.PeakRate,
+		}
+		mean := map[string]float64{}
+		for i, t := range topology.NodeTypes {
+			sumU[i] += res.U(t)
+			cell["u_"+t.String()] = res.U(t)
+			mean["u_"+t.String()] = sumU[i] / float64(cells)
+		}
+		b.Publish("attribution", map[string]any{
+			"cells":        cells,
+			"cell":         cell,
+			"rolling_mean": mean,
+		})
+	})
 }
 
 // SetCompute replaces the scheduler's computation seams: generate builds the
@@ -549,33 +558,12 @@ func (s *Scheduler) dropEntry(key CellKey, e *cacheEntry) {
 	}
 }
 
-// emit delivers one progress event to OnCell and every cell subscriber,
-// serialized.
+// emit delivers one progress event to every subscriber, serialized.
 func (s *Scheduler) emit(cs CellStatus) {
 	s.emitMu.Lock()
 	defer s.emitMu.Unlock()
-	if s.OnCell != nil {
-		s.OnCell(cs)
-	}
 	for _, sub := range s.cellSubs {
 		sub.fn(cs)
-	}
-}
-
-// emitResult delivers one available cell result to OnResult and every result
-// subscriber, serialized on the same mutex as emit so cell and result events
-// observe a consistent order.
-func (s *Scheduler) emitResult(cs CellStatus, res *Result) {
-	if res == nil {
-		return
-	}
-	s.emitMu.Lock()
-	defer s.emitMu.Unlock()
-	if s.OnResult != nil {
-		s.OnResult(cs, res)
-	}
-	for _, sub := range s.resultSubs {
-		sub.fn(cs, res)
 	}
 }
 
@@ -589,7 +577,7 @@ func cellError(scName string, n int, err error) error {
 }
 
 // cell computes or fetches one grid cell under the grid context.
-func (s *Scheduler) cell(ctx context.Context, sc scenario.Scenario, n int, topoSeed uint64, ev Config, progress func(string, int)) (*Result, error) {
+func (s *Scheduler) cell(ctx context.Context, sc scenario.Scenario, n int, topoSeed uint64, ev Config) (*Result, error) {
 	key := cellKey(sc.Name, n, topoSeed, ev)
 	seed := topoSeed + uint64(n)
 	if err := ctx.Err(); err != nil {
@@ -617,7 +605,7 @@ func (s *Scheduler) cell(ctx context.Context, sc scenario.Scenario, n int, topoS
 			s.mu.Lock()
 			s.stats.Hits--
 			s.mu.Unlock()
-			return s.cell(ctx, sc, n, topoSeed, ev, progress)
+			return s.cell(ctx, sc, n, topoSeed, ev)
 		}
 		if probes != nil {
 			if state == CellResumed {
@@ -626,11 +614,9 @@ func (s *Scheduler) cell(ctx context.Context, sc scenario.Scenario, n int, topoS
 				probes.CellsCached.Inc()
 			}
 		}
-		cs := CellStatus{Scenario: sc.Name, N: n, Key: key, Seed: seed, State: state, Elapsed: time.Since(start), Err: e.err}
-		s.emit(cs)
-		if e.err == nil {
-			s.emitResult(cs, e.res)
-		}
+		// A failed entry holds no result, so Result is set exactly when Err
+		// is nil.
+		s.emit(CellStatus{Scenario: sc.Name, N: n, Key: key, Seed: seed, State: state, Elapsed: time.Since(start), Err: e.err, Result: e.res})
 		return e.res, e.err
 	}
 	e := &cacheEntry{ready: make(chan struct{})}
@@ -640,11 +626,6 @@ func (s *Scheduler) cell(ctx context.Context, sc scenario.Scenario, n int, topoS
 	s.evictLocked()
 	s.mu.Unlock()
 
-	if progress != nil {
-		s.emitMu.Lock()
-		progress(sc.Name, n)
-		s.emitMu.Unlock()
-	}
 	s.emit(CellStatus{Scenario: sc.Name, N: n, Key: key, Seed: seed, State: CellStart})
 	start := time.Now()
 	res, err, attempts := s.computeWithRetry(ctx, key, sc, n, seed, ev, probes)
@@ -701,11 +682,9 @@ func (s *Scheduler) cell(ctx context.Context, sc scenario.Scenario, n int, topoS
 			probes.CellsFailed.Inc()
 		}
 	}
-	cs := CellStatus{Scenario: sc.Name, N: n, Key: key, Seed: seed, State: state, Attempt: attempts, Elapsed: elapsed, Err: err}
-	s.emit(cs)
-	if state == CellDone {
-		s.emitResult(cs, res)
-	}
+	// computeWithRetry returns a nil result with every error, so Result is
+	// set exactly on CellDone.
+	s.emit(CellStatus{Scenario: sc.Name, N: n, Key: key, Seed: seed, State: state, Attempt: attempts, Elapsed: elapsed, Err: err, Result: res})
 	return res, err
 }
 
@@ -897,7 +876,7 @@ func (s *Scheduler) RunGrid(ctx context.Context, reqs []GridRequest) ([]*SweepRe
 			defer wg.Done()
 			for jb := range next {
 				r := &reqs[jb.req]
-				res, err := s.cell(ctx, r.Scenario, r.Sizes[jb.idx], r.TopologySeed, r.Event, r.Progress)
+				res, err := s.cell(ctx, r.Scenario, r.Sizes[jb.idx], r.TopologySeed, r.Event)
 				slots[jb.req][jb.idx] = slot{res, err}
 			}
 		}()
@@ -966,7 +945,6 @@ func (s *Scheduler) RunSweep(ctx context.Context, sc scenario.Scenario, cfg Swee
 		Sizes:        cfg.Sizes,
 		TopologySeed: cfg.TopologySeed,
 		Event:        cfg.Event,
-		Progress:     cfg.Progress,
 	}})
 	if len(out) == 0 {
 		return nil, err

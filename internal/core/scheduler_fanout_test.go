@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"sync"
+	"errors"
 	"testing"
 
 	"bgpchurn/internal/scenario"
@@ -10,7 +10,7 @@ import (
 )
 
 // stubCompute replaces the scheduler's seams with a trivial deterministic
-// computation so fan-out tests run in microseconds.
+// computation so fan-out tests run in microseconds. Size 2 always fails.
 func stubCompute(s *Scheduler) {
 	s.SetCompute(
 		func(sc scenario.Scenario, n int, seed uint64) (*topology.Topology, error) {
@@ -18,71 +18,93 @@ func stubCompute(s *Scheduler) {
 		},
 		func(ctx context.Context, t *topology.Topology, cfg Config) (*Result, error) {
 			n := len(t.Nodes)
+			if n == 2 {
+				return nil, errors.New("stub: n=2 is broken")
+			}
 			return &Result{N: n, Origins: cfg.Origins, TotalUpdates: float64(n) * 2}, nil
 		},
 	)
 }
 
 func TestSubscribeCellsFanOut(t *testing.T) {
-	// Two subscribers and the legacy OnCell field must each see the full
-	// serialized event stream with populated keys; a cancelled subscription
-	// stops receiving without disturbing the others.
+	// Three subscribers each see the full serialized event stream with
+	// populated keys. Result rides exactly the error-free CellDone,
+	// CellCached and CellResumed events and is the pointer RunGrid returns.
+	// A cancelled subscription stops receiving without disturbing the others.
 	s := NewScheduler(2)
 	stubCompute(s)
-
-	var mu sync.Mutex
-	var legacy, subA, subB []CellStatus
-	var results []int
-	s.OnCell = func(cs CellStatus) { mu.Lock(); legacy = append(legacy, cs); mu.Unlock() }
-	cancelA := s.SubscribeCells(func(cs CellStatus) { mu.Lock(); subA = append(subA, cs); mu.Unlock() })
-	cancelB := s.SubscribeCells(func(cs CellStatus) { mu.Lock(); subB = append(subB, cs); mu.Unlock() })
-	defer cancelB()
-	cancelRes := s.SubscribeResults(func(cs CellStatus, r *Result) {
-		mu.Lock()
-		results = append(results, r.N)
-		mu.Unlock()
-	})
-	defer cancelRes()
-
 	ev := testConfig(3, 4)
-	cfg := SweepConfig{Sizes: []int{100, 200}, TopologySeed: 3, Event: ev}
-	if _, err := s.RunSweep(context.Background(), scenario.Baseline, cfg); err != nil {
-		t.Fatal(err)
+	seeded := &Result{N: 300}
+	if got := s.Resume([]JournalRecord{{Key: KeyFor(scenario.Baseline.Name, 300, 3, ev), Result: seeded}}); got != 1 {
+		t.Fatalf("Resume seeded %d, want 1", got)
 	}
 
-	mu.Lock()
-	defer mu.Unlock()
-	if len(legacy) != 4 || len(subA) != 4 || len(subB) != 4 {
-		t.Fatalf("event counts legacy=%d subA=%d subB=%d, want 4 each (2 cells x start+done)",
-			len(legacy), len(subA), len(subB))
+	// Deliveries are serialized and RunGrid returns after every worker
+	// finished, so the slices need no locking.
+	var subA, subB, subC []CellStatus
+	cancelA := s.SubscribeCells(func(cs CellStatus) { subA = append(subA, cs) })
+	defer s.SubscribeCells(func(cs CellStatus) { subB = append(subB, cs) })()
+	defer s.SubscribeCells(func(cs CellStatus) { subC = append(subC, cs) })()
+
+	reqs := []GridRequest{{Scenario: scenario.Baseline, Sizes: []int{100, 2, 300}, TopologySeed: 3, Event: ev}}
+	run := func() map[int]*Result {
+		out, err := s.RunGrid(context.Background(), reqs)
+		if err == nil {
+			t.Fatal("failing cell not reported")
+		}
+		got := map[int]*Result{}
+		for _, p := range out[0].Points {
+			got[p.N] = p.R
+		}
+		if len(got) != 2 || got[300] != seeded {
+			t.Fatalf("grid points %v, want n=100 computed and n=300 the resumed pointer", got)
+		}
+		return got
+	}
+	first := run()
+
+	// Computed: start + done (100), start + failed (2); resumed: one event.
+	if len(subA) != 5 || len(subB) != 5 || len(subC) != 5 {
+		t.Fatalf("event counts A=%d B=%d C=%d, want 5 each", len(subA), len(subB), len(subC))
 	}
 	for _, cs := range subA {
-		want := KeyFor(cs.Scenario, cs.N, 3, ev)
-		if cs.Key != want {
-			t.Fatalf("event %+v carries key %+v, want %+v", cs.State, cs.Key, want)
+		if want := KeyFor(cs.Scenario, cs.N, 3, ev); cs.Key != want {
+			t.Fatalf("event %v carries key %+v, want %+v", cs.State, cs.Key, want)
 		}
 	}
-	if len(results) != 2 {
-		t.Fatalf("result subscriber saw %d results, want 2", len(results))
-	}
 
-	// After cancelling A, only B (and the field) keep receiving. The repeat
-	// request hits the cache, so each remaining observer gains 2 events.
+	// After cancelling A only B and C keep receiving; the repeat request is
+	// all cache hits (n=2 replays its cached error, n=300 stays resumed).
 	cancelA()
 	cancelA() // idempotent
-	mu.Unlock()
-	if _, err := s.RunSweep(context.Background(), scenario.Baseline, cfg); err != nil {
-		mu.Lock()
-		t.Fatal(err)
-	}
-	mu.Lock()
-	if len(subA) != 4 {
+	second := run()
+	if len(subA) != 5 {
 		t.Fatalf("cancelled subscriber still receiving: %d events", len(subA))
 	}
-	if len(subB) != 6 || len(legacy) != 6 {
-		t.Fatalf("surviving observers: subB=%d legacy=%d, want 6 each", len(subB), len(legacy))
+	if len(subB) != 8 || len(subC) != 8 {
+		t.Fatalf("surviving subscribers: B=%d C=%d, want 8 each", len(subB), len(subC))
 	}
-	if len(results) != 4 {
-		t.Fatalf("result subscriber saw %d results, want 4 (2 computed + 2 cached)", len(results))
+	if second[100] != first[100] {
+		t.Fatal("cache hit returned a different result pointer")
+	}
+
+	withResult := map[CellState]int{}
+	for i, cs := range subB {
+		if subC[i] != cs {
+			t.Fatalf("subscribers diverge at event %d: %+v vs %+v", i, cs, subC[i])
+		}
+		want := cs.Err == nil && (cs.State == CellDone || cs.State == CellCached || cs.State == CellResumed)
+		if (cs.Result != nil) != want {
+			t.Fatalf("event %v n=%d err=%v: Result=%p, want set=%v", cs.State, cs.N, cs.Err, cs.Result, want)
+		}
+		if cs.Result != nil {
+			if cs.Result != first[cs.N] {
+				t.Fatalf("event %v n=%d: Result %p is not the pointer RunGrid returned (%p)", cs.State, cs.N, cs.Result, first[cs.N])
+			}
+			withResult[cs.State]++
+		}
+	}
+	if withResult[CellDone] != 1 || withResult[CellCached] != 1 || withResult[CellResumed] != 2 {
+		t.Fatalf("events carrying a result by state = %v, want done 1, cached 1, resumed 2", withResult)
 	}
 }

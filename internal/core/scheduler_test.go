@@ -180,11 +180,11 @@ func TestSweepPartialResultsOnError(t *testing.T) {
 func TestGridReportsFailingCell(t *testing.T) {
 	s := NewScheduler(2)
 	var failed []CellStatus
-	s.OnCell = func(cs CellStatus) {
+	s.SubscribeCells(func(cs CellStatus) {
 		if cs.State == CellFailed {
 			failed = append(failed, cs)
 		}
-	}
+	})
 	out, err := s.RunGrid(context.Background(), []GridRequest{{
 		Scenario: scenario.Baseline, Sizes: []int{150, 2, 250}, TopologySeed: 5, Event: testConfig(5, 3),
 	}})
@@ -210,17 +210,13 @@ func TestSchedulerProgressEvents(t *testing.T) {
 		n     int
 	}
 	var events []ev
-	s.OnCell = func(cs CellStatus) { events = append(events, ev{cs.State, cs.N}) }
-	var progress []int
-	cfg := SweepConfig{
-		Sizes: []int{150, 250}, TopologySeed: 7, Event: testConfig(7, 3),
-		Progress: func(name string, n int) {
-			if name != "TREE" {
-				t.Errorf("progress scenario = %q", name)
-			}
-			progress = append(progress, n)
-		},
-	}
+	s.SubscribeCells(func(cs CellStatus) {
+		if cs.Scenario != "TREE" {
+			t.Errorf("event scenario = %q", cs.Scenario)
+		}
+		events = append(events, ev{cs.State, cs.N})
+	})
+	cfg := SweepConfig{Sizes: []int{150, 250}, TopologySeed: 7, Event: testConfig(7, 3)}
 	if _, err := s.RunSweep(context.Background(), scenario.Tree, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -230,9 +226,6 @@ func TestSchedulerProgressEvents(t *testing.T) {
 	}
 	if counts[CellStart] != 2 || counts[CellDone] != 2 || counts[CellFailed] != 0 {
 		t.Fatalf("event counts = %v", counts)
-	}
-	if len(progress) != 2 {
-		t.Fatalf("progress calls = %v", progress)
 	}
 	// A second identical sweep must be all cache hits.
 	events = nil

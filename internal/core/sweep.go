@@ -18,8 +18,6 @@ type SweepConfig struct {
 	TopologySeed uint64
 	// Event is the per-topology C-event experiment configuration.
 	Event Config
-	// Progress, when non-nil, is called before each size is run.
-	Progress func(scenarioName string, n int)
 }
 
 // PaperSizes returns the paper's x-axis: 1000..10000 step 1000.
@@ -54,9 +52,6 @@ func Sweep(sc scenario.Scenario, cfg SweepConfig) (*SweepResult, error) {
 	}
 	out := &SweepResult{Scenario: sc.Name}
 	for _, n := range cfg.Sizes {
-		if cfg.Progress != nil {
-			cfg.Progress(sc.Name, n)
-		}
 		topo, err := sc.Generate(n, cfg.TopologySeed+uint64(n))
 		if err != nil {
 			return out, fmt.Errorf("core: %s at n=%d: %w", sc.Name, n, err)

@@ -204,8 +204,9 @@ func FormatCellEvent(e CellEvent) string {
 }
 
 // CellLogger returns a callback that writes one FormatCellEvent line per
-// event to w, for wiring a scheduler's OnCell to a terminal. It is
-// NewCellLogger's text format, kept as the zero-configuration entry point.
+// event to w, for wiring a Scheduler.SubscribeCells subscriber to a
+// terminal. It is NewCellLogger's text format, kept as the
+// zero-configuration entry point.
 func CellLogger(w io.Writer) func(CellEvent) {
 	logCell, _ := NewCellLogger(w, "text")
 	return logCell

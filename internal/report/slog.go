@@ -30,7 +30,7 @@ const (
 // w in the given format: "text" (or "") for the legacy aligned lines,
 // "json" for slog JSON. Failed cells log at LevelError, everything else at
 // LevelInfo. The callback is safe for concurrent use, though schedulers
-// already serialize OnCell.
+// already serialize SubscribeCells deliveries.
 func NewCellLogger(w io.Writer, format string) (func(CellEvent), error) {
 	var h slog.Handler
 	switch format {

@@ -94,10 +94,10 @@ func (s *Server) runCell(c *cellRun) {
 
 	s.mu.Lock()
 	c.elapsed = elapsed
+	// A cancelled job wins over a late result: the shared computation may
+	// finish before it observes the job's context (the result stays cached
+	// for every other job), but the client was already told "cancelled".
 	switch {
-	case err == nil && sw != nil && len(sw.Points) == 1:
-		c.state = cellDone
-		c.res = sw.Points[0].R
 	case j.ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		c.state = cellCancelled
 		if cause := context.Cause(j.ctx); cause != nil && !errors.Is(cause, context.Canceled) {
@@ -105,6 +105,9 @@ func (s *Server) runCell(c *cellRun) {
 		} else if err != nil {
 			c.errMsg = err.Error()
 		}
+	case err == nil && sw != nil && len(sw.Points) == 1:
+		c.state = cellDone
+		c.res = sw.Points[0].R
 	default:
 		c.state = cellFailed
 		if err == nil {

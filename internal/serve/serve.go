@@ -169,10 +169,11 @@ func New(cfg Config) (*Server, error) {
 		s.sched.SetJournal(j)
 	}
 
-	// Scheduler fan-out: cell events route provenance to watching jobs and
-	// feed the global /progress stream; results feed rolling summaries.
+	// Scheduler fan-out: cell events route provenance to watching jobs, and
+	// the scheduler's shared feed (the one cmd/experiments serves) drives the
+	// global /progress stream.
 	s.unsub = append(s.unsub, s.sched.SubscribeCells(s.onSchedulerCell))
-	s.unsub = append(s.unsub, s.sched.SubscribeResults(s.onSchedulerResult))
+	s.unsub = append(s.unsub, s.sched.PublishProgress(s.progress))
 
 	s.buildMux()
 	go s.dispatch()
@@ -197,9 +198,8 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) Progress() *obs.ProgressBroker { return s.progress }
 
 // onSchedulerCell receives every scheduler cell event (all jobs, all
-// tenants). It records compute provenance on the job cells watching the
-// key and mirrors the event to the global /progress stream. Runs on the
-// scheduler's emit mutex: it must stay non-blocking.
+// tenants) and records compute provenance on the job cells watching the
+// key. Runs on the scheduler's emit mutex: it must stay non-blocking.
 func (s *Server) onSchedulerCell(cs core.CellStatus) {
 	detail := ""
 	switch cs.State {
@@ -229,26 +229,6 @@ func (s *Server) onSchedulerCell(cs core.CellStatus) {
 		}
 		s.mu.Unlock()
 	}
-	payload := map[string]any{
-		"scenario": cs.Scenario,
-		"n":        cs.N,
-		"state":    cs.State.String(),
-	}
-	if cs.Err != nil {
-		payload["err"] = cs.Err.Error()
-	}
-	s.progress.Publish("cell", payload)
-}
-
-// onSchedulerResult mirrors per-cell results onto the global /progress
-// stream as compact summaries.
-func (s *Server) onSchedulerResult(cs core.CellStatus, res *core.Result) {
-	s.progress.Publish("result", map[string]any{
-		"scenario":      cs.Scenario,
-		"n":             cs.N,
-		"total_updates": res.TotalUpdates,
-		"peak_rate":     res.PeakRate,
-	})
 }
 
 // Drain performs a graceful shutdown: stop admitting (submissions get 503,

@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -402,5 +404,72 @@ func TestTenantCancellationIsolation(t *testing.T) {
 	r2.Body.Close()
 	if r2.StatusCode != http.StatusConflict {
 		t.Fatalf("cancelled job result.csv status = %d, want 409", r2.StatusCode)
+	}
+}
+
+// TestGlobalProgressIsSharedFeed streams churnd's /progress during a stubbed
+// two-cell job: it carries core.Scheduler.PublishProgress's schema, the one
+// cmd/experiments serves — "cell" and "attribution" events with exactly
+// these payload keys.
+func TestGlobalProgressIsSharedFeed(t *testing.T) {
+	srv, hs := newTestServer(t, Config{Workers: 2})
+	installStub(srv, false)
+
+	resp, err := http.Get(hs.URL + "/progress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	// The banner follows the subscription, so the job cannot outrun us.
+	if !sc.Scan() || !strings.HasPrefix(sc.Text(), ": bgpchurn progress stream") {
+		t.Fatalf("missing stream banner: %q", sc.Text())
+	}
+	_, v, _ := submit(t, hs.URL, `{"scenarios":["BASELINE"],"sizes":[100,200]}`)
+
+	wantKeys := map[string][]string{
+		"cell":                     {"attempt", "elapsed_ms", "n", "scenario", "state"},
+		"attribution":              {"cell", "cells", "rolling_mean"},
+		"attribution.cell":         {"n", "peak_rate", "scenario", "total_updates", "u_C", "u_CP", "u_M", "u_T"},
+		"attribution.rolling_mean": {"u_C", "u_CP", "u_M", "u_T"},
+	}
+	checkKeys := func(what string, payload map[string]any) {
+		got := make([]string, 0, len(payload))
+		for k := range payload {
+			got = append(got, k)
+		}
+		sort.Strings(got)
+		if want := wantKeys[what]; strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Fatalf("%s payload keys = %v, want %v", what, got, want)
+		}
+	}
+	counts := map[string]int{}
+	event := ""
+	for counts["attribution"] < 2 && sc.Scan() {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "event: "):
+			event = strings.TrimPrefix(line, "event: ")
+			counts[event]++
+		case strings.HasPrefix(line, "data: "):
+			var payload map[string]any
+			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &payload); err != nil {
+				t.Fatalf("%s data line: %v", event, err)
+			}
+			if _, ok := wantKeys[event]; !ok {
+				t.Fatalf("unexpected event %q on /progress", event)
+			}
+			checkKeys(event, payload)
+			if event == "attribution" {
+				checkKeys("attribution.cell", payload["cell"].(map[string]any))
+				checkKeys("attribution.rolling_mean", payload["rolling_mean"].(map[string]any))
+			}
+		}
+	}
+	if counts["cell"] != 4 || counts["attribution"] != 2 {
+		t.Fatalf("event counts = %v, want 4 cell (start+done per cell) and 2 attribution", counts)
+	}
+	if got := waitJob(t, hs.URL, v.ID); got.State != JobDone {
+		t.Fatalf("job state = %s, want done", got.State)
 	}
 }
