@@ -35,9 +35,9 @@ cross:
 # workers whatever the CPU count, so a lost wake-up or a claim that crosses
 # windows gets many schedules to show itself, and the timeout turns a hung
 # barrier into a failure instead of a stuck job. The same ten rounds run
-# the admission-time-completion differential (bare against hook-attached,
-# i.e. all-evented, networks), whose windowed cases complete updates on the
-# worker that admits them.
+# the admission-time-completion differential (bare against all-evented
+# networks), whose windowed cases complete updates on the worker that admits
+# them.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 -run 'Consistency|Checker|GrowThenReset|Sharded' ./internal/bgp/ .
@@ -78,13 +78,12 @@ scale-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkScaleCell/n=10000$$' -benchtime 1x -timeout 20m . \
 		| $(GO) run ./cmd/benchguard -guard BenchmarkScaleCell/n=10000 -metric peakRSS-MB -budget 128
 
-# bench-gen runs the topology-generation trajectory: the accelerated
-# generator (Fenwick-indexed preferential attachment, shared cones) at
+# bench-gen runs the topology-generation trajectory: the generator
+# (Fenwick-indexed preferential attachment, shared cones) at
 # n ∈ {10k, 50k, 100k}, one process per size so peakRSS-MB is that run's
-# own high-water mark, recorded in BENCH_gen.json. The retained linear-scan
-# oracle provides the "before" record: set GEN_BENCH_LINEAR=all and
-# BENCH_LABEL=linear-scan to re-measure it (the 100k point alone takes
-# ~30 minutes; by default the Linear benchmark only runs its 10k point).
+# own high-water mark, recorded in BENCH_gen.json. Its "linear-scan" record
+# is the dated "before": the quadratic generator, which now survives only as
+# the test reference in gen_reference_test.go.
 bench-gen:
 	rm -f /tmp/bench-gen.txt
 	for n in 10000 50000 100000; do \
@@ -97,13 +96,16 @@ bench-gen:
 # must generate within absolute wall-clock and peak-RSS budgets. The budgets
 # are roughly 8x today's numbers (~1.3 s, ~60 MB) to absorb slow runners: a
 # regression that reintroduced a linear scan per draw or dense per-node cone
-# bitsets would still blow past them by an order of magnitude (the linear
-# oracle takes ~108 s at this size).
+# bitsets would still blow past them by an order of magnitude (the quadratic
+# generator took ~108 s at this size, BENCH_gen.json "linear-scan"). The
+# differential step then holds the generator to the reference in
+# gen_reference_test.go: every scenario, growth chains, n = 20k, random cases.
 gen-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTopologyGenerate$$/n=50000$$' -benchtime 1x -timeout 20m . \
 		| tee /tmp/gen-smoke.txt \
 		| $(GO) run ./cmd/benchguard -guard BenchmarkTopologyGenerate/n=50000 -metric ns/op -budget 10e9
 	$(GO) run ./cmd/benchguard -guard BenchmarkTopologyGenerate/n=50000 -metric peakRSS-MB -budget 256 < /tmp/gen-smoke.txt
+	$(GO) test -count=1 -run 'GeneratorEquivalent|GrowEquivalent|DrawSequence' .
 
 # bench-shard runs the windowed-executor trajectory: one warm-start windowed
 # churn cell at n ∈ {10k, 50k} × shards ∈ {1, 2, 4, 8}, three times at each

@@ -1,39 +1,27 @@
 package bgpchurn
 
 // Topology-generation benchmark: the setup half of the internet-scale
-// trajectory. BenchmarkTopologyGenerate runs the accelerated generator on
-// the Baseline scenario at n ∈ {10k, 50k, 100k}; the Linear variant runs
-// the retained O(n²) oracle for the before/after split recorded in
-// BENCH_gen.json via `make bench-gen`. Because CI's bench-smoke runs every
-// benchmark once, the Linear variant defaults to n=10k only — set
-// GEN_BENCH_LINEAR=all to run the full (minutes-long) quadratic
-// trajectory when recording before-numbers.
+// trajectory. BenchmarkTopologyGenerate runs the generator on the Baseline
+// scenario at n ∈ {10k, 50k, 100k}, recorded in BENCH_gen.json via
+// `make bench-gen`.
 //
 // Peak RSS is the process high-water mark (VmHWM): run one benchmark per
 // process (as the Makefile target does) for clean memory numbers.
 
 import (
 	"fmt"
-	"os"
 	"testing"
 )
 
-func benchGenSizes(linear bool) []int {
-	if linear && os.Getenv("GEN_BENCH_LINEAR") != "all" {
-		return []int{10000}
-	}
-	return []int{10000, 50000, 100000}
-}
-
-func benchGenerate(b *testing.B, sizes []int, gen func(TopologyParams) (*Topology, error)) {
-	for _, n := range sizes {
+func BenchmarkTopologyGenerate(b *testing.B) {
+	for _, n := range []int{10000, 50000, 100000} {
 		n := n
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			p := Baseline.Params(n, scaleSeed)
 			var edges int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				topo, err := gen(p)
+				topo, err := GenerateTopology(p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -45,12 +33,4 @@ func benchGenerate(b *testing.B, sizes []int, gen func(TopologyParams) (*Topolog
 			b.ReportMetric(float64(PeakRSSBytes())/(1<<20), "peakRSS-MB")
 		})
 	}
-}
-
-func BenchmarkTopologyGenerate(b *testing.B) {
-	benchGenerate(b, benchGenSizes(false), GenerateTopology)
-}
-
-func BenchmarkTopologyGenerateLinear(b *testing.B) {
-	benchGenerate(b, benchGenSizes(true), GenerateTopologyLinear)
 }

@@ -82,14 +82,6 @@ const (
 // GenerateTopology builds a topology from explicit parameters.
 func GenerateTopology(p TopologyParams) (*Topology, error) { return topology.Generate(p) }
 
-// GenerateTopologyLinear builds the same topology as GenerateTopology via
-// the retained O(n²) linear-scan sampler — the draw-sequence oracle the
-// accelerated generator is differential-tested against. Byte-identical
-// output, quadratic cost; useful only for verification and benchmarking.
-func GenerateTopologyLinear(p TopologyParams) (*Topology, error) {
-	return topology.GenerateLinear(p)
-}
-
 // GrowTopology extends an existing topology to the larger parameter set p
 // without regenerating it: every pre-existing node keeps its ID, type,
 // regions and links, and new nodes attach preferentially exactly as the
@@ -99,12 +91,6 @@ func GenerateTopologyLinear(p TopologyParams) (*Topology, error) {
 // modified. Scenario.Params with a fixed seed yields growth-compatible
 // parameter sets across sizes.
 func GrowTopology(t *Topology, p TopologyParams) (*Topology, error) { return topology.Grow(t, p) }
-
-// GrowTopologyLinear is GrowTopology on the linear-scan oracle path; see
-// GenerateTopologyLinear.
-func GrowTopologyLinear(t *Topology, p TopologyParams) (*Topology, error) {
-	return topology.GrowLinear(t, p)
-}
 
 // ComputeTopologyStats measures a topology's structural properties;
 // sampleSources bounds the BFS sample for the average path length (0 =
@@ -452,14 +438,6 @@ type ObsMetrics = obs.Metrics
 // /debug/vars expvar, /debug/pprof/ profiles).
 type ObsServer = obs.Server
 
-// UpdateTrace is a bounded ring buffer of processed updates, exportable as
-// JSONL. Attach via Experiment.Trace.
-type UpdateTrace = obs.UpdateTrace
-
-// TraceRecord is one UpdateTrace entry: virtual time, sender, receiver,
-// prefix and update kind.
-type TraceRecord = obs.TraceRecord
-
 // SpanRecorder collects the sweep→cell→origin→event causal span hierarchy
 // of a run. Attach via Experiment.Spans; export with WriteJSONL or
 // WriteChromeTrace. Recording is provably inert: results are byte-identical
@@ -533,15 +511,8 @@ func NewObsMetrics() *ObsMetrics { return obs.New() }
 // port).
 func ServeObs(addr string, m *ObsMetrics) (*ObsServer, error) { return obs.Serve(addr, m) }
 
-// NewUpdateTrace creates an update-trace ring holding up to capacity
-// records (<= 0 selects the default, 65536).
-func NewUpdateTrace(capacity int) *UpdateTrace { return obs.NewUpdateTrace(capacity) }
-
 // ReadManifest loads and validates a manifest written by Manifest.WriteFile.
 func ReadManifest(path string) (*Manifest, error) { return obs.ReadManifest(path) }
-
-// ReadTraceJSONL parses a stream written by UpdateTrace.WriteJSONL.
-func ReadTraceJSONL(r io.Reader) ([]TraceRecord, error) { return obs.ReadTraceJSONL(r) }
 
 // InstrumentTopologyGeneration routes topology-generation metrics into the
 // hub (process-wide; pass nil to detach).

@@ -220,52 +220,6 @@ func TestEq1AttributionReconcilesWithAggregates(t *testing.T) {
 	}
 }
 
-// TestTraceRingRecordsCauseAndPathIdentity covers the -trace ring's
-// fixed-size retention: records must carry the root-cause ID and the
-// interned path identity instead of the engine-owned path slice, and stay
-// meaningful after the per-origin Resets.
-func TestTraceRingRecordsCauseAndPathIdentity(t *testing.T) {
-	topo, err := Baseline.Generate(300, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultExperiment(7)
-	cfg.Origins = 2
-	// Warm start: the pre-event routing state is installed directly, so every
-	// update the ring sees belongs to a cause window. (A cold start's initial
-	// propagation flood is deliberately uncaused — it is setup, not an event.)
-	cfg.WarmStart = true
-	cfg.Trace = NewUpdateTrace(1 << 16)
-	cfg.Spans = NewSpanRecorder()
-	if _, err := RunCEvents(topo, cfg); err != nil {
-		t.Fatal(err)
-	}
-	recs := cfg.Trace.Snapshot()
-	if len(recs) == 0 {
-		t.Fatal("trace ring captured no updates")
-	}
-	announces := 0
-	for _, r := range recs {
-		if r.Cause == 0 {
-			t.Fatalf("record %+v has no root cause despite tracing on", r)
-		}
-		if r.Kind == 0 { // announce
-			announces++
-			if r.PathLen == 0 {
-				t.Fatalf("announce record %+v has zero path length", r)
-			}
-			if r.PathID == 0 {
-				t.Fatalf("announce record %+v has no interned path identity", r)
-			}
-		} else if r.PathLen != 0 || r.PathID != 0 {
-			t.Fatalf("withdraw record %+v carries path identity", r)
-		}
-	}
-	if announces == 0 {
-		t.Fatal("trace ring captured no announcements")
-	}
-}
-
 // TestObsProgressSSEUnderConcurrentGrid streams /progress while a
 // concurrent scheduler grid publishes through Scheduler.PublishProgress —
 // the feed both cmd/experiments and churnd serve, exercised under -race by

@@ -157,8 +157,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		obsAddr     = fs.String("obs", "", "serve live metrics on this address (e.g. :8080; :0 picks a free port): /metrics, /debug/vars, /debug/pprof/")
 		manifest    = fs.String("manifest", "results/manifest.json", "write the run manifest (config, seeds, timings, counters) to this file; empty disables")
 		logFormat   = fs.String("log-format", "text", "cell progress log format: text or json")
-		tracePath   = fs.String("trace", "", "write a JSONL trace of the most recent updates to this file (bounded ring); routes every update through the event queue, turning admission-time completion off: results stay byte-identical, runs are slower")
-		traceCap    = fs.Int("trace-cap", 0, "update-trace ring capacity in records (0 = 65536)")
 		journalPath = fs.String("journal", "results/cells.journal", "cell checkpoint journal (JSONL); empty disables checkpointing")
 		resume      = fs.Bool("resume", false, "replay the cell journal into the scheduler cache before running, so only missing cells are recomputed")
 		retries     = fs.Int("retries", 0, "recompute a cell up to this many times after a transient fault (panic, timeout) before quarantining it")
@@ -179,6 +177,29 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	wanted, err := selectFigures(*figs)
 	if err != nil {
 		return fail(err)
+	}
+	r := &runner{
+		seed:        *seed,
+		fast:        *fast,
+		outDir:      *outDir,
+		origins:     *origins,
+		parallel:    *parallel,
+		warm:        *warm,
+		cellTimeout: *cellTimeout,
+		shards:      *shards,
+		linkDelay:   *linkDelay,
+		sched:       bgpchurn.NewScheduler(*parallel),
+		stdout:      stdout,
+		metrics:     bgpchurn.NewObsMetrics(),
+	}
+	// A flag combination no cell can run (e.g. -shards 2 without
+	// -link-delay) is rejected here, before any file is created, rather than
+	// once per cell.
+	for _, wrate := range []bool{false, true} {
+		cfg := r.experiment(wrate)
+		if err := cfg.BGP.Validate(); err != nil {
+			return fail(err)
+		}
 	}
 
 	if *cpuprof != "" {
@@ -217,27 +238,10 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	defer stop()
 	defer armSecondSignalExit(ctx, stderr)()
 
-	r := &runner{
-		ctx:         ctx,
-		seed:        *seed,
-		fast:        *fast,
-		outDir:      *outDir,
-		origins:     *origins,
-		parallel:    *parallel,
-		warm:        *warm,
-		cellTimeout: *cellTimeout,
-		shards:      *shards,
-		linkDelay:   *linkDelay,
-		sched:       bgpchurn.NewScheduler(*parallel),
-		stdout:      stdout,
-		metrics:     bgpchurn.NewObsMetrics(),
-	}
+	r.ctx = ctx
 	r.sched.SetObs(r.metrics)
 	r.sched.SetRetryPolicy(*retries, 0)
 	bgpchurn.InstrumentTopologyGeneration(r.metrics)
-	if *tracePath != "" {
-		r.trace = bgpchurn.NewUpdateTrace(*traceCap)
-	}
 	if *spansPath != "" || *chromePath != "" {
 		r.spans = bgpchurn.NewSpanRecorder()
 	}
@@ -343,7 +347,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// Epilogue: summary, quarantine report, trace, journal and manifest all
+	// Epilogue: summary, quarantine report, spans, journal and manifest all
 	// flush regardless of how the run ended, so an interrupted run leaves a
 	// complete checkpoint behind for -resume.
 	st := r.sched.CacheStats()
@@ -355,13 +359,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 	if len(skipped) > 0 {
 		fmt.Fprintf(stderr, "experiments: figures skipped due to quarantined cells: %s\n", strings.Join(skipped, ","))
-	}
-	if *tracePath != "" {
-		if err := writeTrace(*tracePath, r.trace); err != nil && runErr == nil {
-			runErr = err
-		} else if err == nil {
-			fmt.Fprintf(stdout, "trace: %s (%d records, %d overwritten)\n", *tracePath, r.trace.Len(), r.trace.Dropped())
-		}
 	}
 	if r.spans != nil {
 		if *spansPath != "" {
@@ -415,11 +412,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	return exitOK
 }
 
-// writeTrace exports the update-trace ring as JSONL.
-func writeTrace(path string, tr *bgpchurn.UpdateTrace) error {
-	return writeFileWith(path, tr.WriteJSONL)
-}
-
 // writeFileWith creates path and streams write into it, closing on every
 // path.
 func writeFileWith(path string, write func(io.Writer) error) error {
@@ -464,8 +456,6 @@ type runner struct {
 	// metrics is the run's instrumentation hub, attached to the scheduler,
 	// every worker network, and topology generation.
 	metrics *bgpchurn.ObsMetrics
-	// trace, when non-nil, captures the most recent updates (-trace flag).
-	trace *bgpchurn.UpdateTrace
 	// spans, when non-nil, collects the sweep→cell→origin→event causal span
 	// hierarchy (-spans / -chrome-trace flags).
 	spans *bgpchurn.SpanRecorder
@@ -668,7 +658,6 @@ func (r *runner) experiment(wrate bool) bgpchurn.Experiment {
 	cfg.BGP.LinkDelay = des.Time(r.linkDelay)
 	cfg.BGP.Shards = r.shards
 	cfg.Obs = r.metrics
-	cfg.Trace = r.trace
 	cfg.Spans = r.spans
 	return cfg
 }

@@ -283,12 +283,28 @@ func TestRunExitCodes(t *testing.T) {
 			t.Fatalf("-fig %q: stderr %q does not name the unknown figure and the valid ids", sel, msg)
 		}
 	}
+	// A protocol configuration no cell can run is rejected the same way:
+	// with the reason, before a cell is logged or the journal created.
+	dir := t.TempDir()
+	var stdout, stderr bytes.Buffer
+	journal := filepath.Join(dir, "cells.journal")
+	code := run([]string{"-fig", "4", "-fast", "-shards", "2", "-manifest", "", "-journal", journal}, &stdout, &stderr)
+	if code != exitError {
+		t.Fatalf("-shards 2 without -link-delay: exit %d, want %d", code, exitError)
+	}
+	if msg := stderr.String(); !strings.Contains(msg, "requires a positive LinkDelay") {
+		t.Fatalf("-shards 2 without -link-delay: stderr %q does not give the reason", msg)
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("-shards 2 without -link-delay: work began before the rejection:\n%s", stdout.String())
+	}
+	if _, err := os.Stat(journal); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("-shards 2 without -link-delay: journal created (stat: %v)", err)
+	}
 	// Figure 1 runs no sweeps, so this exercises the full pipeline —
 	// journal, manifest, epilogue — in milliseconds.
-	dir := t.TempDir()
 	manifest := filepath.Join(dir, "manifest.json")
-	journal := filepath.Join(dir, "cells.journal")
-	code := run([]string{"-fig", "1", "-fast", "-manifest", manifest, "-journal", journal}, io.Discard, io.Discard)
+	code = run([]string{"-fig", "1", "-fast", "-manifest", manifest, "-journal", journal}, io.Discard, io.Discard)
 	if code != exitOK {
 		t.Fatalf("fig 1 run: exit %d, want %d", code, exitOK)
 	}

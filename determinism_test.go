@@ -184,7 +184,7 @@ func TestScheduledGridIdenticalToSequential(t *testing.T) {
 func TestResultIdenticalWithObs(t *testing.T) {
 	// Instrumentation must be invisible to the simulation: probes never read
 	// the virtual clock, consume RNG, or reorder events, so a run with a
-	// metrics hub and update trace attached is byte-identical to a bare run.
+	// metrics hub attached is byte-identical to a bare run.
 	topo, err := Baseline.Generate(400, 37)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +196,6 @@ func TestResultIdenticalWithObs(t *testing.T) {
 		}
 		instrumented := cfg
 		instrumented.Obs = NewObsMetrics()
-		instrumented.Trace = NewUpdateTrace(1024)
 		got, err := RunCEvents(topo, instrumented)
 		if err != nil {
 			t.Fatal(err)

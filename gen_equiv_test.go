@@ -1,17 +1,18 @@
 package bgpchurn
 
-// Differential tier for the accelerated topology generator: the Fenwick
-// samplers, shared customer cones and region-bucketed peering pools must
-// reproduce the retained linear-scan generator bit for bit — same RNG draw
+// Differential tier for the topology generator: the Fenwick samplers, shared
+// customer cones and region-bucketed peering pools must reproduce the
+// reference generator (gen_reference_test.go) bit for bit — same RNG draw
 // sequence, same picks, hence the same Topology down to neighbor-list
 // order. These tests compare complete topologies (every node field, every
-// link, in order) for every growth scenario, and for growth chains where
-// the accelerated path must also match when extending a prefix either path
-// generated.
+// link, in order) for every growth scenario, for growth chains, at scale,
+// and over random cases.
 
 import (
 	"fmt"
 	"testing"
+
+	"bgpchurn/internal/rng"
 )
 
 // requireEqualTopologies fails unless a and b are identical in every
@@ -46,9 +47,24 @@ func requireEqualIDs(t *testing.T, label string, node int, kind string, a, b []N
 	}
 }
 
+// requireGrowMatches grows small to p with GrowTopology and with the
+// reference, demands equality and a valid result, and returns it.
+func requireGrowMatches(t *testing.T, label string, small *Topology, p TopologyParams) *Topology {
+	t.Helper()
+	fast, err := GrowTopology(small, p)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	requireEqualTopologies(t, label, fast, referenceGrow(small, p))
+	if err := fast.Validate(); err != nil {
+		t.Fatalf("%s: grown topology invalid: %v", label, err)
+	}
+	return fast
+}
+
 // TestGeneratorEquivalentAcrossScenarios generates every growth scenario at
-// n ∈ {1000, 3000} under two independent seeds with both generator paths
-// and demands full-topology equality.
+// n ∈ {1000, 3000} under two independent seeds with the generator and the
+// reference and demands full-topology equality.
 func TestGeneratorEquivalentAcrossScenarios(t *testing.T) {
 	for _, sc := range Scenarios() {
 		sc := sc
@@ -60,7 +76,7 @@ func TestGeneratorEquivalentAcrossScenarios(t *testing.T) {
 				if raceEnabled {
 					// Generation is single-threaded; the race detector
 					// adds no coverage, only a multiplier on the
-					// oracle's O(n²) cost.
+					// reference's O(n²) cost.
 					sizes = []int{1000}
 				}
 				for _, n := range sizes {
@@ -69,11 +85,11 @@ func TestGeneratorEquivalentAcrossScenarios(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					linear, err := GenerateTopologyLinear(p)
+					ref, err := referenceGenerate(p)
 					if err != nil {
 						t.Fatal(err)
 					}
-					requireEqualTopologies(t, fmt.Sprintf("n=%d", n), fast, linear)
+					requireEqualTopologies(t, fmt.Sprintf("n=%d", n), fast, ref)
 					if err := fast.Validate(); err != nil {
 						t.Fatalf("n=%d: generated topology invalid: %v", n, err)
 					}
@@ -111,9 +127,7 @@ func TestGeneratorPhaseTimings(t *testing.T) {
 }
 
 // TestGrowEquivalentAcrossScenarios chains growth 1000 → 3000 for every
-// scenario: the accelerated Grow must match the linear Grow exactly, on
-// top of either path's prefix (the prefixes are already proven equal
-// above, so one prefix serves both).
+// scenario: Grow must match the reference's growth of the same prefix.
 func TestGrowEquivalentAcrossScenarios(t *testing.T) {
 	for _, sc := range Scenarios() {
 		sc := sc
@@ -128,18 +142,100 @@ func TestGrowEquivalentAcrossScenarios(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fast, err := GrowTopology(small, p)
-			if err != nil {
-				t.Fatal(err)
+			requireGrowMatches(t, "grow 1000->3000", small, p)
+		})
+	}
+}
+
+// TestGrowDrawSequenceParityAtScale proves sampler parity beyond the
+// differential sizes: at n = 20k — where the Fenwick samplers take thousands
+// of draws per phase and the shared cones switch to their dense
+// representation — direct generation and a 10k → 20k growth step must each
+// match the reference.
+func TestGrowDrawSequenceParityAtScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the reference at n=20k is quadratic; skipped in -short")
+	}
+	if raceEnabled {
+		t.Skip("generation is single-threaded; -race only multiplies the reference's quadratic cost")
+	}
+	direct := Baseline.Params(20000, 47)
+	fast, err := GenerateTopology(direct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := referenceGenerate(direct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireEqualTopologies(t, "direct 20k", fast, ref)
+	small, err := GenerateTopology(Baseline.Params(10000, 47))
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown := Baseline.Params(20000, 47) // same tier-1 clique as the prefix
+	grown.Seed = 48
+	requireGrowMatches(t, "grow 10k->20k", small, grown)
+}
+
+// genRandomCases is the number of random cases
+// TestGeneratorEquivalentRandomized runs (fewer under -short and -race).
+const genRandomCases = 300
+
+// TestGeneratorEquivalentRandomized draws random cases — scenario, size
+// n ∈ [150, 2500], seed — and demands that GenerateTopology match the
+// reference. On growth-compatible scenarios each case then grows 0–2 random
+// steps, up to n = 2500, each under a fresh seed, with Grow and the reference.
+func TestGeneratorEquivalentRandomized(t *testing.T) {
+	cases := genRandomCases
+	if testing.Short() || raceEnabled {
+		cases = 40
+	}
+	scenarios := Scenarios()
+	src := rng.New(0x6e4e7a70c0ffee)
+	for c := 0; c < cases; c++ {
+		sc := scenarios[src.Intn(len(scenarios))]
+		n := 150 + src.Intn(2351)
+		seed := src.Uint64()
+		p := sc.Params(n, seed)
+		if p.Validate() != nil {
+			// Some scenarios fix absolute node counts that small n cannot hold.
+			sc, p = Baseline, Baseline.Params(n, seed)
+		}
+		steps := make([]TopologyParams, src.Intn(3))
+		last := n
+		for i := range steps {
+			if last < 2500 {
+				last += 1 + src.Intn(2500-last)
 			}
-			linear, err := GrowTopologyLinear(small, p)
+			steps[i] = sc.Params(last, seed)
+			steps[i].Seed = src.Uint64()
+		}
+		t.Run(fmt.Sprintf("case=%d", c), func(t *testing.T) {
+			t.Parallel()
+			label := fmt.Sprintf("%s n=%d seed=%#x", sc.Name, n, seed)
+			topo, err := GenerateTopology(p)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: %v", label, err)
 			}
-			requireEqualTopologies(t, "grow 1000->3000", fast, linear)
-			if err := fast.Validate(); err != nil {
-				t.Fatalf("grown topology invalid: %v", err)
+			ref, err := referenceGenerate(p)
+			if err != nil {
+				t.Fatalf("%s: reference: %v", label, err)
+			}
+			requireEqualTopologies(t, label, topo, ref)
+			for _, q := range steps {
+				if !growCompatible(p, q) {
+					return // e.g. TRANSIT-CLIQUE scales the tier-1 clique with n
+				}
+				label += fmt.Sprintf(" -> n=%d seed=%#x", q.N, q.Seed)
+				topo, p = requireGrowMatches(t, label, topo, q), q
 			}
 		})
 	}
+}
+
+// growCompatible reports whether Grow accepts growing a topology generated
+// from p to q: same regions and tier-1 clique, no type shrinking.
+func growCompatible(p, q TopologyParams) bool {
+	return p.Regions == q.Regions && p.NT == q.NT && q.NM >= p.NM && q.NCP >= p.NCP && q.NC >= p.NC
 }

@@ -12,9 +12,8 @@ import (
 )
 
 // Admission-time completion (deliver, DESIGN.md "Admission-time completion")
-// against its oracle. An update hook's contract is records in time order, so
-// with one attached every update stays an event of its own: a hook-attached
-// network is the all-evented engine, on the same code.
+// against its oracle. With allEvented set every update stays an event of its
+// own: that network is the all-evented engine, on the same code.
 
 // admissionCases is the number of random cases
 // TestAdmissionCompletionMatchesEvented runs.
@@ -49,7 +48,7 @@ func replayEveryStep(t *testing.T, net *Network, ops []scriptOp) ([]byte, uint64
 // one at several partition and worker counts) and random schedules of
 // Originate/WithdrawPrefix/FailLink/RestoreLink at stubs and non-stubs
 // interleaved with Run, ResetCounters and RunUntil deadlines that cut
-// convergence mid-flight, a bare network and one with a no-op update hook
+// convergence mid-flight, a bare network and an all-evented one
 // must be indistinguishable at every run boundary, with the RIB invariant
 // checker on. (Dampening is left out: it keeps both sides evented.)
 func TestAdmissionCompletionMatchesEvented(t *testing.T) {
@@ -90,7 +89,7 @@ func TestAdmissionCompletionMatchesEvented(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		evented.SetUpdateHook(func(UpdateRecord) {})
+		evented.allEvented = true
 		want, fired := replayEveryStep(t, evented, ops)
 		hookFired += fired
 
@@ -101,7 +100,7 @@ func TestAdmissionCompletionMatchesEvented(t *testing.T) {
 		got, fired := replayEveryStep(t, bare, ops)
 		bareFired += fired
 		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: bare network differs from the hook-attached (all-evented) one\n%s", name, firstDiff(got, want))
+			t.Fatalf("%s: bare network differs from the all-evented one\n%s", name, firstDiff(got, want))
 		}
 	}
 	// The comparison means something only if the bare side took the path.

@@ -13,13 +13,13 @@ package bgp
 //   - BeginCause stamps a fresh CauseID as every shard's active cause; API
 //     entry points (Originate, WithdrawPrefix, FailLink, RestoreLink) run
 //     under it, so the first wave of transmissions inherits the root.
-//   - procEvent.Fire sets the firing shard's active cause to the event's
-//     cause before anything else, so every update transmitted while
-//     processing it — and the updateHook record — inherits the cause of
-//     the update that triggered it. (An update deliver completes at
-//     admission fires no event and sets nothing: it runs inside the sender's
-//     fan-out, whose later sends must keep the sender's cause, and a silent
-//     node transmits nothing that could inherit one.)
+//   - node.Fire sets the firing shard's active cause to the event's cause
+//     before anything else, so every update transmitted while processing
+//     it inherits the cause of the update that triggered it. (An update
+//     deliver completes at admission fires no event and sets nothing: it
+//     runs inside the sender's fan-out, whose later sends must keep the
+//     sender's cause, and a silent node transmits nothing that could
+//     inherit one.)
 //   - An update queued behind an MRAI timer carries its cause in the
 //     pendingUpdate; a newer update for the same prefix replaces the queued
 //     one together with its cause (coalescing attributes the eventual send

@@ -88,15 +88,15 @@ type Network struct {
 	// (one per origin in an experiment) do not reallocate.
 	ws warmScratch
 
-	// updateHook, when set, observes every processed update (see
-	// SetUpdateHook). The hook is not required to be thread-safe, so the
-	// windowed executor runs its windows on one worker while it is attached.
-	updateHook func(UpdateRecord)
+	// allEvented turns admission-time completion off: every update is an
+	// event of its own (completionLimit). Results are byte-identical either
+	// way; only tests set it, to run the all-evented reference.
+	allEvented bool
 
 	// causal is the attached causal tracer (nil when tracing is off; see
-	// causal.go). Unlike updateHook it is shard-safe by construction —
-	// every write it takes during a window is shard-disjoint — so it never
-	// forces sequential execution.
+	// causal.go). It is shard-safe by construction — every write it takes
+	// during a window is shard-disjoint — so it never forces sequential
+	// execution.
 	causal *causalTrace
 
 	// obs is the attached metrics hub (nil when detached); build re-attaches
@@ -337,12 +337,12 @@ func (net *Network) RunUntil(deadline des.Time) uint64 {
 }
 
 // completionLimit returns Network.limit for a run to deadline (negative: to
-// quiescence). Two things keep every update an event of its own: an update
-// hook, whose contract is records in time order, and flap dampening, whose
-// penalties decay with the clock a node is processed at.
+// quiescence). Two things keep every update an event of its own: the
+// all-evented reference (allEvented), and flap dampening, whose penalties
+// decay with the clock a node is processed at.
 func (net *Network) completionLimit(deadline des.Time) des.Time {
 	switch {
-	case net.updateHook != nil || net.cfg.Dampening.Enabled:
+	case net.allEvented || net.cfg.Dampening.Enabled:
 		return 0
 	case deadline < 0:
 		return math.MaxInt64
@@ -529,7 +529,7 @@ func (nd *node) Fire(*des.Scheduler) {
 	// this processing step transmits (or queues behind an MRAI timer)
 	// inherits it.
 	sh.activeCause = cause
-	sh.net.process(nd, sh.sched.Now(), fromSlot, kind, prefix, path, pathID, cause)
+	sh.net.process(nd, sh.sched.Now(), fromSlot, kind, prefix, path, pathID)
 }
 
 // process is what a node does with one received update, completed at virtual
@@ -539,7 +539,7 @@ func (nd *node) Fire(*des.Scheduler) {
 // nothing here or below reads the clock for a silent node. It leaves the
 // shard's active cause alone — Fire sets it; a completion at admission runs
 // inside the sender's fan-out and transmits nothing.
-func (net *Network) process(nd *node, at des.Time, fromSlot int32, kind UpdateKind, prefix Prefix, path Path, pathID PathID, cause CauseID) {
+func (net *Network) process(nd *node, at des.Time, fromSlot int32, kind UpdateKind, prefix Prefix, path Path, pathID PathID) {
 	sh := nd.sh
 	row := &net.sess[nd.row+fromSlot]
 	row.recv++
@@ -547,18 +547,6 @@ func (net *Network) process(nd *node, at des.Time, fromSlot int32, kind UpdateKi
 	sh.tickRate(at)
 	if p := sh.probes; p != nil {
 		p.UpdatesProcessed.Inc()
-	}
-	if net.updateHook != nil {
-		net.updateHook(UpdateRecord{
-			Time:   at,
-			From:   net.adj.IDs[nd.row+fromSlot],
-			To:     nd.id,
-			Kind:   kind,
-			Prefix: prefix,
-			Path:   path,
-			PathID: pathID,
-			Cause:  cause,
-		})
 	}
 	ps := net.state(nd, prefix)
 	if kind == Withdraw {
@@ -878,7 +866,7 @@ func (net *Network) deliver(to *node, arrival des.Time, fromSlot int32, f Prefix
 	tk := sh.sched.Reserve(done)
 	if to.silent() && !to.delivering && done <= net.limit {
 		sh.horizon = max(sh.horizon, done)
-		net.process(to, done, fromSlot, kind, f, path, pathID, cause)
+		net.process(to, done, fromSlot, kind, f, path, pathID)
 		return
 	}
 	m := inMsg{tk: tk, fromSlot: fromSlot, kind: kind, prefix: f, pathID: pathID, cause: cause}

@@ -173,15 +173,8 @@ func (net *Network) workerLimit() int {
 }
 
 // windowWorkers returns how many goroutines execute a window: workerLimit,
-// bounded by the partitions there are to claim. The updateHook is not
-// required to be thread-safe, so with one attached a single worker runs
-// every partition — the admission order, and therefore every result, is
-// unchanged; only wall-clock and the interleaving of trace records across
-// partitions differ.
+// bounded by the partitions there are to claim.
 func (net *Network) windowWorkers() int {
-	if net.updateHook != nil {
-		return 1
-	}
 	return min(net.workerLimit(), len(net.shards))
 }
 

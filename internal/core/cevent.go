@@ -77,22 +77,13 @@ type Config struct {
 	// (see internal/obs). Metrics never affect results, and are excluded
 	// from the scheduler's cache key for the same reason Parallelism is.
 	Obs *obs.Metrics
-	// Trace, when non-nil, records every processed update into the bounded
-	// ring (time, from, to, prefix, kind, cause, interned path identity).
-	// Meant for debugging sessions, not steady-state runs: appending takes a
-	// mutex, though it never allocates. An attached ring routes every update
-	// through the event queue, which turns admission-time completion off:
-	// results stay byte-identical, but runs are slower, since otherwise
-	// roughly half of all updates complete at admission (des.events_fired
-	// 2 092 307 → 1 100 111 in PR 15). Excluded from the cache key like Obs.
-	Trace *obs.UpdateTrace
 	// Spans, when non-nil, enables causal tracing: every worker network is
 	// run with a causal tracer attached (bgp.EnableCausalTrace), each
 	// origin's DOWN and UP phases become root causes, and per-origin and
 	// per-event spans — with live Eq.-1 m·q·e attribution in their Stats —
 	// are appended to the recorder. Tracing never changes results (the
 	// determinism tier proves byte-identical output at every shard count),
-	// so Spans is excluded from the cache key like Obs and Trace.
+	// so Spans is excluded from the cache key like Obs.
 	Spans *obs.SpanRecorder
 	// CellTimeout, when positive, bounds the wall-clock time of each grid
 	// cell run through the scheduler. A cell exceeding it fails with a
@@ -255,22 +246,6 @@ func RunCEventsContext(ctx context.Context, topo *topology.Topology, cfg Config)
 			}
 			if cfg.Spans != nil {
 				net.EnableCausalTrace()
-			}
-			if tr := cfg.Trace; tr != nil {
-				net.SetUpdateHook(func(u bgp.UpdateRecord) {
-					// Only fixed-size fields cross into the ring: u.Path is
-					// reduced to its interned identity + length.
-					tr.Append(obs.TraceRecord{
-						T:       int64(u.Time),
-						From:    int32(u.From),
-						To:      int32(u.To),
-						Prefix:  int32(u.Prefix),
-						Kind:    uint8(u.Kind),
-						PathLen: uint16(len(u.Path)),
-						Cause:   uint32(u.Cause),
-						PathID:  uint32(u.PathID),
-					})
-				})
 			}
 			var acc originAccum
 			for idx := range next {

@@ -108,16 +108,14 @@ func TestRaceOnCellSerialized(t *testing.T) {
 
 // TestRaceObsScrapeDuringGrid runs a grid with instrumentation attached
 // while a goroutine continuously scrapes the Prometheus exposition and
-// snapshot — the reader/writer paths of the sharded counters, histograms
-// and the trace ring must be race-free.
+// snapshot — the reader/writer paths of the sharded counters and
+// histograms must be race-free.
 func TestRaceObsScrapeDuringGrid(t *testing.T) {
 	m := obs.New()
-	tr := obs.NewUpdateTrace(256)
 	s := NewScheduler(4)
 	s.SetObs(m)
 	ev := testConfig(29, 3)
 	ev.Obs = m
-	ev.Trace = tr
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -131,7 +129,6 @@ func TestRaceObsScrapeDuringGrid(t *testing.T) {
 			default:
 				m.WritePrometheus(io.Discard)
 				m.Snapshot()
-				tr.Snapshot()
 			}
 		}
 	}()

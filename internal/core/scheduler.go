@@ -21,7 +21,7 @@ import (
 // CellKey identifies one (scenario, size) grid cell by every input that
 // determines its Result: the scenario name, the size, the sweep-level
 // topology seed, and the event configuration. Config.Parallelism, all
-// callbacks, and the observability attachments (Obs, Trace, Spans) are
+// callbacks, and the observability attachments (Obs, Spans) are
 // deliberately excluded — results are independent of them all (the
 // determinism tier proves it for the attachments) — so the same experiment
 // requested at different worker counts or probe settings still hits the

@@ -1,7 +1,7 @@
 // Package obs is the instrumentation substrate the whole simulator reports
 // into: sharded cache-line-padded atomic counters and gauges, fixed-bucket
-// histograms, an optional bounded update-trace ring, per-run manifests, and
-// live exposition over HTTP (Prometheus text format, expvar, pprof).
+// histograms, causal span records, per-run manifests, and live exposition
+// over HTTP (Prometheus text format, expvar, pprof, the /progress feed).
 //
 // The package is designed so the kernel's zero-allocation steady state
 // survives instrumentation. Probe call sites in hot paths hold a pointer to

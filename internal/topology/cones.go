@@ -30,8 +30,8 @@ func (c *coneSet) contains(d NodeID) bool {
 	return i < len(l) && l[i] == d
 }
 
-// prepareConesShared materializes customer cones for every M node in one
-// bottom-up pass, replacing the per-node DFS over dense n-bit sets. The
+// prepareCones materializes customer cones for every M node in one
+// bottom-up pass, replacing a per-node DFS over dense n-bit sets. The
 // provider relation is acyclic with edges pointing from earlier-created
 // (lower-ID) providers to later customers, so scanning IDs in descending
 // order visits every node after all of its customers: each cone is the
@@ -41,9 +41,9 @@ func (c *coneSet) contains(d NodeID) bool {
 //
 // Only M nodes get cones: stubs (CP, C) have no customers (empty cone, the
 // coneSet zero value), and T nodes never appear in a peeringAllowed test.
-// inTree answers from these sets are identical to the oracle's dense
-// bitsets — same membership, different representation.
-func (g *builder) prepareConesShared() {
+// inTree answers from these sets are identical to the reference generator's
+// dense bitsets — same membership, different representation.
+func (g *builder) prepareCones() {
 	n := len(g.topo.Nodes)
 	g.coneSets = make([]coneSet, n)
 	threshold := coneThreshold(n)
@@ -116,7 +116,7 @@ func denseUnion(n int, customers []NodeID, sets []coneSet) coneSet {
 }
 
 // customerCones materializes the customer cone of every node of a finished
-// topology in one bottom-up pass, for Validate. It is prepareConesShared
+// topology in one bottom-up pass, for Validate. It is prepareCones
 // without the generator's assumptions: nodes are visited in a
 // customers-first topological order of the provider DAG instead of by
 // descending ID (hand-built and relabeled topologies number their nodes

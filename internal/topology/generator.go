@@ -18,18 +18,13 @@ import (
 // connectivity, simple graph (no parallel links), and no peering between a
 // node and a member of its customer tree.
 //
-// Selection runs on the Fenwick-indexed samplers (sampler.go): every pick
-// consumes exactly one Intn with the same total as the retained linear
-// scan, so the output is byte-identical to GenerateLinear — the gen_equiv
-// differential tier proves it per scenario.
-func Generate(p Params) (*Topology, error) { return generate(p, false) }
-
-// GenerateLinear is the retained O(n²) linear-scan generator, kept as the
-// draw-sequence oracle for the differential and fuzz tiers (and for
-// before/after benchmarking). Same inputs, byte-identical output.
-func GenerateLinear(p Params) (*Topology, error) { return generate(p, true) }
-
-func generate(p Params, linear bool) (*Topology, error) {
+// Selection runs on the Fenwick-indexed samplers (sampler.go), the shared
+// customer cones (cones.go) and region-bucketed peering pools: every pick
+// consumes exactly one Intn over the same total as a linear scan of the
+// candidates would, so the output is byte-identical to the O(n²) reference
+// generator kept as the executable specification at the module root
+// (gen_reference_test.go; gen_equiv_test.go compares the two).
+func Generate(p Params) (*Topology, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -43,16 +38,13 @@ func generate(p Params, linear bool) (*Topology, error) {
 		pt.enabled, pt.last = true, start
 	}
 	g := &builder{
-		p:      p,
-		r:      rng.New(p.Seed),
-		topo:   &Topology{NumRegions: p.Regions, Seed: p.Seed},
-		edges:  make(map[uint64]struct{}, p.N*4),
-		linear: linear,
+		p:     p,
+		r:     rng.New(p.Seed),
+		topo:  &Topology{NumRegions: p.Regions, Seed: p.Seed},
+		edges: make(map[uint64]struct{}, p.N*4),
 	}
 	g.addTClique()
-	if !linear {
-		g.initSamplers()
-	}
+	g.initSamplers()
 	pt.lap(obs.PhaseClique)
 	g.addMNodes(p.NM)
 	pt.lap(obs.PhaseMNodes)
@@ -81,9 +73,9 @@ func MustGenerate(p Params) *Topology {
 	return t
 }
 
-// samplers bundles the accelerated selection structures. Nil on the linear
-// path; built by initSamplers once the tier-1 clique (Generate) or the
-// cloned prefix (Grow) is in place.
+// samplers bundles the accelerated selection structures. Built by
+// initSamplers once the tier-1 clique (Generate) or the cloned prefix (Grow)
+// is in place; nil while the clique is being meshed.
 type samplers struct {
 	// transitT/transitM index the provider classes by transitDegree+1 for
 	// the preferential-attachment picks of connectProviders.
@@ -92,10 +84,6 @@ type samplers struct {
 	// peerM indexes M nodes by peerDegree+1; built at the start of the M-M
 	// peering phase (both phases' degree bases are frozen until then).
 	peerM *paSampler
-	// mBuckets/cpBuckets are the region-bucketed uniform candidate pools
-	// for CP peering; built at the start of that phase.
-	mBuckets  *regionBuckets
-	cpBuckets *regionBuckets
 }
 
 type builder struct {
@@ -114,16 +102,10 @@ type builder struct {
 	mIDs []NodeID
 	// cpIDs caches the IDs of CP nodes in creation order.
 	cpIDs []NodeID
-	// linear selects the retained linear-scan oracle path: dense cone
-	// bitsets and two-pass weightedPick scans instead of samp/coneSets.
-	linear bool
-	// samp holds the Fenwick samplers and region buckets (nil when linear).
+	// samp holds the Fenwick samplers.
 	samp *samplers
-	// cones[v] is the customer cone of v as a dense bitset over node IDs
-	// (linear path only), computed once after the transit phase and only
-	// for nodes that participate in peering (M and CP).
-	cones [][]uint64
-	// coneSets are the shared size-adaptive cones (accelerated path only).
+	// coneSets are the shared size-adaptive customer cones, built once
+	// after the transit phase.
 	coneSets []coneSet
 	// ancMark/ancEpoch/ancStack are the scratch state of the transitive-
 	// provider walk in excludeConeRelated; mMaskR, qMask and mProv are the
@@ -164,52 +146,8 @@ func (g *builder) initSamplers() {
 	g.samp = s
 }
 
-// prepareCones materializes the customer cones needed by the peering
-// phase's tree-membership tests.
-func (g *builder) prepareCones() {
-	if g.linear {
-		g.prepareConesDense()
-		return
-	}
-	g.prepareConesShared()
-}
-
-// prepareConesDense is the oracle-path cone builder: a per-node DFS into a
-// dense n-bit set for all M and CP nodes. O(n²) time and O(n²/64) bytes —
-// the costs prepareConesShared removes.
-func (g *builder) prepareConesDense() {
-	n := len(g.topo.Nodes)
-	words := (n + 63) / 64
-	g.cones = make([][]uint64, n)
-	var stack []NodeID
-	for i := range g.topo.Nodes {
-		nd := &g.topo.Nodes[i]
-		if nd.Type != M && nd.Type != CP {
-			continue
-		}
-		bits := make([]uint64, words)
-		stack = append(stack[:0], nd.Customers...)
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if bits[u/64]&(1<<(uint(u)%64)) != 0 {
-				continue
-			}
-			bits[u/64] |= 1 << (uint(u) % 64)
-			stack = append(stack, g.topo.Nodes[u].Customers...)
-		}
-		g.cones[i] = bits
-	}
-}
-
 // inTree reports whether d is in a's precomputed customer cone.
-func (g *builder) inTree(a, d NodeID) bool {
-	if g.linear {
-		bits := g.cones[a]
-		return bits != nil && bits[d/64]&(1<<(uint(d)%64)) != 0
-	}
-	return g.coneSets[a].contains(d)
-}
+func (g *builder) inTree(a, d NodeID) bool { return g.coneSets[a].contains(d) }
 
 func edgeKey(a, b NodeID) uint64 {
 	if a > b {
@@ -260,14 +198,12 @@ func (g *builder) addTransitLink(provider, customer NodeID) {
 	g.edges[edgeKey(provider, customer)] = struct{}{}
 	g.transitDegree[provider]++
 	g.transitDegree[customer]++
-	if g.samp != nil {
-		// Each endpoint lives in at most one of the two provider samplers;
-		// addWeight ignores non-members, so both are told unconditionally.
-		g.samp.transitT.addWeight(provider, 1)
-		g.samp.transitM.addWeight(provider, 1)
-		g.samp.transitT.addWeight(customer, 1)
-		g.samp.transitM.addWeight(customer, 1)
-	}
+	// Each endpoint lives in at most one of the two provider samplers;
+	// addWeight ignores non-members, so both are told unconditionally.
+	g.samp.transitT.addWeight(provider, 1)
+	g.samp.transitM.addWeight(provider, 1)
+	g.samp.transitT.addWeight(customer, 1)
+	g.samp.transitM.addWeight(customer, 1)
 }
 
 func (g *builder) addPeerLink(a, b NodeID) {
@@ -276,6 +212,8 @@ func (g *builder) addPeerLink(a, b NodeID) {
 	g.edges[edgeKey(a, b)] = struct{}{}
 	g.peerDegree[a]++
 	g.peerDegree[b]++
+	// The tier-1 clique is meshed before initSamplers, and the M-peering
+	// sampler exists only from that phase on.
 	if g.samp != nil && g.samp.peerM != nil {
 		g.samp.peerM.addWeight(a, 1)
 		g.samp.peerM.addWeight(b, 1)
@@ -304,12 +242,10 @@ func (g *builder) addMNodes(count int) {
 		id := g.newNode(M, g.pickRegions(g.p.MSpread))
 		g.mIDs = append(g.mIDs, id)
 		g.connectProviders(id, g.p.DM, g.p.TM, g.p.MaxTProvidersPerM, g.p.MaxMProviders)
-		if g.samp != nil {
-			// Insert after the node's own provider round: the linear scan
-			// excludes the node from its own candidate set (m == id), and a
-			// node absent from the sampler is excluded for free.
-			g.samp.transitM.insert(id, g.topo.Nodes[id].Regions, int64(g.transitDegree[id]+1))
-		}
+		// Insert after the node's own provider round: a node is never its
+		// own provider candidate, and one absent from the sampler is
+		// excluded for free.
+		g.samp.transitM.insert(id, g.topo.Nodes[id].Regions, int64(g.transitDegree[id]+1))
 	}
 }
 
@@ -330,10 +266,10 @@ func (g *builder) addStubs(typ NodeType, count int, mhd, probT, spread float64) 
 // per-type caps; an empty or exhausted M candidate set falls back to T
 // (tier-1 nodes are present in every region, so the graph stays connected).
 //
-// On the accelerated path, neighbor exclusion is incremental: id is brand
-// new, so its only neighbors are the providers accepted earlier in this
-// same round — each accepted provider is excluded from its sampler, and
-// restoreAll reinstates everything when the round ends.
+// Neighbor exclusion is incremental: id is brand new, so its only neighbors
+// are the providers accepted earlier in this same round — each accepted
+// provider is excluded from its sampler, and restoreAll reinstates
+// everything when the round ends.
 func (g *builder) connectProviders(id NodeID, mhd, probT float64, maxT, maxM int) {
 	want := g.r.CountAroundMean(mhd, 1)
 	nT, nM := 0, 0
@@ -369,73 +305,23 @@ func (g *builder) connectProviders(id NodeID, mhd, probT float64, maxT, maxM int
 			nM++
 		}
 		g.addTransitLink(prov, id)
-		if g.samp != nil {
-			g.samp.transitT.exclude(prov)
-			g.samp.transitM.exclude(prov)
-		}
+		g.samp.transitT.exclude(prov)
+		g.samp.transitM.exclude(prov)
 	}
-	if g.samp != nil {
-		g.samp.transitT.restoreAll()
-		g.samp.transitM.restoreAll()
-	}
+	g.samp.transitT.restoreAll()
+	g.samp.transitM.restoreAll()
 }
 
 // pickTProvider selects a tier-1 provider by preferential attachment on
 // transit degree, excluding existing neighbors of id.
 func (g *builder) pickTProvider(id NodeID) NodeID {
-	if g.samp != nil {
-		return g.samp.transitT.draw(g.r, g.topo.Nodes[id].Regions)
-	}
-	return g.weightedPick(func(yield func(NodeID, int)) {
-		for t := NodeID(0); int(t) < g.p.NT; t++ {
-			if !g.adjacent(t, id) {
-				yield(t, g.transitDegree[t]+1)
-			}
-		}
-	})
+	return g.samp.transitT.draw(g.r, g.topo.Nodes[id].Regions)
 }
 
 // pickMProvider selects an existing M provider sharing a region with id, by
 // preferential attachment on transit degree.
 func (g *builder) pickMProvider(id NodeID) NodeID {
-	regions := g.topo.Nodes[id].Regions
-	if g.samp != nil {
-		return g.samp.transitM.draw(g.r, regions)
-	}
-	return g.weightedPick(func(yield func(NodeID, int)) {
-		for _, m := range g.mIDs {
-			if m == id || !g.topo.Nodes[m].Regions.Overlaps(regions) || g.adjacent(m, id) {
-				continue
-			}
-			yield(m, g.transitDegree[m]+1)
-		}
-	})
-}
-
-// weightedPick draws one candidate with probability proportional to its
-// weight, in two passes over the candidate enumeration (total weight, then
-// selection), so no candidate slice is materialized. Returns None if the
-// candidate set is empty. This is the linear-scan oracle the Fenwick
-// samplers are differential-tested against.
-func (g *builder) weightedPick(enumerate func(yield func(NodeID, int))) NodeID {
-	total := 0
-	enumerate(func(_ NodeID, w int) { total += w })
-	if total == 0 {
-		return None
-	}
-	target := g.r.Intn(total)
-	chosen := None
-	acc := 0
-	enumerate(func(id NodeID, w int) {
-		if chosen != None {
-			return
-		}
-		acc += w
-		if target < acc {
-			chosen = id
-		}
-	})
-	return chosen
+	return g.samp.transitM.draw(g.r, g.topo.Nodes[id].Regions)
 }
 
 // peeringAllowed checks the peering invariants for a candidate pair:
@@ -455,36 +341,13 @@ func (g *builder) peeringAllowed(a, b NodeID) bool {
 }
 
 // addMPeering gives each M node from index peerFromM on ~PM peering links
-// to other M nodes chosen by preferential attachment on peering degree.
+// to other M nodes chosen by preferential attachment on peering degree, on a
+// peerDegree+1 Fenwick sampler. Per M node a, the peeringAllowed rejections
+// are pre-excluded once — a itself, its neighbors, its cone, its transitive
+// providers — then each accepted link only excludes the new peer; one round
+// of exclusions serves all ~PM slots, whose draws differ only by the nodes
+// linked in between.
 func (g *builder) addMPeering() {
-	if !g.linear {
-		g.addMPeeringFast()
-		return
-	}
-	for _, a := range g.mIDs[g.peerFromM:] {
-		want := g.r.CountAroundMean(g.p.PM, 0)
-		for s := 0; s < want; s++ {
-			b := g.weightedPick(func(yield func(NodeID, int)) {
-				for _, m := range g.mIDs {
-					if g.peeringAllowed(a, m) {
-						yield(m, g.peerDegree[m]+1)
-					}
-				}
-			})
-			if b == None {
-				break // no eligible peer remains for a
-			}
-			g.addPeerLink(a, b)
-		}
-	}
-}
-
-// addMPeeringFast is addMPeering on a peerDegree+1 Fenwick sampler. Per M
-// node a, the peeringAllowed rejections are pre-excluded once — a itself,
-// its neighbors, its cone, its transitive providers — then each accepted
-// link only excludes the new peer; one round of exclusions serves all ~PM
-// slots, whose draws differ only by the nodes linked in between.
-func (g *builder) addMPeeringFast() {
 	s := newPASampler(g.p.N, len(g.mIDs))
 	for _, m := range g.mIDs {
 		s.insert(m, g.topo.Nodes[m].Regions, int64(g.peerDegree[m]+1))
@@ -532,72 +395,57 @@ func (g *builder) addMPeeringFast() {
 // links to M nodes and ~PCPCP links to other CP nodes, selected uniformly
 // within its regions.
 func (g *builder) addCPPeering() {
-	var mb, cpb *regionBuckets
-	if !g.linear {
-		mb = newRegionBuckets(g.p.Regions, g.mIDs, g.topo.Nodes)
-		cpb = newRegionBuckets(g.p.Regions, g.cpIDs, g.topo.Nodes)
-		g.samp.mBuckets, g.samp.cpBuckets = mb, cpb
-	}
+	mb := newRegionBuckets(g.p.Regions, g.mIDs, g.topo.Nodes)
+	cpb := newRegionBuckets(g.p.Regions, g.cpIDs, g.topo.Nodes)
 	for _, a := range g.cpIDs[g.peerFromCP:] {
-		g.addUniformPeers(a, g.mIDs, mb, g.p.PCPM)
-		g.addUniformPeers(a, g.cpIDs, cpb, g.p.PCPCP)
+		g.addUniformPeers(a, mb, g.p.PCPM)
+		g.addUniformPeers(a, cpb, g.p.PCPCP)
 	}
 }
 
-// addUniformPeers links a to ~mean uniformly chosen eligible candidates.
-// With buckets, only region-overlapping pool members are enumerated; the
-// bucket merge yields them in pool order, so the eligible slice — and
-// every Intn index into it — matches the full-pool scan exactly.
-func (g *builder) addUniformPeers(a NodeID, pool []NodeID, buckets *regionBuckets, mean float64) {
+// addUniformPeers links a to ~mean uniformly chosen eligible candidates of
+// the bucketed pool. Only region-overlapping pool members are enumerated;
+// the bucket merge yields them in pool order, so the eligible slice — and
+// every Intn index into it — matches a full-pool scan exactly.
+func (g *builder) addUniformPeers(a NodeID, buckets *regionBuckets, mean float64) {
 	want := g.r.CountAroundMean(mean, 0)
 	if want == 0 {
 		return
 	}
 	// Collect the eligible candidates once; uniform selection without
-	// replacement by partial shuffle.
-	var eligible []NodeID
-	if buckets != nil {
-		// Bucket members already overlap a's regions; adjacency is tested
-		// via epoch marks on a's neighbor lists instead of a hash lookup
-		// per candidate (the lists and the edge map are kept in sync, so
-		// the answers are identical).
-		nd := &g.topo.Nodes[a]
-		g.ancEpoch++
-		if g.ancEpoch == 0 {
-			for i := range g.ancMark {
-				g.ancMark[i] = 0
-			}
-			g.ancEpoch = 1
+	// replacement by partial shuffle. Bucket members already overlap a's
+	// regions; adjacency is tested via epoch marks on a's neighbor lists
+	// instead of a hash lookup per candidate (the lists and the edge map are
+	// kept in sync, so the answers are identical).
+	nd := &g.topo.Nodes[a]
+	g.ancEpoch++
+	if g.ancEpoch == 0 {
+		for i := range g.ancMark {
+			g.ancMark[i] = 0
 		}
-		for _, x := range nd.Providers {
-			g.ancMark[x] = g.ancEpoch
-		}
-		for _, x := range nd.Customers {
-			g.ancMark[x] = g.ancEpoch
-		}
-		for _, x := range nd.Peers {
-			g.ancMark[x] = g.ancEpoch
-		}
-		g.candScratch = buckets.candidates(nd.Regions, g.candScratch[:0])
-		eligible = g.eligScratch[:0]
-		for _, c := range g.candScratch {
-			if c == a || g.ancMark[c] == g.ancEpoch {
-				continue
-			}
-			if g.inTree(a, c) || g.inTree(c, a) {
-				continue
-			}
-			eligible = append(eligible, c)
-		}
-		g.eligScratch = eligible
-	} else {
-		eligible = make([]NodeID, 0, 16)
-		for _, c := range pool {
-			if g.peeringAllowed(a, c) {
-				eligible = append(eligible, c)
-			}
-		}
+		g.ancEpoch = 1
 	}
+	for _, x := range nd.Providers {
+		g.ancMark[x] = g.ancEpoch
+	}
+	for _, x := range nd.Customers {
+		g.ancMark[x] = g.ancEpoch
+	}
+	for _, x := range nd.Peers {
+		g.ancMark[x] = g.ancEpoch
+	}
+	g.candScratch = buckets.candidates(nd.Regions, g.candScratch[:0])
+	eligible := g.eligScratch[:0]
+	for _, c := range g.candScratch {
+		if c == a || g.ancMark[c] == g.ancEpoch {
+			continue
+		}
+		if g.inTree(a, c) || g.inTree(c, a) {
+			continue
+		}
+		eligible = append(eligible, c)
+	}
+	g.eligScratch = eligible
 	for s := 0; s < want && len(eligible) > 0; s++ {
 		i := g.r.Intn(len(eligible))
 		b := eligible[i]

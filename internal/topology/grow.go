@@ -29,14 +29,7 @@ import (
 // frozen (p.Regions and p.NT must match t), and the per-type counts must be
 // non-decreasing. The returned topology is fresh — t is never mutated, so
 // engines holding it (and its cached CSR) stay valid.
-func Grow(t *Topology, p Params) (*Topology, error) { return grow(t, p, false) }
-
-// GrowLinear is Grow on the retained linear-scan oracle path; see
-// GenerateLinear. Byte-identical output to Grow, proved by the gen_equiv
-// and grow parity tiers.
-func GrowLinear(t *Topology, p Params) (*Topology, error) { return grow(t, p, true) }
-
-func grow(t *Topology, p Params, linear bool) (*Topology, error) {
+func Grow(t *Topology, p Params) (*Topology, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -58,11 +51,10 @@ func grow(t *Topology, p Params, linear bool) (*Topology, error) {
 		pt.enabled, pt.last = true, start
 	}
 	g := &builder{
-		p:      p,
-		r:      rng.New(p.Seed),
-		topo:   cloneTopology(t),
-		edges:  make(map[uint64]struct{}, p.N*4),
-		linear: linear,
+		p:     p,
+		r:     rng.New(p.Seed),
+		topo:  cloneTopology(t),
+		edges: make(map[uint64]struct{}, p.N*4),
 	}
 	g.topo.Seed = p.Seed // provenance: the seed of the latest growth step
 	// Reconstruct the builder's incremental state from the existing graph:
@@ -88,9 +80,7 @@ func grow(t *Topology, p Params, linear bool) (*Topology, error) {
 	}
 	g.peerFromM, g.peerFromCP = len(g.mIDs), len(g.cpIDs)
 	preNodes, preEdges := len(g.topo.Nodes), len(g.edges)
-	if !linear {
-		g.initSamplers()
-	}
+	g.initSamplers()
 	g.addMNodes(p.NM - c[M])
 	pt.lap(obs.PhaseMNodes)
 	g.addStubs(CP, p.NCP-c[CP], p.DCP, p.TCP, p.CPSpread)

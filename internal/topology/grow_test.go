@@ -83,70 +83,6 @@ func TestGrowChain(t *testing.T) {
 	}
 }
 
-// equalTopologies reports the first difference between two topologies, or
-// "" when they are identical in every observable field including
-// neighbor-list order.
-func equalTopologies(a, b *Topology) string {
-	if a.N() != b.N() || a.NumRegions != b.NumRegions || a.Seed != b.Seed {
-		return "shape differs"
-	}
-	for i := range a.Nodes {
-		x, y := &a.Nodes[i], &b.Nodes[i]
-		if x.ID != y.ID || x.Type != y.Type || x.Regions != y.Regions {
-			return "node identity differs"
-		}
-		for _, pair := range [][2][]NodeID{
-			{x.Providers, y.Providers}, {x.Customers, y.Customers}, {x.Peers, y.Peers},
-		} {
-			if len(pair[0]) != len(pair[1]) {
-				return "link count differs"
-			}
-			for k := range pair[0] {
-				if pair[0][k] != pair[1][k] {
-					return "link differs"
-				}
-			}
-		}
-	}
-	return ""
-}
-
-// TestGrowDrawSequenceParityAtScale proves sampler parity beyond the small
-// growth sizes: at n = 20k — where the Fenwick samplers take thousands of
-// draws per phase and the shared cones switch to their dense representation
-// — direct generation and a 10k → 20k growth step must each be
-// byte-identical between the accelerated and the linear-scan paths.
-func TestGrowDrawSequenceParityAtScale(t *testing.T) {
-	if testing.Short() {
-		t.Skip("linear-scan oracle at n=20k is quadratic; skipped in -short")
-	}
-	if raceEnabled {
-		t.Skip("generation is single-threaded; -race only multiplies the oracle's quadratic cost")
-	}
-	direct := growParams(20000, 47)
-	fastDirect := MustGenerate(direct)
-	linDirect, err := GenerateLinear(direct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := equalTopologies(fastDirect, linDirect); diff != "" {
-		t.Fatalf("direct 20k generation diverges between samplers: %s", diff)
-	}
-	small := MustGenerate(growParams(10000, 47))
-	grown := growParams(20000, 48)
-	fastGrown := MustGrow(small, grown)
-	linGrown, err := GrowLinear(small, grown)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := equalTopologies(fastGrown, linGrown); diff != "" {
-		t.Fatalf("grow 10k->20k diverges between samplers: %s", diff)
-	}
-	if err := fastGrown.Validate(); err != nil {
-		t.Fatalf("grown topology invalid: %v", err)
-	}
-}
-
 // TestGrowRejectsIncompatible exercises the compatibility checks.
 func TestGrowRejectsIncompatible(t *testing.T) {
 	topo := MustGenerate(growParams(400, 31))

@@ -9,8 +9,9 @@ import "bgpchurn/internal/rng"
 // explicit exclusion set (self, existing neighbors, customer-cone members)
 // subtracted exactly.
 //
-// Draw-sequence equivalence with the linear scan it replaces
-// (weightedPick) is the load-bearing property: a draw consumes exactly one
+// Draw-sequence equivalence with the linear scan it replaces (weightedPick
+// of the reference generator, gen_reference_test.go at the module root) is
+// the load-bearing property: a draw consumes exactly one
 // rng.Intn(total) with the identical total (eligible weights minus excluded
 // weights), and the selected node is the one where the cumulative weight —
 // accumulated in class creation order over the same eligible set — first
