@@ -140,11 +140,10 @@ shard-smoke:
 
 # fuzz-smoke gives each fuzz harness a short adversarial run on top of the
 # checked-in corpora (which `make test` already replays as regular cases).
-# The journal harness is fsync-bound, so it gets an input-count budget
-# rather than a time budget.
+# The journal harness is fsync-bound: 10 s reaches a few hundred inputs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzInternTable -fuzztime 15s ./internal/bgp/
-	$(GO) test -run '^$$' -fuzz FuzzOpenJournal -fuzztime 20x ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzOpenJournal -fuzztime 10s ./internal/core/
 
 # obs-guard mirrors the CI job of the same name: instrumentation must not
 # allocate beyond the warm baseline plus a fixed per-run setup budget. Two

@@ -88,7 +88,7 @@ func BenchmarkRunCEvents(b *testing.B) {
 		warm := cfg
 		warm.WarmStart = true
 		topo := benchE2ETopology(b)
-		j, err := OpenJournal(filepath.Join(b.TempDir(), "cells.journal"))
+		j, err := core.OpenJournal(filepath.Join(b.TempDir(), "cells.journal"))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -314,23 +314,6 @@ func IsTransient(err error) bool { return core.IsTransient(err) }
 // IsQuarantined reports whether err carries a CellQuarantinedError.
 func IsQuarantined(err error) bool { return core.IsQuarantined(err) }
 
-// Journal is the scheduler's crash-safe cell checkpoint writer (JSONL with
-// per-record content hashes). Attach via Scheduler.SetJournal.
-type Journal = core.Journal
-
-// JournalRecord is one replayable checkpoint: a cell key and its result.
-type JournalRecord = core.JournalRecord
-
-// OpenJournal opens (or atomically creates) a cell journal for appending.
-func OpenJournal(path string) (*Journal, error) { return core.OpenJournal(path) }
-
-// LoadJournal reads a cell journal for Scheduler.Resume. A torn final line
-// (the signature of a crash mid-append) is tolerated and reported via
-// truncated; corruption anywhere else is an error.
-func LoadJournal(path string) (records []JournalRecord, truncated bool, err error) {
-	return core.LoadJournal(path)
-}
-
 // PaperSizes returns the paper's x-axis: 1000..10000 step 1000.
 func PaperSizes() []int { return core.PaperSizes() }
 

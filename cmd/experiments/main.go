@@ -262,27 +262,17 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "obs: serving /metrics, /debug/vars, /debug/pprof/, /progress on http://%s\n", srv.Addr())
 	}
 	if *journalPath != "" {
-		if *resume {
-			recs, truncated, err := bgpchurn.LoadJournal(*journalPath)
-			switch {
-			case errors.Is(err, os.ErrNotExist):
-				fmt.Fprintf(stdout, "resume: no journal at %s, starting fresh\n", *journalPath)
-			case err != nil:
-				return fail(err)
-			default:
-				seeded := r.sched.Resume(recs)
-				fmt.Fprintf(stdout, "resume: seeded %d cells from %s\n", seeded, *journalPath)
-				if truncated {
-					fmt.Fprintf(stdout, "resume: dropped a torn final journal line (crash mid-append); that cell will be recomputed\n")
-				}
-			}
-		}
-		j, err := bgpchurn.OpenJournal(*journalPath)
+		seeded, torn, err := r.sched.AttachJournal(*journalPath, *resume)
 		if err != nil {
 			return fail(err)
 		}
-		defer j.Close()
-		r.sched.SetJournal(j)
+		defer r.sched.Journal().Close()
+		if *resume {
+			fmt.Fprintf(stdout, "resume: seeded %d cells from %s\n", seeded, *journalPath)
+			if torn {
+				fmt.Fprintf(stdout, "resume: dropped a torn final journal line (crash mid-append); that cell will be recomputed\n")
+			}
+		}
 	}
 	logCell, err := report.NewCellLogger(stdout, *logFormat)
 	if err != nil {
@@ -738,7 +728,7 @@ func (r *runner) runFig1() error {
 		return err
 	}
 	growth := trend.Slope * float64(len(series)) / stats.Mean(series[:30]) * 100
-	fmt.Printf("\nMann-Kendall: S=%d Z=%s p=%s; Sen slope %s updates/day"+
+	fmt.Fprintf(r.stdout, "\nMann-Kendall: S=%d Z=%s p=%s; Sen slope %s updates/day"+
 		" => total growth ~%s%% over %d days (paper: ~200%% over 2005-2007)\n",
 		trend.S, report.Float(trend.Z, 2), report.Float(trend.PValue, 4),
 		report.Float(trend.Slope, 1), report.Float(growth, 0), len(series))
@@ -787,7 +777,7 @@ func (r *runner) fig5() error {
 	if err := r.emit("fig5_top", t1, xs, top...); err != nil {
 		return err
 	}
-	fmt.Println()
+	fmt.Fprintln(r.stdout)
 	t2 := report.SeriesTable("Fig 5 (bottom): M-node updates by sender relation", "n", xs, bottom...)
 	return r.emit("fig5_bottom", t2, xs, bottom...)
 }
@@ -811,10 +801,10 @@ func (r *runner) fig6() error {
 	ucT := sw.SeriesURel(bgpchurn.T, bgpchurn.Customer)
 	upT := sw.SeriesURel(bgpchurn.T, bgpchurn.Peer)
 	if quad, err := bgpchurn.QuadraticFit(xs, ucT); err == nil {
-		fmt.Printf("\nUc(T) quadratic fit R2 = %s (paper: 0.92)\n", report.Float(quad.R2, 3))
+		fmt.Fprintf(r.stdout, "\nUc(T) quadratic fit R2 = %s (paper: 0.92)\n", report.Float(quad.R2, 3))
 	}
 	if lin, err := bgpchurn.LinearFit(xs, upT); err == nil {
-		fmt.Printf("Up(T) linear fit R2 = %s (paper: 0.95)\n", report.Float(lin.R2, 3))
+		fmt.Fprintf(r.stdout, "Up(T) linear fit R2 = %s (paper: 0.95)\n", report.Float(lin.R2, 3))
 	}
 	return nil
 }
@@ -844,12 +834,12 @@ func (r *runner) fig7() error {
 	if err := r.emit("fig7_m", t1, xs, mSeries...); err != nil {
 		return err
 	}
-	fmt.Println()
+	fmt.Fprintln(r.stdout)
 	t2 := report.SeriesTable("Fig 7 (middle): relative increase of e factors", "n", xs, eSeries...)
 	if err := r.emit("fig7_e", t2, xs, eSeries...); err != nil {
 		return err
 	}
-	fmt.Println()
+	fmt.Fprintln(r.stdout)
 	t3 := report.SeriesTable("Fig 7 (bottom): q probabilities (absolute)", "n", xs, qSeries...)
 	return r.emit("fig7_q", t3, xs, qSeries...)
 }
@@ -895,7 +885,7 @@ func (r *runner) fig9() error {
 		[]bgpchurn.Scenario{bgpchurn.DenseCore, bgpchurn.DenseEdge, bgpchurn.Baseline, bgpchurn.Tree, bgpchurn.ConstantMHD}); err != nil {
 		return err
 	}
-	fmt.Println()
+	fmt.Fprintln(r.stdout)
 	// Bottom panel: absolute mc,T per deviation.
 	xs := floats(r.sizes())
 	var series []report.Series
@@ -931,7 +921,7 @@ func (r *runner) fig11() error {
 		[]bgpchurn.Scenario{bgpchurn.Baseline, bgpchurn.PreferMiddle, bgpchurn.PreferTop}); err != nil {
 		return err
 	}
-	fmt.Println()
+	fmt.Fprintln(r.stdout)
 	xs := floats(r.sizes())
 	var mc, qc []report.Series
 	for _, sc := range []bgpchurn.Scenario{bgpchurn.PreferMiddle, bgpchurn.PreferTop} {
@@ -946,7 +936,7 @@ func (r *runner) fig11() error {
 	if err := r.emit("fig11_mc", t2, xs, mc...); err != nil {
 		return err
 	}
-	fmt.Println()
+	fmt.Fprintln(r.stdout)
 	t3 := report.SeriesTable("Fig 11 (bottom): qc,T", "n", xs, qc...)
 	return r.emit("fig11_qc", t3, xs, qc...)
 }
@@ -976,7 +966,7 @@ func (r *runner) fig12() error {
 	if err := r.emit("fig12_top", t, xs, ratios...); err != nil {
 		return err
 	}
-	fmt.Println()
+	fmt.Fprintln(r.stdout)
 	eSeries := []report.Series{
 		{Name: "ed,C", Values: w.SeriesE(bgpchurn.C, bgpchurn.Provider)},
 		{Name: "ep,T", Values: w.SeriesE(bgpchurn.T, bgpchurn.Peer)},
@@ -1030,7 +1020,7 @@ func (r *runner) extensions() error {
 			report.Float(res.PathExploration[bgpchurn.C], 2),
 			report.Float(res.DownSeconds, 1), report.Float(res.UpSeconds, 1))
 	}
-	if err := t.Fprint(os.Stdout); err != nil {
+	if err := t.Fprint(r.stdout); err != nil {
 		return err
 	}
 	if r.outDir != "" {

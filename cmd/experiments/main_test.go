@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"bgpchurn"
+	"bgpchurn/internal/core"
 )
 
 func TestRunnerSizes(t *testing.T) {
@@ -205,11 +206,10 @@ func TestKillAndResumeByteIdenticalCSV(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	interrupted.ctx = ctx
-	j, err := bgpchurn.OpenJournal(journal)
-	if err != nil {
+	if _, _, err := interrupted.sched.AttachJournal(journal, false); err != nil {
 		t.Fatal(err)
 	}
-	interrupted.sched.SetJournal(j)
+	j := interrupted.sched.Journal()
 	interrupted.sched.SubscribeCells(func(cs bgpchurn.CellStatus) {
 		if cs.State == bgpchurn.CellDone {
 			cancel()
@@ -229,15 +229,16 @@ func TestKillAndResumeByteIdenticalCSV(t *testing.T) {
 	// Resumed run in a "fresh process": new runner, journal replayed.
 	resumed := fastRunner(1)
 	resumed.outDir = resDir
-	recs, truncated, err := bgpchurn.LoadJournal(journal)
+	seeded, torn, err := resumed.sched.AttachJournal(journal, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if truncated {
+	defer resumed.sched.Journal().Close()
+	if torn {
 		t.Fatal("cleanly closed journal reported a torn tail")
 	}
-	if got := resumed.sched.Resume(recs); got != checkpointed {
-		t.Fatalf("Resume seeded %d cells, journal had %d", got, checkpointed)
+	if seeded != checkpointed {
+		t.Fatalf("AttachJournal seeded %d cells, journal had %d", seeded, checkpointed)
 	}
 	var resumedCells int
 	resumed.sched.SubscribeCells(func(cs bgpchurn.CellStatus) {
@@ -301,12 +302,24 @@ func TestRunExitCodes(t *testing.T) {
 	if _, err := os.Stat(journal); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("-shards 2 without -link-delay: journal created (stat: %v)", err)
 	}
-	// Figure 1 runs no sweeps, so this exercises the full pipeline —
-	// journal, manifest, epilogue — in milliseconds.
+	// Figures 1 and ext run no sweeps, so this exercises the full pipeline —
+	// journal, manifest, epilogue — quickly. Every line of figure output goes
+	// to run's stdout writer, none to the process's os.Stdout.
 	manifest := filepath.Join(dir, "manifest.json")
-	code = run([]string{"-fig", "1", "-fast", "-manifest", manifest, "-journal", journal}, io.Discard, io.Discard)
+	stdout.Reset()
+	leaked := captureOSStdout(t, func() {
+		code = run([]string{"-fig", "1,ext", "-fast", "-origins", "2", "-manifest", manifest, "-journal", journal}, &stdout, io.Discard)
+	})
 	if code != exitOK {
-		t.Fatalf("fig 1 run: exit %d, want %d", code, exitOK)
+		t.Fatalf("fig 1,ext run: exit %d, want %d", code, exitOK)
+	}
+	if leaked != "" {
+		t.Fatalf("fig 1,ext run wrote to os.Stdout instead of its writer:\n%s", leaked)
+	}
+	for _, want := range []string{"Mann-Kendall: S=", "Extensions at n=1000", "L-event WRATE"} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Fatalf("fig 1,ext stdout lacks %q:\n%s", want, stdout.String())
+		}
 	}
 	mf, err := bgpchurn.ReadManifest(manifest)
 	if err != nil {
@@ -315,11 +328,11 @@ func TestRunExitCodes(t *testing.T) {
 	if mf.Interrupted {
 		t.Fatal("clean run marked interrupted")
 	}
-	if len(mf.Figures) != 1 || mf.Figures[0] != "1" {
+	if len(mf.Figures) != 2 || mf.Figures[0] != "1" || mf.Figures[1] != "ext" {
 		t.Fatalf("manifest figures = %v", mf.Figures)
 	}
 	// The journal was created with a valid header even though no cells ran.
-	recs, truncated, err := bgpchurn.LoadJournal(journal)
+	recs, truncated, err := core.LoadJournal(journal)
 	if err != nil || truncated || len(recs) != 0 {
 		t.Fatalf("fresh journal: recs=%v truncated=%v err=%v", recs, truncated, err)
 	}
@@ -327,6 +340,29 @@ func TestRunExitCodes(t *testing.T) {
 	if code := run([]string{"-fig", "1", "-fast", "-resume", "-manifest", "", "-journal", journal}, io.Discard, io.Discard); code != exitOK {
 		t.Fatalf("resume rerun: exit %d, want %d", code, exitOK)
 	}
+}
+
+// captureOSStdout runs fn with os.Stdout redirected to a pipe and returns
+// what reached it.
+func captureOSStdout(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	read := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		read <- string(b)
+	}()
+	orig := os.Stdout
+	os.Stdout = w
+	defer func() { os.Stdout = orig }()
+	fn()
+	os.Stdout = orig
+	w.Close()
+	return <-read
 }
 
 func TestCellOutcomes(t *testing.T) {

@@ -317,8 +317,8 @@ func TestResumeIgnoresRIBRepresentation(t *testing.T) {
 			runs.Add(1)
 			return &Result{N: n}, nil
 		})
-		if got := s.Resume(recs); got != 3 {
-			t.Fatalf("journaled=%v: Resume seeded %d, want 3", journaled, got)
+		if got := s.resume(recs); got != 3 {
+			t.Fatalf("journaled=%v: resume seeded %d, want 3", journaled, got)
 		}
 		req[0].Event.BGP.CompactRIB = !journaled
 		if _, err := s.RunGrid(context.Background(), req); err != nil {
@@ -351,8 +351,8 @@ func TestResumeGrowsCacheCapToFitJournal(t *testing.T) {
 			Result: &Result{N: n},
 		})
 	}
-	if got := s.Resume(recs); got != 6 {
-		t.Fatalf("Resume seeded %d, want 6", got)
+	if got := s.resume(recs); got != 6 {
+		t.Fatalf("resume seeded %d, want 6", got)
 	}
 	out, err := s.RunGrid(context.Background(), gridReq(sizes...))
 	if err != nil {
@@ -490,8 +490,8 @@ func TestResumeServesCellsWithoutRecompute(t *testing.T) {
 	if err != nil || truncated {
 		t.Fatalf("load: truncated=%v err=%v", truncated, err)
 	}
-	if got := s2.Resume(recs); got != 3 {
-		t.Fatalf("Resume seeded %d, want 3", got)
+	if got := s2.resume(recs); got != 3 {
+		t.Fatalf("resume seeded %d, want 3", got)
 	}
 	var resumed int
 	s2.SubscribeCells(func(cs CellStatus) {
@@ -519,8 +519,8 @@ func TestResumeServesCellsWithoutRecompute(t *testing.T) {
 		}
 	}
 
-	// Resume must not clobber keys already in the cache.
-	if got := s2.Resume(recs); got != 0 {
-		t.Fatalf("second Resume seeded %d, want 0", got)
+	// resume must not clobber keys already in the cache.
+	if got := s2.resume(recs); got != 0 {
+		t.Fatalf("second resume seeded %d, want 0", got)
 	}
 }

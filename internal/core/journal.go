@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -14,9 +15,9 @@ import (
 // The cell journal is the scheduler's crash-safe checkpoint: one JSONL file
 // under the run's results directory recording every successfully computed
 // (CellKey, Result) pair. A restarted run replays the journal into the
-// scheduler's singleflight cache (Scheduler.Resume), so only cells absent
-// from the journal — never-computed, quarantined, or in flight when the
-// process died — are recomputed.
+// scheduler's singleflight cache (Scheduler.AttachJournal), so only cells
+// absent from the journal — never-computed, quarantined, or in flight when
+// the process died — are recomputed.
 //
 // Crash-safety model (documented in DESIGN.md, "Failure model"):
 //
@@ -26,9 +27,11 @@ import (
 //   - each record is appended with a single write and fsynced, and embeds a
 //     content hash (FNV-1a over the record's canonical JSON) — a torn or
 //     half-flushed final line fails validation and is tolerated on load;
-//   - reopening an existing journal truncates a torn final line before the
-//     first append, so a crash can never leave garbage that a later append
-//     would bury mid-file;
+//   - a record ends with its newline; one scanner (scanJournal) applies that
+//     rule for both LoadJournal and the reopen repair, and reopening an
+//     existing journal truncates exactly the torn final line the loader
+//     reports, so a crash can never leave garbage that a later append would
+//     bury mid-file;
 //   - corruption anywhere before the final line means the file was edited
 //     or the filesystem lied, which resume must not paper over: Load
 //     returns an error instead of silently dropping interior records.
@@ -113,140 +116,89 @@ func JournalLocksSupported() bool { return journalLocksSupported }
 // pointed at a churnd daemon's journal — fails fast with a
 // *JournalLockedError instead of interleaving appends. Readers
 // (LoadJournal) are unaffected: the lock is advisory and only writers take
-// it. An existing journal is repaired after the lock is held: a torn final
-// line left by a crash mid-append is truncated away (see
-// repairJournalTail), so appends always start on a record boundary.
+// it. Once the lock is held the file is validated by the same scan
+// LoadJournal runs, and a torn final line left by a crash mid-append is
+// truncated away, so appends always start on a record boundary.
 func OpenJournal(path string) (*Journal, error) {
+	j, _, _, err := openJournal(path, false)
+	return j, err
+}
+
+// openJournal is OpenJournal plus, when collect is set, the records of the
+// existing file, read by the one scan that validates and repairs it. torn
+// reports that a torn final line was truncated.
+func openJournal(path string, collect bool) (j *Journal, recs []JournalRecord, torn bool, err error) {
 	if path == "" {
-		return nil, fmt.Errorf("core: empty journal path")
+		return nil, nil, false, fmt.Errorf("core: empty journal path")
 	}
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, fmt.Errorf("core: journal: %w", err)
+		return nil, nil, false, fmt.Errorf("core: journal: %w", err)
 	}
-	existed := true
 	if _, err := os.Stat(path); os.IsNotExist(err) {
-		existed = false
-		hdr, err := json.Marshal(journalHeader{Journal: journalMagic, Version: JournalVersion})
-		if err != nil {
-			return nil, fmt.Errorf("core: journal: %w", err)
-		}
-		tmp, err := os.CreateTemp(filepath.Dir(path), ".journal-*")
-		if err != nil {
-			return nil, fmt.Errorf("core: journal: %w", err)
-		}
-		if _, err := tmp.Write(append(hdr, '\n')); err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-			return nil, fmt.Errorf("core: journal: %w", err)
-		}
-		if err := tmp.Close(); err != nil {
-			os.Remove(tmp.Name())
-			return nil, fmt.Errorf("core: journal: %w", err)
-		}
-		if err := os.Rename(tmp.Name(), path); err != nil {
-			os.Remove(tmp.Name())
-			return nil, fmt.Errorf("core: journal: %w", err)
+		if err := createJournal(path); err != nil {
+			return nil, nil, false, fmt.Errorf("core: journal: %w", err)
 		}
 	} else if err != nil {
-		return nil, fmt.Errorf("core: journal: %w", err)
+		return nil, nil, false, fmt.Errorf("core: journal: %w", err)
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	// One fd serves the scan, the repair and the appends: reads start at
+	// offset 0, and O_APPEND puts every write at the (repaired) EOF.
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("core: journal: %w", err)
+		return nil, nil, false, fmt.Errorf("core: journal: %w", err)
 	}
 	held, err := lockJournalFile(f)
 	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("core: journal %s: %w", path, err)
+		return nil, nil, false, fmt.Errorf("core: journal %s: %w", path, err)
 	}
 	if !held {
 		f.Close()
-		return nil, &JournalLockedError{Path: path}
+		return nil, nil, false, &JournalLockedError{Path: path}
 	}
 	// Repair only under the lock: a concurrent writer truncating the tail
 	// while this process appends is exactly the interleaving the lock rules
-	// out. The append fd is O_APPEND, so writes land at the repaired EOF.
-	if existed {
-		if err := repairJournalTail(path); err != nil {
-			f.Close()
-			return nil, err
+	// out. Left in place, a torn tail would have the next Append concatenated
+	// onto it, burying garbage mid-file where the scan rightly refuses to
+	// repair — the journal would become permanently unloadable.
+	recs, end, torn, err := scanJournal(f, path, collect)
+	if err == nil && torn {
+		if err = f.Truncate(end); err == nil {
+			err = f.Sync()
+		}
+		if err != nil {
+			err = fmt.Errorf("core: journal %s: %w", path, err)
 		}
 	}
-	return &Journal{path: path, f: f}, nil
+	if err != nil {
+		f.Close()
+		return nil, nil, false, err
+	}
+	return &Journal{path: path, f: f}, recs, torn, nil
 }
 
-// repairJournalTail prepares an existing journal for appending: it scans to
-// the last valid newline-terminated record and truncates anything after it.
-// A torn final line is the expected residue of a crash mid-append; left in
-// place, the next Append would concatenate onto it, burying the garbage
-// mid-file where LoadJournal rightly refuses to repair — the journal would
-// become permanently unloadable. Validation mirrors LoadJournal: a bad
-// header or a bad line with more data after it is corruption, an error.
-func repairJournalTail(path string) error {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
+// createJournal writes a header-only journal to a temp file in path's
+// directory and renames it into place.
+func createJournal(path string) error {
+	hdr, err := json.Marshal(journalHeader{Journal: journalMagic, Version: JournalVersion})
 	if err != nil {
-		return fmt.Errorf("core: journal: %w", err)
+		return err
 	}
-	defer f.Close()
-
-	br := bufio.NewReaderSize(f, 64<<10)
-	var validEnd int64 // byte offset after the last valid terminated line
-	lineNo := 0
-	torn := false
-	for {
-		line, rerr := br.ReadBytes('\n')
-		if len(line) == 0 && rerr == io.EOF {
-			break
-		}
-		if rerr != nil && rerr != io.EOF {
-			return fmt.Errorf("core: journal %s: %w", path, rerr)
-		}
-		lineNo++
-		if torn {
-			// Data after a bad line: mid-file corruption, not a torn tail.
-			return fmt.Errorf("core: journal %s: line %d: corrupt record before end of file", path, lineNo-1)
-		}
-		terminated := rerr == nil
-		content := line
-		if terminated {
-			content = line[:len(line)-1]
-		}
-		if lineNo == 1 {
-			// The header is created via temp+rename, so a journal either has a
-			// complete valid header or is not a journal at all.
-			var hdr journalHeader
-			if !terminated || json.Unmarshal(content, &hdr) != nil || hdr.Journal != journalMagic {
-				return fmt.Errorf("core: journal %s: invalid header", path)
-			}
-			if hdr.Version != JournalVersion {
-				return fmt.Errorf("core: journal %s: version %d, want %d", path, hdr.Version, JournalVersion)
-			}
-			validEnd += int64(len(line))
-			continue
-		}
-		ok := len(content) == 0 // blank lines are skipped by LoadJournal
-		if !ok {
-			_, perr := parseJournalLine(content)
-			ok = perr == nil
-		}
-		if ok && terminated {
-			validEnd += int64(len(line))
-		} else {
-			torn = true
-		}
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".journal-*")
+	if err != nil {
+		return err
 	}
-	if lineNo == 0 {
-		return fmt.Errorf("core: journal %s: empty file (missing header)", path)
+	_, err = tmp.Write(append(hdr, '\n'))
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if torn {
-		if err := f.Truncate(validEnd); err != nil {
-			return fmt.Errorf("core: journal %s: %w", path, err)
-		}
-		if err := f.Sync(); err != nil {
-			return fmt.Errorf("core: journal %s: %w", path, err)
-		}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	return nil
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // Append checkpoints one computed cell: a single hashed JSONL line, written
@@ -326,50 +278,75 @@ func (j *Journal) Close() error {
 
 // LoadJournal reads a journal written by Journal.Append. It returns the
 // replayable records (last record wins on duplicate keys, preserving first
-// appearance order) and whether a torn final line was dropped.
-//
-// Tolerance is deliberately asymmetric: a truncated or hash-invalid final
-// line is the expected signature of a crash mid-append and is skipped,
-// while a bad header or corruption before the final line means the file is
-// not trustworthy and loading fails.
+// appearance order) and whether a torn final line was dropped — exactly the
+// line a reopen (OpenJournal) truncates. See scanJournal for the rules.
 func LoadJournal(path string) (records []JournalRecord, truncated bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, false, err
 	}
 	defer f.Close()
+	records, _, truncated, err = scanJournal(f, path, true)
+	return records, truncated, err
+}
 
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 64<<20)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, false, fmt.Errorf("core: journal %s: %w", path, err)
-		}
-		return nil, false, fmt.Errorf("core: journal %s: empty file (missing header)", path)
-	}
-	var hdr journalHeader
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil || hdr.Journal != journalMagic {
-		return nil, false, fmt.Errorf("core: journal %s: invalid header", path)
-	}
-	if hdr.Version != JournalVersion {
-		return nil, false, fmt.Errorf("core: journal %s: version %d, want %d", path, hdr.Version, JournalVersion)
-	}
-
+// scanJournal is the one reader of the journal format, shared by LoadJournal
+// and the reopen repair. It returns the records when collect is set (last
+// wins on duplicate keys), the byte offset just past the last intact line,
+// and whether a torn final line follows it.
+//
+// A line is intact only with its newline: Append writes record and newline
+// in one call, so a line without one is a cut write, however well-formed.
+// The header must be intact and valid, or the file is not a journal. After
+// it, blank lines are skipped, and tolerance is deliberately asymmetric: the
+// first bad line is a torn tail — the expected signature of a crash
+// mid-append — when nothing follows it, and corruption (an error: the file
+// was edited or the filesystem lied) when anything does.
+func scanJournal(r io.Reader, path string, collect bool) (records []JournalRecord, end int64, torn bool, err error) {
+	br := bufio.NewReaderSize(r, 64<<10)
 	byKey := map[CellKey]int{} // key -> index in records, for last-wins dedup
-	lineNo := 1
-	var pendingErr error // a bad line is only an error if another line follows
-	for sc.Scan() {
-		lineNo++
-		if pendingErr != nil {
-			return nil, false, pendingErr
+	var tornErr error          // why the pending torn line is bad
+	for lineNo := 1; ; lineNo++ {
+		line, rerr := br.ReadBytes('\n')
+		if rerr != nil && rerr != io.EOF {
+			return nil, 0, false, fmt.Errorf("core: journal %s: %w", path, rerr)
 		}
-		line := sc.Bytes()
 		if len(line) == 0 {
+			if lineNo == 1 {
+				return nil, 0, false, fmt.Errorf("core: journal %s: empty file (missing header)", path)
+			}
+			return records, end, tornErr != nil, nil
+		}
+		if tornErr != nil {
+			return nil, 0, false, tornErr
+		}
+		intact := rerr == nil
+		content := bytes.TrimSuffix(line, []byte{'\n'})
+		if lineNo == 1 {
+			var hdr journalHeader
+			if !intact || json.Unmarshal(content, &hdr) != nil || hdr.Journal != journalMagic {
+				return nil, 0, false, fmt.Errorf("core: journal %s: invalid header", path)
+			}
+			if hdr.Version != JournalVersion {
+				return nil, 0, false, fmt.Errorf("core: journal %s: version %d, want %d", path, hdr.Version, JournalVersion)
+			}
+			end += int64(len(line))
 			continue
 		}
-		rec, err := parseJournalLine(line)
-		if err != nil {
-			pendingErr = fmt.Errorf("core: journal %s: line %d: %w", path, lineNo, err)
+		if len(content) == 0 {
+			end += int64(len(line))
+			continue
+		}
+		rec, perr := parseJournalLine(content)
+		if perr == nil && !intact {
+			perr = fmt.Errorf("record without its newline")
+		}
+		if perr != nil {
+			tornErr = fmt.Errorf("core: journal %s: line %d: %w", path, lineNo, perr)
+			continue
+		}
+		end += int64(len(line))
+		if !collect {
 			continue
 		}
 		if i, ok := byKey[rec.Key]; ok {
@@ -379,14 +356,6 @@ func LoadJournal(path string) (records []JournalRecord, truncated bool, err erro
 		byKey[rec.Key] = len(records)
 		records = append(records, rec)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, false, fmt.Errorf("core: journal %s: %w", path, err)
-	}
-	if pendingErr != nil {
-		// The bad line was the last one: a torn append, tolerated.
-		return records, true, nil
-	}
-	return records, false, nil
 }
 
 // parseJournalLine validates and decodes one record line.

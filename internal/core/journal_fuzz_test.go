@@ -3,6 +3,7 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -33,10 +34,11 @@ func fuzzJournalBytes(f *testing.F) []byte {
 
 // FuzzOpenJournal feeds arbitrary bytes to the journal reopen path and
 // asserts the crash-safety contract: LoadJournal and OpenJournal never
-// panic; whenever reopen succeeds, the repaired file reloads cleanly (no
-// error, no torn tail — resume never starts from garbage) and a subsequent
-// append lands intact; and a file LoadJournal rejects as corrupt is also
-// rejected by OpenJournal (repair never papers over mid-file damage).
+// panic and accept or reject the same files; whenever reopen succeeds, the
+// repaired file reloads cleanly (no error, no torn tail — resume never
+// starts from garbage) to exactly the records LoadJournal returned before
+// the reopen, and the repair removed bytes exactly when LoadJournal had
+// reported a torn tail; and a subsequent append lands intact.
 func FuzzOpenJournal(f *testing.F) {
 	full := fuzzJournalBytes(f)
 	f.Add(full)
@@ -60,27 +62,42 @@ func FuzzOpenJournal(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		_, _, loadErr := LoadJournal(path) // must not panic on any input
-		j, openErr := OpenJournal(path)    // must not panic; may repair the tail
+		loaded, loadTorn, loadErr := LoadJournal(path) // must not panic on any input
+		j, openErr := OpenJournal(path)                // must not panic; may repair the tail
 		if openErr != nil {
+			if loadErr == nil {
+				t.Fatalf("OpenJournal rejects a journal LoadJournal accepts: %v", openErr)
+			}
 			return
 		}
 		defer j.Close()
+		if loadErr != nil {
+			// LoadJournal refuses mid-file corruption; reopen succeeding here
+			// means the two disagree on what corruption is — a mis-resume
+			// waiting to happen.
+			t.Fatalf("OpenJournal repaired a journal LoadJournal rejects: %v", loadErr)
+		}
 
 		// Repair ran: the file must now be a clean journal — a resumed
-		// scheduler must never see an error or a torn tail here.
+		// scheduler must never see an error or a torn tail here — holding
+		// exactly what the loader served, the repair having cut exactly the
+		// tail the loader reported torn.
 		before, truncated, err := LoadJournal(path)
 		if err != nil {
 			t.Fatalf("journal unreadable after successful reopen: %v", err)
 		}
 		if truncated {
-			t.Fatal("torn tail survived repairJournalTail")
+			t.Fatal("torn tail survived the reopen repair")
 		}
-		if loadErr != nil {
-			// LoadJournal refuses mid-file corruption; repair validates the
-			// same way, so reopen succeeding here means the two disagree on
-			// what corruption is — a mis-resume waiting to happen.
-			t.Fatalf("OpenJournal repaired a journal LoadJournal rejects: %v", loadErr)
+		if !reflect.DeepEqual(before, loaded) {
+			t.Fatalf("reopen changed the records: loaded %d before it, %d after", len(loaded), len(before))
+		}
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if repaired := st.Size() < int64(len(data)); repaired != loadTorn {
+			t.Fatalf("LoadJournal reported torn=%v, but the repair cut %d bytes", loadTorn, int64(len(data))-st.Size())
 		}
 
 		// Appends after repair must land on a record boundary and survive a

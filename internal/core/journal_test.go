@@ -134,6 +134,50 @@ func TestJournalTornFinalLineTolerated(t *testing.T) {
 	}
 }
 
+func TestJournalUnterminatedFinalRecordIsTorn(t *testing.T) {
+	// A record ends with its newline: a well-formed final record without one
+	// is a cut write. LoadJournal must drop it as torn, and the reopen repair
+	// must truncate exactly that record and nothing else — the loader and the
+	// repair agree, so a resumed run never serves a cell the disk then loses.
+	path := filepath.Join(t.TempDir(), "cells.journal")
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Append(journalTestKey(100), journalTestResult(100))
+	j.Append(journalTestKey(200), journalTestResult(200))
+	j.Close()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := b[:len(b)-1]
+	if err := os.WriteFile(path, cut, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	recs, truncated, err := LoadJournal(path)
+	if err != nil || !truncated || len(recs) != 1 || recs[0].Key.N != 100 {
+		t.Fatalf("load: recs=%+v truncated=%v err=%v, want only N=100 and truncated", recs, truncated, err)
+	}
+	j2, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j2.Close()
+	repaired, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := cut[:strings.LastIndexByte(string(cut), '\n')+1]; string(repaired) != string(want) {
+		t.Fatalf("repair kept %d bytes, want the %d up to the last newline", len(repaired), len(want))
+	}
+	recs2, truncated, err := LoadJournal(path)
+	if err != nil || truncated || len(recs2) != 1 || recs2[0].Key.N != 100 {
+		t.Fatalf("reload: recs=%+v truncated=%v err=%v, want only N=100", recs2, truncated, err)
+	}
+}
+
 func TestJournalReopenRepairsTornTail(t *testing.T) {
 	// The repeated-crash scenario: a crash mid-append leaves a torn final
 	// line, the next run reopens the journal and keeps appending. Reopen

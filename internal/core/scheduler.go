@@ -46,8 +46,8 @@ type CellKey struct {
 
 // KeyFor returns the cell key the scheduler would use for one (scenario,
 // size) cell of a sweep: the projection of ev onto CellKey's cacheable
-// fields. Serving layers use it to match SubscribeCells events against the
-// cells of a submitted job without re-deriving the projection rules.
+// fields, for matching SubscribeCells events or journal records against
+// cells without re-deriving the projection rules.
 func KeyFor(scenarioName string, n int, topoSeed uint64, ev Config) CellKey {
 	return cellKey(scenarioName, n, topoSeed, ev)
 }
@@ -87,7 +87,7 @@ const (
 	// CellFailed fires when a computed cell ends in a permanent error.
 	CellFailed
 	// CellResumed fires when a cell is served from a checkpoint journal
-	// replayed by Resume — a cache hit whose result predates the process.
+	// replayed by AttachJournal — a cache hit whose result predates the process.
 	CellResumed
 	// CellRetried fires after a transient fault (panic, timeout) when the
 	// scheduler is about to recompute the cell; Attempt carries the attempt
@@ -131,9 +131,7 @@ type CellStatus struct {
 	// Scenario and N name the grid cell.
 	Scenario string
 	N        int
-	// Key is the cell's full cache identity (see CellKey/KeyFor), so
-	// subscribers sharing the scheduler can route events to the jobs that
-	// requested the cell.
+	// Key is the cell's full cache identity (see CellKey/KeyFor).
 	Key CellKey
 	// Seed is the cell's effective topology seed (request seed + N).
 	Seed uint64
@@ -224,9 +222,10 @@ const retrySeedSalt = 0x5ca1ab1e0ddba11
 // cell exceeding Config.CellTimeout fails with a CellTimeoutError, and both
 // are retried up to SetRetryPolicy's budget with deterministic per-cell
 // backoff before the cell is quarantined (CellQuarantinedError) — the rest
-// of the grid always completes. With SetJournal attached, every computed
-// result is checkpointed to a crash-safe JSONL journal that Resume replays
-// into the cache, so a killed run recomputes only missing cells.
+// of the grid always completes. With a journal attached (AttachJournal), every
+// computed result is checkpointed to a crash-safe JSONL journal that a
+// resuming AttachJournal replays into the cache, so a killed run recomputes
+// only missing cells.
 //
 // A Scheduler is safe for concurrent use; observe it with SubscribeCells.
 type Scheduler struct {
@@ -442,6 +441,23 @@ func (s *Scheduler) SetJournal(j *Journal) {
 	s.journal = j
 }
 
+// AttachJournal opens (or creates) the checkpoint journal at path under its
+// writer lock, validates and repairs it in one scan, and attaches it
+// (SetJournal); cmd/experiments and churnd both start a run this way. With resume set, the
+// records that scan read are first seeded into the cache, so a restarted run
+// recomputes only cells the journal lacks. It returns how many cells were
+// seeded and whether a torn final line (a crash mid-append) was dropped.
+// The caller closes the journal, via Journal().Close, when the run ends.
+func (s *Scheduler) AttachJournal(path string, resume bool) (seeded int, torn bool, err error) {
+	j, recs, torn, err := openJournal(path, resume)
+	if err != nil {
+		return 0, false, err
+	}
+	seeded = s.resume(recs)
+	s.SetJournal(j)
+	return seeded, torn, nil
+}
+
 // Journal returns the attached checkpoint journal, or nil.
 func (s *Scheduler) Journal() *Journal {
 	s.mu.Lock()
@@ -449,13 +465,13 @@ func (s *Scheduler) Journal() *Journal {
 	return s.journal
 }
 
-// Resume replays checkpoint records (see LoadJournal) into the result
+// resume replays checkpoint records (see LoadJournal) into the result
 // cache and returns how many were seeded. Keys already cached are left
 // untouched. Subsequent requests for a seeded key are served without
 // recomputation and reported as CellResumed. If the journal holds more
 // records than the cache cap, the cap is raised to fit them all — a resume
 // never evicts the cells it restores.
-func (s *Scheduler) Resume(recs []JournalRecord) int {
+func (s *Scheduler) resume(recs []JournalRecord) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	seeded := 0
@@ -576,20 +592,26 @@ func cellError(scName string, n int, err error) error {
 	return fmt.Errorf("core: %s at n=%d: %w", scName, n, err)
 }
 
-// cell computes or fetches one grid cell under the grid context.
-func (s *Scheduler) cell(ctx context.Context, sc scenario.Scenario, n int, topoSeed uint64, ev Config) (*Result, error) {
+// Cell computes or fetches one grid cell under ctx and returns its terminal
+// status — CellDone, CellCached, CellResumed, CellFailed, CellQuarantined or
+// CellCancelled — the same value it emits to SubscribeCells as that call's
+// last event. Result is set exactly on error-free done, cached and resumed
+// statuses. Equal keys share one computation (singleflight), a cached
+// result is served without recomputation, and a computed one is journaled.
+// RunGrid's workers and churnd's cell goroutines both make this call.
+func (s *Scheduler) Cell(ctx context.Context, sc scenario.Scenario, n int, topoSeed uint64, ev Config) CellStatus {
 	key := cellKey(sc.Name, n, topoSeed, ev)
-	seed := topoSeed + uint64(n)
+	cs := CellStatus{Scenario: sc.Name, N: n, Key: key, Seed: topoSeed + uint64(n)}
 	if err := ctx.Err(); err != nil {
-		return nil, s.cancelCell(key, sc.Name, n, seed, err)
+		return s.cancelCell(cs, err)
 	}
 	s.mu.Lock()
 	probes := s.probes
 	if e, ok := s.cache[key]; ok {
 		s.stats.Hits++
-		state := CellCached
+		cs.State = CellCached
 		if e.resumed {
-			state = CellResumed
+			cs.State = CellResumed
 			s.stats.Resumed++
 		}
 		s.lru.MoveToFront(e.elem)
@@ -605,10 +627,10 @@ func (s *Scheduler) cell(ctx context.Context, sc scenario.Scenario, n int, topoS
 			s.mu.Lock()
 			s.stats.Hits--
 			s.mu.Unlock()
-			return s.cell(ctx, sc, n, topoSeed, ev)
+			return s.Cell(ctx, sc, n, topoSeed, ev)
 		}
 		if probes != nil {
-			if state == CellResumed {
+			if cs.State == CellResumed {
 				probes.CellsResumed.Inc()
 			} else {
 				probes.CellsCached.Inc()
@@ -616,8 +638,9 @@ func (s *Scheduler) cell(ctx context.Context, sc scenario.Scenario, n int, topoS
 		}
 		// A failed entry holds no result, so Result is set exactly when Err
 		// is nil.
-		s.emit(CellStatus{Scenario: sc.Name, N: n, Key: key, Seed: seed, State: state, Elapsed: time.Since(start), Err: e.err, Result: e.res})
-		return e.res, e.err
+		cs.Elapsed, cs.Err, cs.Result = time.Since(start), e.err, e.res
+		s.emit(cs)
+		return cs
 	}
 	e := &cacheEntry{ready: make(chan struct{})}
 	e.elem = s.lru.PushFront(key)
@@ -626,12 +649,13 @@ func (s *Scheduler) cell(ctx context.Context, sc scenario.Scenario, n int, topoS
 	s.evictLocked()
 	s.mu.Unlock()
 
-	s.emit(CellStatus{Scenario: sc.Name, N: n, Key: key, Seed: seed, State: CellStart})
+	cs.State = CellStart
+	s.emit(cs)
 	start := time.Now()
-	res, err, attempts := s.computeWithRetry(ctx, key, sc, n, seed, ev, probes)
-	elapsed := time.Since(start)
+	res, err, attempts := s.computeWithRetry(ctx, key, sc, n, cs.Seed, ev, probes)
+	cs.Attempt, cs.Elapsed = attempts, time.Since(start)
 
-	state := CellDone
+	cs.State = CellDone
 	switch {
 	case err == nil:
 		if j := s.Journal(); j != nil {
@@ -642,7 +666,7 @@ func (s *Scheduler) cell(ctx context.Context, sc scenario.Scenario, n int, topoS
 	case ctx.Err() != nil && errors.Is(err, ctx.Err()):
 		// The grid was cancelled out from under the computation: abandon the
 		// singleflight slot so nothing caches the cancellation.
-		e.res, e.err = nil, cellError(sc.Name, n, err)
+		e.err = cellError(sc.Name, n, err)
 		s.dropEntry(key, e)
 		close(e.ready)
 		s.mu.Lock()
@@ -651,15 +675,16 @@ func (s *Scheduler) cell(ctx context.Context, sc scenario.Scenario, n int, topoS
 		if probes != nil {
 			probes.CellsCancelled.Inc()
 		}
-		s.emit(CellStatus{Scenario: sc.Name, N: n, Key: key, Seed: seed, State: CellCancelled, Attempt: attempts, Elapsed: elapsed, Err: e.err})
-		return nil, e.err
+		cs.State, cs.Err = CellCancelled, e.err
+		s.emit(cs)
+		return cs
 	case IsTransient(err):
 		// Retry budget exhausted: quarantine the cell instead of failing the
 		// run. The entry stays cached so duplicate requests coalesce; the
 		// journal never sees it, so a resumed run recomputes it.
 		qe := &CellQuarantinedError{Key: key, Attempts: attempts, Last: err}
 		err = qe
-		state = CellQuarantined
+		cs.State = CellQuarantined
 		s.mu.Lock()
 		s.quarantined = append(s.quarantined, qe)
 		s.stats.Quarantined++
@@ -669,28 +694,31 @@ func (s *Scheduler) cell(ctx context.Context, sc scenario.Scenario, n int, topoS
 		}
 	default:
 		err = cellError(sc.Name, n, err)
-		state = CellFailed
+		cs.State = CellFailed
 	}
 	e.res, e.err = res, err
 	close(e.ready)
 	if probes != nil {
-		switch state {
+		switch cs.State {
 		case CellDone:
 			probes.CellsComputed.Inc()
-			probes.ObserveCell(elapsed)
+			probes.ObserveCell(cs.Elapsed)
 		case CellFailed:
 			probes.CellsFailed.Inc()
 		}
 	}
 	// computeWithRetry returns a nil result with every error, so Result is
 	// set exactly on CellDone.
-	s.emit(CellStatus{Scenario: sc.Name, N: n, Key: key, Seed: seed, State: state, Attempt: attempts, Elapsed: elapsed, Err: err, Result: res})
-	return res, err
+	cs.Err, cs.Result = err, res
+	s.emit(cs)
+	return cs
 }
 
-// cancelCell records one cell abandoned before computation started.
-func (s *Scheduler) cancelCell(key CellKey, scName string, n int, seed uint64, cause error) error {
-	err := fmt.Errorf("core: %s at n=%d: %w", scName, n, cause)
+// cancelCell records one cell abandoned before computation started; cs
+// carries the cell's identity fields.
+func (s *Scheduler) cancelCell(cs CellStatus, cause error) CellStatus {
+	cs.State = CellCancelled
+	cs.Err = fmt.Errorf("core: %s at n=%d: %w", cs.Scenario, cs.N, cause)
 	s.mu.Lock()
 	s.stats.Cancelled++
 	probes := s.probes
@@ -698,8 +726,8 @@ func (s *Scheduler) cancelCell(key CellKey, scName string, n int, seed uint64, c
 	if probes != nil {
 		probes.CellsCancelled.Inc()
 	}
-	s.emit(CellStatus{Scenario: scName, N: n, Key: key, Seed: seed, State: CellCancelled, Err: err})
-	return err
+	s.emit(cs)
+	return cs
 }
 
 // computeWithRetry runs one cell to completion under the retry policy:
@@ -829,18 +857,14 @@ func (s *Scheduler) RunGrid(ctx context.Context, reqs []GridRequest) ([]*SweepRe
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	type slot struct {
-		res *Result
-		err error
-	}
 	type job struct{ req, idx int }
 	var jobs []job
-	slots := make([][]slot, len(reqs))
+	slots := make([][]CellStatus, len(reqs))
 	for i := range reqs {
 		if len(reqs[i].Sizes) == 0 {
 			return nil, fmt.Errorf("core: grid request %d (%s): empty size list", i, reqs[i].Scenario.Name)
 		}
-		slots[i] = make([]slot, len(reqs[i].Sizes))
+		slots[i] = make([]CellStatus, len(reqs[i].Sizes))
 		for j := range reqs[i].Sizes {
 			jobs = append(jobs, job{i, j})
 		}
@@ -876,8 +900,7 @@ func (s *Scheduler) RunGrid(ctx context.Context, reqs []GridRequest) ([]*SweepRe
 			defer wg.Done()
 			for jb := range next {
 				r := &reqs[jb.req]
-				res, err := s.cell(ctx, r.Scenario, r.Sizes[jb.idx], r.TopologySeed, r.Event)
-				slots[jb.req][jb.idx] = slot{res, err}
+				slots[jb.req][jb.idx] = s.Cell(ctx, r.Scenario, r.Sizes[jb.idx], r.TopologySeed, r.Event)
 			}
 		}()
 	}
@@ -897,8 +920,9 @@ feed:
 	for _, jb := range jobs[delivered:] {
 		r := &reqs[jb.req]
 		n := r.Sizes[jb.idx]
-		key := cellKey(r.Scenario.Name, n, r.TopologySeed, r.Event)
-		slots[jb.req][jb.idx] = slot{nil, s.cancelCell(key, r.Scenario.Name, n, r.TopologySeed+uint64(n), ctx.Err())}
+		slots[jb.req][jb.idx] = s.cancelCell(CellStatus{
+			Scenario: r.Scenario.Name, N: n, Key: cellKey(r.Scenario.Name, n, r.TopologySeed, r.Event), Seed: r.TopologySeed + uint64(n),
+		}, ctx.Err())
 	}
 	wg.Wait()
 	close(drained)
@@ -920,13 +944,13 @@ feed:
 		sr := &SweepResult{Scenario: reqs[i].Scenario.Name}
 		for j, n := range reqs[i].Sizes {
 			sl := slots[i][j]
-			if sl.err != nil {
+			if sl.Err != nil {
 				if firstErr == nil {
-					firstErr = sl.err
+					firstErr = sl.Err
 				}
 				continue
 			}
-			sr.Points = append(sr.Points, Point{N: n, R: sl.res})
+			sr.Points = append(sr.Points, Point{N: n, R: sl.Result})
 		}
 		out[i] = sr
 	}

@@ -3,7 +3,10 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"bgpchurn/internal/scenario"
 	"bgpchurn/internal/topology"
@@ -35,8 +38,8 @@ func TestSubscribeCellsFanOut(t *testing.T) {
 	stubCompute(s)
 	ev := testConfig(3, 4)
 	seeded := &Result{N: 300}
-	if got := s.Resume([]JournalRecord{{Key: KeyFor(scenario.Baseline.Name, 300, 3, ev), Result: seeded}}); got != 1 {
-		t.Fatalf("Resume seeded %d, want 1", got)
+	if got := s.resume([]JournalRecord{{Key: KeyFor(scenario.Baseline.Name, 300, 3, ev), Result: seeded}}); got != 1 {
+		t.Fatalf("resume seeded %d, want 1", got)
 	}
 
 	// Deliveries are serialized and RunGrid returns after every worker
@@ -106,5 +109,118 @@ func TestSubscribeCellsFanOut(t *testing.T) {
 	}
 	if withResult[CellDone] != 1 || withResult[CellCached] != 1 || withResult[CellResumed] != 2 {
 		t.Fatalf("events carrying a result by state = %v, want done 1, cached 1, resumed 2", withResult)
+	}
+}
+
+// TestCellReturnsItsLastEvent pins Cell's contract for every terminal
+// outcome: the CellStatus it returns is the last event that call emitted to
+// SubscribeCells, and Result is set exactly on error-free done, cached and
+// resumed statuses.
+func TestCellReturnsItsLastEvent(t *testing.T) {
+	s := NewScheduler(2)
+	s.SetRetryPolicy(2, time.Nanosecond)
+	started, release := make(chan struct{}), make(chan struct{})
+	s.SetCompute(
+		func(sc scenario.Scenario, n int, seed uint64) (*topology.Topology, error) {
+			return &topology.Topology{Nodes: make([]topology.Node, n), Seed: seed}, nil
+		},
+		func(ctx context.Context, t *topology.Topology, cfg Config) (*Result, error) {
+			switch n := len(t.Nodes); n {
+			case 2:
+				return nil, errors.New("stub: n=2 is broken")
+			case 3:
+				panic("stub: n=3 always panics")
+			case 5:
+				close(started)
+				<-release
+			}
+			return &Result{N: len(t.Nodes)}, nil
+		},
+	)
+	ev := testConfig(3, 4)
+	seeded := &Result{N: 300}
+	s.resume([]JournalRecord{{Key: KeyFor(scenario.Baseline.Name, 300, 3, ev), Result: seeded}})
+
+	var mu sync.Mutex
+	var events []CellStatus
+	defer s.SubscribeCells(func(cs CellStatus) {
+		mu.Lock()
+		events = append(events, cs)
+		mu.Unlock()
+	})()
+	// emitted returns the events since mark that have one of the states.
+	emitted := func(mark int, states ...CellState) []CellStatus {
+		mu.Lock()
+		defer mu.Unlock()
+		var out []CellStatus
+		for _, cs := range events[mark:] {
+			if slices.Contains(states, cs.State) {
+				out = append(out, cs)
+			}
+		}
+		return out
+	}
+	all := []CellState{CellStart, CellDone, CellCached, CellFailed, CellResumed, CellRetried, CellQuarantined, CellCancelled}
+	check := func(name string, got CellStatus, own []CellStatus, want CellState) {
+		t.Helper()
+		if len(own) == 0 || got != own[len(own)-1] {
+			t.Fatalf("%s: Cell returned %+v, want its last event of %+v", name, got, own)
+		}
+		if got.State != want {
+			t.Fatalf("%s: state %v, want %v", name, got.State, want)
+		}
+		carries := got.Err == nil && (want == CellDone || want == CellCached || want == CellResumed)
+		if (got.Result != nil) != carries {
+			t.Fatalf("%s: Result %v with state %v and err %v", name, got.Result, got.State, got.Err)
+		}
+	}
+	ctx := context.Background()
+	cell := func(ctx context.Context, n int) CellStatus { return s.Cell(ctx, scenario.Baseline, n, 3, ev) }
+
+	mark := len(emitted(0, all...))
+	check("computed", cell(ctx, 100), emitted(mark, all...), CellDone)
+
+	// A waiter coalesced onto an in-flight computation reports cached; its
+	// only event is the cached one, and it shares the computed pointer.
+	mark = len(emitted(0, all...))
+	computed, cached := make(chan CellStatus), make(chan CellStatus)
+	go func() { computed <- cell(ctx, 5) }()
+	<-started
+	go func() { cached <- cell(ctx, 5) }()
+	for s.CacheStats().Hits == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	c, w := <-computed, <-cached
+	check("computed (coalesced onto)", c, emitted(mark, CellStart, CellDone), CellDone)
+	check("cached", w, emitted(mark, CellCached), CellCached)
+	if w.Result != c.Result {
+		t.Fatal("coalesced waiter got a different result pointer")
+	}
+
+	mark = len(emitted(0, all...))
+	if got := cell(ctx, 300); got.Result != seeded {
+		t.Fatalf("resumed cell result %v, want the seeded pointer", got.Result)
+	} else {
+		check("resumed", got, emitted(mark, all...), CellResumed)
+	}
+
+	mark = len(emitted(0, all...))
+	check("failed", cell(ctx, 2), emitted(mark, all...), CellFailed)
+
+	mark = len(emitted(0, all...))
+	q := cell(ctx, 3)
+	check("quarantined", q, emitted(mark, all...), CellQuarantined)
+	if q.Attempt != 3 || len(emitted(mark, CellRetried)) != 2 {
+		t.Fatalf("quarantined after %d attempts and %d retries, want 3 and 2", q.Attempt, len(emitted(mark, CellRetried)))
+	}
+
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	mark = len(emitted(0, all...))
+	got := cell(cancelled, 400)
+	check("cancelled before start", got, emitted(mark, all...), CellCancelled)
+	if !errors.Is(got.Err, context.Canceled) || len(emitted(mark, all...)) != 1 {
+		t.Fatalf("cancelled cell: err %v after %d events, want context.Canceled after 1", got.Err, len(emitted(mark, all...)))
 	}
 }

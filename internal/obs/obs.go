@@ -264,7 +264,7 @@ func New() *Metrics {
 	m.Core.JournalLoads = m.counter("bgpchurn_core_journal_loads_total", "Checkpoint records replayed into the scheduler cache.")
 	m.Core.CellSeconds = m.histogram("bgpchurn_core_cell_seconds", "Wall-clock seconds per computed grid cell.",
 		[]float64{0.001, 0.005, 0.025, 0.1, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300})
-	m.Core.CancelSeconds = m.histogram("bgpchurn_core_cancel_seconds", "Seconds from grid-context cancellation to worker-pool drain.",
+	m.Core.CancelSeconds = m.histogram("bgpchurn_core_cancel_seconds", "Seconds from RunGrid context cancellation to worker-pool drain (RunGrid only: churnd's single Scheduler.Cell calls do not feed it).",
 		[]float64{0.001, 0.005, 0.025, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30})
 
 	m.Serve.JobsAdmitted = m.counter("bgpchurn_serve_jobs_admitted_total", "Jobs accepted into the serving admission queue.")

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"time"
 
@@ -85,15 +84,18 @@ func (s *Server) runCell(c *cellRun) {
 	j := c.job
 	j.broker.Publish("cell", CellView{Scenario: c.scenario.Name, N: c.n, State: cellRunning})
 	start := time.Now()
-	sw, err := s.sched.RunSweep(j.ctx, c.scenario, core.SweepConfig{
-		Sizes:        []int{c.n},
-		TopologySeed: j.seed,
-		Event:        j.event,
-	})
+	cs := s.sched.Cell(j.ctx, c.scenario, c.n, j.seed, j.event)
 	elapsed := time.Since(start)
 
 	s.mu.Lock()
 	c.elapsed = elapsed
+	// Provenance is what the scheduler did for this call: computed, cached,
+	// resumed, failed, quarantined or cancelled.
+	c.detail = cs.State.String()
+	if cs.State == core.CellDone {
+		c.detail = "computed"
+	}
+	err := cs.Err
 	// A cancelled job wins over a late result: the shared computation may
 	// finish before it observes the job's context (the result stays cached
 	// for every other job), but the client was already told "cancelled".
@@ -105,14 +107,11 @@ func (s *Server) runCell(c *cellRun) {
 		} else if err != nil {
 			c.errMsg = err.Error()
 		}
-	case err == nil && sw != nil && len(sw.Points) == 1:
+	case err == nil:
 		c.state = cellDone
-		c.res = sw.Points[0].R
+		c.res = cs.Result
 	default:
 		c.state = cellFailed
-		if err == nil {
-			err = fmt.Errorf("serve: cell %s/%d: no result", c.scenario.Name, c.n)
-		}
 		c.errMsg = err.Error()
 	}
 	j.inflight--
@@ -223,22 +222,6 @@ func (s *Server) finishJobLocked(j *Job) {
 					t.weight = tj.weight
 				}
 			}
-		}
-	}
-
-	// Stop watching the job's keys.
-	for _, c := range j.cells {
-		watchers := s.watch[c.key]
-		for i, w := range watchers {
-			if w == c {
-				watchers = append(watchers[:i:i], watchers[i+1:]...)
-				break
-			}
-		}
-		if len(watchers) == 0 {
-			delete(s.watch, c.key)
-		} else {
-			s.watch[c.key] = watchers
 		}
 	}
 

@@ -96,9 +96,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		t.weight = j.weight
 	}
 	t.jobs = append(t.jobs, j)
-	for _, c := range j.cells {
-		s.watch[c.key] = append(s.watch[c.key], c)
-	}
 	s.active++
 	s.probes.JobsAdmitted.Inc()
 	s.probes.QueueDepth.Add(1)

@@ -68,17 +68,11 @@ type cellRun struct {
 	job      *Job
 	scenario scenario.Scenario
 	n        int
-	key      core.CellKey
 	state    string
-	detail   string // compute provenance: computing/computed/cached/resumed/...
+	detail   string // compute provenance: computed/cached/resumed/failed/quarantined/cancelled
 	res      *core.Result
 	errMsg   string
 	elapsed  time.Duration
-}
-
-// terminal reports whether the cell reached a final state.
-func (c *cellRun) terminal() bool {
-	return c.state == cellDone || c.state == cellFailed || c.state == cellCancelled
 }
 
 // tenant groups a client's active jobs for weighted round-robin dispatch.
@@ -262,7 +256,6 @@ func (s *Server) buildJob(req SubmitRequest) (*Job, error) {
 				job:      j,
 				scenario: sc,
 				n:        n,
-				key:      core.KeyFor(sc.Name, n, req.Seed, ev),
 				state:    cellPending,
 			})
 		}

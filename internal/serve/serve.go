@@ -19,9 +19,10 @@
 //     completion (each is checkpointed to the journal as it lands), sheds
 //     undispatched cells, then closes the journal — a SIGTERM never loses
 //     finished work. A drain deadline hard-cancels stragglers.
-//   - Recovery: New replays the journal via Scheduler.Resume, so a daemon
-//     killed mid-grid (even SIGKILL) restarts with every checkpointed cell
-//     served from cache and only missing cells recomputed, byte-identical.
+//   - Recovery: New opens the journal via Scheduler.AttachJournal, so a
+//     daemon killed mid-grid (even SIGKILL) restarts with every checkpointed
+//     cell served from cache and only missing cells recomputed,
+//     byte-identical.
 package serve
 
 import (
@@ -85,11 +86,10 @@ type Server struct {
 	sched     *core.Scheduler
 	metrics   *obs.Metrics
 	probes    *obs.ServeProbes
-	journal   *core.Journal
 	recovered int
 	mux       *http.ServeMux
 	progress  *obs.ProgressBroker // global /progress feed
-	unsub     []func()
+	unsub     func()              // stops the /progress mirror
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -106,10 +106,9 @@ type Server struct {
 	drained   chan struct{} // closed once draining && inflight == 0
 	drainOnce sync.Once
 	finished  []string // finished job IDs, oldest first, for retention
-	watch     map[core.CellKey][]*cellRun
 }
 
-// New builds the server: it opens (and flocks) the journal, replays it into
+// New builds the server: it opens (and flocks) the journal, replaying it into
 // the shared scheduler's cache, and starts the dispatcher. The returned
 // server is ready to serve; stop it with Drain or Close.
 func New(cfg Config) (*Server, error) {
@@ -145,35 +144,26 @@ func New(cfg Config) (*Server, error) {
 		tenants:  map[string]*tenant{},
 		free:     cfg.Workers,
 		drained:  make(chan struct{}),
-		watch:    map[core.CellKey][]*cellRun{},
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.sched.SetObs(m)
 	s.sched.SetRetryPolicy(cfg.Retries, 0)
 
 	if cfg.Journal != "" {
-		j, err := core.OpenJournal(cfg.Journal)
+		seeded, _, err := s.sched.AttachJournal(cfg.Journal, true)
 		if err != nil {
 			return nil, err
 		}
-		recs, _, err := core.LoadJournal(cfg.Journal)
-		if err != nil {
-			j.Close()
-			return nil, err
+		s.recovered = seeded
+		if seeded > 0 {
+			s.probes.CellsRecovered.Add(uint64(seeded))
 		}
-		s.journal = j
-		s.recovered = s.sched.Resume(recs)
-		if s.recovered > 0 {
-			s.probes.CellsRecovered.Add(uint64(s.recovered))
-		}
-		s.sched.SetJournal(j)
 	}
 
-	// Scheduler fan-out: cell events route provenance to watching jobs, and
-	// the scheduler's shared feed (the one cmd/experiments serves) drives the
-	// global /progress stream.
-	s.unsub = append(s.unsub, s.sched.SubscribeCells(s.onSchedulerCell))
-	s.unsub = append(s.unsub, s.sched.PublishProgress(s.progress))
+	// The scheduler's shared feed (the one cmd/experiments serves) drives the
+	// global /progress stream; each job learns its own cells' outcomes from
+	// the Scheduler.Cell calls that compute them.
+	s.unsub = s.sched.PublishProgress(s.progress)
 
 	s.buildMux()
 	go s.dispatch()
@@ -196,40 +186,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Progress returns the global progress broker feeding /progress.
 func (s *Server) Progress() *obs.ProgressBroker { return s.progress }
-
-// onSchedulerCell receives every scheduler cell event (all jobs, all
-// tenants) and records compute provenance on the job cells watching the
-// key. Runs on the scheduler's emit mutex: it must stay non-blocking.
-func (s *Server) onSchedulerCell(cs core.CellStatus) {
-	detail := ""
-	switch cs.State {
-	case core.CellStart:
-		detail = "computing"
-	case core.CellRetried:
-		detail = "retrying"
-	case core.CellDone:
-		detail = "computed"
-	case core.CellCached:
-		detail = "cached"
-	case core.CellResumed:
-		detail = "resumed"
-	case core.CellQuarantined:
-		detail = "quarantined"
-	case core.CellFailed:
-		detail = "failed"
-	}
-	if detail != "" {
-		s.mu.Lock()
-		for _, c := range s.watch[cs.Key] {
-			// A later cache hit must not overwrite the terminal provenance
-			// ("computed" stays "computed" when another job hits the cache).
-			if !c.terminal() {
-				c.detail = detail
-			}
-		}
-		s.mu.Unlock()
-	}
-}
 
 // Drain performs a graceful shutdown: stop admitting (submissions get 503,
 // /readyz flips), dispatch nothing new, shed every undispatched cell, and
@@ -283,9 +239,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.mu.Unlock()
 		<-s.drained
 	}
-	if s.journal != nil {
-		s.journal.Close()
-	}
+	s.closeJournal()
 	s.probes.ObserveDrain(time.Since(start))
 	return nil
 }
@@ -310,12 +264,15 @@ func (s *Server) Close() error {
 	s.drainOnce.Do(func() { close(s.drained) })
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	for _, u := range s.unsub {
-		u()
-	}
+	s.unsub()
 	s.progress.Close()
-	if s.journal != nil {
-		s.journal.Close()
-	}
+	s.closeJournal()
 	return nil
+}
+
+// closeJournal closes the scheduler's checkpoint journal, if any.
+func (s *Server) closeJournal() {
+	if j := s.sched.Journal(); j != nil {
+		j.Close()
+	}
 }
