@@ -71,9 +71,9 @@ bench-scale:
 
 # scale-smoke mirrors the CI job of the same name: the n=10k warm cell must
 # finish and stay under an absolute peak-RSS budget (cmd/benchguard -budget).
-# The budget is ~2.5x today's footprint (~50 MB): a representation change
-# that reintroduced per-neighbor maps or full-path storage would multiply
-# RSS with n and blow past it.
+# The budget is ~5x today's footprint (24 MB, the latest BENCH_scale.json
+# record): a representation change that reintroduced per-neighbor maps or
+# full-path storage would multiply RSS with n and blow past it.
 scale-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkScaleCell/n=10000$$' -benchtime 1x -timeout 20m . \
 		| $(GO) run ./cmd/benchguard -guard BenchmarkScaleCell/n=10000 -metric peakRSS-MB -budget 128

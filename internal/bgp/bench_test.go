@@ -83,11 +83,11 @@ func linkTo(net *Network, nbr topology.NodeID) (m *node, slot int, path Path) {
 	m = &net.nodes[1]
 	for j, id := range net.nbrIDs(m) {
 		if id == nbr {
-			path, ok := net.out(m)[j].lastSent.Get(benchPrefix)
+			id, ok := net.out(m)[j].wire(benchPrefix)
 			if !ok {
 				panic("bench setup: M node does not advertise the prefix to the neighbor")
 			}
-			return m, j, path
+			return m, j, net.intern.path(id)
 		}
 	}
 	panic("bench setup: M node is not connected to the neighbor")
@@ -267,6 +267,40 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("admission-time completion allocates %.1f objects per update, want 0", allocs)
+	}
+
+	// Spilled queues: a Reset-bounded C-event cycle over two prefixes under
+	// the default 30 s MRAI. Withdrawals and re-announcements of both
+	// prefixes queue behind running timers, so the flushes drain spilled
+	// tables in prefix order — through the shard's scratch buffer, which
+	// must end up holding two prefixes.
+	topo := fanTopo(8)
+	mnet := MustNew(topo, DefaultConfig(1))
+	origin := topology.NodeID(topo.N() - 1)
+	prefixes := [2]Prefix{benchPrefix, benchPrefix + 1}
+	cycle := func() {
+		mnet.Reset(1)
+		for _, f := range prefixes {
+			mnet.Originate(origin, f)
+		}
+		mnet.Run()
+		for _, f := range prefixes {
+			mnet.WithdrawPrefix(origin, f)
+		}
+		mnet.Run()
+		for _, f := range prefixes {
+			mnet.Originate(origin, f)
+		}
+		mnet.Run()
+	}
+	for i := 0; i < 4; i++ {
+		cycle()
+	}
+	if n := cap(mnet.shards[0].scratch); n < len(prefixes) {
+		t.Fatalf("no flush drained both prefixes (scratch capacity %d)", n)
+	}
+	if allocs = testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Fatalf("two-prefix C-event cycle allocates %.1f objects, want 0", allocs)
 	}
 }
 

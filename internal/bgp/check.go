@@ -38,27 +38,27 @@ func (net *Network) CheckConsistency() error {
 		for j := range out {
 			q := &out[j]
 			// (2) no residual queued updates.
-			if n := q.pending.Len(); n != 0 {
+			if n := q.pending.len(q.pendingMap()); n != 0 {
 				return fmt.Errorf("bgp: node %d slot %d: %d updates still queued on a quiescent network",
 					nd.id, j, n)
 			}
 			if q.down {
-				if q.lastSent.Len() != 0 {
+				if q.sent.len(q.sentMap()) != 0 {
 					return fmt.Errorf("bgp: node %d slot %d: adj-rib-out persists on a down link", nd.id, j)
 				}
 				continue
 			}
 			peer := &net.nodes[ids[j]]
 			rev := net.reverse(nd)[j]
-			for _, f := range q.lastSent.SortedKeysInto(nil) {
-				sent, _ := q.lastSent.Get(f)
-				// (1) wire agreement.
+			for _, f := range q.sent.keysInto(q.sentMap(), nil) {
+				id, _ := q.wire(f)
+				// (1) wire agreement: both ends hold IDs of the one table.
 				pps, ok := peer.prefixes.Get(f)
-				if !ok || !sent.Equal(net.intern.path(net.rib(peer, pps)[rev].id)) {
+				if !ok || id != net.rib(peer, pps)[rev].id {
 					return fmt.Errorf("bgp: session %d->%d prefix %d: adj-rib-out and adj-rib-in disagree",
 						nd.id, peer.id, f)
 				}
-				if err := net.checkAdvertisement(nd, j, f, sent); err != nil {
+				if err := net.checkAdvertisement(nd, j, f, net.intern.path(id)); err != nil {
 					return err
 				}
 			}
@@ -66,7 +66,7 @@ func (net *Network) CheckConsistency() error {
 			for _, f := range peer.prefixes.sortedKeys() {
 				pps, _ := peer.prefixes.Get(f)
 				if net.rib(peer, pps)[rev].id != NoPath {
-					if _, ok := q.lastSent.Get(f); !ok {
+					if _, ok := q.wire(f); !ok {
 						return fmt.Errorf("bgp: session %d->%d prefix %d: receiver holds a route the sender never advertised",
 							nd.id, peer.id, f)
 					}
@@ -123,8 +123,9 @@ func (net *Network) checkAdvertisement(nd *node, j int, f Prefix, sent Path) err
 //
 //  1. best-route consistency: the Loc-RIB is a fixpoint of the decision
 //     process, and the cached advertisement body matches it;
-//  2. no dangling PathID: every Adj-RIB-In entry, the best-route ID and the
-//     advertisement ID resolve inside the intern table, and every session's
+//  2. no dangling PathID: every Adj-RIB-In entry, the best-route ID, the
+//     advertisement ID and, for the reconciled prefix, every Adj-RIB-Out
+//     and queued ID resolve inside the intern table, and every session's
 //     rank agrees with its relation and the length of its path;
 //  3. Adj-RIB-Out ⊆ export-policy closure: for every live neighbor, the
 //     wire-or-queued state setDesired just reconciled is exactly the
@@ -175,11 +176,15 @@ func (net *Network) checkReconciled(nd *node, f Prefix, ps *prefixState) {
 		if q.down {
 			continue
 		}
-		last, onWire := q.lastSent.Get(f)
-		pu, queued := q.pending.Get(f)
+		sentID, onWire := q.wire(f)
+		pu, queued := q.queued(f)
+		if sentID > limit || pu.id > limit {
+			panic(fmt.Sprintf("bgp: check: node %d prefix %d slot %d: adj-rib-out ID %d or queued ID %d dangling (table holds %d)",
+				nd.id, f, j, sentID, pu.id, limit))
+		}
 		if exportable(ids[j], rels[j], full, fromCustomerOrSelf) {
-			wireOK := onWire && last.Equal(full)
-			queueOK := queued && pu.kind == Announce && pu.path.Equal(full)
+			wireOK := onWire && it.path(sentID).Equal(full)
+			queueOK := queued && pu.kind == Announce && it.path(pu.id).Equal(full)
 			if !wireOK && !queueOK {
 				panic(fmt.Sprintf("bgp: check: node %d prefix %d slot %d: exportable best neither on wire nor queued",
 					nd.id, f, j))

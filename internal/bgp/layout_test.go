@@ -1,10 +1,13 @@
 package bgp
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 	"unsafe"
 
 	"bgpchurn/internal/des"
+	"bgpchurn/internal/scenario"
 )
 
 // TestKernelLayoutBudget pins the cache-line budget of the kernel state
@@ -24,7 +27,8 @@ func TestKernelLayoutBudget(t *testing.T) {
 		{"session", unsafe.Sizeof(session{}), 16},
 		{"inMsg", unsafe.Sizeof(inMsg{}), 48},
 		{"wireMsg", unsafe.Sizeof(wireMsg{}), 56},
-		{"outQueue", unsafe.Sizeof(outQueue{}), 128},
+		{"outQueue", unsafe.Sizeof(outQueue{}), line},
+		{"pendingUpdate", unsafe.Sizeof(pendingUpdate{}), 12},
 		{"prefixState", unsafe.Sizeof(prefixState{}), line},
 		{"node", unsafe.Sizeof(node{}), 4 * line},
 	}
@@ -41,6 +45,11 @@ func TestKernelLayoutBudget(t *testing.T) {
 	}
 	if sz := unsafe.Sizeof(outQueue{}); sz&(sz-1) != 0 {
 		t.Errorf("sizeof(outQueue) = %d is not a power of two", sz)
+	}
+	// A queued update is an ID, never a path: the inline pending slot of
+	// every queue stays pointer-free.
+	if typ := reflect.TypeOf(pendingUpdate{}); holdsPointer(typ) {
+		t.Errorf("%v holds a pointer", typ)
 	}
 
 	// A shard's scheduler keeps its clock word ahead of the time ring's
@@ -81,7 +90,7 @@ func TestKernelLayoutBudget(t *testing.T) {
 	// The scheduler prefetches des.LookaheadBytes of the next event's object
 	// one event ahead, and the engine's events are these objects. The span
 	// must be whole lines (owners are line-aligned: a node is four lines, a
-	// queue two, in page-aligned arrays) and must hold the node lines the
+	// queue one, in page-aligned arrays) and must hold the node lines the
 	// DESIGN.md table says node.Fire touches when the best route stays put —
 	// deliver's group and the unchanged-route group above — and the whole
 	// output queue, which a flush reads end to end.
@@ -97,5 +106,49 @@ func TestKernelLayoutBudget(t *testing.T) {
 	}
 	if sz := unsafe.Sizeof(prefixTimer{}); sz > span {
 		t.Errorf("sizeof(prefixTimer) = %d exceeds the %d bytes the look-ahead prefetches", sz, span)
+	}
+}
+
+// holdsPointer reports whether a value of type typ contains a pointer the
+// garbage collector must scan.
+func holdsPointer(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Struct:
+		for i := range typ.NumField() {
+			if holdsPointer(typ.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Array:
+		return typ.Len() > 0 && holdsPointer(typ.Elem())
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+		reflect.Chan, reflect.Func, reflect.Interface, reflect.String:
+		return true
+	}
+	return false
+}
+
+// TestNetworkBytesPerSession is the memory guard behind the layout budget:
+// the heap a fresh Network takes over a session-dense topology, per session.
+// TRANSIT-CLIQUE has the most sessions per node of the paper's scenarios, so
+// the per-session arrays (session row, output queue) dominate; a queue grown
+// back to 128 bytes, or a map or path slice per session, fails here.
+func TestNetworkBytesPerSession(t *testing.T) {
+	const budget = 96
+	topo, err := scenario.TransitClique.Generate(1500, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sessions := len(topo.CSR().IDs) // the shared CSR block is the topology's, not the Network's
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	net := MustNew(topo, DefaultConfig(1))
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(net)
+	per := float64(after.TotalAlloc-before.TotalAlloc) / float64(sessions)
+	t.Logf("%d sessions, %.1f heap bytes per session", sessions, per)
+	if per > budget {
+		t.Errorf("New allocates %.1f bytes per session, budget %d", per, budget)
 	}
 }

@@ -83,9 +83,7 @@ func (net *Network) slots(a, b topology.NodeID) (ja, jb int, err error) {
 func (net *Network) sessionDown(nd *node, j int) {
 	q := &net.out(nd)[j]
 	q.down = true
-	q.pending.Clear()
-	q.lastSent.Clear()
-	q.clearTimers() // a queued flush event will find down=true and bail
+	q.clearRoutes() // a queued flush event will find down=true and bail
 	for _, f := range nd.prefixes.sortedKeys() {
 		ps, _ := nd.prefixes.Get(f)
 		r := &net.rib(nd, ps)[j]

@@ -412,15 +412,12 @@ func (net *Network) reinit(seed uint64) {
 		}
 		// One draw per node, in node order.
 		nd.src.Reseed(master.Uint64())
+		// Rewound, not dropped: repeated C-events on one Network reuse the
+		// queues' spilled maps and per-prefix timers.
 		out := net.out(nd)
 		for j := range out {
-			q := &out[j]
-			q.down = false
-			q.pending.Clear()
-			q.lastSent.Clear()
-			// Rewound, not dropped: repeated C-events on one Network reuse
-			// the per-prefix timer storage instead of re-allocating it.
-			q.clearTimers()
+			out[j].down = false
+			out[j].clearRoutes()
 		}
 	}
 }
@@ -586,7 +583,9 @@ func (net *Network) process(nd *node, at des.Time, fromSlot int32, kind UpdateKi
 }
 
 // Fire is the expiry of q's per-interface MRAI timer: it sends every update
-// queued on the interface and, having sent any, restarts the timer.
+// queued on the interface and, having sent any, restarts the timer. A queued
+// update is an ID; its path is read from the intern table (lock-free, so
+// windowed shards share it) right before the send.
 func (q *outQueue) Fire(*des.Scheduler) {
 	nd := q.nd
 	sh := nd.sh
@@ -595,17 +594,16 @@ func (q *outQueue) Fire(*des.Scheduler) {
 	if p := sh.probes; p != nil {
 		p.MRAIFlushes.Inc()
 	}
-	if q.down || q.pending.Len() == 0 {
+	if q.down || q.pending.len(q.pendingMap()) == 0 {
 		return
 	}
-	sh.scratch = q.pending.SortedKeysInto(sh.scratch)
+	sh.scratch = q.pending.keysInto(q.pendingMap(), sh.scratch)
 	for _, f := range sh.scratch {
-		pu, _ := q.pending.Get(f)
-		q.pending.Delete(f)
+		pu, _ := q.dequeue(f)
 		// Each drained update is attributed to the cause that queued (or
 		// last replaced) it, not to whatever fired most recently.
 		sh.activeCause = pu.cause
-		net.send(nd, q, f, pu.kind, pu.path, pu.id)
+		net.send(nd, q, f, pu.kind, net.intern.path(pu.id), pu.id)
 	}
 	q.expiry = net.nextExpiry(nd)
 }
@@ -624,13 +622,12 @@ func (t *prefixTimer) Fire(*des.Scheduler) {
 	if q.down {
 		return
 	}
-	pu, ok := q.pending.Get(t.prefix)
+	pu, ok := q.dequeue(t.prefix)
 	if !ok {
 		return
 	}
-	q.pending.Delete(t.prefix)
 	sh.activeCause = pu.cause
-	net.send(nd, q, t.prefix, pu.kind, pu.path, pu.id)
+	net.send(nd, q, t.prefix, pu.kind, net.intern.path(pu.id), pu.id)
 	t.expiry = net.nextExpiry(nd)
 }
 
@@ -689,7 +686,7 @@ func (net *Network) timerIdle(nd *node, q *outQueue, f Prefix) bool {
 	}
 	now := nd.sh.sched.Now()
 	if net.cfg.Scope == PerPrefix {
-		t := q.prefixTimers[f]
+		t := q.timer(f)
 		return t == nil || t.expiry <= now
 	}
 	return q.expiry <= now
@@ -731,16 +728,12 @@ func (net *Network) ensureFlush(nd *node, q *outQueue, f Prefix) {
 	}
 }
 
-// send transmits one update on q's session and records it in the
-// Adj-RIB-Out.
+// send transmits one update on q's session and records its path's ID in the
+// Adj-RIB-Out (pathID is NoPath for a withdrawal).
 func (net *Network) send(nd *node, q *outQueue, f Prefix, kind UpdateKind, path Path, pathID PathID) {
 	nd.spoke = true
 	net.transmit(nd, int(q.slot), f, kind, path, pathID)
-	if kind == Withdraw {
-		q.lastSent.Delete(f)
-	} else {
-		q.lastSent.Set(f, path)
-	}
+	q.setWire(f, pathID)
 }
 
 // setDesired reconciles the wire state toward the neighbor behind q for
@@ -749,11 +742,11 @@ func (net *Network) send(nd *node, q *outQueue, f Prefix, kind UpdateKind, path 
 // immediately when rate limiting allows, otherwise replaces the queued
 // update.
 func (net *Network) setDesired(nd *node, q *outQueue, f Prefix, want Path, wantID PathID) {
-	last, onWire := q.lastSent.Get(f)
+	sentID, onWire := q.wire(f)
 	kind := Announce
-	if want == nil {
+	if wantID == NoPath {
 		// Any queued announcement is now invalid.
-		q.pending.Delete(f)
+		q.dequeue(f)
 		if !onWire {
 			return
 		}
@@ -764,11 +757,11 @@ func (net *Network) setDesired(nd *node, q *outQueue, f Prefix, want Path, wantI
 			return
 		}
 		kind = Withdraw
-	} else if onWire && last.Equal(want) {
-		// Wire state already matches; drop any queued update (it has been
-		// invalidated by this newer state). Both paths are canonical, so
-		// Equal's identity fast-path resolves this compare.
-		q.pending.Delete(f)
+	} else if sentID == wantID {
+		// Wire state already matches — hash-consing makes equal IDs ⟺ equal
+		// content — so drop any queued update (it has been invalidated by
+		// this newer state).
+		q.dequeue(f)
 		return
 	}
 	if net.timerIdle(nd, q, f) {
@@ -776,7 +769,7 @@ func (net *Network) setDesired(nd *node, q *outQueue, f Prefix, want Path, wantI
 		net.restartTimer(nd, q, f)
 		return
 	}
-	q.pending.Set(f, pendingUpdate{kind: kind, path: want, id: wantID, cause: nd.sh.activeCause})
+	q.enqueue(f, pendingUpdate{id: wantID, cause: nd.sh.activeCause, kind: kind})
 	net.ensureFlush(nd, q, f)
 }
 

@@ -198,9 +198,10 @@ func (pt *prefixTable) recycle() {
 }
 
 // pendingUpdate is an update waiting in an output queue for its MRAI timer.
+// It holds the path as its interned ID only (NoPath for a withdrawal): the
+// flush that sends it resolves the content through the intern table. 12
+// bytes, no pointer; TestKernelLayoutBudget pins both.
 type pendingUpdate struct {
-	path Path
-	// id is the interned ID of path.
 	id PathID
 	// cause is the root cause of the queued update. A newer update for the
 	// same prefix replaces the whole pendingUpdate — cause included — so
@@ -208,6 +209,102 @@ type pendingUpdate struct {
 	// invalidating cause.
 	cause CauseID
 	kind  UpdateKind
+}
+
+// queueSlot is the inline entry of one of an outQueue's prefix-keyed tables
+// (the Adj-RIB-Out and the pending updates). The paper's workload is one
+// prefix per C-event, so a table lives in its slot — no map, no hashing —
+// until a second distinct prefix appears. Then it moves into a map in the
+// queue's queueSpill, which stays authoritative, and allocated across
+// clears, for the rest of the queue's life. Every method takes that map: nil
+// while the table is inline.
+type queueSlot[V any] struct {
+	val V
+	key Prefix
+	has bool
+}
+
+// get returns the value for f and whether it is present.
+func (s *queueSlot[V]) get(m map[Prefix]V, f Prefix) (V, bool) {
+	if m != nil {
+		v, ok := m[f]
+		return v, ok
+	}
+	if s.has && s.key == f {
+		return s.val, true
+	}
+	var zero V
+	return zero, false
+}
+
+// set inserts or replaces the value for f and reports true, unless f is a
+// second distinct prefix of an inline table: then it changes nothing and
+// the caller spills the table.
+func (s *queueSlot[V]) set(m map[Prefix]V, f Prefix, v V) bool {
+	if m != nil {
+		m[f] = v
+		return true
+	}
+	if s.has && s.key != f {
+		return false
+	}
+	s.key, s.val, s.has = f, v, true
+	return true
+}
+
+// spill moves the inline entry and (f, v) into a new map and returns it.
+func (s *queueSlot[V]) spill(f Prefix, v V) map[Prefix]V {
+	m := map[Prefix]V{s.key: s.val, f: v}
+	*s = queueSlot[V]{}
+	return m
+}
+
+// take removes the entry for f and returns it, if present.
+func (s *queueSlot[V]) take(m map[Prefix]V, f Prefix) (V, bool) {
+	v, ok := s.get(m, f)
+	if ok {
+		if m != nil {
+			delete(m, f)
+		} else {
+			*s = queueSlot[V]{}
+		}
+	}
+	return v, ok
+}
+
+// len returns the number of entries.
+func (s *queueSlot[V]) len(m map[Prefix]V) int {
+	if m != nil {
+		return len(m)
+	}
+	if s.has {
+		return 1
+	}
+	return 0
+}
+
+// clear removes every entry; a spilled map stays allocated.
+func (s *queueSlot[V]) clear(m map[Prefix]V) {
+	clear(m)
+	*s = queueSlot[V]{}
+}
+
+// keysInto appends the prefixes in ascending order to buf[:0] and returns
+// it. It allocates only when buf is too small, so a flush that drains into
+// the shard's scratch buffer allocates nothing.
+func (s *queueSlot[V]) keysInto(m map[Prefix]V, buf []Prefix) []Prefix {
+	buf = buf[:0]
+	if m == nil {
+		if s.has {
+			buf = append(buf, s.key)
+		}
+		return buf
+	}
+	for f := range m {
+		buf = append(buf, f)
+	}
+	slices.Sort(buf)
+	return buf
 }
 
 // prefixTimer is the PerPrefix-scope MRAI timer of one (session, prefix)
@@ -222,59 +319,136 @@ type prefixTimer struct {
 }
 
 // outQueue is the per-neighbor output state: the MRAI timer, the queue of
-// rate-limited updates, and the Adj-RIB-Out (what is currently on the wire).
-// The per-prefix tables are prefixMaps: the paper's workload is one prefix
-// per C-event, so the dominant case is a single inline entry with no map
-// allocation at all.
+// rate-limited updates, and the Adj-RIB-Out (what is currently on the wire),
+// both tables holding interned PathIDs only. One 64-byte line: each table
+// keeps its single-prefix entry inline (queueSlot), and everything else sits
+// behind one lazily allocated spill pointer.
 //
 // An outQueue is also the flush event of its own per-interface MRAI timer
 // (see Fire): scheduled admits at most one pending flush per queue, and the
 // event carries no payload beyond the queue's identity, so no event object
 // is ever allocated or pooled.
 type outQueue struct {
-	// lastSent is the Adj-RIB-Out: the path currently advertised to this
-	// neighbor per prefix. Absence means not advertised (never, or
-	// withdrawn).
-	lastSent prefixMap[Path]
+	// nd is the node owning the queue.
+	nd *node
+	// expiry is when the per-interface MRAI timer expires; a value <= now
+	// means the timer is idle. Used only with PerInterface scope.
+	expiry des.Time
+	// spill holds what the inline slots do not: the maps of tables that have
+	// met a second prefix, and the PerPrefix-scope timers. Allocated on
+	// first use and kept, with its maps and timers, across Reset.
+	spill *queueSpill
 	// slot is the queue's neighbor slot at nd.
 	slot int32
+	// sent is the Adj-RIB-Out: the ID of the path currently advertised to
+	// this neighbor per prefix. Absence means not advertised (never, or
+	// withdrawn).
+	sent queueSlot[PathID]
+	// pending holds the latest not-yet-sent update per prefix. A newer
+	// update for the same prefix replaces the queued one (the paper's
+	// "queued update invalidated by a new update is removed").
+	pending queueSlot[pendingUpdate]
 	// scheduled marks a pending flush event for this queue (PerInterface).
 	scheduled bool
 	// down marks a failed link; no updates flow and state is cleared.
 	down bool
-	// expiry is when the per-interface MRAI timer expires; a value <= now
-	// means the timer is idle. Used only with PerInterface scope.
-	expiry des.Time
-	// nd is the node owning the queue.
-	nd *node
-	// pending holds the latest not-yet-sent update per prefix. A newer
-	// update for the same prefix replaces the queued one (the paper's
-	// "queued update invalidated by a new update is removed").
-	pending prefixMap[pendingUpdate]
-	// prefixTimers holds the PerPrefix-scope timers, allocated on first use
-	// and kept (rewound) across Reset. Nil under PerInterface scope.
-	prefixTimers map[Prefix]*prefixTimer
+}
+
+// queueSpill is the out-of-line part of an outQueue.
+type queueSpill struct {
+	sent    map[Prefix]PathID
+	pending map[Prefix]pendingUpdate
+	timers  map[Prefix]*prefixTimer
+}
+
+// spilled returns the queue's spill, allocating it on first use.
+func (q *outQueue) spilled() *queueSpill {
+	if q.spill == nil {
+		q.spill = new(queueSpill)
+	}
+	return q.spill
+}
+
+// sentMap and pendingMap return the tables' spilled maps (nil while inline).
+func (q *outQueue) sentMap() map[Prefix]PathID {
+	if q.spill == nil {
+		return nil
+	}
+	return q.spill.sent
+}
+
+func (q *outQueue) pendingMap() map[Prefix]pendingUpdate {
+	if q.spill == nil {
+		return nil
+	}
+	return q.spill.pending
+}
+
+// wire returns the ID of the path on the wire for f, and whether there is
+// one.
+func (q *outQueue) wire(f Prefix) (PathID, bool) { return q.sent.get(q.sentMap(), f) }
+
+// setWire records id as what the neighbor holds for f; NoPath (after a
+// withdrawal) removes the entry.
+func (q *outQueue) setWire(f Prefix, id PathID) {
+	if id == NoPath {
+		q.sent.take(q.sentMap(), f)
+	} else if !q.sent.set(q.sentMap(), f, id) {
+		q.spilled().sent = q.sent.spill(f, id)
+	}
+}
+
+// queued returns the update pending for f, if any.
+func (q *outQueue) queued(f Prefix) (pendingUpdate, bool) {
+	return q.pending.get(q.pendingMap(), f)
+}
+
+// enqueue makes pu the update pending for f, replacing any queued one.
+func (q *outQueue) enqueue(f Prefix, pu pendingUpdate) {
+	if !q.pending.set(q.pendingMap(), f, pu) {
+		q.spilled().pending = q.pending.spill(f, pu)
+	}
+}
+
+// dequeue removes the update pending for f and returns it, if any.
+func (q *outQueue) dequeue(f Prefix) (pendingUpdate, bool) {
+	return q.pending.take(q.pendingMap(), f)
+}
+
+// timer returns the PerPrefix timer for f, nil before its first use.
+func (q *outQueue) timer(f Prefix) *prefixTimer {
+	if q.spill == nil {
+		return nil
+	}
+	return q.spill.timers[f]
 }
 
 // prefixTimer returns the PerPrefix timer for f, creating it on first use.
 func (q *outQueue) prefixTimer(f Prefix) *prefixTimer {
-	if t := q.prefixTimers[f]; t != nil {
+	if t := q.timer(f); t != nil {
 		return t
 	}
-	if q.prefixTimers == nil {
-		q.prefixTimers = make(map[Prefix]*prefixTimer, 1)
+	sp := q.spilled()
+	if sp.timers == nil {
+		sp.timers = make(map[Prefix]*prefixTimer, 1)
 	}
 	t := &prefixTimer{q: q, prefix: f}
-	q.prefixTimers[f] = t
+	sp.timers[f] = t
 	return t
 }
 
-// clearTimers rewinds every MRAI timer of the queue to idle and unarmed.
-// Flush events already in the scheduler stay there; they find nothing to do.
-func (q *outQueue) clearTimers() {
+// clearRoutes empties the Adj-RIB-Out and the pending updates and rewinds
+// every MRAI timer to idle and unarmed, keeping spilled maps and timers
+// allocated. Flush events already in the scheduler stay there; they find
+// nothing to do.
+func (q *outQueue) clearRoutes() {
+	q.sent.clear(q.sentMap())
+	q.pending.clear(q.pendingMap())
 	q.expiry, q.scheduled = 0, false
-	for _, t := range q.prefixTimers {
-		t.expiry, t.scheduled = 0, false
+	if sp := q.spill; sp != nil {
+		for _, t := range sp.timers {
+			t.expiry, t.scheduled = 0, false
+		}
 	}
 }
 

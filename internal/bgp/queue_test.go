@@ -1,0 +1,179 @@
+package bgp
+
+import (
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"bgpchurn/internal/des"
+)
+
+// timerModel is the expected state of one MRAI timer.
+type timerModel struct {
+	expiry    des.Time
+	scheduled bool
+}
+
+// TestOutQueueModel drives output queues through random operation sequences
+// — Adj-RIB-Out and pending-update writes, reads and removals over 1–4
+// prefixes, clears (Reset), link down/up and PerPrefix timer creation — and
+// after every step compares both tables, their lengths and sorted keys, and
+// every timer against plain Go maps. A table's spilled map, once allocated,
+// must survive every later clear as the same map.
+func TestOutQueueModel(t *testing.T) {
+	const sequences, steps = 2000, 60
+	r := rand.New(rand.NewSource(1))
+	var keys []Prefix
+	for seq := 0; seq < sequences; seq++ {
+		prefixes := 1 + r.Intn(4)
+		q := new(outQueue)
+		sent := map[Prefix]PathID{}
+		pending := map[Prefix]pendingUpdate{}
+		timers := map[Prefix]*prefixTimer{}
+		timerState := map[Prefix]timerModel{}
+		var iface timerModel
+		var spill *queueSpill
+		var sentMap, pendingMap uintptr
+		clearModel := func() {
+			clear(sent)
+			clear(pending)
+			iface = timerModel{}
+			for f := range timerState {
+				timerState[f] = timerModel{}
+			}
+		}
+		for step := 0; step < steps; step++ {
+			f := Prefix(r.Intn(prefixes))
+			var op string
+			switch r.Intn(11) {
+			case 0, 1:
+				op = "setWire"
+				id := PathID(r.Intn(4)) // NoPath withdraws
+				q.setWire(f, id)
+				if id == NoPath {
+					delete(sent, f)
+				} else {
+					sent[f] = id
+				}
+			case 2, 3:
+				op = "enqueue"
+				pu := pendingUpdate{id: PathID(r.Intn(4)), cause: CauseID(r.Intn(3)), kind: UpdateKind(r.Intn(2))}
+				q.enqueue(f, pu)
+				pending[f] = pu
+			case 4, 5:
+				op = "dequeue"
+				got, ok := q.dequeue(f)
+				want, wantOK := pending[f]
+				if got != want || ok != wantOK {
+					t.Fatalf("seq %d step %d: dequeue(%d) = %+v, %v; want %+v, %v", seq, step, f, got, ok, want, wantOK)
+				}
+				delete(pending, f)
+			case 6:
+				op = "reset"
+				q.down = false
+				q.clearRoutes()
+				clearModel()
+			case 7:
+				op = "link down"
+				q.down = true
+				q.clearRoutes()
+				clearModel()
+			case 8:
+				op = "link up"
+				q.down = false
+			case 9:
+				op = "prefix timer"
+				tm := q.prefixTimer(f)
+				if old := timers[f]; old != nil && old != tm {
+					t.Fatalf("seq %d step %d: prefixTimer(%d) replaced its timer", seq, step, f)
+				}
+				if tm.q != q || tm.prefix != f {
+					t.Fatalf("seq %d step %d: prefixTimer(%d) is bound to queue %p prefix %d", seq, step, f, tm.q, tm.prefix)
+				}
+				timers[f] = tm
+				st := timerModel{expiry: des.Time(1 + r.Intn(100)), scheduled: r.Intn(2) == 0}
+				tm.expiry, tm.scheduled = st.expiry, st.scheduled
+				timerState[f] = st
+			case 10:
+				op = "interface timer"
+				iface = timerModel{expiry: des.Time(1 + r.Intn(100)), scheduled: r.Intn(2) == 0}
+				q.expiry, q.scheduled = iface.expiry, iface.scheduled
+			}
+
+			// Every prefix in use, and one never used.
+			for g := Prefix(0); g <= 4; g++ {
+				id, ok := q.wire(g)
+				want, wantOK := sent[g]
+				if id != want || ok != wantOK {
+					t.Fatalf("seq %d step %d (%s): wire(%d) = %d, %v; want %d, %v", seq, step, op, g, id, ok, want, wantOK)
+				}
+				pu, ok := q.queued(g)
+				wantPU, wantOK := pending[g]
+				if pu != wantPU || ok != wantOK {
+					t.Fatalf("seq %d step %d (%s): queued(%d) = %+v, %v; want %+v, %v", seq, step, op, g, pu, ok, wantPU, wantOK)
+				}
+				tm := q.timer(g)
+				if tm != timers[g] {
+					t.Fatalf("seq %d step %d (%s): timer(%d) = %p, want %p", seq, step, op, g, tm, timers[g])
+				}
+				if tm != nil {
+					if got := (timerModel{tm.expiry, tm.scheduled}); got != timerState[g] {
+						t.Fatalf("seq %d step %d (%s): timer(%d) = %+v, want %+v", seq, step, op, g, got, timerState[g])
+					}
+				}
+			}
+			if got := (timerModel{q.expiry, q.scheduled}); got != iface {
+				t.Fatalf("seq %d step %d (%s): interface timer %+v, want %+v", seq, step, op, got, iface)
+			}
+			if n := q.sent.len(q.sentMap()); n != len(sent) {
+				t.Fatalf("seq %d step %d (%s): Adj-RIB-Out len %d, want %d", seq, step, op, n, len(sent))
+			}
+			if n := q.pending.len(q.pendingMap()); n != len(pending) {
+				t.Fatalf("seq %d step %d (%s): pending len %d, want %d", seq, step, op, n, len(pending))
+			}
+			keys = q.sent.keysInto(q.sentMap(), keys)
+			if want := sortedKeys(sent); !slices.Equal(keys, want) {
+				t.Fatalf("seq %d step %d (%s): Adj-RIB-Out keys %v, want %v", seq, step, op, keys, want)
+			}
+			keys = q.pending.keysInto(q.pendingMap(), keys)
+			if want := sortedKeys(pending); !slices.Equal(keys, want) {
+				t.Fatalf("seq %d step %d (%s): pending keys %v, want %v", seq, step, op, keys, want)
+			}
+
+			// Spill storage is allocated once and then kept: the spill
+			// itself, and each table's map from the moment it spilled.
+			if spill != nil && q.spill != spill {
+				t.Fatalf("seq %d step %d (%s): queue spill reallocated", seq, step, op)
+			}
+			if spill = q.spill; spill == nil {
+				continue
+			}
+			if sentMap != 0 && mapPtr(spill.sent) != sentMap {
+				t.Fatalf("seq %d step %d (%s): spilled Adj-RIB-Out map dropped or reallocated", seq, step, op)
+			}
+			if pendingMap != 0 && mapPtr(spill.pending) != pendingMap {
+				t.Fatalf("seq %d step %d (%s): spilled pending map dropped or reallocated", seq, step, op)
+			}
+			sentMap, pendingMap = mapPtr(spill.sent), mapPtr(spill.pending)
+		}
+	}
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[Prefix]V) []Prefix {
+	keys := make([]Prefix, 0, len(m))
+	for f := range m {
+		keys = append(keys, f)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// mapPtr identifies a map by its address (0 for nil).
+func mapPtr[V any](m map[Prefix]V) uintptr {
+	if m == nil {
+		return 0
+	}
+	return reflect.ValueOf(m).Pointer()
+}

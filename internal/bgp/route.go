@@ -26,11 +26,12 @@ func (p Path) Contains(id topology.NodeID) bool {
 	return false
 }
 
-// Equal reports element-wise equality. Paths are immutable and widely
-// shared (the engine advertises the same cached slice to every neighbor),
-// so two slices with the same backing array are equal by construction; the
-// identity check makes the common "compare a path against itself" case O(1)
-// without changing the result.
+// Equal reports element-wise equality. The engine never calls it: every
+// route it holds is an interned PathID, and equal IDs mean equal content.
+// Equal is for content checks against independently built paths (the
+// consistency checkers, tests). Interned paths are immutable and share one
+// backing array per content, so the identity check answers "same interned
+// path" in O(1) without changing the result.
 func (p Path) Equal(q Path) bool {
 	if len(p) != len(q) {
 		return false

@@ -198,9 +198,8 @@ func (net *Network) WarmStart(origin topology.NodeID, f Prefix) {
 	net.ws.order = order // retain grown capacity
 
 	// Install phase: put each advertisement on the wire of every session its
-	// export predicate allows, exactly as reconcile would — the canonical
-	// Path lands in the sender's Adj-RIB-Out and its ID in the receiver's
-	// Adj-RIB-In.
+	// export predicate allows, exactly as reconcile would — its interned ID
+	// lands in the sender's Adj-RIB-Out and the receiver's Adj-RIB-In.
 	for i := range net.nodes {
 		nd := &net.nodes[i]
 		full := adv[i]
@@ -216,7 +215,7 @@ func (net *Network) WarmStart(origin topology.NodeID, f Prefix) {
 			if !exportable(nbr, rels[j], full, fromCustomerOrSelf) {
 				continue
 			}
-			out[j].lastSent.Set(f, full)
+			out[j].setWire(f, advID[i])
 			to := &net.nodes[nbr]
 			net.rib(to, net.state(to, f))[rev[j]].install(advID[i], len(full))
 		}

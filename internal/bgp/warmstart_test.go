@@ -87,12 +87,13 @@ func compareConverged(t *testing.T, cold, warm *Network, label string, n int, se
 					i, j, cIDs[j], cRib, wRib)
 			}
 			cq, wq := &cOut[j], &wOut[j]
-			if cq.pending.Len() != 0 || wq.pending.Len() != 0 {
+			if cLen, wLen := cq.pending.len(cq.pendingMap()), wq.pending.len(wq.pendingMap()); cLen != 0 || wLen != 0 {
 				t.Errorf("node %d slot %d: queued updates on a converged network (cold=%d warm=%d)",
-					i, j, cq.pending.Len(), wq.pending.Len())
+					i, j, cLen, wLen)
 			}
-			cSent, cOn := cq.lastSent.Get(wsPrefix)
-			wSent, wOn := wq.lastSent.Get(wsPrefix)
+			cID, cOn := cq.wire(wsPrefix)
+			wID, wOn := wq.wire(wsPrefix)
+			cSent, wSent := cold.intern.path(cID), warm.intern.path(wID)
 			if cOn != wOn || !cSent.Equal(wSent) {
 				t.Errorf("node %d slot %d (to %d): adj-rib-out cold=(%v,%v) warm=(%v,%v)",
 					i, j, cIDs[j], cSent, cOn, wSent, wOn)
