@@ -27,9 +27,9 @@ cross:
 
 # race runs the full suite under the race detector, then reruns the
 # checker-enabled tiers with -count=1: the RIB invariant checker
-# (bgp.Config.Check) re-verifies decision fixpoints, PathID validity and
-# export closure after every reconcile, and the checked golden cell
-# exercises it inside parallel origin workers at small n.
+# (bgp.Config.Check) re-verifies decision fixpoints, PathID validity, export
+# closure and untouched-queue pristineness after every decision, and the
+# checked golden cell exercises it inside parallel origin workers at small n.
 # Last, the windowed executor's own tests (worker crew, partition and
 # deadline invariance) ten times over: the race tier starts Config.Shards
 # workers whatever the CPU count, so a lost wake-up or a claim that crosses
@@ -37,11 +37,12 @@ cross:
 # barrier into a failure instead of a stuck job. The same ten rounds run
 # the admission-time-completion differential (bare against all-evented
 # networks), whose windowed cases complete updates on the worker that admits
-# them.
+# them, and the change-proportional tiers (the one-row decision step against
+# the scan, and the touched-queue marks windowed shards write concurrently).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 -run 'Consistency|Checker|GrowThenReset|Sharded' ./internal/bgp/ .
-	$(GO) test -race -count=10 -timeout 15m -run 'Crew|PartitionInvariance|Windowed|AdmissionCompletion' ./internal/des/ ./internal/bgp/
+	$(GO) test -race -count=10 -timeout 15m -run 'Crew|PartitionInvariance|Windowed|AdmissionCompletion|DecideAfter|Touched' ./internal/des/ ./internal/bgp/
 
 bench:
 	$(GO) test -bench . -benchtime 1x .

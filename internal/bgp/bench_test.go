@@ -5,6 +5,7 @@ import (
 
 	"bgpchurn/internal/des"
 	"bgpchurn/internal/obs"
+	"bgpchurn/internal/scenario"
 	"bgpchurn/internal/topology"
 )
 
@@ -143,6 +144,61 @@ func BenchmarkKernelReconcileUnchanged(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		net.applyDecision(core, benchPrefix, ps)
 	}
+}
+
+// BenchmarkKernelReconcileWideRow measures a best-route change at a node
+// with hundreds of neighbors: a T node of a warm-started TRANSIT-CLIQUE
+// n=1500 network whose best route came from a peer. Each op processes one
+// update on the best route's session, alternately its withdrawal (the row is
+// rescanned, a longer or later-ranked peer route wins) and its return (the
+// one-row step wins it back), so every op changes the best route and
+// reconciles the whole row: the customers' queues replace or drop the
+// update queued behind their running MRAI timers, while the peers' and
+// providers' untouched queues are skipped unread. Expected allocs/op: 0.
+func BenchmarkKernelReconcileWideRow(b *testing.B) {
+	topo, err := scenario.TransitClique.Generate(1500, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	net := MustNew(topo, DefaultConfig(1)) // 30 s MRAI: the clock stands still
+	origin := topo.NodesOfType(topology.C)[0]
+	net.WarmStart(origin, benchPrefix)
+	var nd *node
+	var ps *prefixState
+	for _, id := range topo.NodesOfType(topology.T) {
+		cand := &net.nodes[id]
+		s, ok := cand.prefixes.Get(benchPrefix)
+		if ok && s.bestSlot >= 0 && net.nbrRels(cand)[s.bestSlot] == topology.Peer && !cand.sink &&
+			(nd == nil || cand.deg > nd.deg) {
+			nd, ps = cand, s
+		}
+	}
+	if nd == nil {
+		b.Fatal("no T node with a peer-learned best route")
+	}
+	slot, id := ps.bestSlot, ps.bestID
+	path := net.intern.path(id)
+	flip := func(i int) {
+		if i%2 == 0 {
+			net.process(nd, net.Now(), slot, Withdraw, benchPrefix, nil, NoPath)
+		} else {
+			net.process(nd, net.Now(), slot, Announce, benchPrefix, path, id)
+		}
+	}
+	for i := 0; i < 4; i++ { // first sends, timer starts, flush events armed
+		flip(i)
+	}
+	changes := nd.bestChanges
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		flip(i)
+	}
+	b.StopTimer()
+	if nd.bestChanges-changes != uint32(b.N) {
+		b.Fatalf("%d best-route changes in %d ops", nd.bestChanges-changes, b.N)
+	}
+	b.ReportMetric(float64(nd.deg), "neighbors")
 }
 
 // BenchmarkKernelTransmitFire measures one full steady-state hop: transmit

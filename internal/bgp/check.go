@@ -19,7 +19,9 @@ import (
 //  4. every advertised path is u's current best prepended with u, is
 //     loop-free, and does not contain the recipient;
 //  5. export policy: a path learned from a peer or provider is never on
-//     the wire toward another peer or provider.
+//     the wire toward another peer or provider;
+//  6. every output queue not marked touched is pristine (see
+//     Network.touched).
 func (net *Network) CheckConsistency() error {
 	if net.Pending() != 0 {
 		return fmt.Errorf("bgp: network not quiescent (%d events pending)", net.Pending())
@@ -37,6 +39,10 @@ func (net *Network) CheckConsistency() error {
 		ids, out := net.nbrIDs(nd), net.out(nd)
 		for j := range out {
 			q := &out[j]
+			// (6) the skip reconcile and reinit take is sound.
+			if net.touched[int(nd.row)+j] == 0 && !q.pristine() {
+				return fmt.Errorf("bgp: node %d slot %d: output queue in use but not marked touched", nd.id, j)
+			}
 			// (2) no residual queued updates.
 			if n := q.pending.len(q.pendingMap()); n != 0 {
 				return fmt.Errorf("bgp: node %d slot %d: %d updates still queued on a quiescent network",
@@ -116,8 +122,22 @@ func (net *Network) checkAdvertisement(nd *node, j int, f Prefix, sent Path) err
 	return nil
 }
 
+// pristine reports whether q is in the state New leaves it in: no wire or
+// queued entry for any prefix, every MRAI timer idle and unarmed, the link
+// up. A queue not marked in Network.touched must be.
+func (q *outQueue) pristine() bool {
+	clean := !q.down && !q.scheduled && q.expiry == 0 &&
+		q.sent.len(q.sentMap()) == 0 && q.pending.len(q.pendingMap()) == 0
+	if sp := q.spill; sp != nil {
+		for _, t := range sp.timers {
+			clean = clean && !t.scheduled && t.expiry == 0
+		}
+	}
+	return clean
+}
+
 // checkReconciled is the debug-only (Config.Check) RIB invariant checker,
-// run after every reconcile on the node that just changed its best route.
+// run after every decision, changed or not, on the node that made it.
 // Unlike CheckConsistency it must hold mid-convergence, so it checks only
 // node-local invariants:
 //
@@ -131,15 +151,17 @@ func (net *Network) checkAdvertisement(nd *node, j int, f Prefix, sent Path) err
 //     wire-or-queued state setDesired just reconciled is exactly the
 //     export-policy image of the best route — an exportable route is on the
 //     wire or queued as an announcement, a non-exportable one is off the
-//     wire or queued as a withdrawal.
+//     wire or queued as a withdrawal;
+//  4. every one of the node's output queues not marked touched is pristine,
+//     which is what lets reconcile skip it.
 //
 // Violations panic: the checker runs in test tiers where an invariant break
 // is a bug in the engine, never a recoverable condition.
 func (net *Network) checkReconciled(nd *node, f Prefix, ps *prefixState) {
 	// (1) decision fixpoint.
 	if slot, id := net.decide(nd, ps); slot != ps.bestSlot || id != ps.bestID {
-		panic(fmt.Sprintf("bgp: check: node %d prefix %d: Loc-RIB not a decision fixpoint (have slot %d, decide says %d)",
-			nd.id, f, ps.bestSlot, slot))
+		panic(fmt.Sprintf("bgp: check: node %d prefix %d: Loc-RIB not a decision fixpoint (have slot %d path %d, decide says slot %d path %d)",
+			nd.id, f, ps.bestSlot, ps.bestID, slot, id))
 	}
 	// (2) intern-table ID validity and rank consistency.
 	it := net.intern
@@ -151,7 +173,7 @@ func (net *Network) checkReconciled(nd *node, f Prefix, ps *prefixState) {
 			panic(fmt.Sprintf("bgp: check: node %d prefix %d slot %d: dangling PathID %d (table holds %d)",
 				nd.id, f, j, s.id, limit))
 		}
-		if plen := it.lenOf(s.id); s.rel() != rels[j] || int(s.rank&rankLenMask) != plen {
+		if plen := it.lenOf(s.id); s.rel() != rels[j] || s.plen() != plen {
 			panic(fmt.Sprintf("bgp: check: node %d prefix %d slot %d: session rank %#x inconsistent with relation %v and path length %d",
 				nd.id, f, j, s.rank, rels[j], plen))
 		}
@@ -173,6 +195,10 @@ func (net *Network) checkReconciled(nd *node, f Prefix, ps *prefixState) {
 	ids, rels, out := net.nbrIDs(nd), net.nbrRels(nd), net.out(nd)
 	for j := range out {
 		q := &out[j]
+		// (4) untouched queues are pristine.
+		if net.touched[int(nd.row)+j] == 0 && !q.pristine() {
+			panic(fmt.Sprintf("bgp: check: node %d slot %d: output queue in use but not marked touched", nd.id, j))
+		}
 		if q.down {
 			continue
 		}

@@ -209,7 +209,7 @@ func TestRelabelingIsomorphismInvariance(t *testing.T) {
 			for i := range a.nodes {
 				na, nb := &a.nodes[i], &b.nodes[perm[i]]
 				for j, s := range a.sessions(na) {
-					b.sessions(nb)[j].tie = s.tie
+					b.sessions(nb)[j].rank = s.rank // same relation, a's tie-break
 				}
 				s := master.Uint64()
 				na.src.Reseed(s)

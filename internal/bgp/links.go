@@ -82,6 +82,7 @@ func (net *Network) slots(a, b topology.NodeID) (ja, jb int, err error) {
 // decision process for every prefix that was learned over it.
 func (net *Network) sessionDown(nd *node, j int) {
 	q := &net.out(nd)[j]
+	net.touch(nd, q)
 	q.down = true
 	q.clearRoutes() // a queued flush event will find down=true and bail
 	for _, f := range nd.prefixes.sortedKeys() {

@@ -70,6 +70,16 @@ type Network struct {
 	// tie-break, receive counter; see session), outq the send side.
 	sess []session
 	outq []outQueue
+	// touched, parallel to outq, is nonzero once a queue has left its
+	// pristine state — nothing on the wire or queued for any prefix, timers
+	// idle and unarmed, link up — since the last reinit. Four places mark it:
+	// send, setDesired's enqueue, sessionDown and WarmStart's setWire (timers
+	// are armed only after a send or an enqueue); only reinit clears it. On an
+	// untouched queue a withdrawal setDesired is a no-op, so reconcile skips
+	// the queue's line, and reinit has nothing there to rewind. One byte per
+	// session, not one bit: windowed shards mark their own rows concurrently,
+	// and no two of them may share a word.
+	touched []byte
 	// salt seeds the decision tie-break hashes of the current Reset epoch.
 	salt uint64
 
@@ -147,9 +157,10 @@ func (net *Network) build(topo *topology.Topology) error {
 	net.nodes = make([]node, topo.N())
 	net.sess = make([]session, sessions)
 	for k, rel := range adj.Rels {
-		net.sess[k].rank = uint32(rel) << rankRelShift
+		net.sess[k].rank = uint64(rel) << rankRelShift
 	}
 	net.outq = make([]outQueue, sessions)
+	net.touched = make([]byte, sessions)
 
 	// Shard partition: contiguous node ranges balanced by session count.
 	// The inline zero-LinkDelay engine has no lookahead to parallelize
@@ -408,18 +419,22 @@ func (net *Network) reinit(seed uint64) {
 		nd.prefixes.recycle()
 		rows := net.sessions(nd)
 		for j, id := range net.nbrIDs(nd) {
-			rows[j] = session{rank: rows[j].rank &^ rankLenMask, tie: uint32(hashID(net.salt, id) >> 32)}
+			rows[j] = session{rank: rows[j].rank&rankRelMask | hashID(net.salt, id)>>32}
 		}
 		// One draw per node, in node order.
 		nd.src.Reseed(master.Uint64())
 		// Rewound, not dropped: repeated C-events on one Network reuse the
-		// queues' spilled maps and per-prefix timers.
+		// queues' spilled maps and per-prefix timers. Untouched queues are
+		// pristine already.
 		out := net.out(nd)
-		for j := range out {
-			out[j].down = false
-			out[j].clearRoutes()
+		for j, t := range net.touched[nd.row : nd.row+nd.deg] {
+			if t != 0 {
+				out[j].down = false
+				out[j].clearRoutes()
+			}
 		}
 	}
+	clear(net.touched)
 }
 
 // Originate makes origin announce prefix f from the current virtual time.
@@ -579,7 +594,10 @@ func (net *Network) process(nd *node, at des.Time, fromSlot int32, kind UpdateKi
 			net.recordFlap(nd, fromSlot, prefix, d.UpdatePenalty)
 		}
 	}
-	net.applyDecision(nd, prefix, ps)
+	// Only row fromSlot changed, so decideAfter mostly decides with one
+	// comparison instead of a scan of the row.
+	slot, id := net.decideAfter(nd, ps, fromSlot)
+	net.adopt(nd, prefix, ps, slot, id)
 }
 
 // Fire is the expiry of q's per-interface MRAI timer: it sends every update
@@ -633,47 +651,61 @@ func (t *prefixTimer) Fire(*des.Scheduler) {
 
 // --- core protocol flow --------------------------------------------------
 
-// applyDecision re-runs the decision process for (nd, f); if the selected
-// route changed it updates the Loc-RIB and reconciles every neighbor's
-// output state. The "did the route change" test is a PathID compare: the
-// hash-consing invariant (equal IDs ⟺ equal content) makes it exact.
+// applyDecision re-runs the whole decision process for (nd, f) and adopts
+// its outcome: the way in for every change other than one received update
+// (origination, withdrawal, session down, dampening reuse).
 func (net *Network) applyDecision(nd *node, f Prefix, ps *prefixState) {
 	slot, id := net.decide(nd, ps)
-	if slot == ps.bestSlot && id == ps.bestID {
-		return
+	net.adopt(nd, f, ps, slot, id)
+}
+
+// adopt makes (slot, id), the decision process's outcome for (nd, f), the
+// selected route; if it changed it updates the Loc-RIB and reconciles every
+// neighbor's output state. The "did the route change" test is a PathID
+// compare: the hash-consing invariant (equal IDs ⟺ equal content) makes it
+// exact.
+func (net *Network) adopt(nd *node, f Prefix, ps *prefixState, slot int32, id PathID) {
+	if slot != ps.bestSlot || id != ps.bestID {
+		ps.bestSlot, ps.bestID = slot, id
+		ps.fullValid = false // the cached advertisement body is stale
+		nd.bestChanges++
+		if tr := net.causal; tr != nil {
+			tr.tallies[nd.sh.idx].exploration[nd.typ]++
+		}
+		// A silent node exports to nobody and has nothing on any wire:
+		// reconcile would build (and intern) an advertisement body no one is
+		// ever sent and walk every output queue to find it empty. The checker
+		// below still verifies the postcondition reconcile would have
+		// established.
+		if !nd.silent() {
+			net.reconcile(nd, f, ps)
+		}
 	}
-	ps.bestSlot, ps.bestID = slot, id
-	ps.fullValid = false // the cached advertisement body is stale
-	nd.bestChanges++
-	if tr := net.causal; tr != nil {
-		tr.tallies[nd.sh.idx].exploration[nd.typ]++
-	}
-	// A silent node exports to nobody and has nothing on any wire: reconcile
-	// would build (and intern) an advertisement body no one is ever sent and
-	// walk every output queue to find it empty. The checker below still
-	// verifies the postcondition reconcile would have established.
-	if !nd.silent() {
-		net.reconcile(nd, f, ps)
-	}
+	// Changed or not: an unchanged outcome of decideAfter is checked too.
 	if net.cfg.Check {
 		net.checkReconciled(nd, f, ps)
 	}
 }
 
 // reconcile recomputes the desired advertisement toward every neighbor and
-// feeds differences into the rate-limited output queues.
+// feeds differences into the rate-limited output queues. A neighbor the
+// route is not exported to is skipped, queue unread, while its queue is
+// untouched: there is nothing to withdraw or dequeue on it.
 func (net *Network) reconcile(nd *node, f Prefix, ps *prefixState) {
 	full, fromCustomerOrSelf := net.advertisement(nd, ps)
 	out, rows, ids := net.out(nd), net.sessions(nd), net.nbrIDs(nd)
+	touched := net.touched[nd.row : nd.row+nd.deg]
 	for j := range out {
-		q := &out[j]
-		if q.down {
-			continue
-		}
 		var want Path
 		wantID := NoPath
 		if exportable(ids[j], rows[j].rel(), full, fromCustomerOrSelf) {
 			want, wantID = full, ps.fullID
+		} else if touched[j] == 0 {
+			continue
+		}
+		q := &out[j]
+		if q.down {
+			continue
 		}
 		net.setDesired(nd, q, f, want, wantID)
 	}
@@ -732,6 +764,7 @@ func (net *Network) ensureFlush(nd *node, q *outQueue, f Prefix) {
 // Adj-RIB-Out (pathID is NoPath for a withdrawal).
 func (net *Network) send(nd *node, q *outQueue, f Prefix, kind UpdateKind, path Path, pathID PathID) {
 	nd.spoke = true
+	net.touch(nd, q)
 	net.transmit(nd, int(q.slot), f, kind, path, pathID)
 	q.setWire(f, pathID)
 }
@@ -769,9 +802,14 @@ func (net *Network) setDesired(nd *node, q *outQueue, f Prefix, want Path, wantI
 		net.restartTimer(nd, q, f)
 		return
 	}
+	net.touch(nd, q)
 	q.enqueue(f, pendingUpdate{id: wantID, cause: nd.sh.activeCause, kind: kind})
 	net.ensureFlush(nd, q, f)
 }
+
+// touch marks q, one of nd's output queues, as no longer pristine (see
+// Network.touched).
+func (net *Network) touch(nd *node, q *outQueue) { net.touched[nd.row+q.slot] = 1 }
 
 // transmit sends one update to the neighbor at slot j. With zero LinkDelay
 // (the inline engine) the update is admitted to the receiver's processor

@@ -22,44 +22,49 @@ const (
 //
 //   - id is the Adj-RIB-In entry for the node's first prefix: the interned
 //     ID of the path most recently announced by the neighbor (NoPath = none).
-//   - rank packs the two leading steps of the decision process into one
-//     integer that orders like them: the neighbor relation in the top two
-//     bits (Customer < Peer < Provider, i.e. descending local preference)
-//     above the cached length of path id in the low 30 (0 without a route).
-//     A lower rank wins. The relation bits are written once at build time
-//     and serve every hot-path relation test.
-//   - tie is the top half of the neighbor's decision tie-break hash ("hashed
-//     value of the node IDs"), consulted only between equal ranks. Two
-//     neighbors whose top halves collide (2^-32) are ordered by the full
-//     hash, recomputed on the spot (see tieLess).
 //   - recv counts the updates received over the session in the current
 //     measurement window.
+//   - rank packs the three leading steps of the decision process into one
+//     integer that orders like them: the neighbor relation in the top two
+//     bits (Customer < Peer < Provider, i.e. descending local preference),
+//     the cached length of path id in the next 30 (0 without a route), and
+//     in the low 32 the top half of the neighbor's decision tie-break hash
+//     ("hashed value of the node IDs"). A lower rank wins. The relation bits
+//     are written once at build time and serve every hot-path relation test;
+//     reinit rewrites the tie-break bits from each epoch's salt. Two
+//     neighbors whose tie-break halves collide (2^-32) are ordered by the
+//     full hash, recomputed on the spot (see precedes).
 type session struct {
 	id   PathID
-	rank uint32
-	tie  uint32
 	recv uint32
+	rank uint64
 }
 
 const (
-	rankRelShift = 30
-	rankLenMask  = 1<<rankRelShift - 1
+	rankLenShift = 32
+	rankRelShift = 62
+	maxPathLen   = 1<<(rankRelShift-rankLenShift) - 1
+	rankLenMask  = maxPathLen << rankLenShift
+	rankRelMask  = 3 << rankRelShift
 )
 
 // rel returns the neighbor's relation as seen from the row's node.
 func (s *session) rel() topology.Relation { return topology.Relation(s.rank >> rankRelShift) }
 
+// plen returns the cached length of the path the neighbor advertises.
+func (s *session) plen() int { return int(s.rank & rankLenMask >> rankLenShift) }
+
 // install records the route the neighbor now advertises (NoPath, 0 for
-// none), keeping the relation bits.
+// none), keeping the relation and tie-break bits.
 func (s *session) install(id PathID, plen int) {
 	s.id = id
-	s.rank = s.rank&^rankLenMask | uint32(plen)
+	s.rank = s.rank&^rankLenMask | uint64(plen)<<rankLenShift
 }
 
 // blank returns s without route and receive count: relation and tie-break
 // only.
 func (s session) blank() session {
-	return session{rank: s.rank &^ rankLenMask, tie: s.tie}
+	return session{rank: s.rank &^ rankLenMask}
 }
 
 // prefixState is a node's routing state for one prefix: the Adj-RIB-In
@@ -71,13 +76,13 @@ type prefixState struct {
 	// noneSlot.
 	bestSlot int32
 	// bestID is the selected route's path as received (NoPath for
-	// selfSlot/noneSlot). The decision-change test in applyDecision is an
-	// ID compare: hash-consing makes equal IDs ⟺ equal content.
+	// selfSlot/noneSlot). The decision-change test in adopt is an ID
+	// compare: hash-consing makes equal IDs ⟺ equal content.
 	bestID PathID
 	// fullID caches the advertisement body for the current best route: the
 	// best path prepended with the node's own ID ([self] for a
 	// self-originated prefix), valid while fullValid. advertisement builds
-	// it lazily and applyDecision invalidates it, so a decision change pays
+	// it lazily and adopt invalidates it, so a decision change pays
 	// for exactly one prepend no matter how many neighbors, resyncs or
 	// consistency checks read it. The ID is threaded into output queues and
 	// update events so receivers install routes without re-hashing.
@@ -584,15 +589,26 @@ func (net *Network) rib(nd *node, ps *prefixState) []session {
 	return ps.own
 }
 
-// tieLess reports whether neighbor slot a of nd beats slot b in the final
-// decision tie-break: the lower ID hash wins. The decision scans inline the
-// session.tie compare and come here only when the top halves collide.
-func (net *Network) tieLess(nd *node, a, b int32) bool {
-	ka, kb := nd.row+a, nd.row+b
-	if ta, tb := net.sess[ka].tie, net.sess[kb].tie; ta != tb {
-		return ta < tb
+// precedes is the decision order, the one definition of it: whether route
+// sa, received at neighbor slot a of nd, beats route sb at slot b. Highest
+// local preference (customer > peer > provider), then shortest AS path, then
+// the lower ID hash: one compare of the session ranks, which hold all three
+// (the hash as its top half), and only when the halves collide the full
+// hashes recomputed. hashID is a bijection and neighbors are distinct, so
+// the order is strict and total: the winner of a set of routes does not
+// depend on the order they are compared in. decide's scan, decideAfter's
+// one-row step and WarmStart all use it.
+func (net *Network) precedes(nd *node, a int32, sa session, b int32, sb session) bool {
+	if sa.rank != sb.rank {
+		return sa.rank < sb.rank
 	}
-	return hashID(net.salt, net.adj.IDs[ka]) < hashID(net.salt, net.adj.IDs[kb])
+	return net.hashLess(nd, a, b)
+}
+
+// hashLess compares the full decision tie-break hashes of nd's neighbors at
+// slots a and b.
+func (net *Network) hashLess(nd *node, a, b int32) bool {
+	return hashID(net.salt, net.adj.IDs[nd.row+a]) < hashID(net.salt, net.adj.IDs[nd.row+b])
 }
 
 // state returns the node's prefixState for f, creating it on first use: the
@@ -629,34 +645,46 @@ func (net *Network) state(nd *node, f Prefix) *prefixState {
 	return ps
 }
 
-// decide runs the BGP decision process over the Adj-RIB-In: highest local
-// preference (customer > peer > provider), then shortest AS path — together
-// the lowest session rank, one integer compare — then the ID hash (almost
-// always one compare on session.tie), then (vanishingly unlikely) the lower
-// slot, so the scan reads nothing but the row itself. A self-originated
-// prefix always wins. Returns the ID of the winning path (NoPath for
-// selfSlot/noneSlot).
+// decide runs the BGP decision process over the Adj-RIB-In: the first route
+// in the decision order (precedes) among those present and not suppressed by
+// dampening. A self-originated prefix always wins. Returns the ID of the
+// winning path (NoPath for selfSlot/noneSlot).
 func (net *Network) decide(nd *node, ps *prefixState) (slot int32, id PathID) {
 	if ps.selfOrigin {
 		return selfSlot, NoPath
 	}
 	rows := net.rib(nd, ps)
 	best := int32(noneSlot)
-	var bestRank, bestTie uint32
-	for j := range rows {
-		s := &rows[j]
+	var bs session
+	for j, s := range rows {
 		if s.id == NoPath || ps.suppressedAt(j) {
 			continue
 		}
-		if best == noneSlot || s.rank < bestRank || (s.rank == bestRank &&
-			(s.tie < bestTie || (s.tie == bestTie && net.tieLess(nd, int32(j), best)))) {
-			best, bestRank, bestTie = int32(j), s.rank, s.tie
+		if best == noneSlot || net.precedes(nd, int32(j), s, best, bs) {
+			best, bs = int32(j), s
 		}
 	}
-	if best == noneSlot {
-		return noneSlot, NoPath
+	return best, bs.id // NoPath when best is noneSlot
+}
+
+// decideAfter is decide for the common case in which only row w of the
+// Adj-RIB-In changed since ps's Loc-RIB was last decided. While w is not the
+// best row, every other row still loses to the best one, so the new best is
+// the old best or w: one comparison instead of a scan of the row. It falls
+// back to the scan when the best route may have worsened (w was the best
+// row), when the best is not a row (self-origin) and when dampening can
+// suppress rows. The decision order is strict and total, so both ways pick
+// the same route; TestDecideAfterMatchesScan pins it.
+func (net *Network) decideAfter(nd *node, ps *prefixState, w int32) (slot int32, id PathID) {
+	best := ps.bestSlot
+	if best == w || best == selfSlot || ps.selfOrigin || ps.dampened {
+		return net.decide(nd, ps)
 	}
-	return best, rows[best].id
+	rows := net.rib(nd, ps)
+	if sw := rows[w]; sw.id != NoPath && (best == noneSlot || net.precedes(nd, w, sw, best, rows[best])) {
+		return w, sw.id
+	}
+	return best, ps.bestID
 }
 
 // bestPath returns the selected route's path as received (nil when bestSlot

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"bgpchurn/internal/des"
+	"bgpchurn/internal/topology"
 )
 
 // timerModel is the expected state of one MRAI timer.
@@ -157,6 +158,75 @@ func TestOutQueueModel(t *testing.T) {
 			}
 			sentMap, pendingMap = mapPtr(spill.sent), mapPtr(spill.pending)
 		}
+	}
+}
+
+// TestTouchedMarksEveryExit pins, site by site, the invariant reconcile and
+// Reset rely on to skip output queues (Network.touched): each of the four
+// ways a queue leaves its pristine state marks the queue by itself, not by
+// leaning on another site having marked it first; and Reset rewinds every
+// marked queue — the failed link included — and clears the marks.
+func TestTouchedMarksEveryExit(t *testing.T) {
+	topo := fanTopo(4) // T core 0, M nodes 1–4, C origin 5 under all of them
+	origin := topology.NodeID(topo.N() - 1)
+	sites := []struct {
+		name string
+		// exit takes one queue of a fresh network out of its pristine state
+		// and returns the node and slot of every queue it must have marked.
+		exit func(net *Network) (marked [][2]int)
+	}{
+		{"send", func(net *Network) [][2]int {
+			ja, _, _ := net.slots(1, 0)
+			m := &net.nodes[1]
+			path, id := net.intern.prepend(1, Path{origin})
+			net.send(m, &net.out(m)[ja], benchPrefix, Announce, path, id)
+			return [][2]int{{1, ja}}
+		}},
+		{"enqueue", func(net *Network) [][2]int {
+			// The MRAI timer is running — what a send leaves behind — but the
+			// queue is unmarked, so only the enqueue can mark it.
+			ja, _, _ := net.slots(1, 0)
+			m := &net.nodes[1]
+			q := &net.out(m)[ja]
+			q.expiry = net.Now() + net.cfg.MRAI
+			path, id := net.intern.prepend(1, Path{origin})
+			net.setDesired(m, q, benchPrefix, path, id)
+			if _, ok := q.queued(benchPrefix); !ok {
+				t.Fatal("enqueue: setDesired did not queue the update")
+			}
+			return [][2]int{{1, ja}}
+		}},
+		{"sessionDown", func(net *Network) [][2]int {
+			if err := net.FailLink(0, 1); err != nil {
+				t.Fatal(err)
+			}
+			ja, jb, _ := net.slots(0, 1)
+			return [][2]int{{0, ja}, {1, jb}}
+		}},
+		{"WarmStart", func(net *Network) [][2]int {
+			net.WarmStart(origin, benchPrefix)
+			var marked [][2]int
+			for j := range net.nbrIDs(&net.nodes[origin]) {
+				marked = append(marked, [2]int{int(origin), j})
+			}
+			return marked
+		}},
+	}
+	for _, s := range sites {
+		net := MustNew(topo, DefaultConfig(1))
+		for _, k := range s.exit(net) {
+			if net.touched[int(net.nodes[k[0]].row)+k[1]] == 0 {
+				t.Errorf("%s: node %d slot %d left its pristine state unmarked", s.name, k[0], k[1])
+			}
+		}
+		net.Reset(2)
+		if i := slices.Index(net.touched, 1); i >= 0 {
+			t.Errorf("%s: session %d still marked after Reset", s.name, i)
+		}
+		if net.LinkDown(0, 1) {
+			t.Errorf("%s: link still down after Reset", s.name)
+		}
+		mustConsistent(t, net, s.name+", after Reset")
 	}
 }
 

@@ -153,7 +153,7 @@ func (net *Network) WarmStart(origin topology.NodeID, f Prefix) {
 	// a peer- or provider-learned route exportable to customers only — so it
 	// is neither chosen nor built here. The sink's Loc-RIB comes out of the
 	// finalize pass like everyone's, from the Adj-RIB-In its neighbors fill;
-	// the body stays unbuilt, as the DES leaves it (see applyDecision).
+	// the body stays unbuilt, as the DES leaves it (see adopt).
 	for i := range net.nodes {
 		nd := &net.nodes[i]
 		if class[i] != wsNone || nd.sink {
@@ -215,6 +215,7 @@ func (net *Network) WarmStart(origin topology.NodeID, f Prefix) {
 			if !exportable(nbr, rels[j], full, fromCustomerOrSelf) {
 				continue
 			}
+			net.touch(nd, &out[j])
 			out[j].setWire(f, advID[i])
 			to := &net.nodes[nbr]
 			net.rib(to, net.state(to, f))[rev[j]].install(advID[i], len(full))
@@ -226,7 +227,7 @@ func (net *Network) WarmStart(origin topology.NodeID, f Prefix) {
 	// (adv[i] is the best path prepended with the own ID by construction,
 	// which is what a converged network holds after its last reconcile) —
 	// only where one was built: stages B and C left every other sink's to
-	// applyDecision.
+	// adopt.
 	//
 	// Every full path ends at the origin, so sender-side loop suppression
 	// blocks every advertisement toward it: the origin's state must be
@@ -251,15 +252,13 @@ func (net *Network) WarmStart(origin topology.NodeID, f Prefix) {
 // Peer sessions the engine's export predicate admits only customer- or
 // self-routed senders, for Provider sessions any routed sender; in every
 // case the path must not contain the recipient (sender-side loop
-// suppression). Local preference is constant across one relation class, so
-// the comparison reduces to node.decide's remaining tie-break chain:
-// shortest path, then lowest tieHash, then (via strict improvement) the
-// lowest slot.
+// suppression). The candidates are compared as the Adj-RIB-In rows they
+// would install, in the decision order itself (precedes).
 func (net *Network) warmBest(nd *node, adv []Path, class []uint8, rel topology.Relation) (slot int, path Path) {
 	best := int32(noneSlot)
 	var bestPath Path
-	bestLen := 0
-	ids := net.nbrIDs(nd)
+	var bs session
+	ids, rows := net.nbrIDs(nd), net.sessions(nd)
 	for j, r := range net.nbrRels(nd) {
 		if r != rel {
 			continue
@@ -272,9 +271,10 @@ func (net *Network) warmBest(nd *node, adv []Path, class []uint8, rel topology.R
 		if rel != topology.Provider && class[u] != wsSelf && class[u] != wsCustomer {
 			continue
 		}
-		plen := len(p)
-		if best == noneSlot || plen < bestLen || (plen == bestLen && net.tieLess(nd, int32(j), best)) {
-			best, bestPath, bestLen = int32(j), p, plen
+		s := rows[j].blank()
+		s.install(NoPath, len(p)) // precedes reads the rank, not the ID
+		if best == noneSlot || net.precedes(nd, int32(j), s, best, bs) {
+			best, bestPath, bs = int32(j), p, s
 		}
 	}
 	if best == noneSlot {
