@@ -15,6 +15,7 @@ import (
 	"bgpchurn/internal/bgp"
 	"bgpchurn/internal/core"
 	"bgpchurn/internal/des"
+	"bgpchurn/internal/stats"
 )
 
 // benchSizes is the reduced sweep x-axis used by the figure benches.
@@ -182,9 +183,9 @@ func BenchmarkFig6RelativeIncrease(b *testing.B) {
 		sw := mustSweep(b, Baseline, SweepConfig{
 			Sizes: benchSizes(), TopologySeed: uint64(i) + 3, Event: benchExperiment(uint64(i) + 3),
 		})
-		gUc = GrowthFactor(sw.SeriesURel(T, Customer))
-		gUp = GrowthFactor(sw.SeriesURel(T, Peer))
-		gUd = GrowthFactor(sw.SeriesURel(M, Provider))
+		gUc = stats.GrowthFactor(sw.SeriesURel(T, Customer))
+		gUp = stats.GrowthFactor(sw.SeriesURel(T, Peer))
+		gUd = stats.GrowthFactor(sw.SeriesURel(M, Provider))
 	}
 	b.ReportMetric(gUc, "x-Uc(T)")
 	b.ReportMetric(gUp, "x-Up(T)")
@@ -200,8 +201,8 @@ func BenchmarkFig7FactorDecomposition(b *testing.B) {
 		sw := mustSweep(b, Baseline, SweepConfig{
 			Sizes: benchSizes(), TopologySeed: uint64(i) + 4, Event: benchExperiment(uint64(i) + 4),
 		})
-		gM = GrowthFactor(sw.SeriesM(T, Customer))
-		gE = GrowthFactor(sw.SeriesE(M, Provider))
+		gM = stats.GrowthFactor(sw.SeriesM(T, Customer))
+		gE = stats.GrowthFactor(sw.SeriesE(M, Provider))
 		qd = sw.SeriesQ(M, Provider)[len(sw.Points)-1]
 		if qd < 0.95 {
 			b.Fatalf("q_d(M) = %v, paper says > 0.99", qd)

@@ -105,9 +105,6 @@ func DegreeCCDF(t *Topology) (degrees []int, ccdf []float64) {
 	return topology.DegreeCCDF(t)
 }
 
-// ReadTopology parses a topology previously written with Topology.WriteTo.
-func ReadTopology(r io.Reader) (*Topology, error) { return topology.Read(r) }
-
 // --- Scenario layer -------------------------------------------------------
 
 // Scenario is a named topology growth model.
@@ -334,10 +331,6 @@ func LinearFit(x, y []float64) (Fit, error) { return stats.LinearFit(x, y) }
 
 // QuadraticFit fits y = a + bx + cx² by ordinary least squares.
 func QuadraticFit(x, y []float64) (Fit, error) { return stats.QuadraticFit(x, y) }
-
-// GrowthFactor returns last/first of a series, the paper's "factor X over
-// our range of topology sizes" summary.
-func GrowthFactor(series []float64) float64 { return stats.GrowthFactor(series) }
 
 // CompactScheme is a landmark-based compact-routing instance (Cowen's
 // stretch-3 scheme), the comparator baseline from the paper's related work:

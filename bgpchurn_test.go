@@ -87,9 +87,6 @@ func TestFacadeAnalysis(t *testing.T) {
 	if err != nil || math.Abs(quad.Coeffs[2]-1) > 1e-6 {
 		t.Fatalf("QuadraticFit: %v %v", quad, err)
 	}
-	if g := GrowthFactor([]float64{2, 8}); g != 4 {
-		t.Fatalf("GrowthFactor = %v", g)
-	}
 	if len(PaperSizes()) != 10 || PaperSizes()[9] != 10000 {
 		t.Fatalf("PaperSizes = %v", PaperSizes())
 	}

@@ -30,28 +30,23 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"bgpchurn/internal/serve"
+	"bgpchurn/internal/sigtrap"
 )
 
 const (
 	exitOK    = 0
 	exitError = 1
 	exitUsage = 2
-	// exitForced is the conventional 128+SIGINT code for a hard stop.
-	exitForced = 130
 )
 
-// exitNow is the second-signal hard-exit seam; tests may override it.
-var exitNow = os.Exit
-
 func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+	ctx, stop := sigtrap.Context("churnd", os.Stderr)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
 }
 
 // run is main minus process plumbing: ctx cancellation plays the role of
@@ -107,11 +102,8 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "churnd: serving on http://%s\n", ln.Addr())
 
 	// First signal: drain. While the drain runs, a second signal forces
-	// immediate exit — a wedged drain must never hold the process hostage.
+	// immediate exit (sigtrap).
 	<-ctx.Done()
-	hardExit := watchForSecondSignal(stdout)
-	defer close(hardExit)
-
 	fmt.Fprintf(stdout, "churnd: draining (up to %s; second signal forces exit)\n", *drainTimeout)
 	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
@@ -125,23 +117,4 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	_ = hs.Close()
 	srv.Close()
 	return exitOK
-}
-
-// watchForSecondSignal arms a goroutine that hard-exits the process (code
-// 130) on the next SIGINT/SIGTERM. The returned channel disarms it, so a
-// test-invoked run() never leaves a signal handler behind.
-func watchForSecondSignal(stdout io.Writer) chan<- struct{} {
-	done := make(chan struct{})
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		defer signal.Stop(sig)
-		select {
-		case <-sig:
-			fmt.Fprintln(stdout, "churnd: forced exit")
-			exitNow(exitForced)
-		case <-done:
-		}
-	}()
-	return done
 }

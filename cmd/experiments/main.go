@@ -1,14 +1,23 @@
-// Command experiments regenerates every figure of the paper's evaluation
-// (Figs. 1 and 4–12) as printed series tables, ASCII trend plots, and
-// optional CSV files.
+// Command experiments regenerates the paper's evaluation — Table 1, the
+// §3 topology properties and Figs. 1 and 4–12 — as printed tables, ASCII
+// trend plots, and optional CSV files (one per table).
 //
 // Usage:
 //
 //	experiments -fig all -fast          # reduced sweep, minutes
 //	experiments -fig 4,6,12             # selected figures
 //	experiments -fig all -out results/  # full paper-scale sweep + CSVs
+//	experiments -fig table1,topo -scenario DENSE-CORE
+//	experiments -fig cell -scenario BASELINE -n 2000
 //	experiments -fast -parallel 8       # up to 8 grid cells at once
 //	experiments -fast -cpuprofile cpu.pprof -memprofile mem.pprof
+//
+// Besides the figures, three ids cover the rest of the paper for one
+// -scenario: table1 (realized Table 1 parameters at each figure size), topo
+// (§3 structural properties of the topology each grid cell runs on, plus the
+// degree CCDF at the largest size) and cell (one grid cell at size -n in
+// full: per-type U with its relation split, the Eq.-1 factors, per-node
+// spread, path exploration and convergence, under NO-WRATE and WRATE).
 //
 // The profiling flags write standard runtime/pprof profiles of the whole
 // run (inspect with `go tool pprof`); see EXPERIMENTS.md, "Profiling".
@@ -31,19 +40,18 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"slices"
 	"sort"
 	"strings"
-	"syscall"
 	"time"
 
 	"bgpchurn"
 	"bgpchurn/internal/des"
 	"bgpchurn/internal/report"
+	"bgpchurn/internal/sigtrap"
 	"bgpchurn/internal/stats"
 )
 
@@ -58,37 +66,10 @@ const (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// exitNow is the second-signal hard-exit seam; tests may override it.
-var exitNow = os.Exit
-
-// armSecondSignalExit waits for the grid context to be cancelled by the
-// first SIGINT/SIGTERM, then re-arms signal delivery so the next signal
-// forces an immediate exit with code 130 — a wedged drain (a cell stuck in
-// an in-flight computation) must never hold the process hostage. The
-// returned disarm func stops the watcher; run() defers it so test
-// invocations never leak a signal registration.
-func armSecondSignalExit(ctx context.Context, stderr io.Writer) (disarm func()) {
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-done:
-			return
-		case <-ctx.Done():
-		}
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		defer signal.Stop(sig)
-		select {
-		case <-sig:
-			fmt.Fprintln(stderr, "experiments: second signal, forced exit")
-			exitNow(exitInterrupted)
-		case <-done:
-		}
-	}()
-	return func() { close(done) }
+	ctx, stop := sigtrap.Context("experiments", os.Stderr)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
 }
 
 // figure is one entry of the -fig selection.
@@ -100,6 +81,8 @@ type figure struct {
 
 // figures lists every figure the binary can regenerate, in rendering order.
 var figures = []figure{
+	{"table1", (*runner).table1, "Table 1: realized generator parameters"},
+	{"topo", (*runner).topo, "§3: structural properties and degree CCDF"},
 	{"1", (*runner).fig1, "churn growth at a monitor (Mann-Kendall)"},
 	{"4", (*runner).fig4, "U(X) per node type vs n"},
 	{"5", (*runner).fig5, "per-relation split at T and M nodes"},
@@ -110,6 +93,7 @@ var figures = []figure{
 	{"10", (*runner).fig10, "peering deviations"},
 	{"11", (*runner).fig11, "provider preference deviations"},
 	{"12", (*runner).fig12, "WRATE vs NO-WRATE"},
+	{"cell", (*runner).cell, "one grid cell in full: Eq.-1 factors and convergence"},
 	{"ext", (*runner).extensions, "extensions: L-events, exploration, burstiness"},
 }
 
@@ -138,14 +122,17 @@ func selectFigures(spec string) (map[string]bool, error) {
 	return wanted, nil
 }
 
-// run is the whole binary behind a testable seam: parse flags, execute,
-// return the exit code. Cleanup happens in defers, so every exit path
-// flushes profiles, the journal, and the obs server.
-func run(argv []string, stdout, stderr io.Writer) int {
+// run is main minus process plumbing: parse flags, execute, return the exit
+// code. ctx cancellation plays the role of the first termination signal.
+// Cleanup happens in defers, so every exit path flushes profiles, the
+// journal, and the obs server.
+func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		figs        = fs.String("fig", "all", "comma-separated figure numbers (1,4,...,12) or 'all'")
+		figs        = fs.String("fig", "all", "comma-separated figure ids (table1,topo,1,4,...,12,cell,ext) or 'all'")
+		scName      = fs.String("scenario", "BASELINE", "growth scenario of the table1, topo and cell ids")
+		cellN       = fs.Int("n", 1000, "network size of the cell id")
 		fast        = fs.Bool("fast", false, "reduced sizes and origins (for a quick look)")
 		outDir      = fs.String("out", "", "directory for CSV output (created if missing)")
 		seed        = fs.Uint64("seed", 1, "master seed")
@@ -178,7 +165,19 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
+	// An unknown scenario or an impossible size is rejected before any file
+	// is created, as is a flag combination no cell can run (e.g. -shards 2
+	// without -link-delay).
+	sc, err := bgpchurn.ScenarioByName(*scName)
+	if err != nil {
+		return fail(err)
+	}
+	if *cellN <= 0 {
+		return fail(fmt.Errorf("-n must be positive, got %d", *cellN))
+	}
 	r := &runner{
+		scenario:    sc,
+		n:           *cellN,
 		seed:        *seed,
 		fast:        *fast,
 		outDir:      *outDir,
@@ -192,9 +191,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		stdout:      stdout,
 		metrics:     bgpchurn.NewObsMetrics(),
 	}
-	// A flag combination no cell can run (e.g. -shards 2 without
-	// -link-delay) is rejected here, before any file is created, rather than
-	// once per cell.
 	for _, wrate := range []bool{false, true} {
 		cfg := r.experiment(wrate)
 		if err := cfg.BGP.Validate(); err != nil {
@@ -228,16 +224,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	// Graceful shutdown: the first SIGINT/SIGTERM cancels the grid context —
-	// no new cells start, in-flight cells drain, the journal and manifest
-	// are flushed, and the run exits with exitInterrupted. NotifyContext
-	// keeps the signals registered until stop(), so a second signal would
-	// otherwise be swallowed; armSecondSignalExit turns it into an
-	// immediate hard exit (code 130) in case the drain wedges.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	defer armSecondSignalExit(ctx, stderr)()
-
+	// Graceful shutdown: cancelling ctx (the first SIGINT/SIGTERM) stops
+	// new cells, in-flight cells drain, the journal and manifest are
+	// flushed, and the run exits with exitInterrupted.
 	r.ctx = ctx
 	r.sched.SetObs(r.metrics)
 	r.sched.SetRetryPolicy(*retries, 0)
@@ -419,7 +408,11 @@ func writeFileWith(path string, write func(io.Writer) error) error {
 type runner struct {
 	// ctx is the run's cancellation context (signal-driven in the binary;
 	// nil means context.Background).
-	ctx      context.Context
+	ctx context.Context
+	// scenario and n select what table1, topo and cell describe (-scenario,
+	// -n).
+	scenario bgpchurn.Scenario
+	n        int
 	seed     uint64
 	fast     bool
 	outDir   string
@@ -548,25 +541,26 @@ func cellOutcomes(cells []bgpchurn.CellTiming) map[string]int {
 	return out
 }
 
-// sweepVariant names one (scenario, protocol) sweep a figure depends on.
+// sweepVariant names one (scenario, protocol, sizes) sweep a figure
+// depends on.
 type sweepVariant struct {
 	sc    bgpchurn.Scenario
 	wrate bool
+	sizes []int
 }
 
 // figSweeps lists the sweeps each figure needs, for cache prefetching.
-func figSweeps(id string) []sweepVariant {
-	base := sweepVariant{bgpchurn.Baseline, false}
+func (r *runner) figSweeps(id string) []sweepVariant {
 	noW := func(scs ...bgpchurn.Scenario) []sweepVariant {
 		out := make([]sweepVariant, len(scs))
 		for i, sc := range scs {
-			out[i] = sweepVariant{sc, false}
+			out[i] = sweepVariant{sc, false, r.sizes()}
 		}
 		return out
 	}
 	switch id {
 	case "4", "5", "6", "7":
-		return []sweepVariant{base}
+		return noW(bgpchurn.Baseline)
 	case "8":
 		return noW(bgpchurn.RichMiddle, bgpchurn.Baseline, bgpchurn.StaticMiddle, bgpchurn.TransitClique, bgpchurn.NoMiddle)
 	case "9":
@@ -576,9 +570,13 @@ func figSweeps(id string) []sweepVariant {
 	case "11":
 		return noW(bgpchurn.Baseline, bgpchurn.PreferMiddle, bgpchurn.PreferTop)
 	case "12":
-		return []sweepVariant{base, {bgpchurn.Baseline, true}}
+		return append(noW(bgpchurn.Baseline), sweepVariant{bgpchurn.Baseline, true, r.sizes()})
+	case "cell":
+		// A one-size sweep: inside a grid that holds (-scenario, -n) it is a
+		// cache hit.
+		return []sweepVariant{{r.scenario, false, []int{r.n}}, {r.scenario, true, []int{r.n}}}
 	}
-	return nil // figures 1 and ext run no sweeps
+	return nil // table1, topo, 1 and ext run no sweeps
 }
 
 // prefetch computes every sweep the wanted figures need as one parallel
@@ -586,30 +584,35 @@ func figSweeps(id string) []sweepVariant {
 func (r *runner) prefetch(wanted map[string]bool) error {
 	seen := map[string]bool{}
 	var reqs []bgpchurn.GridRequest
-	for id := range wanted {
-		for _, v := range figSweeps(id) {
-			key := fmt.Sprintf("%s/%v", v.sc.Name, v.wrate)
+	cells := 0
+	for _, f := range figures {
+		if !wanted[f.id] {
+			continue
+		}
+		for _, v := range r.figSweeps(f.id) {
+			key := fmt.Sprint(v.sc.Name, v.wrate, v.sizes)
 			if seen[key] {
 				continue
 			}
 			seen[key] = true
 			reqs = append(reqs, bgpchurn.GridRequest{
-				Scenario: v.sc, Sizes: r.sizes(), TopologySeed: r.seed, Event: r.experiment(v.wrate),
+				Scenario: v.sc, Sizes: v.sizes, TopologySeed: r.seed, Event: r.experiment(v.wrate),
 			})
+			cells += len(v.sizes)
 		}
 	}
 	if len(reqs) == 0 {
 		return nil
 	}
-	// Map iteration order is random; fix the request (and thus job) order.
-	sort.Slice(reqs, func(i, j int) bool {
+	// Fix the request (and thus job) order: by scenario, NO-WRATE first.
+	sort.SliceStable(reqs, func(i, j int) bool {
 		if reqs[i].Scenario.Name != reqs[j].Scenario.Name {
 			return reqs[i].Scenario.Name < reqs[j].Scenario.Name
 		}
-		return !reqs[i].Event.BGP.RateLimitWithdrawals
+		return !reqs[i].Event.BGP.RateLimitWithdrawals && reqs[j].Event.BGP.RateLimitWithdrawals
 	})
 	fmt.Fprintf(r.stdout, "scheduling %d sweeps (%d grid cells, parallelism %d)...\n",
-		len(reqs), len(reqs)*len(r.sizes()), r.workers())
+		len(reqs), cells, r.workers())
 	var gridStart float64
 	if r.spans != nil {
 		gridStart = r.spans.Now()
@@ -660,14 +663,19 @@ func (r *runner) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// sweep fetches one scenario sweep through the scheduler. After prefetch
-// this is pure cache traffic (hits are logged by the SubscribeCells callback);
-// results are byte-identical to the sequential bgpchurn.Sweep.
+// sweep fetches one scenario sweep over the figure sizes.
 func (r *runner) sweep(sc bgpchurn.Scenario, wrate bool) (*bgpchurn.SweepResult, error) {
-	return r.sched.RunSweep(r.ctx, sc, bgpchurn.SweepConfig{
-		Sizes:        r.sizes(),
+	return r.fetch(sweepVariant{sc, wrate, r.sizes()})
+}
+
+// fetch runs one sweep through the scheduler. After prefetch this is pure
+// cache traffic (hits are logged by the SubscribeCells callback); results
+// are byte-identical to the sequential bgpchurn.Sweep.
+func (r *runner) fetch(v sweepVariant) (*bgpchurn.SweepResult, error) {
+	return r.sched.RunSweep(r.ctx, v.sc, bgpchurn.SweepConfig{
+		Sizes:        v.sizes,
 		TopologySeed: r.seed,
-		Event:        r.experiment(wrate),
+		Event:        r.experiment(v.wrate),
 	})
 }
 
@@ -685,12 +693,7 @@ func (r *runner) emit(name string, t *report.Table, xs []float64, series ...repo
 	if r.outDir == "" {
 		return nil
 	}
-	f, err := os.Create(filepath.Join(r.outDir, name+".csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return t.WriteCSV(f)
+	return writeFileWith(filepath.Join(r.outDir, name+".csv"), t.WriteCSV)
 }
 
 func floats(xs []int) []float64 {
@@ -701,11 +704,59 @@ func floats(xs []int) []float64 {
 	return out
 }
 
+// table1 prints the realized Table 1 generator parameters of -scenario at
+// each figure size, drawn at -seed (only the tier-1 count depends on it).
+func (r *runner) table1() error {
+	t := report.NewTable(fmt.Sprintf("Table 1: realized parameters, %s", r.scenario.Name),
+		"n", "nT", "nM", "nCP", "nC", "dM", "dCP", "dC", "pM", "pCP-M", "pCP-CP")
+	for _, n := range r.sizes() {
+		p := r.scenario.Params(n, r.seed)
+		t.AddRow(fmt.Sprint(n), fmt.Sprint(p.NT), fmt.Sprint(p.NM), fmt.Sprint(p.NCP), fmt.Sprint(p.NC),
+			report.Float(p.DM, 3), report.Float(p.DCP, 3), report.Float(p.DC, 3),
+			report.Float(p.PM, 3), report.Float(p.PCPM, 3), report.Float(p.PCPCP, 3))
+	}
+	return r.emit("table1", t, nil)
+}
+
+// topo prints §3's structural properties of -scenario at each figure size,
+// measured on the topology the grid cell at that size runs on (seed
+// seed+n, as in Sweep), and the degree CCDF at the largest size.
+func (r *runner) topo() error {
+	props := report.NewTable(fmt.Sprintf("§3 properties, %s", r.scenario.Name),
+		"n", "nT", "nM", "nCP", "nC", "transit", "peering", "MHD M", "MHD CP", "MHD C",
+		"peer-deg M", "clustering", "assortativity", "path-len", "max-deg")
+	var topo *bgpchurn.Topology
+	for _, n := range r.sizes() {
+		var err error
+		if topo, err = r.scenario.Generate(n, r.seed+uint64(n)); err != nil {
+			return err
+		}
+		if err := topo.Validate(); err != nil {
+			return fmt.Errorf("%s n=%d failed validation: %w", r.scenario.Name, n, err)
+		}
+		st := bgpchurn.ComputeTopologyStats(topo, 500)
+		c := topo.CountByType()
+		props.AddRow(fmt.Sprint(n), fmt.Sprint(c[bgpchurn.T]), fmt.Sprint(c[bgpchurn.M]), fmt.Sprint(c[bgpchurn.CP]), fmt.Sprint(c[bgpchurn.C]),
+			fmt.Sprint(st.Transit), fmt.Sprint(st.Peering),
+			report.Float(st.MeanMHD[bgpchurn.M], 3), report.Float(st.MeanMHD[bgpchurn.CP], 3), report.Float(st.MeanMHD[bgpchurn.C], 3),
+			report.Float(st.MeanPeerDeg[bgpchurn.M], 3), report.Float(st.Clustering, 4), report.Float(st.Assortativity, 4),
+			report.Float(st.AvgPathLength, 3), fmt.Sprint(st.MaxDegree))
+	}
+	if err := r.emit("topo", props, nil); err != nil {
+		return err
+	}
+	fmt.Fprintln(r.stdout)
+	degs, vals := bgpchurn.DegreeCCDF(topo)
+	ccdf := report.NewTable(fmt.Sprintf("Degree CCDF, %s n=%d", r.scenario.Name, topo.N()), "degree", "P(D>=d)")
+	for i := range degs {
+		ccdf.AddRow(fmt.Sprint(degs[i]), report.Float(vals[i], 6))
+	}
+	return r.emit("topo_ccdf", ccdf, nil)
+}
+
 // fig1 regenerates the monitor churn-growth analysis on the synthetic RIS
 // trace (substitution documented in DESIGN.md).
-func (r *runner) fig1() error { return r.runFig1() }
-
-func (r *runner) runFig1() error {
+func (r *runner) fig1() error {
 	p := bgpchurn.DefaultMonitorTrace(r.seed)
 	series, err := bgpchurn.GenerateMonitorTrace(p)
 	if err != nil {
@@ -976,6 +1027,61 @@ func (r *runner) fig12() error {
 	return r.emit("fig12_bottom", t2, xs, eSeries...)
 }
 
+// cell prints the grid cell (-scenario, -n) in full under both MRAI
+// variants: per-type U with its confidence interval and relation split, the
+// Eq.-1 factors, path exploration and per-node spread, and the event totals
+// with DOWN/UP convergence.
+func (r *runner) cell() error {
+	at := fmt.Sprintf("Cell %s n=%d", r.scenario.Name, r.n)
+	u := report.NewTable(at+": updates received per C-event (mean over origins and nodes)",
+		"variant", "type", "nodes", "U", "±95%", "Uc", "Up", "Ud")
+	factors := report.NewTable(at+": Eq.-1 factor decomposition U = m*q*e",
+		"variant", "type", "relation", "m", "q", "e", "U")
+	spread := report.NewTable(at+": path exploration and per-node spread",
+		"variant", "type", "route-changes/event", "median U", "p90 U", "max U")
+	totals := report.NewTable(at+": network-wide updates per event and convergence (virtual seconds)",
+		"variant", "total-updates", "peak/s", "down-s", "up-s")
+	for _, v := range r.figSweeps("cell") {
+		sw, err := r.fetch(v)
+		if err != nil {
+			return err
+		}
+		res := sw.Points[0].R
+		name := "NO-WRATE"
+		if v.wrate {
+			name = "WRATE"
+		}
+		for _, typ := range []bgpchurn.NodeType{bgpchurn.T, bgpchurn.M, bgpchurn.CP, bgpchurn.C} {
+			tr := res.ByType[typ]
+			u.AddRow(name, typ.String(), fmt.Sprint(tr.Nodes),
+				report.Float(tr.U, 3), report.Float(tr.CI95, 3),
+				report.Float(tr.ByRel[bgpchurn.Customer].U, 3),
+				report.Float(tr.ByRel[bgpchurn.Peer].U, 3),
+				report.Float(tr.ByRel[bgpchurn.Provider].U, 3))
+			for _, rel := range []bgpchurn.Relation{bgpchurn.Customer, bgpchurn.Peer, bgpchurn.Provider} {
+				if rf := tr.ByRel[rel]; rf.M != 0 {
+					factors.AddRow(name, typ.String(), rel.String(),
+						report.Float(rf.M, 3), report.Float(rf.Q, 4), report.Float(rf.E, 3), report.Float(rf.U, 3))
+				}
+			}
+			sp := res.Spread[typ]
+			spread.AddRow(name, typ.String(), report.Float(res.PathExploration[typ], 3),
+				report.Float(sp.Median, 2), report.Float(sp.P90, 2), report.Float(sp.Max, 2))
+		}
+		totals.AddRow(name, report.Float(res.TotalUpdates, 1), report.Float(res.PeakRate, 1),
+			report.Float(res.DownSeconds, 2), report.Float(res.UpSeconds, 2))
+	}
+	for i, t := range []*report.Table{u, factors, spread, totals} {
+		if i > 0 {
+			fmt.Fprintln(r.stdout)
+		}
+		if err := r.emit([]string{"cell_u", "cell_factors", "cell_spread", "cell_totals"}[i], t, nil); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // extensions runs the beyond-the-paper measurements recorded in
 // EXPERIMENTS.md: link events vs C-events, path exploration per tier under
 // both MRAI variants, and the burstiness of event churn.
@@ -1020,16 +1126,5 @@ func (r *runner) extensions() error {
 			report.Float(res.PathExploration[bgpchurn.C], 2),
 			report.Float(res.DownSeconds, 1), report.Float(res.UpSeconds, 1))
 	}
-	if err := t.Fprint(r.stdout); err != nil {
-		return err
-	}
-	if r.outDir != "" {
-		f, err := os.Create(filepath.Join(r.outDir, "extensions.csv"))
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		return t.WriteCSV(f)
-	}
-	return nil
+	return r.emit("extensions", t, nil)
 }

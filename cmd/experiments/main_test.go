@@ -3,14 +3,13 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"io"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"testing"
 	"time"
 
@@ -69,7 +68,10 @@ func TestFloats(t *testing.T) {
 // fastRunner builds a -fast runner with silenced table output, matching
 // the binary's defaults for everything else.
 func fastRunner(seed uint64) *runner {
-	return &runner{seed: seed, fast: true, sched: bgpchurn.NewScheduler(0), stdout: io.Discard}
+	return &runner{
+		scenario: bgpchurn.Baseline, n: 1000, seed: seed, fast: true,
+		sched: bgpchurn.NewScheduler(0), stdout: io.Discard,
+	}
 }
 
 func TestSweepCaching(t *testing.T) {
@@ -100,20 +102,39 @@ func TestSweepCaching(t *testing.T) {
 }
 
 func TestFigSweepsCoverAllFigures(t *testing.T) {
-	for _, id := range []string{"4", "5", "6", "7", "8", "9", "10", "11", "12"} {
-		if len(figSweeps(id)) == 0 {
+	r := fastRunner(1)
+	r.scenario, r.n = bgpchurn.DenseCore, 1500
+	for _, id := range []string{"4", "5", "6", "7", "8", "9", "10", "11", "12", "cell"} {
+		if len(r.figSweeps(id)) == 0 {
 			t.Errorf("figure %s declares no sweeps", id)
 		}
 	}
-	for _, id := range []string{"1", "ext"} {
-		if len(figSweeps(id)) != 0 {
+	for _, id := range []string{"table1", "topo", "1", "ext"} {
+		if len(r.figSweeps(id)) != 0 {
 			t.Errorf("figure %s should declare no sweeps", id)
 		}
 	}
+	for _, f := range figures {
+		for _, v := range r.figSweeps(f.id) {
+			if f.id != "cell" && len(v.sizes) != len(r.sizes()) {
+				t.Errorf("figure %s sweeps %v, want the figure sizes", f.id, v.sizes)
+			}
+		}
+	}
 	// Fig. 12 needs both protocol variants of the Baseline sweep.
-	v := figSweeps("12")
+	v := r.figSweeps("12")
 	if len(v) != 2 || v[0].wrate == v[1].wrate {
 		t.Fatalf("fig 12 sweeps = %+v", v)
+	}
+	// The cell is -scenario at the single size -n, under both variants.
+	v = r.figSweeps("cell")
+	if len(v) != 2 || v[0].wrate == v[1].wrate {
+		t.Fatalf("cell sweeps = %+v", v)
+	}
+	for _, c := range v {
+		if c.sc.Name != bgpchurn.DenseCore.Name || len(c.sizes) != 1 || c.sizes[0] != 1500 {
+			t.Fatalf("cell sweep = %+v, want DENSE-CORE at n=1500", c)
+		}
 	}
 }
 
@@ -269,38 +290,51 @@ func TestKillAndResumeByteIdenticalCSV(t *testing.T) {
 
 // TestRunExitCodes drives the whole binary through its testable seam.
 func TestRunExitCodes(t *testing.T) {
-	if code := run([]string{"-no-such-flag"}, io.Discard, io.Discard); code != exitUsage {
+	if code := run(context.Background(), []string{"-no-such-flag"}, io.Discard, io.Discard); code != exitUsage {
 		t.Fatalf("bad flag: exit %d, want %d", code, exitUsage)
 	}
 	// A selection that names an unknown figure, or nothing at all, is
 	// rejected before any work — with the valid ids — not silently skipped.
 	for _, sel := range []string{"nope", "4,13", "", "4,", " "} {
 		var stderr bytes.Buffer
-		code := run([]string{"-fig", sel, "-fast", "-manifest", "", "-journal", ""}, io.Discard, &stderr)
+		code := run(context.Background(), []string{"-fig", sel, "-fast", "-manifest", "", "-journal", ""}, io.Discard, &stderr)
 		if code != exitError {
 			t.Fatalf("-fig %q: exit %d, want %d", sel, code, exitError)
 		}
-		if msg := stderr.String(); !strings.Contains(msg, "unknown figure") || !strings.Contains(msg, "1,4,5,6,7,8,9,10,11,12,ext") {
+		if msg := stderr.String(); !strings.Contains(msg, "unknown figure") || !strings.Contains(msg, "table1,topo,1,4,5,6,7,8,9,10,11,12,cell,ext") {
 			t.Fatalf("-fig %q: stderr %q does not name the unknown figure and the valid ids", sel, msg)
 		}
 	}
-	// A protocol configuration no cell can run is rejected the same way:
-	// with the reason, before a cell is logged or the journal created.
+	// An unknown scenario, an impossible size, or a protocol configuration
+	// no cell can run is rejected the same way: with the reason, before a
+	// cell is logged or the journal created.
 	dir := t.TempDir()
 	var stdout, stderr bytes.Buffer
 	journal := filepath.Join(dir, "cells.journal")
-	code := run([]string{"-fig", "4", "-fast", "-shards", "2", "-manifest", "", "-journal", journal}, &stdout, &stderr)
-	if code != exitError {
-		t.Fatalf("-shards 2 without -link-delay: exit %d, want %d", code, exitError)
-	}
-	if msg := stderr.String(); !strings.Contains(msg, "requires a positive LinkDelay") {
-		t.Fatalf("-shards 2 without -link-delay: stderr %q does not give the reason", msg)
-	}
-	if stdout.Len() != 0 {
-		t.Fatalf("-shards 2 without -link-delay: work began before the rejection:\n%s", stdout.String())
-	}
-	if _, err := os.Stat(journal); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("-shards 2 without -link-delay: journal created (stat: %v)", err)
+	var code int
+	for _, c := range []struct {
+		args   []string
+		reason string
+	}{
+		{[]string{"-fig", "4", "-shards", "2"}, "requires a positive LinkDelay"},
+		{[]string{"-fig", "cell", "-scenario", "NOPE"}, "unknown scenario \"NOPE\" (known: ["},
+		{[]string{"-fig", "cell", "-n", "0"}, "-n must be positive"},
+	} {
+		stdout.Reset()
+		stderr.Reset()
+		code = run(context.Background(), append(c.args, "-fast", "-manifest", "", "-journal", journal), &stdout, &stderr)
+		if code != exitError {
+			t.Fatalf("%v: exit %d, want %d", c.args, code, exitError)
+		}
+		if msg := stderr.String(); !strings.Contains(msg, c.reason) {
+			t.Fatalf("%v: stderr %q does not give the reason %q", c.args, msg, c.reason)
+		}
+		if stdout.Len() != 0 {
+			t.Fatalf("%v: work began before the rejection:\n%s", c.args, stdout.String())
+		}
+		if _, err := os.Stat(journal); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%v: journal created (stat: %v)", c.args, err)
+		}
 	}
 	// Figures 1 and ext run no sweeps, so this exercises the full pipeline —
 	// journal, manifest, epilogue — quickly. Every line of figure output goes
@@ -308,7 +342,7 @@ func TestRunExitCodes(t *testing.T) {
 	manifest := filepath.Join(dir, "manifest.json")
 	stdout.Reset()
 	leaked := captureOSStdout(t, func() {
-		code = run([]string{"-fig", "1,ext", "-fast", "-origins", "2", "-manifest", manifest, "-journal", journal}, &stdout, io.Discard)
+		code = run(context.Background(), []string{"-fig", "1,ext", "-fast", "-origins", "2", "-manifest", manifest, "-journal", journal}, &stdout, io.Discard)
 	})
 	if code != exitOK {
 		t.Fatalf("fig 1,ext run: exit %d, want %d", code, exitOK)
@@ -337,7 +371,7 @@ func TestRunExitCodes(t *testing.T) {
 		t.Fatalf("fresh journal: recs=%v truncated=%v err=%v", recs, truncated, err)
 	}
 	// A -resume rerun of the same figure also succeeds.
-	if code := run([]string{"-fig", "1", "-fast", "-resume", "-manifest", "", "-journal", journal}, io.Discard, io.Discard); code != exitOK {
+	if code := run(context.Background(), []string{"-fig", "1", "-fast", "-resume", "-manifest", "", "-journal", journal}, io.Discard, io.Discard); code != exitOK {
 		t.Fatalf("resume rerun: exit %d, want %d", code, exitOK)
 	}
 }
@@ -481,7 +515,7 @@ func TestRunWritesSpanAndMetricsArtifacts(t *testing.T) {
 	chrome := filepath.Join(dir, "chrome.json")
 	metrics := filepath.Join(dir, "metrics.txt")
 	manifest := filepath.Join(dir, "manifest.json")
-	code := run([]string{
+	code := run(context.Background(), []string{
 		"-fig", "4", "-fast", "-origins", "3", "-seed", "1",
 		"-spans", spans, "-chrome-trace", chrome, "-metrics-out", metrics,
 		"-manifest", manifest, "-journal", "",
@@ -544,48 +578,97 @@ func TestRunWritesSpanAndMetricsArtifacts(t *testing.T) {
 	}
 }
 
-// TestSecondSignalForcesExit exercises the double-^C path: once the grid
-// context is cancelled (the first signal), the watcher re-arms delivery and
-// the next SIGINT forces an immediate exit with code 130 through the
-// exitNow seam.
-func TestSecondSignalForcesExit(t *testing.T) {
-	// Keep SIGINT from killing the test process while the watcher races to
-	// register its own handler.
-	guard := make(chan os.Signal, 8)
-	signal.Notify(guard, os.Interrupt)
-	defer signal.Stop(guard)
+// readCSV parses a CSV file the runner wrote.
+func readCSV(t *testing.T, path string) [][]string {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rows, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
 
-	codes := make(chan int, 1)
-	old := exitNow
-	exitNow = func(code int) { codes <- code }
-	defer func() { exitNow = old }()
+// TestCellMatchesGrid pins the cell id to the grid it reads: after the
+// fig 4 and 12 sweeps, the Baseline n=1000 cell is pure cache traffic, and
+// its NO-WRATE U and per-relation split equal the n=1000 rows of fig4.csv
+// and fig5_*.csv.
+func TestCellMatchesGrid(t *testing.T) {
+	dir := t.TempDir()
+	r := fastRunner(1)
+	r.outDir = dir
+	if err := r.prefetch(map[string]bool{"4": true, "12": true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.fig4(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.fig5(); err != nil {
+		t.Fatal(err)
+	}
+	misses := r.sched.CacheStats().Misses
+	if err := r.cell(); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.sched.CacheStats().Misses; got != misses {
+		t.Fatalf("cell computed %d cells, want 0 (served from the grid)", got-misses)
+	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var errBuf bytes.Buffer
-	disarm := armSecondSignalExit(ctx, &errBuf)
-	defer disarm()
-
-	cancel() // the "first signal": grid context cancelled
-
-	// The watcher registers its signal channel asynchronously after the
-	// context fires, so resend until one lands post-registration.
-	deadline := time.After(5 * time.Second)
-	tick := time.NewTicker(10 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		select {
-		case code := <-codes:
-			if code != exitInterrupted {
-				t.Fatalf("forced exit code = %d, want %d", code, exitInterrupted)
-			}
-			return
-		case <-tick.C:
-			if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
-				t.Fatalf("kill: %v", err)
-			}
-		case <-deadline:
-			t.Fatal("second signal never forced an exit")
+	// Grid values at n=1000, keyed by column name (T, Uc(T), Ud(M), ...).
+	grid := map[string]string{}
+	for _, name := range []string{"fig4", "fig5_top", "fig5_bottom"} {
+		rows := readCSV(t, filepath.Join(dir, name+".csv"))
+		if rows[1][0] != "1000" {
+			t.Fatalf("%s first row is n=%s, want 1000", name, rows[1][0])
 		}
+		for i, col := range rows[0] {
+			grid[col] = rows[1][i]
+		}
+	}
+	compared := 0
+	for _, row := range readCSV(t, filepath.Join(dir, "cell_u.csv"))[1:] {
+		// variant, type, nodes, U, ±95%, Uc, Up, Ud
+		if row[0] != "NO-WRATE" {
+			continue
+		}
+		typ := row[1]
+		for col, got := range map[string]string{
+			typ: row[3], "Uc(" + typ + ")": row[5], "Up(" + typ + ")": row[6], "Ud(" + typ + ")": row[7],
+		} {
+			if want, ok := grid[col]; ok {
+				compared++
+				if got != want {
+					t.Errorf("cell %s = %s, grid = %s", col, got, want)
+				}
+			}
+		}
+	}
+	if compared != 9 {
+		t.Fatalf("compared %d values, want 9 (U of 4 types, Uc/Up of T, Ud/Up/Uc of M)", compared)
+	}
+}
+
+// TestTable1MatchesCommittedCSV renders table1 at seed 1 over the paper's
+// sizes and compares it byte for byte with results/table1.csv.
+func TestTable1MatchesCommittedCSV(t *testing.T) {
+	dir := t.TempDir()
+	r := &runner{scenario: bgpchurn.Baseline, seed: 1, outDir: dir, stdout: io.Discard}
+	if err := r.table1(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "table1.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "results", "table1.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("table1 drifted from results/table1.csv:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }

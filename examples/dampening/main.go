@@ -14,24 +14,33 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"bgpchurn"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the example, printing to w.
+func run(w io.Writer) error {
 	topo, err := bgpchurn.Baseline.Generate(800, 13)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	origin := topo.NodesOfType(bgpchurn.C)[3]
 	tier1 := topo.NodesOfType(bgpchurn.T)[0]
 	const flaps = 8
 
-	run := func(name string, proto bgpchurn.ProtocolConfig) {
+	flap := func(name string, proto bgpchurn.ProtocolConfig) error {
 		net, err := bgpchurn.NewNetwork(topo, proto)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		net.Originate(origin, 1)
 		net.Run()
@@ -49,21 +58,27 @@ func main() {
 		for id := 0; id < topo.N(); id++ {
 			suppressions += int(net.Suppressions(bgpchurn.NodeID(id)))
 		}
-		fmt.Printf("%-22s network churn %6d updates; tier-1 AS%d saw %3d; %d suppression episodes; tier-1 has route: %v\n",
+		fmt.Fprintf(w, "%-22s network churn %6d updates; tier-1 AS%d saw %3d; %d suppression episodes; tier-1 has route: %v\n",
 			name, net.TotalUpdates(), tier1, net.Counters(tier1).Received,
 			suppressions, net.HasRoute(tier1, 1))
+		return nil
 	}
 
-	fmt.Printf("one stub (AS%d) flaps its prefix %d times in quick succession\n\n", origin, flaps)
+	fmt.Fprintf(w, "one stub (AS%d) flaps its prefix %d times in quick succession\n\n", origin, flaps)
 
 	plain := bgpchurn.DefaultProtocol(13)
-	run("no dampening", plain)
+	if err := flap("no dampening", plain); err != nil {
+		return err
+	}
 
 	damped := plain
 	damped.Dampening = bgpchurn.DefaultDampening()
-	run("RFC 2439 dampening", damped)
+	if err := flap("RFC 2439 dampening", damped); err != nil {
+		return err
+	}
 
-	fmt.Println("\nDampening trades churn for availability: the flapping route is")
-	fmt.Println("suppressed (tier-1 loses it entirely) until it stays stable for")
-	fmt.Println("the penalty half-life — the classic RFD trade-off.")
+	fmt.Fprintln(w, "\nDampening trades churn for availability: the flapping route is")
+	fmt.Fprintln(w, "suppressed (tier-1 loses it entirely) until it stays stable for")
+	fmt.Fprintln(w, "the penalty half-life — the classic RFD trade-off.")
+	return nil
 }

@@ -13,21 +13,30 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"bgpchurn"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the example, printing to w.
+func run(w io.Writer) error {
 	topo, err := bgpchurn.Baseline.Generate(800, 5)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	proto := bgpchurn.DefaultProtocol(5)
 	proto.MRAI = 0 // converged snapshot; timers are irrelevant here
 	net, err := bgpchurn.NewNetwork(topo, proto)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// A route collector's view: full feeds from every AS for k prefixes.
@@ -48,18 +57,19 @@ func main() {
 	acc := bgpchurn.EvaluateInference(inf, topo)
 
 	transit, peering := topo.Edges()
-	fmt.Printf("ground truth: %d transit links, %d peering links\n", transit, peering)
-	fmt.Printf("collector view: %d AS paths over %d prefixes exposed %d of %d edges (%.0f%%)\n\n",
+	fmt.Fprintf(w, "ground truth: %d transit links, %d peering links\n", transit, peering)
+	fmt.Fprintf(w, "collector view: %d AS paths over %d prefixes exposed %d of %d edges (%.0f%%)\n\n",
 		len(paths), k, acc.ObservedEdges, acc.TrueEdges,
 		100*float64(acc.ObservedEdges)/float64(acc.TrueEdges))
 
-	fmt.Printf("transit direction accuracy (observed links): %5.1f%%\n", 100*acc.TransitAccuracy())
-	fmt.Printf("peering recall among observed links:         %5.1f%%\n", 100*acc.PeerRecallObserved())
-	fmt.Printf("peering recall against ALL true peerings:    %5.1f%%\n", 100*acc.PeerRecallTotal())
+	fmt.Fprintf(w, "transit direction accuracy (observed links): %5.1f%%\n", 100*acc.TransitAccuracy())
+	fmt.Fprintf(w, "peering recall among observed links:         %5.1f%%\n", 100*acc.PeerRecallObserved())
+	fmt.Fprintf(w, "peering recall against ALL true peerings:    %5.1f%%\n", 100*acc.PeerRecallTotal())
 
-	fmt.Println("\nTransit links are inferred almost perfectly, but the peering mesh is")
-	fmt.Println("mostly invisible: peer routes only flow to customers, so a collector")
-	fmt.Println("behind the wrong vantage points simply never sees them. This is the")
-	fmt.Println("§3 argument for generating controllable topologies instead of using")
-	fmt.Println("inferred ones.")
+	fmt.Fprintln(w, "\nTransit links are inferred almost perfectly, but the peering mesh is")
+	fmt.Fprintln(w, "mostly invisible: peer routes only flow to customers, so a collector")
+	fmt.Fprintln(w, "behind the wrong vantage points simply never sees them. This is the")
+	fmt.Fprintln(w, "§3 argument for generating controllable topologies instead of using")
+	fmt.Fprintln(w, "inferred ones.")
+	return nil
 }

@@ -12,15 +12,24 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"bgpchurn"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the example, printing to w.
+func run(w io.Writer) error {
 	topo, err := bgpchurn.Baseline.Generate(600, 21)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	cfg := bgpchurn.DefaultWorkload(21)
@@ -28,8 +37,8 @@ func main() {
 	cfg.PrefixFlapsPerHour = 8
 	cfg.LinkFlapsPerHour = 3
 
-	fmt.Printf("simulating 24 virtual hours on a %d-AS Internet: %d prefixes,\n", topo.N(), cfg.Prefixes)
-	fmt.Printf("%.0f prefix flaps/h + %.0f link flaps/h, monitoring a tier-1 AS\n\n",
+	fmt.Fprintf(w, "simulating 24 virtual hours on a %d-AS Internet: %d prefixes,\n", topo.N(), cfg.Prefixes)
+	fmt.Fprintf(w, "%.0f prefix flaps/h + %.0f link flaps/h, monitoring a tier-1 AS\n\n",
 		cfg.PrefixFlapsPerHour, cfg.LinkFlapsPerHour)
 
 	for _, mode := range []struct {
@@ -41,19 +50,20 @@ func main() {
 	} {
 		tl, err := bgpchurn.RunWorkload(topo, mode.proto, cfg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%-9s monitor AS%d logged per hour:", mode.name, tl.Monitor)
+		fmt.Fprintf(w, "%-9s monitor AS%d logged per hour:", mode.name, tl.Monitor)
 		for _, v := range tl.Updates {
-			fmt.Printf(" %4.0f", v)
+			fmt.Fprintf(w, " %4.0f", v)
 		}
-		fmt.Printf("\n          events=%d  network total=%d  busiest-second=%d  bucket peak/mean=%.1fx\n\n",
+		fmt.Fprintf(w, "\n          events=%d  network total=%d  busiest-second=%d  bucket peak/mean=%.1fx\n\n",
 			tl.Events, tl.TotalUpdates, tl.PeakRate, tl.PeakToMean())
 	}
 
-	fmt.Println("The same event schedule generates substantially more updates network-")
-	fmt.Println("wide under WRATE, while the tier-1 monitor's own feed barely moves —")
-	fmt.Println("matching Fig. 12's finding that the WRATE penalty concentrates at the")
-	fmt.Println("periphery. Bucket peaks well above the mean echo the burstiness that")
-	fmt.Println("motivates the paper's concern about router update load.")
+	fmt.Fprintln(w, "The same event schedule generates substantially more updates network-")
+	fmt.Fprintln(w, "wide under WRATE, while the tier-1 monitor's own feed barely moves —")
+	fmt.Fprintln(w, "matching Fig. 12's finding that the WRATE penalty concentrates at the")
+	fmt.Fprintln(w, "periphery. Bucket peaks well above the mean echo the burstiness that")
+	fmt.Fprintln(w, "motivates the paper's concern about router update load.")
+	return nil
 }

@@ -15,16 +15,25 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"bgpchurn"
 )
 
 func main() {
-	fmt.Println("estimating churn growth on synthetic 3-year monitor feeds")
-	fmt.Println("(embedded ground truth: +200% over the series)")
-	fmt.Println()
-	fmt.Printf("%-12s %14s %14s %14s\n", "burstiness", "true slope", "OLS slope", "Sen slope")
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the example, printing to w.
+func run(w io.Writer) error {
+	fmt.Fprintln(w, "estimating churn growth on synthetic 3-year monitor feeds")
+	fmt.Fprintln(w, "(embedded ground truth: +200% over the series)")
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "%-12s %14s %14s %14s\n", "burstiness", "true slope", "OLS slope", "Sen slope")
 
 	for _, burst := range []struct {
 		name  string
@@ -41,7 +50,7 @@ func main() {
 		p.BurstSigma = burst.sigma
 		series, err := bgpchurn.GenerateMonitorTrace(p)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 
 		days := make([]float64, len(series))
@@ -50,17 +59,18 @@ func main() {
 		}
 		ols, err := bgpchurn.LinearFit(days, series)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		mk, err := bgpchurn.MannKendall(series)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%-12s %14.1f %14.1f %14.1f\n",
+		fmt.Fprintf(w, "%-12s %14.1f %14.1f %14.1f\n",
 			burst.name, p.TrendSlope(), ols.Coeffs[1], mk.Slope)
 	}
 
-	fmt.Println()
-	fmt.Println("Sen's slope stays near the truth as bursts grow; OLS inflates —")
-	fmt.Println("which is why the paper reaches for Mann-Kendall on Fig. 1's data.")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Sen's slope stays near the truth as bursts grow; OLS inflates —")
+	fmt.Fprintln(w, "which is why the paper reaches for Mann-Kendall on Fig. 1's data.")
+	return nil
 }
