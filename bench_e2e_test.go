@@ -1,10 +1,11 @@
 package bgpchurn
 
 // End-to-end benchmark of the C-event hot path: one full RunCEvents call at
-// n=1000 (paper-scale topology, reduced origin count) per iteration. This is
-// the number `make bench-e2e` tracks in BENCH_e2e.json: the cold variant
-// pays the full DES initial-propagation flood per origin, the warm variant
-// installs the converged RIB directly (core.Config.WarmStart).
+// n=1000 (paper-scale topology, reduced origin count) per iteration. The
+// cold variant pays the full DES initial-propagation flood per origin, the
+// warm variant installs the converged RIB directly (core.Config.WarmStart).
+// TestRunCEventsAllocBudget holds the same warm run's instrumentation and
+// checkpointing to fixed per-run allocation budgets.
 
 import (
 	"path/filepath"
@@ -15,13 +16,23 @@ import (
 
 // benchE2ETopology builds the fixed n=1000 Baseline instance the e2e bench
 // measures on (seed matches the experiment seed for provenance).
-func benchE2ETopology(b *testing.B) *Topology {
-	b.Helper()
+func benchE2ETopology(tb testing.TB) *Topology {
+	tb.Helper()
 	topo, err := Baseline.Generate(1000, 1)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return topo
+}
+
+// benchE2EConfig is the experiment both the benchmark and the allocation
+// budget run: 20 origins on a single worker, to measure the kernel, not the
+// pool.
+func benchE2EConfig() Experiment {
+	cfg := DefaultExperiment(1)
+	cfg.Origins = 20
+	cfg.Parallelism = 1
+	return cfg
 }
 
 // benchmarkRunCEvents runs the C-event experiment with the given
@@ -46,9 +57,7 @@ func benchmarkRunCEvents(b *testing.B, cfg Experiment) {
 // origins, cold (full DES convergence flood per origin) vs warm (direct
 // converged-RIB installation).
 func BenchmarkRunCEvents(b *testing.B) {
-	cfg := DefaultExperiment(1)
-	cfg.Origins = 20
-	cfg.Parallelism = 1 // single worker: measure the kernel, not the pool
+	cfg := benchE2EConfig()
 	b.Run("cold", func(b *testing.B) {
 		benchmarkRunCEvents(b, cfg)
 	})
@@ -57,55 +66,62 @@ func BenchmarkRunCEvents(b *testing.B) {
 		warm.WarmStart = true
 		benchmarkRunCEvents(b, warm)
 	})
-	// obs: warm run with a full metrics hub attached. The CI obs-guard job
-	// compares its allocs/op against the warm baseline — enabled probes must
-	// not allocate on the steady-state path.
-	b.Run("obs", func(b *testing.B) {
-		instrumented := cfg
-		instrumented.WarmStart = true
-		instrumented.Obs = NewObsMetrics()
-		benchmarkRunCEvents(b, instrumented)
-	})
-	// spans: warm run with causal tracing on — the engine threads cause IDs
-	// and tallies attribution, and each origin closes three spans. The CI
-	// obs-guard job budgets its allocs/op against the warm baseline: the
-	// per-origin span cost is fixed (~a few records and one Stats map), so a
-	// per-update allocation sneaking into the traced hot path blows the
-	// budget immediately.
-	b.Run("spans", func(b *testing.B) {
-		traced := cfg
-		traced.WarmStart = true
-		traced.Spans = NewSpanRecorder()
-		benchmarkRunCEvents(b, traced)
-	})
-	// journal: warm run followed by the crash-safe checkpoint the scheduler
-	// appends after every cell. The resume-guard comparison against the warm
-	// baseline enforces that checkpointing stays a fixed per-cell cost (JSON
-	// encode + hash + one write) and adds nothing that scales with the event
-	// count — the kernel loop itself never touches the journal.
-	b.Run("journal", func(b *testing.B) {
-		b.ReportAllocs()
-		warm := cfg
-		warm.WarmStart = true
-		topo := benchE2ETopology(b)
-		j, err := core.OpenJournal(filepath.Join(b.TempDir(), "cells.journal"))
+}
+
+// TestRunCEventsAllocBudget holds what rides on a warm run to a fixed
+// per-run allocation cost over the bare run. Each slack is a setup budget;
+// a run processes ~90k updates, so one allocation per update on any of
+// these paths overshoots its slack by an order of magnitude.
+//   - obs: a full metrics hub attached. Probe blocks attach once per run;
+//     enabled probes must not allocate on the steady-state path.
+//   - spans: causal tracing on. Each origin closes three spans and their
+//     Stats maps (~140 allocs, ~2.8k at 20 origins); the engine threads
+//     cause IDs and tallies attribution without allocating.
+//   - journal: the crash-safe checkpoint the scheduler appends after every
+//     cell (JSON encode + hash + one write, ~12 allocs); the kernel loop
+//     itself never touches the journal.
+func TestRunCEventsAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race, and the run is 30x slower")
+	}
+	topo := benchE2ETopology(t)
+	warm := benchE2EConfig()
+	warm.WarmStart = true
+	run := func(cfg Experiment) *Result {
+		res, err := core.RunCEvents(topo, cfg)
 		if err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
 		}
-		defer j.Close()
-		key := core.CellKey{Scenario: "BASELINE", N: 1000, TopologySeed: 1, Origins: warm.Origins, WarmStart: true}
-		var total float64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := core.RunCEvents(topo, warm)
-			if err != nil {
-				b.Fatal(err)
+		return res
+	}
+	j, err := core.OpenJournal(filepath.Join(t.TempDir(), "cells.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	key := core.CellKey{Scenario: "BASELINE", N: 1000, TopologySeed: 1, Origins: warm.Origins, WarmStart: true}
+
+	instrumented, traced := warm, warm
+	instrumented.Obs = NewObsMetrics()
+	traced.Spans = NewSpanRecorder()
+	base := testing.AllocsPerRun(3, func() { run(warm) })
+	for _, tc := range []struct {
+		name  string
+		slack float64
+		run   func()
+	}{
+		{"obs", 16, func() { run(instrumented) }},
+		{"spans", 4096, func() { run(traced) }},
+		{"journal", 48, func() {
+			if err := j.Append(key, run(warm)); err != nil {
+				t.Fatal(err)
 			}
-			if err := j.Append(key, res); err != nil {
-				b.Fatal(err)
-			}
-			total = res.TotalUpdates
+		}},
+	} {
+		got := testing.AllocsPerRun(3, tc.run)
+		t.Logf("%s: %.0f allocs/run (warm %.0f, +%.0f, slack %.0f)", tc.name, got, base, got-base, tc.slack)
+		if got > base+tc.slack {
+			t.Errorf("%s: %.0f allocs/run, over warm %.0f + slack %.0f", tc.name, got, base, tc.slack)
 		}
-		b.ReportMetric(total, "total-updates")
-	})
+	}
 }

@@ -2,15 +2,19 @@ package bgpchurn
 
 // Topology-generation benchmark: the setup half of the internet-scale
 // trajectory. BenchmarkTopologyGenerate runs the generator on the Baseline
-// scenario at n ∈ {10k, 50k, 100k}, recorded in BENCH_gen.json via
-// `make bench-gen`.
+// scenario at n ∈ {10k, 50k, 100k}. It is a plain `go test -bench` probe;
+// the guarded generation cost is `setup_s` on the benchmark's 50k cells
+// (`go run ./benchmark`), whose setup generates 10k and grows to 50k.
 //
-// Peak RSS is the process high-water mark (VmHWM): run one benchmark per
-// process (as the Makefile target does) for clean memory numbers.
+// Peak RSS is the process high-water mark (VmHWM): run one size per
+// process (`-bench 'BenchmarkTopologyGenerate$/n=50000$'`) for clean
+// memory numbers.
 
 import (
 	"fmt"
 	"testing"
+
+	"bgpchurn/internal/obs"
 )
 
 func BenchmarkTopologyGenerate(b *testing.B) {
@@ -30,7 +34,7 @@ func BenchmarkTopologyGenerate(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(edges), "edges")
-			b.ReportMetric(float64(PeakRSSBytes())/(1<<20), "peakRSS-MB")
+			b.ReportMetric(float64(obs.PeakRSSBytes())/(1<<20), "peakRSS-MB")
 		})
 	}
 }

@@ -2,22 +2,25 @@ package bgpchurn
 
 // Internet-scale benchmark: one warm-start churn cell per iteration on
 // Baseline topologies at n ∈ {10k, 50k, 100k}, with streaming aggregation —
-// the configuration that makes n=100k fit on a single machine. `make bench-scale` records ns/op plus peak RSS per size
-// in BENCH_scale.json; the CI scale-smoke job holds the n=10k cell under an
-// absolute peak-RSS budget via cmd/benchguard.
+// the configuration that makes n=100k fit on a single machine. It reports
+// ns/op plus peak RSS per size, and is the repository's only 100k
+// measurement; the guarded numbers at 50k (updates_per_s, peak_rss_mb) are
+// the cell_warm_50k workload of `go run ./benchmark`.
 //
 // The topologies form a growth chain (10k grown to 50k grown to 100k),
 // exercising the incremental generator at scale, and are built lazily so a
-// filtered run (scale-smoke selects only n=10000) never pays for the sizes
-// it skips. The chain runs on the Fenwick-indexed generator (seconds per
-// size — see BENCH_gen.json), so the warm cell, not setup, dominates
-// wall-clock. Peak RSS is the process high-water mark (VmHWM); with sizes
-// ascending each reading is dominated by the largest cell completed so far.
-// Run this benchmark alone (as the Makefile target does) for clean numbers.
+// filtered run (`-bench 'BenchmarkScaleCell/n=10000$'`) never pays for the
+// sizes it skips. The chain runs on the Fenwick-indexed generator (seconds
+// per size — see BenchmarkTopologyGenerate), so the warm cell, not setup,
+// dominates wall-clock. Peak RSS is the process high-water mark (VmHWM);
+// with sizes ascending each reading is dominated by the largest cell
+// completed so far. Run this benchmark alone for clean numbers.
 
 import (
 	"fmt"
 	"testing"
+
+	"bgpchurn/internal/obs"
 )
 
 // scaleSeed fixes the Baseline instance the scale trajectory tracks.
@@ -82,7 +85,7 @@ func BenchmarkScaleCell(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(total, "total-updates")
-			b.ReportMetric(float64(PeakRSSBytes())/(1<<20), "peakRSS-MB")
+			b.ReportMetric(float64(obs.PeakRSSBytes())/(1<<20), "peakRSS-MB")
 		})
 	}
 }

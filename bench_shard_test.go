@@ -1,10 +1,10 @@
 package bgpchurn
 
 // Sharded-executor benchmark: one warm-start churn cell per iteration on
-// the windowed executor, across shard counts. `make bench-shard` records
-// ns/op, total updates and peak RSS per (n, shards) in BENCH_shard.json;
-// the CI shard-smoke job holds the n=10k shards=4 cell under the scale
-// tier's peak-RSS budget and demands it be no slower than shards=1.
+// the windowed executor, across shard counts, reporting ns/op, total
+// updates and peak RSS per (n, shards). It is the only measurement of the
+// shard axis (run it with `-count 3 -cpu 1,2`); the guarded windowed
+// numbers are the cell_windowed_50k workload of `go run ./benchmark`.
 //
 // Every point uses the same positive link delay, so shard counts compare
 // the *same* simulated model executed on 1..8 cores: shards=1 is the
@@ -22,6 +22,7 @@ import (
 	"testing"
 
 	"bgpchurn/internal/des"
+	"bgpchurn/internal/obs"
 )
 
 // benchShardCounts is the shard axis of the sharded benchmark.
@@ -51,7 +52,7 @@ func BenchmarkShardedCell(b *testing.B) {
 				}
 				b.StopTimer()
 				b.ReportMetric(total, "total-updates")
-				b.ReportMetric(float64(PeakRSSBytes())/(1<<20), "peakRSS-MB")
+				b.ReportMetric(float64(obs.PeakRSSBytes())/(1<<20), "peakRSS-MB")
 			})
 		}
 	}

@@ -503,8 +503,3 @@ func InstrumentTopologyGeneration(m *ObsMetrics) {
 // GitRevision returns the VCS revision embedded in the binary ("unknown"
 // for unstamped builds).
 func GitRevision() string { return obs.GitRevision() }
-
-// PeakRSSBytes returns the process's peak resident set size (0 where
-// /proc is unavailable) — the memory number the scale tier records in
-// BENCH_scale.json.
-func PeakRSSBytes() uint64 { return obs.PeakRSSBytes() }

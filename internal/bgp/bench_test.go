@@ -12,8 +12,7 @@ import (
 // Kernel micro-benchmarks for the simulation inner loop: decide, reconcile,
 // the transmit → deliver → Fire cycle, and the MRAI flush machinery.
 // These pin the zero-allocation property of the steady-state path (see
-// DESIGN.md, kernel memory model); `make bench-kernel` records them in
-// BENCH_kernel.json.
+// DESIGN.md, kernel memory model); `make bench` runs them once each.
 
 // benchTopo assembles the same hand-made topologies as build() in
 // bgp_test.go without needing a *testing.T.

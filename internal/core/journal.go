@@ -38,7 +38,7 @@ import (
 //
 // Checkpointing happens once per computed cell — never inside the DES event
 // loop — so the kernel's zero-allocation steady state is untouched (see
-// `make resume-smoke` and the journal benchguard assertion).
+// `make smoke` and the journal row of the root TestRunCEventsAllocBudget).
 
 // journalMagic identifies the file type in the header line.
 const journalMagic = "bgpchurn-cells"

@@ -9,10 +9,10 @@ import (
 
 // PeakRSSBytes returns the process's peak resident set size (the VmHWM
 // high-water mark from /proc/self/status), or 0 where the proc filesystem
-// is unavailable. It is the number the scale tier records next to ns/op in
-// BENCH_scale.json: a monotone per-process maximum, so in a run measuring
-// ascending topology sizes each reading is dominated by the largest cell
-// completed so far.
+// is unavailable. It is the benchmark's peak_rss_mb and the peakRSS-MB the
+// root scale benchmarks report: a monotone per-process maximum, so in a run
+// measuring ascending topology sizes each reading is dominated by the
+// largest cell completed so far.
 func PeakRSSBytes() uint64 {
 	f, err := os.Open("/proc/self/status")
 	if err != nil {

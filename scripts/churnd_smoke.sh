@@ -1,6 +1,5 @@
 #!/usr/bin/env bash
-# churnd_smoke.sh — serving-layer smoke test (run by `make churnd-smoke` and
-# the CI churnd-smoke job).
+# churnd_smoke.sh — serving-layer smoke test (run by `make smoke`).
 #
 # Exercises churnd's robustness contract end to end, across real processes:
 #

@@ -1,6 +1,5 @@
 #!/usr/bin/env bash
-# resume_smoke.sh — crash-resume smoke test (run by `make resume-smoke` and
-# the CI resume-guard job).
+# resume_smoke.sh — crash-resume smoke test (run by `make smoke`).
 #
 # Exercises the fault-tolerance contract end to end, across real processes:
 #

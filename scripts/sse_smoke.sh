@@ -1,6 +1,5 @@
 #!/usr/bin/env bash
-# sse_smoke.sh — /progress streaming smoke test (run by `make sse-smoke` and
-# the CI obs-guard job).
+# sse_smoke.sh — /progress streaming smoke test (run by `make smoke`).
 #
 # Both binaries serve the same /progress feed (core.Scheduler.PublishProgress),
 # so both get the same assertions:
