@@ -9,7 +9,7 @@
 //	experiments -fig all -out results/  # full paper-scale sweep + CSVs
 //	experiments -fig table1,topo -scenario DENSE-CORE
 //	experiments -fig cell -scenario BASELINE -n 2000
-//	experiments -fast -parallel 8       # up to 8 grid cells at once
+//	experiments -fast -parallel 8       # at most 8 grid cells at once
 //	experiments -fast -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // Besides the figures, three ids cover the rest of the paper for one
@@ -27,10 +27,11 @@
 //
 // All sweeps run through the experiment scheduler: the scenario×size grid
 // needed by the selected figures is computed up front on a worker pool
-// (-parallel bounds concurrent cells, 0 = GOMAXPROCS), each unique cell
-// exactly once — figures that share a sweep (Fig. 4–12 all reuse the
-// Baseline sweep) are served from the result cache, and output is
-// byte-identical to a sequential run on the same seed.
+// (-parallel bounds concurrent cells, 0 = GOMAXPROCS; each cell's origin
+// workers share the process-wide core budget, so -parallel never multiplies
+// the cores in use), each unique cell exactly once — figures that share a
+// sweep (Fig. 4–12 all reuse the Baseline sweep) are served from the result
+// cache, and output is byte-identical to a sequential run on the same seed.
 package main
 
 import (
@@ -137,7 +138,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		outDir      = fs.String("out", "", "directory for CSV output (created if missing)")
 		seed        = fs.Uint64("seed", 1, "master seed")
 		origins     = fs.Int("origins", 0, "override the number of C-event originators")
-		parallel    = fs.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS)")
+		parallel    = fs.Int("parallel", 0, "concurrent grid cells (0 = GOMAXPROCS); their origin workers share GOMAXPROCS cores")
 		warm        = fs.Bool("warmstart", false, "install the converged pre-event state directly instead of flooding it through the simulator (faster; statistically equivalent but not byte-identical to the default)")
 		cpuprof     = fs.String("cpuprofile", "", "write a CPU profile to this file (pprof format)")
 		memprof     = fs.String("memprofile", "", "write a heap profile to this file on exit (pprof format)")
@@ -645,7 +646,6 @@ func (r *runner) experiment(wrate bool) bgpchurn.Experiment {
 	if r.origins > 0 {
 		cfg.Origins = r.origins
 	}
-	cfg.Parallelism = r.parallel
 	cfg.WarmStart = r.warm
 	cfg.CellTimeout = r.cellTimeout
 	cfg.BGP.LinkDelay = des.Time(r.linkDelay)

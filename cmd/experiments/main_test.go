@@ -31,7 +31,9 @@ func TestRunnerSizes(t *testing.T) {
 func TestRunnerExperiment(t *testing.T) {
 	r := &runner{seed: 7, fast: true, parallel: 2}
 	cfg := r.experiment(false)
-	if cfg.Origins != 20 || cfg.BGP.RateLimitWithdrawals || cfg.Parallelism != 2 {
+	// -parallel bounds cells only: origin workers are left to the core
+	// budget (Parallelism 0), or -parallel 8 would mean 8 × 8 workers.
+	if cfg.Origins != 20 || cfg.BGP.RateLimitWithdrawals || cfg.Parallelism != 0 {
 		t.Fatalf("fast NO-WRATE config: %+v", cfg)
 	}
 	cfg = r.experiment(true)

@@ -9,8 +9,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bgpchurn/internal/bgp"
@@ -60,8 +60,12 @@ type Config struct {
 	// between the DOWN and UP phases so MRAI timers expire and each phase
 	// starts from a quiet network. Defaults to 2×MRAI.
 	Settle des.Time
-	// Parallelism bounds the number of concurrent simulations
-	// (0 = GOMAXPROCS). Results are independent of this value.
+	// Parallelism fixes the number of concurrent origin workers, each
+	// simulating on its own Network. 0 runs one worker plus helpers that
+	// join while the process-wide core budget has an idle core and leave
+	// when it is over-subscribed, so concurrent cells share GOMAXPROCS
+	// instead of multiplying it (DESIGN.md, "Core budget"). Results are
+	// independent of this value.
 	Parallelism int
 	// Kind selects the routing event (default: CEvent).
 	Kind EventKind
@@ -217,13 +221,6 @@ func RunCEventsContext(ctx context.Context, topo *topology.Topology, cfg Config)
 	if settle == 0 {
 		settle = 2 * cfg.BGP.MRAI
 	}
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(origins) {
-		workers = len(origins)
-	}
 
 	// Streaming aggregation: per-origin accumulators are folded into the
 	// reducer's running sums as origins complete, in origin-index order, so
@@ -234,49 +231,94 @@ func RunCEventsContext(ctx context.Context, topo *topology.Topology, cfg Config)
 	// batch reduction used, so results are byte-identical.
 	red := newStreamReducer(topo, len(origins))
 	errs := make([]error, len(origins))
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
+	var (
+		wg      sync.WaitGroup
+		claimed atomic.Int64 // origin indices handed out, ascending
+	)
+	// claim hands out the next origin index. It refuses once the context is
+	// cancelled, so the claimed indices are always a prefix of the origin
+	// list and every one of them is run and folded.
+	claim := func() (int, bool) {
+		if ctx.Err() != nil {
+			return 0, false
+		}
+		i := int(claimed.Add(1)) - 1
+		return i, i < len(origins)
+	}
+	// work runs origins on its own Network until none is left to claim (or,
+	// for a helper, until the budget is over-subscribed). It keeps the origin
+	// it is simulating in *inFlight, -1 between origins, for worker 0's
+	// panic path below.
+	var work func(helper bool, inFlight *int)
+	// spawn starts one more worker holding a budget unit the caller took.
+	spawn := func(helper bool) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			net := bgp.MustNew(topo, cfg.BGP)
-			if cfg.Obs != nil {
-				net.SetObs(cfg.Obs)
-			}
-			if cfg.Spans != nil {
-				net.EnableCausalTrace()
-			}
-			var acc originAccum
-			for idx := range next {
-				if err := ctx.Err(); err != nil {
-					errs[idx] = err
-					red.skip(idx)
-					continue
-				}
-				acc = originAccum{perNodeU: acc.perNodeU} // keep the buffer
-				errs[idx] = runOneOrigin(net, topo, origins[idx], cfg.BGP.Seed+uint64(idx)*0x9e3779b97f4a7c15, settle, cfg, &acc)
-				if errs[idx] != nil {
-					red.skip(idx)
-					continue
-				}
-				red.fold(idx, &acc)
-			}
+			defer cores.release()
+			work(helper, new(int))
 		}()
 	}
-	delivered := 0
-feed:
-	for i := range origins {
-		select {
-		case next <- i:
-			delivered++
-		case <-ctx.Done():
-			break feed
+	work = func(helper bool, inFlight *int) {
+		net := bgp.MustNew(topo, cfg.BGP)
+		if cfg.Obs != nil {
+			net.SetObs(cfg.Obs)
+		}
+		if cfg.Spans != nil {
+			net.EnableCausalTrace()
+		}
+		var acc originAccum
+		for {
+			// Origin boundary: with Parallelism 0 a helper leaves when the
+			// core budget is over-subscribed, and any worker recruits a
+			// helper while a core is idle and it would have an origin to run.
+			if cfg.Parallelism <= 0 {
+				if helper && cores.over() {
+					return
+				}
+				if len(origins)-int(claimed.Load()) >= 2 && cores.tryAcquire() {
+					spawn(true)
+				}
+			}
+			idx, ok := claim()
+			if !ok {
+				return
+			}
+			*inFlight = idx
+			acc = originAccum{perNodeU: acc.perNodeU} // keep the buffer
+			errs[idx] = runOneOrigin(net, topo, origins[idx], cfg.BGP.Seed+uint64(idx)*0x9e3779b97f4a7c15, settle, cfg, &acc)
+			if errs[idx] != nil {
+				red.skip(idx)
+			} else {
+				red.fold(idx, &acc)
+			}
+			*inFlight = -1
 		}
 	}
-	close(next)
+
+	// The calling goroutine is origin worker 0 and holds one budget unit for
+	// the whole experiment; a fixed Parallelism starts the rest up front.
+	cores.acquire()
+	defer cores.release()
+	inFlight := -1
+	defer func() {
+		// On a panic in worker 0 (recovered by the scheduler as a cell
+		// fault), leave the others no origin to claim and release the one
+		// they may be waiting on in fold, so no worker or budget unit
+		// outlives the call.
+		claimed.Store(int64(len(origins)))
+		if inFlight >= 0 {
+			red.skip(inFlight)
+		}
+		wg.Wait()
+	}()
+	for w := 1; w < min(cfg.Parallelism, len(origins)); w++ {
+		cores.acquire()
+		spawn(false)
+	}
+	work(false, &inFlight)
 	wg.Wait()
-	if delivered < len(origins) {
+	if int(claimed.Load()) < len(origins) {
 		return nil, ctx.Err()
 	}
 	// Report the first failure by origin index, so the error is independent
@@ -504,9 +546,9 @@ func collect(net *bgp.Network, topo *topology.Topology, acc *originAccum) {
 // happens in ascending origin index — exactly the iteration order the batch
 // reduce used — regardless of worker completion order. Out-of-order workers
 // block in fold until every earlier origin has been folded or skipped; the
-// feed hands out indices in ascending order, so the worker holding index
-// `next` is never itself waiting on a later one and the fold always makes
-// progress. Per-origin results that feed non-accumulated outputs (the
+// claim counter hands out indices in ascending order, so the worker holding
+// index `next` is never itself waiting on a later one and the fold always
+// makes progress. Per-origin results that feed non-accumulated outputs (the
 // MeanCI input vector) are written by index, which is order-independent.
 type streamReducer struct {
 	mu   sync.Mutex

@@ -829,7 +829,11 @@ func (s *Scheduler) computeOnce(ctx context.Context, key CellKey, sc scenario.Sc
 			}
 		}
 	}()
-	topo, err := s.generate(sc, n, seed)
+	topo, err := func() (*topology.Topology, error) {
+		cores.acquire()
+		defer cores.release()
+		return s.generate(sc, n, seed)
+	}()
 	if err == nil {
 		res, err = s.run(cellCtx, topo, ev)
 	}

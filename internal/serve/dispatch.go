@@ -225,10 +225,19 @@ func (s *Server) finishJobLocked(j *Job) {
 		}
 	}
 
-	// Bound the finished-job table: the oldest finished jobs are forgotten.
-	s.finished = append(s.finished, j.id)
-	for len(s.finished) > finishedRetention {
-		delete(s.jobs, s.finished[0])
+	s.retainLocked(j.id, j.retainedBytesLocked())
+}
+
+// retainLocked adds a finished job of the given retained size to the
+// finished-job table and forgets the oldest finished jobs until the table is
+// within finishedRetentionBytes again — never the job just added, however
+// large. Caller holds s.mu.
+func (s *Server) retainLocked(id string, bytes int) {
+	s.finished = append(s.finished, retainedJob{id, bytes})
+	s.retained += bytes
+	for s.retained > finishedRetentionBytes && len(s.finished) > 1 {
+		delete(s.jobs, s.finished[0].id)
+		s.retained -= s.finished[0].bytes
 		s.finished = s.finished[1:]
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"time"
+	"unsafe"
 
 	"bgpchurn/internal/bgp"
 	"bgpchurn/internal/core"
@@ -317,6 +318,29 @@ func (j *Job) viewLocked(withCells bool) JobView {
 		}
 	}
 	return v
+}
+
+// Per-job and per-cell allowances in retainedBytesLocked for what the
+// structs do not show: the job's context, deadline timer and progress broker,
+// and the JSON of each cell in the job view that broker replays to late
+// stream subscribers.
+const (
+	jobOverheadBytes = 1024
+	cellViewBytes    = 128
+)
+
+// retainedBytesLocked estimates what the job keeps alive once finished: the
+// job and its cells, every cell's Result (counted per job even where the
+// scheduler cache shares it), and the allowances above. Caller holds s.mu.
+func (j *Job) retainedBytesLocked() int {
+	n := int(unsafe.Sizeof(*j)) + jobOverheadBytes + len(j.errMsg)
+	for _, c := range j.cells {
+		n += int(unsafe.Sizeof(*c)) + cellViewBytes + len(c.detail) + len(c.errMsg)
+		if c.res != nil {
+			n += int(unsafe.Sizeof(*c.res))
+		}
+	}
+	return n
 }
 
 // resultTable assembles the finished job's cells into the result CSV, rows

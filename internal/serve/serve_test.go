@@ -473,3 +473,71 @@ func TestGlobalProgressIsSharedFeed(t *testing.T) {
 		t.Fatalf("job state = %s, want done", got.State)
 	}
 }
+
+// TestFinishedRetentionBoundedByBytes streams jobs of 2 800 cells each — a
+// few MB of retained results apiece — through the server: the finished-job
+// table stays under finishedRetentionBytes, the oldest jobs are forgotten
+// first (404), and the newest finished job is always kept, even when it
+// alone exceeds the bound.
+func TestFinishedRetentionBoundedByBytes(t *testing.T) {
+	srv, hs := newTestServer(t, Config{Workers: 2, MaxJobCells: 4096})
+	installStub(srv, false)
+	var names, sizes []string
+	for _, sc := range scenario.All() {
+		names = append(names, fmt.Sprintf("%q", sc.Name))
+	}
+	for n := 50; len(sizes)*len(names) < 2800; n++ {
+		sizes = append(sizes, fmt.Sprint(n))
+	}
+	body := fmt.Sprintf(`{"scenarios":[%s],"sizes":[%s],"origins":3}`, strings.Join(names, ","), strings.Join(sizes, ","))
+	retained := func() (ids []string, bytes int) {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		for _, r := range srv.finished {
+			ids = append(ids, r.id)
+		}
+		return ids, srv.retained
+	}
+
+	var ids []string
+	for i := 0; i < 10; i++ {
+		status, v, raw := submit(t, hs.URL, body)
+		if status != http.StatusAccepted {
+			t.Fatalf("status = %d (%s)", status, raw)
+		}
+		if final := waitJob(t, hs.URL, v.ID); final.State != JobDone {
+			t.Fatalf("job %s state = %s", v.ID, final.State)
+		}
+		ids = append(ids, v.ID)
+		kept, bytes := retained()
+		if bytes > finishedRetentionBytes {
+			t.Fatalf("after job %d: %d retained bytes exceed the %d-byte bound", i, bytes, finishedRetentionBytes)
+		}
+		if kept[len(kept)-1] != v.ID {
+			t.Fatalf("after job %d: newest finished job %s not retained (%v)", i, v.ID, kept)
+		}
+	}
+	kept, _ := retained()
+	if len(kept) < 2 || len(kept) >= len(ids) {
+		t.Fatalf("%d of %d large jobs retained, want some but not all", len(kept), len(ids))
+	}
+	resp, err := http.Get(hs.URL + "/jobs/" + ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("oldest job: status %d, want 404", resp.StatusCode)
+	}
+	if v := getJob(t, hs.URL, kept[0]); v.State != JobDone {
+		t.Fatalf("oldest retained job %s state = %s", kept[0], v.State)
+	}
+
+	// A job above the bound on its own is kept, alone.
+	srv.mu.Lock()
+	srv.retainLocked("huge", finishedRetentionBytes+1)
+	srv.mu.Unlock()
+	if kept, _ := retained(); len(kept) != 1 || kept[0] != "huge" {
+		t.Fatalf("a job above the bound must be kept alone, retained %v", kept)
+	}
+}
