@@ -149,19 +149,19 @@ func TestAdmissionCompletionPredicate(t *testing.T) {
 			slot = j
 		}
 	}
-	path := Path{1, 3}
+	_, id := net.intern.intern(Path{1, 3})
 	pending := func() int { return net.shards[0].sched.Len() }
 
-	send := func(m *node, slot int, path Path) { net.transmit(m, slot, 9, Announce, path, NoPath) }
+	send := func(m *node, slot int, id PathID) { net.transmit(m, slot, 9, id) }
 
 	// Outside a run nothing completes at admission: an API call could look.
-	send(m, slot, path)
+	send(m, slot, id)
 	if pending() != 1 || !stub.delivering || stub.recvAnnounce != 0 {
 		t.Fatalf("outside a run: pending=%d delivering=%v received=%d, want an event", pending(), stub.delivering, stub.recvAnnounce)
 	}
 	// Inside one, the evented delivery ahead keeps the next update behind it.
 	inRun(net, -1, func() {
-		send(m, slot, path)
+		send(m, slot, id)
 		if pending() != 1 || len(stub.inbox) != 1 || stub.recvAnnounce != 0 {
 			t.Fatalf("behind an evented delivery: pending=%d inbox=%d received=%d, want it parked", pending(), len(stub.inbox), stub.recvAnnounce)
 		}
@@ -171,7 +171,7 @@ func TestAdmissionCompletionPredicate(t *testing.T) {
 	}
 	// Idle, silent, inside a run: done on the spot, ahead of the clock.
 	inRun(net, net.Now()+des.Second, func() {
-		send(m, slot, path)
+		send(m, slot, id)
 		if pending() != 0 || stub.recvAnnounce != 3 || net.shards[0].horizon != stub.busyUntil || stub.busyUntil <= net.Now() {
 			t.Fatalf("silent sink in a run: pending=%d received=%d horizon=%v busyUntil=%v now=%v",
 				pending(), stub.recvAnnounce, net.shards[0].horizon, stub.busyUntil, net.Now())
@@ -179,7 +179,7 @@ func TestAdmissionCompletionPredicate(t *testing.T) {
 	})
 	// Not when the run may stop short of the completion time.
 	inRun(net, net.Now(), func() {
-		send(m, slot, path)
+		send(m, slot, id)
 		if pending() != 1 || stub.recvAnnounce != 3 {
 			t.Fatalf("completion past the limit: pending=%d received=%d, want an event", pending(), stub.recvAnnounce)
 		}
@@ -208,8 +208,9 @@ func TestAdmissionCompletionPredicate(t *testing.T) {
 			slot = j
 		}
 	}
+	_, id = net.intern.intern(Path{1, 4})
 	inRun(net, -1, func() {
-		send(m, slot, Path{1, 4})
+		send(m, slot, id)
 		if pending() != 1 {
 			t.Fatalf("spoken sink: pending=%d, want an event", pending())
 		}

@@ -74,12 +74,13 @@ func steadyNetOn(topo *topology.Topology) (*Network, topology.NodeID) {
 }
 
 // coreLink returns the slot of node 1 (an M node) toward the T core and the
-// path it currently advertises there, for re-announcement benchmarks.
-func coreLink(net *Network) (m *node, slot int, path Path) { return linkTo(net, 0) }
+// interned ID of the path it currently advertises there, for
+// re-announcement benchmarks.
+func coreLink(net *Network) (m *node, slot int, id PathID) { return linkTo(net, 0) }
 
 // linkTo returns the slot of node 1 (an M node) toward its neighbor nbr and
-// the path it currently advertises there.
-func linkTo(net *Network, nbr topology.NodeID) (m *node, slot int, path Path) {
+// the interned ID of the path it currently advertises there.
+func linkTo(net *Network, nbr topology.NodeID) (m *node, slot int, id PathID) {
 	m = &net.nodes[1]
 	for j, id := range net.nbrIDs(m) {
 		if id == nbr {
@@ -87,7 +88,7 @@ func linkTo(net *Network, nbr topology.NodeID) (m *node, slot int, path Path) {
 			if !ok {
 				panic("bench setup: M node does not advertise the prefix to the neighbor")
 			}
-			return m, j, net.intern.path(id)
+			return m, j, id
 		}
 	}
 	panic("bench setup: M node is not connected to the neighbor")
@@ -95,12 +96,12 @@ func linkTo(net *Network, nbr topology.NodeID) (m *node, slot int, path Path) {
 
 // sinkNet is steadyNet with a second stub under the M nodes: a sink that
 // hears the prefix from all of them and says nothing. Returns the M node, its
-// slot toward the stub and the path it advertises there. Inside a run
-// (inRun) deliver may complete that stub's updates at admission.
-func sinkNet() (net *Network, m *node, slot int, path Path) {
+// slot toward the stub and the ID of the path it advertises there. Inside a
+// run (inRun) deliver may complete that stub's updates at admission.
+func sinkNet() (net *Network, m *node, slot int, id PathID) {
 	net, _ = steadyNetOn(fanTopoStubs(8, 2))
-	m, slot, path = linkTo(net, 9)
-	return net, m, slot, path
+	m, slot, id = linkTo(net, 9)
+	return net, m, slot, id
 }
 
 // inRun calls fn from inside net.RunUntil(deadline), as an event at the
@@ -176,12 +177,11 @@ func BenchmarkKernelReconcileWideRow(b *testing.B) {
 		b.Fatal("no T node with a peer-learned best route")
 	}
 	slot, id := ps.bestSlot, ps.bestID
-	path := net.intern.path(id)
 	flip := func(i int) {
 		if i%2 == 0 {
-			net.process(nd, net.Now(), slot, Withdraw, benchPrefix, nil, NoPath)
+			net.process(nd, net.Now(), slot, benchPrefix, NoPath)
 		} else {
-			net.process(nd, net.Now(), slot, Announce, benchPrefix, path, id)
+			net.process(nd, net.Now(), slot, benchPrefix, id)
 		}
 	}
 	for i := 0; i < 4; i++ { // first sends, timer starts, flush events armed
@@ -206,11 +206,11 @@ func BenchmarkKernelReconcileWideRow(b *testing.B) {
 // Expected allocs/op: 0.
 func BenchmarkKernelTransmitFire(b *testing.B) {
 	net, _ := steadyNet()
-	m, slot, path := coreLink(net) // an M node re-announcing its path to the core
+	m, slot, id := coreLink(net) // an M node re-announcing its path to the core
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.transmit(m, slot, benchPrefix, Announce, path, NoPath)
+		net.transmit(m, slot, benchPrefix, id)
 		net.shards[0].sched.Run()
 	}
 }
@@ -219,12 +219,12 @@ func BenchmarkKernelTransmitFire(b *testing.B) {
 // completes the update at admission — decision included — and no event is
 // scheduled, popped or fired. Expected allocs/op: 0.
 func BenchmarkKernelSinkDeliver(b *testing.B) {
-	net, m, slot, path := sinkNet()
+	net, m, slot, id := sinkNet()
 	inRun(net, -1, func() {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			net.transmit(m, slot, benchPrefix, Announce, path, NoPath)
+			net.transmit(m, slot, benchPrefix, id)
 		}
 		b.StopTimer()
 		if net.Pending() != 0 {
@@ -280,14 +280,14 @@ func BenchmarkKernelCEventReset(b *testing.B) {
 // benchmark reading.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	net, _ := steadyNet()
-	m, slot, path := coreLink(net)
+	m, slot, id := coreLink(net)
 	// Warm the queue storage.
 	for i := 0; i < 16; i++ {
-		net.transmit(m, slot, benchPrefix, Announce, path, NoPath)
+		net.transmit(m, slot, benchPrefix, id)
 		net.shards[0].sched.Run()
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		net.transmit(m, slot, benchPrefix, Announce, path, NoPath)
+		net.transmit(m, slot, benchPrefix, id)
 		net.shards[0].sched.Run()
 	})
 	if allocs != 0 {
@@ -305,9 +305,9 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	// The hop into a silent sink, completed at admission. Its only growing
 	// state is the per-second rate histogram: warm it past the virtual time
 	// the measured updates reach (at most 100 ms each).
-	net, m, slot, path = sinkNet()
+	net, m, slot, id = sinkNet()
 	stub := &net.nodes[9]
-	send := func() { net.transmit(m, slot, benchPrefix, Announce, path, NoPath) }
+	send := func() { net.transmit(m, slot, benchPrefix, id) }
 	inRun(net, -1, func() {
 		for i := 0; i < 1024; i++ {
 			send()
@@ -365,14 +365,14 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 func TestSteadyStateZeroAllocObs(t *testing.T) {
 	net, _ := steadyNet()
 	net.SetObs(obs.New())
-	m, slot, path := coreLink(net)
+	m, slot, id := coreLink(net)
 	for i := 0; i < 16; i++ {
-		net.transmit(m, slot, benchPrefix, Announce, path, NoPath)
+		net.transmit(m, slot, benchPrefix, id)
 		net.shards[0].sched.Run()
 	}
 	before := net.shards[0].probes.AnnouncementsSent.Load()
 	allocs := testing.AllocsPerRun(200, func() {
-		net.transmit(m, slot, benchPrefix, Announce, path, NoPath)
+		net.transmit(m, slot, benchPrefix, id)
 		net.shards[0].sched.Run()
 	})
 	if allocs != 0 {

@@ -471,9 +471,6 @@ func TestPathHelpers(t *testing.T) {
 	if Path(nil).Clone() != nil {
 		t.Fatal("nil Clone not nil")
 	}
-	if Announce.String() != "announce" || Withdraw.String() != "withdraw" {
-		t.Fatal("UpdateKind strings")
-	}
 	if PerInterface.String() != "per-interface" || PerPrefix.String() != "per-prefix" {
 		t.Fatal("scope strings")
 	}

@@ -350,15 +350,15 @@ func (net *Network) EndCause() EventAttribution {
 }
 
 // record accounts one processed update for the current event: the
-// receiver's (node, slot) cell plus the classification tally. same reports
-// whether the update left the receiver's Adj-RIB-In entry unchanged;
-// hadNone whether no route was held from the sender before it. Runs on the
-// receiver's shard.
-func (tr *causalTrace) record(sh *netShard, to *node, fromSlot int32, kind UpdateKind, same, hadNone bool) {
+// receiver's (node, slot) cell plus the classification tally. withdraw
+// reports whether the update was a withdrawal; same whether it left the
+// receiver's Adj-RIB-In entry unchanged; hadNone whether no route was held
+// from the sender before it. Runs on the receiver's shard.
+func (tr *causalTrace) record(sh *netShard, to *node, fromSlot int32, withdraw, same, hadNone bool) {
 	tr.slotCount[to.row+fromSlot]++
 	t := &tr.tallies[sh.idx]
 	t.updates++
-	if kind == Withdraw {
+	if withdraw {
 		if hadNone {
 			t.dup++
 		} else {

@@ -210,17 +210,17 @@ func (net *Network) checkReconciled(nd *node, f Prefix, ps *prefixState) {
 		}
 		if exportable(ids[j], rels[j], full, fromCustomerOrSelf) {
 			wireOK := onWire && it.path(sentID).Equal(full)
-			queueOK := queued && pu.kind == Announce && it.path(pu.id).Equal(full)
+			queueOK := queued && pu.id != NoPath && it.path(pu.id).Equal(full)
 			if !wireOK && !queueOK {
 				panic(fmt.Sprintf("bgp: check: node %d prefix %d slot %d: exportable best neither on wire nor queued",
 					nd.id, f, j))
 			}
 		} else {
-			if queued && pu.kind == Announce {
+			if queued && pu.id != NoPath {
 				panic(fmt.Sprintf("bgp: check: node %d prefix %d slot %d: queued announcement outside export closure",
 					nd.id, f, j))
 			}
-			if onWire && !(queued && pu.kind == Withdraw) {
+			if onWire && !(queued && pu.id == NoPath) {
 				panic(fmt.Sprintf("bgp: check: node %d prefix %d slot %d: stale wire route with no queued withdrawal",
 					nd.id, f, j))
 			}

@@ -25,10 +25,10 @@ func TestKernelLayoutBudget(t *testing.T) {
 		got, ceil uintptr
 	}{
 		{"session", unsafe.Sizeof(session{}), 16},
-		{"inMsg", unsafe.Sizeof(inMsg{}), 48},
-		{"wireMsg", unsafe.Sizeof(wireMsg{}), 56},
+		{"inMsg", unsafe.Sizeof(inMsg{}), 32},
+		{"wireMsg", unsafe.Sizeof(wireMsg{}), 40},
 		{"outQueue", unsafe.Sizeof(outQueue{}), line},
-		{"pendingUpdate", unsafe.Sizeof(pendingUpdate{}), 12},
+		{"pendingUpdate", unsafe.Sizeof(pendingUpdate{}), 8},
 		{"prefixState", unsafe.Sizeof(prefixState{}), line},
 		{"node", unsafe.Sizeof(node{}), 4 * line},
 	}
@@ -46,10 +46,13 @@ func TestKernelLayoutBudget(t *testing.T) {
 	if sz := unsafe.Sizeof(outQueue{}); sz&(sz-1) != 0 {
 		t.Errorf("sizeof(outQueue) = %d is not a power of two", sz)
 	}
-	// A queued update is an ID, never a path: the inline pending slot of
-	// every queue stays pointer-free.
-	if typ := reflect.TypeOf(pendingUpdate{}); holdsPointer(typ) {
-		t.Errorf("%v holds a pointer", typ)
+	// An update — queued, parked, in flight between windows — is an ID,
+	// never a path: the inline pending slot of every queue, the inboxes and
+	// the outboxes stay pointer-free.
+	for _, v := range []any{pendingUpdate{}, inMsg{}, wireMsg{}} {
+		if typ := reflect.TypeOf(v); holdsPointer(typ) {
+			t.Errorf("%v holds a pointer", typ)
+		}
 	}
 
 	// A shard's scheduler keeps its clock word ahead of the time ring's
@@ -81,7 +84,7 @@ func TestKernelLayoutBudget(t *testing.T) {
 	// What an update that leaves the best route alone reads next — whether
 	// it is the node's event or deliver completes it at admission — the
 	// node's identity and row, the receive counters, the prefix key and the
-	// hot head of the inline prefixState, fits the third line.
+	// hot head of the inline prefixState, ends inside the third line.
 	hotEnd := unsafe.Offsetof(nd.prefixes) + unsafe.Offsetof(nd.prefixes.first) + unsafe.Offsetof(nd.prefixes.first.damp)
 	if hotEnd > 3*line {
 		t.Errorf("node's unchanged-route fields end at byte %d, budget %d", hotEnd, 3*line)

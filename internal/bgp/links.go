@@ -108,7 +108,7 @@ func (net *Network) resyncSlot(nd *node, j int) {
 		}
 		full, fromCustomerOrSelf := net.advertisement(nd, ps)
 		if exportable(nbr, rel, full, fromCustomerOrSelf) {
-			net.setDesired(nd, q, f, full, ps.fullID)
+			net.setDesired(nd, q, f, ps.fullID)
 		}
 	}
 }

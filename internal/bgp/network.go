@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"time"
-	"unsafe"
 
 	"bgpchurn/internal/des"
 	"bgpchurn/internal/obs"
@@ -396,7 +395,6 @@ func (net *Network) reinit(seed uint64) {
 	}
 	for _, gen := range net.outbox {
 		for k, run := range gen {
-			clear(run) // release in-flight paths
 			gen[k] = run[:0]
 		}
 	}
@@ -406,7 +404,6 @@ func (net *Network) reinit(seed uint64) {
 		nd := &net.nodes[i]
 		nd.busyUntil = 0
 		nd.msgSeq = 0
-		clear(nd.inbox) // release parked paths
 		nd.inbox, nd.inboxHead, nd.delivering = nd.inbox[:0], 0, false
 		nd.spoke = false
 		nd.cur = inMsg{}
@@ -506,14 +503,6 @@ func (net *Network) NextHop(id topology.NodeID, f Prefix) topology.NodeID {
 // prefixTimer the expiry of its per-prefix one. Ownership rules are in
 // DESIGN.md (kernel memory model).
 
-// path returns the update's AS path (nil for withdrawals).
-func (m *inMsg) path() Path { return unsafe.Slice(m.pathPtr, m.pathLen) }
-
-// setPath stores p as pointer + length; see inMsg.
-func (m *inMsg) setPath(p Path) {
-	m.pathPtr, m.pathLen = unsafe.SliceData(p), int32(len(p))
-}
-
 // Fire completes the processing of the update in nd.cur. The node is its own
 // event (see deliver), so Fire first copies the payload out of cur and then
 // reuses the node for the next parked delivery, if any, before processing
@@ -521,13 +510,12 @@ func (m *inMsg) setPath(p Path) {
 func (nd *node) Fire(*des.Scheduler) {
 	sh := nd.sh
 	m := &nd.cur
-	fromSlot, kind, prefix, path, pathID, cause := m.fromSlot, m.kind, m.prefix, m.path(), m.pathID, m.cause
+	fromSlot, prefix, pathID, cause := m.fromSlot, m.prefix, m.pathID, m.cause
 	// Chain the next parked delivery under its reserved ticket (see
 	// deliver). Completion times are monotone per receiver, so the ticket
 	// can never be in the past.
 	if int(nd.inboxHead) < len(nd.inbox) {
 		*m = nd.inbox[nd.inboxHead]
-		nd.inbox[nd.inboxHead] = inMsg{} // release the path
 		nd.inboxHead++
 		if int(nd.inboxHead) == len(nd.inbox) {
 			nd.inbox, nd.inboxHead = nd.inbox[:0], 0
@@ -535,13 +523,12 @@ func (nd *node) Fire(*des.Scheduler) {
 		sh.sched.AtTicket(m.tk, nd)
 	} else {
 		nd.delivering = false
-		m.pathPtr = nil // release the path
 	}
 	// The update's root cause becomes the shard's active cause: every update
 	// this processing step transmits (or queues behind an MRAI timer)
 	// inherits it.
 	sh.activeCause = cause
-	sh.net.process(nd, sh.sched.Now(), fromSlot, kind, prefix, path, pathID)
+	sh.net.process(nd, sh.sched.Now(), fromSlot, prefix, pathID)
 }
 
 // process is what a node does with one received update, completed at virtual
@@ -550,8 +537,10 @@ func (nd *node) Fire(*des.Scheduler) {
 // still ahead of it when deliver completes the update at admission, so
 // nothing here or below reads the clock for a silent node. It leaves the
 // shard's active cause alone — Fire sets it; a completion at admission runs
-// inside the sender's fan-out and transmits nothing.
-func (net *Network) process(nd *node, at des.Time, fromSlot int32, kind UpdateKind, prefix Prefix, path Path, pathID PathID) {
+// inside the sender's fan-out and transmits nothing. The update is its
+// PathID (NoPath: a withdrawal); the path itself is read from the intern
+// table once, for the length installed and the loop check.
+func (net *Network) process(nd *node, at des.Time, fromSlot int32, prefix Prefix, pathID PathID) {
 	sh := nd.sh
 	row := &net.sess[nd.row+fromSlot]
 	row.recv++
@@ -561,7 +550,9 @@ func (net *Network) process(nd *node, at des.Time, fromSlot int32, kind UpdateKi
 		p.UpdatesProcessed.Inc()
 	}
 	ps := net.state(nd, prefix)
-	if kind == Withdraw {
+	withdraw := pathID == NoPath
+	path := net.intern.path(pathID)
+	if withdraw {
 		nd.recvWithdraw++
 	} else {
 		nd.recvAnnounce++
@@ -582,13 +573,13 @@ func (net *Network) process(nd *node, at des.Time, fromSlot int32, kind UpdateKi
 	same, hadNone := had == pathID, had == NoPath
 	r.install(pathID, len(path))
 	if tr := net.causal; tr != nil {
-		tr.record(sh, nd, fromSlot, kind, same, hadNone)
+		tr.record(sh, nd, fromSlot, withdraw, same, hadNone)
 	}
 	if d := &net.cfg.Dampening; d.Enabled && !hadNone {
 		// RFC 2439 flap accounting: a withdrawal of a reachable route, or an
 		// announcement replacing it with a different path.
 		switch {
-		case kind == Withdraw:
+		case withdraw:
 			net.recordFlap(nd, fromSlot, prefix, d.WithdrawPenalty)
 		case !same:
 			net.recordFlap(nd, fromSlot, prefix, d.UpdatePenalty)
@@ -602,8 +593,7 @@ func (net *Network) process(nd *node, at des.Time, fromSlot int32, kind UpdateKi
 
 // Fire is the expiry of q's per-interface MRAI timer: it sends every update
 // queued on the interface and, having sent any, restarts the timer. A queued
-// update is an ID; its path is read from the intern table (lock-free, so
-// windowed shards share it) right before the send.
+// update is an ID, and so is the update sent for it.
 func (q *outQueue) Fire(*des.Scheduler) {
 	nd := q.nd
 	sh := nd.sh
@@ -621,7 +611,7 @@ func (q *outQueue) Fire(*des.Scheduler) {
 		// Each drained update is attributed to the cause that queued (or
 		// last replaced) it, not to whatever fired most recently.
 		sh.activeCause = pu.cause
-		net.send(nd, q, f, pu.kind, net.intern.path(pu.id), pu.id)
+		net.send(nd, q, f, pu.id)
 	}
 	q.expiry = net.nextExpiry(nd)
 }
@@ -645,7 +635,7 @@ func (t *prefixTimer) Fire(*des.Scheduler) {
 		return
 	}
 	sh.activeCause = pu.cause
-	net.send(nd, q, t.prefix, pu.kind, net.intern.path(pu.id), pu.id)
+	net.send(nd, q, t.prefix, pu.id)
 	t.expiry = net.nextExpiry(nd)
 }
 
@@ -696,10 +686,9 @@ func (net *Network) reconcile(nd *node, f Prefix, ps *prefixState) {
 	out, rows, ids := net.out(nd), net.sessions(nd), net.nbrIDs(nd)
 	touched := net.touched[nd.row : nd.row+nd.deg]
 	for j := range out {
-		var want Path
 		wantID := NoPath
 		if exportable(ids[j], rows[j].rel(), full, fromCustomerOrSelf) {
-			want, wantID = full, ps.fullID
+			wantID = ps.fullID
 		} else if touched[j] == 0 {
 			continue
 		}
@@ -707,7 +696,7 @@ func (net *Network) reconcile(nd *node, f Prefix, ps *prefixState) {
 		if q.down {
 			continue
 		}
-		net.setDesired(nd, q, f, want, wantID)
+		net.setDesired(nd, q, f, wantID)
 	}
 }
 
@@ -762,21 +751,19 @@ func (net *Network) ensureFlush(nd *node, q *outQueue, f Prefix) {
 
 // send transmits one update on q's session and records its path's ID in the
 // Adj-RIB-Out (pathID is NoPath for a withdrawal).
-func (net *Network) send(nd *node, q *outQueue, f Prefix, kind UpdateKind, path Path, pathID PathID) {
+func (net *Network) send(nd *node, q *outQueue, f Prefix, pathID PathID) {
 	nd.spoke = true
 	net.touch(nd, q)
-	net.transmit(nd, int(q.slot), f, kind, path, pathID)
+	net.transmit(nd, int(q.slot), f, pathID)
 	q.setWire(f, pathID)
 }
 
 // setDesired reconciles the wire state toward the neighbor behind q for
-// prefix f with the desired advertisement want (nil = withdrawn/none; wantID
-// is its interned ID). It sends
-// immediately when rate limiting allows, otherwise replaces the queued
-// update.
-func (net *Network) setDesired(nd *node, q *outQueue, f Prefix, want Path, wantID PathID) {
+// prefix f with the desired advertisement wantID (NoPath = withdrawn/none).
+// It sends immediately when rate limiting allows, otherwise replaces the
+// queued update.
+func (net *Network) setDesired(nd *node, q *outQueue, f Prefix, wantID PathID) {
 	sentID, onWire := q.wire(f)
-	kind := Announce
 	if wantID == NoPath {
 		// Any queued announcement is now invalid.
 		q.dequeue(f)
@@ -786,10 +773,9 @@ func (net *Network) setDesired(nd *node, q *outQueue, f Prefix, want Path, wantI
 		if !net.cfg.RateLimitWithdrawals {
 			// NO-WRATE: explicit withdrawals bypass the MRAI timer entirely
 			// and do not restart it.
-			net.send(nd, q, f, Withdraw, nil, NoPath)
+			net.send(nd, q, f, NoPath)
 			return
 		}
-		kind = Withdraw
 	} else if sentID == wantID {
 		// Wire state already matches — hash-consing makes equal IDs ⟺ equal
 		// content — so drop any queued update (it has been invalidated by
@@ -798,12 +784,12 @@ func (net *Network) setDesired(nd *node, q *outQueue, f Prefix, want Path, wantI
 		return
 	}
 	if net.timerIdle(nd, q, f) {
-		net.send(nd, q, f, kind, want, wantID)
+		net.send(nd, q, f, wantID)
 		net.restartTimer(nd, q, f)
 		return
 	}
 	net.touch(nd, q)
-	q.enqueue(f, pendingUpdate{id: wantID, cause: nd.sh.activeCause, kind: kind})
+	q.enqueue(f, pendingUpdate{id: wantID, cause: nd.sh.activeCause})
 	net.ensureFlush(nd, q, f)
 }
 
@@ -819,11 +805,11 @@ func (net *Network) touch(nd *node, q *outQueue) { net.touched[nd.row+q.slot] = 
 // with its arrival time (now + LinkDelay) and the sender's per-node sequence
 // number; the next window admits it on the receiver's shard in canonical
 // (arrival, sender, seq) order (see admit).
-func (net *Network) transmit(nd *node, j int, f Prefix, kind UpdateKind, path Path, pathID PathID) {
+func (net *Network) transmit(nd *node, j int, f Prefix, pathID PathID) {
 	sh := nd.sh
 	nd.sentUpdates++
 	if p := sh.probes; p != nil {
-		if kind == Withdraw {
+		if pathID == NoPath {
 			p.WithdrawalsSent.Inc()
 		} else {
 			p.AnnouncementsSent.Inc()
@@ -846,20 +832,17 @@ func (net *Network) transmit(nd *node, j int, f Prefix, kind UpdateKind, path Pa
 		ob := &net.outbox[net.parity][sh.idx*len(net.shards)+int(net.partOf[to])]
 		*ob = append(*ob, wireMsg{
 			arrival:  arrival,
-			pathPtr:  unsafe.SliceData(path),
 			sender:   nd.id,
 			seq:      uint32(nd.msgSeq),
 			to:       to,
 			fromSlot: fromSlot,
-			pathLen:  int32(len(path)),
 			prefix:   f,
 			pathID:   pathID,
 			cause:    sh.activeCause,
-			kind:     kind,
 		})
 		return
 	}
-	net.deliver(&net.nodes[to], sh.sched.Now(), fromSlot, f, kind, path, pathID, sh.activeCause)
+	net.deliver(&net.nodes[to], sh.sched.Now(), fromSlot, f, pathID, sh.activeCause)
 }
 
 // deliver admits one arriving update to the receiver's FIFO queue + single
@@ -884,7 +867,7 @@ func (net *Network) transmit(nd *node, j int, f Prefix, kind UpdateKind, path Pa
 // completion time — the shard's horizon remembers the latest such time for
 // the clock a run ends at (see RunUntil). DESIGN.md, "Admission-time
 // completion", has the argument.
-func (net *Network) deliver(to *node, arrival des.Time, fromSlot int32, f Prefix, kind UpdateKind, path Path, pathID PathID, cause CauseID) {
+func (net *Network) deliver(to *node, arrival des.Time, fromSlot int32, f Prefix, pathID PathID, cause CauseID) {
 	sh := to.sh
 	start := to.busyUntil
 	if start < arrival {
@@ -897,11 +880,10 @@ func (net *Network) deliver(to *node, arrival des.Time, fromSlot int32, f Prefix
 	tk := sh.sched.Reserve(done)
 	if to.silent() && !to.delivering && done <= net.limit {
 		sh.horizon = max(sh.horizon, done)
-		net.process(to, done, fromSlot, kind, f, path, pathID)
+		net.process(to, done, fromSlot, f, pathID)
 		return
 	}
-	m := inMsg{tk: tk, fromSlot: fromSlot, kind: kind, prefix: f, pathID: pathID, cause: cause}
-	m.setPath(path)
+	m := inMsg{tk: tk, fromSlot: fromSlot, prefix: f, pathID: pathID, cause: cause}
 	if to.delivering {
 		to.inbox = append(to.inbox, m)
 		if p := sh.probes; p != nil {

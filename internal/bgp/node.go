@@ -202,10 +202,9 @@ func (pt *prefixTable) recycle() {
 	}
 }
 
-// pendingUpdate is an update waiting in an output queue for its MRAI timer.
-// It holds the path as its interned ID only (NoPath for a withdrawal): the
-// flush that sends it resolves the content through the intern table. 12
-// bytes, no pointer; TestKernelLayoutBudget pins both.
+// pendingUpdate is an update waiting in an output queue for its MRAI timer:
+// the interned ID of its path (NoPath for a withdrawal), which the flush
+// sends as is. 8 bytes, no pointer; TestKernelLayoutBudget pins both.
 type pendingUpdate struct {
 	id PathID
 	// cause is the root cause of the queued update. A newer update for the
@@ -213,7 +212,6 @@ type pendingUpdate struct {
 	// MRAI coalescing attributes the eventual send to the newest
 	// invalidating cause.
 	cause CauseID
-	kind  UpdateKind
 }
 
 // queueSlot is the inline entry of one of an outQueue's prefix-keyed tables
@@ -460,18 +458,15 @@ func (q *outQueue) clearRoutes() {
 // inMsg is one received update: the delivery payload plus the scheduler
 // ticket reserved for it at admission time. It is both the element type of a
 // receiver's inbox and the payload of the receiver's in-flight delivery
-// (node.cur). The path is held as pointer + length — engine paths always
-// have cap == len — which is what keeps the struct at 48 bytes and node.cur
-// inside the node's first two cache lines.
+// (node.cur). The update is its path's interned ID — equal IDs ⟺ equal
+// content, NoPath a withdrawal — so the struct is 32 bytes and holds no
+// pointer the garbage collector must scan.
 type inMsg struct {
 	tk       des.Ticket
-	pathPtr  *topology.NodeID
-	pathLen  int32
 	fromSlot int32
 	prefix   Prefix
-	pathID   PathID  // interned ID of the path
+	pathID   PathID  // interned ID of the path; NoPath for a withdrawal
 	cause    CauseID // root cause of the update (0 when tracing is off)
-	kind     UpdateKind
 }
 
 // node is one AS in the simulation and, at the same time, the completion
@@ -483,10 +478,10 @@ type inMsg struct {
 // and a length (deg) instead of carrying a slice header per array.
 //
 // Field order is the cache-line budget (DESIGN.md, "Kernel memory model"):
-// everything deliver touches sits in the first 128 bytes; the third line
-// holds what Fire and the decision process read when the best route stays
-// put; the fourth is read only with dampening on, a second prefix or the
-// windowed executor. The struct is exactly four 64-byte lines, so in the
+// everything deliver touches sits in the first 128 bytes; what Fire and the
+// decision process read when the best route stays put follows and ends
+// inside the third line; the rest is read only with dampening on, a second
+// prefix or the windowed executor. The struct is exactly four 64-byte lines, so in the
 // (page-aligned) node array no field group ever straddles more lines than
 // it has to. TestKernelLayoutBudget pins it.
 //
@@ -546,7 +541,7 @@ type node struct {
 	// (arrival, sender, msgSeq) triple is the canonical barrier-admission
 	// order that makes results independent of the shard count.
 	msgSeq uint64
-	_      [8]byte // rounds the struct up to its fourth line
+	_      [24]byte // rounds the struct up to its fourth line
 }
 
 // silent reports whether processing an update at nd can have no effect

@@ -59,7 +59,7 @@ func TestOutQueueModel(t *testing.T) {
 				}
 			case 2, 3:
 				op = "enqueue"
-				pu := pendingUpdate{id: PathID(r.Intn(4)), cause: CauseID(r.Intn(3)), kind: UpdateKind(r.Intn(2))}
+				pu := pendingUpdate{id: PathID(r.Intn(4)), cause: CauseID(r.Intn(3))}
 				q.enqueue(f, pu)
 				pending[f] = pu
 			case 4, 5:
@@ -178,8 +178,8 @@ func TestTouchedMarksEveryExit(t *testing.T) {
 		{"send", func(net *Network) [][2]int {
 			ja, _, _ := net.slots(1, 0)
 			m := &net.nodes[1]
-			path, id := net.intern.prepend(1, Path{origin})
-			net.send(m, &net.out(m)[ja], benchPrefix, Announce, path, id)
+			_, id := net.intern.prepend(1, Path{origin})
+			net.send(m, &net.out(m)[ja], benchPrefix, id)
 			return [][2]int{{1, ja}}
 		}},
 		{"enqueue", func(net *Network) [][2]int {
@@ -189,8 +189,8 @@ func TestTouchedMarksEveryExit(t *testing.T) {
 			m := &net.nodes[1]
 			q := &net.out(m)[ja]
 			q.expiry = net.Now() + net.cfg.MRAI
-			path, id := net.intern.prepend(1, Path{origin})
-			net.setDesired(m, q, benchPrefix, path, id)
+			_, id := net.intern.prepend(1, Path{origin})
+			net.setDesired(m, q, benchPrefix, id)
 			if _, ok := q.queued(benchPrefix); !ok {
 				t.Fatal("enqueue: setDesired did not queue the update")
 			}

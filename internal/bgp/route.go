@@ -75,21 +75,3 @@ func (p Path) String() string {
 	}
 	return b.String()
 }
-
-// UpdateKind distinguishes announcements from explicit withdrawals.
-type UpdateKind uint8
-
-const (
-	// Announce advertises a (new) path for a prefix.
-	Announce UpdateKind = iota
-	// Withdraw removes a previously announced prefix.
-	Withdraw
-)
-
-// String names the update kind.
-func (k UpdateKind) String() string {
-	if k == Withdraw {
-		return "withdraw"
-	}
-	return "announce"
-}

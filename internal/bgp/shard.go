@@ -23,7 +23,6 @@ import (
 	"runtime"
 	"slices"
 	"time"
-	"unsafe"
 
 	"bgpchurn/internal/des"
 	"bgpchurn/internal/obs"
@@ -31,29 +30,23 @@ import (
 )
 
 // wireMsg is one update in flight between windows: the delivery payload
-// (the path as pointer + length, as in inMsg) plus the canonical merge key
+// (the path as its interned ID, as in inMsg) plus the canonical merge key
 // (arrival, sender, seq). seq is the sender's per-node message counter, so
 // the key is a total order (same sender ⇒ distinct seq; different senders ⇒
 // distinct sender) that depends only on simulation state, never on the
-// partition. 56 bytes; TestKernelLayoutBudget pins it.
+// partition. 40 bytes, no pointer; TestKernelLayoutBudget pins both.
 type wireMsg struct {
 	arrival  des.Time
-	pathPtr  *topology.NodeID
 	sender   topology.NodeID
 	seq      uint32
 	to       topology.NodeID
 	fromSlot int32
-	pathLen  int32
 	prefix   Prefix
-	pathID   PathID
+	pathID   PathID // NoPath for a withdrawal
 	// cause is the update's root cause (0 when tracing is off); it rides
 	// the barrier merge untouched — admission order never looks at it.
 	cause CauseID
-	kind  UpdateKind
 }
-
-// path returns the update's AS path (nil for withdrawals).
-func (m *wireMsg) path() Path { return unsafe.Slice(m.pathPtr, m.pathLen) }
 
 // before is the canonical admission order.
 func (m *wireMsg) before(o *wireMsg) bool {
@@ -333,8 +326,7 @@ func (net *Network) admit(dst *netShard) {
 	}
 	for len(runs) > 0 {
 		m := &runs[0][0]
-		net.deliver(&net.nodes[m.to], m.arrival, m.fromSlot, m.prefix, m.kind, m.path(), m.pathID, m.cause)
-		m.pathPtr = nil // release the path
+		net.deliver(&net.nodes[m.to], m.arrival, m.fromSlot, m.prefix, m.pathID, m.cause)
 		if runs[0] = runs[0][1:]; len(runs[0]) == 0 {
 			last := len(runs) - 1
 			runs[0], runs[last] = runs[last], nil

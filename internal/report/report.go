@@ -203,15 +203,6 @@ func FormatCellEvent(e CellEvent) string {
 	return fmt.Sprintf("  %-6s %s", e.State, cell)
 }
 
-// CellLogger returns a callback that writes one FormatCellEvent line per
-// event to w, for wiring a Scheduler.SubscribeCells subscriber to a
-// terminal. It is NewCellLogger's text format, kept as the
-// zero-configuration entry point.
-func CellLogger(w io.Writer) func(CellEvent) {
-	logCell, _ := NewCellLogger(w, "text")
-	return logCell
-}
-
 // plotMaxWidth caps the chart width; longer series are resampled.
 const plotMaxWidth = 100
 

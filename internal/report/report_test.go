@@ -144,7 +144,10 @@ func TestFormatCellEvent(t *testing.T) {
 
 func TestCellLogger(t *testing.T) {
 	var buf bytes.Buffer
-	log := CellLogger(&buf)
+	log, err := NewCellLogger(&buf, "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	log(CellEvent{Scenario: "BASELINE", N: 1000, State: "start"})
 	log(CellEvent{Scenario: "BASELINE", N: 1000, State: "cached"})
 	out := buf.String()

@@ -34,10 +34,14 @@ func TestNewCellLoggerTextMatchesLegacy(t *testing.T) {
 
 func TestCellLoggerDefaultIsText(t *testing.T) {
 	var got strings.Builder
-	CellLogger(&got)(sampleCellEvents()[1])
+	logCell, err := NewCellLogger(&got, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	logCell(sampleCellEvents()[1])
 	want := FormatCellEvent(sampleCellEvents()[1]) + "\n"
 	if got.String() != want {
-		t.Errorf("CellLogger output = %q, want %q", got.String(), want)
+		t.Errorf("default cell logger output = %q, want %q", got.String(), want)
 	}
 }
 
