@@ -38,13 +38,15 @@ cross:
 # differential (bare against all-evented networks), whose windowed cases
 # complete updates on the worker that admits them, and the
 # change-proportional tiers (the one-row decision step against the scan,
-# and the touched-queue marks windowed shards write concurrently), and the
+# and the touched-queue marks windowed shards write concurrently), the
+# session-reset drain (a failed link discards the updates parked on it in
+# inboxes, delivery events and the windowed outbox), and the
 # core-budget tests: helper origin workers joining and leaving concurrent
 # grid cells, the budget's high-water bound, and its release on
 # cancellation and panics.
 race:
 	$(GO) test -race -count=1 ./...
-	$(GO) test -race -count=10 -timeout 15m -run 'Crew|PartitionInvariance|Windowed|AdmissionCompletion|DecideAfter|Touched|CoreBudget' ./internal/des/ ./internal/bgp/ ./internal/core/
+	$(GO) test -race -count=10 -timeout 15m -run 'Crew|PartitionInvariance|Windowed|AdmissionCompletion|DecideAfter|Touched|SessionResetDropsInFlight|CoreBudget' ./internal/des/ ./internal/bgp/ ./internal/core/
 
 # bench runs every benchmark once so the suite cannot silently rot; it is a
 # compile-and-run check, not a performance measurement.

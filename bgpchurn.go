@@ -442,8 +442,9 @@ func ReadSpanJSONL(r io.Reader) ([]SpanRecord, error) { return obs.ReadSpanJSONL
 // subscribers; obtain a server's broker via ObsServer.Progress.
 type ProgressBroker = obs.ProgressBroker
 
-// CauseID is the compact root-cause identity every in-flight update carries
-// while causal tracing is enabled (0 = tracing off / no open cause).
+// CauseID identifies one routing event of a traced network: what
+// Network.BeginCause returns and EventAttribution.Cause names
+// (0 = tracing off / no open cause).
 type CauseID = bgp.CauseID
 
 // CauseKind classifies the routing event behind a cause ID.

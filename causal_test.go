@@ -4,8 +4,8 @@ package bgpchurn
 //
 //  1. Inertness — attaching a SpanRecorder (which turns on the engine's
 //     causal trace) must not change a single observable bit of any result,
-//     at any shard count, for either protocol variant. Cause IDs ride the
-//     existing event structs and the tracer only ever reads engine state.
+//     at any shard count, for either protocol variant. The tracer only
+//     ever reads engine state.
 //
 //  2. Exactness — the live Eq.-1 attribution carried on event spans is not
 //     an estimate: re-aggregating the spans of a run must reproduce the
@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -218,6 +219,53 @@ func TestEq1AttributionReconcilesWithAggregates(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestAttributionGolden freezes what the tracer attributes to each event:
+// the kind, cause, origin, virtual extent and every Stats value of every
+// event span of a few small BASELINE cells — C-events and link events, both
+// protocol variants, inline and on the windowed executor at two shards.
+// With one origin worker the spans arrive in origin order and the cause IDs
+// count up from 1, so the file is a byte-exact record
+// (testdata/golden/attribution.golden, regenerated with -update-goldens).
+func TestAttributionGolden(t *testing.T) {
+	topo, err := Baseline.Generate(300, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf strings.Builder
+	for _, kind := range []EventKind{CEventKind, LinkEventKind} {
+		for _, variant := range []string{"NO-WRATE", "WRATE"} {
+			for _, shards := range []int{0, 2} { // 0 = inline executor
+				cfg := protocolVariants(5, 4)[variant]
+				cfg.Kind, cfg.Parallelism = kind, 1
+				label := "inline"
+				if shards > 0 {
+					cfg, label = shardedVariant(cfg, shards), fmt.Sprintf("windowed shards=%d", shards)
+				}
+				traced, spans := spanVariant(cfg)
+				if _, err := RunCEvents(topo, traced); err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(&buf, "## %v %s %s\n", kind, variant, label)
+				for _, s := range spans.Snapshot() {
+					if s.Level != SpanEvent {
+						continue
+					}
+					fmt.Fprintf(&buf, "%s cause=%d origin=%d vstart_us=%.17g vend_us=%.17g\n", s.Name, s.Cause, s.Origin, s.VStartUS, s.VEndUS)
+					keys := make([]string, 0, len(s.Stats))
+					for k := range s.Stats {
+						keys = append(keys, k)
+					}
+					slices.Sort(keys)
+					for _, k := range keys {
+						fmt.Fprintf(&buf, "  %s=%.17g\n", k, s.Stats[k])
+					}
+				}
+			}
+		}
+	}
+	checkGolden(t, "attribution", []byte(buf.String()))
 }
 
 // TestObsProgressSSEUnderConcurrentGrid streams /progress while a

@@ -21,20 +21,18 @@ const admissionCases = 60
 
 // replayEveryStep runs the script and returns the network's full fingerprint
 // (goldenRecorder: clock, Pending, totals, peak rate, every node's counters,
-// routes and Adj-RIB-In size; plus the step's error) after every step, and
-// the number of scheduler events the network fired.
+// routes and Adj-RIB-In size) after every step, and the number of scheduler
+// events the network fired. A step that fails — the final CheckConsistency
+// included — fails the test.
 func replayEveryStep(t *testing.T, net *Network, ops []scriptOp) ([]byte, uint64) {
 	t.Helper()
 	g := goldenRecorder{prefixes: []Prefix{1, 2, 3}}
 	for i, op := range ops {
-		// An error is part of the fingerprint, not a failure: both sides must
-		// report the same one. (The scripts can fail a link with an update of
-		// its session still queued at the receiver, which then installs a
-		// route over a session that was reset — the final CheckConsistency
-		// reports that, at the parent commit as well.)
-		err := op.do(net)
+		if err := op.do(net); err != nil {
+			t.Fatalf("step %d (%s): %v", i, op.name, err)
+		}
 		requireOneClock(t, net, i, op.name)
-		g.snapshot(fmt.Sprintf("%d %s: %v", i, op.name, err), net)
+		g.snapshot(fmt.Sprintf("%d %s", i, op.name), net)
 	}
 	var fired uint64
 	for _, sh := range net.shards {

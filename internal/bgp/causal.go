@@ -1,40 +1,24 @@
 package bgp
 
-// Causal churn tracing. Every in-flight update carries a compact root-cause
-// ID — the routing event (C-event phase or link event) whose propagation
-// produced it — threaded through processing events, MRAI output queues and
-// shard merges. With a tracer attached the network additionally accumulates
-// a per-event provenance summary: updates received per node type × neighbor
-// relation (the live Eq.-1 m·q·e decomposition), path-exploration depth,
-// and duplicate/implicit-withdrawal classification.
+// Causal churn tracing. The paper measures churn one routing event at a time
+// (§4): the origin withdraws or re-announces, or a link fails or comes back,
+// and the network converges. With a tracer attached the network accumulates,
+// for the one event open at a time, a provenance summary: updates received
+// per node type × neighbor relation (the live Eq.-1 m·q·e decomposition),
+// path-exploration depth, and duplicate/implicit-withdrawal classification.
 //
-// Propagation rules (see DESIGN.md, "Causal tracing"):
-//
-//   - BeginCause stamps a fresh CauseID as every shard's active cause; API
-//     entry points (Originate, WithdrawPrefix, FailLink, RestoreLink) run
-//     under it, so the first wave of transmissions inherits the root.
-//   - node.Fire sets the firing shard's active cause to the event's cause
-//     before anything else, so every update transmitted while processing
-//     it inherits the cause of the update that triggered it. (An update
-//     deliver completes at admission fires no event and sets nothing: it
-//     runs inside the sender's fan-out, whose later sends must keep the
-//     sender's cause, and a silent node transmits nothing that could
-//     inherit one.)
-//   - An update queued behind an MRAI timer carries its cause in the
-//     pendingUpdate; a newer update for the same prefix replaces the queued
-//     one together with its cause (coalescing attributes the eventual send
-//     to the newest invalidating cause, matching the paper's "queued update
-//     invalidated by a new update is removed"). The flush events restore
-//     each drained update's cause before transmitting it.
-//   - Cross-shard wire messages carry the cause through the barrier merge;
-//     canonical (arrival, sender, seq) admission order is untouched.
+// One open cause (see DESIGN.md, "Causal tracing"): BeginCause opens an
+// event, clearing the accumulators; every update processed until EndCause
+// closes it at quiescence is the event's. Updates carry no cause of their
+// own: the API admits no second open event, so which event an update belongs
+// to is when it is processed, and the propagation, MRAI queues and shard
+// merges need not know.
 //
 // The tracer is inert by construction: it never mutates engine state,
 // consumes randomness or reads anything that feeds a decision, so traced
 // runs are byte-identical to bare ones at every shard count (the
-// determinism tier proves it). Cause IDs ride existing event structs — no
-// per-event allocation — and with no tracer attached every accounting site
-// is a single nil-check.
+// determinism tier proves it). With no tracer attached every accounting
+// site is a single nil-check.
 
 import (
 	"fmt"
@@ -46,7 +30,7 @@ import (
 // CauseID identifies one root cause: a phase of a C-event (withdraw or
 // re-announce) or a link event. IDs are assigned by BeginCause, start at 1
 // and stay unique for the lifetime of the Network (Reset does not rewind
-// them). 0 means "no cause" (tracing off, or activity outside any event).
+// them). 0 means "no cause" (tracing off, or no event open).
 type CauseID uint32
 
 // CauseKind classifies a root cause.
@@ -240,9 +224,9 @@ type causalTrace struct {
 }
 
 // EnableCausalTrace attaches the causal tracer: from the next BeginCause
-// on, updates carry root-cause IDs and the network accumulates per-event
-// attribution. Idempotent; survives Reset and Grow (build re-sizes it).
-// Tracing changes no results — only what is observed.
+// on, the network accumulates per-event attribution. Idempotent; survives
+// Reset and Grow (build re-sizes it). Tracing changes no results — only
+// what is observed.
 func (net *Network) EnableCausalTrace() {
 	if net.causal == nil {
 		net.causal = &causalTrace{}
@@ -281,9 +265,9 @@ func (net *Network) attachCausal() {
 
 // BeginCause opens a new root cause of the given kind originating at
 // origin (topology.None for network-wide events): the per-event
-// accumulators are cleared and every shard's active cause is set, so API
-// calls and the propagation they trigger are attributed to the new cause.
-// Returns 0 (and does nothing) when tracing is off.
+// accumulators are cleared, so every update processed from now until
+// EndCause — the propagation of the API calls that follow — is attributed
+// to the new cause. Returns 0 (and does nothing) when tracing is off.
 func (net *Network) BeginCause(kind CauseKind, origin topology.NodeID) CauseID {
 	tr := net.causal
 	if tr == nil {
@@ -293,9 +277,6 @@ func (net *Network) BeginCause(kind CauseKind, origin topology.NodeID) CauseID {
 	tr.root, tr.kind, tr.origin, tr.start = tr.nextID, kind, origin, net.Now()
 	clear(tr.slotCount)
 	clear(tr.tallies)
-	for _, sh := range net.shards {
-		sh.activeCause = tr.root
-	}
 	return tr.root
 }
 

@@ -13,7 +13,7 @@ import (
 // Checked invariants, for every session u→v and prefix f:
 //
 //  1. wire agreement: what u last sent (Adj-RIB-Out) is exactly what v
-//     holds from u (Adj-RIB-In), unless the link is down;
+//     holds from u (Adj-RIB-In); on a down link both are empty;
 //  2. no queued updates remain (quiescence implies empty output queues);
 //  3. u's Loc-RIB equals a fresh run of its decision process;
 //  4. every advertised path is u's current best prepended with u, is
@@ -48,11 +48,10 @@ func (net *Network) CheckConsistency() error {
 				return fmt.Errorf("bgp: node %d slot %d: %d updates still queued on a quiescent network",
 					nd.id, j, n)
 			}
-			if q.down {
-				if q.sent.len(q.sentMap()) != 0 {
-					return fmt.Errorf("bgp: node %d slot %d: adj-rib-out persists on a down link", nd.id, j)
-				}
-				continue
+			// A down link has nothing on the wire, so by (1) the receiver holds
+			// nothing from it either: no update sent before the reset survives.
+			if q.down && q.sent.len(q.sentMap()) != 0 {
+				return fmt.Errorf("bgp: node %d slot %d: adj-rib-out persists on a down link", nd.id, j)
 			}
 			peer := &net.nodes[ids[j]]
 			rev := net.reverse(nd)[j]
@@ -203,24 +202,24 @@ func (net *Network) checkReconciled(nd *node, f Prefix, ps *prefixState) {
 			continue
 		}
 		sentID, onWire := q.wire(f)
-		pu, queued := q.queued(f)
-		if sentID > limit || pu.id > limit {
+		qid, queued := q.queued(f)
+		if sentID > limit || qid > limit {
 			panic(fmt.Sprintf("bgp: check: node %d prefix %d slot %d: adj-rib-out ID %d or queued ID %d dangling (table holds %d)",
-				nd.id, f, j, sentID, pu.id, limit))
+				nd.id, f, j, sentID, qid, limit))
 		}
 		if exportable(ids[j], rels[j], full, fromCustomerOrSelf) {
 			wireOK := onWire && it.path(sentID).Equal(full)
-			queueOK := queued && pu.id != NoPath && it.path(pu.id).Equal(full)
+			queueOK := queued && qid != NoPath && it.path(qid).Equal(full)
 			if !wireOK && !queueOK {
 				panic(fmt.Sprintf("bgp: check: node %d prefix %d slot %d: exportable best neither on wire nor queued",
 					nd.id, f, j))
 			}
 		} else {
-			if queued && pu.id != NoPath {
+			if queued && qid != NoPath {
 				panic(fmt.Sprintf("bgp: check: node %d prefix %d slot %d: queued announcement outside export closure",
 					nd.id, f, j))
 			}
-			if onWire && !(queued && pu.id == NoPath) {
+			if onWire && !(queued && qid == NoPath) {
 				panic(fmt.Sprintf("bgp: check: node %d prefix %d slot %d: stale wire route with no queued withdrawal",
 					nd.id, f, j))
 			}

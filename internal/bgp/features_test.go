@@ -141,6 +141,112 @@ func TestLinkEventsDuringMRAIConvergence(t *testing.T) {
 	}
 }
 
+// TestSessionResetDropsInFlight fails a link while updates sent over it in
+// both directions wait in every place a receiver holds them before
+// processing: its in-flight delivery event (cur), its inbox and, on the
+// windowed executor, the outbox the next window admits from. A reset session
+// discards them (RFC 4271): none may be processed or counted, neither end may
+// hold a route from the other afterwards, and the network must end
+// consistent. PerPrefix scope lets each prefix go out at once instead of
+// behind the first one's MRAI timer.
+func TestSessionResetDropsInFlight(t *testing.T) {
+	topo := topology.MustGenerate(growTestParams(300, 7))
+	a := multihomedStubs(t, topo, 1)[0]
+	b := topo.Nodes[a].Providers[0]
+	for _, windowed := range []bool{false, true} {
+		cfg := DefaultConfig(7)
+		cfg.Scope, cfg.Check = PerPrefix, true
+		if windowed {
+			cfg.LinkDelay, cfg.Shards = 20*des.Millisecond, 2
+		}
+		net := MustNew(topo, cfg)
+		ja, jb, err := net.slots(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// parked counts the updates nd holds unprocessed from slot j, by place.
+		parked := func(nd *node, j int) (cur, inbox, outbox int) {
+			if nd.delivering && nd.cur.fromSlot == int32(j) {
+				cur++
+			}
+			for _, m := range nd.inbox[nd.inboxHead:] {
+				if m.fromSlot == int32(j) {
+					inbox++
+				}
+			}
+			for _, run := range net.outbox[net.parity] {
+				for _, m := range run {
+					if m.to == nd.id && m.fromSlot == int32(j) {
+						outbox++
+					}
+				}
+			}
+			return cur, inbox, outbox
+		}
+		// Two prefixes each way: the first update becomes the receiver's
+		// event, the second waits in its inbox.
+		net.Originate(a, 1)
+		net.Originate(a, 2)
+		net.Originate(b, 3)
+		net.Originate(b, 4)
+		wantOutbox := 0
+		if windowed {
+			// A deadline short of every arrival admits the updates without
+			// processing any; the next two stay in the outbox.
+			net.RunUntil(net.Now() + cfg.LinkDelay/2)
+			net.Originate(a, 5)
+			net.Originate(b, 6)
+			wantOutbox = 1
+		}
+		ends := []struct {
+			nd   *node
+			slot int
+		}{{&net.nodes[a], ja}, {&net.nodes[b], jb}}
+		for _, e := range ends {
+			if cur, inbox, outbox := parked(e.nd, e.slot); cur != 1 || inbox != 1 || outbox != wantOutbox {
+				t.Fatalf("windowed=%v: node %d parks cur=%d inbox=%d outbox=%d from its peer, want 1 1 %d",
+					windowed, e.nd.id, cur, inbox, outbox, wantOutbox)
+			}
+		}
+		if err := net.FailLink(a, b); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ends {
+			if cur, inbox, outbox := parked(e.nd, e.slot); cur+inbox+outbox != 0 {
+				t.Fatalf("windowed=%v: node %d still parks cur=%d inbox=%d outbox=%d from a reset session",
+					windowed, e.nd.id, cur, inbox, outbox)
+			}
+		}
+		if windowed {
+			// Pending still counts exactly the messages left in the outbox.
+			p := len(net.shards)
+			for k, sh := range net.shards {
+				inOutbox := 0
+				for _, run := range net.outbox[net.parity][k*p : (k+1)*p] {
+					inOutbox += len(run)
+				}
+				if sh.emitted != inOutbox {
+					t.Fatalf("windowed: shard %d counts %d emitted messages, its outbox holds %d", k, sh.emitted, inOutbox)
+				}
+			}
+		}
+		net.Run()
+		if err := net.CheckConsistency(); err != nil {
+			t.Fatalf("windowed=%v: %v", windowed, err)
+		}
+		for _, e := range ends {
+			if got := net.PerNeighborCounts(e.nd.id)[e.slot]; got != 0 {
+				t.Fatalf("windowed=%v: node %d processed %d updates from a reset session", windowed, e.nd.id, got)
+			}
+			for f := Prefix(1); f <= 6; f++ {
+				if ps, ok := e.nd.prefixes.Get(f); ok && net.rib(e.nd, ps)[e.slot].id != NoPath {
+					t.Fatalf("windowed=%v: node %d holds prefix %d over a reset session", windowed, e.nd.id, f)
+				}
+			}
+		}
+	}
+}
+
 func TestPeerRoutePreferredOverProvider(t *testing.T) {
 	// X(1, M) can reach origin via peer Z(2, M) or provider T(0); both
 	// paths exist. Peer must win.

@@ -16,13 +16,15 @@ import (
 // Frozen fingerprints for the engine paths the benchmark goldens do not
 // reach (those cover single-prefix, PerInterface, no-dampening runs only):
 // multi-prefix origination, PerPrefix MRAI scope, flap dampening, WRATE,
-// link failure/recovery and MRAI=0. Each workload is recorded once per
-// executor (inline, windowed) and must be reproduced byte for byte — on the
-// windowed executor at 1 and 4 shards, and whatever the deprecated
-// Config.CompactRIB says. The files under testdata/golden were written while
-// a second, slice-path RIB engine still cross-checked them, at the commit
-// before the kernel state was re-laid-out; they are the oracle now, so
-// goldenSHA256 pins their bytes.
+// link failure/recovery (also with updates in flight on the failing
+// session) and MRAI=0. Each workload is recorded once per executor (inline,
+// windowed) and must be reproduced byte for byte — on the windowed executor
+// at 1 and 4 shards, and whatever the deprecated Config.CompactRIB says. The
+// files under testdata/golden were written while a second, slice-path RIB
+// engine still cross-checked them, at the commit before the kernel state was
+// re-laid-out — all but the link_flap_inflight pair, recorded by this engine
+// when a reset session began to discard its in-flight updates; they are the
+// oracle now, so goldenSHA256 pins their bytes.
 //
 // Regenerate (only after an intended model change) with
 //
@@ -36,18 +38,20 @@ const goldenLinkDelay = 20 * des.Millisecond
 
 // goldenSHA256 is the SHA-256 of every file under testdata/golden.
 var goldenSHA256 = map[string]string{
-	"dampening.inline.golden":          "d31a2a94ecea5d4961232b4f94a710c12fed580d2b57e963eb0c73219f199734",
-	"dampening.windowed.golden":        "ce8ddca6593f0bd04e5500fc6e0ac187a880818156c8244bac474cd6540c77af",
-	"link_flap.inline.golden":          "78649bc05df86a7a4b49a886dea448e9553f44cf6e15ff5eda9a266098eab692",
-	"link_flap.windowed.golden":        "3b3428bcac6a961d6aacf1a9ab75cfc18c696074eec2079ffd3fbf67dbd624d9",
-	"mrai0.inline.golden":              "ccbeddf07bda364869c8c1184bfd65da5cd4d3372ea41b2ece0c60feed48b334",
-	"mrai0.windowed.golden":            "b315c8e219c4e9738a68d3dccfafd6f635a272748708eb072a9ddf98944a9097",
-	"multi_prefix.inline.golden":       "71191e5f7660dbcb537e701b4551cda2e55f00506338e5f3adf8dbc9dd564639",
-	"multi_prefix.windowed.golden":     "0ecf96f7efd37cefbaccc004fa7b5a9631eaef25acde7622df80d55f7547064e",
-	"per_prefix_scope.inline.golden":   "264e953fa4592f0d2f4836e1c24b08aebf85dce85b0f99d0677d53712db8bad7",
-	"per_prefix_scope.windowed.golden": "cc27092a1d1e6324ae9be3203da5f31f11d736b73d3cb5b1d373dfff8c4d537d",
-	"wrate.inline.golden":              "05ee0e791a60eee8d25e2b073c6e2c4be81e9cd9b1ce1d2e7e8bca35e8fbd640",
-	"wrate.windowed.golden":            "a918424ad20d5138a517617642db2bc20a0db5d5ad95752cc8686cd3869170fa",
+	"dampening.inline.golden":            "d31a2a94ecea5d4961232b4f94a710c12fed580d2b57e963eb0c73219f199734",
+	"dampening.windowed.golden":          "ce8ddca6593f0bd04e5500fc6e0ac187a880818156c8244bac474cd6540c77af",
+	"link_flap.inline.golden":            "78649bc05df86a7a4b49a886dea448e9553f44cf6e15ff5eda9a266098eab692",
+	"link_flap.windowed.golden":          "3b3428bcac6a961d6aacf1a9ab75cfc18c696074eec2079ffd3fbf67dbd624d9",
+	"link_flap_inflight.inline.golden":   "598e15884874ac5a86714f51f3ce47b2391cf071863e6eea90728756beb1b600",
+	"link_flap_inflight.windowed.golden": "4fd042fe38c0d3d3028f7c186f37082799bc2f2a5f55022f6f600d97f0e3be7c",
+	"mrai0.inline.golden":                "ccbeddf07bda364869c8c1184bfd65da5cd4d3372ea41b2ece0c60feed48b334",
+	"mrai0.windowed.golden":              "b315c8e219c4e9738a68d3dccfafd6f635a272748708eb072a9ddf98944a9097",
+	"multi_prefix.inline.golden":         "71191e5f7660dbcb537e701b4551cda2e55f00506338e5f3adf8dbc9dd564639",
+	"multi_prefix.windowed.golden":       "0ecf96f7efd37cefbaccc004fa7b5a9631eaef25acde7622df80d55f7547064e",
+	"per_prefix_scope.inline.golden":     "264e953fa4592f0d2f4836e1c24b08aebf85dce85b0f99d0677d53712db8bad7",
+	"per_prefix_scope.windowed.golden":   "cc27092a1d1e6324ae9be3203da5f31f11d736b73d3cb5b1d373dfff8c4d537d",
+	"wrate.inline.golden":                "05ee0e791a60eee8d25e2b073c6e2c4be81e9cd9b1ce1d2e7e8bca35e8fbd640",
+	"wrate.windowed.golden":              "a918424ad20d5138a517617642db2bc20a0db5d5ad95752cc8686cd3869170fa",
 }
 
 // goldenRecorder accumulates the fingerprint of one run: a block per phase
@@ -209,6 +213,51 @@ func linkWorkload(t *testing.T, g *goldenRecorder, net *Network) {
 	g.snapshot("links-up", net)
 }
 
+// linkInflightWorkload resets the origin's access session while updates are
+// in flight over it, which a reset session discards: right after the origin
+// withdraws (the withdrawal toward the provider is dropped), and twice
+// right after the link comes back (both ends' table re-exchange is dropped),
+// the second time with the re-announcement still converging elsewhere.
+func linkInflightWorkload(t *testing.T, g *goldenRecorder, net *Network) {
+	topo := net.Topology()
+	o := multihomedStubs(t, topo, 2)
+	g.prefixes = []Prefix{1, 2}
+	net.Originate(o[0], 1)
+	net.Originate(o[1], 2)
+	net.Run()
+	net.Settle(60 * des.Second)
+	net.ResetCounters()
+	access := topo.Nodes[o[0]].Providers[0]
+	flap := func(restore bool) {
+		t.Helper()
+		if restore {
+			if err := net.RestoreLink(o[0], access); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := net.FailLink(o[0], access); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net.WithdrawPrefix(o[0], 1)
+	flap(false)
+	net.RunUntil(net.Now() + 2*des.Second)
+	flap(true)
+	net.Run()
+	g.snapshot("down-flapped", net)
+	net.Settle(60 * des.Second)
+	net.Originate(o[0], 1)
+	net.RunUntil(net.Now() + 2*des.Second)
+	flap(true)
+	net.Run()
+	g.snapshot("up-flapped", net)
+	if err := net.RestoreLink(o[0], access); err != nil {
+		t.Fatal(err)
+	}
+	net.Run()
+	g.snapshot("restored", net)
+}
+
 var goldenCases = []goldenCase{
 	{"multi_prefix", DefaultConfig, multiPrefixWorkload},
 	{"per_prefix_scope", func(seed uint64) Config {
@@ -223,6 +272,7 @@ var goldenCases = []goldenCase{
 	}, flapWorkload},
 	{"wrate", WRATEConfig, cEventWorkload},
 	{"link_flap", DefaultConfig, linkWorkload},
+	{"link_flap_inflight", DefaultConfig, linkInflightWorkload},
 	{"mrai0", func(seed uint64) Config {
 		c := DefaultConfig(seed)
 		c.MRAI = 0

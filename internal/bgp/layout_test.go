@@ -26,9 +26,9 @@ func TestKernelLayoutBudget(t *testing.T) {
 	}{
 		{"session", unsafe.Sizeof(session{}), 16},
 		{"inMsg", unsafe.Sizeof(inMsg{}), 32},
-		{"wireMsg", unsafe.Sizeof(wireMsg{}), 40},
+		{"wireMsg", unsafe.Sizeof(wireMsg{}), 32},
 		{"outQueue", unsafe.Sizeof(outQueue{}), line},
-		{"pendingUpdate", unsafe.Sizeof(pendingUpdate{}), 8},
+		{"queued update", unsafe.Sizeof(PathID(0)), 4},
 		{"prefixState", unsafe.Sizeof(prefixState{}), line},
 		{"node", unsafe.Sizeof(node{}), 4 * line},
 	}
@@ -47,9 +47,9 @@ func TestKernelLayoutBudget(t *testing.T) {
 		t.Errorf("sizeof(outQueue) = %d is not a power of two", sz)
 	}
 	// An update — queued, parked, in flight between windows — is an ID,
-	// never a path: the inline pending slot of every queue, the inboxes and
-	// the outboxes stay pointer-free.
-	for _, v := range []any{pendingUpdate{}, inMsg{}, wireMsg{}} {
+	// never a path: the queues' inline slots, the inboxes and the outboxes
+	// stay pointer-free.
+	for _, v := range []any{queueSlot{}, inMsg{}, wireMsg{}} {
 		if typ := reflect.TypeOf(v); holdsPointer(typ) {
 			t.Errorf("%v holds a pointer", typ)
 		}

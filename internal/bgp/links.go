@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"fmt"
+	"slices"
 
 	"bgpchurn/internal/topology"
 )
@@ -78,9 +79,12 @@ func (net *Network) slots(a, b topology.NodeID) (ja, jb int, err error) {
 	return ja, jb, nil
 }
 
-// sessionDown clears all state of nd's session at slot j and re-runs the
-// decision process for every prefix that was learned over it.
+// sessionDown clears all state of nd's session at slot j — what nd has on
+// the wire and queued toward the neighbor, and what the neighbor sent that nd
+// has not processed yet — and re-runs the decision process for every prefix
+// that was learned over it.
 func (net *Network) sessionDown(nd *node, j int) {
+	net.dropInFlight(nd, int32(j))
 	q := &net.out(nd)[j]
 	net.touch(nd, q)
 	q.down = true
@@ -94,6 +98,33 @@ func (net *Network) sessionDown(nd *node, j int) {
 		r.install(NoPath, 0)
 		net.applyDecision(nd, f, ps)
 	}
+}
+
+// dropInFlight discards, as RFC 4271 has a reset session do, the updates the
+// neighbor at slot j sent nd that nd has not processed: those the windowed
+// executor has not admitted yet, those parked in nd's inbox, and the one nd
+// is processing as its own event (cur). The scheduler cannot take that event
+// back, so it stays queued with its slot set to noneSlot and fires without
+// processing anything (node.Fire). An admitted update keeps the processing
+// delay it drew and the ticket it reserved, so no other draw or ticket moves.
+// Only sessionDown pays for this; the per-update path is unchanged.
+func (net *Network) dropInFlight(nd *node, j int32) {
+	if net.windowed {
+		p, gen := len(net.shards), net.outbox[net.parity]
+		dst := int(net.partOf[nd.id])
+		for src, sh := range net.shards {
+			run := gen[src*p+dst]
+			kept := slices.DeleteFunc(run, func(m wireMsg) bool { return m.to == nd.id && m.fromSlot == j })
+			gen[src*p+dst] = kept
+			// firstArrival stays a lower bound, which is all windowBound needs.
+			sh.emitted -= len(run) - len(kept)
+		}
+	}
+	if nd.delivering && nd.cur.fromSlot == j {
+		nd.cur.fromSlot = noneSlot
+	}
+	parked := slices.DeleteFunc(nd.inbox[nd.inboxHead:], func(m inMsg) bool { return m.fromSlot == j })
+	nd.inbox = nd.inbox[:int(nd.inboxHead)+len(parked)]
 }
 
 // resyncSlot advertises nd's current best routes to the neighbor at slot j,

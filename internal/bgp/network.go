@@ -388,7 +388,6 @@ func (net *Network) Reset(seed uint64) { net.reinit(seed) }
 func (net *Network) reinit(seed uint64) {
 	for _, sh := range net.shards {
 		sh.sched.Reset(true)
-		sh.activeCause = 0
 		sh.horizon = 0
 		sh.resetRate()
 		sh.emitted = 0
@@ -510,7 +509,7 @@ func (net *Network) NextHop(id topology.NodeID, f Prefix) topology.NodeID {
 func (nd *node) Fire(*des.Scheduler) {
 	sh := nd.sh
 	m := &nd.cur
-	fromSlot, prefix, pathID, cause := m.fromSlot, m.prefix, m.pathID, m.cause
+	fromSlot, prefix, pathID := m.fromSlot, m.prefix, m.pathID
 	// Chain the next parked delivery under its reserved ticket (see
 	// deliver). Completion times are monotone per receiver, so the ticket
 	// can never be in the past.
@@ -524,10 +523,9 @@ func (nd *node) Fire(*des.Scheduler) {
 	} else {
 		nd.delivering = false
 	}
-	// The update's root cause becomes the shard's active cause: every update
-	// this processing step transmits (or queues behind an MRAI timer)
-	// inherits it.
-	sh.activeCause = cause
+	if fromSlot == noneSlot {
+		return // dropped when its session went down (dropInFlight)
+	}
 	sh.net.process(nd, sh.sched.Now(), fromSlot, prefix, pathID)
 }
 
@@ -535,9 +533,7 @@ func (nd *node) Fire(*des.Scheduler) {
 // time at: counters, Adj-RIB-In, decision, exports. It is the only such
 // path; at is the clock when the update is nd's event (Fire) and a time
 // still ahead of it when deliver completes the update at admission, so
-// nothing here or below reads the clock for a silent node. It leaves the
-// shard's active cause alone — Fire sets it; a completion at admission runs
-// inside the sender's fan-out and transmits nothing. The update is its
+// nothing here or below reads the clock for a silent node. The update is its
 // PathID (NoPath: a withdrawal); the path itself is read from the intern
 // table once, for the length installed and the loop check.
 func (net *Network) process(nd *node, at des.Time, fromSlot int32, prefix Prefix, pathID PathID) {
@@ -607,11 +603,8 @@ func (q *outQueue) Fire(*des.Scheduler) {
 	}
 	sh.scratch = q.pending.keysInto(q.pendingMap(), sh.scratch)
 	for _, f := range sh.scratch {
-		pu, _ := q.dequeue(f)
-		// Each drained update is attributed to the cause that queued (or
-		// last replaced) it, not to whatever fired most recently.
-		sh.activeCause = pu.cause
-		net.send(nd, q, f, pu.id)
+		id, _ := q.dequeue(f)
+		net.send(nd, q, f, id)
 	}
 	q.expiry = net.nextExpiry(nd)
 }
@@ -630,12 +623,11 @@ func (t *prefixTimer) Fire(*des.Scheduler) {
 	if q.down {
 		return
 	}
-	pu, ok := q.dequeue(t.prefix)
+	id, ok := q.dequeue(t.prefix)
 	if !ok {
 		return
 	}
-	sh.activeCause = pu.cause
-	net.send(nd, q, t.prefix, pu.id)
+	net.send(nd, q, t.prefix, id)
 	t.expiry = net.nextExpiry(nd)
 }
 
@@ -789,7 +781,7 @@ func (net *Network) setDesired(nd *node, q *outQueue, f Prefix, wantID PathID) {
 		return
 	}
 	net.touch(nd, q)
-	q.enqueue(f, pendingUpdate{id: wantID, cause: nd.sh.activeCause})
+	q.enqueue(f, wantID)
 	net.ensureFlush(nd, q, f)
 }
 
@@ -838,11 +830,10 @@ func (net *Network) transmit(nd *node, j int, f Prefix, pathID PathID) {
 			fromSlot: fromSlot,
 			prefix:   f,
 			pathID:   pathID,
-			cause:    sh.activeCause,
 		})
 		return
 	}
-	net.deliver(&net.nodes[to], sh.sched.Now(), fromSlot, f, pathID, sh.activeCause)
+	net.deliver(&net.nodes[to], sh.sched.Now(), fromSlot, f, pathID)
 }
 
 // deliver admits one arriving update to the receiver's FIFO queue + single
@@ -867,7 +858,7 @@ func (net *Network) transmit(nd *node, j int, f Prefix, pathID PathID) {
 // completion time — the shard's horizon remembers the latest such time for
 // the clock a run ends at (see RunUntil). DESIGN.md, "Admission-time
 // completion", has the argument.
-func (net *Network) deliver(to *node, arrival des.Time, fromSlot int32, f Prefix, pathID PathID, cause CauseID) {
+func (net *Network) deliver(to *node, arrival des.Time, fromSlot int32, f Prefix, pathID PathID) {
 	sh := to.sh
 	start := to.busyUntil
 	if start < arrival {
@@ -883,7 +874,7 @@ func (net *Network) deliver(to *node, arrival des.Time, fromSlot int32, f Prefix
 		net.process(to, done, fromSlot, f, pathID)
 		return
 	}
-	m := inMsg{tk: tk, fromSlot: fromSlot, prefix: f, pathID: pathID, cause: cause}
+	m := inMsg{tk: tk, fromSlot: fromSlot, prefix: f, pathID: pathID}
 	if to.delivering {
 		to.inbox = append(to.inbox, m)
 		if p := sh.probes; p != nil {

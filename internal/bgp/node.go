@@ -202,33 +202,22 @@ func (pt *prefixTable) recycle() {
 	}
 }
 
-// pendingUpdate is an update waiting in an output queue for its MRAI timer:
-// the interned ID of its path (NoPath for a withdrawal), which the flush
-// sends as is. 8 bytes, no pointer; TestKernelLayoutBudget pins both.
-type pendingUpdate struct {
-	id PathID
-	// cause is the root cause of the queued update. A newer update for the
-	// same prefix replaces the whole pendingUpdate — cause included — so
-	// MRAI coalescing attributes the eventual send to the newest
-	// invalidating cause.
-	cause CauseID
-}
-
 // queueSlot is the inline entry of one of an outQueue's prefix-keyed tables
-// (the Adj-RIB-Out and the pending updates). The paper's workload is one
-// prefix per C-event, so a table lives in its slot — no map, no hashing —
-// until a second distinct prefix appears. Then it moves into a map in the
-// queue's queueSpill, which stays authoritative, and allocated across
-// clears, for the rest of the queue's life. Every method takes that map: nil
-// while the table is inline.
-type queueSlot[V any] struct {
-	val V
+// (the Adj-RIB-Out and the pending updates), each mapping a prefix to a
+// PathID: what is on the wire, or the update waiting for its MRAI timer
+// (NoPath a withdrawal). The paper's workload is one prefix per C-event, so
+// a table lives in its slot — no map, no hashing — until a second distinct
+// prefix appears. Then it moves into a map in the queue's queueSpill, which
+// stays authoritative, and allocated across clears, for the rest of the
+// queue's life. Every method takes that map: nil while the table is inline.
+type queueSlot struct {
+	val PathID
 	key Prefix
 	has bool
 }
 
 // get returns the value for f and whether it is present.
-func (s *queueSlot[V]) get(m map[Prefix]V, f Prefix) (V, bool) {
+func (s *queueSlot) get(m map[Prefix]PathID, f Prefix) (PathID, bool) {
 	if m != nil {
 		v, ok := m[f]
 		return v, ok
@@ -236,14 +225,13 @@ func (s *queueSlot[V]) get(m map[Prefix]V, f Prefix) (V, bool) {
 	if s.has && s.key == f {
 		return s.val, true
 	}
-	var zero V
-	return zero, false
+	return NoPath, false
 }
 
 // set inserts or replaces the value for f and reports true, unless f is a
 // second distinct prefix of an inline table: then it changes nothing and
 // the caller spills the table.
-func (s *queueSlot[V]) set(m map[Prefix]V, f Prefix, v V) bool {
+func (s *queueSlot) set(m map[Prefix]PathID, f Prefix, v PathID) bool {
 	if m != nil {
 		m[f] = v
 		return true
@@ -256,27 +244,27 @@ func (s *queueSlot[V]) set(m map[Prefix]V, f Prefix, v V) bool {
 }
 
 // spill moves the inline entry and (f, v) into a new map and returns it.
-func (s *queueSlot[V]) spill(f Prefix, v V) map[Prefix]V {
-	m := map[Prefix]V{s.key: s.val, f: v}
-	*s = queueSlot[V]{}
+func (s *queueSlot) spill(f Prefix, v PathID) map[Prefix]PathID {
+	m := map[Prefix]PathID{s.key: s.val, f: v}
+	*s = queueSlot{}
 	return m
 }
 
 // take removes the entry for f and returns it, if present.
-func (s *queueSlot[V]) take(m map[Prefix]V, f Prefix) (V, bool) {
+func (s *queueSlot) take(m map[Prefix]PathID, f Prefix) (PathID, bool) {
 	v, ok := s.get(m, f)
 	if ok {
 		if m != nil {
 			delete(m, f)
 		} else {
-			*s = queueSlot[V]{}
+			*s = queueSlot{}
 		}
 	}
 	return v, ok
 }
 
 // len returns the number of entries.
-func (s *queueSlot[V]) len(m map[Prefix]V) int {
+func (s *queueSlot) len(m map[Prefix]PathID) int {
 	if m != nil {
 		return len(m)
 	}
@@ -287,15 +275,15 @@ func (s *queueSlot[V]) len(m map[Prefix]V) int {
 }
 
 // clear removes every entry; a spilled map stays allocated.
-func (s *queueSlot[V]) clear(m map[Prefix]V) {
+func (s *queueSlot) clear(m map[Prefix]PathID) {
 	clear(m)
-	*s = queueSlot[V]{}
+	*s = queueSlot{}
 }
 
 // keysInto appends the prefixes in ascending order to buf[:0] and returns
 // it. It allocates only when buf is too small, so a flush that drains into
 // the shard's scratch buffer allocates nothing.
-func (s *queueSlot[V]) keysInto(m map[Prefix]V, buf []Prefix) []Prefix {
+func (s *queueSlot) keysInto(m map[Prefix]PathID, buf []Prefix) []Prefix {
 	buf = buf[:0]
 	if m == nil {
 		if s.has {
@@ -346,21 +334,22 @@ type outQueue struct {
 	// sent is the Adj-RIB-Out: the ID of the path currently advertised to
 	// this neighbor per prefix. Absence means not advertised (never, or
 	// withdrawn).
-	sent queueSlot[PathID]
+	sent queueSlot
 	// pending holds the latest not-yet-sent update per prefix. A newer
 	// update for the same prefix replaces the queued one (the paper's
 	// "queued update invalidated by a new update is removed").
-	pending queueSlot[pendingUpdate]
+	pending queueSlot
 	// scheduled marks a pending flush event for this queue (PerInterface).
 	scheduled bool
 	// down marks a failed link; no updates flow and state is cleared.
 	down bool
+	_    [8]byte // rounds the queue up to one line
 }
 
 // queueSpill is the out-of-line part of an outQueue.
 type queueSpill struct {
 	sent    map[Prefix]PathID
-	pending map[Prefix]pendingUpdate
+	pending map[Prefix]PathID
 	timers  map[Prefix]*prefixTimer
 }
 
@@ -380,7 +369,7 @@ func (q *outQueue) sentMap() map[Prefix]PathID {
 	return q.spill.sent
 }
 
-func (q *outQueue) pendingMap() map[Prefix]pendingUpdate {
+func (q *outQueue) pendingMap() map[Prefix]PathID {
 	if q.spill == nil {
 		return nil
 	}
@@ -402,19 +391,19 @@ func (q *outQueue) setWire(f Prefix, id PathID) {
 }
 
 // queued returns the update pending for f, if any.
-func (q *outQueue) queued(f Prefix) (pendingUpdate, bool) {
+func (q *outQueue) queued(f Prefix) (PathID, bool) {
 	return q.pending.get(q.pendingMap(), f)
 }
 
-// enqueue makes pu the update pending for f, replacing any queued one.
-func (q *outQueue) enqueue(f Prefix, pu pendingUpdate) {
-	if !q.pending.set(q.pendingMap(), f, pu) {
-		q.spilled().pending = q.pending.spill(f, pu)
+// enqueue makes id the update pending for f, replacing any queued one.
+func (q *outQueue) enqueue(f Prefix, id PathID) {
+	if !q.pending.set(q.pendingMap(), f, id) {
+		q.spilled().pending = q.pending.spill(f, id)
 	}
 }
 
 // dequeue removes the update pending for f and returns it, if any.
-func (q *outQueue) dequeue(f Prefix) (pendingUpdate, bool) {
+func (q *outQueue) dequeue(f Prefix) (PathID, bool) {
 	return q.pending.take(q.pendingMap(), f)
 }
 
@@ -465,8 +454,7 @@ type inMsg struct {
 	tk       des.Ticket
 	fromSlot int32
 	prefix   Prefix
-	pathID   PathID  // interned ID of the path; NoPath for a withdrawal
-	cause    CauseID // root cause of the update (0 when tracing is off)
+	pathID   PathID // interned ID of the path; NoPath for a withdrawal
 }
 
 // node is one AS in the simulation and, at the same time, the completion

@@ -30,7 +30,7 @@ func TestOutQueueModel(t *testing.T) {
 		prefixes := 1 + r.Intn(4)
 		q := new(outQueue)
 		sent := map[Prefix]PathID{}
-		pending := map[Prefix]pendingUpdate{}
+		pending := map[Prefix]PathID{}
 		timers := map[Prefix]*prefixTimer{}
 		timerState := map[Prefix]timerModel{}
 		var iface timerModel
@@ -59,15 +59,15 @@ func TestOutQueueModel(t *testing.T) {
 				}
 			case 2, 3:
 				op = "enqueue"
-				pu := pendingUpdate{id: PathID(r.Intn(4)), cause: CauseID(r.Intn(3))}
-				q.enqueue(f, pu)
-				pending[f] = pu
+				id := PathID(r.Intn(4)) // NoPath queues a withdrawal
+				q.enqueue(f, id)
+				pending[f] = id
 			case 4, 5:
 				op = "dequeue"
 				got, ok := q.dequeue(f)
 				want, wantOK := pending[f]
 				if got != want || ok != wantOK {
-					t.Fatalf("seq %d step %d: dequeue(%d) = %+v, %v; want %+v, %v", seq, step, f, got, ok, want, wantOK)
+					t.Fatalf("seq %d step %d: dequeue(%d) = %d, %v; want %d, %v", seq, step, f, got, ok, want, wantOK)
 				}
 				delete(pending, f)
 			case 6:
@@ -109,10 +109,10 @@ func TestOutQueueModel(t *testing.T) {
 				if id != want || ok != wantOK {
 					t.Fatalf("seq %d step %d (%s): wire(%d) = %d, %v; want %d, %v", seq, step, op, g, id, ok, want, wantOK)
 				}
-				pu, ok := q.queued(g)
-				wantPU, wantOK := pending[g]
-				if pu != wantPU || ok != wantOK {
-					t.Fatalf("seq %d step %d (%s): queued(%d) = %+v, %v; want %+v, %v", seq, step, op, g, pu, ok, wantPU, wantOK)
+				qid, ok := q.queued(g)
+				wantQID, wantOK := pending[g]
+				if qid != wantQID || ok != wantOK {
+					t.Fatalf("seq %d step %d (%s): queued(%d) = %d, %v; want %d, %v", seq, step, op, g, qid, ok, wantQID, wantOK)
 				}
 				tm := q.timer(g)
 				if tm != timers[g] {

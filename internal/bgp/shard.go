@@ -34,7 +34,7 @@ import (
 // (arrival, sender, seq). seq is the sender's per-node message counter, so
 // the key is a total order (same sender ⇒ distinct seq; different senders ⇒
 // distinct sender) that depends only on simulation state, never on the
-// partition. 40 bytes, no pointer; TestKernelLayoutBudget pins both.
+// partition. 32 bytes, no pointer; TestKernelLayoutBudget pins both.
 type wireMsg struct {
 	arrival  des.Time
 	sender   topology.NodeID
@@ -43,9 +43,6 @@ type wireMsg struct {
 	fromSlot int32
 	prefix   Prefix
 	pathID   PathID // NoPath for a withdrawal
-	// cause is the update's root cause (0 when tracing is off); it rides
-	// the barrier merge untouched — admission order never looks at it.
-	cause CauseID
 }
 
 // before is the canonical admission order.
@@ -77,13 +74,6 @@ type netShard struct {
 	totalUpdates uint64
 
 	sched des.Scheduler
-
-	// activeCause is the root cause of whatever this shard is currently
-	// firing: node.Fire sets it from the update, the flush events set it per
-	// drained pendingUpdate, and BeginCause stamps it at event start so
-	// API-triggered sends inherit the root. Only the owning worker touches
-	// it during a window.
-	activeCause CauseID
 
 	// rate[i] counts the updates this shard's nodes completed in virtual
 	// second rateBase+i of the current measurement window; rateBase is the
@@ -326,7 +316,7 @@ func (net *Network) admit(dst *netShard) {
 	}
 	for len(runs) > 0 {
 		m := &runs[0][0]
-		net.deliver(&net.nodes[m.to], m.arrival, m.fromSlot, m.prefix, m.pathID, m.cause)
+		net.deliver(&net.nodes[m.to], m.arrival, m.fromSlot, m.prefix, m.pathID)
 		if runs[0] = runs[0][1:]; len(runs[0]) == 0 {
 			last := len(runs) - 1
 			runs[0], runs[last] = runs[last], nil

@@ -45,7 +45,7 @@ type SpanRecord struct {
 	N        int    `json:"n,omitempty"`
 	// Origin is the event-originating node for origin/event spans.
 	Origin int64 `json:"origin,omitempty"`
-	// Cause is the root-cause ID carried by every update of the event.
+	// Cause is the event's root-cause ID (bgp.CauseID).
 	Cause uint64 `json:"cause,omitempty"`
 	// Stats holds attribution numbers (see package bgp's EventAttribution).
 	Stats map[string]float64 `json:"stats,omitempty"`
@@ -54,7 +54,7 @@ type SpanRecord struct {
 // SpanRecorder collects completed spans from concurrent workers. It is an
 // opt-in tracing aid: appends take a mutex and may allocate, but they
 // happen at phase boundaries (per event, per origin, per cell) — never on
-// the per-update hot path, which only carries a cause ID.
+// the per-update hot path.
 type SpanRecorder struct {
 	mu    sync.Mutex
 	epoch time.Time

@@ -33,7 +33,7 @@ var updateGoldens = flag.Bool("update-goldens", false, "rewrite testdata/golden 
 // goldenTreeSHA256 pins the bytes of every file under testdata/golden (see
 // TestGoldenFilesPinned): no second engine cross-checks the oracle any more,
 // so a stray -update-goldens must not be able to rewrite it silently.
-const goldenTreeSHA256 = "d053ac9fbfba4534ac04e28f3812c14b5d9c4e16c3065ca7df48f55299d23e12"
+const goldenTreeSHA256 = "53e371209ff8aa0645eed2949e413e3a7575614a4d0a4e6e80f3aa39ac8a37b3"
 
 // TestGoldenFilesPinned hashes testdata/golden — names and contents, in name
 // order — against goldenTreeSHA256.
