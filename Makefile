@@ -43,10 +43,14 @@ cross:
 # inboxes, delivery events and the windowed outbox), and the
 # core-budget tests: helper origin workers joining and leaving concurrent
 # grid cells, the budget's high-water bound, and its release on
-# cancellation and panics.
+# cancellation and panics. Last, the metrics hand-off: the engine publishes
+# its per-run tallies to the hub after the window crew has joined, and that
+# join is the only thing ordering the workers' tally writes before the
+# coordinator's reads — so an instrumented sharded cell (root package) and a
+# grid scraped while its networks publish run ten times too.
 race:
 	$(GO) test -race -count=1 ./...
-	$(GO) test -race -count=10 -timeout 15m -run 'Crew|PartitionInvariance|Windowed|AdmissionCompletion|DecideAfter|Touched|SessionResetDropsInFlight|CoreBudget' ./internal/des/ ./internal/bgp/ ./internal/core/
+	$(GO) test -race -count=10 -timeout 15m -run 'Crew|PartitionInvariance|Windowed|AdmissionCompletion|DecideAfter|Touched|SessionResetDropsInFlight|CoreBudget|RaceObsScrapeDuringGrid|RaceShardedCell' . ./internal/des/ ./internal/bgp/ ./internal/core/
 
 # bench runs every benchmark once so the suite cannot silently rot; it is a
 # compile-and-run check, not a performance measurement.

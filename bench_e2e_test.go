@@ -72,8 +72,8 @@ func BenchmarkRunCEvents(b *testing.B) {
 // per-run allocation cost over the bare run. Each slack is a setup budget;
 // a run processes ~90k updates, so one allocation per update on any of
 // these paths overshoots its slack by an order of magnitude.
-//   - obs: a full metrics hub attached. Probe blocks attach once per run;
-//     enabled probes must not allocate on the steady-state path.
+//   - obs: a full metrics hub attached. The engine publishes its tallies
+//     once per Run/Settle call and allocates nothing to do it.
 //   - spans: causal tracing on. Each origin closes three spans and their
 //     Stats maps (~140 allocs, ~2.8k at 20 origins); the engine threads
 //     cause IDs and tallies attribution without allocating.

@@ -403,11 +403,12 @@ func GenerateMonitorTrace(p MonitorTraceParams) ([]float64, error) { return trac
 
 // --- Observability layer --------------------------------------------------
 
-// ObsMetrics is the instrumentation hub: sharded atomic counters, gauges
-// and histograms covering the DES kernel, the BGP engine, the experiment
+// ObsMetrics is the instrumentation hub: atomic counters, gauges and
+// histograms covering the DES kernel, the BGP engine, the experiment
 // scheduler and topology generation (see internal/obs). Attach one hub per
-// run via Experiment.Obs, Scheduler.SetObs and Network.SetObs; probes are
-// allocation-free and never perturb simulation determinism.
+// run via Experiment.Obs, Scheduler.SetObs and Network.SetObs; the engine
+// publishes to it once per run, allocation-free, and never perturbs
+// simulation determinism.
 type ObsMetrics = obs.Metrics
 
 // ObsServer serves a hub's metrics over HTTP (/metrics Prometheus text,

@@ -86,8 +86,9 @@ func TestShardedResultInvariantAcrossShardCounts(t *testing.T) {
 }
 
 // TestRaceShardedCell runs one sharded grid cell with a metrics hub
-// attached — exercising the barrier coordinator's ShardProbes and the
-// concurrent intern table under instrumentation — and demands the result
+// attached — exercising the barrier coordinator's skew histogram, the
+// concurrent intern table and the publication of the shard tallies after
+// the window workers join — and demands the result
 // match an unsharded, uninstrumented run of the same windowed config. It
 // is the -race tier's entry point for the sharded executor (the race
 // target's -run pattern matches "Sharded").
@@ -182,9 +183,9 @@ func TestScheduledGridIdenticalToSequential(t *testing.T) {
 }
 
 func TestResultIdenticalWithObs(t *testing.T) {
-	// Instrumentation must be invisible to the simulation: probes never read
-	// the virtual clock, consume RNG, or reorder events, so a run with a
-	// metrics hub attached is byte-identical to a bare run.
+	// Instrumentation must be invisible to the simulation: publication never
+	// reads the virtual clock, consumes RNG, or reorders events, so a run
+	// with a metrics hub attached is byte-identical to a bare run.
 	topo, err := Baseline.Generate(400, 37)
 	if err != nil {
 		t.Fatal(err)

@@ -359,26 +359,27 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSteadyStateZeroAllocObs is TestSteadyStateZeroAlloc with
-// instrumentation attached: enabled probes must preserve the kernel's
-// zero-allocation steady state, not just disabled ones.
+// TestSteadyStateZeroAllocObs is TestSteadyStateZeroAlloc with a metrics
+// hub attached: publication must preserve the kernel's zero-allocation
+// steady state, not just a detached network's.
 func TestSteadyStateZeroAllocObs(t *testing.T) {
 	net, _ := steadyNet()
-	net.SetObs(obs.New())
-	m, slot, id := coreLink(net)
+	m := obs.New()
+	net.SetObs(m)
+	nd, slot, id := coreLink(net)
 	for i := 0; i < 16; i++ {
-		net.transmit(m, slot, benchPrefix, id)
-		net.shards[0].sched.Run()
+		net.transmit(nd, slot, benchPrefix, id)
+		net.Run()
 	}
-	before := net.shards[0].probes.AnnouncementsSent.Load()
+	before := m.BGP.AnnouncementsSent.Value()
 	allocs := testing.AllocsPerRun(200, func() {
-		net.transmit(m, slot, benchPrefix, id)
-		net.shards[0].sched.Run()
+		net.transmit(nd, slot, benchPrefix, id)
+		net.Run()
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state transmit/fire with obs enabled allocates %.1f objects per update, want 0", allocs)
+		t.Fatalf("steady-state transmit/run with obs attached allocates %.1f objects per update, want 0", allocs)
 	}
-	if net.shards[0].probes.AnnouncementsSent.Load() <= before {
-		t.Fatal("probes attached but announcement counter did not advance")
+	if m.BGP.AnnouncementsSent.Value() <= before {
+		t.Fatal("hub attached but the published announcement counter did not advance")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"unsafe"
 
-	"bgpchurn/internal/obs"
 	"bgpchurn/internal/topology"
 )
 
@@ -93,12 +92,8 @@ type internTable struct {
 	tab  []PathID
 	mask uint64
 
-	// probes, when non-nil, feed the obs hub: distinct paths interned,
-	// bytes of slab storage handed out, and lookup hits (paths already
-	// present).
-	entriesProbe *obs.Cell
-	bytesProbe   *obs.Cell
-	hitsProbe    *obs.Cell
+	// hits counts lookups served by an existing entry (see counts).
+	hits uint64
 }
 
 // newInternTable returns an empty table with the NoPath sentinel reserved.
@@ -115,10 +110,19 @@ func newInternTable() *internTable {
 	return it
 }
 
-// setProbes attaches (or, with nils, detaches) observability cells. Called
-// only at attach time (quiescent), never concurrently with prepend.
-func (it *internTable) setProbes(entries, bytes, hits *obs.Cell) {
-	it.entriesProbe, it.bytesProbe, it.hitsProbe = entries, bytes, hits
+// internCounts is what the metrics hub reports of a table: distinct paths
+// interned, slab bytes storing them, and lookups served by an existing entry.
+type internCounts struct{ paths, bytes, hits uint64 }
+
+// counts returns the table's counts since it was made.
+func (it *internTable) counts() internCounts {
+	it.mu.Lock()
+	defer it.mu.Unlock()
+	c := internCounts{paths: uint64(it.len()), hits: it.hits}
+	for _, b := range it.slabs {
+		c.bytes += uint64(len(b)) * nodeIDBytes
+	}
+	return c
 }
 
 // len returns the number of distinct paths interned.
@@ -194,10 +198,8 @@ func (it *internTable) prepend(first topology.NodeID, tail Path) (Path, PathID) 
 		}
 		if it.hashes[id] == h && it.spanEqualSeq(id, first, tail) {
 			p := it.span(id).p
+			it.hits++
 			it.mu.Unlock()
-			if it.hitsProbe != nil {
-				it.hitsProbe.Inc()
-			}
 			return p, id
 		}
 		i = (i + 1) & it.mask
@@ -219,12 +221,6 @@ func (it *internTable) prepend(first topology.NodeID, tail Path) (Path, PathID) 
 		it.grow()
 	}
 	it.mu.Unlock()
-	if it.entriesProbe != nil {
-		it.entriesProbe.Inc()
-	}
-	if it.bytesProbe != nil {
-		it.bytesProbe.Add(uint64(n) * nodeIDBytes)
-	}
 	return canon, id
 }
 
@@ -290,15 +286,4 @@ func (it *internTable) grow() {
 		nt[i] = id
 	}
 	it.tab, it.mask = nt, mask
-}
-
-// bytesStored returns the slab bytes holding interned path content.
-func (it *internTable) bytesStored() uint64 {
-	it.mu.Lock()
-	defer it.mu.Unlock()
-	var n uint64
-	for _, b := range it.slabs {
-		n += uint64(len(b)) * nodeIDBytes
-	}
-	return n
 }

@@ -93,8 +93,8 @@ func FuzzInternTable(f *testing.F) {
 		if it.len() != len(ref) {
 			t.Fatalf("table holds %d entries, reference %d", it.len(), len(ref))
 		}
-		if got := it.bytesStored(); got != refBytes {
-			t.Fatalf("bytesStored = %d, want %d: slab bytes leaked or deduplicated wrongly", got, refBytes)
+		if got := it.counts().bytes; got != refBytes {
+			t.Fatalf("slab bytes = %d, want %d: slab bytes leaked or deduplicated wrongly", got, refBytes)
 		}
 	})
 }

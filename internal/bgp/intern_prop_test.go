@@ -75,8 +75,8 @@ func TestInternHashConsingProperty(t *testing.T) {
 	if it.len() != len(byContent) {
 		t.Fatalf("table holds %d entries, reference has %d distinct paths", it.len(), len(byContent))
 	}
-	if got := it.bytesStored(); got != wantBytes {
-		t.Fatalf("bytesStored = %d, want %d (duplicate content leaked into slabs)", got, wantBytes)
+	if got := it.counts().bytes; got != wantBytes {
+		t.Fatalf("slab bytes = %d, want %d (duplicate content leaked into slabs)", got, wantBytes)
 	}
 	// The nil path maps to NoPath on both sides.
 	if p, id := it.intern(nil); p != nil || id != NoPath {

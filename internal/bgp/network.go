@@ -50,7 +50,7 @@ type Network struct {
 	parity int
 	// windowEnd and order are the window in progress: its end time and the
 	// shard indices in the order the workers claim them. busy is each
-	// worker's wall time in the window's tasks (nil unless shardProbes is
+	// worker's wall time in the window's tasks (nil unless a hub is
 	// attached).
 	windowEnd des.Time
 	order     []int32
@@ -108,12 +108,11 @@ type Network struct {
 	// execution.
 	causal *causalTrace
 
-	// obs is the attached metrics hub (nil when detached); build re-attaches
-	// probe blocks from it after Grow recreates the shards.
-	obs *obs.Metrics
-	// shardProbes instruments the barrier coordinator (windowed mode only):
-	// barriers executed, cross-shard updates exchanged, per-window skew.
-	shardProbes *obs.ShardProbes
+	// obs is the attached metrics hub (nil when detached); publish adds the
+	// network's counts to it. interned is the intern table's counts as of
+	// the last publication.
+	obs      *obs.Metrics
+	interned internCounts
 }
 
 // New builds the per-node protocol state for the topology. The topology
@@ -207,15 +206,13 @@ func (net *Network) build(topo *topology.Topology) error {
 			out[j].nd, out[j].slot = nd, int32(j)
 		}
 	}
-	// Re-attach probe blocks after Grow recreated the shards (no-op when no
-	// hub is attached), and re-size the causal tracer if one is attached.
-	net.attachObs()
+	// Re-size the causal tracer if one is attached.
 	net.attachCausal()
 	return nil
 }
 
 // Grow rewires the network onto a grown topology (see topology.Grow) and
-// reinitializes it from seed, preserving the Config, the attached probes and
+// reinitializes it from seed, preserving the Config, the attached hub and
 // the path intern table, whose entries remain valid because growth
 // preserves node IDs. Grow and Reset share the same
 // reinitialization path (reinit), so a grown network is observably identical
@@ -233,6 +230,7 @@ func (net *Network) Grow(topo *topology.Topology, seed uint64) error {
 				i, old.Nodes[i].Type, topo.Nodes[i].Type)
 		}
 	}
+	net.publish(0) // build replaces the shards and their tallies
 	if err := net.build(topo); err != nil {
 		return err
 	}
@@ -249,44 +247,62 @@ func MustNew(topo *topology.Topology, cfg Config) *Network {
 	return net
 }
 
-// SetObs attaches the metrics hub to this network: every shard's protocol
-// engine and event scheduler gets its own probe block on a fresh metrics
-// shard, and — in windowed mode — the barrier coordinator
-// gets a ShardProbes block. Pass nil to detach. Call before the first event
-// is scheduled — the kernel's occupancy gauges assume an empty queue at
-// attach time. Probes never read the virtual clock, consume randomness or
-// change event order, so instrumented runs are byte-identical to bare ones.
+// SetObs attaches the metrics hub to this network; pass nil to detach. The
+// network publishes what it has counted to the hub at the end of every
+// Run, RunUntil and Settle call, and before anything that rebuilds or
+// rewinds its state (Grow, Reset) — so a scrape during a run
+// sees the hub as the previous run left it. SetObs publishes what is pending
+// to the hub it replaces, and counts from then on go to m; it may be called
+// at any time between runs. Metrics never feed back into the simulation, so
+// instrumented runs are byte-identical to bare ones.
 func (net *Network) SetObs(m *obs.Metrics) {
+	net.publish(0)
 	net.obs = m
-	net.attachObs()
 }
 
-// attachObs (re)resolves probe blocks from the stored hub for the current
-// shard array; with no hub it detaches everything. Called by SetObs and by
-// build (so Grow keeps instrumentation attached across the rebuild).
-func (net *Network) attachObs() {
+// publish adds what the network has counted since the last publication to
+// the attached hub and restarts the tallies; with no hub attached the counts
+// are dropped. fired is the number of events the run that just ended fired
+// (zero outside RunUntil). The counts are plain fields of the engine's own
+// state — per-shard tallies, each scheduler's push counts, the shards'
+// update totals and the intern table's size — which the window workers
+// write and RunUntil reads after they have joined.
+func (net *Network) publish(fired uint64) {
+	var t shardTally
+	var processed, ring, far uint64
+	for _, sh := range net.shards {
+		r, f := sh.sched.TakePushes()
+		ring, far = ring+r, far+f
+		processed += sh.totalUpdates - sh.publishedUpdates
+		sh.publishedUpdates = sh.totalUpdates
+		t.announcements += sh.tally.announcements
+		t.withdrawals += sh.tally.withdrawals
+		t.flushes += sh.tally.flushes
+		t.prefixFlushes += sh.tally.prefixFlushes
+		t.emptyFlushes += sh.tally.emptyFlushes
+		t.deferrals += sh.tally.deferrals
+		sh.tally = shardTally{}
+	}
+	in, last := net.intern.counts(), net.interned
+	net.interned = in
 	m := net.obs
 	if m == nil {
-		for _, sh := range net.shards {
-			sh.probes = nil
-			sh.sched.SetProbes(nil)
-		}
-		net.shardProbes = nil
-		net.intern.setProbes(nil, nil, nil)
 		return
 	}
-	for _, sh := range net.shards {
-		sh.probes = m.NewBGPProbes()
-		sh.sched.SetProbes(m.NewDESProbes())
-	}
-	if net.windowed {
-		net.shardProbes = m.NewShardProbes()
-	}
-	// The intern table is shared by all shards; its cells live on shard 0's
-	// probe block (atomic cells tolerate the shared writers, which already
-	// serialize on the table mutex).
-	p := net.shards[0].probes
-	net.intern.setProbes(p.InternedPaths, p.InternBytes, p.InternHits)
+	m.DES.EventsScheduled.Add(ring + far)
+	m.DES.EventsFired.Add(fired)
+	m.DES.RingPushes.Add(ring)
+	m.DES.FarPushes.Add(far)
+	m.BGP.AnnouncementsSent.Add(t.announcements)
+	m.BGP.WithdrawalsSent.Add(t.withdrawals)
+	m.BGP.UpdatesProcessed.Add(processed)
+	m.BGP.MRAIFlushes.Add(t.flushes)
+	m.BGP.PrefixMRAIFlushes.Add(t.prefixFlushes)
+	m.BGP.MRAIEmptyFlushes.Add(t.emptyFlushes)
+	m.BGP.InboxDeferrals.Add(t.deferrals)
+	m.BGP.InternedPaths.Add(in.paths - last.paths)
+	m.BGP.InternBytes.Add(in.bytes - last.bytes)
+	m.BGP.InternHits.Add(in.hits - last.hits)
 }
 
 // Topology returns the underlying topology.
@@ -325,6 +341,7 @@ func (net *Network) RunUntil(deadline des.Time) uint64 {
 		fired = net.shards[0].sched.RunUntil(deadline)
 	}
 	net.limit = 0
+	net.publish(fired)
 	// The clock of a quiescent network stands at its last completion, and
 	// the last one may have been completed at admission rather than fired
 	// (sh.horizon). A deadline run ends at its deadline, past every horizon.
@@ -386,6 +403,7 @@ func (net *Network) Reset(seed uint64) { net.reinit(seed) }
 // with New(s)" as interchangeable. The intern table is intentionally NOT
 // cleared (see PathID).
 func (net *Network) reinit(seed uint64) {
+	net.publish(0)
 	for _, sh := range net.shards {
 		sh.sched.Reset(true)
 		sh.horizon = 0
@@ -542,9 +560,6 @@ func (net *Network) process(nd *node, at des.Time, fromSlot int32, prefix Prefix
 	row.recv++
 	sh.totalUpdates++
 	sh.tickRate(at)
-	if p := sh.probes; p != nil {
-		p.UpdatesProcessed.Inc()
-	}
 	ps := net.state(nd, prefix)
 	withdraw := pathID == NoPath
 	path := net.intern.path(pathID)
@@ -595,10 +610,9 @@ func (q *outQueue) Fire(*des.Scheduler) {
 	sh := nd.sh
 	net := sh.net
 	q.scheduled = false
-	if p := sh.probes; p != nil {
-		p.MRAIFlushes.Inc()
-	}
+	sh.tally.flushes++
 	if q.down || q.pending.len(q.pendingMap()) == 0 {
+		sh.tally.emptyFlushes++
 		return
 	}
 	sh.scratch = q.pending.keysInto(q.pendingMap(), sh.scratch)
@@ -617,14 +631,14 @@ func (t *prefixTimer) Fire(*des.Scheduler) {
 	sh := nd.sh
 	net := sh.net
 	t.scheduled = false
-	if p := sh.probes; p != nil {
-		p.PrefixMRAIFlushes.Inc()
-	}
+	sh.tally.prefixFlushes++
 	if q.down {
+		sh.tally.emptyFlushes++
 		return
 	}
 	id, ok := q.dequeue(t.prefix)
 	if !ok {
+		sh.tally.emptyFlushes++
 		return
 	}
 	net.send(nd, q, t.prefix, id)
@@ -800,12 +814,10 @@ func (net *Network) touch(nd *node, q *outQueue) { net.touched[nd.row+q.slot] = 
 func (net *Network) transmit(nd *node, j int, f Prefix, pathID PathID) {
 	sh := nd.sh
 	nd.sentUpdates++
-	if p := sh.probes; p != nil {
-		if pathID == NoPath {
-			p.WithdrawalsSent.Inc()
-		} else {
-			p.AnnouncementsSent.Inc()
-		}
+	if pathID == NoPath {
+		sh.tally.withdrawals++
+	} else {
+		sh.tally.announcements++
 	}
 	k := int(nd.row) + j
 	to, fromSlot := net.adj.IDs[k], net.adj.Reverse[k]
@@ -877,9 +889,7 @@ func (net *Network) deliver(to *node, arrival des.Time, fromSlot int32, f Prefix
 	m := inMsg{tk: tk, fromSlot: fromSlot, prefix: f, pathID: pathID}
 	if to.delivering {
 		to.inbox = append(to.inbox, m)
-		if p := sh.probes; p != nil {
-			p.InboxDeferrals.Inc()
-		}
+		sh.tally.deferrals++
 		return
 	}
 	to.delivering = true

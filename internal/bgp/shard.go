@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"bgpchurn/internal/des"
-	"bgpchurn/internal/obs"
 	"bgpchurn/internal/topology"
 )
 
@@ -92,9 +91,11 @@ type netShard struct {
 	// that would have fired last, had they been events.
 	horizon des.Time
 
-	// probes is this shard's protocol probe block; nil when obs is
-	// detached.
-	probes *obs.BGPProbes
+	// tally is what this shard has counted for the metrics hub since the
+	// network last published, and publishedUpdates is totalUpdates as of
+	// then (see Network.publish).
+	tally            shardTally
+	publishedUpdates uint64
 
 	// emitted counts the wire messages this shard has appended to the
 	// current outbox generation and firstArrival is the arrival time of the
@@ -114,6 +115,17 @@ type netShard struct {
 	// scratch is a reused buffer for sorted per-prefix iteration in MRAI
 	// flush drains. Valid only within one event's Fire; never retained.
 	scratch []Prefix
+}
+
+// shardTally is what a shard counts for the metrics hub between two
+// publications, in plain fields: only the goroutine running the shard
+// writes them, and the network reads them after the window workers have
+// joined (see Network.publish).
+type shardTally struct {
+	announcements, withdrawals uint64 // updates transmitted, by kind
+	flushes, prefixFlushes     uint64 // MRAI flush events, per interface and per prefix
+	emptyFlushes               uint64 // flushes of either kind that sent nothing
+	deferrals                  uint64 // deliveries parked in a receiver inbox
 }
 
 // Partition sizing. A window's work is not proportional to a range's session
@@ -182,11 +194,12 @@ func (net *Network) runWindowed(deadline des.Time) uint64 {
 	k := net.windowWorkers()
 	crew := des.StartCrew(k, len(net.shards), net.windowTask)
 	defer crew.Stop()
+	m := net.obs
 	net.busy = nil
-	if net.shardProbes != nil {
+	if m != nil {
 		net.busy = make([]time.Duration, k)
 	}
-	var fired uint64
+	var fired, windows, cross uint64
 	w := net.cfg.LinkDelay
 	for {
 		tmin, inflight, ok := net.windowBound()
@@ -214,17 +227,21 @@ func (net *Network) runWindowed(deadline des.Time) uint64 {
 			}
 		}
 		crew.Do()
-		var cross uint64
+		windows++
 		for _, sh := range net.shards {
 			fired += sh.windowFired
 			cross += sh.cross
 		}
-		if p := net.shardProbes; p != nil {
-			p.Barriers.Inc()
-			p.CrossUpdates.Add(cross)
-			p.ObserveSkew(slices.Max(net.busy) - slices.Min(net.busy))
+		if m != nil {
+			// The worker skew: how long the least loaded worker idled at
+			// the barrier (zero on a single worker).
+			m.Shards.WindowSkew.Observe((slices.Max(net.busy) - slices.Min(net.busy)).Seconds())
 			clear(net.busy)
 		}
+	}
+	if m != nil {
+		m.Shards.Barriers.Add(windows)
+		m.Shards.CrossUpdates.Add(cross)
 	}
 	if deadline >= 0 {
 		// Advance every shard clock to the deadline. No shard has an event
@@ -369,8 +386,10 @@ func (sh *netShard) tickRate(at des.Time) {
 	sh.rate[i]++
 }
 
-// resetRate starts a new measurement window at the shard's clock.
+// resetRate starts a new measurement window at the shard's clock. Updates
+// are processed only inside runs, and every run publishes them, so between
+// runs the publication mark equals the count and restarts with it.
 func (sh *netShard) resetRate() {
-	sh.totalUpdates = 0
+	sh.totalUpdates, sh.publishedUpdates = 0, 0
 	sh.rate, sh.rateBase = sh.rate[:0], sh.sched.Now()/des.Second
 }

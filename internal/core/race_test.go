@@ -108,8 +108,8 @@ func TestRaceOnCellSerialized(t *testing.T) {
 
 // TestRaceObsScrapeDuringGrid runs a grid with instrumentation attached
 // while a goroutine continuously scrapes the Prometheus exposition and
-// snapshot — the reader/writer paths of the sharded counters and
-// histograms must be race-free.
+// snapshot — reading what the scheduler and the cells' networks publish
+// must be race-free.
 func TestRaceObsScrapeDuringGrid(t *testing.T) {
 	m := obs.New()
 	s := NewScheduler(4)

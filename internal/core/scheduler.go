@@ -255,9 +255,8 @@ type Scheduler struct {
 	cellSubs  []cellSubscriber
 	nextSubID int
 
-	// probes is the scheduler's observability block; nil when disabled
-	// (see SetObs).
-	probes *obs.CoreProbes
+	// metrics is the attached hub; nil when detached (see SetObs).
+	metrics *obs.Metrics
 
 	// generate and run are seams for tests (counting hooks, fault
 	// injection); they default to Scenario.Generate and RunCEventsContext.
@@ -407,11 +406,7 @@ func (s *Scheduler) SetCompute(
 func (s *Scheduler) SetObs(m *obs.Metrics) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if m == nil {
-		s.probes = nil
-		return
-	}
-	s.probes = m.NewCoreProbes()
+	s.metrics = m
 }
 
 // SetRetryPolicy configures fault handling: transient faults (panics,
@@ -492,8 +487,8 @@ func (s *Scheduler) resume(recs []JournalRecord) int {
 		s.cache[key] = e
 		seeded++
 	}
-	if p := s.probes; p != nil && seeded > 0 {
-		p.JournalLoads.Add(uint64(seeded))
+	if m := s.metrics; m != nil {
+		m.Core.JournalLoads.Add(uint64(seeded))
 	}
 	// A journal larger than the cache cap must not silently evict the cells
 	// it just seeded (they would be recomputed, defeating the resume): grow
@@ -549,8 +544,8 @@ func (s *Scheduler) evictLocked() {
 			delete(s.cache, key)
 			s.lru.Remove(el)
 			s.stats.Evictions++
-			if p := s.probes; p != nil {
-				p.CacheEvictions.Inc()
+			if m := s.metrics; m != nil {
+				m.Core.CacheEvictions.Inc()
 			}
 		default:
 			// Still computing; skip toward the front.
@@ -606,7 +601,7 @@ func (s *Scheduler) Cell(ctx context.Context, sc scenario.Scenario, n int, topoS
 		return s.cancelCell(cs, err)
 	}
 	s.mu.Lock()
-	probes := s.probes
+	m := s.metrics
 	if e, ok := s.cache[key]; ok {
 		s.stats.Hits++
 		cs.State = CellCached
@@ -629,11 +624,11 @@ func (s *Scheduler) Cell(ctx context.Context, sc scenario.Scenario, n int, topoS
 			s.mu.Unlock()
 			return s.Cell(ctx, sc, n, topoSeed, ev)
 		}
-		if probes != nil {
+		if m != nil {
 			if cs.State == CellResumed {
-				probes.CellsResumed.Inc()
+				m.Core.CellsResumed.Inc()
 			} else {
-				probes.CellsCached.Inc()
+				m.Core.CellsCached.Inc()
 			}
 		}
 		// A failed entry holds no result, so Result is set exactly when Err
@@ -652,15 +647,15 @@ func (s *Scheduler) Cell(ctx context.Context, sc scenario.Scenario, n int, topoS
 	cs.State = CellStart
 	s.emit(cs)
 	start := time.Now()
-	res, err, attempts := s.computeWithRetry(ctx, key, sc, n, cs.Seed, ev, probes)
+	res, err, attempts := s.computeWithRetry(ctx, key, sc, n, cs.Seed, ev, m)
 	cs.Attempt, cs.Elapsed = attempts, time.Since(start)
 
 	cs.State = CellDone
 	switch {
 	case err == nil:
 		if j := s.Journal(); j != nil {
-			if jerr := j.Append(key, res); jerr == nil && probes != nil {
-				probes.JournalWrites.Inc()
+			if jerr := j.Append(key, res); jerr == nil && m != nil {
+				m.Core.JournalWrites.Inc()
 			}
 		}
 	case ctx.Err() != nil && errors.Is(err, ctx.Err()):
@@ -672,8 +667,8 @@ func (s *Scheduler) Cell(ctx context.Context, sc scenario.Scenario, n int, topoS
 		s.mu.Lock()
 		s.stats.Cancelled++
 		s.mu.Unlock()
-		if probes != nil {
-			probes.CellsCancelled.Inc()
+		if m != nil {
+			m.Core.CellsCancelled.Inc()
 		}
 		cs.State, cs.Err = CellCancelled, e.err
 		s.emit(cs)
@@ -689,8 +684,8 @@ func (s *Scheduler) Cell(ctx context.Context, sc scenario.Scenario, n int, topoS
 		s.quarantined = append(s.quarantined, qe)
 		s.stats.Quarantined++
 		s.mu.Unlock()
-		if probes != nil {
-			probes.CellsQuarantined.Inc()
+		if m != nil {
+			m.Core.CellsQuarantined.Inc()
 		}
 	default:
 		err = cellError(sc.Name, n, err)
@@ -698,13 +693,13 @@ func (s *Scheduler) Cell(ctx context.Context, sc scenario.Scenario, n int, topoS
 	}
 	e.res, e.err = res, err
 	close(e.ready)
-	if probes != nil {
+	if m != nil {
 		switch cs.State {
 		case CellDone:
-			probes.CellsComputed.Inc()
-			probes.ObserveCell(cs.Elapsed)
+			m.Core.CellsComputed.Inc()
+			m.Core.CellSeconds.Observe(cs.Elapsed.Seconds())
 		case CellFailed:
-			probes.CellsFailed.Inc()
+			m.Core.CellsFailed.Inc()
 		}
 	}
 	// computeWithRetry returns a nil result with every error, so Result is
@@ -721,10 +716,10 @@ func (s *Scheduler) cancelCell(cs CellStatus, cause error) CellStatus {
 	cs.Err = fmt.Errorf("core: %s at n=%d: %w", cs.Scenario, cs.N, cause)
 	s.mu.Lock()
 	s.stats.Cancelled++
-	probes := s.probes
+	m := s.metrics
 	s.mu.Unlock()
-	if probes != nil {
-		probes.CellsCancelled.Inc()
+	if m != nil {
+		m.Core.CellsCancelled.Inc()
 	}
 	s.emit(cs)
 	return cs
@@ -736,7 +731,7 @@ func (s *Scheduler) cancelCell(cs CellStatus, cause error) CellStatus {
 // given cell always waits the same schedule regardless of worker count or
 // interleaving). It returns the result or terminal error plus the number of
 // attempts made.
-func (s *Scheduler) computeWithRetry(ctx context.Context, key CellKey, sc scenario.Scenario, n int, seed uint64, ev Config, probes *obs.CoreProbes) (*Result, error, int) {
+func (s *Scheduler) computeWithRetry(ctx context.Context, key CellKey, sc scenario.Scenario, n int, seed uint64, ev Config, m *obs.Metrics) (*Result, error, int) {
 	s.mu.Lock()
 	retries, backoff := s.retries, s.backoff
 	s.mu.Unlock()
@@ -744,7 +739,7 @@ func (s *Scheduler) computeWithRetry(ctx context.Context, key CellKey, sc scenar
 	attempts := 0
 	for {
 		attempts++
-		res, err := s.computeOnce(ctx, key, sc, n, seed, ev, probes)
+		res, err := s.computeOnce(ctx, key, sc, n, seed, ev, m)
 		if err == nil {
 			return res, nil, attempts
 		}
@@ -754,8 +749,8 @@ func (s *Scheduler) computeWithRetry(ctx context.Context, key CellKey, sc scenar
 		s.mu.Lock()
 		s.stats.Retries++
 		s.mu.Unlock()
-		if probes != nil {
-			probes.CellRetries.Inc()
+		if m != nil {
+			m.Core.CellRetries.Inc()
 		}
 		s.emit(CellStatus{Scenario: sc.Name, N: n, Key: key, Seed: seed, State: CellRetried, Attempt: attempts, Err: err})
 		if backoffRng == nil {
@@ -812,7 +807,7 @@ func sleepContext(ctx context.Context, d time.Duration) bool {
 
 // computeOnce performs a single computation attempt with panic isolation
 // and the per-cell deadline applied.
-func (s *Scheduler) computeOnce(ctx context.Context, key CellKey, sc scenario.Scenario, n int, seed uint64, ev Config, probes *obs.CoreProbes) (res *Result, err error) {
+func (s *Scheduler) computeOnce(ctx context.Context, key CellKey, sc scenario.Scenario, n int, seed uint64, ev Config, m *obs.Metrics) (res *Result, err error) {
 	cellCtx := ctx
 	if ev.CellTimeout > 0 {
 		var cancel context.CancelFunc
@@ -824,8 +819,8 @@ func (s *Scheduler) computeOnce(ctx context.Context, key CellKey, sc scenario.Sc
 			buf := make([]byte, 64<<10)
 			buf = buf[:runtime.Stack(buf, false)]
 			res, err = nil, &CellPanicError{Key: key, Value: r, Stack: buf}
-			if probes != nil {
-				probes.PanicsRecovered.Inc()
+			if m != nil {
+				m.Core.PanicsRecovered.Inc()
 			}
 		}
 	}()
@@ -933,10 +928,10 @@ feed:
 	<-watcherDone
 	if t := cancelledAt.Load(); t != 0 {
 		s.mu.Lock()
-		probes := s.probes
+		m := s.metrics
 		s.mu.Unlock()
-		if probes != nil {
-			probes.ObserveCancel(time.Duration(time.Now().UnixNano() - t))
+		if m != nil {
+			m.Core.CancelSeconds.Observe(time.Duration(time.Now().UnixNano() - t).Seconds())
 		}
 	}
 

@@ -11,8 +11,6 @@ import (
 	"math/bits"
 	"time"
 	"unsafe"
-
-	"bgpchurn/internal/obs"
 )
 
 // Time is a virtual timestamp in nanoseconds since simulation start.
@@ -356,16 +354,19 @@ type Scheduler struct {
 	nextSeq uint64
 	fired   uint64
 	stopped bool
-	// probes is the kernel's observability block; nil when disabled, so
-	// every probe site below is a single nil check in that case. Probes
-	// never read the clock or affect queue order.
-	probes *obs.DESProbes
+	// ringPushes and farPushes count insertions into each band since the
+	// last TakePushes: plain fields, since a Scheduler is single-goroutine.
+	ringPushes, farPushes uint64
 }
 
-// SetProbes attaches (or, with nil, detaches) an observability probe block.
-// Call it while the queue is empty: occupancy gauges track pushes and pops
-// made while attached, so attaching mid-flight would skew them.
-func (s *Scheduler) SetProbes(p *obs.DESProbes) { s.probes = p }
+// TakePushes returns how many events were inserted into the time ring and
+// into the far heap since the previous call, and restarts both counts. The
+// owner of the scheduler publishes them (the BGP engine, once per run).
+func (s *Scheduler) TakePushes() (ring, far uint64) {
+	ring, far = s.ringPushes, s.farPushes
+	s.ringPushes, s.farPushes = 0, 0
+	return ring, far
+}
 
 // peek returns the key of the earliest pending event and whether it sits in
 // the near band. The caller must ensure at least one event is pending.
@@ -392,13 +393,7 @@ func (s *Scheduler) peekEvent() Event {
 // ensure at least one event is pending.
 func (s *Scheduler) popNext() (heapKey, Event) {
 	if _, near := s.peek(); near {
-		if p := s.probes; p != nil {
-			p.RingOcc.Add(-1)
-		}
 		return s.near.pop()
-	}
-	if p := s.probes; p != nil {
-		p.FarOcc.Add(-1)
 	}
 	return s.far.pop()
 }
@@ -458,18 +453,10 @@ func (s *Scheduler) AtTicket(tk Ticket, e Event) {
 	}
 	if tk.at-s.now >= ringHorizon {
 		s.far.push(tk.at, uint32(tk.seq), e)
-		if p := s.probes; p != nil {
-			p.Scheduled.Inc()
-			p.FarPushes.Inc()
-			p.FarOcc.Add(1)
-		}
+		s.farPushes++
 	} else {
 		s.near.push(tk.at, uint32(tk.seq), e)
-		if p := s.probes; p != nil {
-			p.Scheduled.Inc()
-			p.RingPushes.Inc()
-			p.RingOcc.Add(1)
-		}
+		s.ringPushes++
 	}
 }
 
@@ -557,9 +544,6 @@ func (s *Scheduler) fireNext() {
 	}
 	e.Fire(s)
 	s.fired++
-	if p := s.probes; p != nil {
-		p.Fired.Inc()
-	}
 }
 
 // eventData returns the data word of e's interface value: for an event of
@@ -572,13 +556,9 @@ func eventData(e Event) uintptr {
 }
 
 // Reset discards all pending events and rewinds the clock to zero, reusing
-// the queue's storage. Event counters are preserved unless resetCounters.
+// the queue's storage. The fired count is preserved unless resetCounters;
+// the push counts are TakePushes's, which Reset leaves alone.
 func (s *Scheduler) Reset(resetCounters bool) {
-	if p := s.probes; p != nil {
-		// The discarded events never pop, so release their occupancy here.
-		p.RingOcc.Add(-int64(s.near.len()))
-		p.FarOcc.Add(-int64(s.far.len()))
-	}
 	s.near.reset()
 	s.far.reset()
 	s.now = 0

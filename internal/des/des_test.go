@@ -166,6 +166,23 @@ func TestReset(t *testing.T) {
 	}
 }
 
+// TestTakePushes: the push counts split by band, restart on every take,
+// and survive Reset, whose discarded events were pushed all the same.
+func TestTakePushes(t *testing.T) {
+	var s Scheduler
+	nop := EventFunc(func(*Scheduler) {})
+	s.At(1, nop)
+	s.At(2, nop)
+	s.At(ringHorizon, nop)
+	s.Reset(true)
+	if ring, far := s.TakePushes(); ring != 2 || far != 1 {
+		t.Fatalf("TakePushes = %d, %d; want 2, 1", ring, far)
+	}
+	if ring, far := s.TakePushes(); ring != 0 || far != 0 {
+		t.Fatalf("second TakePushes = %d, %d; want 0, 0", ring, far)
+	}
+}
+
 func TestPeekTime(t *testing.T) {
 	var s Scheduler
 	if _, ok := s.PeekTime(); ok {

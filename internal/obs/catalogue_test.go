@@ -1,0 +1,101 @@
+package obs
+
+import (
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// catalogueRow matches one row of DESIGN.md's metric catalogue:
+// | `name` | type | counted by | moves | `TestName` |
+var catalogueRow = regexp.MustCompile("^\\| `(bgpchurn_[a-z0-9_]+)` \\| (counter|gauge|histogram) \\|.*\\| `(Test[A-Za-z0-9_]+)` \\|$")
+
+// TestMetricCatalogue holds DESIGN.md's metric catalogue to the registry:
+// every metric obs.New registers has exactly one row with its type, every
+// row names a registered metric, and the test each row names exists.
+func TestMetricCatalogue(t *testing.T) {
+	const root = "../.."
+	design, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]string{} // name -> type
+	tests := map[string]bool{}
+	for _, line := range strings.Split(string(design), "\n") {
+		if !strings.HasPrefix(line, "| `bgpchurn_") {
+			continue
+		}
+		f := catalogueRow.FindStringSubmatch(line)
+		if f == nil {
+			t.Errorf("malformed catalogue row: %s", line)
+			continue
+		}
+		if _, dup := documented[f[1]]; dup {
+			t.Errorf("%s has two catalogue rows", f[1])
+		}
+		documented[f[1]] = f[2]
+		tests[f[3]] = true
+	}
+
+	m := New()
+	registered := map[string]string{}
+	for _, c := range m.counters {
+		registered[c.name] = "counter"
+	}
+	for _, g := range m.gauges {
+		registered[g.name] = "gauge"
+	}
+	for _, h := range m.hists {
+		registered[h.name] = "histogram"
+	}
+	for name, typ := range registered {
+		if got, ok := documented[name]; !ok {
+			t.Errorf("%s (%s) is registered but not in the catalogue", name, typ)
+		} else if got != typ {
+			t.Errorf("%s: catalogue says %s, registry %s", name, got, typ)
+		}
+	}
+	for name := range documented {
+		if _, ok := registered[name]; !ok {
+			t.Errorf("%s is in the catalogue but not registered", name)
+		}
+	}
+
+	// Every named test is declared somewhere in the module.
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != root && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for name := range tests {
+			if strings.Contains(string(src), "func "+name+"(t *testing.T)") {
+				delete(tests, name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	missing := make([]string, 0, len(tests))
+	for name := range tests {
+		missing = append(missing, name)
+	}
+	sort.Strings(missing)
+	for _, name := range missing {
+		t.Errorf("the catalogue names %s, which no test file declares", name)
+	}
+}

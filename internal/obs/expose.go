@@ -8,15 +8,15 @@ import (
 
 // WritePrometheus renders every metric in Prometheus text exposition
 // format (version 0.0.4), in registration order: counters, then gauges,
-// then histograms. Scraping is lock-free — each shard is read atomically,
-// so totals of quiescent metrics are exact and live ones at worst a few
-// events stale.
+// then histograms. Scraping is lock-free — each metric is one atomic read;
+// an engine metric is stale by at most the run in progress (see the package
+// comment).
 func (m *Metrics) WritePrometheus(w io.Writer) error {
 	for _, c := range m.counters {
 		if err := writeHeader(w, c.name, c.help, "counter"); err != nil {
 			return err
 		}
-		if _, err := fmt.Fprintf(w, "%s %s\n", c.name, formatFloat(c.scaled())); err != nil {
+		if _, err := fmt.Fprintf(w, "%s %d\n", c.name, c.Value()); err != nil {
 			return err
 		}
 	}
@@ -66,7 +66,7 @@ func formatFloat(v float64) string {
 func (m *Metrics) Snapshot() map[string]float64 {
 	out := make(map[string]float64, len(m.counters)+len(m.gauges)+2*len(m.hists))
 	for _, c := range m.counters {
-		out[c.name] = c.scaled()
+		out[c.name] = float64(c.Value())
 	}
 	for _, g := range m.gauges {
 		out[g.name] = float64(g.Value())

@@ -6,7 +6,7 @@ import (
 	"sync/atomic"
 )
 
-// Histogram is a fixed-bucket sharded histogram. Bucket semantics follow
+// Histogram is a fixed-bucket histogram. Bucket semantics follow
 // Prometheus: an observation v lands in the first bucket whose upper bound
 // is >= v (bounds are inclusive), and observations above the last bound
 // land in the implicit +Inf overflow bucket. Buckets are fixed at
@@ -14,48 +14,36 @@ import (
 type Histogram struct {
 	name, help string
 	bounds     []float64 // ascending upper bounds; +Inf is implicit
-	shards     []histShard
-	mask       uint32
-}
-
-// histShard is one shard's bucket counts plus the shard's running sum.
-// counts has len(bounds)+1 entries; the last is the +Inf overflow bucket.
-// The sum is stored as float64 bits updated by CAS — observations are per
-// cell/generation (not per simulated event), so the CAS loop is cold.
-type histShard struct {
+	// counts has len(bounds)+1 entries; the last is the +Inf overflow
+	// bucket. The sum is stored as float64 bits updated by CAS —
+	// observations are per window, cell or generation (never per simulated
+	// event), so the CAS loop is cold.
 	counts  []atomic.Uint64
 	sumBits atomic.Uint64
-	_       [cacheLineSize - 8]byte
 }
 
-func newHistogram(name, help string, bounds []float64, shards int) *Histogram {
+func newHistogram(name, help string, bounds []float64) *Histogram {
 	if !sort.Float64sAreSorted(bounds) {
 		panic("obs: histogram bounds must be ascending")
 	}
-	h := &Histogram{
+	return &Histogram{
 		name:   name,
 		help:   help,
 		bounds: append([]float64(nil), bounds...),
-		shards: make([]histShard, shards),
-		mask:   uint32(shards - 1),
+		counts: make([]atomic.Uint64, len(bounds)+1),
 	}
-	for i := range h.shards {
-		h.shards[i].counts = make([]atomic.Uint64, len(bounds)+1)
-	}
-	return h
 }
 
 // Name returns the exposition name.
 func (h *Histogram) Name() string { return h.name }
 
-// Observe records one value on the given shard.
-func (h *Histogram) Observe(s ShardID, v float64) {
-	sh := &h.shards[uint32(s)&h.mask]
+// Observe records one value.
+func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v (bounds inclusive)
-	sh.counts[i].Add(1)
+	h.counts[i].Add(1)
 	for {
-		old := sh.sumBits.Load()
-		if sh.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+		old := h.sumBits.Load()
+		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
 			return
 		}
 	}
@@ -73,21 +61,17 @@ type HistSnapshot struct {
 	Sum   float64
 }
 
-// Snapshot merges all shards.
+// Snapshot reads the histogram. Buckets are read one at a time, so a
+// snapshot taken during an Observe may count it in Count but not yet in Sum.
 func (h *Histogram) Snapshot() HistSnapshot {
 	s := HistSnapshot{
 		Bounds: h.bounds,
 		Counts: make([]uint64, len(h.bounds)+1),
+		Sum:    math.Float64frombits(h.sumBits.Load()),
 	}
-	for i := range h.shards {
-		sh := &h.shards[i]
-		for b := range sh.counts {
-			s.Counts[b] += sh.counts[b].Load()
-		}
-		s.Sum += math.Float64frombits(sh.sumBits.Load())
-	}
-	for _, c := range s.Counts {
-		s.Count += c
+	for b := range h.counts {
+		s.Counts[b] = h.counts[b].Load()
+		s.Count += s.Counts[b]
 	}
 	return s
 }

@@ -2,11 +2,12 @@ package obs
 
 import (
 	"math"
+	"sync"
 	"testing"
 )
 
 func newTestHist(bounds []float64) *Histogram {
-	return newHistogram("test_seconds", "test", bounds, 4)
+	return newHistogram("test_seconds", "test", bounds)
 }
 
 func TestHistogramBucketBoundaries(t *testing.T) {
@@ -29,7 +30,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 	for _, c := range cases {
 		h2 := newTestHist([]float64{1, 2.5, 5})
-		h2.Observe(0, c.v)
+		h2.Observe(c.v)
 		s := h2.Snapshot()
 		for i, n := range s.Counts {
 			want := uint64(0)
@@ -47,8 +48,8 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 func TestHistogramSumAndCount(t *testing.T) {
 	h := newTestHist([]float64{1, 10})
 	vals := []float64{0.5, 1, 7, 100}
-	for i, v := range vals {
-		h.Observe(ShardID(i), v) // spread over shards; snapshot must merge
+	for _, v := range vals {
+		h.Observe(v)
 	}
 	s := h.Snapshot()
 	if s.Count != uint64(len(vals)) {
@@ -65,11 +66,30 @@ func TestHistogramSumAndCount(t *testing.T) {
 	}
 }
 
+// TestHistogramShardWraps: observations from many goroutines at once —
+// the windowed coordinators of concurrent cells share one skew histogram —
+// land exactly: every count, and a sum of exactly representable values.
 func TestHistogramShardWraps(t *testing.T) {
 	h := newTestHist([]float64{1})
-	h.Observe(ShardID(1000), 0.5) // way past shard count; must mask, not panic
-	if got := h.Snapshot().Count; got != 1 {
-		t.Fatalf("Count = %d, want 1", got)
+	const goroutines, per = 16, 500
+	var wg sync.WaitGroup
+	for i := 0; i < goroutines; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < per; j++ {
+				h.Observe(0.5)
+				h.Observe(2)
+			}
+		}()
+	}
+	wg.Wait()
+	s := h.Snapshot()
+	if s.Counts[0] != goroutines*per || s.Counts[1] != goroutines*per {
+		t.Fatalf("Counts = %v, want %d in each bucket", s.Counts, goroutines*per)
+	}
+	if want := 2.5 * goroutines * per; s.Sum != want {
+		t.Fatalf("Sum = %v, want %v", s.Sum, want)
 	}
 }
 
@@ -85,7 +105,7 @@ func TestHistogramUnsortedBoundsPanics(t *testing.T) {
 func TestHistogramObserveAllocFree(t *testing.T) {
 	h := newTestHist([]float64{0.001, 0.01, 0.1, 1, 10})
 	allocs := testing.AllocsPerRun(1000, func() {
-		h.Observe(0, 0.05)
+		h.Observe(0.05)
 	})
 	if allocs != 0 {
 		t.Fatalf("Observe allocated %.1f per run, want 0", allocs)

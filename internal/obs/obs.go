@@ -1,163 +1,84 @@
 // Package obs is the instrumentation substrate the whole simulator reports
-// into: sharded cache-line-padded atomic counters and gauges, fixed-bucket
-// histograms, causal span records, per-run manifests, and live exposition
-// over HTTP (Prometheus text format, expvar, pprof, the /progress feed).
+// into: atomic counters and gauges, fixed-bucket histograms, causal span
+// records, per-run manifests, and live exposition over HTTP (Prometheus text
+// format, expvar, pprof, the /progress feed).
 //
-// The package is designed so the kernel's zero-allocation steady state
-// survives instrumentation. Probe call sites in hot paths hold a pointer to
-// a pre-resolved probe block (see probes.go) that is nil when observability
-// is off, so a disabled probe compiles down to one nil check. An enabled
-// probe performs plain atomic adds on memory that no other goroutine
-// increments: every consumer (a Network, a Scheduler) gets its own shard of
-// each metric, and shards are padded to the cache line so two consumers
-// never contend on one line. Nothing on the probe path allocates, takes a
-// lock, consumes randomness, or reads the virtual clock — instrumentation
-// cannot perturb simulation order or RNG draws, which keeps the determinism
-// tier byte-identical with obs enabled. The memory model is documented in
-// DESIGN.md ("Observability: probe memory model").
+// Metrics are published, not probed. The simulation engine counts in plain
+// fields of its own state — the fields it already keeps for its results
+// where it has them — and adds what it counted to the hub once per run
+// (bgp.Network.RunUntil), so nothing on the per-event path touches a
+// metric. The layers that move at per-cell, per-job and per-generation rates
+// (internal/core, internal/serve, internal/topology) add to the hub
+// directly. Every metric is a single atomic that a scrape reads exactly; an
+// engine metric is stale by at most the run in progress. Nothing in the
+// simulation reads a metric back, so instrumented runs are byte-identical to
+// bare ones. DESIGN.md, "Observability: publication model", has the model
+// and the catalogue of every metric.
 //
 // obs deliberately imports only the standard library and none of the
-// simulator's packages, so every layer (des, bgp, core, topology) can
+// simulator's packages, so every layer (bgp, core, serve, topology) can
 // depend on it without cycles.
 package obs
 
-import (
-	"runtime"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// cacheLineSize is the assumed cache-line granularity for shard padding.
-// 64 bytes covers x86-64 and current arm64 server cores; on CPUs with
-// larger lines the only cost is some residual false sharing.
-const cacheLineSize = 64
-
-// ShardID selects one shard of every sharded metric. IDs are handed out
-// round-robin by Metrics.Shard; values beyond the shard count wrap (the
-// cell lookup masks them), so any uint32 is safe.
-type ShardID uint32
-
-// Cell is one counter shard: an atomic uint64 padded to a full cache line
-// so adjacent cells (other shards, other metrics) never share a line with
-// it. Hot paths pre-resolve the cells they increment (see probes.go) and
-// call Inc/Add directly — one atomic add on exclusive memory, no alloc.
-type Cell struct {
-	n atomic.Uint64
-	_ [cacheLineSize - 8]byte
-}
-
-// Inc adds 1.
-func (c *Cell) Inc() { c.n.Add(1) }
-
-// Add adds d.
-func (c *Cell) Add(d uint64) { c.n.Add(d) }
-
-// Load returns the shard's current value.
-func (c *Cell) Load() uint64 { return c.n.Load() }
-
-// GaugeCell is one gauge shard. Deltas may be negative; the gauge's value
-// is the sum over shards, so a consumer that increments on one shard and
-// decrements on the same shard keeps the global sum exact.
-type GaugeCell struct {
-	n atomic.Int64
-	_ [cacheLineSize - 8]byte
-}
-
-// Add applies a (possibly negative) delta.
-func (g *GaugeCell) Add(d int64) { g.n.Add(d) }
-
-// Load returns the shard's current value.
-func (g *GaugeCell) Load() int64 { return g.n.Load() }
-
-// Counter is a monotonically increasing sharded metric.
+// Counter is a monotonically increasing metric.
 type Counter struct {
 	name, help string
-	cells      []Cell
-	mask       uint32
-	// scale divides the raw value at exposition time (e.g. nanoseconds
-	// stored, seconds exposed); 0 means 1.
-	scale float64
+	n          atomic.Uint64
 }
 
 // Name returns the exposition name.
 func (c *Counter) Name() string { return c.name }
 
-// Cell returns the shard's cell for direct (pre-resolved) incrementing.
-func (c *Counter) Cell(s ShardID) *Cell { return &c.cells[uint32(s)&c.mask] }
+// Inc adds 1.
+func (c *Counter) Inc() { c.n.Add(1) }
 
-// Add adds d on the given shard.
-func (c *Counter) Add(s ShardID, d uint64) { c.Cell(s).Add(d) }
+// Add adds d.
+func (c *Counter) Add(d uint64) { c.n.Add(d) }
 
-// Value returns the sum over all shards.
-func (c *Counter) Value() uint64 {
-	var sum uint64
-	for i := range c.cells {
-		sum += c.cells[i].n.Load()
-	}
-	return sum
-}
+// Value returns the current total.
+func (c *Counter) Value() uint64 { return c.n.Load() }
 
-// scaled returns the exposition value (raw sum divided by the scale).
-func (c *Counter) scaled() float64 {
-	v := float64(c.Value())
-	if c.scale != 0 {
-		v /= c.scale
-	}
-	return v
-}
-
-// Gauge is a sharded metric that can go up and down (queue occupancy).
+// Gauge is a metric that can go up and down (queue depth).
 type Gauge struct {
 	name, help string
-	cells      []GaugeCell
-	mask       uint32
+	n          atomic.Int64
 }
 
 // Name returns the exposition name.
 func (g *Gauge) Name() string { return g.name }
 
-// Cell returns the shard's cell for direct incrementing.
-func (g *Gauge) Cell(s ShardID) *GaugeCell { return &g.cells[uint32(s)&g.mask] }
+// Add applies a (possibly negative) delta.
+func (g *Gauge) Add(d int64) { g.n.Add(d) }
 
-// Add applies a delta on the given shard.
-func (g *Gauge) Add(s ShardID, d int64) { g.Cell(s).Add(d) }
-
-// Value returns the sum over all shards.
-func (g *Gauge) Value() int64 {
-	var sum int64
-	for i := range g.cells {
-		sum += g.cells[i].n.Load()
-	}
-	return sum
-}
+// Value returns the current value.
+func (g *Gauge) Value() int64 { return g.n.Load() }
 
 // Metrics is the hub: every metric the simulator exports, pre-registered
 // with stable names so exposition order is deterministic. Create one per
 // run with New, hand it to the layers (core.Config.Obs, Scheduler.SetObs,
 // bgp.Network.SetObs, topology.SetObsProbes) and serve or snapshot it.
-// All methods are safe for concurrent use; increments may race with
-// scrapes, which read each shard atomically (per-metric totals are exact
-// for quiescent metrics and at worst one event stale for live ones).
+// All methods are safe for concurrent use; publications may race with
+// scrapes, which read each metric atomically.
 type Metrics struct {
-	shards    uint32 // power of two
-	nextShard atomic.Uint32
-
-	// DES instruments the discrete-event kernel (internal/des).
+	// DES counts the discrete-event kernel's queue traffic (internal/des),
+	// published by the BGP engine that owns the schedulers.
 	DES struct {
 		EventsScheduled *Counter // queue insertions (ring + far heap)
 		EventsFired     *Counter // events executed
 		RingPushes      *Counter // near-band (timeRing) insertions
 		FarPushes       *Counter // far-heap insertions
-		RingOccupancy   *Gauge   // events currently in the time ring
-		FarOccupancy    *Gauge   // events currently in the far heap
 	}
 
 	// BGP instruments the protocol engine (internal/bgp).
 	BGP struct {
 		AnnouncementsSent *Counter // updates transmitted, kind Announce
 		WithdrawalsSent   *Counter // updates transmitted, kind Withdraw
-		UpdatesProcessed  *Counter // procEvent completions
+		UpdatesProcessed  *Counter // updates processed by receivers
 		MRAIFlushes       *Counter // per-interface flush events fired
 		PrefixMRAIFlushes *Counter // per-prefix flush events fired
+		MRAIEmptyFlushes  *Counter // flushes of either kind that sent nothing
 		InboxDeferrals    *Counter // deliveries parked behind a busy receiver
 		InternedPaths     *Counter // distinct AS paths interned
 		InternBytes       *Counter // slab bytes storing interned path content
@@ -205,13 +126,7 @@ type Metrics struct {
 	}
 
 	// Topo instruments topology generation (internal/topology).
-	Topo struct {
-		Generated    *Counter                  // topologies generated
-		Nodes        *Counter                  // nodes created across all generations
-		Edges        *Counter                  // links created across all generations
-		GenSeconds   *Histogram                // wall time per generation
-		PhaseSeconds [GenPhaseCount]*Histogram // wall time per generation phase
-	}
+	Topo TopoProbes
 
 	// registration order, for deterministic exposition.
 	counters []*Counter
@@ -219,28 +134,21 @@ type Metrics struct {
 	hists    []*Histogram
 }
 
-// New builds a metrics hub with every simulator metric registered. The
-// shard count is the smallest power of two covering GOMAXPROCS, capped at
-// 64 (beyond that the padding cost outweighs contention savings).
+// New builds a metrics hub with every simulator metric registered.
 func New() *Metrics {
-	shards := uint32(1)
-	for int(shards) < runtime.GOMAXPROCS(0) && shards < 64 {
-		shards <<= 1
-	}
-	m := &Metrics{shards: shards}
+	m := &Metrics{}
 
 	m.DES.EventsScheduled = m.counter("bgpchurn_des_events_scheduled_total", "Events inserted into the pending queue (time ring + far heap). An update the BGP engine completes at admission (a stub's, inside a run) is no event and is not counted.")
 	m.DES.EventsFired = m.counter("bgpchurn_des_events_fired_total", "Events executed by the schedulers. Updates completed at admission fire none: compare bgpchurn_bgp_updates_processed_total.")
 	m.DES.RingPushes = m.counter("bgpchurn_des_ring_pushes_total", "Insertions into the near-band time ring.")
 	m.DES.FarPushes = m.counter("bgpchurn_des_far_pushes_total", "Insertions into the far 4-ary heap.")
-	m.DES.RingOccupancy = m.gauge("bgpchurn_des_ring_occupancy", "Events currently pending in the time ring.")
-	m.DES.FarOccupancy = m.gauge("bgpchurn_des_far_occupancy", "Events currently pending in the far heap.")
 
 	m.BGP.AnnouncementsSent = m.counter("bgpchurn_bgp_announcements_sent_total", "Announce updates transmitted.")
 	m.BGP.WithdrawalsSent = m.counter("bgpchurn_bgp_withdrawals_sent_total", "Withdraw updates transmitted.")
 	m.BGP.UpdatesProcessed = m.counter("bgpchurn_bgp_updates_processed_total", "Updates fully processed by receivers.")
 	m.BGP.MRAIFlushes = m.counter("bgpchurn_bgp_mrai_flushes_total", "Per-interface MRAI flush events fired.")
 	m.BGP.PrefixMRAIFlushes = m.counter("bgpchurn_bgp_prefix_mrai_flushes_total", "Per-prefix MRAI flush events fired.")
+	m.BGP.MRAIEmptyFlushes = m.counter("bgpchurn_bgp_mrai_empty_flushes_total", "MRAI flush events, per-interface or per-prefix, that found nothing queued or the link down and sent nothing.")
 	m.BGP.InboxDeferrals = m.counter("bgpchurn_bgp_inbox_deferrals_total", "Deliveries parked in a receiver inbox behind an in-flight event (updates completed at admission never park).")
 	m.BGP.InternedPaths = m.counter("bgpchurn_bgp_interned_paths_total", "Distinct AS paths interned.")
 	m.BGP.InternBytes = m.counter("bgpchurn_bgp_intern_bytes_total", "Slab bytes storing interned AS path content.")
@@ -294,27 +202,20 @@ func New() *Metrics {
 	return m
 }
 
-// Shard hands out the next shard ID, round-robin. Each consumer (one
-// Network, one Scheduler) takes one ID at setup time and uses it for all
-// its metrics, giving it private cache lines up to the shard count.
-func (m *Metrics) Shard() ShardID {
-	return ShardID((m.nextShard.Add(1) - 1) & (m.shards - 1))
-}
-
 func (m *Metrics) counter(name, help string) *Counter {
-	c := &Counter{name: name, help: help, cells: make([]Cell, m.shards), mask: m.shards - 1}
+	c := &Counter{name: name, help: help}
 	m.counters = append(m.counters, c)
 	return c
 }
 
 func (m *Metrics) gauge(name, help string) *Gauge {
-	g := &Gauge{name: name, help: help, cells: make([]GaugeCell, m.shards), mask: m.shards - 1}
+	g := &Gauge{name: name, help: help}
 	m.gauges = append(m.gauges, g)
 	return g
 }
 
 func (m *Metrics) histogram(name, help string, bounds []float64) *Histogram {
-	h := newHistogram(name, help, bounds, int(m.shards))
+	h := newHistogram(name, help, bounds)
 	m.hists = append(m.hists, h)
 	return h
 }

@@ -6,71 +6,74 @@ import (
 	"testing"
 )
 
-func TestCounterShardingSumsAcrossShards(t *testing.T) {
-	m := New()
-	c := m.DES.EventsScheduled
-	// Hit every shard explicitly; Value must be the sum.
-	var want uint64
-	for s := uint32(0); s < m.shards; s++ {
-		c.Add(ShardID(s), uint64(s+1))
-		want += uint64(s + 1)
-	}
-	if got := c.Value(); got != want {
-		t.Fatalf("Value() = %d, want %d", got, want)
-	}
-}
-
+// TestShardIDWrapsSafely: the hub keeps no per-consumer state, so any
+// number of publishers is safe — far more than the 64 shards the hub once
+// capped at — and their batches sum exactly.
 func TestShardIDWrapsSafely(t *testing.T) {
 	m := New()
 	c := m.DES.EventsFired
-	// A shard ID far beyond the shard count must mask down, not panic.
-	c.Add(ShardID(m.shards*7+3), 5)
-	if got := c.Value(); got != 5 {
-		t.Fatalf("Value() = %d, want 5", got)
+	const publishers, batch = 200, 37
+	var wg sync.WaitGroup
+	for i := 0; i < publishers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.Add(batch)
+		}()
+	}
+	wg.Wait()
+	if got := c.Value(); got != publishers*batch {
+		t.Fatalf("Value() = %d, want %d", got, publishers*batch)
 	}
 }
 
+// TestShardRoundRobin: every registered metric is a single cell that a
+// publication reaches at once — nothing is held per consumer that a scrape
+// would have to gather — and the snapshot reads each exactly.
 func TestShardRoundRobin(t *testing.T) {
 	m := New()
-	seen := make(map[ShardID]int)
-	for i := uint32(0); i < 2*m.shards; i++ {
-		seen[m.Shard()]++
+	for i, c := range m.counters {
+		c.Add(uint64(i + 1))
 	}
-	if len(seen) != int(m.shards) {
-		t.Fatalf("round-robin covered %d shards, want %d", len(seen), m.shards)
+	for i, g := range m.gauges {
+		g.Add(int64(i + 1))
 	}
-	for s, n := range seen {
-		if n != 2 {
-			t.Fatalf("shard %d allocated %d times, want 2", s, n)
+	snap := m.Snapshot()
+	for i, c := range m.counters {
+		if got := c.Value(); got != uint64(i+1) || snap[c.name] != float64(i+1) {
+			t.Errorf("%s: Value %d, snapshot %v, want %d", c.name, got, snap[c.name], i+1)
+		}
+	}
+	for i, g := range m.gauges {
+		if got := g.Value(); got != int64(i+1) || snap[g.name] != float64(i+1) {
+			t.Errorf("%s: Value %d, snapshot %v, want %d", g.name, got, snap[g.name], i+1)
 		}
 	}
 }
 
 func TestGaugeNegativeDeltas(t *testing.T) {
 	m := New()
-	g := m.DES.RingOccupancy
-	s := m.Shard()
-	g.Add(s, 10)
-	g.Add(s, -4)
-	g.Cell(s).Add(-1)
+	g := m.Serve.QueueDepth
+	g.Add(10)
+	g.Add(-4)
+	g.Add(-1)
 	if got := g.Value(); got != 5 {
 		t.Fatalf("Value() = %d, want 5", got)
 	}
 }
 
+// TestProbeIncrementsAreAllocFree: adding to the hub — a publication, or a
+// per-cell increment — allocates nothing.
 func TestProbeIncrementsAreAllocFree(t *testing.T) {
 	m := New()
-	des := m.NewDESProbes()
-	bgp := m.NewBGPProbes()
 	allocs := testing.AllocsPerRun(1000, func() {
-		des.Scheduled.Inc()
-		des.RingOcc.Add(1)
-		des.RingOcc.Add(-1)
-		bgp.AnnouncementsSent.Inc()
-		bgp.InternBytes.Add(48)
+		m.DES.EventsScheduled.Add(48)
+		m.BGP.AnnouncementsSent.Inc()
+		m.Serve.QueueDepth.Add(1)
+		m.Serve.QueueDepth.Add(-1)
 	})
 	if allocs != 0 {
-		t.Fatalf("probe increments allocated %.1f per run, want 0", allocs)
+		t.Fatalf("hub increments allocated %.1f per run, want 0", allocs)
 	}
 }
 
@@ -83,9 +86,8 @@ func TestConcurrentIncrementsExact(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cell := c.Cell(m.Shard())
 			for j := 0; j < per; j++ {
-				cell.Inc()
+				c.Inc()
 			}
 		}()
 	}
@@ -97,9 +99,9 @@ func TestConcurrentIncrementsExact(t *testing.T) {
 
 func TestWritePrometheusFormat(t *testing.T) {
 	m := New()
-	m.DES.EventsScheduled.Add(m.Shard(), 7)
-	m.DES.RingOccupancy.Add(m.Shard(), 3)
-	m.Core.CellSeconds.Observe(0, 0.5)
+	m.DES.EventsScheduled.Add(7)
+	m.Serve.QueueDepth.Add(3)
+	m.Core.CellSeconds.Observe(0.5)
 
 	var sb strings.Builder
 	if err := m.WritePrometheus(&sb); err != nil {
@@ -111,8 +113,8 @@ func TestWritePrometheusFormat(t *testing.T) {
 		"# HELP bgpchurn_des_events_scheduled_total ",
 		"# TYPE bgpchurn_des_events_scheduled_total counter",
 		"bgpchurn_des_events_scheduled_total 7\n",
-		"# TYPE bgpchurn_des_ring_occupancy gauge",
-		"bgpchurn_des_ring_occupancy 3\n",
+		"# TYPE bgpchurn_serve_queue_depth gauge",
+		"bgpchurn_serve_queue_depth 3\n",
 		"# TYPE bgpchurn_core_cell_seconds histogram",
 		`bgpchurn_core_cell_seconds_bucket{le="0.5"} 1`,
 		`bgpchurn_core_cell_seconds_bucket{le="+Inf"} 1`,
@@ -136,7 +138,7 @@ func TestSnapshotCoversEveryMetric(t *testing.T) {
 	if len(snap) != want {
 		t.Fatalf("snapshot has %d entries, want %d", len(snap), want)
 	}
-	m.BGP.MRAIFlushes.Add(0, 4)
+	m.BGP.MRAIFlushes.Add(4)
 	if got := m.Snapshot()["bgpchurn_bgp_mrai_flushes_total"]; got != 4 {
 		t.Fatalf("snapshot counter = %v, want 4", got)
 	}

@@ -24,7 +24,7 @@ func get(t *testing.T, url string) (int, string, http.Header) {
 
 func TestServeEndpoints(t *testing.T) {
 	m := New()
-	m.DES.EventsFired.Add(0, 11)
+	m.DES.EventsFired.Add(11)
 	srv, err := Serve(":0", m)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestServeSecondHubReplacesExpvar(t *testing.T) {
 	s1.Close()
 
 	m2 := New()
-	m2.BGP.WithdrawalsSent.Add(0, 3)
+	m2.BGP.WithdrawalsSent.Add(3)
 	s2, err := Serve(":0", m2)
 	if err != nil {
 		t.Fatal(err)

@@ -40,7 +40,7 @@ func (s *Server) dispatch() {
 			j.state = JobRunning
 		}
 		c.state = cellRunning
-		s.probes.CellsDispatched.Inc()
+		s.metrics.Serve.CellsDispatched.Inc()
 		go s.runCell(c)
 	}
 }
@@ -176,19 +176,19 @@ func (s *Server) finishJobLocked(j *Job) {
 	switch {
 	case failed > 0:
 		j.state = JobFailed
-		s.probes.JobsFailed.Inc()
+		s.metrics.Serve.JobsFailed.Inc()
 	case cancelled > 0:
 		j.state = JobCancelled
-		s.probes.JobsCancelled.Inc()
+		s.metrics.Serve.JobsCancelled.Inc()
 	default:
 		j.state = JobDone
-		s.probes.JobsCompleted.Inc()
+		s.metrics.Serve.JobsCompleted.Inc()
 	}
 	j.finished = time.Now()
 	j.cancel(nil) // release the deadline timer, if any
 
 	s.active--
-	s.probes.QueueDepth.Add(-1)
+	s.metrics.Serve.QueueDepth.Add(-1)
 
 	// Retire from the tenant's FIFO; drop the tenant entirely when idle so
 	// the WRR ring only visits tenants with work.

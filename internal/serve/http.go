@@ -57,13 +57,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		s.probes.JobsRejected.Inc()
+		s.metrics.Serve.JobsRejected.Inc()
 		writeError(w, http.StatusBadRequest, "invalid submission: %v", err)
 		return
 	}
 	j, err := s.buildJob(req)
 	if err != nil {
-		s.probes.JobsRejected.Inc()
+		s.metrics.Serve.JobsRejected.Inc()
 		writeError(w, http.StatusBadRequest, "invalid submission: %v", err)
 		return
 	}
@@ -78,7 +78,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.active >= s.cfg.QueueCap {
 		s.mu.Unlock()
 		j.cancel(errors.New("serve: shed"))
-		s.probes.JobsShed.Inc()
+		s.metrics.Serve.JobsShed.Inc()
 		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds())))
 		writeError(w, http.StatusTooManyRequests,
 			"admission queue full (%d jobs); retry after %s", s.cfg.QueueCap, s.cfg.RetryAfter)
@@ -97,8 +97,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	t.jobs = append(t.jobs, j)
 	s.active++
-	s.probes.JobsAdmitted.Inc()
-	s.probes.QueueDepth.Add(1)
+	s.metrics.Serve.JobsAdmitted.Inc()
+	s.metrics.Serve.QueueDepth.Add(1)
 	s.cond.Broadcast()
 	view := j.viewLocked(false)
 	s.mu.Unlock()

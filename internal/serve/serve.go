@@ -89,7 +89,6 @@ type Server struct {
 	cfg       Config
 	sched     *core.Scheduler
 	metrics   *obs.Metrics
-	probes    *obs.ServeProbes
 	recovered int
 	mux       *http.ServeMux
 	progress  *obs.ProgressBroker // global /progress feed
@@ -150,7 +149,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		sched:    core.NewScheduler(1),
 		metrics:  m,
-		probes:   m.NewServeProbes(),
 		progress: obs.NewProgressBroker(),
 		jobs:     map[string]*Job{},
 		tenants:  map[string]*tenant{},
@@ -168,7 +166,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.recovered = seeded
 		if seeded > 0 {
-			s.probes.CellsRecovered.Add(uint64(seeded))
+			s.metrics.Serve.CellsRecovered.Add(uint64(seeded))
 		}
 	}
 
@@ -252,7 +250,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		<-s.drained
 	}
 	s.closeJournal()
-	s.probes.ObserveDrain(time.Since(start))
+	s.metrics.Serve.DrainSeconds.Observe(time.Since(start).Seconds())
 	return nil
 }
 

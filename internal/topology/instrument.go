@@ -7,10 +7,10 @@ import (
 	"bgpchurn/internal/obs"
 )
 
-// genProbes is the package-wide probe block for Generate. Topology
-// generation has no long-lived per-consumer object to hang probes on (it
-// is a free function called from many goroutines), so the block lives in
-// an atomic pointer: nil — the default — costs one atomic load per
+// genProbes is the package-wide handle to the hub's generation metrics.
+// Topology generation has no long-lived per-consumer object to hang a hub
+// on (it is a free function called from many goroutines), so the handle
+// lives in an atomic pointer: nil — the default — costs one atomic load per
 // Generate call, nothing per node or edge.
 var genProbes atomic.Pointer[obs.TopoProbes]
 
@@ -45,10 +45,10 @@ func instrumentGen(p *obs.TopoProbes, start time.Time, nodes, edges int, pt *pha
 	p.Generated.Inc()
 	p.Nodes.Add(uint64(nodes))
 	p.Edges.Add(uint64(edges))
-	p.ObserveGen(time.Since(start))
+	p.GenSeconds.Observe(time.Since(start).Seconds())
 	for ph, d := range pt.laps {
 		if d > 0 {
-			p.ObservePhase(obs.GenPhase(ph), d)
+			p.PhaseSeconds[ph].Observe(d.Seconds())
 		}
 	}
 }
