@@ -1,7 +1,7 @@
 package bgpchurn
 
-// Differential tier for the topology generator: the Fenwick samplers, shared
-// customer cones and region-bucketed peering pools must reproduce the
+// Differential tier for the topology generator: the Fenwick samplers, the
+// M-node relation and region-bucketed peering pools must reproduce the
 // reference generator (gen_reference_test.go) bit for bit — same RNG draw
 // sequence, same picks, hence the same Topology down to neighbor-list
 // order. These tests compare complete topologies (every node field, every
@@ -102,19 +102,24 @@ func TestGeneratorEquivalentAcrossScenarios(t *testing.T) {
 // TestGeneratorPhaseTimings checks that an attached metrics hub records a
 // per-phase wall-time histogram for every generation phase, and that the
 // phase breakdown lands in the flat snapshot the run manifest captures.
+// A growth step then observes every phase but the clique once more: the
+// benchmark's cells read their set-up phases (the cones phase included,
+// which builds the M relation) from Grow.
 func TestGeneratorPhaseTimings(t *testing.T) {
 	m := NewObsMetrics()
 	InstrumentTopologyGeneration(m)
 	defer InstrumentTopologyGeneration(nil)
-	if _, err := GenerateTopology(Baseline.Params(2000, 5)); err != nil {
+	topo, err := GenerateTopology(Baseline.Params(2000, 5))
+	if err != nil {
 		t.Fatal(err)
 	}
 	snap := m.Snapshot()
 	if snap["bgpchurn_topo_gen_seconds_count"] != 1 {
 		t.Fatalf("generation not observed: %v", snap["bgpchurn_topo_gen_seconds_count"])
 	}
+	phases := []string{"clique", "mnodes", "stubs", "cones", "mpeering", "cppeering"}
 	var phaseSum float64
-	for _, ph := range []string{"clique", "mnodes", "stubs", "cones", "mpeering", "cppeering"} {
+	for _, ph := range phases {
 		name := "bgpchurn_topo_phase_" + ph + "_seconds"
 		if snap[name+"_count"] != 1 {
 			t.Fatalf("phase %s not observed exactly once: %v", ph, snap[name+"_count"])
@@ -123,6 +128,20 @@ func TestGeneratorPhaseTimings(t *testing.T) {
 	}
 	if total := snap["bgpchurn_topo_gen_seconds_sum"]; phaseSum > total {
 		t.Fatalf("phase breakdown %v exceeds generation total %v", phaseSum, total)
+	}
+	if _, err := GrowTopology(topo, Baseline.Params(3000, 5)); err != nil {
+		t.Fatal(err)
+	}
+	grown := m.Snapshot()
+	for _, ph := range phases {
+		name := "bgpchurn_topo_phase_" + ph + "_seconds_count"
+		want := 1.0
+		if ph == "clique" {
+			want = 0
+		}
+		if got := grown[name] - snap[name]; got != want {
+			t.Fatalf("grow observed phase %s %v times, want %v", ph, got, want)
+		}
 	}
 }
 
@@ -149,9 +168,8 @@ func TestGrowEquivalentAcrossScenarios(t *testing.T) {
 
 // TestGrowDrawSequenceParityAtScale proves sampler parity beyond the
 // differential sizes: at n = 20k — where the Fenwick samplers take thousands
-// of draws per phase and the shared cones switch to their dense
-// representation — direct generation and a 10k → 20k growth step must each
-// match the reference.
+// of draws per phase and the M relation's rows span 47 words — direct
+// generation and a 10k → 20k growth step must each match the reference.
 func TestGrowDrawSequenceParityAtScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the reference at n=20k is quadratic; skipped in -short")

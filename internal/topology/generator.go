@@ -18,8 +18,8 @@ import (
 // connectivity, simple graph (no parallel links), and no peering between a
 // node and a member of its customer tree.
 //
-// Selection runs on the Fenwick-indexed samplers (sampler.go), the shared
-// customer cones (cones.go) and region-bucketed peering pools: every pick
+// Selection runs on the Fenwick-indexed samplers (sampler.go), the M-node
+// relation bitsets (mrelation.go) and region-bucketed peering pools: every pick
 // consumes exactly one Intn over the same total as a linear scan of the
 // candidates would, so the output is byte-identical to the O(n²) reference
 // generator kept as the executable specification at the module root
@@ -51,7 +51,7 @@ func Generate(p Params) (*Topology, error) {
 	g.addStubs(CP, p.NCP, p.DCP, p.TCP, p.CPSpread)
 	g.addStubs(C, p.NC, p.DC, p.TC, 0)
 	pt.lap(obs.PhaseStubs)
-	g.prepareCones()
+	g.buildMRelation()
 	pt.lap(obs.PhaseCones)
 	g.addMPeering()
 	pt.lap(obs.PhaseMPeering)
@@ -104,19 +104,20 @@ type builder struct {
 	cpIDs []NodeID
 	// samp holds the Fenwick samplers.
 	samp *samplers
-	// coneSets are the shared size-adaptive customer cones, built once
-	// after the transit phase.
-	coneSets []coneSet
-	// ancMark/ancEpoch/ancStack are the scratch state of the transitive-
-	// provider walk in excludeConeRelated; mMaskR, qMask and mProv are the
-	// phase scratch built by prepareMPeeringScratch (per-region M-membership
-	// bitmasks, the per-round OR of them, and M-only provider lists).
-	ancMark  []uint32
-	ancEpoch uint32
-	ancStack []NodeID
-	mMaskR   [][]uint64
-	qMask    []uint64
-	mProv    [][]NodeID
+	// mIndex maps a NodeID to its index in mIDs, or -1; rel holds the M
+	// relation, one row of relW words per M node (mrelation.go). Both are
+	// built once after the transit phase.
+	mIndex []int32
+	rel    []uint64
+	relW   int
+	// mMaskR and qMask are the M-peering phase scratch built by
+	// prepareMPeeringScratch: per-region M-membership masks over M index and
+	// the per-round OR of them.
+	mMaskR [][]uint64
+	qMask  []uint64
+	// nbrMark/nbrEpoch mark a CP node's neighbors in addUniformPeers.
+	nbrMark  []uint32
+	nbrEpoch uint32
 	// candScratch/eligScratch are reused across addUniformPeers calls.
 	candScratch []NodeID
 	eligScratch []NodeID
@@ -145,9 +146,6 @@ func (g *builder) initSamplers() {
 	}
 	g.samp = s
 }
-
-// inTree reports whether d is in a's precomputed customer cone.
-func (g *builder) inTree(a, d NodeID) bool { return g.coneSets[a].contains(d) }
 
 func edgeKey(a, b NodeID) uint64 {
 	if a > b {
@@ -324,29 +322,23 @@ func (g *builder) pickMProvider(id NodeID) NodeID {
 	return g.samp.transitM.draw(g.r, g.topo.Nodes[id].Regions)
 }
 
-// peeringAllowed checks the peering invariants for a candidate pair:
-// distinct, region-overlapping, not already linked, and neither node in the
-// other's customer tree (a node never peers into its own revenue tree).
+// peeringAllowed checks the peering invariants for CP node a and a
+// candidate b: distinct, region-overlapping, not already linked, and a not
+// in b's customer tree (a stub has no tree of its own, so that is the only
+// direction that can hold).
 func (g *builder) peeringAllowed(a, b NodeID) bool {
-	if a == b || g.adjacent(a, b) {
-		return false
-	}
-	if !g.topo.Nodes[a].Regions.Overlaps(g.topo.Nodes[b].Regions) {
-		return false
-	}
-	if g.inTree(a, b) || g.inTree(b, a) {
-		return false
-	}
-	return true
+	return a != b && !g.adjacent(a, b) &&
+		g.topo.Nodes[a].Regions.Overlaps(g.topo.Nodes[b].Regions) &&
+		!g.providesTo(b, a)
 }
 
 // addMPeering gives each M node from index peerFromM on ~PM peering links
 // to other M nodes chosen by preferential attachment on peering degree, on a
 // peerDegree+1 Fenwick sampler. Per M node a, the peeringAllowed rejections
-// are pre-excluded once — a itself, its neighbors, its cone, its transitive
-// providers — then each accepted link only excludes the new peer; one round
-// of exclusions serves all ~PM slots, whose draws differ only by the nodes
-// linked in between.
+// are pre-excluded once — a itself, its neighbors, and its relation row (its
+// cone and its transitive providers) — then each accepted link only
+// excludes the new peer; one round of exclusions serves all ~PM slots, whose
+// draws differ only by the nodes linked in between.
 func (g *builder) addMPeering() {
 	s := newPASampler(g.p.N, len(g.mIDs))
 	for _, m := range g.mIDs {
@@ -354,7 +346,8 @@ func (g *builder) addMPeering() {
 	}
 	g.samp.peerM = s
 	g.prepareMPeeringScratch()
-	for _, a := range g.mIDs[g.peerFromM:] {
+	for k := g.peerFromM; k < len(g.mIDs); k++ {
+		a := g.mIDs[k]
 		want := g.r.CountAroundMean(g.p.PM, 0)
 		if want == 0 {
 			continue
@@ -378,8 +371,8 @@ func (g *builder) addMPeering() {
 				s.exclude(x)
 			}
 		}
-		g.excludeConeRelated(a, q, qMask, s)
-		for k := 0; k < want; k++ {
+		g.excludeRelated(k, qMask, s)
+		for j := 0; j < want; j++ {
 			b := s.draw(g.r, nd.Regions)
 			if b == None {
 				break // no eligible peer remains for a
@@ -397,6 +390,7 @@ func (g *builder) addMPeering() {
 func (g *builder) addCPPeering() {
 	mb := newRegionBuckets(g.p.Regions, g.mIDs, g.topo.Nodes)
 	cpb := newRegionBuckets(g.p.Regions, g.cpIDs, g.topo.Nodes)
+	g.nbrMark = make([]uint32, len(g.topo.Nodes))
 	for _, a := range g.cpIDs[g.peerFromCP:] {
 		g.addUniformPeers(a, mb, g.p.PCPM)
 		g.addUniformPeers(a, cpb, g.p.PCPCP)
@@ -418,29 +412,24 @@ func (g *builder) addUniformPeers(a NodeID, buckets *regionBuckets, mean float64
 	// instead of a hash lookup per candidate (the lists and the edge map are
 	// kept in sync, so the answers are identical).
 	nd := &g.topo.Nodes[a]
-	g.ancEpoch++
-	if g.ancEpoch == 0 {
-		for i := range g.ancMark {
-			g.ancMark[i] = 0
-		}
-		g.ancEpoch = 1
+	g.nbrEpoch++
+	if g.nbrEpoch == 0 {
+		clear(g.nbrMark)
+		g.nbrEpoch = 1
 	}
 	for _, x := range nd.Providers {
-		g.ancMark[x] = g.ancEpoch
+		g.nbrMark[x] = g.nbrEpoch
 	}
 	for _, x := range nd.Customers {
-		g.ancMark[x] = g.ancEpoch
+		g.nbrMark[x] = g.nbrEpoch
 	}
 	for _, x := range nd.Peers {
-		g.ancMark[x] = g.ancEpoch
+		g.nbrMark[x] = g.nbrEpoch
 	}
 	g.candScratch = buckets.candidates(nd.Regions, g.candScratch[:0])
 	eligible := g.eligScratch[:0]
 	for _, c := range g.candScratch {
-		if c == a || g.ancMark[c] == g.ancEpoch {
-			continue
-		}
-		if g.inTree(a, c) || g.inTree(c, a) {
+		if c == a || g.nbrMark[c] == g.nbrEpoch || g.providesTo(c, a) {
 			continue
 		}
 		eligible = append(eligible, c)

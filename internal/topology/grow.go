@@ -86,7 +86,7 @@ func Grow(t *Topology, p Params) (*Topology, error) {
 	g.addStubs(CP, p.NCP-c[CP], p.DCP, p.TCP, p.CPSpread)
 	g.addStubs(C, p.NC-c[C], p.DC, p.TC, 0)
 	pt.lap(obs.PhaseStubs)
-	g.prepareCones()
+	g.buildMRelation()
 	pt.lap(obs.PhaseCones)
 	g.addMPeering()
 	pt.lap(obs.PhaseMPeering)
