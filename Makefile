@@ -47,10 +47,12 @@ cross:
 # its per-run tallies to the hub after the window crew has joined, and that
 # join is the only thing ordering the workers' tally writes before the
 # coordinator's reads — so an instrumented sharded cell (root package) and a
-# grid scraped while its networks publish run ten times too.
+# grid scraped while its networks publish run ten times too. So does the
+# per-event counter window, because window workers write the shards' update
+# kind counts and EndCause reads them only after the crew has joined.
 race:
 	$(GO) test -race -count=1 ./...
-	$(GO) test -race -count=10 -timeout 15m -run 'Crew|PartitionInvariance|Windowed|AdmissionCompletion|DecideAfter|Touched|SessionResetDropsInFlight|CoreBudget|RaceObsScrapeDuringGrid|RaceShardedCell' . ./internal/des/ ./internal/bgp/ ./internal/core/
+	$(GO) test -race -count=10 -timeout 15m -run 'Crew|PartitionInvariance|Windowed|AdmissionCompletion|DecideAfter|Touched|SessionResetDropsInFlight|CoreBudget|RaceObsScrapeDuringGrid|RaceShardedCell|CauseIsCounterWindow' . ./internal/des/ ./internal/bgp/ ./internal/core/
 
 # bench runs every benchmark once so the suite cannot silently rot; it is a
 # compile-and-run check, not a performance measurement.

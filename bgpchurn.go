@@ -443,9 +443,9 @@ func ReadSpanJSONL(r io.Reader) ([]SpanRecord, error) { return obs.ReadSpanJSONL
 // subscribers; obtain a server's broker via ObsServer.Progress.
 type ProgressBroker = obs.ProgressBroker
 
-// CauseID identifies one routing event of a traced network: what
+// CauseID identifies one routing event of a network: what
 // Network.BeginCause returns and EventAttribution.Cause names
-// (0 = tracing off / no open cause).
+// (0 = no open cause).
 type CauseID = bgp.CauseID
 
 // CauseKind classifies the routing event behind a cause ID.

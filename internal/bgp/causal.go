@@ -1,24 +1,18 @@
 package bgp
 
-// Causal churn tracing. The paper measures churn one routing event at a time
-// (§4): the origin withdraws or re-announces, or a link fails or comes back,
-// and the network converges. With a tracer attached the network accumulates,
-// for the one event open at a time, a provenance summary: updates received
-// per node type × neighbor relation (the live Eq.-1 m·q·e decomposition),
-// path-exploration depth, and duplicate/implicit-withdrawal classification.
+// Per-event churn attribution. The paper measures churn one routing event at
+// a time (§4): the origin withdraws or re-announces, or a link fails or
+// comes back, and the network converges. For the one event open at a time
+// the network reports a provenance summary: updates received per node type
+// × neighbor relation (the live Eq.-1 m·q·e decomposition), path-exploration
+// depth, and duplicate/implicit-withdrawal classification.
 //
-// One open cause (see DESIGN.md, "Causal tracing"): BeginCause opens an
-// event, clearing the accumulators; every update processed until EndCause
-// closes it at quiescence is the event's. Updates carry no cause of their
-// own: the API admits no second open event, so which event an update belongs
-// to is when it is processed, and the propagation, MRAI queues and shard
-// merges need not know.
-//
-// The tracer is inert by construction: it never mutates engine state,
-// consumes randomness or reads anything that feeds a decision, so traced
-// runs are byte-identical to bare ones at every shard count (the
-// determinism tier proves it). With no tracer attached every accounting
-// site is a single nil-check.
+// An event is a window on the engine's counters (see DESIGN.md, "Causal
+// tracing"): BeginCause records them, EndCause returns what changed since.
+// Updates carry no cause of their own: the API admits no second open event,
+// so which event an update belongs to is when it is processed, and the
+// propagation, MRAI queues and shard merges need not know. Nothing here
+// writes engine state, so attributed runs are byte-identical to bare ones.
 
 import (
 	"fmt"
@@ -30,7 +24,7 @@ import (
 // CauseID identifies one root cause: a phase of a C-event (withdraw or
 // re-announce) or a link event. IDs are assigned by BeginCause, start at 1
 // and stay unique for the lifetime of the Network (Reset does not rewind
-// them). 0 means "no cause" (tracing off, or no event open).
+// them). 0 means "no cause": no event open.
 type CauseID uint32
 
 // CauseKind classifies a root cause.
@@ -189,170 +183,122 @@ func (a *EventAttribution) Stats() map[string]float64 {
 	return s
 }
 
-// eventTally is one shard's share of the running event accounting. Shards
-// write only their own tally during parallel windows; the barrier
-// WaitGroup orders EndCause's reads after every write.
-type eventTally struct {
-	updates   uint64
-	dup       uint64
-	implicit  uint64
-	explicitW uint64
-	newAnn    uint64
-	// exploration counts best-route changes at the shard's nodes, by type.
-	exploration [4]uint64
-}
-
-// causalTrace is the per-network tracer state (nil when tracing is off).
-type causalTrace struct {
-	// slotCount[nd.row+j] counts updates node nd received from neighbor slot
-	// j during the current event (parallel to the CSR adjacency, like every
-	// per-session array). Writes are shard-disjoint: a node's row is written
-	// only by the shard owning the node.
-	slotCount []uint32
-	// tallies is indexed by shard index.
-	tallies []eventTally
-	// nextID hands out cause IDs; monotone for the Network's lifetime.
-	nextID CauseID
-	// Current event, set by BeginCause.
-	root   CauseID
+// openCause is the event BeginCause opened (id 0: none) and the engine's
+// counters as of then.
+type openCause struct {
+	id     CauseID
 	kind   CauseKind
 	origin topology.NodeID
 	start  des.Time
-	// Static topology attribution denominators.
-	typeNodes    [4]uint64
-	typeSessions [4][3]uint64
+	// recv is every session's receive counter, parallel to Network.sess;
+	// its capacity is reused from event to event.
+	recv []uint32
+	// changes is the sum of nodes' best-route changes, by node type.
+	changes [4]uint64
+	// kinds is the shards' update-kind counts summed (see netShard.kinds).
+	kinds [8]uint64
 }
 
-// EnableCausalTrace attaches the causal tracer: from the next BeginCause
-// on, the network accumulates per-event attribution. Idempotent; survives
-// Reset and Grow (build re-sizes it). Tracing changes no results — only
-// what is observed.
-func (net *Network) EnableCausalTrace() {
-	if net.causal == nil {
-		net.causal = &causalTrace{}
+// Update kinds: the cell of netShard.kinds an update is counted in is
+// withdrawal<<2 | held-nothing<<1 | same-path, read off the receiver's
+// Adj-RIB-In entry before the update is installed.
+const (
+	kindWithdraw = 4
+	kindHadNone  = 2
+	kindSame     = 1
+)
+
+// b2u is 1 for true and 0 for false, without a branch.
+func b2u(b bool) uint {
+	var u uint
+	if b {
+		u = 1
 	}
-	net.attachCausal()
+	return u
 }
 
-// CausalTraceEnabled reports whether the causal tracer is attached.
-func (net *Network) CausalTraceEnabled() bool { return net.causal != nil }
-
-// attachCausal (re)sizes the tracer for the current topology and shard
-// array; called by EnableCausalTrace and by build (so Grow keeps tracing
-// attached across the rebuild). No-op when no tracer is attached.
-func (net *Network) attachCausal() {
-	tr := net.causal
-	if tr == nil {
-		return
-	}
-	sessions := len(net.adj.IDs)
-	if cap(tr.slotCount) < sessions {
-		tr.slotCount = make([]uint32, sessions)
-	} else {
-		tr.slotCount = tr.slotCount[:sessions]
-	}
-	tr.tallies = make([]eventTally, len(net.shards))
-	tr.typeNodes = [4]uint64{}
-	tr.typeSessions = [4][3]uint64{}
-	for i := range net.nodes {
-		nd := &net.nodes[i]
-		tr.typeNodes[nd.typ]++
-		for _, rel := range net.nbrRels(nd) {
-			tr.typeSessions[nd.typ][rel]++
+// kindCounts returns the shards' update-kind counts summed.
+func (net *Network) kindCounts() [8]uint64 {
+	var k [8]uint64
+	for _, sh := range net.shards {
+		for i, c := range sh.kinds {
+			k[i] += c
 		}
 	}
+	return k
 }
 
 // BeginCause opens a new root cause of the given kind originating at
-// origin (topology.None for network-wide events): the per-event
-// accumulators are cleared, so every update processed from now until
+// origin (topology.None for network-wide events) and returns its ID: it
+// records the engine's counters, so every update processed from now until
 // EndCause — the propagation of the API calls that follow — is attributed
-// to the new cause. Returns 0 (and does nothing) when tracing is off.
+// to the new cause.
 func (net *Network) BeginCause(kind CauseKind, origin topology.NodeID) CauseID {
-	tr := net.causal
-	if tr == nil {
-		return 0
+	c := &net.cause
+	net.nextCause++
+	c.id, c.kind, c.origin, c.start = net.nextCause, kind, origin, net.Now()
+	c.recv = recvCounts(c.recv[:0], net.sess)
+	c.changes = [4]uint64{}
+	for i := range net.nodes {
+		nd := &net.nodes[i]
+		c.changes[nd.typ] += uint64(nd.bestChanges)
 	}
-	tr.nextID++
-	tr.root, tr.kind, tr.origin, tr.start = tr.nextID, kind, origin, net.Now()
-	clear(tr.slotCount)
-	clear(tr.tallies)
-	return tr.root
+	c.kinds = net.kindCounts()
+	return c.id
 }
 
-// EndCause closes the current root cause and returns its attribution: one
-// O(sessions) scan groups the per-slot receive counts by node type ×
-// relation, and the shard tallies are summed. Call it at quiescence (after
-// Run); the zero value is returned when tracing is off or no cause is
-// open.
+// EndCause closes the current root cause and returns its attribution, the
+// change of the engine's counters since BeginCause: one O(sessions) scan
+// groups the receive counts that grew by node type × relation and counts
+// the sessions and nodes they are shares of, and the shards' kind counts
+// fold into the four update classes. Call it at quiescence (after Run); the
+// zero value is returned when no cause is open — none was begun, or a
+// counter reset (ResetCounters, Reset, Grow) discarded it.
 func (net *Network) EndCause() EventAttribution {
-	tr := net.causal
-	if tr == nil || tr.root == 0 {
+	c := &net.cause
+	if c.id == 0 {
 		return EventAttribution{}
 	}
 	a := EventAttribution{
-		Cause:  tr.root,
-		Kind:   tr.kind,
-		Origin: tr.origin,
-		Start:  tr.start,
+		Cause:  c.id,
+		Kind:   c.kind,
+		Origin: c.origin,
+		Start:  c.start,
 		End:    net.Now(),
 	}
+	c.id = 0
 	for i := range net.nodes {
 		nd := &net.nodes[i]
 		ta := &a.ByType[nd.typ]
+		ta.Nodes++
+		ta.Exploration += uint64(nd.bestChanges)
+		rows, was := net.sessions(nd), c.recv[nd.row:nd.row+nd.deg]
 		for j, rel := range net.nbrRels(nd) {
-			c := tr.slotCount[nd.row+int32(j)]
-			if c == 0 {
-				continue
+			ra := &ta.ByRel[rel]
+			ra.Sessions++
+			if d := rows[j].recv - was[j]; d > 0 {
+				ra.Updates += uint64(d)
+				ra.Active++
 			}
-			ta.ByRel[rel].Updates += uint64(c)
-			ta.ByRel[rel].Active++
 		}
 	}
-	for k := range tr.tallies {
-		t := &tr.tallies[k]
-		a.Updates += t.updates
-		a.Duplicates += t.dup
-		a.ImplicitWithdrawals += t.implicit
-		a.ExplicitWithdrawals += t.explicitW
-		a.NewAnnouncements += t.newAnn
-		for typ := range t.exploration {
-			a.ByType[typ].Exploration += t.exploration[typ]
-		}
+	for t := range a.ByType {
+		a.ByType[t].Exploration -= c.changes[t]
 	}
-	for typ := range a.ByType {
-		a.ByType[typ].Nodes = tr.typeNodes[typ]
-		for r := range a.ByType[typ].ByRel {
-			a.ByType[typ].ByRel[r].Sessions = tr.typeSessions[typ][r]
-		}
+	k := net.kindCounts()
+	for i := range k {
+		k[i] -= c.kinds[i]
+		a.Updates += k[i]
 	}
-	tr.root = 0
+	// A withdrawal of a held route is explicit, of none a duplicate. An
+	// announcement installing a route where none was held is new (a looped
+	// one is installed as a withdrawal, so it may also match), one of the
+	// held path a duplicate, and any other an implicit withdrawal. A
+	// withdrawal matches the held entry exactly when none is held, so
+	// cells 5 and 6 stay empty.
+	a.Duplicates = k[kindWithdraw|kindHadNone|kindSame] + k[kindSame]
+	a.ExplicitWithdrawals = k[kindWithdraw]
+	a.NewAnnouncements = k[kindHadNone] + k[kindHadNone|kindSame]
+	a.ImplicitWithdrawals = k[0]
 	return a
-}
-
-// record accounts one processed update for the current event: the
-// receiver's (node, slot) cell plus the classification tally. withdraw
-// reports whether the update was a withdrawal; same whether it left the
-// receiver's Adj-RIB-In entry unchanged; hadNone whether no route was held
-// from the sender before it. Runs on the receiver's shard.
-func (tr *causalTrace) record(sh *netShard, to *node, fromSlot int32, withdraw, same, hadNone bool) {
-	tr.slotCount[to.row+fromSlot]++
-	t := &tr.tallies[sh.idx]
-	t.updates++
-	if withdraw {
-		if hadNone {
-			t.dup++
-		} else {
-			t.explicitW++
-		}
-		return
-	}
-	switch {
-	case hadNone:
-		t.newAnn++
-	case same:
-		t.dup++
-	default:
-		t.implicit++
-	}
 }

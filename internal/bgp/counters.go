@@ -129,8 +129,10 @@ func (net *Network) PeakUpdateRate() uint64 {
 
 // ResetCounters zeroes every measurement counter, starting a new window.
 // Routing state and timers are untouched: the paper resets counting after
-// the initial prefix propagation, then measures the C-event.
+// the initial prefix propagation, then measures the C-event. An open cause
+// is discarded (see EndCause).
 func (net *Network) ResetCounters() {
+	net.cause.id = 0
 	for _, sh := range net.shards {
 		sh.resetRate()
 	}

@@ -102,11 +102,10 @@ type Network struct {
 	// way; only tests set it, to run the all-evented reference.
 	allEvented bool
 
-	// causal is the attached causal tracer (nil when tracing is off; see
-	// causal.go). It is shard-safe by construction — every write it takes
-	// during a window is shard-disjoint — so it never forces sequential
-	// execution.
-	causal *causalTrace
+	// cause is the open event and the counters as of its BeginCause;
+	// nextCause is the last cause ID handed out (see causal.go).
+	cause     openCause
+	nextCause CauseID
 
 	// obs is the attached metrics hub (nil when detached); publish adds the
 	// network's counts to it. interned is the intern table's counts as of
@@ -206,8 +205,6 @@ func (net *Network) build(topo *topology.Topology) error {
 			out[j].nd, out[j].slot = nd, int32(j)
 		}
 	}
-	// Re-size the causal tracer if one is attached.
-	net.attachCausal()
 	return nil
 }
 
@@ -404,6 +401,7 @@ func (net *Network) Reset(seed uint64) { net.reinit(seed) }
 // cleared (see PathID).
 func (net *Network) reinit(seed uint64) {
 	net.publish(0)
+	net.cause.id = 0 // a counter window across a reset means nothing
 	for _, sh := range net.shards {
 		sh.sched.Reset(true)
 		sh.horizon = 0
@@ -583,9 +581,7 @@ func (net *Network) process(nd *node, at des.Time, fromSlot int32, prefix Prefix
 	had := r.id
 	same, hadNone := had == pathID, had == NoPath
 	r.install(pathID, len(path))
-	if tr := net.causal; tr != nil {
-		tr.record(sh, nd, fromSlot, withdraw, same, hadNone)
-	}
+	sh.kinds[b2u(withdraw)<<2|b2u(hadNone)<<1|b2u(same)]++
 	if d := &net.cfg.Dampening; d.Enabled && !hadNone {
 		// RFC 2439 flap accounting: a withdrawal of a reachable route, or an
 		// announcement replacing it with a different path.
@@ -665,9 +661,6 @@ func (net *Network) adopt(nd *node, f Prefix, ps *prefixState, slot int32, id Pa
 		ps.bestSlot, ps.bestID = slot, id
 		ps.fullValid = false // the cached advertisement body is stale
 		nd.bestChanges++
-		if tr := net.causal; tr != nil {
-			tr.tallies[nd.sh.idx].exploration[nd.typ]++
-		}
 		// A silent node exports to nobody and has nothing on any wire:
 		// reconcile would build (and intern) an advertisement body no one is
 		// ever sent and walk every output queue to find it empty. The checker

@@ -66,11 +66,13 @@ type netShard struct {
 	net *Network
 	idx int
 	// totalUpdates counts updates processed by this shard's nodes since the
-	// last ResetCounters. (Three words precede sched: the scheduler's 32-byte
-	// ring buckets start one word into it, and a shard is page-aligned, so
-	// this keeps every bucket inside one cache line. TestKernelLayoutBudget
-	// pins it.)
+	// last ResetCounters, and kinds counts the same updates by kind (see
+	// kindWithdraw) for per-event classification. (Eleven words precede
+	// sched: the scheduler's 32-byte ring buckets start one word into it,
+	// and a shard is page-aligned, so this keeps every bucket inside one
+	// cache line. TestKernelLayoutBudget pins it.)
 	totalUpdates uint64
+	kinds        [8]uint64
 
 	sched des.Scheduler
 
@@ -391,5 +393,6 @@ func (sh *netShard) tickRate(at des.Time) {
 // runs the publication mark equals the count and restarts with it.
 func (sh *netShard) resetRate() {
 	sh.totalUpdates, sh.publishedUpdates = 0, 0
+	sh.kinds = [8]uint64{}
 	sh.rate, sh.rateBase = sh.rate[:0], sh.sched.Now()/des.Second
 }

@@ -81,13 +81,12 @@ type Config struct {
 	// (see internal/obs). Metrics never affect results, and are excluded
 	// from the scheduler's cache key for the same reason Parallelism is.
 	Obs *obs.Metrics
-	// Spans, when non-nil, enables causal tracing: every worker network is
-	// run with a causal tracer attached (bgp.EnableCausalTrace), each
-	// origin's DOWN and UP phases become root causes, and per-origin and
-	// per-event spans — with live Eq.-1 m·q·e attribution in their Stats —
-	// are appended to the recorder. Tracing never changes results (the
-	// determinism tier proves byte-identical output at every shard count),
-	// so Spans is excluded from the cache key like Obs.
+	// Spans, when non-nil, enables causal tracing: each origin's DOWN and
+	// UP phases become root causes (bgp.Network.BeginCause), and per-origin
+	// and per-event spans — with live Eq.-1 m·q·e attribution in their
+	// Stats — are appended to the recorder. Tracing never changes results
+	// (the determinism tier proves byte-identical output at every shard
+	// count), so Spans is excluded from the cache key like Obs.
 	Spans *obs.SpanRecorder
 	// CellTimeout, when positive, bounds the wall-clock time of each grid
 	// cell run through the scheduler. A cell exceeding it fails with a
@@ -263,9 +262,6 @@ func RunCEventsContext(ctx context.Context, topo *topology.Topology, cfg Config)
 		net := bgp.MustNew(topo, cfg.BGP)
 		if cfg.Obs != nil {
 			net.SetObs(cfg.Obs)
-		}
-		if cfg.Spans != nil {
-			net.EnableCausalTrace()
 		}
 		var acc originAccum
 		for {
