@@ -64,10 +64,13 @@ bench:
 # the path intern table must never collide or leak slab bytes, and the
 # journal loader must never panic or mis-resume on torn/corrupt files and
 # must agree with the reopen repair on what is torn. The journal harness is
-# fsync-bound: 10 s reaches a few hundred inputs.
+# fsync-bound: 10 s reaches a few hundred inputs. The generator's weighted
+# sampler must draw what the linear scan draws, because its exclusions are
+# subtracted during the draw rather than written into its trees.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzInternTable -fuzztime 15s ./internal/bgp/
 	$(GO) test -run '^$$' -fuzz FuzzOpenJournal -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzWeightedSampler -fuzztime 10s ./internal/topology/
 
 # smoke drives both binaries as real processes:
 #   - resume_smoke.sh SIGINTs a -fast grid partway, reruns it with -resume,

@@ -2,10 +2,11 @@ package bgpchurn
 
 // Causal-tracing tier. Two properties anchor the tracing layer:
 //
-//  1. Inertness — attaching a SpanRecorder (which turns on the engine's
-//     causal trace) must not change a single observable bit of any result,
-//     at any shard count, for either protocol variant. The tracer only
-//     ever reads engine state.
+//  1. Inertness — attaching a SpanRecorder (which closes each event into a
+//     span) must not change a single observable bit of any result, at any
+//     shard count, for either protocol variant. An event's attribution is
+//     a window on counters the engine keeps anyway: it only ever reads
+//     engine state.
 //
 //  2. Exactness — the live Eq.-1 attribution carried on event spans is not
 //     an estimate: re-aggregating the spans of a run must reproduce the
@@ -31,9 +32,9 @@ func spanVariant(cfg Experiment) (Experiment, *SpanRecorder) {
 	return c, c.Spans
 }
 
-// TestResultIdenticalWithSpans proves the tracer inert: spans on vs off,
+// TestResultIdenticalWithSpans proves span recording inert: spans on vs off,
 // across scenarios, protocol variants and shard counts, results are
-// byte-identical — and the tracer actually ran (spans were recorded).
+// byte-identical — and spans were actually recorded.
 func TestResultIdenticalWithSpans(t *testing.T) {
 	for _, sc := range []Scenario{Baseline, Tree} {
 		topo, err := sc.Generate(400, 37)
@@ -221,7 +222,7 @@ func TestEq1AttributionReconcilesWithAggregates(t *testing.T) {
 	}
 }
 
-// TestAttributionGolden freezes what the tracer attributes to each event:
+// TestAttributionGolden freezes what each event's counter window yields:
 // the kind, cause, origin, virtual extent and every Stats value of every
 // event span of a few small BASELINE cells — C-events and link events, both
 // protocol variants, inline and on the windowed executor at two shards.

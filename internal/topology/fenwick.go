@@ -1,5 +1,7 @@
 package topology
 
+import "slices"
+
 // fenwick is a binary-indexed tree over int64 weights, 1-based internally
 // (index 0 is unused), supporting point updates and the prefix-descent
 // select used by the accelerated preferential-attachment sampler. The tree
@@ -30,28 +32,62 @@ func highBit(n int) int {
 	return b
 }
 
+// exclusions is a draw round's excluded weight as the descent subtracts
+// it. pos holds excluded positions in ascending order and below[i] the
+// summed weight of pos[:i] when it was last summed; drift holds what
+// changed since — positions excluded later, and weight added to excluded
+// positions — in ascending order, with driftW[j] the weight at drift[j]
+// not yet in below.
+type exclusions struct {
+	pos    []int32
+	below  []int64
+	drift  []int32
+	driftW []int64
+}
+
 // descend finds the 0-based position of the element holding cumulative
-// weight target across the given trees summed position-wise: the smallest
-// position p such that sum of prefix weights through p exceeds target. All
-// trees must have the same capacity cap; high must be highBit(cap). The
-// caller guarantees 0 <= target < total summed weight, which implies the
-// returned position holds a strictly positive summed weight — exactly the
-// element a linear scan accumulating weights in position order would stop
-// at with the same target.
-func descend(trees []fenwick, high, cap int, target int64) int {
-	idx := 0
+// weight target across the given trees summed position-wise, net of the
+// excluded weight x: the smallest position p such that the net prefix
+// weight through p exceeds target. All trees must have the same capacity
+// cap; high must be highBit(cap). The caller guarantees 0 <= target < net
+// total weight, which implies the returned position holds a strictly
+// positive net weight and is not excluded — exactly the element a linear
+// scan skipping the excluded and accumulating weights in position order
+// would stop at with the same target.
+//
+// A step tests tree index next = idx+bit, which covers the 0-based positions
+// [idx, next); lo indexes the first excluded position >= idx, so the
+// exclusions inside the step's range are pos[lo:hi]. A step's range lies
+// inside the previous step's, so hi is searched for only up to end, the
+// first excluded position past that range. The few drift entries are
+// walked the same way, from dlo up to dend.
+func descend(trees []fenwick, high, cap int, x *exclusions, target int64) int {
+	idx, lo, end := 0, 0, len(x.pos)
+	dlo, dend := 0, len(x.drift)
 	var acc int64
 	for bit := high; bit > 0; bit >>= 1 {
 		next := idx + bit
-		if next <= cap {
-			var sum int64
-			for _, t := range trees {
-				sum += t[next]
-			}
-			if acc+sum <= target {
-				acc += sum
-				idx = next
-			}
+		if next > cap {
+			continue
+		}
+		var sum int64
+		for _, t := range trees {
+			sum += t[next]
+		}
+		d, _ := slices.BinarySearch(x.pos[lo:end], int32(next))
+		hi := lo + d
+		if hi > lo {
+			sum -= x.below[hi] - x.below[lo]
+		}
+		dhi := dlo
+		for ; dhi < dend && int(x.drift[dhi]) < next; dhi++ {
+			sum -= x.driftW[dhi]
+		}
+		if acc+sum <= target {
+			acc += sum
+			idx, lo, dlo = next, hi, dhi
+		} else {
+			end, dend = hi, dhi
 		}
 	}
 	return idx

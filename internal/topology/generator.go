@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"bgpchurn/internal/rng"
@@ -38,10 +39,9 @@ func Generate(p Params) (*Topology, error) {
 		pt.enabled, pt.last = true, start
 	}
 	g := &builder{
-		p:     p,
-		r:     rng.New(p.Seed),
-		topo:  &Topology{NumRegions: p.Regions, Seed: p.Seed},
-		edges: make(map[uint64]struct{}, p.N*4),
+		p:    p,
+		r:    rng.New(p.Seed),
+		topo: &Topology{NumRegions: p.Regions, Seed: p.Seed},
 	}
 	g.addTClique()
 	g.initSamplers()
@@ -58,7 +58,7 @@ func Generate(p Params) (*Topology, error) {
 	g.addCPPeering()
 	pt.lap(obs.PhaseCPPeering)
 	if probes != nil {
-		instrumentGen(probes, start, g.topo.N(), len(g.edges), &pt)
+		instrumentGen(probes, start, g.topo.N(), g.links, &pt)
 	}
 	return g.topo, nil
 }
@@ -90,9 +90,8 @@ type builder struct {
 	p    Params
 	r    *rng.Source
 	topo *Topology
-	// edges holds every existing link (transit or peer) keyed by the
-	// canonical pair encoding, to keep the graph simple.
-	edges map[uint64]struct{}
+	// links counts the links this builder added (transit and peer).
+	links int
 	// transitDegree is the preferential-attachment weight basis for
 	// provider selection (providers + customers, peers excluded).
 	transitDegree []int
@@ -106,15 +105,15 @@ type builder struct {
 	samp *samplers
 	// mIndex maps a NodeID to its index in mIDs, or -1; rel holds the M
 	// relation, one row of relW words per M node (mrelation.go). Both are
-	// built once after the transit phase.
+	// built once after the transit phase, with mSet, a one-row scratch
+	// bitset over M index for the peering phases.
 	mIndex []int32
 	rel    []uint64
 	relW   int
-	// mMaskR and qMask are the M-peering phase scratch built by
-	// prepareMPeeringScratch: per-region M-membership masks over M index and
-	// the per-round OR of them.
+	mSet   []uint64
+	// mMaskR holds per-region M-membership masks over M index, built by
+	// prepareMPeeringScratch.
 	mMaskR [][]uint64
-	qMask  []uint64
 	// nbrMark/nbrEpoch mark a CP node's neighbors in addUniformPeers.
 	nbrMark  []uint32
 	nbrEpoch uint32
@@ -145,18 +144,6 @@ func (g *builder) initSamplers() {
 		s.transitM.insert(m, g.topo.Nodes[m].Regions, int64(g.transitDegree[m]+1))
 	}
 	g.samp = s
-}
-
-func edgeKey(a, b NodeID) uint64 {
-	if a > b {
-		a, b = b, a
-	}
-	return uint64(uint32(a))<<32 | uint64(uint32(b))
-}
-
-func (g *builder) adjacent(a, b NodeID) bool {
-	_, ok := g.edges[edgeKey(a, b)]
-	return ok
 }
 
 func (g *builder) newNode(typ NodeType, regions RegionSet) NodeID {
@@ -193,7 +180,7 @@ func (g *builder) pickRegions(spread float64) RegionSet {
 func (g *builder) addTransitLink(provider, customer NodeID) {
 	g.topo.Nodes[provider].Customers = append(g.topo.Nodes[provider].Customers, customer)
 	g.topo.Nodes[customer].Providers = append(g.topo.Nodes[customer].Providers, provider)
-	g.edges[edgeKey(provider, customer)] = struct{}{}
+	g.links++
 	g.transitDegree[provider]++
 	g.transitDegree[customer]++
 	// Each endpoint lives in at most one of the two provider samplers;
@@ -207,7 +194,7 @@ func (g *builder) addTransitLink(provider, customer NodeID) {
 func (g *builder) addPeerLink(a, b NodeID) {
 	g.topo.Nodes[a].Peers = append(g.topo.Nodes[a].Peers, b)
 	g.topo.Nodes[b].Peers = append(g.topo.Nodes[b].Peers, a)
-	g.edges[edgeKey(a, b)] = struct{}{}
+	g.links++
 	g.peerDegree[a]++
 	g.peerDegree[b]++
 	// The tier-1 clique is meshed before initSamplers, and the M-peering
@@ -266,8 +253,7 @@ func (g *builder) addStubs(typ NodeType, count int, mhd, probT, spread float64) 
 //
 // Neighbor exclusion is incremental: id is brand new, so its only neighbors
 // are the providers accepted earlier in this same round — each accepted
-// provider is excluded from its sampler, and restoreAll reinstates
-// everything when the round ends.
+// provider is excluded from its sampler, and restoreAll ends the round.
 func (g *builder) connectProviders(id NodeID, mhd, probT float64, maxT, maxM int) {
 	want := g.r.CountAroundMean(mhd, 1)
 	nT, nM := 0, 0
@@ -322,23 +308,14 @@ func (g *builder) pickMProvider(id NodeID) NodeID {
 	return g.samp.transitM.draw(g.r, g.topo.Nodes[id].Regions)
 }
 
-// peeringAllowed checks the peering invariants for CP node a and a
-// candidate b: distinct, region-overlapping, not already linked, and a not
-// in b's customer tree (a stub has no tree of its own, so that is the only
-// direction that can hold).
-func (g *builder) peeringAllowed(a, b NodeID) bool {
-	return a != b && !g.adjacent(a, b) &&
-		g.topo.Nodes[a].Regions.Overlaps(g.topo.Nodes[b].Regions) &&
-		!g.providesTo(b, a)
-}
-
 // addMPeering gives each M node from index peerFromM on ~PM peering links
 // to other M nodes chosen by preferential attachment on peering degree, on a
-// peerDegree+1 Fenwick sampler. Per M node a, the peeringAllowed rejections
-// are pre-excluded once — a itself, its neighbors, and its relation row (its
-// cone and its transitive providers) — then each accepted link only
-// excludes the new peer; one round of exclusions serves all ~PM slots, whose
-// draws differ only by the nodes linked in between.
+// peerDegree+1 Fenwick sampler. Per M node a, the rejections of the
+// reference's peering check are excluded once, in ascending position order
+// (peerExclusions: a itself, its neighbors and its relation row, its cone
+// and its transitive providers), then each accepted link only excludes the
+// new peer; one round of exclusions serves all ~PM slots, whose draws
+// differ only by the nodes linked in between.
 func (g *builder) addMPeering() {
 	s := newPASampler(g.p.N, len(g.mIDs))
 	for _, m := range g.mIDs {
@@ -352,28 +329,14 @@ func (g *builder) addMPeering() {
 		if want == 0 {
 			continue
 		}
-		nd := &g.topo.Nodes[a]
-		q := nd.Regions
-		qMask := g.buildQMask(q)
-		s.exclude(a)
-		for _, x := range nd.Providers {
-			if g.topo.Nodes[x].Regions.Overlaps(q) {
-				s.exclude(x)
+		for w, v := range g.peerExclusions(k) {
+			for v != 0 {
+				s.exclude(g.mIDs[w<<6+bits.TrailingZeros64(v)])
+				v &= v - 1
 			}
 		}
-		for _, x := range nd.Customers {
-			if g.topo.Nodes[x].Regions.Overlaps(q) {
-				s.exclude(x)
-			}
-		}
-		for _, x := range nd.Peers {
-			if g.topo.Nodes[x].Regions.Overlaps(q) {
-				s.exclude(x)
-			}
-		}
-		g.excludeRelated(k, qMask, s)
 		for j := 0; j < want; j++ {
-			b := s.draw(g.r, nd.Regions)
+			b := s.draw(g.r, g.topo.Nodes[a].Regions)
 			if b == None {
 				break // no eligible peer remains for a
 			}
@@ -392,25 +355,27 @@ func (g *builder) addCPPeering() {
 	cpb := newRegionBuckets(g.p.Regions, g.cpIDs, g.topo.Nodes)
 	g.nbrMark = make([]uint32, len(g.topo.Nodes))
 	for _, a := range g.cpIDs[g.peerFromCP:] {
-		g.addUniformPeers(a, mb, g.p.PCPM)
-		g.addUniformPeers(a, cpb, g.p.PCPCP)
+		g.addUniformPeers(a, mb, g.p.PCPM, g.transitMProviders(a))
+		g.addUniformPeers(a, cpb, g.p.PCPCP, nil)
 	}
 }
 
 // addUniformPeers links a to ~mean uniformly chosen eligible candidates of
 // the bucketed pool. Only region-overlapping pool members are enumerated;
 // the bucket merge yields them in pool order, so the eligible slice — and
-// every Intn index into it — matches a full-pool scan exactly.
-func (g *builder) addUniformPeers(a NodeID, buckets *regionBuckets, mean float64) {
+// every Intn index into it — matches a full-pool scan exactly. anc is a's
+// transitMProviders bitset: an M candidate with its bit set holds a in its
+// customer cone. CP candidates have no M index, so the CP pool passes nil.
+func (g *builder) addUniformPeers(a NodeID, buckets *regionBuckets, mean float64, anc []uint64) {
 	want := g.r.CountAroundMean(mean, 0)
 	if want == 0 {
 		return
 	}
 	// Collect the eligible candidates once; uniform selection without
 	// replacement by partial shuffle. Bucket members already overlap a's
-	// regions; adjacency is tested via epoch marks on a's neighbor lists
-	// instead of a hash lookup per candidate (the lists and the edge map are
-	// kept in sync, so the answers are identical).
+	// regions; adjacency is tested via epoch marks on a's neighbor lists.
+	// Nothing drawn needs a re-check: each candidate is drawn at most once,
+	// and the round adds no transit link and no link between candidates.
 	nd := &g.topo.Nodes[a]
 	g.nbrEpoch++
 	if g.nbrEpoch == 0 {
@@ -429,7 +394,10 @@ func (g *builder) addUniformPeers(a NodeID, buckets *regionBuckets, mean float64
 	g.candScratch = buckets.candidates(nd.Regions, g.candScratch[:0])
 	eligible := g.eligScratch[:0]
 	for _, c := range g.candScratch {
-		if c == a || g.nbrMark[c] == g.nbrEpoch || g.providesTo(c, a) {
+		if c == a || g.nbrMark[c] == g.nbrEpoch {
+			continue
+		}
+		if j := g.mIndex[c]; j >= 0 && anc[j>>6]&(1<<(uint(j)&63)) != 0 {
 			continue
 		}
 		eligible = append(eligible, c)
@@ -437,12 +405,8 @@ func (g *builder) addUniformPeers(a NodeID, buckets *regionBuckets, mean float64
 	g.eligScratch = eligible
 	for s := 0; s < want && len(eligible) > 0; s++ {
 		i := g.r.Intn(len(eligible))
-		b := eligible[i]
+		g.addPeerLink(a, eligible[i])
 		eligible[i] = eligible[len(eligible)-1]
 		eligible = eligible[:len(eligible)-1]
-		// Re-check: an earlier link this round may have made b adjacent.
-		if g.peeringAllowed(a, b) {
-			g.addPeerLink(a, b)
-		}
 	}
 }

@@ -51,15 +51,13 @@ func Grow(t *Topology, p Params) (*Topology, error) {
 		pt.enabled, pt.last = true, start
 	}
 	g := &builder{
-		p:     p,
-		r:     rng.New(p.Seed),
-		topo:  cloneTopology(t),
-		edges: make(map[uint64]struct{}, p.N*4),
+		p:    p,
+		r:    rng.New(p.Seed),
+		topo: cloneTopology(t),
 	}
 	g.topo.Seed = p.Seed // provenance: the seed of the latest growth step
 	// Reconstruct the builder's incremental state from the existing graph:
-	// link set, preferential-attachment degree bases, and the per-type ID
-	// lists in creation order (node IDs are assigned in creation order, so
+	// preferential-attachment degree bases and the per-type ID lists in creation order (node IDs are assigned in creation order, so
 	// an ID-order scan recovers it — also after a previous Grow).
 	for i := range g.topo.Nodes {
 		nd := &g.topo.Nodes[i]
@@ -71,15 +69,9 @@ func Grow(t *Topology, p Params) (*Topology, error) {
 		case CP:
 			g.cpIDs = append(g.cpIDs, nd.ID)
 		}
-		for _, cust := range nd.Customers {
-			g.edges[edgeKey(nd.ID, cust)] = struct{}{}
-		}
-		for _, peer := range nd.Peers {
-			g.edges[edgeKey(nd.ID, peer)] = struct{}{}
-		}
 	}
 	g.peerFromM, g.peerFromCP = len(g.mIDs), len(g.cpIDs)
-	preNodes, preEdges := len(g.topo.Nodes), len(g.edges)
+	preNodes := len(g.topo.Nodes)
 	g.initSamplers()
 	g.addMNodes(p.NM - c[M])
 	pt.lap(obs.PhaseMNodes)
@@ -94,8 +86,8 @@ func Grow(t *Topology, p Params) (*Topology, error) {
 	pt.lap(obs.PhaseCPPeering)
 	if probes != nil {
 		// Counters record the delta this growth step created, not the
-		// inherited prefix.
-		instrumentGen(probes, start, g.topo.N()-preNodes, len(g.edges)-preEdges, &pt)
+		// inherited prefix: g.links counts only the links added here.
+		instrumentGen(probes, start, g.topo.N()-preNodes, g.links, &pt)
 	}
 	return g.topo, nil
 }

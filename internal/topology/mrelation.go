@@ -1,7 +1,5 @@
 package topology
 
-import "math/bits"
-
 // The M relation is the generator's no-valley oracle. Row k belongs to the
 // M node mIDs[k]; its bit j is set iff mIDs[j] is in mIDs[k]'s customer cone
 // or mIDs[k] is in mIDs[j]'s. M indices follow creation order, and every
@@ -31,6 +29,7 @@ func (g *builder) buildMRelation() {
 	}
 	g.relW = (len(g.mIDs) + 63) / 64
 	g.rel = make([]uint64, len(g.mIDs)*g.relW)
+	g.mSet = make([]uint64, g.relW)
 	for k, m := range g.mIDs {
 		row := g.relRow(k)
 		for _, p := range nodes[m].Providers {
@@ -61,32 +60,32 @@ func (g *builder) relRow(k int) []uint64 {
 	return g.rel[k*g.relW : (k+1)*g.relW : (k+1)*g.relW]
 }
 
-// providesTo reports whether node c is a transitive provider of stub a,
-// i.e. a is in c's customer cone: c is one of a's M providers or in the anc
-// bits of one (anc(p) holds only indices below p's). Only M nodes qualify;
-// the T nodes above a are never peering candidates.
-func (g *builder) providesTo(c, a NodeID) bool {
-	j := g.mIndex[c]
-	if j < 0 {
-		return false
-	}
+// transitMProviders returns, in the mSet scratch, stub a's transitive M
+// providers as a bitset over M index: the M nodes whose customer cone holds
+// a. They are a's M providers p and the anc bits of each (indices below
+// p's); the T nodes above a are never peering candidates.
+func (g *builder) transitMProviders(a NodeID) []uint64 {
+	x := g.mSet
+	clear(x)
 	for _, p := range g.topo.Nodes[a].Providers {
-		if k := g.mIndex[p]; k == j || k > j && g.relRow(int(k))[j>>6]&(1<<(uint(j)&63)) != 0 {
-			return true
+		if j := int(g.mIndex[p]); j >= 0 {
+			row := g.relRow(j)
+			for w, v := range row[:j>>6] {
+				x[w] |= v
+			}
+			x[j>>6] |= row[j>>6]&(1<<(uint(j)&63)-1) | 1<<(uint(j)&63)
 		}
 	}
-	return false
+	return x
 }
 
 // prepareMPeeringScratch builds the per-region M-membership masks over M
-// index that the M-M exclusion rounds intersect relation rows with, and the
-// per-round scratch mask buildQMask ORs them into.
+// index that peerExclusions intersects relation rows with.
 func (g *builder) prepareMPeeringScratch() {
 	g.mMaskR = make([][]uint64, g.p.Regions)
 	for r := range g.mMaskR {
 		g.mMaskR[r] = make([]uint64, g.relW)
 	}
-	g.qMask = make([]uint64, g.relW)
 	for k, m := range g.mIDs {
 		rs := g.topo.Nodes[m].Regions
 		for r := 0; r < g.p.Regions; r++ {
@@ -97,35 +96,33 @@ func (g *builder) prepareMPeeringScratch() {
 	}
 }
 
-// buildQMask ORs the per-region M masks for every region in q into the
-// shared scratch mask: bit k set iff M node mIDs[k] has a region in q —
-// exactly the nodes whose sampler trees are eligible for a draw with
-// query q.
-func (g *builder) buildQMask(q RegionSet) []uint64 {
-	dst := g.qMask
-	clear(dst)
+// peerExclusions returns, in the mSet scratch, the M nodes that M node k
+// may not peer with in its M-peering round, as a bitset over M index: k
+// itself, its M peers, and row k of the relation — every M node in its
+// customer cone or holding it in theirs, which includes its M providers
+// and customers. The set is restricted to the nodes with a region in k's
+// (the OR of the per-region masks): any other node sits in a sampler tree
+// that k's draws never sum, so leaving it out cannot change a total or a
+// pick.
+func (g *builder) peerExclusions(k int) []uint64 {
+	nd := &g.topo.Nodes[g.mIDs[k]]
+	x := g.mSet
+	clear(x)
 	for r := 0; r < g.p.Regions; r++ {
-		if q.HasRegion(r) {
+		if nd.Regions.HasRegion(r) {
 			for w, v := range g.mMaskR[r] {
-				dst[w] |= v
+				x[w] |= v
 			}
 		}
 	}
-	return dst
-}
-
-// excludeRelated feeds the no-valley exclusions of the M node with index k
-// into s: row k of the relation — every M node in its customer cone or
-// holding it in theirs — restricted to qMask (from buildQMask for its
-// regions). Any other node sits in a sampler tree that is never summed for
-// its draws, so leaving it unexcluded cannot change a total or a pick.
-// Deduplication against the adjacency exclusions happens inside exclude.
-func (g *builder) excludeRelated(k int, qMask []uint64, s *paSampler) {
 	for w, v := range g.relRow(k) {
-		v &= qMask[w]
-		for v != 0 {
-			s.exclude(g.mIDs[w<<6+bits.TrailingZeros64(v)])
-			v &= v - 1
+		x[w] &= v
+	}
+	x[k>>6] |= 1 << (uint(k) & 63)
+	for _, y := range nd.Peers {
+		if j := g.mIndex[y]; j >= 0 && g.topo.Nodes[y].Regions.Overlaps(nd.Regions) {
+			x[j>>6] |= 1 << (uint(j) & 63)
 		}
 	}
+	return x
 }

@@ -1,6 +1,10 @@
 package topology
 
-import "bgpchurn/internal/rng"
+import (
+	"slices"
+
+	"bgpchurn/internal/rng"
+)
 
 // paSampler is the accelerated preferential-attachment sampler: it draws
 // one node from a candidate class (the tier-1 clique, or the M nodes) with
@@ -23,14 +27,17 @@ import "bgpchurn/internal/rng"
 //     other sets hold weight zero), so a position-wise sum over the trees
 //     whose set overlaps the query is exactly the prefix weight of the
 //     region-eligible candidates in creation order.
-//   - Exclusions are applied by temporarily zeroing the excluded node's
-//     weight in its tree (exclude), drawing, then restoring (restoreAll).
-//     Totals and prefix sums then match the linear scan's
-//     skip-the-excluded enumeration term for term.
+//   - Exclusions never touch a tree. A draw subtracts the current weight
+//     of the round's excluded positions in the eligible trees from the
+//     total and, per descent step, the part inside the step's position
+//     range from the range's tree sum (exclusions, fenwick.go). Totals and
+//     prefix sums then match the linear scan's skip-the-excluded
+//     enumeration term for term.
 //
-// The per-draw cost is O(sets·log cap) for the descent plus O(log cap) per
-// excluded node, against the linear scan's O(class size) — the O(n²) term
-// this file removes from generation.
+// The first draw of a round sums the exclusions once, in O(excluded); every
+// draw costs O(sets·log cap) for the descent plus a walk over what the
+// round changed since, against the linear scan's O(class size) per draw —
+// the O(n²) term this file removes from generation.
 type paSampler struct {
 	cap  int // class capacity (positions), fixed at construction
 	high int // highBit(cap), the descent's starting stride
@@ -39,18 +46,20 @@ type paSampler struct {
 	// posOf maps a NodeID to its class position, or -1. Indexed by node ID
 	// over the full topology budget so membership tests are one load.
 	posOf  []int32
-	weight []int64 // authoritative per-position weight (tracked while excluded)
+	weight []int64 // per-position weight, excluded or not (the trees hold it too)
 	treeOf []int32 // per-position index into sets/trees/totals
 	sets   []RegionSet
 	trees  []fenwick
 	totals []int64
-	// Exclusion state for the current draw round: positions zeroed in their
-	// tree, deduplicated by an epoch mark so a node excluded for two
-	// reasons (e.g. adjacent and in-cone) is subtracted once.
-	excluded []int32
-	mark     []uint32
-	epoch    uint32
-	elig     []int // scratch: indices of trees overlapping the query
+	// Exclusion state for the current draw round, deduplicated by an epoch
+	// mark so a node excluded for two reasons (e.g. adjacent and in-cone)
+	// is subtracted once. The round's first draw sums x for its query sumQ
+	// (x.below turns non-empty); from then on changes go to x's drift.
+	x     exclusions
+	sumQ  RegionSet
+	mark  []uint32
+	epoch uint32
+	elig  []fenwick // per-draw scratch: the trees overlapping the query
 }
 
 // newPASampler returns an empty sampler for a class of at most cap nodes
@@ -103,49 +112,77 @@ func (s *paSampler) insert(id NodeID, regions RegionSet, w int64) {
 
 // addWeight applies delta to id's weight. Nodes outside the class are
 // ignored, so link hooks can call it unconditionally for both endpoints.
-// While id is excluded the authoritative weight updates but the tree does
-// not; restoreAll re-adds the then-current weight.
+// An excluded node's update lands in its tree too, and in the drift once
+// the exclusions are summed, so draws keep subtracting its current weight.
 func (s *paSampler) addWeight(id NodeID, delta int64) {
 	p := s.posOf[id]
 	if p < 0 {
 		return
 	}
 	s.weight[p] += delta
-	if s.mark[p] == s.epoch {
-		return // excluded: tree holds zero until restoreAll
-	}
 	ti := s.treeOf[p]
 	s.trees[ti].add(int(p), delta)
 	s.totals[ti] += delta
+	if len(s.x.below) > 0 && s.mark[p] == s.epoch {
+		s.addDrift(p, delta)
+	}
 }
 
-// exclude zeroes id's weight in its tree until restoreAll. Nodes outside
-// the class and already-excluded nodes are ignored.
+// exclude keeps id out of every draw until restoreAll. Nodes outside the
+// class and already-excluded nodes are ignored. Before the round's first
+// draw the exclusion joins x.pos, which sum sorts (in linear time when it
+// arrives ascending); after it, the exclusion drifts.
 func (s *paSampler) exclude(id NodeID) {
 	p := s.posOf[id]
 	if p < 0 || s.mark[p] == s.epoch {
 		return
 	}
 	s.mark[p] = s.epoch
-	s.excluded = append(s.excluded, p)
-	if w := s.weight[p]; w != 0 {
-		ti := s.treeOf[p]
-		s.trees[ti].add(int(p), -w)
-		s.totals[ti] -= w
+	if len(s.x.below) > 0 {
+		s.addDrift(p, s.weight[p])
+		return
 	}
+	s.x.pos = append(s.x.pos, p)
 }
 
-// restoreAll re-adds every excluded node's current weight and ends the
-// exclusion round.
-func (s *paSampler) restoreAll() {
-	for _, p := range s.excluded {
-		if w := s.weight[p]; w != 0 {
-			ti := s.treeOf[p]
-			s.trees[ti].add(int(p), w)
-			s.totals[ti] += w
-		}
+// addDrift records that the excluded weight at position p grew by w since
+// the exclusions were summed. Only the trees a draw with sumQ sums count.
+func (s *paSampler) addDrift(p int32, w int64) {
+	if !s.sets[s.treeOf[p]].Overlaps(s.sumQ) {
+		return
 	}
-	s.excluded = s.excluded[:0]
+	x := &s.x
+	i, found := slices.BinarySearch(x.drift, p)
+	if !found {
+		x.drift = slices.Insert(x.drift, i, p)
+		x.driftW = slices.Insert(x.driftW, i, 0)
+	}
+	x.driftW[i] += w
+}
+
+// sum folds the drift into the excluded positions, sorts them, and sums
+// their current weights in the trees overlapping q.
+func (s *paSampler) sum(q RegionSet) {
+	x := &s.x
+	x.pos = append(x.pos, x.drift...)
+	slices.Sort(x.pos)
+	x.pos = slices.Compact(x.pos) // a drift entry may repeat a position
+	x.drift, x.driftW = x.drift[:0], x.driftW[:0]
+	var w int64
+	x.below = append(x.below[:0], 0)
+	for _, p := range x.pos {
+		if s.sets[s.treeOf[p]].Overlaps(q) {
+			w += s.weight[p]
+		}
+		x.below = append(x.below, w)
+	}
+	s.sumQ = q
+}
+
+// restoreAll ends the exclusion round.
+func (s *paSampler) restoreAll() {
+	x := &s.x
+	x.pos, x.below, x.drift, x.driftW = x.pos[:0], x.below[:0], x.drift[:0], x.driftW[:0]
 	s.epoch++
 	if s.epoch == 0 { // epoch wrapped: every mark is stale, clear them
 		for i := range s.mark {
@@ -155,41 +192,41 @@ func (s *paSampler) restoreAll() {
 	}
 }
 
+// eligible returns the total the next draw with query q passes to Intn:
+// the summed weight of the trees overlapping q minus that of the excluded
+// positions in them. It leaves those trees in elig, and the exclusions
+// summed for q, for the descent.
+func (s *paSampler) eligible(q RegionSet) int64 {
+	s.elig = s.elig[:0]
+	var total int64
+	for i, rs := range s.sets {
+		if rs.Overlaps(q) {
+			s.elig = append(s.elig, s.trees[i])
+			total += s.totals[i]
+		}
+	}
+	if len(s.x.below) == 0 || q != s.sumQ {
+		s.sum(q)
+	}
+	total -= s.x.below[len(s.x.pos)]
+	for _, w := range s.x.driftW {
+		total -= w
+	}
+	return total
+}
+
 // draw selects one node among the non-excluded members whose region set
 // overlaps q, with probability proportional to weight. It consumes exactly
 // one Intn(total) when the eligible weight is positive — the same single
 // RNG draw as the linear scan — and returns None without touching the RNG
 // when it is zero.
 func (s *paSampler) draw(r *rng.Source, q RegionSet) NodeID {
-	s.elig = s.elig[:0]
-	var total int64
-	for i, rs := range s.sets {
-		if rs.Overlaps(q) {
-			s.elig = append(s.elig, i)
-			total += s.totals[i]
-		}
-	}
+	total := s.eligible(q)
 	if total <= 0 {
 		return None
 	}
 	target := int64(r.Intn(int(total)))
-	// Descend over the eligible trees only; the rest contribute nothing.
-	idx := 0
-	var acc int64
-	for bit := s.high; bit > 0; bit >>= 1 {
-		next := idx + bit
-		if next <= s.cap {
-			var sum int64
-			for _, ti := range s.elig {
-				sum += s.trees[ti][next]
-			}
-			if acc+sum <= target {
-				acc += sum
-				idx = next
-			}
-		}
-	}
-	return s.ids[idx]
+	return s.ids[descend(s.elig, s.high, s.cap, &s.x, target)]
 }
 
 // regionBuckets indexes a candidate pool (mIDs or cpIDs) by region so the

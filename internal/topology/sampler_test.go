@@ -65,17 +65,10 @@ func (m *samplerModel) draw(r *rng.Source, q RegionSet) NodeID {
 	panic("unreachable: target below total")
 }
 
-// samplerTotal sums the sampler's per-tree totals over the trees whose
-// region set overlaps q — the total its next draw would pass to Intn.
-func samplerTotal(s *paSampler, q RegionSet) int64 {
-	var total int64
-	for i, rs := range s.sets {
-		if rs.Overlaps(q) {
-			total += s.totals[i]
-		}
-	}
-	return total
-}
+// samplerTotal is the total the sampler's next draw with query q would
+// pass to Intn: its per-tree totals over the trees overlapping q, net of
+// the excluded weight in them.
+func samplerTotal(s *paSampler, q RegionSet) int64 { return s.eligible(q) }
 
 // TestSamplerMatchesLinearModel drives the Fenwick sampler and the linear
 // model through a long random op schedule — inserts across several region
@@ -132,6 +125,48 @@ func TestSamplerMatchesLinearModel(t *testing.T) {
 	if n == 0 || draws < 1000 {
 		t.Fatalf("schedule degenerate: n=%d draws=%d", n, draws)
 	}
+	// Bulk rounds, shaped like M-peering's: up to a few hundred exclusions
+	// in random order with duplicates, among them the round's own node,
+	// then several draws. After each pick the own node and the picked node
+	// gain weight and the picked node is excluded, so later draws subtract
+	// weights that changed after the first draw summed the exclusions; a
+	// few draws switch the query, which re-sums them.
+	bulk := rng.New(101)
+	for round := 0; round < 300; round++ {
+		self := NodeID(bulk.Intn(n))
+		s.exclude(self)
+		m.excluded[self] = true
+		for k := bulk.Intn(400); k > 0; k-- {
+			id := NodeID(bulk.Intn(n))
+			s.exclude(id)
+			m.excluded[id] = true
+		}
+		q := regionSets[bulk.Intn(len(regionSets))]
+		for j := bulk.Intn(12); j >= 0; j-- {
+			dq := q
+			if bulk.Intn(4) == 0 {
+				dq = regionSets[bulk.Intn(len(regionSets))]
+			}
+			if st, mt := samplerTotal(s, dq), m.total(dq); st != mt {
+				t.Fatalf("bulk round %d: eligible total diverges: sampler %d, model %d", round, st, mt)
+			}
+			got, want := s.draw(rS, dq), m.draw(rM, dq)
+			if got != want {
+				t.Fatalf("bulk round %d: draw diverges: sampler %v, model %v", round, got, want)
+			}
+			if got == None {
+				break
+			}
+			for _, id := range []NodeID{self, got} {
+				s.addWeight(id, 1)
+				m.addWeight(id, 1)
+			}
+			s.exclude(got)
+			m.excluded[got] = true
+		}
+		s.restoreAll()
+		clear(m.excluded)
+	}
 	// The two RNG streams must have consumed identical draw counts: one more
 	// draw from each proves they are still aligned.
 	if a, b := rS.Intn(1<<30), rM.Intn(1<<30); a != b {
@@ -140,8 +175,8 @@ func TestSamplerMatchesLinearModel(t *testing.T) {
 }
 
 // TestSamplerWeightUpdateWhileExcluded pins the addWeight/exclude contract:
-// an excluded node's weight updates take effect in the authoritative array
-// immediately but in the tree only at restoreAll.
+// an excluded node's weight updates take effect at once, in its tree too,
+// and draws keep subtracting its current weight until restoreAll.
 func TestSamplerWeightUpdateWhileExcluded(t *testing.T) {
 	q := RegionSet(0).Add(0)
 	s := newPASampler(8, 8)
@@ -200,7 +235,8 @@ func TestSamplerEpochWrap(t *testing.T) {
 
 // TestDescendMatchesLinearScan checks the multi-tree Fenwick descent
 // against a prefix scan for every target in range, across random weight
-// layouts and non-power-of-two capacities.
+// layouts and non-power-of-two capacities — with no exclusions, and with
+// random ones split between the summed positions and the drift.
 func TestDescendMatchesLinearScan(t *testing.T) {
 	ctl := rng.New(5)
 	for _, cap := range []int{1, 2, 3, 7, 8, 13, 64, 100} {
@@ -216,23 +252,50 @@ func TestDescendMatchesLinearScan(t *testing.T) {
 				trees[ctl.Intn(nTrees)].add(pos, w)
 				weights[pos] = w
 			}
-			var total int64
-			for _, w := range weights {
-				total += w
+			// Exclude about a third of the positions. A summed position's
+			// below holds part of its weight and the drift the rest; a
+			// drifting position is wholly in the drift.
+			x := &exclusions{below: []int64{0}}
+			net := append([]int64(nil), weights...)
+			for pos, w := range weights {
+				if ctl.Intn(3) != 0 {
+					continue
+				}
+				summed, part := ctl.Intn(2) == 0, int64(0)
+				if summed {
+					part = int64(ctl.Intn(int(w) + 1))
+					x.pos = append(x.pos, int32(pos))
+					x.below = append(x.below, x.below[len(x.below)-1]+part)
+				}
+				if rest := w - part; rest != 0 || !summed {
+					x.drift = append(x.drift, int32(pos))
+					x.driftW = append(x.driftW, rest)
+				}
+				net[pos] = 0
 			}
 			high := highBit(cap)
-			for target := int64(0); target < total; target++ {
-				var acc int64
-				want := -1
-				for pos, w := range weights {
-					acc += w
-					if target < acc {
-						want = pos
-						break
-					}
+			for _, c := range []struct {
+				x  *exclusions
+				ws []int64
+			}{{&exclusions{}, weights}, {x, net}} {
+				var total int64
+				for _, w := range c.ws {
+					total += w
 				}
-				if got := descend(trees, high, cap, target); got != want {
-					t.Fatalf("cap=%d trial=%d target=%d: descend=%d, scan=%d", cap, trial, target, got, want)
+				for target := int64(0); target < total; target++ {
+					var acc int64
+					want := -1
+					for pos, w := range c.ws {
+						acc += w
+						if target < acc {
+							want = pos
+							break
+						}
+					}
+					if got := descend(trees, high, cap, c.x, target); got != want {
+						t.Fatalf("cap=%d trial=%d target=%d excluded=%v: descend=%d, scan=%d",
+							cap, trial, target, len(c.x.pos)+len(c.x.drift), got, want)
+					}
 				}
 			}
 		}

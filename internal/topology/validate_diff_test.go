@@ -256,6 +256,14 @@ func TestValidateMatchesReference(t *testing.T) {
 	}
 }
 
+// edgeKey is the canonical encoding of the unordered pair {a, b}.
+func edgeKey(a, b NodeID) uint64 {
+	if a > b {
+		a, b = b, a
+	}
+	return uint64(uint32(a))<<32 | uint64(uint32(b))
+}
+
 func identity(n int) []NodeID {
 	perm := make([]NodeID, n)
 	for i := range perm {
