@@ -50,9 +50,14 @@ cross:
 # grid scraped while its networks publish run ten times too. So does the
 # per-event counter window, because window workers write the shards' update
 # kind counts and EndCause reads them only after the crew has joined.
+# Last of all, a cell's origin workers: six to eight of them finish their
+# origins out of order, each writing an origin's scalars to that origin's
+# slot, and only the pool's join orders those writes before the fold in
+# origin order. So the raced origin pool and the determinism-across-
+# parallelism test run ten times too.
 race:
 	$(GO) test -race -count=1 ./...
-	$(GO) test -race -count=10 -timeout 15m -run 'Crew|PartitionInvariance|Windowed|AdmissionCompletion|DecideAfter|Touched|SessionResetDropsInFlight|CoreBudget|RaceObsScrapeDuringGrid|RaceShardedCell|CauseIsCounterWindow' . ./internal/des/ ./internal/bgp/ ./internal/core/
+	$(GO) test -race -count=10 -timeout 15m -run 'Crew|PartitionInvariance|Windowed|AdmissionCompletion|DecideAfter|Touched|SessionResetDropsInFlight|CoreBudget|RaceObsScrapeDuringGrid|RaceShardedCell|CauseIsCounterWindow|RaceOriginParallelism|DeterminismAcrossParallelism' . ./internal/des/ ./internal/bgp/ ./internal/core/
 
 # bench runs every benchmark once so the suite cannot silently rot; it is a
 # compile-and-run check, not a performance measurement.

@@ -100,7 +100,7 @@ func TestSweepCSVIdenticalWithSpans(t *testing.T) {
 // TestEq1AttributionReconcilesWithAggregates re-derives the Result's
 // aggregate counters purely from the event spans' Eq.-1 attribution and
 // demands exact (bitwise) float64 equality. Parallelism is 1 so span order
-// equals the reducer's origin fold order; every other quantity is an
+// equals the aggregate's origin fold order; every other quantity is an
 // integer sum in float64 (exact and order-independent below 2^53).
 func TestEq1AttributionReconcilesWithAggregates(t *testing.T) {
 	topo, err := Baseline.Generate(400, 29)
@@ -117,7 +117,7 @@ func TestEq1AttributionReconcilesWithAggregates(t *testing.T) {
 		k := float64(res.Origins)
 
 		// Collect event spans in Seq order; with Parallelism=1 they appear
-		// as (withdraw, announce) per origin, in the reducer's fold order.
+		// as (withdraw, announce) per origin, in the aggregate's fold order.
 		var downs, ups []SpanRecord
 		for _, s := range spans.Snapshot() {
 			switch {

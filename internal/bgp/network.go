@@ -286,7 +286,6 @@ func (net *Network) publish(fired uint64) {
 	if m == nil {
 		return
 	}
-	m.DES.EventsScheduled.Add(ring + far)
 	m.DES.EventsFired.Add(fired)
 	m.DES.RingPushes.Add(ring)
 	m.DES.FarPushes.Add(far)

@@ -235,7 +235,7 @@ func TestCoreBudgetReleased(t *testing.T) {
 	})
 	t.Run("panic in origin worker 0", func(t *testing.T) {
 		// Worker 0 panics in its second origin while a helper runs others:
-		// the helper must not be left waiting in fold for worker 0's origin.
+		// the helper must stop claiming and be joined before the call returns.
 		s := NewScheduler(1)
 		var worker0 atomic.Value
 		s.run = func(ctx context.Context, topo *topology.Topology, cfg Config) (*Result, error) {

@@ -171,7 +171,7 @@ type Result struct {
 // metric.
 func (r *Result) U(t topology.NodeType) float64 { return r.ByType[t].U }
 
-// originAccum collects one origin's contribution to the aggregate.
+// originAccum collects one origin's scalar contribution to the aggregate.
 type originAccum struct {
 	// perTypeU[t] is this origin's mean updates over nodes of type t.
 	perTypeU [4]float64
@@ -182,8 +182,6 @@ type originAccum struct {
 	downSec, upSec            float64
 	exploration               [4]float64
 	peak                      float64
-	// perNodeU[id] is the update count at node id for this origin.
-	perNodeU []float64
 }
 
 // RunCEvents measures churn per C-event on one topology. Each of cfg.Origins
@@ -221,22 +219,23 @@ func RunCEventsContext(ctx context.Context, topo *topology.Topology, cfg Config)
 		settle = 2 * cfg.BGP.MRAI
 	}
 
-	// Streaming aggregation: per-origin accumulators are folded into the
-	// reducer's running sums as origins complete, in origin-index order, so
-	// peak memory is O(workers · N) scratch instead of O(origins · N) — the
-	// difference between 100k-node sweeps fitting in RAM or not. Each worker
-	// owns ONE accumulator, reused across its origins; the reducer's in-order
-	// fold keeps every floating-point addition in the exact sequence the
-	// batch reduction used, so results are byte-identical.
-	red := newStreamReducer(topo, len(origins))
+	// Order-free aggregation (DESIGN.md): each origin's scalars land in its
+	// own slot of accs and aggregate folds them in origin-index order after
+	// the run, so the floating-point additions are one fixed sequence however
+	// the workers finish. Per-node update counts are integers, exact in any
+	// order: each worker sums its origins' counts into a vector of its own and
+	// merges it into perNode once, when it leaves. No worker waits on another.
+	accs := make([]originAccum, len(origins))
 	errs := make([]error, len(origins))
+	perNode := make([]float64, topo.N()) // update counts summed over origins
 	var (
 		wg      sync.WaitGroup
+		mu      sync.Mutex   // guards perNode
 		claimed atomic.Int64 // origin indices handed out, ascending
 	)
 	// claim hands out the next origin index. It refuses once the context is
 	// cancelled, so the claimed indices are always a prefix of the origin
-	// list and every one of them is run and folded.
+	// list and every one of them is run.
 	claim := func() (int, bool) {
 		if ctx.Err() != nil {
 			return 0, false
@@ -245,25 +244,30 @@ func RunCEventsContext(ctx context.Context, topo *topology.Topology, cfg Config)
 		return i, i < len(origins)
 	}
 	// work runs origins on its own Network until none is left to claim (or,
-	// for a helper, until the budget is over-subscribed). It keeps the origin
-	// it is simulating in *inFlight, -1 between origins, for worker 0's
-	// panic path below.
-	var work func(helper bool, inFlight *int)
+	// for a helper, until the budget is over-subscribed).
+	var work func(helper bool)
 	// spawn starts one more worker holding a budget unit the caller took.
 	spawn := func(helper bool) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer cores.release()
-			work(helper, new(int))
+			work(helper)
 		}()
 	}
-	work = func(helper bool, inFlight *int) {
+	work = func(helper bool) {
 		net := bgp.MustNew(topo, cfg.BGP)
 		if cfg.Obs != nil {
 			net.SetObs(cfg.Obs)
 		}
-		var acc originAccum
+		var counts []float64 // this worker's per-node update counts
+		defer func() {
+			mu.Lock()
+			for id, v := range counts {
+				perNode[id] += v
+			}
+			mu.Unlock()
+		}()
 		for {
 			// Origin boundary: with Parallelism 0 a helper leaves when the
 			// core budget is over-subscribed, and any worker recruits a
@@ -280,15 +284,10 @@ func RunCEventsContext(ctx context.Context, topo *topology.Topology, cfg Config)
 			if !ok {
 				return
 			}
-			*inFlight = idx
-			acc = originAccum{perNodeU: acc.perNodeU} // keep the buffer
-			errs[idx] = runOneOrigin(net, topo, origins[idx], cfg.BGP.Seed+uint64(idx)*0x9e3779b97f4a7c15, settle, cfg, &acc)
-			if errs[idx] != nil {
-				red.skip(idx)
-			} else {
-				red.fold(idx, &acc)
+			if counts == nil {
+				counts = make([]float64, topo.N())
 			}
-			*inFlight = -1
+			errs[idx] = runOneOrigin(net, topo, origins[idx], cfg.BGP.Seed+uint64(idx)*0x9e3779b97f4a7c15, settle, cfg, &accs[idx], counts)
 		}
 	}
 
@@ -296,23 +295,18 @@ func RunCEventsContext(ctx context.Context, topo *topology.Topology, cfg Config)
 	// the whole experiment; a fixed Parallelism starts the rest up front.
 	cores.acquire()
 	defer cores.release()
-	inFlight := -1
 	defer func() {
 		// On a panic in worker 0 (recovered by the scheduler as a cell
-		// fault), leave the others no origin to claim and release the one
-		// they may be waiting on in fold, so no worker or budget unit
-		// outlives the call.
+		// fault), leave the others no origin to claim, so no worker or
+		// budget unit outlives the call.
 		claimed.Store(int64(len(origins)))
-		if inFlight >= 0 {
-			red.skip(inFlight)
-		}
 		wg.Wait()
 	}()
 	for w := 1; w < min(cfg.Parallelism, len(origins)); w++ {
 		cores.acquire()
 		spawn(false)
 	}
-	work(false, &inFlight)
+	work(false)
 	wg.Wait()
 	if int(claimed.Load()) < len(origins) {
 		return nil, ctx.Err()
@@ -324,8 +318,7 @@ func RunCEventsContext(ctx context.Context, topo *topology.Topology, cfg Config)
 			return nil, err
 		}
 	}
-
-	return red.result(origins), nil
+	return aggregate(topo, accs, perNode), nil
 }
 
 // chooseOrigins selects the event originators for one experiment: a
@@ -366,9 +359,10 @@ func pickOrigins(cNodes []topology.NodeID, k int, seed uint64) []topology.NodeID
 	return ids[:k]
 }
 
-// runOneOrigin performs the full event procedure for one originator and
-// fills acc with its per-node-type statistics.
-func runOneOrigin(net *bgp.Network, topo *topology.Topology, origin topology.NodeID, seed uint64, settle des.Time, cfg Config, acc *originAccum) error {
+// runOneOrigin performs the full event procedure for one originator, fills
+// acc with its per-node-type statistics and adds each node's update count to
+// perNode.
+func runOneOrigin(net *bgp.Network, topo *topology.Topology, origin topology.NodeID, seed uint64, settle des.Time, cfg Config, acc *originAccum, perNode []float64) error {
 	spans := cfg.Spans
 	var originWall float64
 	if spans != nil {
@@ -438,7 +432,7 @@ func runOneOrigin(net *bgp.Network, topo *topology.Topology, origin topology.Nod
 
 	acc.total = float64(net.TotalUpdates())
 	acc.peak = float64(net.PeakUpdateRate())
-	collect(net, topo, acc)
+	collect(net, topo, acc, perNode)
 	if spans != nil {
 		spans.Append(obs.SpanRecord{
 			Level:    obs.SpanOrigin,
@@ -478,16 +472,10 @@ func emitEventSpan(spans *obs.SpanRecorder, attr bgp.EventAttribution, wallStart
 }
 
 // collect reduces per-node per-neighbor counters into per-type factor
-// samples for one origin.
-func collect(net *bgp.Network, topo *topology.Topology, acc *originAccum) {
+// samples for one origin, and adds each node's update count to perNode.
+func collect(net *bgp.Network, topo *topology.Topology, acc *originAccum, perNode []float64) {
 	var uSum, expSum [4]float64
 	var nCount [4]float64
-	// The buffer is worker-owned and reused across origins; every entry is
-	// assigned below, so resizing without clearing is safe.
-	if cap(acc.perNodeU) < topo.N() {
-		acc.perNodeU = make([]float64, topo.N())
-	}
-	acc.perNodeU = acc.perNodeU[:topo.N()]
 	for id := 0; id < topo.N(); id++ {
 		nid := topology.NodeID(id)
 		typ := topo.Nodes[id].Type
@@ -508,7 +496,7 @@ func collect(net *bgp.Network, topo *topology.Topology, acc *originAccum) {
 		}
 		uSum[typ] += total
 		nCount[typ]++
-		acc.perNodeU[id] = total
+		perNode[id] += total
 
 		for rel := 0; rel < 3; rel++ {
 			acc.relUSum[typ][rel] += relTotal[rel]
@@ -531,99 +519,43 @@ func collect(net *bgp.Network, topo *topology.Topology, acc *originAccum) {
 	}
 }
 
-// streamReducer merges per-origin accumulators into running aggregates
-// strictly in origin-index order, as origins complete. It is the streaming
-// replacement for the old batch reduce: instead of holding every origin's
-// accumulator (O(origins · N) floats — 80 MB at n=100k with 100 origins,
-// before any simulation state), only the running sums and one per-node vector
-// live at once, and per-origin state is worker-owned scratch.
-//
-// Determinism. Floating-point addition is not associative, so the fold
-// happens in ascending origin index — exactly the iteration order the batch
-// reduce used — regardless of worker completion order. Out-of-order workers
-// block in fold until every earlier origin has been folded or skipped; the
-// claim counter hands out indices in ascending order, so the worker holding
-// index `next` is never itself waiting on a later one and the fold always
-// makes progress. Per-origin results that feed non-accumulated outputs (the
-// MeanCI input vector) are written by index, which is order-independent.
-type streamReducer struct {
-	mu   sync.Mutex
-	cond sync.Cond
-	next int // lowest origin index not yet folded or skipped
-
-	topo *topology.Topology
-	// perOriginU[t][idx] feeds stats.MeanCI; written by index, O(origins).
-	perOriginU [4][]float64
-	// Running sums, folded in origin-index order.
-	relUSum, relQSum, relESum [4][3]float64
-	relUCnt, relQCnt, relECnt [4][3]float64
-	total, down, up, peak     float64
-	expl                      [4]float64
-	perNode                   []float64
-}
-
-func newStreamReducer(topo *topology.Topology, origins int) *streamReducer {
-	r := &streamReducer{topo: topo, perNode: make([]float64, topo.N())}
-	r.cond.L = &r.mu
+// add folds one origin's sums into s.
+func (s *originAccum) add(a *originAccum) {
 	for t := 0; t < 4; t++ {
-		r.perOriginU[t] = make([]float64, origins)
-	}
-	return r
-}
-
-// await blocks until every origin index below idx has been folded or
-// skipped. Callers must hold r.mu.
-func (r *streamReducer) await(idx int) {
-	for idx != r.next {
-		r.cond.Wait()
-	}
-}
-
-// skip marks idx as producing no contribution (error or cancellation), so
-// later folds do not wait for it. The experiment discards the Result in that
-// case; skip only keeps the pipeline draining.
-func (r *streamReducer) skip(idx int) {
-	r.mu.Lock()
-	r.await(idx)
-	r.next++
-	r.cond.Broadcast()
-	r.mu.Unlock()
-}
-
-// fold merges one origin's accumulator into the running aggregates, in
-// origin-index order.
-func (r *streamReducer) fold(idx int, acc *originAccum) {
-	r.mu.Lock()
-	r.await(idx)
-	for t := 0; t < 4; t++ {
-		r.perOriginU[t][idx] = acc.perTypeU[t]
-		r.expl[t] += acc.exploration[t]
+		s.exploration[t] += a.exploration[t]
 		for rel := 0; rel < 3; rel++ {
-			r.relUSum[t][rel] += acc.relUSum[t][rel]
-			r.relUCnt[t][rel] += acc.relUCnt[t][rel]
-			r.relQSum[t][rel] += acc.relQSum[t][rel]
-			r.relQCnt[t][rel] += acc.relQCnt[t][rel]
-			r.relESum[t][rel] += acc.relESum[t][rel]
-			r.relECnt[t][rel] += acc.relECnt[t][rel]
+			s.relUSum[t][rel] += a.relUSum[t][rel]
+			s.relUCnt[t][rel] += a.relUCnt[t][rel]
+			s.relQSum[t][rel] += a.relQSum[t][rel]
+			s.relQCnt[t][rel] += a.relQCnt[t][rel]
+			s.relESum[t][rel] += a.relESum[t][rel]
+			s.relECnt[t][rel] += a.relECnt[t][rel]
 		}
 	}
-	r.total += acc.total
-	r.down += acc.downSec
-	r.up += acc.upSec
-	r.peak += acc.peak
-	for id, v := range acc.perNodeU {
-		r.perNode[id] += v
-	}
-	r.next++
-	r.cond.Broadcast()
-	r.mu.Unlock()
+	s.total += a.total
+	s.downSec += a.downSec
+	s.upSec += a.upSec
+	s.peak += a.peak
 }
 
-// result finalizes the aggregates into a Result. Call only after every
-// origin folded successfully.
-func (r *streamReducer) result(origins []topology.NodeID) *Result {
-	topo := r.topo
-	res := &Result{N: topo.N(), Origins: len(origins)}
+// aggregate folds the origins' accumulators in origin-index order (floating-
+// point addition is not associative, so the order is what keeps results
+// byte-identical at any worker count) and averages them into a Result.
+// perNode holds each node's update count summed over all origins. Call only
+// after every origin ran successfully.
+func aggregate(topo *topology.Topology, accs []originAccum, perNode []float64) *Result {
+	var r originAccum
+	var perOriginU [4][]float64 // per-type U by origin, for stats.MeanCI
+	for t := range perOriginU {
+		perOriginU[t] = make([]float64, len(accs))
+	}
+	for i := range accs {
+		r.add(&accs[i])
+		for t := 0; t < 4; t++ {
+			perOriginU[t][i] = accs[i].perTypeU[t]
+		}
+	}
+	res := &Result{N: topo.N(), Origins: len(accs)}
 	counts := topo.CountByType()
 
 	// The m factors are topology properties, computed exactly.
@@ -638,7 +570,7 @@ func (r *streamReducer) result(origins []topology.NodeID) *Result {
 	for t := 0; t < 4; t++ {
 		tr := &res.ByType[t]
 		tr.Nodes = counts[t]
-		tr.U, tr.CI95 = stats.MeanCI(r.perOriginU[t], 0.95)
+		tr.U, tr.CI95 = stats.MeanCI(perOriginU[t], 0.95)
 		for rel := 0; rel < 3; rel++ {
 			rf := &tr.ByRel[rel]
 			if counts[t] > 0 {
@@ -655,21 +587,21 @@ func (r *streamReducer) result(origins []topology.NodeID) *Result {
 			}
 		}
 	}
-	k := float64(len(origins))
+	k := float64(len(accs))
 	res.TotalUpdates = r.total / k
-	res.DownSeconds = r.down / k
-	res.UpSeconds = r.up / k
+	res.DownSeconds = r.downSec / k
+	res.UpSeconds = r.upSec / k
 	res.PeakRate = r.peak / k
 	for t := 0; t < 4; t++ {
-		res.PathExploration[t] = r.expl[t] / k
+		res.PathExploration[t] = r.exploration[t] / k
 	}
 
 	// Per-node means over origins, then the within-type distribution.
 	var byType [4][]float64
-	for id := range r.perNode {
-		r.perNode[id] /= k
+	for id := range perNode {
+		perNode[id] /= k
 		typ := topo.Nodes[id].Type
-		byType[typ] = append(byType[typ], r.perNode[id])
+		byType[typ] = append(byType[typ], perNode[id])
 	}
 	for t := 0; t < 4; t++ {
 		res.Spread[t] = stats.Summarize(byType[t])

@@ -877,62 +877,50 @@ func (s *Scheduler) RunGrid(ctx context.Context, reqs []GridRequest) ([]*SweepRe
 		workers = len(jobs)
 	}
 
-	// Cancellation latency: a watcher notes when the context fires; after
-	// the pool drains the elapsed time lands in the cancel histogram.
-	var cancelledAt atomic.Int64
-	drained := make(chan struct{})
-	watcherDone := make(chan struct{})
-	go func() {
-		defer close(watcherDone)
-		select {
-		case <-ctx.Done():
-			cancelledAt.Store(time.Now().UnixNano())
-		case <-drained:
-		}
-	}()
-
-	next := make(chan job)
-	var wg sync.WaitGroup
+	// Cancellation latency: the context notes when it fires; after the pool
+	// drains the elapsed time lands in the cancel histogram.
+	cancelledAt := make(chan time.Time, 1)
+	stop := context.AfterFunc(ctx, func() { cancelledAt <- time.Now() })
+	// Workers claim jobs from a counter, as RunCEvents' workers claim
+	// origins. A worker claims nothing once the context is cancelled, so the
+	// claimed jobs are a prefix of the list.
+	var (
+		wg      sync.WaitGroup
+		claimed atomic.Int64
+	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for jb := range next {
+			for ctx.Err() == nil {
+				i := int(claimed.Add(1)) - 1
+				if i >= len(jobs) {
+					return
+				}
+				jb := jobs[i]
 				r := &reqs[jb.req]
 				slots[jb.req][jb.idx] = s.Cell(ctx, r.Scenario, r.Sizes[jb.idx], r.TopologySeed, r.Event)
 			}
 		}()
 	}
-	delivered := 0
-feed:
-	for _, jb := range jobs {
-		select {
-		case next <- jb:
-			delivered++
-		case <-ctx.Done():
-			break feed
+	wg.Wait()
+	if !stop() {
+		at := <-cancelledAt
+		s.mu.Lock()
+		m := s.metrics
+		s.mu.Unlock()
+		if m != nil {
+			m.Core.CancelSeconds.Observe(time.Since(at).Seconds())
 		}
 	}
-	close(next)
-	// Jobs never handed to a worker are marked cancelled so assembly does
-	// not mistake their empty slots for successful (nil) results.
-	for _, jb := range jobs[delivered:] {
+	// Jobs never claimed are marked cancelled so assembly does not mistake
+	// their empty slots for successful (nil) results.
+	for _, jb := range jobs[min(int(claimed.Load()), len(jobs)):] {
 		r := &reqs[jb.req]
 		n := r.Sizes[jb.idx]
 		slots[jb.req][jb.idx] = s.cancelCell(CellStatus{
 			Scenario: r.Scenario.Name, N: n, Key: cellKey(r.Scenario.Name, n, r.TopologySeed, r.Event), Seed: r.TopologySeed + uint64(n),
 		}, ctx.Err())
-	}
-	wg.Wait()
-	close(drained)
-	<-watcherDone
-	if t := cancelledAt.Load(); t != 0 {
-		s.mu.Lock()
-		m := s.metrics
-		s.mu.Unlock()
-		if m != nil {
-			m.Core.CancelSeconds.Observe(time.Duration(time.Now().UnixNano() - t).Seconds())
-		}
 	}
 
 	// Deterministic assembly: each cell was stored in its (request, size)

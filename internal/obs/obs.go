@@ -65,10 +65,9 @@ type Metrics struct {
 	// DES counts the discrete-event kernel's queue traffic (internal/des),
 	// published by the BGP engine that owns the schedulers.
 	DES struct {
-		EventsScheduled *Counter // queue insertions (ring + far heap)
-		EventsFired     *Counter // events executed
-		RingPushes      *Counter // near-band (timeRing) insertions
-		FarPushes       *Counter // far-heap insertions
+		EventsFired *Counter // events executed
+		RingPushes  *Counter // near-band (timeRing) insertions
+		FarPushes   *Counter // far-heap insertions
 	}
 
 	// BGP instruments the protocol engine (internal/bgp).
@@ -138,7 +137,6 @@ type Metrics struct {
 func New() *Metrics {
 	m := &Metrics{}
 
-	m.DES.EventsScheduled = m.counter("bgpchurn_des_events_scheduled_total", "Events inserted into the pending queue (time ring + far heap). An update the BGP engine completes at admission (a stub's, inside a run) is no event and is not counted.")
 	m.DES.EventsFired = m.counter("bgpchurn_des_events_fired_total", "Events executed by the schedulers. Updates completed at admission fire none: compare bgpchurn_bgp_updates_processed_total.")
 	m.DES.RingPushes = m.counter("bgpchurn_des_ring_pushes_total", "Insertions into the near-band time ring.")
 	m.DES.FarPushes = m.counter("bgpchurn_des_far_pushes_total", "Insertions into the far 4-ary heap.")

@@ -67,7 +67,7 @@ func TestGaugeNegativeDeltas(t *testing.T) {
 func TestProbeIncrementsAreAllocFree(t *testing.T) {
 	m := New()
 	allocs := testing.AllocsPerRun(1000, func() {
-		m.DES.EventsScheduled.Add(48)
+		m.DES.RingPushes.Add(48)
 		m.BGP.AnnouncementsSent.Inc()
 		m.Serve.QueueDepth.Add(1)
 		m.Serve.QueueDepth.Add(-1)
@@ -99,7 +99,7 @@ func TestConcurrentIncrementsExact(t *testing.T) {
 
 func TestWritePrometheusFormat(t *testing.T) {
 	m := New()
-	m.DES.EventsScheduled.Add(7)
+	m.DES.RingPushes.Add(7)
 	m.Serve.QueueDepth.Add(3)
 	m.Core.CellSeconds.Observe(0.5)
 
@@ -110,9 +110,9 @@ func TestWritePrometheusFormat(t *testing.T) {
 	out := sb.String()
 
 	for _, want := range []string{
-		"# HELP bgpchurn_des_events_scheduled_total ",
-		"# TYPE bgpchurn_des_events_scheduled_total counter",
-		"bgpchurn_des_events_scheduled_total 7\n",
+		"# HELP bgpchurn_des_ring_pushes_total ",
+		"# TYPE bgpchurn_des_ring_pushes_total counter",
+		"bgpchurn_des_ring_pushes_total 7\n",
 		"# TYPE bgpchurn_serve_queue_depth gauge",
 		"bgpchurn_serve_queue_depth 3\n",
 		"# TYPE bgpchurn_core_cell_seconds histogram",

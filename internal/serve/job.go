@@ -191,7 +191,7 @@ func (s *Server) buildJob(req SubmitRequest) (*Job, error) {
 			cells, len(req.Scenarios), len(req.Sizes), s.cfg.MaxJobCells)
 	}
 	if req.Origins < 0 || req.Origins > 1000 {
-		bad("origins %d: must be in 1..1000", req.Origins)
+		bad("origins %d: must be in 0..1000 (0 = default)", req.Origins)
 	}
 	if req.MaxWorkers < 0 {
 		bad("max_workers %d: must be >= 0", req.MaxWorkers)

@@ -219,6 +219,10 @@ func TestSubmitValidationErrors(t *testing.T) {
 		{"bad weight", `{"scenarios":["BASELINE"],"sizes":[100],"weight":99}`, "weight"},
 		{"bad tenant", `{"scenarios":["BASELINE"],"sizes":[100],"tenant":"no spaces!"}`, "tenant"},
 		{"bad origins", `{"scenarios":["BASELINE"],"sizes":[100],"origins":5000}`, "origins"},
+		{"negative origins", `{"scenarios":["BASELINE"],"sizes":[100],"origins":-1}`, "origins -1: must be in 0..1000"},
+		{"negative max_workers", `{"scenarios":["BASELINE"],"sizes":[100],"max_workers":-1}`, "max_workers -1"},
+		{"negative cell_timeout_ms", `{"scenarios":["BASELINE"],"sizes":[100],"cell_timeout_ms":-1}`, "cell_timeout_ms -1"},
+		{"negative deadline_ms", `{"scenarios":["BASELINE"],"sizes":[100],"deadline_ms":-1}`, "deadline_ms -1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
