@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bgpchurn/internal/des"
+	"bgpchurn/internal/obs"
 	"bgpchurn/internal/rng"
 	"bgpchurn/internal/scenario"
 	"bgpchurn/internal/topology"
@@ -22,10 +23,12 @@ const admissionCases = 60
 // replayEveryStep runs the script and returns the network's full fingerprint
 // (goldenRecorder: clock, Pending, totals, peak rate, every node's counters,
 // routes and Adj-RIB-In size) after every step, and the number of scheduler
-// events the network fired. A step that fails — the final CheckConsistency
-// included — fails the test.
+// events the network fired, read from a hub attached for the replay. A step
+// that fails — the final CheckConsistency included — fails the test.
 func replayEveryStep(t *testing.T, net *Network, ops []scriptOp) ([]byte, uint64) {
 	t.Helper()
+	m := obs.New()
+	net.SetObs(m)
 	g := goldenRecorder{prefixes: []Prefix{1, 2, 3}}
 	for i, op := range ops {
 		if err := op.do(net); err != nil {
@@ -34,11 +37,7 @@ func replayEveryStep(t *testing.T, net *Network, ops []scriptOp) ([]byte, uint64
 		requireOneClock(t, net, i, op.name)
 		g.snapshot(fmt.Sprintf("%d %s", i, op.name), net)
 	}
-	var fired uint64
-	for _, sh := range net.shards {
-		fired += sh.sched.Fired()
-	}
-	return g.buf.Bytes(), fired
+	return g.buf.Bytes(), m.DES.EventsFired.Value()
 }
 
 // TestAdmissionCompletionMatchesEvented: over random topologies, seeds,
@@ -149,41 +148,42 @@ func TestAdmissionCompletionPredicate(t *testing.T) {
 	}
 	_, id := net.intern.intern(Path{1, 3})
 	pending := func() int { return net.shards[0].sched.Len() }
+	received := func() uint64 { return net.Counters(stub.id).Announcements }
 
 	send := func(m *node, slot int, id PathID) { net.transmit(m, slot, 9, id) }
 
 	// Outside a run nothing completes at admission: an API call could look.
 	send(m, slot, id)
-	if pending() != 1 || !stub.delivering || stub.recvAnnounce != 0 {
-		t.Fatalf("outside a run: pending=%d delivering=%v received=%d, want an event", pending(), stub.delivering, stub.recvAnnounce)
+	if pending() != 1 || !stub.delivering || received() != 0 {
+		t.Fatalf("outside a run: pending=%d delivering=%v received=%d, want an event", pending(), stub.delivering, received())
 	}
 	// Inside one, the evented delivery ahead keeps the next update behind it.
 	inRun(net, -1, func() {
 		send(m, slot, id)
-		if pending() != 1 || len(stub.inbox) != 1 || stub.recvAnnounce != 0 {
-			t.Fatalf("behind an evented delivery: pending=%d inbox=%d received=%d, want it parked", pending(), len(stub.inbox), stub.recvAnnounce)
+		if pending() != 1 || len(stub.inbox) != 1 || received() != 0 {
+			t.Fatalf("behind an evented delivery: pending=%d inbox=%d received=%d, want it parked", pending(), len(stub.inbox), received())
 		}
 	})
-	if stub.recvAnnounce != 2 || stub.delivering {
-		t.Fatalf("after Run: received=%d delivering=%v", stub.recvAnnounce, stub.delivering)
+	if received() != 2 || stub.delivering {
+		t.Fatalf("after Run: received=%d delivering=%v", received(), stub.delivering)
 	}
 	// Idle, silent, inside a run: done on the spot, ahead of the clock.
 	inRun(net, net.Now()+des.Second, func() {
 		send(m, slot, id)
-		if pending() != 0 || stub.recvAnnounce != 3 || net.shards[0].horizon != stub.busyUntil || stub.busyUntil <= net.Now() {
+		if pending() != 0 || received() != 3 || net.shards[0].horizon != stub.busyUntil || stub.busyUntil <= net.Now() {
 			t.Fatalf("silent sink in a run: pending=%d received=%d horizon=%v busyUntil=%v now=%v",
-				pending(), stub.recvAnnounce, net.shards[0].horizon, stub.busyUntil, net.Now())
+				pending(), received(), net.shards[0].horizon, stub.busyUntil, net.Now())
 		}
 	})
 	// Not when the run may stop short of the completion time.
 	inRun(net, net.Now(), func() {
 		send(m, slot, id)
-		if pending() != 1 || stub.recvAnnounce != 3 {
-			t.Fatalf("completion past the limit: pending=%d received=%d, want an event", pending(), stub.recvAnnounce)
+		if pending() != 1 || received() != 3 {
+			t.Fatalf("completion past the limit: pending=%d received=%d, want an event", pending(), received())
 		}
 	})
-	if pending() != 1 || stub.recvAnnounce != 3 {
-		t.Fatalf("after the short run: pending=%d received=%d, want the event still queued", pending(), stub.recvAnnounce)
+	if pending() != 1 || received() != 3 {
+		t.Fatalf("after the short run: pending=%d received=%d, want the event still queued", pending(), received())
 	}
 	net.Run()
 	// A run to quiescence ends at the last completion, fired or not.

@@ -316,8 +316,8 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	net.ResetCounters()
 	inRun(net, -1, func() {
 		allocs = testing.AllocsPerRun(200, send)
-		if net.Pending() != 0 || stub.recvAnnounce != 201 {
-			t.Fatalf("sink hop: %d events pending, %d updates processed at the stub; want 0 and 201", net.Pending(), stub.recvAnnounce)
+		if got := net.Counters(stub.id).Announcements; net.Pending() != 0 || got != 201 {
+			t.Fatalf("sink hop: %d events pending, %d updates processed at the stub; want 0 and 201", net.Pending(), got)
 		}
 	})
 	if allocs != 0 {

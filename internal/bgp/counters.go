@@ -26,9 +26,13 @@ type NodeCounters struct {
 func (net *Network) Counters(id topology.NodeID) NodeCounters {
 	nd := &net.nodes[id]
 	per := recvCounts(make([]uint32, 0, nd.deg), net.sessions(nd))
+	var received uint64
+	for _, c := range per {
+		received += uint64(c)
+	}
 	return NodeCounters{
-		Received:      uint64(nd.recvAnnounce) + uint64(nd.recvWithdraw),
-		Announcements: uint64(nd.recvAnnounce),
+		Received:      received,
+		Announcements: received - uint64(nd.recvWithdraw),
 		Withdrawals:   uint64(nd.recvWithdraw),
 		Sent:          uint64(nd.sentUpdates),
 		RouteChanges:  uint64(nd.bestChanges),
@@ -100,7 +104,7 @@ func (net *Network) RouteChanges(id topology.NodeID) uint64 {
 func (net *Network) TotalUpdates() uint64 {
 	var n uint64
 	for _, sh := range net.shards {
-		n += sh.totalUpdates
+		n += sh.updates()
 	}
 	return n
 }
@@ -138,7 +142,7 @@ func (net *Network) ResetCounters() {
 	}
 	for i := range net.nodes {
 		nd := &net.nodes[i]
-		nd.recvAnnounce, nd.recvWithdraw, nd.sentUpdates = 0, 0, 0
+		nd.recvWithdraw, nd.sentUpdates = 0, 0
 		nd.bestChanges, nd.suppressions = 0, 0
 	}
 	for k := range net.sess {

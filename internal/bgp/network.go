@@ -262,7 +262,7 @@ func (net *Network) SetObs(m *obs.Metrics) {
 // are dropped. fired is the number of events the run that just ended fired
 // (zero outside RunUntil). The counts are plain fields of the engine's own
 // state — per-shard tallies, each scheduler's push counts, the shards'
-// update totals and the intern table's size — which the window workers
+// update-kind counts and the intern table's size — which the window workers
 // write and RunUntil reads after they have joined.
 func (net *Network) publish(fired uint64) {
 	var t shardTally
@@ -270,8 +270,9 @@ func (net *Network) publish(fired uint64) {
 	for _, sh := range net.shards {
 		r, f := sh.sched.TakePushes()
 		ring, far = ring+r, far+f
-		processed += sh.totalUpdates - sh.publishedUpdates
-		sh.publishedUpdates = sh.totalUpdates
+		u := sh.updates()
+		processed += u - sh.publishedUpdates
+		sh.publishedUpdates = u
 		t.announcements += sh.tally.announcements
 		t.withdrawals += sh.tally.withdrawals
 		t.flushes += sh.tally.flushes
@@ -402,7 +403,7 @@ func (net *Network) reinit(seed uint64) {
 	net.publish(0)
 	net.cause.id = 0 // a counter window across a reset means nothing
 	for _, sh := range net.shards {
-		sh.sched.Reset(true)
+		sh.sched.Reset()
 		sh.horizon = 0
 		sh.resetRate()
 		sh.emitted = 0
@@ -421,7 +422,7 @@ func (net *Network) reinit(seed uint64) {
 		nd.inbox, nd.inboxHead, nd.delivering = nd.inbox[:0], 0, false
 		nd.spoke = false
 		nd.cur = inMsg{}
-		nd.recvAnnounce, nd.recvWithdraw, nd.sentUpdates = 0, 0, 0
+		nd.recvWithdraw, nd.sentUpdates = 0, 0
 		nd.bestChanges, nd.suppressions = 0, 0
 		// Rewind every prefixState (own rows and damp storage kept);
 		// the next event's state() calls hand them out again. The flat
@@ -555,20 +556,16 @@ func (net *Network) process(nd *node, at des.Time, fromSlot int32, prefix Prefix
 	sh := nd.sh
 	row := &net.sess[nd.row+fromSlot]
 	row.recv++
-	sh.totalUpdates++
 	sh.tickRate(at)
 	ps := net.state(nd, prefix)
 	withdraw := pathID == NoPath
 	path := net.intern.path(pathID)
 	if withdraw {
 		nd.recvWithdraw++
-	} else {
-		nd.recvAnnounce++
-		if path.Contains(nd.id) {
-			// Receiver-side loop detection; unreachable given sender-side
-			// suppression, kept as defense in depth.
-			path, pathID = nil, NoPath
-		}
+	} else if path.Contains(nd.id) {
+		// Receiver-side loop detection; unreachable given sender-side
+		// suppression, kept as defense in depth.
+		path, pathID = nil, NoPath
 	}
 	// The Adj-RIB-In write is an 8-byte store into the session row — for the
 	// node's first prefix the very record whose receive counter was just

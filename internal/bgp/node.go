@@ -516,9 +516,10 @@ type node struct {
 	// row start); deg is its neighbor count.
 	row, deg int32
 	// Measurement-window counters (reset by Network.ResetCounters).
-	// bestChanges counts Loc-RIB best-route changes (path exploration
-	// depth); suppressions counts dampening suppression episodes.
-	recvAnnounce uint32
+	// recvWithdraw counts withdrawals received; the announcements are the
+	// session rows' receive counts less these. bestChanges counts Loc-RIB
+	// best-route changes (path exploration depth); suppressions counts
+	// dampening suppression episodes.
 	recvWithdraw uint32
 	sentUpdates  uint32
 	bestChanges  uint32

@@ -65,14 +65,15 @@ func (m *wireMsg) before(o *wireMsg) bool {
 type netShard struct {
 	net *Network
 	idx int
-	// totalUpdates counts updates processed by this shard's nodes since the
-	// last ResetCounters, and kinds counts the same updates by kind (see
-	// kindWithdraw) for per-event classification. (Eleven words precede
-	// sched: the scheduler's 32-byte ring buckets start one word into it,
-	// and a shard is page-aligned, so this keeps every bucket inside one
-	// cache line. TestKernelLayoutBudget pins it.)
-	totalUpdates uint64
-	kinds        [8]uint64
+	// kinds counts the updates processed by this shard's nodes since the
+	// last ResetCounters by kind (see kindWithdraw); their sum is the
+	// shard's update count. publishedUpdates is that sum as of the network's
+	// last publication (see Network.publish). (Eleven words precede sched:
+	// the scheduler's 32-byte ring buckets start one word into it, and a
+	// shard is page-aligned, so this keeps every bucket inside one cache
+	// line. TestKernelLayoutBudget pins it.)
+	kinds            [8]uint64
+	publishedUpdates uint64
 
 	sched des.Scheduler
 
@@ -94,10 +95,8 @@ type netShard struct {
 	horizon des.Time
 
 	// tally is what this shard has counted for the metrics hub since the
-	// network last published, and publishedUpdates is totalUpdates as of
-	// then (see Network.publish).
-	tally            shardTally
-	publishedUpdates uint64
+	// network last published (see Network.publish).
+	tally shardTally
 
 	// emitted counts the wire messages this shard has appended to the
 	// current outbox generation and firstArrival is the arrival time of the
@@ -388,11 +387,20 @@ func (sh *netShard) tickRate(at des.Time) {
 	sh.rate[i]++
 }
 
+// updates returns the number of updates the shard's nodes processed since
+// the last ResetCounters: its kind counts summed.
+func (sh *netShard) updates() uint64 {
+	var n uint64
+	for _, c := range sh.kinds {
+		n += c
+	}
+	return n
+}
+
 // resetRate starts a new measurement window at the shard's clock. Updates
 // are processed only inside runs, and every run publishes them, so between
 // runs the publication mark equals the count and restarts with it.
 func (sh *netShard) resetRate() {
-	sh.totalUpdates, sh.publishedUpdates = 0, 0
-	sh.kinds = [8]uint64{}
+	sh.kinds, sh.publishedUpdates = [8]uint64{}, 0
 	sh.rate, sh.rateBase = sh.rate[:0], sh.sched.Now()/des.Second
 }

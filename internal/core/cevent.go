@@ -175,9 +175,10 @@ func (r *Result) U(t topology.NodeType) float64 { return r.ByType[t].U }
 type originAccum struct {
 	// perTypeU[t] is this origin's mean updates over nodes of type t.
 	perTypeU [4]float64
-	// relU/relQ/relE aggregate the factor samples: sums and sample counts.
+	// relU/relQ/relE aggregate the factor samples: sums, and e's sample
+	// count. The u and q sample counts are topology counts (see aggregate).
 	relUSum, relQSum, relESum [4][3]float64
-	relUCnt, relQCnt, relECnt [4][3]float64
+	relECnt                   [4][3]float64
 	total                     float64
 	downSec, upSec            float64
 	exploration               [4]float64
@@ -500,10 +501,8 @@ func collect(net *bgp.Network, topo *topology.Topology, acc *originAccum, perNod
 
 		for rel := 0; rel < 3; rel++ {
 			acc.relUSum[typ][rel] += relTotal[rel]
-			acc.relUCnt[typ][rel]++
 			if relNb[rel] > 0 {
 				acc.relQSum[typ][rel] += relActive[rel] / relNb[rel]
-				acc.relQCnt[typ][rel]++
 			}
 			if relActive[rel] > 0 {
 				acc.relESum[typ][rel] += relTotal[rel] / relActive[rel]
@@ -525,9 +524,7 @@ func (s *originAccum) add(a *originAccum) {
 		s.exploration[t] += a.exploration[t]
 		for rel := 0; rel < 3; rel++ {
 			s.relUSum[t][rel] += a.relUSum[t][rel]
-			s.relUCnt[t][rel] += a.relUCnt[t][rel]
 			s.relQSum[t][rel] += a.relQSum[t][rel]
-			s.relQCnt[t][rel] += a.relQCnt[t][rel]
 			s.relESum[t][rel] += a.relESum[t][rel]
 			s.relECnt[t][rel] += a.relECnt[t][rel]
 		}
@@ -558,13 +555,19 @@ func aggregate(topo *topology.Topology, accs []originAccum, perNode []float64) *
 	res := &Result{N: topo.N(), Origins: len(accs)}
 	counts := topo.CountByType()
 
-	// The m factors are topology properties, computed exactly.
-	var mSum [4][3]float64
+	// The m factors are topology properties, computed exactly. So are the u
+	// and q sample counts per origin: the nodes of a type, and those of them
+	// with a neighbor of the relation; times k they are exact integers.
+	k := float64(len(accs))
+	var mSum, qNodes [4][3]float64
 	for i := range topo.Nodes {
 		n := &topo.Nodes[i]
-		mSum[n.Type][topology.Customer] += float64(len(n.Customers))
-		mSum[n.Type][topology.Peer] += float64(len(n.Peers))
-		mSum[n.Type][topology.Provider] += float64(len(n.Providers))
+		for rel, nb := range [3][]topology.NodeID{topology.Customer: n.Customers, topology.Peer: n.Peers, topology.Provider: n.Providers} {
+			mSum[n.Type][rel] += float64(len(nb))
+			if len(nb) > 0 {
+				qNodes[n.Type][rel]++
+			}
+		}
 	}
 
 	for t := 0; t < 4; t++ {
@@ -575,19 +578,16 @@ func aggregate(topo *topology.Topology, accs []originAccum, perNode []float64) *
 			rf := &tr.ByRel[rel]
 			if counts[t] > 0 {
 				rf.M = mSum[t][rel] / float64(counts[t])
+				rf.U = r.relUSum[t][rel] / (float64(counts[t]) * k)
 			}
-			if r.relUCnt[t][rel] > 0 {
-				rf.U = r.relUSum[t][rel] / r.relUCnt[t][rel]
-			}
-			if r.relQCnt[t][rel] > 0 {
-				rf.Q = r.relQSum[t][rel] / r.relQCnt[t][rel]
+			if qNodes[t][rel] > 0 {
+				rf.Q = r.relQSum[t][rel] / (qNodes[t][rel] * k)
 			}
 			if r.relECnt[t][rel] > 0 {
 				rf.E = r.relESum[t][rel] / r.relECnt[t][rel]
 			}
 		}
 	}
-	k := float64(len(accs))
 	res.TotalUpdates = r.total / k
 	res.DownSeconds = r.downSec / k
 	res.UpSeconds = r.upSec / k

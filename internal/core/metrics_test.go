@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -167,13 +168,15 @@ func TestMetricsGolden(t *testing.T) {
 
 // TestSchedulerMetrics drives cells to every end state the scheduler
 // counts — computed, cached, failed, retried, panicked, quarantined,
-// cancelled, evicted, journaled, resumed — and checks the hub against the
-// scheduler's own CacheStats.
+// cancelled, evicted, journaled, resumed — and checks two things. The hub's
+// counts match the cells driven. CacheStats, the only tally of cache
+// traffic, equals the fold of the SubscribeCells events over the same grids.
 func TestSchedulerMetrics(t *testing.T) {
 	m := obs.New()
 	journal := filepath.Join(t.TempDir(), "cells.journal")
 	s := NewScheduler(1)
 	s.SetObs(m)
+	folded := foldCellEvents(s)
 	s.SetRetryPolicy(1, time.Microsecond)
 	s.SetCacheLimit(3)
 	if _, _, err := s.AttachJournal(journal, false); err != nil {
@@ -193,12 +196,12 @@ func TestSchedulerMetrics(t *testing.T) {
 		return &Result{N: n}, nil
 	})
 	// 1, 4, 5 compute and are journaled; 2 panics twice and is quarantined;
-	// 3 fails; five entries through a cap of three evict two.
+	// 3 fails; five entries through a cap of three evict.
 	s.RunGrid(context.Background(), gridReq(1, 2, 3, 4, 5))
 	s.RunGrid(context.Background(), gridReq(5)) // a cache hit
 	// A grid cancelled mid-flight. RunGrid times the cancellation only when
-	// its watcher goroutine sees the context fire before the pool drains,
-	// which the scheduler does not promise; cancel grids until one is timed.
+	// its context.AfterFunc has fired before the pool drains, which the
+	// scheduler does not promise; cancel grids until one is timed.
 	for i := 0; i < 100 && m.Core.CancelSeconds.Snapshot().Count == 0; i++ {
 		ctx, stop := context.WithCancel(context.Background())
 		cancel = stop
@@ -208,24 +211,27 @@ func TestSchedulerMetrics(t *testing.T) {
 	s.Journal().Close()
 
 	st := s.CacheStats()
+	fold := folded()
+	fold.Evictions = st.Evictions // no event reports an eviction
+	if st != fold {
+		t.Errorf("CacheStats %+v, the fold of its events %+v", st, fold)
+	}
+	if st.Hits == 0 || st.Misses == 0 || st.Evictions == 0 || st.Retries == 0 || st.Quarantined == 0 || st.Cancelled == 0 {
+		t.Errorf("CacheStats %+v: an outcome was never driven", st)
+	}
 	c := &m.Core
 	for _, x := range []struct {
 		name      string
 		got, want uint64
 	}{
 		{"computed", c.CellsComputed.Value(), 3},
-		{"cached", c.CellsCached.Value(), uint64(st.Hits - st.Resumed)},
 		{"failed", c.CellsFailed.Value(), 1},
-		{"evictions", c.CacheEvictions.Value(), uint64(st.Evictions)},
-		{"retries", c.CellRetries.Value(), uint64(st.Retries)},
 		{"panics", c.PanicsRecovered.Value(), 2},
-		{"quarantined", c.CellsQuarantined.Value(), uint64(st.Quarantined)},
-		{"cancelled", c.CellsCancelled.Value(), uint64(st.Cancelled)},
 		{"journal writes", c.JournalWrites.Value(), 3},
 		{"cell seconds", c.CellSeconds.Snapshot().Count, 3},
 		{"cancel seconds", min(c.CancelSeconds.Snapshot().Count, 1), 1},
 	} {
-		if x.got != x.want || x.want == 0 {
+		if x.got != x.want {
 			t.Errorf("%s: hub %d, want %d (stats %+v)", x.name, x.got, x.want, st)
 		}
 	}
@@ -233,6 +239,7 @@ func TestSchedulerMetrics(t *testing.T) {
 	// A second scheduler resumes from the journal and serves it.
 	s2 := NewScheduler(1)
 	s2.SetObs(m)
+	folded2 := foldCellEvents(s2)
 	fakeGrid(s2, func(_ context.Context, n int) (*Result, error) { return &Result{N: n}, nil })
 	seeded, _, err := s2.AttachJournal(journal, true)
 	if err != nil {
@@ -243,7 +250,40 @@ func TestSchedulerMetrics(t *testing.T) {
 	if got := c.JournalLoads.Value(); got != uint64(seeded) || seeded != 3 {
 		t.Errorf("journal loads: hub %d, seeded %d, want 3", got, seeded)
 	}
-	if got := c.CellsResumed.Value(); got != 3 {
-		t.Errorf("resumed: hub %d, want 3", got)
+	if st2, fold2 := s2.CacheStats(), folded2(); st2 != fold2 || st2.Resumed != 3 || st2.Hits != 3 {
+		t.Errorf("resumed scheduler: CacheStats %+v, fold %+v, want 3 resumed hits", st2, fold2)
+	}
+}
+
+// foldCellEvents subscribes to s and returns a function that reports the
+// CacheStats its events add up to: CellStart is a miss, CellCached and
+// CellResumed are hits, and resumed, retried, quarantined and cancelled
+// cells count in their own fields. Evictions stays zero.
+func foldCellEvents(s *Scheduler) func() CacheStats {
+	var mu sync.Mutex
+	var st CacheStats
+	s.SubscribeCells(func(cs CellStatus) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch cs.State {
+		case CellStart:
+			st.Misses++
+		case CellCached:
+			st.Hits++
+		case CellResumed:
+			st.Hits++
+			st.Resumed++
+		case CellRetried:
+			st.Retries++
+		case CellQuarantined:
+			st.Quarantined++
+		case CellCancelled:
+			st.Cancelled++
+		}
+	})
+	return func() CacheStats {
+		mu.Lock()
+		defer mu.Unlock()
+		return st
 	}
 }

@@ -151,8 +151,8 @@ func TestRaceObsScrapeDuringGrid(t *testing.T) {
 
 // TestRaceCancellationMidGrid cancels a wide grid while many workers are
 // in flight: the drain path, the cancelled-cell cache removal, and the
-// cancellation-latency watcher must all be race-free, and a subsequent run
-// on the same scheduler must complete every cell.
+// context.AfterFunc that times the cancellation must all be race-free, and
+// a subsequent run on the same scheduler must complete every cell.
 func TestRaceCancellationMidGrid(t *testing.T) {
 	m := obs.New()
 	s := NewScheduler(8)

@@ -142,10 +142,12 @@ type CellStatus struct {
 	// CellRetried, the full budget for CellQuarantined. Zero for events
 	// that never computed (start, cached, resumed, cancelled-before-start).
 	Attempt int
-	// Elapsed is the computation time (CellDone/CellFailed/CellQuarantined,
-	// summed across attempts) or the time spent waiting on an in-flight
-	// duplicate (CellCached/CellResumed; ~0 for a warm hit). Zero for
-	// CellStart and CellRetried.
+	// Elapsed is the wall time of a computation (CellDone, CellFailed,
+	// CellQuarantined, and CellCancelled once started): from the first
+	// attempt's start to the last one's end, the backoff sleeps between
+	// attempts included. For CellCached/CellResumed it is the time spent
+	// waiting on an in-flight duplicate (~0 for a warm hit). Zero for
+	// CellStart, CellRetried and a cell cancelled before it started.
 	Elapsed time.Duration
 	// Err is set for CellFailed, CellRetried, CellQuarantined and
 	// CellCancelled (and for CellCached when the cached computation had
@@ -171,7 +173,10 @@ type GridRequest struct {
 	Event Config
 }
 
-// CacheStats counts scheduler cache traffic.
+// CacheStats counts scheduler cache traffic. It is the only tally of these
+// outcomes (churnd's GET /stats and the run manifest export it), and every
+// field but Evictions is a count of SubscribeCells events: Misses of
+// CellStart, Hits of CellCached and CellResumed, the rest of their own state.
 type CacheStats struct {
 	// Hits is the number of cells served from the cache (or coalesced onto
 	// an in-flight computation of the same key), including resumed cells.
@@ -514,7 +519,9 @@ func (s *Scheduler) Quarantined() []*CellQuarantinedError {
 func (s *Scheduler) CacheStats() CacheStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.stats
+	st := s.stats
+	st.Quarantined = len(s.quarantined)
+	return st
 }
 
 // SetCacheLimit bounds the result cache to at most n completed entries,
@@ -544,9 +551,6 @@ func (s *Scheduler) evictLocked() {
 			delete(s.cache, key)
 			s.lru.Remove(el)
 			s.stats.Evictions++
-			if m := s.metrics; m != nil {
-				m.Core.CacheEvictions.Inc()
-			}
 		default:
 			// Still computing; skip toward the front.
 		}
@@ -567,6 +571,34 @@ func (s *Scheduler) dropEntry(key CellKey, e *cacheEntry) {
 		delete(s.cache, key)
 		s.lru.Remove(e.elem)
 	}
+}
+
+// record counts and emits every outcome after a cell's cache lookup: a
+// retry or a terminal status. Hits, Resumed and Misses are counted at the
+// lookup itself, so a waiter shows as a hit while it waits.
+func (s *Scheduler) record(cs CellStatus) CellStatus {
+	s.mu.Lock()
+	switch cs.State {
+	case CellRetried:
+		s.stats.Retries++
+	case CellQuarantined:
+		s.quarantined = append(s.quarantined, cs.Err.(*CellQuarantinedError))
+	case CellCancelled:
+		s.stats.Cancelled++
+	}
+	m := s.metrics
+	s.mu.Unlock()
+	if m != nil {
+		switch cs.State {
+		case CellDone:
+			m.Core.CellsComputed.Inc()
+			m.Core.CellSeconds.Observe(cs.Elapsed.Seconds())
+		case CellFailed:
+			m.Core.CellsFailed.Inc()
+		}
+	}
+	s.emit(cs)
+	return cs
 }
 
 // emit delivers one progress event to every subscriber, serialized.
@@ -624,18 +656,10 @@ func (s *Scheduler) Cell(ctx context.Context, sc scenario.Scenario, n int, topoS
 			s.mu.Unlock()
 			return s.Cell(ctx, sc, n, topoSeed, ev)
 		}
-		if m != nil {
-			if cs.State == CellResumed {
-				m.Core.CellsResumed.Inc()
-			} else {
-				m.Core.CellsCached.Inc()
-			}
-		}
 		// A failed entry holds no result, so Result is set exactly when Err
 		// is nil.
 		cs.Elapsed, cs.Err, cs.Result = time.Since(start), e.err, e.res
-		s.emit(cs)
-		return cs
+		return s.record(cs)
 	}
 	e := &cacheEntry{ready: make(chan struct{})}
 	e.elem = s.lru.PushFront(key)
@@ -664,49 +688,24 @@ func (s *Scheduler) Cell(ctx context.Context, sc scenario.Scenario, n int, topoS
 		e.err = cellError(sc.Name, n, err)
 		s.dropEntry(key, e)
 		close(e.ready)
-		s.mu.Lock()
-		s.stats.Cancelled++
-		s.mu.Unlock()
-		if m != nil {
-			m.Core.CellsCancelled.Inc()
-		}
 		cs.State, cs.Err = CellCancelled, e.err
-		s.emit(cs)
-		return cs
+		return s.record(cs)
 	case IsTransient(err):
 		// Retry budget exhausted: quarantine the cell instead of failing the
 		// run. The entry stays cached so duplicate requests coalesce; the
 		// journal never sees it, so a resumed run recomputes it.
-		qe := &CellQuarantinedError{Key: key, Attempts: attempts, Last: err}
-		err = qe
+		err = &CellQuarantinedError{Key: key, Attempts: attempts, Last: err}
 		cs.State = CellQuarantined
-		s.mu.Lock()
-		s.quarantined = append(s.quarantined, qe)
-		s.stats.Quarantined++
-		s.mu.Unlock()
-		if m != nil {
-			m.Core.CellsQuarantined.Inc()
-		}
 	default:
 		err = cellError(sc.Name, n, err)
 		cs.State = CellFailed
 	}
 	e.res, e.err = res, err
 	close(e.ready)
-	if m != nil {
-		switch cs.State {
-		case CellDone:
-			m.Core.CellsComputed.Inc()
-			m.Core.CellSeconds.Observe(cs.Elapsed.Seconds())
-		case CellFailed:
-			m.Core.CellsFailed.Inc()
-		}
-	}
 	// computeWithRetry returns a nil result with every error, so Result is
 	// set exactly on CellDone.
 	cs.Err, cs.Result = err, res
-	s.emit(cs)
-	return cs
+	return s.record(cs)
 }
 
 // cancelCell records one cell abandoned before computation started; cs
@@ -714,15 +713,7 @@ func (s *Scheduler) Cell(ctx context.Context, sc scenario.Scenario, n int, topoS
 func (s *Scheduler) cancelCell(cs CellStatus, cause error) CellStatus {
 	cs.State = CellCancelled
 	cs.Err = fmt.Errorf("core: %s at n=%d: %w", cs.Scenario, cs.N, cause)
-	s.mu.Lock()
-	s.stats.Cancelled++
-	m := s.metrics
-	s.mu.Unlock()
-	if m != nil {
-		m.Core.CellsCancelled.Inc()
-	}
-	s.emit(cs)
-	return cs
+	return s.record(cs)
 }
 
 // computeWithRetry runs one cell to completion under the retry policy:
@@ -746,13 +737,7 @@ func (s *Scheduler) computeWithRetry(ctx context.Context, key CellKey, sc scenar
 		if ctx.Err() != nil || !IsTransient(err) || attempts > retries {
 			return nil, err, attempts
 		}
-		s.mu.Lock()
-		s.stats.Retries++
-		s.mu.Unlock()
-		if m != nil {
-			m.Core.CellRetries.Inc()
-		}
-		s.emit(CellStatus{Scenario: sc.Name, N: n, Key: key, Seed: seed, State: CellRetried, Attempt: attempts, Err: err})
+		s.record(CellStatus{Scenario: sc.Name, N: n, Key: key, Seed: seed, State: CellRetried, Attempt: attempts, Err: err})
 		if backoffRng == nil {
 			backoffRng = rng.New(keyHash(key) ^ retrySeedSalt)
 		}

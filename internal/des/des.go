@@ -352,7 +352,6 @@ type Scheduler struct {
 	near    timeRing  // events scheduled < ringHorizon from their push time
 	far     eventHeap // events scheduled >= ringHorizon ahead
 	nextSeq uint64
-	fired   uint64
 	stopped bool
 	// ringPushes and farPushes count insertions into each band since the
 	// last TakePushes: plain fields, since a Scheduler is single-goroutine.
@@ -403,9 +402,6 @@ func (s *Scheduler) Now() Time { return s.now }
 
 // Len returns the number of pending events.
 func (s *Scheduler) Len() int { return s.near.len() + s.far.len() }
-
-// Fired returns the number of events executed so far.
-func (s *Scheduler) Fired() uint64 { return s.fired }
 
 // At schedules e to fire at the absolute virtual time at. Scheduling in the
 // past (before Now) panics: it would silently reorder causality.
@@ -543,7 +539,6 @@ func (s *Scheduler) fireNext() {
 		}
 	}
 	e.Fire(s)
-	s.fired++
 }
 
 // eventData returns the data word of e's interface value: for an event of
@@ -556,17 +551,14 @@ func eventData(e Event) uintptr {
 }
 
 // Reset discards all pending events and rewinds the clock to zero, reusing
-// the queue's storage. The fired count is preserved unless resetCounters;
-// the push counts are TakePushes's, which Reset leaves alone.
-func (s *Scheduler) Reset(resetCounters bool) {
+// the queue's storage. The push counts are TakePushes's, which Reset leaves
+// alone.
+func (s *Scheduler) Reset() {
 	s.near.reset()
 	s.far.reset()
 	s.now = 0
 	s.nextSeq = 0
 	s.stopped = false
-	if resetCounters {
-		s.fired = 0
-	}
 }
 
 // PeekTime returns the firing time of the earliest pending event.

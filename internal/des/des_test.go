@@ -146,16 +146,9 @@ func TestReset(t *testing.T) {
 	s.At(5, EventFunc(func(*Scheduler) {}))
 	s.Run()
 	s.At(7, EventFunc(func(*Scheduler) {}))
-	s.Reset(false)
+	s.Reset()
 	if s.Len() != 0 || s.Now() != 0 {
 		t.Fatal("Reset did not clear queue and clock")
-	}
-	if s.Fired() != 1 {
-		t.Fatalf("Reset(false) cleared counters: fired=%d", s.Fired())
-	}
-	s.Reset(true)
-	if s.Fired() != 0 {
-		t.Fatal("Reset(true) kept counters")
 	}
 	// Scheduler is reusable after Reset.
 	ok := false
@@ -174,7 +167,7 @@ func TestTakePushes(t *testing.T) {
 	s.At(1, nop)
 	s.At(2, nop)
 	s.At(ringHorizon, nop)
-	s.Reset(true)
+	s.Reset()
 	if ring, far := s.TakePushes(); ring != 2 || far != 1 {
 		t.Fatalf("TakePushes = %d, %d; want 2, 1", ring, far)
 	}

@@ -442,7 +442,7 @@ func TestLookaheadIsInert(t *testing.T) {
 				}
 			}
 			checkLookahead("at the end")
-			s.Reset(true)
+			s.Reset()
 		}
 	}
 }

@@ -66,7 +66,44 @@ func TestMetricCatalogue(t *testing.T) {
 	}
 
 	// Every named test is declared somewhere in the module.
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	for _, name := range undeclaredTests(t, root, tests) {
+		t.Errorf("the catalogue names %s, which no test file declares", name)
+	}
+}
+
+// citedTest matches a test name cited in prose.
+var citedTest = regexp.MustCompile(`\bTest[A-Z][A-Za-z0-9_]*`)
+
+// TestDocsCiteDeclaredTests holds DESIGN.md and EXPERIMENTS.md to the test
+// files: every Test… name either document cites is declared in some
+// _test.go of the module, so a renamed or deleted test cannot leave a
+// claim behind that names it.
+func TestDocsCiteDeclaredTests(t *testing.T) {
+	const root = "../.."
+	cited := map[string]bool{}
+	for _, doc := range []string{"DESIGN.md", "EXPERIMENTS.md"} {
+		src, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range citedTest.FindAllString(string(src), -1) {
+			cited[name] = true
+		}
+	}
+	if len(cited) == 0 {
+		t.Fatal("the documents cite no tests: the pattern has drifted")
+	}
+	for _, name := range undeclaredTests(t, root, cited) {
+		t.Errorf("the documents cite %s, which no test file declares", name)
+	}
+}
+
+// undeclaredTests walks the module's _test.go files under root and returns,
+// sorted, the names in tests that none of them declares as a test function.
+// It consumes tests.
+func undeclaredTests(t *testing.T, root string, tests map[string]bool) []string {
+	t.Helper()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -95,7 +132,5 @@ func TestMetricCatalogue(t *testing.T) {
 		missing = append(missing, name)
 	}
 	sort.Strings(missing)
-	for _, name := range missing {
-		t.Errorf("the catalogue names %s, which no test file declares", name)
-	}
+	return missing
 }

@@ -92,25 +92,22 @@ type Metrics struct {
 		WindowSkew   *Histogram // per-window max-min shard wall time (stall)
 	}
 
-	// Core instruments the experiment scheduler (internal/core).
+	// Core instruments the experiment scheduler (internal/core). Cache
+	// traffic — hits, resumes, evictions, retries, quarantines and
+	// cancellations — is not here: core.Scheduler.CacheStats exports it.
 	Core struct {
-		CellsComputed    *Counter   // grid cells actually computed
-		CellsCached      *Counter   // grid cells served from the result cache
-		CellsFailed      *Counter   // grid cells that ended in an error
-		CacheEvictions   *Counter   // results dropped by the LRU cap
-		CellRetries      *Counter   // retry attempts after transient faults
-		PanicsRecovered  *Counter   // panics recovered inside cell workers
-		CellsQuarantined *Counter   // cells quarantined after retry exhaustion
-		CellsCancelled   *Counter   // cells abandoned by grid cancellation
-		CellsResumed     *Counter   // cells served from a replayed journal
-		JournalWrites    *Counter   // checkpoint records appended
-		JournalLoads     *Counter   // checkpoint records replayed into the cache
-		CellSeconds      *Histogram // wall time per computed cell
-		CancelSeconds    *Histogram // cancellation latency: cancel to grid drain
+		CellsComputed   *Counter   // grid cells actually computed
+		CellsFailed     *Counter   // grid cells that ended in an error
+		PanicsRecovered *Counter   // panics recovered inside cell workers
+		JournalWrites   *Counter   // checkpoint records appended
+		JournalLoads    *Counter   // checkpoint records replayed into the cache
+		CellSeconds     *Histogram // wall time per computed cell
+		CancelSeconds   *Histogram // cancellation latency: cancel to grid drain
 	}
 
 	// Serve instruments the churnd serving layer (internal/serve): job
-	// admission, load shedding, journal recovery and drain.
+	// admission, load shedding and drain. Journal recovery at startup is
+	// Core.JournalLoads.
 	Serve struct {
 		JobsAdmitted    *Counter   // jobs accepted into the admission queue
 		JobsShed        *Counter   // jobs refused with 429 (queue full)
@@ -119,7 +116,6 @@ type Metrics struct {
 		JobsFailed      *Counter   // jobs that finished with a failed cell
 		JobsCancelled   *Counter   // jobs cancelled by clients or drain
 		CellsDispatched *Counter   // cells handed to the shared scheduler
-		CellsRecovered  *Counter   // journal records replayed at daemon startup
 		QueueDepth      *Gauge     // jobs admitted and not yet finished
 		DrainSeconds    *Histogram // graceful-drain duration per shutdown
 	}
@@ -158,14 +154,8 @@ func New() *Metrics {
 		[]float64{0.000001, 0.00001, 0.0001, 0.0005, 0.001, 0.005, 0.025, 0.1, 0.5, 1})
 
 	m.Core.CellsComputed = m.counter("bgpchurn_core_cells_computed_total", "Experiment grid cells computed.")
-	m.Core.CellsCached = m.counter("bgpchurn_core_cells_cached_total", "Experiment grid cells served from the result cache.")
 	m.Core.CellsFailed = m.counter("bgpchurn_core_cells_failed_total", "Experiment grid cells that failed.")
-	m.Core.CacheEvictions = m.counter("bgpchurn_core_cache_evictions_total", "Cached results evicted by the LRU cap.")
-	m.Core.CellRetries = m.counter("bgpchurn_core_cell_retries_total", "Cell retry attempts after transient faults (panics, timeouts).")
 	m.Core.PanicsRecovered = m.counter("bgpchurn_core_panics_recovered_total", "Panics recovered inside cell workers.")
-	m.Core.CellsQuarantined = m.counter("bgpchurn_core_cells_quarantined_total", "Cells quarantined after exhausting the retry budget.")
-	m.Core.CellsCancelled = m.counter("bgpchurn_core_cells_cancelled_total", "Cells abandoned because the grid context was cancelled.")
-	m.Core.CellsResumed = m.counter("bgpchurn_core_cells_resumed_total", "Cells served from a checkpoint journal replayed at startup.")
 	m.Core.JournalWrites = m.counter("bgpchurn_core_journal_writes_total", "Checkpoint records appended to the cell journal.")
 	m.Core.JournalLoads = m.counter("bgpchurn_core_journal_loads_total", "Checkpoint records replayed into the scheduler cache.")
 	m.Core.CellSeconds = m.histogram("bgpchurn_core_cell_seconds", "Wall-clock seconds per computed grid cell.",
@@ -180,7 +170,6 @@ func New() *Metrics {
 	m.Serve.JobsFailed = m.counter("bgpchurn_serve_jobs_failed_total", "Jobs that finished with at least one failed cell.")
 	m.Serve.JobsCancelled = m.counter("bgpchurn_serve_jobs_cancelled_total", "Jobs cancelled by clients or by server drain.")
 	m.Serve.CellsDispatched = m.counter("bgpchurn_serve_cells_dispatched_total", "Cells dispatched from jobs to the shared scheduler.")
-	m.Serve.CellsRecovered = m.counter("bgpchurn_serve_cells_recovered_total", "Journal checkpoint records recovered into the cache at daemon startup.")
 	m.Serve.QueueDepth = m.gauge("bgpchurn_serve_queue_depth", "Jobs admitted and not yet finished.")
 	m.Serve.DrainSeconds = m.histogram("bgpchurn_serve_drain_seconds", "Graceful-drain duration per shutdown.",
 		[]float64{0.001, 0.01, 0.1, 0.5, 1, 2.5, 5, 10, 30, 60, 120})

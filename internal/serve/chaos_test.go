@@ -66,8 +66,8 @@ func TestKillAndRestartResumeFidelity(t *testing.T) {
 	if srv2.Recovered() != 2 {
 		t.Fatalf("Recovered() = %d, want 2", srv2.Recovered())
 	}
-	if got := srv2.Metrics().Serve.CellsRecovered.Value(); got != 2 {
-		t.Fatalf("cells_recovered = %d, want 2", got)
+	if got := srv2.Metrics().Core.JournalLoads.Value(); got != 2 {
+		t.Fatalf("journal_loads = %d, want 2", got)
 	}
 	_, v2, _ := submit(t, hs2.URL, crashGrid)
 	final := waitJob(t, hs2.URL, v2.ID)

@@ -24,7 +24,7 @@ func (s *Server) dispatch() {
 			if s.closed {
 				return
 			}
-			if !s.draining && s.free > 0 {
+			if !s.draining && s.inflight < s.cfg.Workers {
 				if c = s.nextCellLocked(); c != nil {
 					break
 				}
@@ -32,7 +32,6 @@ func (s *Server) dispatch() {
 			s.cond.Wait()
 		}
 		j := c.job
-		s.free--
 		s.inflight++
 		j.inflight++
 		j.next++
@@ -117,7 +116,6 @@ func (s *Server) runCell(c *cellRun) {
 	j.inflight--
 	j.remaining--
 	s.inflight--
-	s.free++
 	finished := j.remaining == 0
 	if finished {
 		s.finishJobLocked(j)

@@ -102,8 +102,7 @@ type Server struct {
 	cursor    int
 	nextID    uint64
 	active    int // admitted and not yet finished (the admission queue depth)
-	free      int // free global worker slots
-	inflight  int // cells currently computing
+	inflight  int // cells currently computing, at most cfg.Workers
 	draining  bool
 	closed    bool
 	drained   chan struct{} // closed once draining && inflight == 0
@@ -152,7 +151,6 @@ func New(cfg Config) (*Server, error) {
 		progress: obs.NewProgressBroker(),
 		jobs:     map[string]*Job{},
 		tenants:  map[string]*tenant{},
-		free:     cfg.Workers,
 		drained:  make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -165,9 +163,6 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.recovered = seeded
-		if seeded > 0 {
-			s.metrics.Serve.CellsRecovered.Add(uint64(seeded))
-		}
 	}
 
 	// The scheduler's shared feed (the one cmd/experiments serves) drives the

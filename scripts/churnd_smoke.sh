@@ -162,9 +162,9 @@ if ! diff "$work/ref.csv" "$work/restart.csv"; then
 fi
 
 metrics=$(curl -sf "http://$re_addr/metrics")
-rec_metric=$(printf '%s\n' "$metrics" | sed -n 's/^bgpchurn_serve_cells_recovered_total \([0-9]*\)$/\1/p')
+rec_metric=$(printf '%s\n' "$metrics" | sed -n 's/^bgpchurn_core_journal_loads_total \([0-9]*\)$/\1/p')
 if [ -z "$rec_metric" ] || [ "$rec_metric" -lt 1 ]; then
-    echo "FAIL: bgpchurn_serve_cells_recovered_total missing or zero on /metrics" >&2
+    echo "FAIL: bgpchurn_core_journal_loads_total missing or zero on /metrics" >&2
     exit 1
 fi
 printf '%s\n' "$metrics" | grep -q '^bgpchurn_serve_jobs_shed_total ' || {
