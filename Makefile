@@ -71,11 +71,15 @@ bench:
 # must agree with the reopen repair on what is torn. The journal harness is
 # fsync-bound: 10 s reaches a few hundred inputs. The generator's weighted
 # sampler must draw what the linear scan draws, because its exclusions are
-# subtracted during the draw rather than written into its trees.
+# subtracted during the draw rather than written into its trees. The CSR
+# builder must pair slots by transposition exactly as a map over every
+# listing would, and must not panic on one-sided, duplicate, self-looped or
+# out-of-range lists.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzInternTable -fuzztime 15s ./internal/bgp/
 	$(GO) test -run '^$$' -fuzz FuzzOpenJournal -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzWeightedSampler -fuzztime 10s ./internal/topology/
+	$(GO) test -run '^$$' -fuzz FuzzCSRReverse -fuzztime 10s ./internal/topology/
 
 # smoke drives both binaries as real processes:
 #   - resume_smoke.sh SIGINTs a -fast grid partway, reruns it with -resume,

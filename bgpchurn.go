@@ -342,10 +342,10 @@ type CompactScheme = compact.Scheme
 type CompactStretch = compact.StretchStats
 
 // BuildCompactRouting constructs a compact-routing scheme over the
-// topology's plain graph with k landmarks (the highest-degree core nodes
-// plus random fill).
+// topology's CSR, read as a plain graph, with k landmarks (the
+// highest-degree core nodes plus random fill).
 func BuildCompactRouting(t *Topology, k int, seed uint64) (*CompactScheme, error) {
-	g := t.Undirected()
+	g := t.CSR()
 	return compact.Build(g, compact.ChooseLandmarks(g, k, seed))
 }
 

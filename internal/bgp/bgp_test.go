@@ -63,6 +63,28 @@ func TestChainPropagation(t *testing.T) {
 	}
 }
 
+// TestNewRejectsAsymmetricAdjacency corrupts the lists of a valid chain so
+// that some CSR slot finds no reverse slot — a link listed on one end only,
+// a neighbor past the last node, a negative neighbor — and requires New to
+// refuse the topology rather than build sessions without a far end.
+func TestNewRejectsAsymmetricAdjacency(t *testing.T) {
+	corruptions := map[string]func(nodes []topology.Node){
+		"one-sided link":        func(nodes []topology.Node) { nodes[1].Customers = nil },
+		"out-of-range neighbor": func(nodes []topology.Node) { nodes[2].Peers = []topology.NodeID{3} },
+		"negative neighbor":     func(nodes []topology.Node) { nodes[0].Peers = []topology.NodeID{-1} },
+	}
+	for name, corrupt := range corruptions {
+		topo := build(t,
+			[]topology.NodeType{topology.T, topology.M, topology.C},
+			[][2]topology.NodeID{{0, 1}, {1, 2}}, nil)
+		corrupt(topo.Nodes)
+		_, err := New(topo, fastConfig(1))
+		if err == nil || err.Error() != "bgp: topology has an asymmetric adjacency" {
+			t.Fatalf("%s: New returned %v", name, err)
+		}
+	}
+}
+
 func TestWithdrawPropagation(t *testing.T) {
 	topo := build(t,
 		[]topology.NodeType{topology.T, topology.M, topology.C},

@@ -21,13 +21,14 @@ package compact
 import (
 	"fmt"
 
-	"bgpchurn/internal/graph"
 	"bgpchurn/internal/rng"
+	"bgpchurn/internal/topology"
 )
 
-// Scheme is a built compact-routing instance over one graph.
+// Scheme is a built compact-routing instance over one graph: a topology's
+// CSR, read as a plain undirected graph.
 type Scheme struct {
-	g *graph.Undirected
+	g *topology.Adjacency
 	// Landmarks lists the landmark node ids.
 	Landmarks []int32
 	// NearestLandmark[v] is L(v), v's closest landmark (ties broken by
@@ -45,7 +46,7 @@ type Scheme struct {
 // ChooseLandmarks picks k landmarks: the ⌈k/2⌉ highest-degree nodes (the
 // Internet's natural landmarks are the well-connected core) plus uniformly
 // random nodes for coverage, deduplicated. k is clamped to [1, n].
-func ChooseLandmarks(g *graph.Undirected, k int, seed uint64) []int32 {
+func ChooseLandmarks(g *topology.Adjacency, k int, seed uint64) []int32 {
 	n := g.N()
 	if n == 0 {
 		return nil
@@ -68,7 +69,7 @@ func ChooseLandmarks(g *graph.Undirected, k int, seed uint64) []int32 {
 	for i := 0; i < top; i++ {
 		best := i
 		for j := i + 1; j < n; j++ {
-			if g.Degree(degreeOrder[j]) > g.Degree(degreeOrder[best]) {
+			if g.Degree(topology.NodeID(degreeOrder[j])) > g.Degree(topology.NodeID(degreeOrder[best])) {
 				best = j
 			}
 		}
@@ -91,7 +92,7 @@ func ChooseLandmarks(g *graph.Undirected, k int, seed uint64) []int32 {
 // Build constructs the scheme for the given landmark set. Costs one BFS per
 // landmark plus one BFS per node (for cluster membership): O(n·E) worst
 // case, fine at the ≤10⁴ scale used here.
-func Build(g *graph.Undirected, landmarks []int32) (*Scheme, error) {
+func Build(g *topology.Adjacency, landmarks []int32) (*Scheme, error) {
 	n := g.N()
 	if n == 0 {
 		return nil, fmt.Errorf("compact: empty graph")
@@ -120,7 +121,7 @@ func Build(g *graph.Undirected, landmarks []int32) (*Scheme, error) {
 	// Distance vector per landmark.
 	s.landmarkDist = make([][]int32, len(s.Landmarks))
 	for i, l := range s.Landmarks {
-		s.landmarkDist[i] = s.g.BFSDistances(l)
+		s.landmarkDist[i] = s.g.BFSDistances(topology.NodeID(l))
 	}
 
 	// Nearest landmark per node.
@@ -146,13 +147,13 @@ func Build(g *graph.Undirected, landmarks []int32) (*Scheme, error) {
 	// d(w,v) < d(w, L(w)). Nodes co-located with their landmark (distance
 	// 0, i.e. landmarks themselves) have empty "ball", contributing nothing.
 	dist := make([]int32, n)
-	queue := make([]int32, 0, n)
+	queue := make([]topology.NodeID, 0, n)
 	for w := 0; w < n; w++ {
 		radius := s.NearestDist[w]
 		if radius == 0 {
 			continue
 		}
-		s.g.BFSDistancesInto(int32(w), dist, queue)
+		s.g.BFSDistancesInto(topology.NodeID(w), dist, queue)
 		for v := 0; v < n; v++ {
 			if v != w && dist[v] >= 0 && dist[v] < radius {
 				s.Clusters[v] = append(s.Clusters[v], int32(w))
@@ -195,7 +196,7 @@ func (s *Scheme) RouteLength(src, dst int32) (hops int32, direct bool) {
 	if src == dst {
 		return 0, true
 	}
-	srcDist := s.g.BFSDistances(src)
+	srcDist := s.g.BFSDistances(topology.NodeID(src))
 	return s.routeLengthWith(srcDist, src, dst)
 }
 
@@ -241,10 +242,10 @@ func (s *Scheme) MeasureStretch(sources []int32) StretchStats {
 	var sum float64
 	n := s.g.N()
 	dist := make([]int32, n)
-	queue := make([]int32, 0, n)
+	queue := make([]topology.NodeID, 0, n)
 	direct := 0
 	for _, src := range sources {
-		s.g.BFSDistancesInto(src, dist, queue)
+		s.g.BFSDistancesInto(topology.NodeID(src), dist, queue)
 		for dst := 0; dst < n; dst++ {
 			if int32(dst) == src || dist[dst] <= 0 {
 				continue

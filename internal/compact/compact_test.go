@@ -4,17 +4,32 @@ import (
 	"math"
 	"testing"
 
-	"bgpchurn/internal/graph"
 	"bgpchurn/internal/scenario"
+	"bgpchurn/internal/topology"
 )
 
-// line builds the path graph 0-1-...-(n-1).
-func line(n int) *graph.Undirected {
-	g := graph.NewUndirected(n)
-	for i := 0; i < n-1; i++ {
-		g.AddEdge(int32(i), int32(i+1))
+// graphOf returns the CSR of an n-node graph with the given undirected
+// edges, each listed as a peering on both ends.
+func graphOf(n int, edges ...[2]int32) *topology.Adjacency {
+	topo := &topology.Topology{NumRegions: 1, Nodes: make([]topology.Node, n)}
+	for i := range topo.Nodes {
+		topo.Nodes[i].ID = topology.NodeID(i)
 	}
-	return g
+	for _, e := range edges {
+		u, v := topology.NodeID(e[0]), topology.NodeID(e[1])
+		topo.Nodes[u].Peers = append(topo.Nodes[u].Peers, v)
+		topo.Nodes[v].Peers = append(topo.Nodes[v].Peers, u)
+	}
+	return topo.CSR()
+}
+
+// line builds the path graph 0-1-...-(n-1).
+func line(n int) *topology.Adjacency {
+	var edges [][2]int32
+	for i := 0; i < n-1; i++ {
+		edges = append(edges, [2]int32{int32(i), int32(i + 1)})
+	}
+	return graphOf(n, edges...)
 }
 
 func TestBuildOnLine(t *testing.T) {
@@ -46,7 +61,7 @@ func TestStretchBoundOnGeneratedTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := topo.Undirected()
+	g := topo.CSR()
 	landmarks := ChooseLandmarks(g, 24, 17)
 	s, err := Build(g, landmarks)
 	if err != nil {
@@ -75,7 +90,7 @@ func TestTableSizesBeatFullTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := topo.Undirected()
+	g := topo.CSR()
 	k := int(math.Ceil(math.Sqrt(float64(g.N()))))
 	s, err := Build(g, ChooseLandmarks(g, k, 19))
 	if err != nil {
@@ -94,10 +109,7 @@ func TestTableSizesBeatFullTables(t *testing.T) {
 
 func TestRouteLengthDirectAndViaLandmark(t *testing.T) {
 	// Star with center 0: landmark at a leaf to force detours.
-	g := graph.NewUndirected(5)
-	for i := int32(1); i < 5; i++ {
-		g.AddEdge(0, i)
-	}
+	g := graphOf(5, [2]int32{0, 1}, [2]int32{0, 2}, [2]int32{0, 3}, [2]int32{0, 4})
 	s, err := Build(g, []int32{1})
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +136,7 @@ func TestChooseLandmarks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := topo.Undirected()
+	g := topo.CSR()
 	ls := ChooseLandmarks(g, 10, 23)
 	if len(ls) != 10 {
 		t.Fatalf("got %d landmarks", len(ls))
@@ -139,7 +151,7 @@ func TestChooseLandmarks(t *testing.T) {
 	// The top-degree node (a tier-1 hub) must be among the first picks.
 	best := int32(0)
 	for v := 1; v < g.N(); v++ {
-		if g.Degree(int32(v)) > g.Degree(best) {
+		if g.Degree(topology.NodeID(v)) > g.Degree(topology.NodeID(best)) {
 			best = int32(v)
 		}
 	}
@@ -156,7 +168,7 @@ func TestChooseLandmarks(t *testing.T) {
 }
 
 func TestBuildErrors(t *testing.T) {
-	if _, err := Build(graph.NewUndirected(0), []int32{0}); err == nil {
+	if _, err := Build(graphOf(0), []int32{0}); err == nil {
 		t.Fatal("empty graph accepted")
 	}
 	g := line(3)
@@ -170,9 +182,7 @@ func TestBuildErrors(t *testing.T) {
 		t.Fatal("duplicate landmark accepted")
 	}
 	// Disconnected graph: some node cannot reach any landmark.
-	dg := graph.NewUndirected(4)
-	dg.AddEdge(0, 1)
-	dg.AddEdge(2, 3)
+	dg := graphOf(4, [2]int32{0, 1}, [2]int32{2, 3})
 	if _, err := Build(dg, []int32{0}); err == nil {
 		t.Fatal("unreachable landmark accepted")
 	}
@@ -183,7 +193,7 @@ func TestLandmarkFailureImpact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := topo.Undirected()
+	g := topo.CSR()
 	s, err := Build(g, ChooseLandmarks(g, 12, 29))
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +238,7 @@ func BenchmarkBuildCompact1000(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := topo.Undirected()
+	g := topo.CSR()
 	ls := ChooseLandmarks(g, 32, 31)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -33,7 +33,7 @@ func goldenManifest() *Manifest {
 		Cache: CacheCounts{Hits: 1, Misses: 2, Evictions: 0},
 		Counters: map[string]float64{
 			"bgpchurn_core_cells_computed_total": 2,
-			"bgpchurn_core_cells_cached_total":   1,
+			"bgpchurn_core_cells_failed_total":   1,
 		},
 	}
 }

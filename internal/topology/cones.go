@@ -72,42 +72,51 @@ func denseUnion(n int, customers []NodeID, sets []coneSet) coneSet {
 	return coneSet{bits: b, size: size}
 }
 
+// customersFirst returns the nodes in a customers-first topological order
+// of the provider relation, by Kahn's algorithm upward from the stubs: a
+// node is ready once every customer is. The order is shorter than N exactly
+// when the provider relation has a cycle (Validate's hierarchy check). The
+// neighbor lists must be symmetric; validateLists checks that first.
+func customersFirst(t *Topology) []NodeID {
+	waiting := make([]int32, len(t.Nodes))
+	order := make([]NodeID, 0, len(t.Nodes))
+	for i := range t.Nodes {
+		waiting[i] = int32(len(t.Nodes[i].Customers))
+		if waiting[i] == 0 {
+			order = append(order, NodeID(i))
+		}
+	}
+	for k := 0; k < len(order); k++ {
+		for _, p := range t.Nodes[order[k]].Providers {
+			if waiting[p]--; waiting[p] == 0 {
+				order = append(order, p)
+			}
+		}
+	}
+	return order
+}
+
 // customerCones materializes the customer cone of every node of a finished
 // topology in one bottom-up pass, for Validate: each cone is the union of
 // its customers' already-built cones plus the customers themselves, so a
 // child's result is shared by every ancestor instead of re-traversed per
-// ancestor. Nodes are visited in a customers-first topological order of the
-// provider DAG (hand-built and relabeled topologies number their nodes
-// freely), every node with customers gets a cone (T nodes included), and
-// list-form unions sort. The provider relation must be acyclic and the
-// neighbor lists symmetric; Validate checks both first.
+// ancestor. Nodes are visited in customersFirst order (hand-built and
+// relabeled topologies number their nodes freely), every node with
+// customers gets a cone (T nodes included), and list-form unions sort. The
+// provider relation must be acyclic and the neighbor lists symmetric;
+// Validate checks both first.
 func customerCones(t *Topology) []coneSet {
 	n := len(t.Nodes)
 	sets := make([]coneSet, n)
 	threshold := coneThreshold(n)
-	// Kahn's algorithm upward from the stubs: a node is ready once every
-	// customer's cone is built.
-	waiting := make([]int32, n)
-	ready := make([]NodeID, 0, n)
-	for i := range t.Nodes {
-		waiting[i] = int32(len(t.Nodes[i].Customers))
-		if waiting[i] == 0 {
-			ready = append(ready, NodeID(i))
-		}
-	}
-	for k := 0; k < len(ready); k++ {
-		nd := &t.Nodes[ready[k]]
-		for _, p := range nd.Providers {
-			if waiting[p]--; waiting[p] == 0 {
-				ready = append(ready, p)
-			}
-		}
+	for _, id := range customersFirst(t) {
+		nd := &t.Nodes[id]
 		if len(nd.Customers) == 0 {
 			continue
 		}
 		est, dense := coneEstimate(nd.Customers, sets)
 		if dense || est > threshold {
-			sets[nd.ID] = denseUnion(n, nd.Customers, sets)
+			sets[id] = denseUnion(n, nd.Customers, sets)
 			continue
 		}
 		out := make([]NodeID, 0, est)
@@ -116,7 +125,7 @@ func customerCones(t *Topology) []coneSet {
 		}
 		slices.Sort(out)
 		out = slices.Compact(out)
-		sets[nd.ID] = coneSet{list: out, size: len(out)}
+		sets[id] = coneSet{list: out, size: len(out)}
 	}
 	return sets
 }

@@ -2,9 +2,11 @@ package topology
 
 // Adjacency is the flattened CSR (compressed sparse row) view of a
 // topology's neighbor lists. Row i spans [Offsets[i], Offsets[i+1]) in the
-// column arrays; within a row, slots follow the canonical Neighbors order
+// column arrays; within a row, slots follow the node's lists in order
 // (customers, then peers, then providers), so a CSR slot index is
-// interchangeable with the slot index every simulation engine uses.
+// interchangeable with the slot index every simulation engine uses. It is
+// the one graph form every walk after Validate reads: the BGP engine, the
+// structural statistics (metrics.go) and compact routing.
 //
 // The arrays are immutable once built and shared by every consumer of the
 // topology: simulation engines lay their per-neighbor state out parallel to
@@ -24,6 +26,9 @@ type Adjacency struct {
 	Reverse []int32
 }
 
+// N returns the number of nodes.
+func (a *Adjacency) N() int { return len(a.Offsets) - 1 }
+
 // Degree returns node id's total neighbor count.
 func (a *Adjacency) Degree(id NodeID) int {
 	return int(a.Offsets[id+1] - a.Offsets[id])
@@ -32,6 +37,11 @@ func (a *Adjacency) Degree(id NodeID) int {
 // Row returns node id's slot range [lo, hi) in the column arrays.
 func (a *Adjacency) Row(id NodeID) (lo, hi int32) {
 	return a.Offsets[id], a.Offsets[id+1]
+}
+
+// neighbors returns node id's row of neighbor IDs.
+func (a *Adjacency) neighbors(id NodeID) []NodeID {
+	return a.IDs[a.Offsets[id]:a.Offsets[id+1]]
 }
 
 // Symmetric reports whether every slot found its reverse slot, i.e. the
@@ -54,7 +64,12 @@ func (t *Topology) CSR() *Adjacency {
 	return t.csr
 }
 
-// buildCSR flattens the per-node neighbor lists into one CSR block.
+// buildCSR flattens the per-node neighbor lists into one CSR block and
+// pairs every slot with its reverse by transposition: slots are bucketed by
+// target, and each row then marks where it lists every neighbor (the last
+// listing wins) and hands those positions to the slots pointing at it. A
+// slot whose target is out of range or does not list its row back keeps -1.
+// uint32(v) < uint32(n) is the range test: a negative v wraps above n.
 func buildCSR(t *Topology) *Adjacency {
 	n := t.N()
 	a := &Adjacency{Offsets: make([]int32, n+1)}
@@ -66,39 +81,60 @@ func buildCSR(t *Topology) *Adjacency {
 	a.IDs = make([]NodeID, total)
 	a.Rels = make([]Relation, total)
 	a.Reverse = make([]int32, total)
-
-	// slotOf maps a directed edge (from, to) to the slot of `to` in
-	// `from`'s row, packed into one uint64 key.
-	slotOf := make(map[uint64]int32, total)
-	edge := func(from, to NodeID) uint64 {
-		return uint64(uint32(from))<<32 | uint64(uint32(to))
-	}
+	// inStart[j+1] counts the slots that name node j, then becomes the
+	// start of j's bucket in in.
+	inStart := make([]int32, n+1)
 	for i := range t.Nodes {
 		nd := &t.Nodes[i]
 		k := a.Offsets[i]
-		put := func(id NodeID, rel Relation) {
-			a.IDs[k] = id
-			a.Rels[k] = rel
-			slotOf[edge(nd.ID, id)] = k - a.Offsets[i]
-			k++
-		}
-		for _, v := range nd.Customers {
-			put(v, Customer)
-		}
-		for _, v := range nd.Peers {
-			put(v, Peer)
-		}
-		for _, v := range nd.Providers {
-			put(v, Provider)
+		for rel, list := range [...][]NodeID{Customer: nd.Customers, Peer: nd.Peers, Provider: nd.Providers} {
+			for _, v := range list {
+				a.IDs[k] = v
+				a.Rels[k] = Relation(rel)
+				if uint32(v) < uint32(n) {
+					inStart[v+1]++
+				}
+				k++
+			}
 		}
 	}
-	for i := range t.Nodes {
-		lo, hi := a.Offsets[i], a.Offsets[i+1]
-		for k := lo; k < hi; k++ {
-			if s, ok := slotOf[edge(a.IDs[k], NodeID(i))]; ok {
-				a.Reverse[k] = s
-			} else {
+	for j := 0; j < n; j++ {
+		inStart[j+1] += inStart[j]
+	}
+	// in holds, bucketed by target, the slots naming each node; Reverse
+	// holds each bucketed slot's row until the slot is answered.
+	in := make([]int32, inStart[n])
+	fill := append([]int32(nil), inStart[:n]...)
+	for i := 0; i < n; i++ {
+		for k := a.Offsets[i]; k < a.Offsets[i+1]; k++ {
+			v := a.IDs[k]
+			if uint32(v) >= uint32(n) {
 				a.Reverse[k] = -1
+				continue
+			}
+			in[fill[v]] = k
+			fill[v]++
+			a.Reverse[k] = int32(i)
+		}
+	}
+	// mark[i] is the position of node i in the current row, -1 if absent.
+	mark := fill
+	for i := range mark {
+		mark[i] = -1
+	}
+	for j := 0; j < n; j++ {
+		lo, hi := a.Offsets[j], a.Offsets[j+1]
+		for k := lo; k < hi; k++ {
+			if v := a.IDs[k]; uint32(v) < uint32(n) {
+				mark[v] = k - lo
+			}
+		}
+		for _, k := range in[inStart[j]:inStart[j+1]] {
+			a.Reverse[k] = mark[a.Reverse[k]]
+		}
+		for k := lo; k < hi; k++ {
+			if v := a.IDs[k]; uint32(v) < uint32(n) {
+				mark[v] = -1
 			}
 		}
 	}

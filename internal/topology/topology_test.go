@@ -300,16 +300,16 @@ func TestInCustomerTree(t *testing.T) {
 
 func TestRelationAndNeighbors(t *testing.T) {
 	topo := MustGenerate(baselineParams(200, 31))
-	var nb []Neighbor
+	a := topo.CSR()
 	for i := range topo.Nodes {
-		nb = topo.Neighbors(NodeID(i), nb[:0])
 		n := &topo.Nodes[i]
-		if len(nb) != n.Degree() {
-			t.Fatalf("node %d: %d neighbors vs degree %d", i, len(nb), n.Degree())
+		if a.Degree(NodeID(i)) != n.Degree() {
+			t.Fatalf("node %d: %d neighbors vs degree %d", i, a.Degree(NodeID(i)), n.Degree())
 		}
-		for _, x := range nb {
-			if topo.Relation(NodeID(i), x.ID) != x.Rel {
-				t.Fatalf("node %d: relation mismatch for neighbor %d", i, x.ID)
+		lo, hi := a.Row(NodeID(i))
+		for k := lo; k < hi; k++ {
+			if topo.Relation(NodeID(i), a.IDs[k]) != a.Rels[k] {
+				t.Fatalf("node %d: relation mismatch for neighbor %d", i, a.IDs[k])
 			}
 		}
 	}

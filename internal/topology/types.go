@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-
-	"bgpchurn/internal/graph"
 )
 
 // NodeID is a dense node index in [0, N).
@@ -144,13 +142,6 @@ func (n *Node) Degree() int {
 // MHD returns the node's multihoming degree (its number of providers).
 func (n *Node) MHD() int { return len(n.Providers) }
 
-// Neighbor pairs a neighbor's ID with its relation as seen from the local
-// node. Simulation engines consume flattened []Neighbor lists.
-type Neighbor struct {
-	ID  NodeID
-	Rel Relation
-}
-
 // Topology is an immutable annotated AS graph produced by Generate.
 type Topology struct {
 	Nodes      []Node
@@ -192,21 +183,6 @@ func (t *Topology) Relation(a, b NodeID) Relation {
 	return NotConnected
 }
 
-// Neighbors returns a's neighbors with relations, appended to dst.
-func (t *Topology) Neighbors(a NodeID, dst []Neighbor) []Neighbor {
-	n := &t.Nodes[a]
-	for _, v := range n.Customers {
-		dst = append(dst, Neighbor{ID: v, Rel: Customer})
-	}
-	for _, v := range n.Peers {
-		dst = append(dst, Neighbor{ID: v, Rel: Peer})
-	}
-	for _, v := range n.Providers {
-		dst = append(dst, Neighbor{ID: v, Rel: Provider})
-	}
-	return dst
-}
-
 // NodesOfType returns the IDs of all nodes of the given type.
 func (t *Topology) NodesOfType(typ NodeType) []NodeID {
 	var ids []NodeID
@@ -234,35 +210,6 @@ func (t *Topology) Edges() (transit, peering int) {
 		peering += len(t.Nodes[i].Peers)
 	}
 	return transit, peering / 2
-}
-
-// Undirected returns the plain undirected adjacency view (all link types).
-func (t *Topology) Undirected() *graph.Undirected {
-	g := graph.NewUndirected(t.N())
-	for i := range t.Nodes {
-		n := &t.Nodes[i]
-		for _, c := range n.Customers {
-			g.AddEdge(int32(n.ID), int32(c))
-		}
-		for _, p := range n.Peers {
-			if p > n.ID { // add each peering once
-				g.AddEdge(int32(n.ID), int32(p))
-			}
-		}
-	}
-	return g
-}
-
-// ProviderDAG returns the provider→customer directed view used for
-// hierarchy (acyclicity) checks and customer cones.
-func (t *Topology) ProviderDAG() *graph.Directed {
-	g := graph.NewDirected(t.N())
-	for i := range t.Nodes {
-		for _, c := range t.Nodes[i].Customers {
-			g.AddEdge(int32(t.Nodes[i].ID), int32(c))
-		}
-	}
-	return g
 }
 
 // InCustomerTree reports whether descendant lies in ancestor's customer

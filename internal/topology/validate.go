@@ -22,16 +22,41 @@ func (t *Topology) Validate() error {
 	if err := t.validateTypes(); err != nil {
 		return err
 	}
-	if t.ProviderDAG().HasCycle() {
+	if len(customersFirst(t)) < t.N() {
 		return fmt.Errorf("topology: provider loop detected")
 	}
 	if err := t.validatePeering(); err != nil {
 		return err
 	}
-	if !t.Undirected().IsConnected() {
+	if !t.connected() {
 		return fmt.Errorf("topology: graph is not connected")
 	}
 	return nil
+}
+
+// connected reports whether one breadth-first walk over the neighbor lists
+// from node 0 reaches every node (the empty graph is connected). The lists
+// must be symmetric; validateLists checks that first.
+func (t *Topology) connected() bool {
+	n := t.N()
+	if n == 0 {
+		return true
+	}
+	seen := make([]bool, n)
+	seen[0] = true
+	queue := append(make([]NodeID, 0, n), 0)
+	for k := 0; k < len(queue); k++ {
+		nd := &t.Nodes[queue[k]]
+		for _, list := range [...][]NodeID{nd.Customers, nd.Peers, nd.Providers} {
+			for _, v := range list {
+				if !seen[v] {
+					seen[v] = true
+					queue = append(queue, v)
+				}
+			}
+		}
+	}
+	return len(queue) == n
 }
 
 func (t *Topology) validateLists() error {

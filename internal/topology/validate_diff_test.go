@@ -9,11 +9,13 @@ import (
 )
 
 // Differential tier for Validate. The linear-time checks (one bottom-up cone
-// pass for the peering rule, a map lookup for the back-link rule) must
-// accept and reject exactly what the original quadratic predicates do, with
-// the same message: a per-peering-link InCustomerTree DFS and a
-// Relation(nb, n) scan of the neighbor's lists per link. The originals are
-// kept here as the executable specification.
+// pass for the peering rule, a map lookup for the back-link rule, Kahn's
+// order for the hierarchy rule, one list walk for connectivity) must accept
+// and reject exactly what the original predicates do, with the same
+// message: a per-peering-link InCustomerTree DFS, a Relation(nb, n) scan of
+// the neighbor's lists per link, a three-colour DFS over the
+// provider→customer links and a BFS over an adjacency-list copy of the
+// graph. The originals are kept here as the executable specification.
 
 // validateReference is Validate with the original predicates.
 func validateReference(t *Topology) error {
@@ -23,7 +25,7 @@ func validateReference(t *Topology) error {
 	if err := t.validateTypes(); err != nil {
 		return err
 	}
-	if t.ProviderDAG().HasCycle() {
+	if referenceHasCycle(t) {
 		return fmt.Errorf("topology: provider loop detected")
 	}
 	for i := range t.Nodes {
@@ -34,10 +36,98 @@ func validateReference(t *Topology) error {
 			}
 		}
 	}
-	if !t.Undirected().IsConnected() {
+	if !referenceConnected(t) {
 		return fmt.Errorf("topology: graph is not connected")
 	}
 	return nil
+}
+
+// referenceHasCycle is an iterative three-colour DFS over the
+// provider→customer links.
+func referenceHasCycle(t *Topology) bool {
+	const (
+		white = 0
+		gray  = 1
+		black = 2
+	)
+	color := make([]int8, t.N())
+	type frame struct {
+		node NodeID
+		next int
+	}
+	var stack []frame
+	for s := NodeID(0); int(s) < t.N(); s++ {
+		if color[s] != white {
+			continue
+		}
+		color[s] = gray
+		stack = append(stack[:0], frame{node: s})
+		for len(stack) > 0 {
+			top := &stack[len(stack)-1]
+			out := t.Nodes[top.node].Customers
+			if top.next < len(out) {
+				v := out[top.next]
+				top.next++
+				switch color[v] {
+				case gray:
+					return true
+				case white:
+					color[v] = gray
+					stack = append(stack, frame{node: v})
+				}
+			} else {
+				color[top.node] = black
+				stack = stack[:len(stack)-1]
+			}
+		}
+	}
+	return false
+}
+
+// referenceConnected copies the graph into adjacency lists (each transit
+// link from its provider's side, each peering once) and labels components
+// by BFS; the graph is connected when there is at most one.
+func referenceConnected(t *Topology) bool {
+	adj := make([][]NodeID, t.N())
+	for i := range t.Nodes {
+		n := &t.Nodes[i]
+		for _, c := range n.Customers {
+			adj[n.ID] = append(adj[n.ID], c)
+			adj[c] = append(adj[c], n.ID)
+		}
+		for _, p := range n.Peers {
+			if p > n.ID {
+				adj[n.ID] = append(adj[n.ID], p)
+				adj[p] = append(adj[p], n.ID)
+			}
+		}
+	}
+	labels := make([]int32, t.N())
+	for i := range labels {
+		labels[i] = -1
+	}
+	count := 0
+	var queue []NodeID
+	for s := NodeID(0); int(s) < t.N(); s++ {
+		if labels[s] >= 0 {
+			continue
+		}
+		id := int32(count)
+		count++
+		labels[s] = id
+		queue = append(queue[:0], s)
+		for len(queue) > 0 {
+			u := queue[0]
+			queue = queue[1:]
+			for _, v := range adj[u] {
+				if labels[v] < 0 {
+					labels[v] = id
+					queue = append(queue, v)
+				}
+			}
+		}
+	}
+	return count <= 1
 }
 
 func referenceLists(t *Topology) error {
