@@ -119,14 +119,15 @@ type EventAttribution struct {
 	ByType [4]TypeAttribution
 }
 
-// MQE returns the live Eq.-1 factors for node type t and relation rel:
-// m — mean sessions of the relation per node of the type,
-// q — fraction of those sessions active during the event,
-// e — mean updates per active session.
-// Their product m·q·e is the type's per-node update count over the
-// relation, and Σ_rel m·q·e = U(t) for this single event.
-func (a *EventAttribution) MQE(t topology.NodeType, rel topology.Relation) (m, q, e float64) {
-	ta := &a.ByType[t]
+// MQE returns the Eq.-1 factors of the type's updates over relation rel,
+// each a ratio of the cells' sums:
+// m — sessions of the relation per node of the type,
+// q — the fraction of those sessions that were active,
+// e — updates per active session.
+// Their product m·q·e is the updates received over the relation per node of
+// the type, and Σ_rel m·q·e = U(). Cells summed over several events or
+// origins give the factors of the whole set, which close the same way.
+func (ta *TypeAttribution) MQE(rel topology.Relation) (m, q, e float64) {
 	ra := &ta.ByRel[rel]
 	if ta.Nodes > 0 {
 		m = float64(ra.Sessions) / float64(ta.Nodes)
@@ -140,10 +141,9 @@ func (a *EventAttribution) MQE(t topology.NodeType, rel topology.Relation) (m, q
 	return m, q, e
 }
 
-// U returns the mean number of updates received per node of type t during
-// this event — the paper's U(X) for a single routing event.
-func (a *EventAttribution) U(t topology.NodeType) float64 {
-	ta := &a.ByType[t]
+// U returns the mean number of updates received per node of the type — the
+// paper's U(X) for the events the cells cover.
+func (ta *TypeAttribution) U() float64 {
 	if ta.Nodes == 0 {
 		return 0
 	}
@@ -170,9 +170,9 @@ func (a *EventAttribution) Stats() map[string]float64 {
 	for _, t := range topology.NodeTypes {
 		ta := &a.ByType[t]
 		s["explore_"+t.String()] = float64(ta.Exploration)
-		s["U_"+t.String()] = a.U(t)
+		s["U_"+t.String()] = ta.U()
 		for _, rel := range rels {
-			m, q, e := a.MQE(t, rel)
+			m, q, e := ta.MQE(rel)
 			key := t.String() + "_" + rel.String()
 			s["m_"+key] = m
 			s["q_"+key] = q
@@ -248,12 +248,11 @@ func (net *Network) BeginCause(kind CauseKind, origin topology.NodeID) CauseID {
 }
 
 // EndCause closes the current root cause and returns its attribution, the
-// change of the engine's counters since BeginCause: one O(sessions) scan
-// groups the receive counts that grew by node type × relation and counts
-// the sessions and nodes they are shares of, and the shards' kind counts
-// fold into the four update classes. Call it at quiescence (after Run); the
-// zero value is returned when no cause is open — none was begun, or a
-// counter reset (ResetCounters, Reset, Grow) discarded it.
+// change of the engine's counters since BeginCause: the Eq.-1 cells of the
+// receive counts that grew (typeCells), and the shards' kind counts folded
+// into the four update classes. Call it at quiescence (after Run); the zero
+// value is returned when no cause is open — none was begun, or a counter
+// reset (ResetCounters, Reset, Grow) discarded it.
 func (net *Network) EndCause() EventAttribution {
 	c := &net.cause
 	if c.id == 0 {
@@ -265,26 +264,9 @@ func (net *Network) EndCause() EventAttribution {
 		Origin: c.origin,
 		Start:  c.start,
 		End:    net.Now(),
+		ByType: net.typeCells(c.recv, c.changes),
 	}
 	c.id = 0
-	for i := range net.nodes {
-		nd := &net.nodes[i]
-		ta := &a.ByType[nd.typ]
-		ta.Nodes++
-		ta.Exploration += uint64(nd.bestChanges)
-		rows, was := net.sessions(nd), c.recv[nd.row:nd.row+nd.deg]
-		for j, rel := range net.nbrRels(nd) {
-			ra := &ta.ByRel[rel]
-			ra.Sessions++
-			if d := rows[j].recv - was[j]; d > 0 {
-				ra.Updates += uint64(d)
-				ra.Active++
-			}
-		}
-	}
-	for t := range a.ByType {
-		a.ByType[t].Exploration -= c.changes[t]
-	}
 	k := net.kindCounts()
 	for i := range k {
 		k[i] -= c.kinds[i]
@@ -301,4 +283,47 @@ func (net *Network) EndCause() EventAttribution {
 	a.NewAnnouncements = k[kindHadNone] + k[kindHadNone|kindSame]
 	a.ImplicitWithdrawals = k[0]
 	return a
+}
+
+// Attribution returns the Eq.-1 cells of the whole measurement window, every
+// update received since the last counter reset (ResetCounters, Reset, Grow):
+// the same cells and arithmetic as an event's, from a zero baseline. Call it
+// at quiescence.
+func (net *Network) Attribution() [4]TypeAttribution {
+	return net.typeCells(nil, [4]uint64{})
+}
+
+// typeCells is one O(sessions) scan: it groups the receive counts that grew
+// since recv (parallel to Network.sess; nil is all zeros) by node type ×
+// relation, counts the sessions and nodes they are shares of, and takes the
+// best-route changes since changes (by node type).
+func (net *Network) typeCells(recv []uint32, changes [4]uint64) [4]TypeAttribution {
+	var by [4]TypeAttribution
+	for i := range net.nodes {
+		nd := &net.nodes[i]
+		ta := &by[nd.typ]
+		ta.Nodes++
+		ta.Exploration += uint64(nd.bestChanges)
+		rows := net.sessions(nd)
+		var was []uint32
+		if recv != nil {
+			was = recv[nd.row : nd.row+nd.deg]
+		}
+		for j, rel := range net.nbrRels(nd) {
+			ra := &ta.ByRel[rel]
+			ra.Sessions++
+			d := rows[j].recv
+			if was != nil {
+				d -= was[j]
+			}
+			if d > 0 {
+				ra.Updates += uint64(d)
+				ra.Active++
+			}
+		}
+	}
+	for t := range by {
+		by[t].Exploration -= changes[t]
+	}
+	return by
 }

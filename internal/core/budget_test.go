@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"bgpchurn/internal/obs"
 	"bgpchurn/internal/scenario"
@@ -189,7 +190,7 @@ func (c *countdownCtx) Err() error {
 
 // TestCoreBudgetReleased checks that every unit is given back — by defer —
 // after a grid, a cancelled grid or experiment, and a cell that panics inside
-// generation or inside origin worker 0.
+// generation, origin worker 0 or a helper.
 func TestCoreBudgetReleased(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	t.Run("cancelled grid", func(t *testing.T) {
@@ -233,30 +234,57 @@ func TestCoreBudgetReleased(t *testing.T) {
 		}
 		assertBudgetIdle(t, "panicking generation")
 	})
-	t.Run("panic in origin worker 0", func(t *testing.T) {
-		// Worker 0 panics in its second origin while a helper runs others:
-		// the helper must stop claiming and be joined before the call returns.
+	// faultCell runs a 12-origin cell on an idle two-core budget, so worker
+	// 0 starts one helper at its first origin boundary. The first event span
+	// on worker 0 (onWorker0) or on a helper panics with value; every event
+	// span on the other side waits until that panic is raised. So on every
+	// schedule the fault fires while the other side is mid-origin, and the
+	// cell must still return the panic with no worker or unit left behind.
+	faultCell := func(t *testing.T, onWorker0 bool, value string) {
 		s := NewScheduler(1)
 		var worker0 atomic.Value
 		s.run = func(ctx context.Context, topo *topology.Topology, cfg Config) (*Result, error) {
 			worker0.Store(goroutineID())
 			return RunCEventsContext(ctx, topo, cfg)
 		}
+		raised := make(chan struct{})
+		var once sync.Once
 		spans := obs.NewSpanRecorder()
-		var events atomic.Int64
 		spans.OnSpan(func(sp obs.SpanRecord) {
-			if sp.Level == obs.SpanEvent && worker0.Load() == goroutineID() && events.Add(1) == 3 {
-				panic("injected origin fault")
+			if sp.Level != obs.SpanEvent {
+				return
+			}
+			if (worker0.Load() == goroutineID()) != onWorker0 {
+				select {
+				case <-raised:
+				case <-time.After(time.Minute): // no fault side ran: fail below, do not hang
+				}
+				return
+			}
+			fire := false
+			once.Do(func() { close(raised); fire = true })
+			if fire {
+				panic(value)
 			}
 		})
 		ev := testConfig(5, 12)
 		ev.Spans = spans
 		reqs := []GridRequest{{Scenario: scenario.Baseline, Sizes: []int{300}, TopologySeed: 5, Event: ev}}
 		var pe *CellPanicError
-		if _, err := s.RunGrid(context.Background(), reqs); !errors.As(err, &pe) || pe.Value != "injected origin fault" {
-			t.Fatalf("want the injected panic, got %v", err)
+		if _, err := s.RunGrid(context.Background(), reqs); !errors.As(err, &pe) || pe.Value != value {
+			t.Fatalf("want the injected panic %q, got %v", value, err)
 		}
+	}
+	t.Run("panic in origin worker 0", func(t *testing.T) {
+		// The helper must stop claiming and be joined before the call returns.
+		faultCell(t, true, "injected origin fault")
 		assertBudgetIdle(t, "a panicking origin")
+	})
+	t.Run("panic in a helper", func(t *testing.T) {
+		// The helper's panic must not end the process: worker 0 re-raises it
+		// after the join, and the scheduler recovers it as the cell's fault.
+		faultCell(t, false, "injected helper fault")
+		assertBudgetIdle(t, "a panicking helper")
 	})
 	assertBudgetIdle(t, "every case")
 }

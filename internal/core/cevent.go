@@ -108,19 +108,22 @@ func DefaultConfig(seed uint64) Config {
 
 // RelationFactors is the Eq.-1 decomposition of the updates a node type
 // receives from one class of neighbors (customers, peers or providers):
-// U_y(X) = m_y(X) · q_y(X) · e_y(X).
+// U_y(X) = m_y(X) · q_y(X) · e_y(X). Each factor is a ratio of sums over the
+// type's nodes and the origins (bgp.TypeAttribution.MQE, the arithmetic of
+// every event span), so M·Q·E = U up to rounding.
 type RelationFactors struct {
 	// U is the mean number of updates received from neighbors of this
-	// relation per C-event.
+	// relation per node per C-event.
 	U float64
 	// M is the mean number of neighbors of this relation (a topology
 	// property; independent of the event).
 	M float64
-	// Q is the mean fraction of those neighbors that sent at least one
-	// update during convergence.
+	// Q is the fraction of those neighbor sessions that sent at least one
+	// update during the event (both phases): active sessions over all
+	// sessions, both summed over nodes and origins.
 	Q float64
-	// E is the mean number of updates per active neighbor of this
-	// relation.
+	// E is the number of updates per active session: updates over active
+	// sessions, both summed over nodes and origins.
 	E float64
 }
 
@@ -171,18 +174,12 @@ type Result struct {
 // metric.
 func (r *Result) U(t topology.NodeType) float64 { return r.ByType[t].U }
 
-// originAccum collects one origin's scalar contribution to the aggregate.
+// originAccum collects one origin's contribution to the aggregate.
 type originAccum struct {
-	// perTypeU[t] is this origin's mean updates over nodes of type t.
-	perTypeU [4]float64
-	// relU/relQ/relE aggregate the factor samples: sums, and e's sample
-	// count. The u and q sample counts are topology counts (see aggregate).
-	relUSum, relQSum, relESum [4][3]float64
-	relECnt                   [4][3]float64
-	total                     float64
-	downSec, upSec            float64
-	exploration               [4]float64
-	peak                      float64
+	// attr is the origin's Eq.-1 cells over its whole window (both phases):
+	// integer counts, whose sums over origins are exact in any order.
+	attr                        [4]bgp.TypeAttribution
+	total, downSec, upSec, peak float64
 }
 
 // RunCEvents measures churn per C-event on one topology. Each of cfg.Origins
@@ -231,8 +228,9 @@ func RunCEventsContext(ctx context.Context, topo *topology.Topology, cfg Config)
 	perNode := make([]float64, topo.N()) // update counts summed over origins
 	var (
 		wg      sync.WaitGroup
-		mu      sync.Mutex   // guards perNode
+		mu      sync.Mutex   // guards perNode and fault
 		claimed atomic.Int64 // origin indices handed out, ascending
+		fault   any          // the first panic recovered on a spawned worker
 	)
 	// claim hands out the next origin index. It refuses once the context is
 	// cancelled, so the claimed indices are always a prefix of the origin
@@ -247,12 +245,25 @@ func RunCEventsContext(ctx context.Context, topo *topology.Topology, cfg Config)
 	// work runs origins on its own Network until none is left to claim (or,
 	// for a helper, until the budget is over-subscribed).
 	var work func(helper bool)
-	// spawn starts one more worker holding a budget unit the caller took.
+	// spawn starts one more worker holding a budget unit the caller took. A
+	// panic there leaves the others no origin to claim and is kept for worker
+	// 0 to re-raise after the join, where the scheduler recovers it as a
+	// cell fault.
 	spawn := func(helper bool) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer cores.release()
+			defer func() {
+				if r := recover(); r != nil {
+					claimed.Store(int64(len(origins)))
+					mu.Lock()
+					if fault == nil {
+						fault = r
+					}
+					mu.Unlock()
+				}
+			}()
 			work(helper)
 		}()
 	}
@@ -297,9 +308,9 @@ func RunCEventsContext(ctx context.Context, topo *topology.Topology, cfg Config)
 	cores.acquire()
 	defer cores.release()
 	defer func() {
-		// On a panic in worker 0 (recovered by the scheduler as a cell
-		// fault), leave the others no origin to claim, so no worker or
-		// budget unit outlives the call.
+		// On a panic in worker 0 or re-raised from a spawned worker
+		// (recovered by the scheduler as a cell fault), leave the others no
+		// origin to claim, so no worker or budget unit outlives the call.
 		claimed.Store(int64(len(origins)))
 		wg.Wait()
 	}()
@@ -309,6 +320,9 @@ func RunCEventsContext(ctx context.Context, topo *topology.Topology, cfg Config)
 	}
 	work(false)
 	wg.Wait()
+	if fault != nil {
+		panic(fault)
+	}
 	if int(claimed.Load()) < len(origins) {
 		return nil, ctx.Err()
 	}
@@ -433,7 +447,7 @@ func runOneOrigin(net *bgp.Network, topo *topology.Topology, origin topology.Nod
 
 	acc.total = float64(net.TotalUpdates())
 	acc.peak = float64(net.PeakUpdateRate())
-	collect(net, topo, acc, perNode)
+	collect(net, acc, perNode)
 	if spans != nil {
 		spans.Append(obs.SpanRecord{
 			Level:    obs.SpanOrigin,
@@ -472,129 +486,68 @@ func emitEventSpan(spans *obs.SpanRecorder, attr bgp.EventAttribution, wallStart
 	})
 }
 
-// collect reduces per-node per-neighbor counters into per-type factor
-// samples for one origin, and adds each node's update count to perNode.
-func collect(net *bgp.Network, topo *topology.Topology, acc *originAccum, perNode []float64) {
-	var uSum, expSum [4]float64
-	var nCount [4]float64
-	for id := 0; id < topo.N(); id++ {
-		nid := topology.NodeID(id)
-		typ := topo.Nodes[id].Type
-		expSum[typ] += float64(net.RouteChanges(nid))
-		counts := net.PerNeighborCounts(nid)
-		rels := net.NeighborRelations(nid)
-
-		var relTotal, relActive, relNb [3]float64
-		total := 0.0
-		for j, rel := range rels {
-			c := float64(counts[j])
-			relNb[rel]++
-			relTotal[rel] += c
-			if counts[j] > 0 {
-				relActive[rel]++
-			}
-			total += c
+// collect takes one origin's Eq.-1 cells from the network, and adds each
+// node's update count to perNode.
+func collect(net *bgp.Network, acc *originAccum, perNode []float64) {
+	acc.attr = net.Attribution()
+	for id := range perNode {
+		var sum uint64
+		for _, c := range net.PerNeighborCounts(topology.NodeID(id)) {
+			sum += uint64(c)
 		}
-		uSum[typ] += total
-		nCount[typ]++
-		perNode[id] += total
-
-		for rel := 0; rel < 3; rel++ {
-			acc.relUSum[typ][rel] += relTotal[rel]
-			if relNb[rel] > 0 {
-				acc.relQSum[typ][rel] += relActive[rel] / relNb[rel]
-			}
-			if relActive[rel] > 0 {
-				acc.relESum[typ][rel] += relTotal[rel] / relActive[rel]
-				acc.relECnt[typ][rel]++
-			}
-		}
-	}
-	for t := 0; t < 4; t++ {
-		if nCount[t] > 0 {
-			acc.perTypeU[t] = uSum[t] / nCount[t]
-			acc.exploration[t] = expSum[t] / nCount[t]
-		}
+		perNode[id] += float64(sum)
 	}
 }
 
-// add folds one origin's sums into s.
-func (s *originAccum) add(a *originAccum) {
-	for t := 0; t < 4; t++ {
-		s.exploration[t] += a.exploration[t]
-		for rel := 0; rel < 3; rel++ {
-			s.relUSum[t][rel] += a.relUSum[t][rel]
-			s.relQSum[t][rel] += a.relQSum[t][rel]
-			s.relESum[t][rel] += a.relESum[t][rel]
-			s.relECnt[t][rel] += a.relECnt[t][rel]
-		}
-	}
-	s.total += a.total
-	s.downSec += a.downSec
-	s.upSec += a.upSec
-	s.peak += a.peak
-}
-
-// aggregate folds the origins' accumulators in origin-index order (floating-
-// point addition is not associative, so the order is what keeps results
-// byte-identical at any worker count) and averages them into a Result.
-// perNode holds each node's update count summed over all origins. Call only
-// after every origin ran successfully.
+// aggregate folds the origins' accumulators into a Result. The Eq.-1 cells
+// are integers, summed over origins and divided once (TypeAttribution.MQE),
+// so U = M·Q·E per type and relation. The floating-point per-origin means
+// (U for its confidence interval, exploration, totals, convergence times,
+// peak rate) are added in origin-index order: that addition is not
+// associative, so the order is what keeps results byte-identical at any
+// worker count. perNode holds each node's update count summed over all
+// origins. Call only after every origin ran successfully.
 func aggregate(topo *topology.Topology, accs []originAccum, perNode []float64) *Result {
-	var r originAccum
+	k := float64(len(accs))
+	res := &Result{N: topo.N(), Origins: len(accs)}
+	var cells [4]bgp.TypeAttribution
 	var perOriginU [4][]float64 // per-type U by origin, for stats.MeanCI
 	for t := range perOriginU {
 		perOriginU[t] = make([]float64, len(accs))
 	}
 	for i := range accs {
-		r.add(&accs[i])
-		for t := 0; t < 4; t++ {
-			perOriginU[t][i] = accs[i].perTypeU[t]
-		}
-	}
-	res := &Result{N: topo.N(), Origins: len(accs)}
-	counts := topo.CountByType()
-
-	// The m factors are topology properties, computed exactly. So are the u
-	// and q sample counts per origin: the nodes of a type, and those of them
-	// with a neighbor of the relation; times k they are exact integers.
-	k := float64(len(accs))
-	var mSum, qNodes [4][3]float64
-	for i := range topo.Nodes {
-		n := &topo.Nodes[i]
-		for rel, nb := range [3][]topology.NodeID{topology.Customer: n.Customers, topology.Peer: n.Peers, topology.Provider: n.Providers} {
-			mSum[n.Type][rel] += float64(len(nb))
-			if len(nb) > 0 {
-				qNodes[n.Type][rel]++
+		a := &accs[i]
+		for t := range cells {
+			ta := &a.attr[t]
+			perOriginU[t][i] = ta.U()
+			if ta.Nodes > 0 {
+				res.PathExploration[t] += float64(ta.Exploration) / float64(ta.Nodes)
 			}
+			addCells(&cells[t], ta)
 		}
+		res.TotalUpdates += a.total
+		res.DownSeconds += a.downSec
+		res.UpSeconds += a.upSec
+		res.PeakRate += a.peak
 	}
-
-	for t := 0; t < 4; t++ {
+	counts := topo.CountByType()
+	for t := range cells {
 		tr := &res.ByType[t]
 		tr.Nodes = counts[t]
 		tr.U, tr.CI95 = stats.MeanCI(perOriginU[t], 0.95)
-		for rel := 0; rel < 3; rel++ {
+		for rel := range tr.ByRel {
 			rf := &tr.ByRel[rel]
-			if counts[t] > 0 {
-				rf.M = mSum[t][rel] / float64(counts[t])
-				rf.U = r.relUSum[t][rel] / (float64(counts[t]) * k)
-			}
-			if qNodes[t][rel] > 0 {
-				rf.Q = r.relQSum[t][rel] / (qNodes[t][rel] * k)
-			}
-			if r.relECnt[t][rel] > 0 {
-				rf.E = r.relESum[t][rel] / r.relECnt[t][rel]
+			rf.M, rf.Q, rf.E = cells[t].MQE(topology.Relation(rel))
+			if cells[t].Nodes > 0 {
+				rf.U = float64(cells[t].ByRel[rel].Updates) / float64(cells[t].Nodes)
 			}
 		}
+		res.PathExploration[t] /= k
 	}
-	res.TotalUpdates = r.total / k
-	res.DownSeconds = r.downSec / k
-	res.UpSeconds = r.upSec / k
-	res.PeakRate = r.peak / k
-	for t := 0; t < 4; t++ {
-		res.PathExploration[t] = r.exploration[t] / k
-	}
+	res.TotalUpdates /= k
+	res.DownSeconds /= k
+	res.UpSeconds /= k
+	res.PeakRate /= k
 
 	// Per-node means over origins, then the within-type distribution.
 	var byType [4][]float64
@@ -607,4 +560,15 @@ func aggregate(topo *topology.Topology, accs []originAccum, perNode []float64) *
 		res.Spread[t] = stats.Summarize(byType[t])
 	}
 	return res
+}
+
+// addCells adds the integer cells of a to s.
+func addCells(s, a *bgp.TypeAttribution) {
+	s.Nodes += a.Nodes
+	s.Exploration += a.Exploration
+	for rel := range s.ByRel {
+		s.ByRel[rel].Updates += a.ByRel[rel].Updates
+		s.ByRel[rel].Active += a.ByRel[rel].Active
+		s.ByRel[rel].Sessions += a.ByRel[rel].Sessions
+	}
 }

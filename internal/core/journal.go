@@ -44,7 +44,10 @@ import (
 const journalMagic = "bgpchurn-cells"
 
 // JournalVersion is the current journal layout; bump on breaking changes.
-const JournalVersion = 1
+// Version 2: a Result's Q and E are ratios of sums (RelationFactors), where
+// version 1 held means of per-node ratios, so a v1 journal is refused rather
+// than resumed into a figure that mixes the two.
+const JournalVersion = 2
 
 // journalHeader is the first line of every journal file.
 type journalHeader struct {

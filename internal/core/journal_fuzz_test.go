@@ -50,10 +50,10 @@ func FuzzOpenJournal(f *testing.F) {
 	f.Add(flipped)
 	noNewline := append([]byte(nil), full...)
 	f.Add(noNewline[:len(noNewline)-1]) // valid final record, torn terminator
-	f.Add([]byte(`{"journal":"bgpchurn-cells","version":1}` + "\n"))
 	f.Add([]byte(`{"journal":"bgpchurn-cells","version":2}` + "\n"))
-	f.Add([]byte(`{"journal":"something-else","version":1}` + "\n"))
-	f.Add([]byte(`{"journal":"bgpchurn-cells","version":1}` + "\n\n\n"))
+	f.Add([]byte(`{"journal":"bgpchurn-cells","version":3}` + "\n"))
+	f.Add([]byte(`{"journal":"something-else","version":2}` + "\n"))
+	f.Add([]byte(`{"journal":"bgpchurn-cells","version":2}` + "\n\n\n"))
 	f.Add([]byte("not a journal at all"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -327,13 +328,22 @@ func TestJournalHeaderValidation(t *testing.T) {
 		t.Fatal("wrong magic loaded without error")
 	}
 
-	wrongVersion := filepath.Join(dir, "version.journal")
-	hdr, _ := json.Marshal(journalHeader{Journal: journalMagic, Version: JournalVersion + 1})
-	if err := os.WriteFile(wrongVersion, append(hdr, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := LoadJournal(wrongVersion); err == nil {
-		t.Fatal("future version loaded without error")
+	// An older layout is refused like a future one: a resume never mixes
+	// results of two layouts.
+	for _, v := range []int{JournalVersion - 1, JournalVersion + 1} {
+		wrongVersion := filepath.Join(dir, fmt.Sprintf("version%d.journal", v))
+		hdr, _ := json.Marshal(journalHeader{Journal: journalMagic, Version: v})
+		if err := os.WriteFile(wrongVersion, append(hdr, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("version %d, want %d", v, JournalVersion)
+		if _, _, err := LoadJournal(wrongVersion); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version %d loaded: %v, want an error naming %q", v, err, want)
+		}
+		if j, err := OpenJournal(wrongVersion); err == nil {
+			j.Close()
+			t.Fatalf("version %d reopened without error", v)
+		}
 	}
 
 	// A valid header with zero records is a fresh journal: fine.

@@ -14,7 +14,9 @@ import "fmt"
 //   - no node peers with a member of its own customer tree;
 //   - the graph is connected.
 //
-// It returns the first violation found, or nil.
+// It returns the first violation found, or nil. It reads the topology's CSR,
+// which is built once and cached, so the lists must not change after the
+// first CSR call.
 func (t *Topology) Validate() error {
 	if err := t.validateLists(); err != nil {
 		return err
@@ -34,103 +36,82 @@ func (t *Topology) Validate() error {
 	return nil
 }
 
-// connected reports whether one breadth-first walk over the neighbor lists
-// from node 0 reaches every node (the empty graph is connected). The lists
-// must be symmetric; validateLists checks that first.
+// connected reports whether one breadth-first walk over the CSR from node 0
+// reaches every node (the empty graph is connected). The lists must be
+// symmetric; validateLists checks that first.
 func (t *Topology) connected() bool {
-	n := t.N()
-	if n == 0 {
+	if t.N() == 0 {
 		return true
 	}
-	seen := make([]bool, n)
-	seen[0] = true
-	queue := append(make([]NodeID, 0, n), 0)
-	for k := 0; k < len(queue); k++ {
-		nd := &t.Nodes[queue[k]]
-		for _, list := range [...][]NodeID{nd.Customers, nd.Peers, nd.Providers} {
-			for _, v := range list {
-				if !seen[v] {
-					seen[v] = true
-					queue = append(queue, v)
-				}
-			}
+	for _, d := range t.CSR().BFSDistances(0) {
+		if d < 0 {
+			return false
 		}
 	}
-	return len(queue) == n
+	return true
 }
 
+// validateLists checks the neighbor lists slot by slot on the CSR, in row
+// and slot order. The relation a node lists a neighbor under is the one of
+// its first listing, which is what Relation(from, to) returns: first[k] is
+// that listing's position in slot k's row. A slot's back link is the first
+// listing of its reverse slot (Reverse names the last), and it must carry the
+// inverse relation. That rejects a second listing under another relation
+// too, since the back link is the same for both; a second listing under the
+// same relation is a duplicate, reported once the row's slots pass.
 func (t *Topology) validateLists() error {
-	// seen maps every directed listing from→to to the relation from lists to
-	// under — the first one in (customers, peers, providers) order, which is
-	// what Relation(from, to) returns — so the back-link test below is a
-	// lookup instead of a scan of the neighbor's lists (quadratic at the
-	// high-degree core).
-	links := 0
-	for i := range t.Nodes {
-		links += t.Nodes[i].Degree()
+	n := t.N()
+	a := t.CSR()
+	first := make([]int32, len(a.IDs))
+	mark := make([]int32, n) // position of a target in the current row, -1 if absent
+	for i := range mark {
+		mark[i] = -1
 	}
-	seen := make(map[uint64]Relation, links)
-	directed := func(from, to NodeID) uint64 { return uint64(uint32(from))<<32 | uint64(uint32(to)) }
-	for i := range t.Nodes {
-		n := &t.Nodes[i]
-		for rel, list := range [][]NodeID{Customer: n.Customers, Peer: n.Peers, Provider: n.Providers} {
-			for _, nb := range list {
-				if _, ok := seen[directed(NodeID(i), nb)]; !ok {
-					seen[directed(NodeID(i), nb)] = Relation(rel)
+	for i := 0; i < n; i++ {
+		lo, hi := a.Row(NodeID(i))
+		for k := lo; k < hi; k++ {
+			if v := a.IDs[k]; uint32(v) < uint32(n) {
+				if mark[v] < 0 {
+					mark[v] = k - lo
 				}
+				first[k] = mark[v]
+			}
+		}
+		for k := lo; k < hi; k++ {
+			if v := a.IDs[k]; uint32(v) < uint32(n) {
+				mark[v] = -1
 			}
 		}
 	}
 	for i := range t.Nodes {
-		n := &t.Nodes[i]
-		if n.ID != NodeID(i) {
-			return fmt.Errorf("topology: node at index %d has ID %d", i, n.ID)
+		nd := &t.Nodes[i]
+		if nd.ID != NodeID(i) {
+			return fmt.Errorf("topology: node at index %d has ID %d", i, nd.ID)
 		}
-		check := func(nb NodeID, rel Relation) error {
-			if nb == n.ID {
-				return fmt.Errorf("topology: node %d has a self-loop", n.ID)
+		lo, hi := a.Row(nd.ID)
+		for k := lo; k < hi; k++ {
+			nb, rel := a.IDs[k], a.Rels[k]
+			if nb == nd.ID {
+				return fmt.Errorf("topology: node %d has a self-loop", nd.ID)
 			}
-			if int(nb) < 0 || int(nb) >= len(t.Nodes) {
-				return fmt.Errorf("topology: node %d references out-of-range neighbor %d", n.ID, nb)
+			if uint32(nb) >= uint32(n) {
+				return fmt.Errorf("topology: node %d references out-of-range neighbor %d", nd.ID, nb)
 			}
-			if !n.Regions.Overlaps(t.Nodes[nb].Regions) {
-				return fmt.Errorf("topology: link %d-%d crosses disjoint regions", n.ID, nb)
+			if !nd.Regions.Overlaps(t.Nodes[nb].Regions) {
+				return fmt.Errorf("topology: link %d-%d crosses disjoint regions", nd.ID, nb)
 			}
-			back, ok := seen[directed(nb, n.ID)]
-			if !ok {
-				back = NotConnected
+			back := NotConnected
+			if r := a.Reverse[k]; r >= 0 {
+				nlo, _ := a.Row(nb)
+				back = a.Rels[nlo+first[nlo+r]]
 			}
 			if back != rel.Invert() {
-				return fmt.Errorf("topology: asymmetric link %d-%d: %v vs %v", n.ID, nb, rel, back)
-			}
-			if seen[directed(n.ID, nb)] != rel {
-				return fmt.Errorf("topology: parallel links %d-%d with different relations", n.ID, nb)
-			}
-			return nil
-		}
-		for _, c := range n.Customers {
-			if err := check(c, Customer); err != nil {
-				return err
+				return fmt.Errorf("topology: asymmetric link %d-%d: %v vs %v", nd.ID, nb, rel, back)
 			}
 		}
-		for _, p := range n.Peers {
-			if err := check(p, Peer); err != nil {
-				return err
-			}
-		}
-		for _, p := range n.Providers {
-			if err := check(p, Provider); err != nil {
-				return err
-			}
-		}
-		// Duplicate entries within a single list are parallel links too.
-		dup := make(map[NodeID]struct{}, n.Degree())
-		for _, lists := range [][]NodeID{n.Customers, n.Peers, n.Providers} {
-			for _, v := range lists {
-				if _, ok := dup[v]; ok {
-					return fmt.Errorf("topology: node %d linked to %d more than once", n.ID, v)
-				}
-				dup[v] = struct{}{}
+		for k := lo; k < hi; k++ {
+			if first[k] != k-lo {
+				return fmt.Errorf("topology: node %d linked to %d more than once", nd.ID, a.IDs[k])
 			}
 		}
 	}

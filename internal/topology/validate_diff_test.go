@@ -9,11 +9,11 @@ import (
 )
 
 // Differential tier for Validate. The linear-time checks (one bottom-up cone
-// pass for the peering rule, a map lookup for the back-link rule, Kahn's
-// order for the hierarchy rule, one list walk for connectivity) must accept
-// and reject exactly what the original predicates do, with the same
-// message: a per-peering-link InCustomerTree DFS, a Relation(nb, n) scan of
-// the neighbor's lists per link, a three-colour DFS over the
+// pass for the peering rule, a CSR reverse-slot lookup for the back-link
+// rule, Kahn's order for the hierarchy rule, one CSR walk for connectivity)
+// must accept and reject exactly what the original predicates do, with the
+// same message: a per-peering-link InCustomerTree DFS, a Relation(nb, n)
+// scan of the neighbor's lists per link, a three-colour DFS over the
 // provider→customer links and a BFS over an adjacency-list copy of the
 // graph. The originals are kept here as the executable specification.
 

@@ -14,6 +14,7 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -33,7 +34,7 @@ var updateGoldens = flag.Bool("update-goldens", false, "rewrite testdata/golden 
 // goldenTreeSHA256 pins the bytes of every file under testdata/golden (see
 // TestGoldenFilesPinned): no second engine cross-checks the oracle any more,
 // so a stray -update-goldens must not be able to rewrite it silently.
-const goldenTreeSHA256 = "53e371209ff8aa0645eed2949e413e3a7575614a4d0a4e6e80f3aa39ac8a37b3"
+const goldenTreeSHA256 = "cc2235fe4d0e37d868d5c71fb17ad6e5151d592722232371257ff52e6a7999e5"
 
 // TestGoldenFilesPinned hashes testdata/golden — names and contents, in name
 // order — against goldenTreeSHA256.
@@ -57,9 +58,27 @@ func TestGoldenFilesPinned(t *testing.T) {
 }
 
 // checkGolden compares got with testdata/golden/<name>.golden, first writing
-// the file under -update-goldens.
-func checkGolden(t *testing.T, name string, got []byte) {
+// the file under -update-goldens, and checks that every Result rs it pins
+// closes Eq. 1: per node type, Σ_rel M·Q·E = U(X), and per relation
+// M·Q·E = ByRel[rel].U, within a relative 1e-12.
+func checkGolden(t *testing.T, name string, got []byte, rs ...*Result) {
 	t.Helper()
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Max(math.Abs(a), math.Abs(b)) }
+	for _, r := range rs {
+		for typ, tr := range r.ByType {
+			var sum float64
+			for rel, rf := range tr.ByRel {
+				mqe := rf.M * rf.Q * rf.E
+				if !near(mqe, rf.U) {
+					t.Errorf("%s n=%d: %v/%v: M·Q·E = %v, U = %v", name, r.N, NodeType(typ), Relation(rel), mqe, rf.U)
+				}
+				sum += mqe
+			}
+			if !near(sum, tr.U) {
+				t.Errorf("%s n=%d: %v: Σ M·Q·E = %v, U = %v", name, r.N, NodeType(typ), sum, tr.U)
+			}
+		}
+	}
 	file := filepath.Join("testdata", "golden", name+".golden")
 	if *updateGoldens {
 		if err := os.WriteFile(file, got, 0o644); err != nil {
@@ -114,7 +133,11 @@ func TestCompactEngineEquivalentAcrossScenarios(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkGolden(t, fmt.Sprintf("scenario.%s.seed%d", sc.Name, seed), sweepArtifact(sw))
+				var rs []*Result
+				for _, p := range sw.Points {
+					rs = append(rs, p.R)
+				}
+				checkGolden(t, fmt.Sprintf("scenario.%s.seed%d", sc.Name, seed), sweepArtifact(sw), rs...)
 			})
 		}
 	}
@@ -186,7 +209,7 @@ func TestCompactEngineEquivalentProtocolVariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkGolden(t, "protocol."+name, []byte(fingerprint(res)+"\n"))
+			checkGolden(t, "protocol."+name, []byte(fingerprint(res)+"\n"), res)
 		})
 	}
 }
@@ -207,5 +230,5 @@ func TestCompactEngineEquivalentWithChecker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "checker", []byte(fingerprint(res)+"\n"))
+	checkGolden(t, "checker", []byte(fingerprint(res)+"\n"), res)
 }
