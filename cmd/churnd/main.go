@@ -72,6 +72,20 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "churnd: unexpected arguments: %v\n", fs.Args())
 		return exitUsage
 	}
+	// A negative count or duration is refused before the journal opens or
+	// the listener binds: serve.New would read it as its default or as zero.
+	for _, c := range []struct {
+		flag string
+		neg  bool
+	}{
+		{"workers", *workers < 0}, {"queue", *queueCap < 0}, {"max-cells", *maxCells < 0}, {"max-n", *maxN < 0},
+		{"retries", *retries < 0}, {"cell-timeout", *cellTimeout < 0}, {"drain-timeout", *drainTimeout < 0},
+	} {
+		if c.neg {
+			fmt.Fprintf(stderr, "churnd: -%s must be non-negative, got %s\n", c.flag, fs.Lookup(c.flag).Value)
+			return exitError
+		}
+	}
 
 	srv, err := serve.New(serve.Config{
 		Workers:     *workers,

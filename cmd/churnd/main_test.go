@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net/http"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -41,6 +43,31 @@ func TestRunUsageErrors(t *testing.T) {
 	}
 	if !strings.Contains(errBuf.String(), "unexpected arguments") {
 		t.Fatalf("stderr = %q, want unexpected-arguments message", errBuf.String())
+	}
+}
+
+// TestRunRejectsNegativeFlags: a negative count or duration exits 1 with
+// the reason before the journal is created or a port is bound.
+func TestRunRejectsNegativeFlags(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "j.journal")
+	for _, c := range []struct{ flag, value string }{
+		{"-workers", "-1"}, {"-queue", "-2"}, {"-max-cells", "-3"}, {"-max-n", "-4"},
+		{"-retries", "-1"}, {"-cell-timeout", "-1s"}, {"-drain-timeout", "-1s"},
+	} {
+		var out, errBuf bytes.Buffer
+		code := run(context.Background(), []string{"-addr", "127.0.0.1:0", "-journal", journal, c.flag, c.value}, &out, &errBuf)
+		if code != exitError {
+			t.Fatalf("%s %s: exit = %d, want %d", c.flag, c.value, code, exitError)
+		}
+		if want := c.flag + " must be non-negative, got " + c.value; !strings.Contains(errBuf.String(), want) {
+			t.Fatalf("%s %s: stderr = %q, want %q", c.flag, c.value, errBuf.String(), want)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("%s %s: the daemon started: %q", c.flag, c.value, out.String())
+		}
+		if _, err := os.Stat(journal); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s %s: journal created (stat: %v)", c.flag, c.value, err)
+		}
 	}
 }
 

@@ -23,15 +23,16 @@
 // run (inspect with `go tool pprof`); see EXPERIMENTS.md, "Profiling".
 //
 // Full mode uses the paper's parameters (n = 1000..10000, 100 C-event
-// originators per point) and takes minutes (3.5 on 2 vCPU); -fast cuts both.
+// originators per point) and takes minutes (about 3 on 2 vCPU); -fast cuts both.
 //
-// All sweeps run through the experiment scheduler: the scenario×size grid
-// needed by the selected figures is computed up front on a worker pool
-// (-parallel bounds concurrent cells, 0 = GOMAXPROCS; each cell's origin
-// workers share the process-wide core budget, so -parallel never multiplies
-// the cores in use), each unique cell exactly once — figures that share a
-// sweep (Fig. 4–12 all reuse the Baseline sweep) are served from the result
-// cache, and output is byte-identical to a sequential run on the same seed.
+// Each entry of the figures table declares the sweeps its figure reads. The
+// sweeps of the selected figures run as one scenario×size grid on the
+// experiment scheduler's worker pool (-parallel bounds concurrent cells,
+// 0 = GOMAXPROCS; each cell's origin workers share the process-wide core
+// budget, so -parallel never multiplies the cores in use), each unique sweep
+// requested once, and every figure renders from that grid's results — Figs.
+// 4–12 all read the one Baseline sweep. Output is byte-identical to a
+// sequential run on the same seed.
 package main
 
 import (
@@ -50,6 +51,7 @@ import (
 	"time"
 
 	"bgpchurn"
+	"bgpchurn/internal/core"
 	"bgpchurn/internal/des"
 	"bgpchurn/internal/report"
 	"bgpchurn/internal/sigtrap"
@@ -73,54 +75,81 @@ func main() {
 	os.Exit(code)
 }
 
-// figure is one entry of the -fig selection.
+// figure is one entry of the -fig selection and the one declaration of that
+// figure: the sweeps it reads and the function that renders it from their
+// results, handed over in declaration order.
 type figure struct {
-	id  string
-	fn  func(*runner) error
-	des string
+	id     string
+	des    string
+	sweeps []sweep
+	render func(r *runner, sws []*bgpchurn.SweepResult) error
+}
+
+// sweep names one sweep a figure reads: a scenario under NO-WRATE or WRATE
+// over the figure sizes or, for the cell id (cell set), -scenario at the one
+// size -n.
+type sweep struct {
+	sc    bgpchurn.Scenario
+	wrate bool
+	cell  bool
+}
+
+// noWRATE declares a NO-WRATE sweep of each scenario over the figure sizes.
+func noWRATE(scs ...bgpchurn.Scenario) []sweep {
+	out := make([]sweep, len(scs))
+	for i, sc := range scs {
+		out[i] = sweep{sc: sc}
+	}
+	return out
 }
 
 // figures lists every figure the binary can regenerate, in rendering order.
 var figures = []figure{
-	{"table1", (*runner).table1, "Table 1: realized generator parameters"},
-	{"topo", (*runner).topo, "§3: structural properties and degree CCDF"},
-	{"1", (*runner).fig1, "churn growth at a monitor (Mann-Kendall)"},
-	{"4", (*runner).fig4, "U(X) per node type vs n"},
-	{"5", (*runner).fig5, "per-relation split at T and M nodes"},
-	{"6", (*runner).fig6, "relative increase of Uc(T), Up(T), Ud(M)"},
-	{"7", (*runner).fig7, "m/e/q factor growth"},
-	{"8", (*runner).fig8, "AS population mix deviations"},
-	{"9", (*runner).fig9, "multihoming degree deviations"},
-	{"10", (*runner).fig10, "peering deviations"},
-	{"11", (*runner).fig11, "provider preference deviations"},
-	{"12", (*runner).fig12, "WRATE vs NO-WRATE"},
-	{"cell", (*runner).cell, "one grid cell in full: Eq.-1 factors and convergence"},
-	{"ext", (*runner).extensions, "extensions: L-events, exploration, burstiness"},
+	{"table1", "Table 1: realized generator parameters", nil, (*runner).table1},
+	{"topo", "§3: structural properties and degree CCDF", nil, (*runner).topo},
+	{"1", "churn growth at a monitor (Mann-Kendall)", nil, (*runner).fig1},
+	{"4", "U(X) per node type vs n", noWRATE(bgpchurn.Baseline), (*runner).fig4},
+	{"5", "per-relation split at T and M nodes", noWRATE(bgpchurn.Baseline), (*runner).fig5},
+	{"6", "relative increase of Uc(T), Up(T), Ud(M)", noWRATE(bgpchurn.Baseline), (*runner).fig6},
+	{"7", "m/e/q factor growth", noWRATE(bgpchurn.Baseline), (*runner).fig7},
+	{"8", "AS population mix deviations",
+		noWRATE(bgpchurn.RichMiddle, bgpchurn.Baseline, bgpchurn.StaticMiddle, bgpchurn.TransitClique, bgpchurn.NoMiddle), (*runner).fig8},
+	{"9", "multihoming degree deviations",
+		noWRATE(bgpchurn.DenseCore, bgpchurn.DenseEdge, bgpchurn.Baseline, bgpchurn.Tree, bgpchurn.ConstantMHD), (*runner).fig9},
+	{"10", "peering deviations",
+		noWRATE(bgpchurn.Baseline, bgpchurn.NoPeering, bgpchurn.StrongCorePeering, bgpchurn.StrongEdgePeering), (*runner).fig10},
+	{"11", "provider preference deviations",
+		noWRATE(bgpchurn.Baseline, bgpchurn.PreferMiddle, bgpchurn.PreferTop), (*runner).fig11},
+	{"12", "WRATE vs NO-WRATE", []sweep{{sc: bgpchurn.Baseline}, {sc: bgpchurn.Baseline, wrate: true}}, (*runner).fig12},
+	{"cell", "one grid cell in full: Eq.-1 factors and convergence", []sweep{{cell: true}, {cell: true, wrate: true}}, (*runner).cell},
+	{"ext", "extensions: L-events, exploration, burstiness", nil, (*runner).extensions},
 }
 
-// selectFigures parses the -fig value: "all" or a comma-separated list of
-// figure ids. An unknown id or an empty selection is an error naming the
-// valid ids — a typo must not turn into a run that renders nothing.
-func selectFigures(spec string) (map[string]bool, error) {
+// selectFigures parses the -fig value, "all" or a comma-separated list of
+// figure ids, into the selected figures in rendering order. An unknown id or
+// an empty selection is an error naming the valid ids — a typo must not turn
+// into a run that renders nothing.
+func selectFigures(spec string) ([]figure, error) {
+	if spec == "all" {
+		return figures, nil
+	}
 	valid := make([]string, len(figures))
 	for i, f := range figures {
 		valid[i] = f.id
 	}
-	wanted := map[string]bool{}
-	if spec == "all" {
-		for _, id := range valid {
-			wanted[id] = true
+	ids := strings.Split(spec, ",")
+	for i, id := range ids {
+		if ids[i] = strings.TrimSpace(id); !slices.Contains(valid, ids[i]) {
+			return nil, fmt.Errorf("-fig: unknown figure %q (valid: %s, or all)", ids[i], strings.Join(valid, ","))
 		}
-		return wanted, nil
 	}
-	for _, id := range strings.Split(spec, ",") {
-		id = strings.TrimSpace(id)
-		if !slices.Contains(valid, id) {
-			return nil, fmt.Errorf("-fig: unknown figure %q (valid: %s, or all)", id, strings.Join(valid, ","))
+	var sel []figure
+	for _, f := range figures {
+		if slices.Contains(ids, f.id) {
+			sel = append(sel, f)
 		}
-		wanted[id] = true
 	}
-	return wanted, nil
+	return sel, nil
 }
 
 // run is main minus process plumbing: parse flags, execute, return the exit
@@ -162,19 +191,27 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "experiments:", err)
 		return exitError
 	}
-	wanted, err := selectFigures(*figs)
+	sel, err := selectFigures(*figs)
 	if err != nil {
 		return fail(err)
 	}
-	// An unknown scenario or an impossible size is rejected before any file
-	// is created, as is a flag combination no cell can run (e.g. -shards 2
-	// without -link-delay).
+	// An unknown scenario, an impossible size or a negative count or
+	// duration is rejected before any file is created, as is a flag
+	// combination no cell can run (e.g. -shards 2 without -link-delay).
 	sc, err := bgpchurn.ScenarioByName(*scName)
 	if err != nil {
 		return fail(err)
 	}
-	if *cellN <= 0 {
-		return fail(fmt.Errorf("-n must be positive, got %d", *cellN))
+	for _, c := range []struct {
+		flag, must string
+		bad        bool
+	}{
+		{"n", "positive", *cellN <= 0}, {"origins", "non-negative", *origins < 0}, {"parallel", "non-negative", *parallel < 0},
+		{"retries", "non-negative", *retries < 0}, {"cell-timeout", "non-negative", *cellTimeout < 0},
+	} {
+		if c.bad {
+			return fail(fmt.Errorf("-%s must be %s, got %s", c.flag, c.must, fs.Lookup(c.flag).Value))
+		}
 	}
 	r := &runner{
 		scenario:    sc,
@@ -282,50 +319,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	}
 
 	start := time.Now()
-	var runErr error
-	// Warm the scheduler cache: every sweep the selected figures need runs
-	// as one parallel scenario×size grid, each unique cell exactly once.
-	// Quarantined cells do not abort the run — figures that depend on them
-	// are skipped below while everything else renders.
-	if err := r.prefetch(wanted); err != nil {
-		switch {
-		case errors.Is(err, context.Canceled):
-			r.interrupted = true
-		case bgpchurn.IsQuarantined(err):
-			// Reported per-figure and in the summary.
-		default:
-			runErr = err
-		}
-	}
-	var ran, skipped []string
-	if runErr == nil && !r.interrupted {
-		for _, f := range figures {
-			if !wanted[f.id] {
-				continue
-			}
-			if ctx.Err() != nil {
-				r.interrupted = true
-				break
-			}
-			fmt.Fprintf(stdout, "=== Figure %s: %s ===\n", f.id, f.des)
-			if err := f.fn(r); err != nil {
-				if errors.Is(err, context.Canceled) {
-					r.interrupted = true
-					break
-				}
-				if bgpchurn.IsQuarantined(err) {
-					skipped = append(skipped, f.id)
-					fmt.Fprintf(stderr, "experiments: figure %s skipped (quarantined cell): %v\n", f.id, err)
-					fmt.Fprintln(stdout)
-					continue
-				}
-				runErr = fmt.Errorf("figure %s: %w", f.id, err)
-				break
-			}
-			ran = append(ran, f.id)
-			fmt.Fprintln(stdout)
-		}
-	}
+	ran, skipped, runErr := r.runFigures(sel, stderr)
 
 	// Epilogue: summary, quarantine report, spans, journal and manifest all
 	// flush regardless of how the run ended, so an interrupted run leaves a
@@ -407,8 +401,7 @@ func writeFileWith(path string, write func(io.Writer) error) error {
 }
 
 type runner struct {
-	// ctx is the run's cancellation context (signal-driven in the binary;
-	// nil means context.Background).
+	// ctx is the run's cancellation context (signal-driven in the binary).
 	ctx context.Context
 	// scenario and n select what table1, topo and cell describe (-scenario,
 	// -n).
@@ -431,8 +424,9 @@ type runner struct {
 	// interrupted records that the run was cancelled by a signal, for the
 	// manifest.
 	interrupted bool
-	// sched runs every sweep: cells execute on its worker pool and figures
-	// that request the same sweep are served from its result cache.
+	// sched runs the run's one grid: cells execute on its worker pool, each
+	// unique cell once, and a -resume run's journaled cells come from its
+	// cache.
 	sched *bgpchurn.Scheduler
 	// stdout receives tables and plots (os.Stdout in the binary; a buffer
 	// or io.Discard in tests).
@@ -542,68 +536,41 @@ func cellOutcomes(cells []bgpchurn.CellTiming) map[string]int {
 	return out
 }
 
-// sweepVariant names one (scenario, protocol, sizes) sweep a figure
-// depends on.
-type sweepVariant struct {
-	sc    bgpchurn.Scenario
-	wrate bool
-	sizes []int
+// request resolves s into the grid request that computes it.
+func (r *runner) request(s sweep) bgpchurn.GridRequest {
+	req := bgpchurn.GridRequest{Scenario: s.sc, Sizes: r.sizes(), TopologySeed: r.seed, Event: r.experiment(s.wrate)}
+	if s.cell {
+		req.Scenario, req.Sizes = r.scenario, []int{r.n}
+	}
+	return req
 }
 
-// figSweeps lists the sweeps each figure needs, for cache prefetching.
-func (r *runner) figSweeps(id string) []sweepVariant {
-	noW := func(scs ...bgpchurn.Scenario) []sweepVariant {
-		out := make([]sweepVariant, len(scs))
-		for i, sc := range scs {
-			out[i] = sweepVariant{sc, false, r.sizes()}
-		}
-		return out
-	}
-	switch id {
-	case "4", "5", "6", "7":
-		return noW(bgpchurn.Baseline)
-	case "8":
-		return noW(bgpchurn.RichMiddle, bgpchurn.Baseline, bgpchurn.StaticMiddle, bgpchurn.TransitClique, bgpchurn.NoMiddle)
-	case "9":
-		return noW(bgpchurn.DenseCore, bgpchurn.DenseEdge, bgpchurn.Baseline, bgpchurn.Tree, bgpchurn.ConstantMHD)
-	case "10":
-		return noW(bgpchurn.Baseline, bgpchurn.NoPeering, bgpchurn.StrongCorePeering, bgpchurn.StrongEdgePeering)
-	case "11":
-		return noW(bgpchurn.Baseline, bgpchurn.PreferMiddle, bgpchurn.PreferTop)
-	case "12":
-		return append(noW(bgpchurn.Baseline), sweepVariant{bgpchurn.Baseline, true, r.sizes()})
-	case "cell":
-		// A one-size sweep: inside a grid that holds (-scenario, -n) it is a
-		// cache hit.
-		return []sweepVariant{{r.scenario, false, []int{r.n}}, {r.scenario, true, []int{r.n}}}
-	}
-	return nil // table1, topo, 1 and ext run no sweeps
+// sweepKey identifies a grid request among the run's sweeps: every other
+// input is the same for all of them.
+func sweepKey(req bgpchurn.GridRequest) string {
+	return fmt.Sprint(req.Scenario.Name, req.Event.BGP.RateLimitWithdrawals, req.Sizes)
 }
 
-// prefetch computes every sweep the wanted figures need as one parallel
-// grid, so the figures themselves render from the cache.
-func (r *runner) prefetch(wanted map[string]bool) error {
+// grid computes every sweep the selected figures read as one parallel
+// scenario×size grid, each unique sweep requested once, and returns the
+// results by sweepKey. Quarantined cells do not stop the grid: the sweeps
+// that lost them lack those points.
+func (r *runner) grid(sel []figure) (map[string]*bgpchurn.SweepResult, error) {
 	seen := map[string]bool{}
 	var reqs []bgpchurn.GridRequest
 	cells := 0
-	for _, f := range figures {
-		if !wanted[f.id] {
-			continue
-		}
-		for _, v := range r.figSweeps(f.id) {
-			key := fmt.Sprint(v.sc.Name, v.wrate, v.sizes)
-			if seen[key] {
-				continue
+	for _, f := range sel {
+		for _, s := range f.sweeps {
+			req := r.request(s)
+			if k := sweepKey(req); !seen[k] {
+				seen[k] = true
+				reqs = append(reqs, req)
+				cells += len(req.Sizes)
 			}
-			seen[key] = true
-			reqs = append(reqs, bgpchurn.GridRequest{
-				Scenario: v.sc, Sizes: v.sizes, TopologySeed: r.seed, Event: r.experiment(v.wrate),
-			})
-			cells += len(v.sizes)
 		}
 	}
 	if len(reqs) == 0 {
-		return nil
+		return nil, nil
 	}
 	// Fix the request (and thus job) order: by scenario, NO-WRATE first.
 	sort.SliceStable(reqs, func(i, j int) bool {
@@ -618,14 +585,83 @@ func (r *runner) prefetch(wanted map[string]bool) error {
 	if r.spans != nil {
 		gridStart = r.spans.Now()
 	}
-	_, err := r.sched.RunGrid(r.ctx, reqs)
+	out, err := r.sched.RunGrid(r.ctx, reqs)
 	if r.spans != nil {
 		r.spans.Append(bgpchurn.SpanRecord{
 			Level: bgpchurn.SpanSweep, Name: fmt.Sprintf("grid (%d sweeps)", len(reqs)),
 			StartUS: gridStart, DurUS: r.spans.Now() - gridStart,
 		})
 	}
-	return err
+	results := make(map[string]*bgpchurn.SweepResult, len(out))
+	for i, sw := range out {
+		results[sweepKey(reqs[i])] = sw
+	}
+	return results, err
+}
+
+// runFigures computes the selected figures' grid, then renders each figure
+// from the results of its own sweeps, in table order. A figure one of whose
+// sweeps lost a cell to quarantine is skipped — reported on stderr and
+// returned in skipped — while the rest render. Cancellation sets
+// r.interrupted and renders nothing more.
+func (r *runner) runFigures(sel []figure, stderr io.Writer) (ran, skipped []string, err error) {
+	grid, err := r.grid(sel)
+	switch {
+	case errors.Is(err, context.Canceled):
+		r.interrupted = true
+		return nil, nil, nil
+	case err != nil && !bgpchurn.IsQuarantined(err):
+		return nil, nil, err
+	}
+	quarantined := r.sched.Quarantined()
+	for _, f := range sel {
+		if r.ctx.Err() != nil {
+			r.interrupted = true
+			break
+		}
+		fmt.Fprintf(r.stdout, "=== Figure %s: %s ===\n", f.id, f.des)
+		sws, err := r.sweepsOf(f, grid, quarantined)
+		if bgpchurn.IsQuarantined(err) {
+			skipped = append(skipped, f.id)
+			fmt.Fprintf(stderr, "experiments: figure %s skipped (quarantined cell): %v\n", f.id, err)
+			fmt.Fprintln(r.stdout)
+			continue
+		}
+		if err == nil {
+			err = f.render(r, sws)
+		}
+		if err != nil {
+			return ran, skipped, fmt.Errorf("figure %s: %w", f.id, err)
+		}
+		ran = append(ran, f.id)
+		fmt.Fprintln(r.stdout)
+	}
+	return ran, skipped, nil
+}
+
+// sweepsOf returns f's sweeps from the grid in declaration order. A sweep
+// that lost a cell returns that cell's quarantine record, or a plain error
+// if the cell is not among the quarantined.
+func (r *runner) sweepsOf(f figure, grid map[string]*bgpchurn.SweepResult, quarantined []*bgpchurn.CellQuarantinedError) ([]*bgpchurn.SweepResult, error) {
+	sws := make([]*bgpchurn.SweepResult, len(f.sweeps))
+	for i, s := range f.sweeps {
+		req := r.request(s)
+		sw := grid[sweepKey(req)]
+		for j, n := range req.Sizes {
+			if j < len(sw.Points) && sw.Points[j].N == n {
+				continue
+			}
+			key := core.KeyFor(req.Scenario.Name, n, req.TopologySeed, req.Event)
+			for _, q := range quarantined {
+				if q.Key == key {
+					return nil, q
+				}
+			}
+			return nil, fmt.Errorf("cell %s n=%d has no result", req.Scenario.Name, n)
+		}
+		sws[i] = sw
+	}
+	return sws, nil
 }
 
 func (r *runner) sizes() []int {
@@ -663,22 +699,6 @@ func (r *runner) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// sweep fetches one scenario sweep over the figure sizes.
-func (r *runner) sweep(sc bgpchurn.Scenario, wrate bool) (*bgpchurn.SweepResult, error) {
-	return r.fetch(sweepVariant{sc, wrate, r.sizes()})
-}
-
-// fetch runs one sweep through the scheduler. After prefetch this is pure
-// cache traffic (hits are logged by the SubscribeCells callback); results
-// are byte-identical to the sequential bgpchurn.Sweep.
-func (r *runner) fetch(v sweepVariant) (*bgpchurn.SweepResult, error) {
-	return r.sched.RunSweep(r.ctx, v.sc, bgpchurn.SweepConfig{
-		Sizes:        v.sizes,
-		TopologySeed: r.seed,
-		Event:        r.experiment(v.wrate),
-	})
-}
-
 // emit prints the table (plus plot) and writes the CSV if requested.
 func (r *runner) emit(name string, t *report.Table, xs []float64, series ...report.Series) error {
 	if err := t.Fprint(r.stdout); err != nil {
@@ -706,7 +726,7 @@ func floats(xs []int) []float64 {
 
 // table1 prints the realized Table 1 generator parameters of -scenario at
 // each figure size, drawn at -seed (only the tier-1 count depends on it).
-func (r *runner) table1() error {
+func (r *runner) table1([]*bgpchurn.SweepResult) error {
 	t := report.NewTable(fmt.Sprintf("Table 1: realized parameters, %s", r.scenario.Name),
 		"n", "nT", "nM", "nCP", "nC", "dM", "dCP", "dC", "pM", "pCP-M", "pCP-CP")
 	for _, n := range r.sizes() {
@@ -721,7 +741,7 @@ func (r *runner) table1() error {
 // topo prints §3's structural properties of -scenario at each figure size,
 // measured on the topology the grid cell at that size runs on (seed
 // seed+n, as in Sweep), and the degree CCDF at the largest size.
-func (r *runner) topo() error {
+func (r *runner) topo([]*bgpchurn.SweepResult) error {
 	props := report.NewTable(fmt.Sprintf("§3 properties, %s", r.scenario.Name),
 		"n", "nT", "nM", "nCP", "nC", "transit", "peering", "MHD M", "MHD CP", "MHD C",
 		"peer-deg M", "clustering", "assortativity", "path-len", "max-deg")
@@ -756,7 +776,7 @@ func (r *runner) topo() error {
 
 // fig1 regenerates the monitor churn-growth analysis on the synthetic RIS
 // trace (substitution documented in DESIGN.md).
-func (r *runner) fig1() error {
+func (r *runner) fig1([]*bgpchurn.SweepResult) error {
 	p := bgpchurn.DefaultMonitorTrace(r.seed)
 	series, err := bgpchurn.GenerateMonitorTrace(p)
 	if err != nil {
@@ -780,9 +800,9 @@ func (r *runner) fig1() error {
 	}
 	growth := trend.Slope * float64(len(series)) / stats.Mean(series[:30]) * 100
 	fmt.Fprintf(r.stdout, "\nMann-Kendall: S=%d Z=%s p=%s; Sen slope %s updates/day"+
-		" => total growth ~%s%% over %d days (paper: ~200%% over 2005-2007)\n",
+		" => total growth ~%.0f%% over %d days (paper: ~200%% over 2005-2007)\n",
 		trend.S, report.Float(trend.Z, 2), report.Float(trend.PValue, 4),
-		report.Float(trend.Slope, 1), report.Float(growth, 0), len(series))
+		report.Float(trend.Slope, 1), growth, len(series))
 	return nil
 }
 
@@ -799,21 +819,14 @@ func fig4Table(sw *bgpchurn.SweepResult, xs []float64) (*report.Table, []report.
 	return t, series
 }
 
-func (r *runner) fig4() error {
-	sw, err := r.sweep(bgpchurn.Baseline, false)
-	if err != nil {
-		return err
-	}
+func (r *runner) fig4(sws []*bgpchurn.SweepResult) error {
 	xs := floats(r.sizes())
-	t, series := fig4Table(sw, xs)
+	t, series := fig4Table(sws[0], xs)
 	return r.emit("fig4", t, xs, series...)
 }
 
-func (r *runner) fig5() error {
-	sw, err := r.sweep(bgpchurn.Baseline, false)
-	if err != nil {
-		return err
-	}
+func (r *runner) fig5(sws []*bgpchurn.SweepResult) error {
+	sw := sws[0]
 	xs := floats(r.sizes())
 	top := []report.Series{
 		{Name: "Uc(T)", Values: sw.SeriesURel(bgpchurn.T, bgpchurn.Customer)},
@@ -833,11 +846,8 @@ func (r *runner) fig5() error {
 	return r.emit("fig5_bottom", t2, xs, bottom...)
 }
 
-func (r *runner) fig6() error {
-	sw, err := r.sweep(bgpchurn.Baseline, false)
-	if err != nil {
-		return err
-	}
+func (r *runner) fig6(sws []*bgpchurn.SweepResult) error {
+	sw := sws[0]
 	xs := floats(r.sizes())
 	series := []report.Series{
 		{Name: "Uc(T)", Values: stats.RelativeSeries(sw.SeriesURel(bgpchurn.T, bgpchurn.Customer))},
@@ -860,11 +870,8 @@ func (r *runner) fig6() error {
 	return nil
 }
 
-func (r *runner) fig7() error {
-	sw, err := r.sweep(bgpchurn.Baseline, false)
-	if err != nil {
-		return err
-	}
+func (r *runner) fig7(sws []*bgpchurn.SweepResult) error {
+	sw := sws[0]
 	xs := floats(r.sizes())
 	mSeries := []report.Series{
 		{Name: "mc,T", Values: stats.RelativeSeries(sw.SeriesM(bgpchurn.T, bgpchurn.Customer))},
@@ -898,90 +905,76 @@ func (r *runner) fig7() error {
 // deviationFigure renders a family of scenario sweeps as one relative-
 // increase table of U at the given node type, normalized to the Baseline's
 // first point as in the paper.
-func (r *runner) deviationFigure(name, title string, typ bgpchurn.NodeType, scenarios []bgpchurn.Scenario) error {
+func (r *runner) deviationFigure(name, title string, typ bgpchurn.NodeType, sws []*bgpchurn.SweepResult) error {
 	xs := floats(r.sizes())
-	base, err := r.sweep(bgpchurn.Baseline, false)
-	if err != nil {
-		return err
-	}
-	norm := base.SeriesU(typ)[0]
-	var series []report.Series
-	for _, sc := range scenarios {
-		sw, err := r.sweep(sc, false)
-		if err != nil {
-			return err
+	var norm float64
+	for _, sw := range sws {
+		if sw.Scenario == bgpchurn.Baseline.Name {
+			norm = sw.SeriesU(typ)[0]
 		}
+	}
+	series := make([]report.Series, len(sws))
+	for i, sw := range sws {
 		vals := sw.SeriesU(typ)
 		rel := make([]float64, len(vals))
-		for i, v := range vals {
-			rel[i] = v / norm
+		for j, v := range vals {
+			rel[j] = v / norm
 		}
-		series = append(series, report.Series{Name: sc.Name, Values: rel})
+		series[i] = report.Series{Name: sw.Scenario, Values: rel}
 	}
 	t := report.SeriesTable(title, "n", xs, series...)
 	return r.emit(name, t, xs, series...)
 }
 
-func (r *runner) fig8() error {
+func (r *runner) fig8(sws []*bgpchurn.SweepResult) error {
 	return r.deviationFigure("fig8",
 		"Fig 8: relative U(T), population-mix deviations (Baseline n0 = 1)",
-		bgpchurn.T,
-		[]bgpchurn.Scenario{bgpchurn.RichMiddle, bgpchurn.Baseline, bgpchurn.StaticMiddle, bgpchurn.TransitClique, bgpchurn.NoMiddle})
+		bgpchurn.T, sws)
 }
 
-func (r *runner) fig9() error {
+func (r *runner) fig9(sws []*bgpchurn.SweepResult) error {
 	if err := r.deviationFigure("fig9_top",
 		"Fig 9 (top): relative U(T), multihoming deviations",
-		bgpchurn.T,
-		[]bgpchurn.Scenario{bgpchurn.DenseCore, bgpchurn.DenseEdge, bgpchurn.Baseline, bgpchurn.Tree, bgpchurn.ConstantMHD}); err != nil {
+		bgpchurn.T, sws); err != nil {
 		return err
 	}
 	fmt.Fprintln(r.stdout)
 	// Bottom panel: absolute mc,T per deviation.
 	xs := floats(r.sizes())
-	var series []report.Series
-	for _, sc := range []bgpchurn.Scenario{bgpchurn.DenseCore, bgpchurn.DenseEdge, bgpchurn.Baseline, bgpchurn.Tree, bgpchurn.ConstantMHD} {
-		sw, err := r.sweep(sc, false)
-		if err != nil {
-			return err
-		}
-		series = append(series, report.Series{Name: sc.Name, Values: sw.SeriesM(bgpchurn.T, bgpchurn.Customer)})
+	series := make([]report.Series, len(sws))
+	for i, sw := range sws {
+		series[i] = report.Series{Name: sw.Scenario, Values: sw.SeriesM(bgpchurn.T, bgpchurn.Customer)}
 	}
 	t := report.SeriesTable("Fig 9 (bottom): mc,T per deviation", "n", xs, series...)
 	return r.emit("fig9_bottom", t, xs, series...)
 }
 
-func (r *runner) fig10() error {
+func (r *runner) fig10(sws []*bgpchurn.SweepResult) error {
 	xs := floats(r.sizes())
-	var series []report.Series
-	for _, sc := range []bgpchurn.Scenario{bgpchurn.Baseline, bgpchurn.NoPeering, bgpchurn.StrongCorePeering, bgpchurn.StrongEdgePeering} {
-		sw, err := r.sweep(sc, false)
-		if err != nil {
-			return err
-		}
-		series = append(series, report.Series{Name: sc.Name, Values: sw.SeriesU(bgpchurn.M)})
+	series := make([]report.Series, len(sws))
+	for i, sw := range sws {
+		series[i] = report.Series{Name: sw.Scenario, Values: sw.SeriesU(bgpchurn.M)}
 	}
 	t := report.SeriesTable("Fig 10: U(M), peering deviations (absolute)", "n", xs, series...)
 	return r.emit("fig10", t, xs, series...)
 }
 
-func (r *runner) fig11() error {
+func (r *runner) fig11(sws []*bgpchurn.SweepResult) error {
 	if err := r.deviationFigure("fig11_top",
 		"Fig 11 (top): relative U(T), provider-preference deviations",
-		bgpchurn.T,
-		[]bgpchurn.Scenario{bgpchurn.Baseline, bgpchurn.PreferMiddle, bgpchurn.PreferTop}); err != nil {
+		bgpchurn.T, sws); err != nil {
 		return err
 	}
 	fmt.Fprintln(r.stdout)
+	// The middle and bottom panels show the deviations alone.
 	xs := floats(r.sizes())
 	var mc, qc []report.Series
-	for _, sc := range []bgpchurn.Scenario{bgpchurn.PreferMiddle, bgpchurn.PreferTop} {
-		sw, err := r.sweep(sc, false)
-		if err != nil {
-			return err
+	for _, sw := range sws {
+		if sw.Scenario == bgpchurn.Baseline.Name {
+			continue
 		}
-		mc = append(mc, report.Series{Name: sc.Name, Values: sw.SeriesM(bgpchurn.T, bgpchurn.Customer)})
-		qc = append(qc, report.Series{Name: sc.Name, Values: sw.SeriesQ(bgpchurn.T, bgpchurn.Customer)})
+		mc = append(mc, report.Series{Name: sw.Scenario, Values: sw.SeriesM(bgpchurn.T, bgpchurn.Customer)})
+		qc = append(qc, report.Series{Name: sw.Scenario, Values: sw.SeriesQ(bgpchurn.T, bgpchurn.Customer)})
 	}
 	t2 := report.SeriesTable("Fig 11 (middle): mc,T", "n", xs, mc...)
 	if err := r.emit("fig11_mc", t2, xs, mc...); err != nil {
@@ -992,15 +985,8 @@ func (r *runner) fig11() error {
 	return r.emit("fig11_qc", t3, xs, qc...)
 }
 
-func (r *runner) fig12() error {
-	noW, err := r.sweep(bgpchurn.Baseline, false)
-	if err != nil {
-		return err
-	}
-	w, err := r.sweep(bgpchurn.Baseline, true)
-	if err != nil {
-		return err
-	}
+func (r *runner) fig12(sws []*bgpchurn.SweepResult) error {
+	noW, w := sws[0], sws[1]
 	xs := floats(r.sizes())
 	var ratios []report.Series
 	for _, typ := range []bgpchurn.NodeType{bgpchurn.C, bgpchurn.CP, bgpchurn.M, bgpchurn.T} {
@@ -1030,8 +1016,9 @@ func (r *runner) fig12() error {
 // cell prints the grid cell (-scenario, -n) in full under both MRAI
 // variants: per-type U with its confidence interval and relation split, the
 // Eq.-1 factors, path exploration and per-node spread, and the event totals
-// with DOWN/UP convergence.
-func (r *runner) cell() error {
+// with DOWN/UP convergence. sws holds the cell's NO-WRATE sweep, then its
+// WRATE sweep.
+func (r *runner) cell(sws []*bgpchurn.SweepResult) error {
 	at := fmt.Sprintf("Cell %s n=%d", r.scenario.Name, r.n)
 	u := report.NewTable(at+": updates received per C-event (mean over origins and nodes)",
 		"variant", "type", "nodes", "U", "±95%", "Uc", "Up", "Ud")
@@ -1041,16 +1028,8 @@ func (r *runner) cell() error {
 		"variant", "type", "route-changes/event", "median U", "p90 U", "max U")
 	totals := report.NewTable(at+": network-wide updates per event and convergence (virtual seconds)",
 		"variant", "total-updates", "peak/s", "down-s", "up-s")
-	for _, v := range r.figSweeps("cell") {
-		sw, err := r.fetch(v)
-		if err != nil {
-			return err
-		}
-		res := sw.Points[0].R
-		name := "NO-WRATE"
-		if v.wrate {
-			name = "WRATE"
-		}
+	for i, name := range []string{"NO-WRATE", "WRATE"} {
+		res := sws[i].Points[0].R
 		for _, typ := range []bgpchurn.NodeType{bgpchurn.T, bgpchurn.M, bgpchurn.CP, bgpchurn.C} {
 			tr := res.ByType[typ]
 			u.AddRow(name, typ.String(), fmt.Sprint(tr.Nodes),
@@ -1085,7 +1064,7 @@ func (r *runner) cell() error {
 // extensions runs the beyond-the-paper measurements recorded in
 // EXPERIMENTS.md: link events vs C-events, path exploration per tier under
 // both MRAI variants, and the burstiness of event churn.
-func (r *runner) extensions() error {
+func (r *runner) extensions([]*bgpchurn.SweepResult) error {
 	n := 2000
 	if r.fast {
 		n = 1000

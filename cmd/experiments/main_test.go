@@ -71,16 +71,37 @@ func TestFloats(t *testing.T) {
 // the binary's defaults for everything else.
 func fastRunner(seed uint64) *runner {
 	return &runner{
-		scenario: bgpchurn.Baseline, n: 1000, seed: seed, fast: true,
+		ctx: context.Background(), scenario: bgpchurn.Baseline, n: 1000, seed: seed, fast: true,
 		sched: bgpchurn.NewScheduler(0), stdout: io.Discard,
 	}
 }
 
+// mustSelect returns the figures spec selects, as -fig does.
+func mustSelect(t *testing.T, spec string) []figure {
+	t.Helper()
+	sel, err := selectFigures(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sel
+}
+
+// mustRun runs the binary's grid-and-render path for the figures spec
+// selects, failing on any error or skipped figure.
+func mustRun(t *testing.T, r *runner, spec string) {
+	t.Helper()
+	if _, skipped, err := r.runFigures(mustSelect(t, spec), io.Discard); err != nil || len(skipped) > 0 {
+		t.Fatalf("-fig %s: skipped %v, err %v", spec, skipped, err)
+	}
+}
+
 func TestSweepCaching(t *testing.T) {
-	// Figures requesting the same sweep must share the scheduler's cells:
-	// the second sweep() is pure cache traffic and returns equal results.
+	// Figures that declare the same sweep read one result from the grid, and
+	// a second grid of the same sweeps on the same scheduler (what -resume
+	// seeds) is pure cache traffic returning equal results.
 	r := fastRunner(3)
-	first, err := r.sweep(bgpchurn.Baseline, false)
+	sel := mustSelect(t, "4,6")
+	first, err := r.grid(sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +109,12 @@ func TestSweepCaching(t *testing.T) {
 	if st.Misses != len(r.sizes()) || st.Hits != 0 {
 		t.Fatalf("cold stats = %+v", st)
 	}
-	second, err := r.sweep(bgpchurn.Baseline, false)
+	s4, err4 := r.sweepsOf(sel[0], first, nil)
+	s6, err6 := r.sweepsOf(sel[1], first, nil)
+	if err4 != nil || err6 != nil || s4[0] != s6[0] {
+		t.Fatalf("figures 4 and 6 read different Baseline sweeps (errs %v, %v)", err4, err6)
+	}
+	second, err := r.grid(sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,9 +122,11 @@ func TestSweepCaching(t *testing.T) {
 	if st.Misses != len(r.sizes()) || st.Hits != len(r.sizes()) {
 		t.Fatalf("warm stats = %+v, want every cell served from cache", st)
 	}
-	for i := range first.Points {
-		if first.Points[i].R != second.Points[i].R {
-			t.Fatalf("cell n=%d recomputed", first.Points[i].N)
+	for k, sw := range first {
+		for i := range sw.Points {
+			if sw.Points[i].R != second[k].Points[i].R {
+				t.Fatalf("cell n=%d recomputed", sw.Points[i].N)
+			}
 		}
 	}
 }
@@ -106,58 +134,52 @@ func TestSweepCaching(t *testing.T) {
 func TestFigSweepsCoverAllFigures(t *testing.T) {
 	r := fastRunner(1)
 	r.scenario, r.n = bgpchurn.DenseCore, 1500
+	byID := map[string]figure{}
+	for _, f := range figures {
+		byID[f.id] = f
+	}
 	for _, id := range []string{"4", "5", "6", "7", "8", "9", "10", "11", "12", "cell"} {
-		if len(r.figSweeps(id)) == 0 {
+		if len(byID[id].sweeps) == 0 {
 			t.Errorf("figure %s declares no sweeps", id)
 		}
 	}
 	for _, id := range []string{"table1", "topo", "1", "ext"} {
-		if len(r.figSweeps(id)) != 0 {
+		if len(byID[id].sweeps) != 0 {
 			t.Errorf("figure %s should declare no sweeps", id)
 		}
 	}
 	for _, f := range figures {
-		for _, v := range r.figSweeps(f.id) {
-			if f.id != "cell" && len(v.sizes) != len(r.sizes()) {
-				t.Errorf("figure %s sweeps %v, want the figure sizes", f.id, v.sizes)
+		for _, s := range f.sweeps {
+			if req := r.request(s); f.id != "cell" && len(req.Sizes) != len(r.sizes()) {
+				t.Errorf("figure %s sweeps %v, want the figure sizes", f.id, req.Sizes)
 			}
 		}
 	}
 	// Fig. 12 needs both protocol variants of the Baseline sweep.
-	v := r.figSweeps("12")
+	v := byID["12"].sweeps
 	if len(v) != 2 || v[0].wrate == v[1].wrate {
 		t.Fatalf("fig 12 sweeps = %+v", v)
 	}
-	// The cell is -scenario at the single size -n, under both variants.
-	v = r.figSweeps("cell")
-	if len(v) != 2 || v[0].wrate == v[1].wrate {
+	// The cell is -scenario at the single size -n, NO-WRATE then WRATE.
+	v = byID["cell"].sweeps
+	if len(v) != 2 || v[0].wrate || !v[1].wrate {
 		t.Fatalf("cell sweeps = %+v", v)
 	}
-	for _, c := range v {
-		if c.sc.Name != bgpchurn.DenseCore.Name || len(c.sizes) != 1 || c.sizes[0] != 1500 {
-			t.Fatalf("cell sweep = %+v, want DENSE-CORE at n=1500", c)
+	for _, s := range v {
+		if req := r.request(s); req.Scenario.Name != bgpchurn.DenseCore.Name || len(req.Sizes) != 1 || req.Sizes[0] != 1500 {
+			t.Fatalf("cell sweep = %s %v, want DENSE-CORE at n=1500", req.Scenario.Name, req.Sizes)
 		}
 	}
 }
 
 func TestPrefetchDeduplicatesSharedSweeps(t *testing.T) {
-	// Figures 4 and 6 share the Baseline NO-WRATE sweep: prefetching both
-	// must compute each cell exactly once.
+	// Figures 4 and 6 share the Baseline NO-WRATE sweep: their grid computes
+	// each cell exactly once, and rendering both adds no scheduler traffic.
 	r := fastRunner(1)
-	if err := r.prefetch(map[string]bool{"4": true, "6": true}); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, r, "4,6")
 	st := r.sched.CacheStats()
 	if st.Misses != len(r.sizes()) || st.Hits != 0 {
-		t.Fatalf("prefetch stats = %+v, want %d unique cells and no duplicates", st, len(r.sizes()))
-	}
-	// Rendering the figures afterwards is pure cache traffic.
-	if _, err := r.sweep(bgpchurn.Baseline, false); err != nil {
-		t.Fatal(err)
-	}
-	st = r.sched.CacheStats()
-	if st.Misses != len(r.sizes()) {
-		t.Fatalf("figure render recomputed cells: %+v", st)
+		t.Fatalf("stats = %+v, want %d unique cells, no duplicates and no render-time requests", st, len(r.sizes()))
 	}
 }
 
@@ -169,9 +191,7 @@ func TestFig4FastGoldenCSV(t *testing.T) {
 	dir := t.TempDir()
 	r := fastRunner(1)
 	r.outDir = dir
-	if err := r.fig4(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, r, "4")
 	got, err := os.ReadFile(filepath.Join(dir, "fig4.csv"))
 	if err != nil {
 		t.Fatal(err)
@@ -215,9 +235,7 @@ func TestKillAndResumeByteIdenticalCSV(t *testing.T) {
 	// Reference: uninterrupted run.
 	ref := fastRunner(1)
 	ref.outDir = refDir
-	if err := ref.fig4(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, ref, "4")
 	want, err := os.ReadFile(filepath.Join(refDir, "fig4.csv"))
 	if err != nil {
 		t.Fatal(err)
@@ -238,8 +256,9 @@ func TestKillAndResumeByteIdenticalCSV(t *testing.T) {
 			cancel()
 		}
 	})
-	if err := interrupted.fig4(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("interrupted run: want context.Canceled, got %v", err)
+	if ran, _, err := interrupted.runFigures(mustSelect(t, "4"), io.Discard); err != nil || len(ran) > 0 || !interrupted.interrupted {
+		t.Fatalf("interrupted run: rendered %v, err %v, interrupted %v; want nothing rendered and the run marked interrupted",
+			ran, err, interrupted.interrupted)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -269,9 +288,7 @@ func TestKillAndResumeByteIdenticalCSV(t *testing.T) {
 			resumedCells++
 		}
 	})
-	if err := resumed.fig4(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, resumed, "4")
 	if resumedCells != checkpointed {
 		t.Fatalf("resumed-cell events = %d, want %d (every journaled cell a cache hit)", resumedCells, checkpointed)
 	}
@@ -321,6 +338,10 @@ func TestRunExitCodes(t *testing.T) {
 		{[]string{"-fig", "4", "-shards", "2"}, "requires a positive LinkDelay"},
 		{[]string{"-fig", "cell", "-scenario", "NOPE"}, "unknown scenario \"NOPE\" (known: ["},
 		{[]string{"-fig", "cell", "-n", "0"}, "-n must be positive"},
+		{[]string{"-fig", "table1", "-origins", "-5"}, "-origins must be non-negative, got -5"},
+		{[]string{"-fig", "table1", "-parallel", "-3"}, "-parallel must be non-negative, got -3"},
+		{[]string{"-fig", "table1", "-retries", "-1"}, "-retries must be non-negative, got -1"},
+		{[]string{"-fig", "table1", "-cell-timeout", "-1s"}, "-cell-timeout must be non-negative, got -1s"},
 	} {
 		stdout.Reset()
 		stderr.Reset()
@@ -467,9 +488,7 @@ func TestWriteManifestEndToEnd(t *testing.T) {
 	r.metrics = bgpchurn.NewObsMetrics()
 	r.sched.SetObs(r.metrics)
 	r.sched.SubscribeCells(r.recordCell)
-	if err := r.fig4(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, r, "4")
 
 	path := filepath.Join(dir, "manifest.json")
 	cfgMap := map[string]string{"fast": "true", "seed": "1"}
@@ -595,29 +614,17 @@ func readCSV(t *testing.T, path string) [][]string {
 	return rows
 }
 
-// TestCellMatchesGrid pins the cell id to the grid it reads: after the
-// fig 4 and 12 sweeps, the Baseline n=1000 cell is pure cache traffic, and
-// its NO-WRATE U and per-relation split equal the n=1000 rows of fig4.csv
-// and fig5_*.csv.
+// TestCellMatchesGrid pins the cell id to the grid it reads: beside figs 4,
+// 5 and 12 the Baseline n=1000 cell computes nothing of its own (its two
+// cells are the grid's only cache hits), and its NO-WRATE U and
+// per-relation split equal the n=1000 rows of fig4.csv and fig5_*.csv.
 func TestCellMatchesGrid(t *testing.T) {
 	dir := t.TempDir()
 	r := fastRunner(1)
 	r.outDir = dir
-	if err := r.prefetch(map[string]bool{"4": true, "12": true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.fig4(); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.fig5(); err != nil {
-		t.Fatal(err)
-	}
-	misses := r.sched.CacheStats().Misses
-	if err := r.cell(); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.sched.CacheStats().Misses; got != misses {
-		t.Fatalf("cell computed %d cells, want 0 (served from the grid)", got-misses)
+	mustRun(t, r, "4,5,12,cell")
+	if st := r.sched.CacheStats(); st.Misses != 2*len(r.sizes()) || st.Hits != 2 {
+		t.Fatalf("stats = %+v, want %d cells computed and the cell's 2 served from the grid", st, 2*len(r.sizes()))
 	}
 
 	// Grid values at n=1000, keyed by column name (T, Uc(T), Ud(M), ...).
@@ -659,7 +666,7 @@ func TestCellMatchesGrid(t *testing.T) {
 func TestTable1MatchesCommittedCSV(t *testing.T) {
 	dir := t.TempDir()
 	r := &runner{scenario: bgpchurn.Baseline, seed: 1, outDir: dir, stdout: io.Discard}
-	if err := r.table1(); err != nil {
+	if err := r.table1(nil); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(filepath.Join(dir, "table1.csv"))
@@ -672,5 +679,69 @@ func TestTable1MatchesCommittedCSV(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("table1 drifted from results/table1.csv:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestFastGoldenCSVs pins every CSV of `experiments -fig all -fast -seed 1`
+// byte for byte to testdata/fast, recorded before the figures read their
+// sweeps from the run's one grid. A file the run adds or drops fails too.
+func TestFastGoldenCSVs(t *testing.T) {
+	dir := t.TempDir()
+	code := run(context.Background(), []string{"-fig", "all", "-fast", "-seed", "1", "-out", dir,
+		"-manifest", "", "-journal", ""}, io.Discard, io.Discard)
+	if code != exitOK {
+		t.Fatalf("run: exit %d, want %d", code, exitOK)
+	}
+	want, err := filepath.Glob(filepath.Join("testdata", "fast", "*.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := filepath.Glob(filepath.Join(dir, "*.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) || len(want) != 25 {
+		t.Fatalf("run wrote %d CSVs, testdata/fast holds %d, want 25", len(got), len(want))
+	}
+	for _, golden := range want {
+		name := filepath.Base(golden)
+		w, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g, w) {
+			t.Errorf("%s drifted from testdata/fast:\ngot:\n%s\nwant:\n%s", name, g, w)
+		}
+	}
+}
+
+// TestQuarantinedFigureSkipped drives the quarantine path end to end: with
+// a deadline no cell can meet, every Baseline cell is quarantined, so
+// figure 4 is skipped with a reason on stderr while table1, which runs no
+// cells, still renders, and the run exits 3.
+func TestQuarantinedFigureSkipped(t *testing.T) {
+	dir := t.TempDir()
+	var stdout, stderr bytes.Buffer
+	code := run(context.Background(), []string{"-fig", "4,table1", "-fast", "-cell-timeout", "1ns",
+		"-out", dir, "-manifest", "", "-journal", ""}, &stdout, &stderr)
+	if code != exitQuarantined {
+		t.Fatalf("exit %d, want %d\nstderr:\n%s", code, exitQuarantined, stderr.String())
+	}
+	if msg := stderr.String(); !strings.Contains(msg, "figure 4 skipped (quarantined cell): cell BASELINE n=1000 quarantined after 1 attempts") ||
+		!strings.Contains(msg, "figures skipped due to quarantined cells: 4\n") {
+		t.Fatalf("stderr does not report figure 4 skipped:\n%s", msg)
+	}
+	if !strings.Contains(stdout.String(), "Table 1: realized parameters, BASELINE") {
+		t.Fatalf("table1 did not render:\n%s", stdout.String())
+	}
+	if _, err := os.Stat(filepath.Join(dir, "table1.csv")); err != nil {
+		t.Fatalf("table1.csv: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "fig4.csv")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("fig4.csv written for a skipped figure (stat: %v)", err)
 	}
 }

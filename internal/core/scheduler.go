@@ -217,8 +217,8 @@ const retrySeedSalt = 0x5ca1ab1e0ddba11
 // request's size list, making grid output byte-identical to sequential
 // Sweep runs. Cells with equal CellKeys are computed once while cached —
 // concurrent duplicates coalesce onto the in-flight computation — which
-// lets figures that share a sweep (Fig. 4–12 all reuse the Baseline sweep)
-// pay for it once. The cache holds at most SetCacheLimit entries
+// lets overlapping requests (churnd tenants that share cells, grid requests
+// whose sizes overlap) pay for a cell once. The cache holds at most SetCacheLimit entries
 // (DefaultCacheCap by default), evicting least-recently-used results; an
 // evicted cell is simply recomputed if requested again.
 //
