@@ -790,10 +790,11 @@ func (r *runner) fig1([]*bgpchurn.SweepResult) error {
 	for i := range days {
 		days[i] = float64(i)
 	}
-	// Monthly means keep the table readable; the CSV gets daily values.
+	// The table, and so the CSV, holds monthly means in whole updates; the
+	// plot draws the daily series.
 	t := report.NewTable("Fig 1: daily updates at a synthetic monitor (monthly means)", "day", "updates")
 	for d := 0; d+30 <= len(series); d += 30 {
-		t.AddRow(fmt.Sprint(d), report.Float(stats.Mean(series[d:d+30]), 0))
+		t.AddRow(fmt.Sprint(d), fmt.Sprintf("%.0f", stats.Mean(series[d:d+30])))
 	}
 	if err := r.emit("fig1", t, days, report.Series{Name: "updates", Values: series}); err != nil {
 		return err
@@ -1098,7 +1099,7 @@ func (r *runner) extensions([]*bgpchurn.SweepResult) error {
 			return err
 		}
 		t.AddRow(v.name,
-			report.Float(res.TotalUpdates, 0), report.Float(res.PeakRate, 0),
+			fmt.Sprintf("%.0f", res.TotalUpdates), fmt.Sprintf("%.0f", res.PeakRate),
 			report.Float(res.PathExploration[bgpchurn.T], 2),
 			report.Float(res.PathExploration[bgpchurn.M], 2),
 			report.Float(res.PathExploration[bgpchurn.CP], 2),

@@ -3,7 +3,6 @@ package topology
 import (
 	"fmt"
 	"math/bits"
-	"time"
 
 	"bgpchurn/internal/rng"
 
@@ -12,55 +11,48 @@ import (
 
 // Generate builds a topology per the paper's two-phase procedure: first the
 // T clique and the transit hierarchy top-down (T, then M one at a time,
-// then the stubs), then the peering links. All provider and M-M peer
-// selections use preferential attachment; CP peering is uniform. The
-// invariants enforced are: no provider loops (guaranteed by construction:
-// providers are always chosen among earlier nodes), region-constrained
-// connectivity, simple graph (no parallel links), and no peering between a
-// node and a member of its customer tree.
+// then the stubs), then the peering links; past the clique it is one Grow
+// step. All provider and M-M peer selections use preferential attachment;
+// CP peering is uniform. The invariants enforced are: no provider loops
+// (guaranteed by construction: providers are always chosen among earlier
+// nodes), region-constrained connectivity, simple graph (no parallel links),
+// and no peering between a node and a member of its customer tree.
 //
-// Selection runs on the Fenwick-indexed samplers (sampler.go), the M-node
-// relation bitsets (mrelation.go) and region-bucketed peering pools: every pick
-// consumes exactly one Intn over the same total as a linear scan of the
-// candidates would, so the output is byte-identical to the O(n²) reference
-// generator kept as the executable specification at the module root
-// (gen_reference_test.go; gen_equiv_test.go compares the two).
+// Selection runs on the Fenwick-indexed samplers (sampler.go), the
+// customer-cone relation over the M nodes (relation.go) and region-bucketed
+// peering pools: every pick consumes exactly one Intn over the same total as
+// a linear scan of the candidates would, so the output is byte-identical to
+// the O(n²) reference generator kept as the executable specification at the
+// module root (gen_reference_test.go; gen_equiv_test.go compares the two).
 func Generate(p Params) (*Topology, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	// Probes are resolved up front so the uninstrumented path pays one
-	// atomic load per call and never touches the wall clock.
-	var start time.Time
-	var pt phaseTimer
-	probes := genProbes.Load()
-	if probes != nil {
-		start = time.Now()
-		pt.enabled, pt.last = true, start
-	}
-	g := &builder{
-		p:    p,
-		r:    rng.New(p.Seed),
-		topo: &Topology{NumRegions: p.Regions, Seed: p.Seed},
-	}
-	g.addTClique()
-	g.initSamplers()
+	pt := startPhases()
+	t := tierOneClique(p)
 	pt.lap(obs.PhaseClique)
-	g.addMNodes(p.NM)
-	pt.lap(obs.PhaseMNodes)
-	g.addStubs(CP, p.NCP, p.DCP, p.TCP, p.CPSpread)
-	g.addStubs(C, p.NC, p.DC, p.TC, 0)
-	pt.lap(obs.PhaseStubs)
-	g.buildMRelation()
-	pt.lap(obs.PhaseCones)
-	g.addMPeering()
-	pt.lap(obs.PhaseMPeering)
-	g.addCPPeering()
-	pt.lap(obs.PhaseCPPeering)
-	if probes != nil {
-		instrumentGen(probes, start, g.topo.N(), g.links, &pt)
+	// The clique's nodes and links are this call's work too.
+	return grow(t, p, &pt, 0, p.NT*(p.NT-1)/2), nil
+}
+
+// tierOneClique returns the NT tier-1 nodes, present in all regions and
+// fully meshed with peering links, each listing its peers in ID order.
+func tierOneClique(p Params) *Topology {
+	var all RegionSet
+	for i := 0; i < p.Regions; i++ {
+		all = all.Add(i)
 	}
-	return g.topo, nil
+	t := &Topology{Nodes: make([]Node, p.NT), NumRegions: p.Regions}
+	for a := range t.Nodes {
+		nd := &t.Nodes[a]
+		*nd = Node{ID: NodeID(a), Type: T, Regions: all}
+		for b := 0; b < p.NT; b++ {
+			if b != a {
+				nd.Peers = append(nd.Peers, NodeID(b))
+			}
+		}
+	}
+	return t
 }
 
 // MustGenerate is Generate for known-valid parameters; it panics on error.
@@ -73,9 +65,8 @@ func MustGenerate(p Params) *Topology {
 	return t
 }
 
-// samplers bundles the accelerated selection structures. Built by
-// initSamplers once the tier-1 clique (Generate) or the cloned prefix (Grow)
-// is in place; nil while the clique is being meshed.
+// samplers bundles the accelerated selection structures, built by
+// initSamplers over the topology a growth step starts from.
 type samplers struct {
 	// transitT/transitM index the provider classes by transitDegree+1 for
 	// the preferential-attachment picks of connectProviders.
@@ -103,14 +94,12 @@ type builder struct {
 	cpIDs []NodeID
 	// samp holds the Fenwick samplers.
 	samp *samplers
-	// mIndex maps a NodeID to its index in mIDs, or -1; rel holds the M
-	// relation, one row of relW words per M node (mrelation.go). Both are
-	// built once after the transit phase, with mSet, a one-row scratch
-	// bitset over M index for the peering phases.
-	mIndex []int32
-	rel    []uint64
-	relW   int
-	mSet   []uint64
+	// rel is the customer-cone relation over mIDs (relation.go), built
+	// once after the transit phase; its index maps a NodeID to its M index,
+	// or -1. mSet is a one-row scratch bitset over M index for the peering
+	// phases.
+	rel  *relation
+	mSet []uint64
 	// mMaskR holds per-region M-membership masks over M index, built by
 	// prepareMPeeringScratch.
 	mMaskR [][]uint64
@@ -121,17 +110,17 @@ type builder struct {
 	candScratch []NodeID
 	eligScratch []NodeID
 	// peerFromM/peerFromCP are the first indices of mIDs/cpIDs that the
-	// peering phase draws links *for*. Generate leaves them at zero (every
-	// node peers); Grow sets them past the pre-existing nodes, whose peering
-	// is already in place — existing nodes still serve as candidates.
+	// peering phase draws links *for*: past the pre-existing nodes, whose
+	// peering is already in place — existing nodes still serve as
+	// candidates.
 	peerFromM  int
 	peerFromCP int
 }
 
 // initSamplers builds the provider-class samplers over the nodes that exist
-// so far: the full T clique, and (on the Grow path) the pre-existing M
-// nodes with their reconstructed degrees. Later M nodes are inserted by
-// addMNodes as they finish their own provider round.
+// so far: the full T clique and the pre-existing M nodes, with their
+// reconstructed degrees. Later M nodes are inserted by addMNodes as they
+// finish their own provider round.
 func (g *builder) initSamplers() {
 	s := &samplers{
 		transitT: newPASampler(g.p.N, g.p.NT),
@@ -152,14 +141,6 @@ func (g *builder) newNode(typ NodeType, regions RegionSet) NodeID {
 	g.transitDegree = append(g.transitDegree, 0)
 	g.peerDegree = append(g.peerDegree, 0)
 	return id
-}
-
-func (g *builder) allRegions() RegionSet {
-	var s RegionSet
-	for i := 0; i < g.p.Regions; i++ {
-		s = s.Add(i)
-	}
-	return s
 }
 
 // pickRegions draws the region set for a new node: one uniform region, plus
@@ -197,25 +178,10 @@ func (g *builder) addPeerLink(a, b NodeID) {
 	g.links++
 	g.peerDegree[a]++
 	g.peerDegree[b]++
-	// The tier-1 clique is meshed before initSamplers, and the M-peering
-	// sampler exists only from that phase on.
-	if g.samp != nil && g.samp.peerM != nil {
+	// The M-peering sampler exists only from that phase on.
+	if g.samp.peerM != nil {
 		g.samp.peerM.addWeight(a, 1)
 		g.samp.peerM.addWeight(b, 1)
-	}
-}
-
-// addTClique creates the tier-1 nodes, present in all regions and fully
-// meshed with peering links.
-func (g *builder) addTClique() {
-	all := g.allRegions()
-	for i := 0; i < g.p.NT; i++ {
-		g.newNode(T, all)
-	}
-	for a := NodeID(0); int(a) < g.p.NT; a++ {
-		for b := a + 1; int(b) < g.p.NT; b++ {
-			g.addPeerLink(a, b)
-		}
 	}
 }
 
@@ -397,7 +363,7 @@ func (g *builder) addUniformPeers(a NodeID, buckets *regionBuckets, mean float64
 		if c == a || g.nbrMark[c] == g.nbrEpoch {
 			continue
 		}
-		if j := g.mIndex[c]; j >= 0 && anc[j>>6]&(1<<(uint(j)&63)) != 0 {
+		if j := g.rel.index[c]; j >= 0 && anc[j>>6]&(1<<(uint(j)&63)) != 0 {
 			continue
 		}
 		eligible = append(eligible, c)

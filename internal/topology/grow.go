@@ -2,7 +2,6 @@ package topology
 
 import (
 	"fmt"
-	"time"
 
 	"bgpchurn/internal/obs"
 	"bgpchurn/internal/rng"
@@ -17,13 +16,12 @@ import (
 // attract new links as candidates, so preferential attachment keeps acting
 // on the grown part).
 //
-// Grow is the size-sweep primitive of the scalability experiments: a single
-// structure grown n → n′ → n″ lets per-size measurements share their common
-// core, and at the 100k scale it avoids regenerating (and revalidating) the
-// expensive prefix repeatedly. Provider acyclicity is preserved by the same
-// argument as in Generate: a new node's providers are always chosen among
-// nodes that already exist, so every provider edge points from an
-// earlier-created node to a later one.
+// Generate is Grow from the tier-1 clique. Beyond it, Grow lets one structure
+// grown n → n′ share its prefix: the benchmark's 50k cell grows a validated
+// 10k base, and the facade exposes it as GrowTopology. Provider acyclicity
+// holds because a new node's providers are always chosen among nodes that
+// already exist, so every provider edge points from an earlier-created node
+// to a later one.
 //
 // Requirements, beyond p.Validate(): the region count and tier-1 clique are
 // frozen (p.Regions and p.NT must match t), and the per-type counts must be
@@ -43,22 +41,22 @@ func Grow(t *Topology, p Params) (*Topology, error) {
 		return nil, fmt.Errorf("topology: grow requires non-decreasing node counts (M %d->%d, CP %d->%d, C %d->%d)",
 			c[M], p.NM, c[CP], p.NCP, c[C], p.NC)
 	}
-	var start time.Time
-	var pt phaseTimer
-	probes := genProbes.Load()
-	if probes != nil {
-		start = time.Now()
-		pt.enabled, pt.last = true, start
-	}
-	g := &builder{
-		p:    p,
-		r:    rng.New(p.Seed),
-		topo: cloneTopology(t),
-	}
+	pt := startPhases()
+	return grow(cloneTopology(t), p, &pt, t.N(), 0), nil
+}
+
+// grow runs the generation phases on t, which it owns and extends in place:
+// delta M nodes, delta stubs, the relation, then peering for the new M and
+// CP nodes. The builder's incremental state is reconstructed from t. The
+// probes record the call's work: the nodes past the first inherited, and the
+// links added here plus links, those the caller made (Generate's clique).
+func grow(t *Topology, p Params, pt *phaseTimer, inherited, links int) *Topology {
+	c := t.CountByType()
+	g := &builder{p: p, r: rng.New(p.Seed), topo: t, links: links}
 	g.topo.Seed = p.Seed // provenance: the seed of the latest growth step
-	// Reconstruct the builder's incremental state from the existing graph:
-	// preferential-attachment degree bases and the per-type ID lists in creation order (node IDs are assigned in creation order, so
-	// an ID-order scan recovers it — also after a previous Grow).
+	// Preferential-attachment degree bases and the per-type ID lists in
+	// creation order (node IDs are assigned in creation order, so an ID-order
+	// scan recovers it — also after a previous Grow).
 	for i := range g.topo.Nodes {
 		nd := &g.topo.Nodes[i]
 		g.transitDegree = append(g.transitDegree, len(nd.Providers)+len(nd.Customers))
@@ -71,25 +69,20 @@ func Grow(t *Topology, p Params) (*Topology, error) {
 		}
 	}
 	g.peerFromM, g.peerFromCP = len(g.mIDs), len(g.cpIDs)
-	preNodes := len(g.topo.Nodes)
 	g.initSamplers()
 	g.addMNodes(p.NM - c[M])
 	pt.lap(obs.PhaseMNodes)
 	g.addStubs(CP, p.NCP-c[CP], p.DCP, p.TCP, p.CPSpread)
 	g.addStubs(C, p.NC-c[C], p.DC, p.TC, 0)
 	pt.lap(obs.PhaseStubs)
-	g.buildMRelation()
+	g.rel = newRelation(g.topo.Nodes, g.mIDs)
 	pt.lap(obs.PhaseCones)
 	g.addMPeering()
 	pt.lap(obs.PhaseMPeering)
 	g.addCPPeering()
 	pt.lap(obs.PhaseCPPeering)
-	if probes != nil {
-		// Counters record the delta this growth step created, not the
-		// inherited prefix: g.links counts only the links added here.
-		instrumentGen(probes, start, g.topo.N()-preNodes, g.links, &pt)
-	}
-	return g.topo, nil
+	pt.record(g.topo.N()-inherited, g.links)
+	return g.topo
 }
 
 // MustGrow is Grow for known-valid inputs; it panics on error. Intended for

@@ -19,18 +19,29 @@ var genProbes atomic.Pointer[obs.TopoProbes]
 // hub: SetObsProbes(m.NewTopoProbes()).
 func SetObsProbes(p *obs.TopoProbes) { genProbes.Store(p) }
 
-// phaseTimer splits one generation's wall time across the generator
-// phases. Disabled (the zero value) every lap is a single branch; enabled,
-// each lap reads the clock once and charges the elapsed interval to the
-// finished phase.
+// phaseTimer splits one generation's wall time across the generator phases
+// and records the run on the probes. Without probes every lap is a single
+// branch; with them, each lap reads the clock once and charges the elapsed
+// interval to the finished phase.
 type phaseTimer struct {
-	enabled bool
-	last    time.Time
-	laps    [obs.GenPhaseCount]time.Duration
+	probes      *obs.TopoProbes
+	start, last time.Time
+	laps        [obs.GenPhaseCount]time.Duration
+}
+
+// startPhases resolves the probes up front, so the uninstrumented path pays
+// one atomic load per call and never touches the wall clock.
+func startPhases() phaseTimer {
+	pt := phaseTimer{probes: genProbes.Load()}
+	if pt.probes != nil {
+		pt.start = time.Now()
+		pt.last = pt.start
+	}
+	return pt
 }
 
 func (t *phaseTimer) lap(p obs.GenPhase) {
-	if !t.enabled {
+	if t.probes == nil {
 		return
 	}
 	now := time.Now()
@@ -38,15 +49,19 @@ func (t *phaseTimer) lap(p obs.GenPhase) {
 	t.last = now
 }
 
-// instrumentGen records one successful generation (or growth step, with
+// record observes one successful generation (or growth step, with
 // nodes/edges holding the delta). Phases with a zero lap — not executed,
 // e.g. the clique phase on the Grow path — are not observed.
-func instrumentGen(p *obs.TopoProbes, start time.Time, nodes, edges int, pt *phaseTimer) {
+func (t *phaseTimer) record(nodes, edges int) {
+	p := t.probes
+	if p == nil {
+		return
+	}
 	p.Generated.Inc()
 	p.Nodes.Add(uint64(nodes))
 	p.Edges.Add(uint64(edges))
-	p.GenSeconds.Observe(time.Since(start).Seconds())
-	for ph, d := range pt.laps {
+	p.GenSeconds.Observe(time.Since(t.start).Seconds())
+	for ph, d := range t.laps {
 		if d > 0 {
 			p.PhaseSeconds[ph].Observe(d.Seconds())
 		}

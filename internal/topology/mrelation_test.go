@@ -10,8 +10,8 @@ import (
 )
 
 // TestMRelationsMatchCustomerCones holds the generator's M relation (the
-// bitset rows behind M-M peering exclusion and CP peering eligibility) to
-// Validate's customer cones over random cases: scenarios in turn, so
+// bitset rows behind M-M peering exclusion and CP peering eligibility) to a
+// dense customer cone per node over random cases: scenarios in turn, so
 // NO-MIDDLE (no M nodes, zero-width rows) and TREE are always covered, a
 // size n ∈ [150, 3000] and a seed, then 0–2 growth steps up to n = 3000
 // under fresh seeds, checked after every step.

@@ -24,10 +24,11 @@ func (t *Topology) Validate() error {
 	if err := t.validateTypes(); err != nil {
 		return err
 	}
-	if len(customersFirst(t)) < t.N() {
+	order := customersFirst(t)
+	if len(order) < t.N() {
 		return fmt.Errorf("topology: provider loop detected")
 	}
-	if err := t.validatePeering(); err != nil {
+	if err := t.validatePeering(order); err != nil {
 		return err
 	}
 	if !t.connected() {
@@ -164,13 +165,20 @@ func (t *Topology) validateTypes() error {
 	return nil
 }
 
-func (t *Topology) validatePeering() error {
-	cones := customerCones(t)
+// validatePeering rejects the first peering link, in node and peer-list
+// order, into a node's own customer cone, reading the relation over the nodes
+// with customers (a node without customers has an empty cone). order is
+// customersFirst(t), complete.
+func (t *Topology) validatePeering(order []NodeID) error {
+	rel := coneRelation(t, order)
 	for i := range t.Nodes {
-		n := &t.Nodes[i]
-		for _, p := range n.Peers {
-			if cones[i].contains(p) {
-				return fmt.Errorf("topology: node %d peers with %d inside its customer tree", n.ID, p)
+		k := int(rel.index[i])
+		if k < 0 {
+			continue
+		}
+		for _, p := range t.Nodes[i].Peers {
+			if rel.inCone(t.Nodes, k, p) {
+				return fmt.Errorf("topology: node %d peers with %d inside its customer tree", i, p)
 			}
 		}
 	}

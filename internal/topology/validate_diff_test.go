@@ -2,14 +2,15 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"bgpchurn/internal/rng"
 )
 
-// Differential tier for Validate. The linear-time checks (one bottom-up cone
-// pass for the peering rule, a CSR reverse-slot lookup for the back-link
+// Differential tier for Validate. The fast checks (the customer-cone
+// relation for the peering rule, a CSR reverse-slot lookup for the back-link
 // rule, Kahn's order for the hierarchy rule, one CSR walk for connectivity)
 // must accept and reject exactly what the original predicates do, with the
 // same message: a per-peering-link InCustomerTree DFS, a Relation(nb, n)
@@ -203,8 +204,8 @@ func relabel(t *Topology, perm []NodeID) *Topology {
 }
 
 // diffTopologies returns random valid topologies in creation order and
-// relabeled, across sizes that put cones on both sides of the list/bitset
-// threshold.
+// relabeled, n from 210 to 840, with tripled M peering, single-homed M nodes
+// or one region in turn.
 func diffTopologies(t *testing.T) []*Topology {
 	t.Helper()
 	var out []*Topology
@@ -235,26 +236,93 @@ func sameVerdict(t *testing.T, label string, topo *Topology) {
 	}
 }
 
+// TestCustomerConesMatchDFS holds the relation Validate's peering rule reads
+// to the InCustomerTree DFS. For every node with customers it probes the node
+// itself, its peers, its customers and theirs, and random nodes; both of
+// inCone's branches (a listed node with customers, a stub through its
+// providers) must answer yes and no somewhere.
 func TestCustomerConesMatchDFS(t *testing.T) {
+	var seen [2][2]int // [stub][in cone]
 	for k, topo := range diffTopologies(t) {
-		cones := customerCones(topo)
+		rel := coneRelation(topo, customersFirst(topo))
 		r := rng.New(uint64(k) + 7)
 		for i := range topo.Nodes {
-			a := NodeID(i)
-			if got, want := cones[i].size, topo.CustomerConeSize(a); got != want {
-				t.Fatalf("topology %d node %d: cone size %d, DFS says %d", k, i, got, want)
+			a, nd := NodeID(i), &topo.Nodes[i]
+			row := int(rel.index[i])
+			if (row >= 0) != (len(nd.Customers) > 0) {
+				t.Fatalf("topology %d node %d: listed %v with %d customers", k, i, row >= 0, len(nd.Customers))
 			}
-			probes := append([]NodeID{a}, topo.Nodes[i].Peers...)
+			if row < 0 {
+				continue
+			}
+			probes := append([]NodeID{a}, nd.Peers...)
+			for _, c := range nd.Customers {
+				probes = append(append(probes, c), topo.Nodes[c].Customers...)
+			}
 			for j := 0; j < 8; j++ {
 				probes = append(probes, NodeID(r.Intn(topo.N())))
 			}
 			for _, d := range probes {
-				if got, want := cones[i].contains(d), topo.InCustomerTree(a, d); got != want {
+				got, want := rel.inCone(topo.Nodes, row, d), topo.InCustomerTree(a, d)
+				if got != want {
 					t.Fatalf("topology %d: cone(%d) contains %d = %v, DFS says %v", k, a, d, got, want)
 				}
+				seen[b2i(len(topo.Nodes[d].Customers) == 0)][b2i(want)]++
 			}
 		}
 	}
+	if seen[0][0] == 0 || seen[0][1] == 0 || seen[1][0] == 0 || seen[1][1] == 0 {
+		t.Fatalf("a branch went unprobed: [stub][in cone] counts %v", seen)
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// peerLink is a copy of a valid topology with one peering link a-b added.
+type peerLink struct {
+	topo *Topology
+	a, b NodeID
+}
+
+// peerLinkCorruptions returns count copies of the valid topo, each with one
+// peering link added between two non-C nodes that share a region and are not
+// linked: in half of them from a node with customers down a walk of one to
+// three customer steps, in the rest between uniform nodes. A copy shares
+// topo's lists except the two endpoints' peer lists.
+func peerLinkCorruptions(topo *Topology, r *rng.Source, count int) []peerLink {
+	var transit []NodeID
+	for i := range topo.Nodes {
+		if len(topo.Nodes[i].Customers) > 0 {
+			transit = append(transit, NodeID(i))
+		}
+	}
+	out := make([]peerLink, 0, count)
+	for len(out) < count {
+		a := NodeID(r.Intn(topo.N()))
+		b := NodeID(r.Intn(topo.N()))
+		if len(out)%2 == 0 {
+			a = transit[r.Intn(len(transit))]
+			b = a
+			for steps := 1 + r.Intn(3); steps > 0 && len(topo.Nodes[b].Customers) > 0; steps-- {
+				cs := topo.Nodes[b].Customers
+				b = cs[r.Intn(len(cs))]
+			}
+		}
+		if a == b || topo.Nodes[a].Type == C || topo.Nodes[b].Type == C ||
+			!topo.Nodes[a].Regions.Overlaps(topo.Nodes[b].Regions) || topo.Relation(a, b) != NotConnected {
+			continue
+		}
+		c := &Topology{NumRegions: topo.NumRegions, Nodes: slices.Clone(topo.Nodes)}
+		c.Nodes[a].Peers = append(slices.Clip(c.Nodes[a].Peers), b)
+		c.Nodes[b].Peers = append(slices.Clip(c.Nodes[b].Peers), a)
+		out = append(out, peerLink{c, a, b})
+	}
+	return out
 }
 
 func TestValidateMatchesReference(t *testing.T) {
@@ -266,7 +334,7 @@ func TestValidateMatchesReference(t *testing.T) {
 		}
 		return l
 	}
-	coneCases := 0
+	coneCases, peerCases, peerRejected := 0, 0, 0
 	for k, topo := range diffTopologies(t) {
 		sameVerdict(t, fmt.Sprintf("topology %d valid", k), topo)
 		if err := topo.Validate(); err != nil {
@@ -340,9 +408,36 @@ func TestValidateMatchesReference(t *testing.T) {
 			}
 			sameVerdict(t, fmt.Sprintf("topology %d %s", k, name), c)
 		}
+		// Such a link keeps every other rule passing and is the only one that
+		// can break the peering rule, from one end at most (the hierarchy is
+		// acyclic): the reference verdict is two InCustomerTree calls. Every
+		// 16th case also runs the whole reference.
+		for j, pl := range peerLinkCorruptions(topo, r, 400) {
+			label := fmt.Sprintf("topology %d peer link %d-%d", k, pl.a, pl.b)
+			if j%16 == 0 {
+				sameVerdict(t, label, pl.topo)
+			}
+			want := "<nil>"
+			for _, e := range [][2]NodeID{{pl.a, pl.b}, {pl.b, pl.a}} {
+				if pl.topo.InCustomerTree(e[0], e[1]) {
+					want = fmt.Sprintf("topology: node %d peers with %d inside its customer tree", e[0], e[1])
+				}
+			}
+			if got := fmt.Sprint(pl.topo.Validate()); got != want {
+				t.Fatalf("%s: Validate = %q, reference = %q", label, got, want)
+			}
+			peerCases++
+			if want != "<nil>" {
+				peerRejected++
+			}
+		}
 	}
 	if coneCases == 0 {
 		t.Fatal("no topology offered a peer-inside-cone corruption")
+	}
+	t.Logf("%d of %d peer-link corruptions rejected", peerRejected, peerCases)
+	if peerRejected == 0 || peerRejected == peerCases {
+		t.Fatalf("%d of %d peer-link corruptions rejected; want some of both verdicts", peerRejected, peerCases)
 	}
 }
 
