@@ -251,7 +251,8 @@ type GridRequest = core.GridRequest
 // the scheduler cache.
 type CellKey = core.CellKey
 
-// CellStatus is a scheduler progress event (see CellState constants).
+// CellStatus is a scheduler progress event (see CellState constants); its
+// Record method gives the event's one JSON form, a CellTiming.
 type CellStatus = core.CellStatus
 
 // CellState classifies scheduler progress events.
@@ -476,7 +477,9 @@ type RelAttribution = bgp.RelAttribution
 // per-cell timings, cache traffic, final metric snapshot).
 type Manifest = obs.Manifest
 
-// CellTiming is one Manifest entry per grid-cell progress event.
+// CellTiming is a scheduler cell event's one JSON form (CellStatus.Record):
+// the /progress "cell" payload, a -log-format json line and, for every state
+// but start, a Manifest entry.
 type CellTiming = obs.CellTiming
 
 // ManifestCacheCounts mirrors CacheStats inside a Manifest.

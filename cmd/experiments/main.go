@@ -53,6 +53,7 @@ import (
 	"bgpchurn"
 	"bgpchurn/internal/core"
 	"bgpchurn/internal/des"
+	"bgpchurn/internal/obs"
 	"bgpchurn/internal/report"
 	"bgpchurn/internal/sigtrap"
 	"bgpchurn/internal/stats"
@@ -85,13 +86,16 @@ type figure struct {
 	render func(r *runner, sws []*bgpchurn.SweepResult) error
 }
 
-// sweep names one sweep a figure reads: a scenario under NO-WRATE or WRATE
-// over the figure sizes or, for the cell id (cell set), -scenario at the one
-// size -n.
+// sweep names one sweep a figure reads: a scenario's events of one kind
+// under NO-WRATE or WRATE over the figure sizes or, for the cell id (cell
+// set), -scenario at the one size -n or, for the ext id (ext set), the
+// scenario at the one extension size.
 type sweep struct {
 	sc    bgpchurn.Scenario
 	wrate bool
+	kind  bgpchurn.EventKind
 	cell  bool
+	ext   bool
 }
 
 // noWRATE declares a NO-WRATE sweep of each scenario over the figure sizes.
@@ -122,7 +126,11 @@ var figures = []figure{
 		noWRATE(bgpchurn.Baseline, bgpchurn.PreferMiddle, bgpchurn.PreferTop), (*runner).fig11},
 	{"12", "WRATE vs NO-WRATE", []sweep{{sc: bgpchurn.Baseline}, {sc: bgpchurn.Baseline, wrate: true}}, (*runner).fig12},
 	{"cell", "one grid cell in full: Eq.-1 factors and convergence", []sweep{{cell: true}, {cell: true, wrate: true}}, (*runner).cell},
-	{"ext", "extensions: L-events, exploration, burstiness", nil, (*runner).extensions},
+	{"ext", "extensions: L-events, exploration, burstiness", []sweep{
+		{sc: bgpchurn.Baseline, ext: true}, {sc: bgpchurn.Baseline, ext: true, wrate: true},
+		{sc: bgpchurn.Baseline, ext: true, kind: bgpchurn.LinkEventKind},
+		{sc: bgpchurn.Baseline, ext: true, kind: bgpchurn.LinkEventKind, wrate: true},
+	}, (*runner).extensions},
 }
 
 // selectFigures parses the -fig value, "all" or a comma-separated list of
@@ -307,10 +315,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	}
 	r.sched.SubscribeCells(func(cs bgpchurn.CellStatus) {
 		r.recordCell(cs)
-		logCell(report.CellEvent{
-			Scenario: cs.Scenario, N: cs.N, Seed: cs.Seed, State: cs.State.String(),
-			Attempt: cs.Attempt, Elapsed: cs.Elapsed, Err: cs.Err,
-		})
+		logCell(cs.Record())
 	})
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
@@ -437,39 +442,17 @@ type runner struct {
 	// spans, when non-nil, collects the sweep→cell→origin→event causal span
 	// hierarchy (-spans / -chrome-trace flags).
 	spans *bgpchurn.SpanRecorder
-	// cells accumulates manifest entries, one per scheduler progress event
-	// except "start". Appends happen inside the serialized SubscribeCells
-	// callback.
+	// cells accumulates manifest entries, one record per scheduler progress
+	// event except "start". Appends happen inside the serialized
+	// SubscribeCells callback.
 	cells []bgpchurn.CellTiming
 }
 
-// recordCell stores one scheduler progress event for the run manifest.
+// recordCell stores one scheduler progress event's record for the run
+// manifest; start events have none.
 func (r *runner) recordCell(cs bgpchurn.CellStatus) {
-	if cs.State == bgpchurn.CellStart {
-		return
-	}
-	ct := bgpchurn.CellTiming{
-		Scenario:  cs.Scenario,
-		N:         cs.N,
-		Seed:      cs.Seed,
-		State:     cs.State.String(),
-		ElapsedMS: float64(cs.Elapsed) / float64(time.Millisecond),
-	}
-	if cs.Attempt > 1 {
-		ct.Attempts = cs.Attempt
-	}
-	if cs.Err != nil {
-		ct.Err = cs.Err.Error()
-	}
-	r.cells = append(r.cells, ct)
-	if r.spans != nil && cs.State == bgpchurn.CellDone {
-		end := r.spans.Now()
-		dur := float64(cs.Elapsed) / float64(time.Microsecond)
-		r.spans.Append(bgpchurn.SpanRecord{
-			Level: bgpchurn.SpanCell, Name: "cell",
-			StartUS: end - dur, DurUS: dur,
-			Scenario: cs.Scenario, N: cs.N,
-		})
+	if cs.State != bgpchurn.CellStart {
+		r.cells = append(r.cells, cs.Record())
 	}
 }
 
@@ -479,7 +462,7 @@ func (r *runner) recordCell(cs bgpchurn.CellStatus) {
 func (r *runner) writeManifest(path string, config map[string]string, figures []string, wall time.Duration) error {
 	st := r.sched.CacheStats()
 	mf := &bgpchurn.Manifest{
-		SchemaVersion: 1,
+		SchemaVersion: obs.ManifestSchemaVersion,
 		CreatedAt:     time.Now().UTC().Format(time.RFC3339),
 		GoVersion:     runtime.Version(),
 		GitRevision:   bgpchurn.GitRevision(),
@@ -524,7 +507,7 @@ func cellOutcomes(cells []bgpchurn.CellTiming) map[string]int {
 		case "retried":
 			// Intermediate event, not an outcome.
 		case "done":
-			if c.Attempts > 1 {
+			if c.Attempt > 1 {
 				out["retried"]++
 			} else {
 				out["ok"]++
@@ -539,16 +522,28 @@ func cellOutcomes(cells []bgpchurn.CellTiming) map[string]int {
 // request resolves s into the grid request that computes it.
 func (r *runner) request(s sweep) bgpchurn.GridRequest {
 	req := bgpchurn.GridRequest{Scenario: s.sc, Sizes: r.sizes(), TopologySeed: r.seed, Event: r.experiment(s.wrate)}
-	if s.cell {
+	req.Event.Kind = s.kind
+	switch {
+	case s.cell:
 		req.Scenario, req.Sizes = r.scenario, []int{r.n}
+	case s.ext:
+		req.Sizes = []int{r.extN()}
 	}
 	return req
+}
+
+// extN is the ext id's one size: n = 2000, or 1000 with -fast.
+func (r *runner) extN() int {
+	if r.fast {
+		return 1000
+	}
+	return 2000
 }
 
 // sweepKey identifies a grid request among the run's sweeps: every other
 // input is the same for all of them.
 func sweepKey(req bgpchurn.GridRequest) string {
-	return fmt.Sprint(req.Scenario.Name, req.Event.BGP.RateLimitWithdrawals, req.Sizes)
+	return fmt.Sprint(req.Scenario.Name, req.Event.BGP.RateLimitWithdrawals, req.Event.Kind, req.Sizes)
 }
 
 // grid computes every sweep the selected figures read as one parallel
@@ -740,7 +735,8 @@ func (r *runner) table1([]*bgpchurn.SweepResult) error {
 
 // topo prints §3's structural properties of -scenario at each figure size,
 // measured on the topology the grid cell at that size runs on (seed
-// seed+n, as in Sweep), and the degree CCDF at the largest size.
+// core.CellSeed(seed, n), as in Sweep), and the degree CCDF at the largest
+// size.
 func (r *runner) topo([]*bgpchurn.SweepResult) error {
 	props := report.NewTable(fmt.Sprintf("§3 properties, %s", r.scenario.Name),
 		"n", "nT", "nM", "nCP", "nC", "transit", "peering", "MHD M", "MHD CP", "MHD C",
@@ -748,7 +744,7 @@ func (r *runner) topo([]*bgpchurn.SweepResult) error {
 	var topo *bgpchurn.Topology
 	for _, n := range r.sizes() {
 		var err error
-		if topo, err = r.scenario.Generate(n, r.seed+uint64(n)); err != nil {
+		if topo, err = r.scenario.Generate(n, core.CellSeed(r.seed, n)); err != nil {
 			return err
 		}
 		if err := topo.Validate(); err != nil {
@@ -1062,43 +1058,16 @@ func (r *runner) cell(sws []*bgpchurn.SweepResult) error {
 	return nil
 }
 
-// extensions runs the beyond-the-paper measurements recorded in
+// extensions renders the beyond-the-paper measurements recorded in
 // EXPERIMENTS.md: link events vs C-events, path exploration per tier under
-// both MRAI variants, and the burstiness of event churn.
-func (r *runner) extensions([]*bgpchurn.SweepResult) error {
-	n := 2000
-	if r.fast {
-		n = 1000
-	}
-	topo, err := bgpchurn.Baseline.Generate(n, r.seed)
-	if err != nil {
-		return err
-	}
-
-	type variant struct {
-		name string
-		cfg  bgpchurn.Experiment
-	}
-	mk := func(wrate bool, kind bgpchurn.EventKind) bgpchurn.Experiment {
-		cfg := r.experiment(wrate)
-		cfg.Kind = kind
-		return cfg
-	}
-	variants := []variant{
-		{"C-event NO-WRATE", mk(false, bgpchurn.CEventKind)},
-		{"C-event WRATE", mk(true, bgpchurn.CEventKind)},
-		{"L-event NO-WRATE", mk(false, bgpchurn.LinkEventKind)},
-		{"L-event WRATE", mk(true, bgpchurn.LinkEventKind)},
-	}
-
-	t := report.NewTable(fmt.Sprintf("Extensions at n=%d: event kinds, exploration and burstiness", n),
+// both MRAI variants, and the burstiness of event churn. sws holds the
+// C-event sweeps, NO-WRATE then WRATE, then the L-event sweeps.
+func (r *runner) extensions(sws []*bgpchurn.SweepResult) error {
+	t := report.NewTable(fmt.Sprintf("Extensions at n=%d: event kinds, exploration and burstiness", r.extN()),
 		"variant", "total-updates", "peak/s", "explore(T)", "explore(M)", "explore(CP)", "explore(C)", "down-s", "up-s")
-	for _, v := range variants {
-		res, err := bgpchurn.RunCEvents(topo, v.cfg)
-		if err != nil {
-			return err
-		}
-		t.AddRow(v.name,
+	for i, name := range []string{"C-event NO-WRATE", "C-event WRATE", "L-event NO-WRATE", "L-event WRATE"} {
+		res := sws[i].Points[0].R
+		t.AddRow(name,
 			fmt.Sprintf("%.0f", res.TotalUpdates), fmt.Sprintf("%.0f", res.PeakRate),
 			report.Float(res.PathExploration[bgpchurn.T], 2),
 			report.Float(res.PathExploration[bgpchurn.M], 2),

@@ -1,12 +1,15 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,6 +18,9 @@ import (
 
 	"bgpchurn"
 	"bgpchurn/internal/core"
+	"bgpchurn/internal/obs"
+	"bgpchurn/internal/report"
+	"bgpchurn/internal/topology"
 )
 
 func TestRunnerSizes(t *testing.T) {
@@ -138,19 +144,19 @@ func TestFigSweepsCoverAllFigures(t *testing.T) {
 	for _, f := range figures {
 		byID[f.id] = f
 	}
-	for _, id := range []string{"4", "5", "6", "7", "8", "9", "10", "11", "12", "cell"} {
+	for _, id := range []string{"4", "5", "6", "7", "8", "9", "10", "11", "12", "cell", "ext"} {
 		if len(byID[id].sweeps) == 0 {
 			t.Errorf("figure %s declares no sweeps", id)
 		}
 	}
-	for _, id := range []string{"table1", "topo", "1", "ext"} {
+	for _, id := range []string{"table1", "topo", "1"} {
 		if len(byID[id].sweeps) != 0 {
 			t.Errorf("figure %s should declare no sweeps", id)
 		}
 	}
 	for _, f := range figures {
 		for _, s := range f.sweeps {
-			if req := r.request(s); f.id != "cell" && len(req.Sizes) != len(r.sizes()) {
+			if req := r.request(s); f.id != "cell" && f.id != "ext" && len(req.Sizes) != len(r.sizes()) {
 				t.Errorf("figure %s sweeps %v, want the figure sizes", f.id, req.Sizes)
 			}
 		}
@@ -168,6 +174,23 @@ func TestFigSweepsCoverAllFigures(t *testing.T) {
 	for _, s := range v {
 		if req := r.request(s); req.Scenario.Name != bgpchurn.DenseCore.Name || len(req.Sizes) != 1 || req.Sizes[0] != 1500 {
 			t.Fatalf("cell sweep = %s %v, want DENSE-CORE at n=1500", req.Scenario.Name, req.Sizes)
+		}
+	}
+	// ext is Baseline at one size: C- then L-events, each NO-WRATE then WRATE.
+	v = byID["ext"].sweeps
+	want := []struct {
+		kind  bgpchurn.EventKind
+		wrate bool
+	}{{bgpchurn.CEventKind, false}, {bgpchurn.CEventKind, true}, {bgpchurn.LinkEventKind, false}, {bgpchurn.LinkEventKind, true}}
+	if len(v) != len(want) {
+		t.Fatalf("ext sweeps = %+v", v)
+	}
+	for i, s := range v {
+		req := r.request(s)
+		if req.Scenario.Name != bgpchurn.Baseline.Name || len(req.Sizes) != 1 || req.Sizes[0] != 1000 ||
+			req.Event.Kind != want[i].kind || s.wrate != want[i].wrate {
+			t.Fatalf("ext sweep %d = %s %v kind %v wrate %v, want BASELINE at n=1000, %+v",
+				i, req.Scenario.Name, req.Sizes, req.Event.Kind, s.wrate, want[i])
 		}
 	}
 }
@@ -359,9 +382,10 @@ func TestRunExitCodes(t *testing.T) {
 			t.Fatalf("%v: journal created (stat: %v)", c.args, err)
 		}
 	}
-	// Figures 1 and ext run no sweeps, so this exercises the full pipeline —
-	// journal, manifest, epilogue — quickly. Every line of figure output goes
-	// to run's stdout writer, none to the process's os.Stdout.
+	// Figure 1 runs no sweeps and ext four one-cell sweeps, so this exercises
+	// the full pipeline — grid, journal, manifest, epilogue — quickly. Every
+	// line of figure output goes to run's stdout writer, none to the
+	// process's os.Stdout.
 	manifest := filepath.Join(dir, "manifest.json")
 	stdout.Reset()
 	leaked := captureOSStdout(t, func() {
@@ -388,10 +412,14 @@ func TestRunExitCodes(t *testing.T) {
 	if len(mf.Figures) != 2 || mf.Figures[0] != "1" || mf.Figures[1] != "ext" {
 		t.Fatalf("manifest figures = %v", mf.Figures)
 	}
-	// The journal was created with a valid header even though no cells ran.
+	// ext's four cells went through the scheduler: each is journaled and
+	// has a manifest entry.
 	recs, truncated, err := core.LoadJournal(journal)
-	if err != nil || truncated || len(recs) != 0 {
-		t.Fatalf("fresh journal: recs=%v truncated=%v err=%v", recs, truncated, err)
+	if err != nil || truncated || len(recs) != 4 {
+		t.Fatalf("journal: %d records, truncated=%v err=%v; want ext's 4 cells", len(recs), truncated, err)
+	}
+	if len(mf.Cells) != 4 || mf.Outcomes["ok"] != 4 {
+		t.Fatalf("manifest cells = %+v, outcomes %v; want ext's 4 cells ok", mf.Cells, mf.Outcomes)
 	}
 	// A -resume rerun of the same figure also succeeds.
 	if code := run(context.Background(), []string{"-fig", "1", "-fast", "-resume", "-manifest", "", "-journal", journal}, io.Discard, io.Discard); code != exitOK {
@@ -424,13 +452,13 @@ func captureOSStdout(t *testing.T, fn func()) string {
 
 func TestCellOutcomes(t *testing.T) {
 	cells := []bgpchurn.CellTiming{
-		{State: "done"},
-		{State: "done", Attempts: 3},
-		{State: "retried", Attempts: 1}, // intermediate: not an outcome
-		{State: "retried", Attempts: 2}, // intermediate: not an outcome
+		{State: "done", Attempt: 1},
+		{State: "done", Attempt: 3},
+		{State: "retried", Attempt: 1}, // intermediate: not an outcome
+		{State: "retried", Attempt: 2}, // intermediate: not an outcome
 		{State: "cached"},
 		{State: "resumed"},
-		{State: "quarantined", Attempts: 2},
+		{State: "quarantined", Attempt: 2},
 		{State: "cancelled"},
 		{State: "failed"},
 	}
@@ -499,7 +527,7 @@ func TestWriteManifestEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mf.SchemaVersion != 1 || mf.Seed != 1 || mf.Config["fast"] != "true" ||
+	if mf.SchemaVersion != obs.ManifestSchemaVersion || mf.Seed != 1 || mf.Config["fast"] != "true" ||
 		len(mf.Figures) != 1 || mf.Figures[0] != "4" {
 		t.Fatalf("manifest header = %+v", mf)
 	}
@@ -743,5 +771,143 @@ func TestQuarantinedFigureSkipped(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "fig4.csv")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("fig4.csv written for a skipped figure (stat: %v)", err)
+	}
+}
+
+// TestCellSinksPrintOneRecord feeds scheduler events of every state
+// through the run's three cell sinks — the /progress feed, the
+// -log-format json cell log and the manifest — and requires each to carry
+// the event's record byte for byte: json.Marshal(cs.Record()), start
+// excepted in the manifest.
+func TestCellSinksPrintOneRecord(t *testing.T) {
+	stub := func(s *bgpchurn.Scheduler) {
+		s.SetCompute(
+			func(sc bgpchurn.Scenario, n int, seed uint64) (*bgpchurn.Topology, error) {
+				return &bgpchurn.Topology{Nodes: make([]topology.Node, n), Seed: seed}, nil
+			},
+			func(ctx context.Context, tp *bgpchurn.Topology, cfg bgpchurn.Experiment) (*bgpchurn.Result, error) {
+				switch len(tp.Nodes) {
+				case 2:
+					return nil, errors.New("boom")
+				case 3:
+					panic("flaky")
+				}
+				return &bgpchurn.Result{N: len(tp.Nodes), Origins: cfg.Origins}, nil
+			})
+	}
+	r := fastRunner(1)
+	ev := r.experiment(false)
+
+	// A journal holding the n=1 cell, so the run's scheduler resumes it.
+	journal := filepath.Join(t.TempDir(), "cells.journal")
+	prior := bgpchurn.NewScheduler(1)
+	stub(prior)
+	if _, _, err := prior.AttachJournal(journal, false); err != nil {
+		t.Fatal(err)
+	}
+	prior.Cell(context.Background(), bgpchurn.Baseline, 1, r.seed, ev)
+	if err := prior.Journal().Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s := r.sched
+	stub(s)
+	s.SetRetryPolicy(1, time.Nanosecond)
+	if seeded, _, err := s.AttachJournal(journal, true); err != nil || seeded != 1 {
+		t.Fatalf("resume seeded %d cells (err %v), want 1", seeded, err)
+	}
+	defer s.Journal().Close()
+
+	// The three sinks, wired as run wires them.
+	broker := obs.NewProgressBroker()
+	hs := httptest.NewServer(broker)
+	defer hs.Close()
+	defer broker.Close()
+	s.PublishProgress(broker)
+	var logged bytes.Buffer
+	logCell, err := report.NewCellLogger(&logged, "json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SubscribeCells(func(cs bgpchurn.CellStatus) {
+		r.recordCell(cs)
+		logCell(cs.Record())
+	})
+	var want, wantManifest []string
+	states := map[bgpchurn.CellState]int{}
+	s.SubscribeCells(func(cs bgpchurn.CellStatus) {
+		b, err := json.Marshal(cs.Record())
+		if err != nil {
+			t.Error(err)
+		}
+		want = append(want, string(b))
+		if cs.State != bgpchurn.CellStart {
+			wantManifest = append(wantManifest, string(b))
+		}
+		states[cs.State]++
+	})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, hs.URL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	stream := bufio.NewScanner(resp.Body)
+	// The banner follows the subscription, so no event can precede it.
+	if !stream.Scan() || !strings.HasPrefix(stream.Text(), ":") {
+		t.Fatalf("missing stream banner: %q", stream.Text())
+	}
+
+	s.Cell(ctx, bgpchurn.Baseline, 1, r.seed, ev) // resumed
+	s.Cell(ctx, bgpchurn.Baseline, 4, r.seed, ev) // start, done
+	s.Cell(ctx, bgpchurn.Baseline, 4, r.seed, ev) // cached
+	s.Cell(ctx, bgpchurn.Baseline, 2, r.seed, ev) // start, failed
+	s.Cell(ctx, bgpchurn.Baseline, 3, r.seed, ev) // start, retried, quarantined
+	cancelled, stop := context.WithCancel(ctx)
+	stop()
+	s.Cell(cancelled, bgpchurn.Baseline, 5, r.seed, ev) // cancelled
+	for st := bgpchurn.CellStart; st <= bgpchurn.CellCancelled; st++ {
+		if states[st] == 0 {
+			t.Fatalf("no %s event among %v", st, states)
+		}
+	}
+
+	var progress []string
+	event := ""
+	for len(progress) < len(want) && stream.Scan() {
+		line := stream.Text()
+		switch {
+		case strings.HasPrefix(line, "event: "):
+			event = strings.TrimPrefix(line, "event: ")
+		case strings.HasPrefix(line, "data: ") && event == "cell":
+			progress = append(progress, strings.TrimPrefix(line, "data: "))
+		}
+	}
+	var manifest []string
+	for _, c := range r.cells {
+		b, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		manifest = append(manifest, string(b))
+	}
+	for _, sink := range []struct {
+		name      string
+		got, want []string
+	}{
+		{"/progress", progress, want},
+		{"-log-format json", strings.Split(strings.TrimSuffix(logged.String(), "\n"), "\n"), want},
+		{"manifest", manifest, wantManifest},
+	} {
+		if strings.Join(sink.got, "\n") != strings.Join(sink.want, "\n") {
+			t.Errorf("%s records differ from cs.Record():\n--- got ---\n%s\n--- want ---\n%s",
+				sink.name, strings.Join(sink.got, "\n"), strings.Join(sink.want, "\n"))
+		}
 	}
 }

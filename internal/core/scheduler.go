@@ -133,7 +133,7 @@ type CellStatus struct {
 	N        int
 	// Key is the cell's full cache identity (see CellKey/KeyFor).
 	Key CellKey
-	// Seed is the cell's effective topology seed (request seed + N).
+	// Seed is the cell's effective topology seed (CellSeed).
 	Seed uint64
 	// State says what happened.
 	State CellState
@@ -159,6 +159,23 @@ type CellStatus struct {
 	Result *Result
 }
 
+// Record returns the event's one JSON form: the /progress "cell" payload,
+// the -log-format json line and cmd/experiments' manifest entry.
+func (cs CellStatus) Record() obs.CellTiming {
+	rec := obs.CellTiming{
+		Scenario:  cs.Scenario,
+		N:         cs.N,
+		Seed:      cs.Seed,
+		State:     cs.State.String(),
+		Attempt:   cs.Attempt,
+		ElapsedMS: float64(cs.Elapsed) / float64(time.Millisecond),
+	}
+	if cs.Err != nil {
+		rec.Err = cs.Err.Error()
+	}
+	return rec
+}
+
 // GridRequest names one scenario sweep inside a grid run: the scheduler
 // treats every (scenario, size) pair as an independent job.
 type GridRequest struct {
@@ -167,7 +184,7 @@ type GridRequest struct {
 	// Sizes are the network sizes to measure.
 	Sizes []int
 	// TopologySeed seeds topology generation; each size uses
-	// TopologySeed+size, exactly as the sequential Sweep does.
+	// CellSeed(TopologySeed, size), exactly as the sequential Sweep does.
 	TopologySeed uint64
 	// Event is the per-topology experiment configuration.
 	Event Config
@@ -338,27 +355,17 @@ func (s *Scheduler) SubscribeCells(fn func(CellStatus)) (cancel func()) {
 
 // PublishProgress mirrors the scheduler's events onto b, the /progress feed
 // of both cmd/experiments and churnd. Every CellStatus becomes a "cell"
-// event {scenario, n, state, attempt, elapsed_ms, err}; every one carrying a
-// Result is followed by an "attribution" event {cells, cell{scenario, n,
-// total_updates, peak_rate, u_T…u_C}, rolling_mean{u_T…u_C}} — U(X) per node
-// type (Eq. 1) for the cell and its running mean over every result so far.
+// event whose data is its Record; every one carrying a Result is followed
+// by an "attribution" event {cells, cell{scenario, n, total_updates,
+// peak_rate, u_T…u_C}, rolling_mean{u_T…u_C}} — U(X) per node type (Eq. 1)
+// for the cell and its running mean over every result so far.
 // The running sums live in the subscription, serialized by SubscribeCells.
 // The returned cancel function stops the mirror.
 func (s *Scheduler) PublishProgress(b *obs.ProgressBroker) (cancel func()) {
 	var cells int
 	var sumU [len(topology.NodeTypes)]float64
 	return s.SubscribeCells(func(cs CellStatus) {
-		payload := map[string]any{
-			"scenario":   cs.Scenario,
-			"n":          cs.N,
-			"state":      cs.State.String(),
-			"attempt":    cs.Attempt,
-			"elapsed_ms": float64(cs.Elapsed) / float64(time.Millisecond),
-		}
-		if cs.Err != nil {
-			payload["err"] = cs.Err.Error()
-		}
-		b.Publish("cell", payload)
+		b.Publish("cell", cs.Record())
 		res := cs.Result
 		if res == nil {
 			return
@@ -625,10 +632,12 @@ func cellError(scName string, n int, err error) error {
 // last event. Result is set exactly on error-free done, cached and resumed
 // statuses. Equal keys share one computation (singleflight), a cached
 // result is served without recomputation, and a computed one is journaled.
-// RunGrid's workers and churnd's cell goroutines both make this call.
+// RunGrid's workers and churnd's cell goroutines both make this call. With
+// ev.Spans set, a computed cell that succeeds appends its cell span, timed
+// from the first attempt's start; a cache hit appends none.
 func (s *Scheduler) Cell(ctx context.Context, sc scenario.Scenario, n int, topoSeed uint64, ev Config) CellStatus {
-	key := cellKey(sc.Name, n, topoSeed, ev)
-	cs := CellStatus{Scenario: sc.Name, N: n, Key: key, Seed: topoSeed + uint64(n)}
+	cs := newCellStatus(sc.Name, n, topoSeed, ev)
+	key := cs.Key
 	if err := ctx.Err(); err != nil {
 		return s.cancelCell(cs, err)
 	}
@@ -670,6 +679,10 @@ func (s *Scheduler) Cell(ctx context.Context, sc scenario.Scenario, n int, topoS
 
 	cs.State = CellStart
 	s.emit(cs)
+	var spanStart float64
+	if ev.Spans != nil {
+		spanStart = ev.Spans.Now()
+	}
 	start := time.Now()
 	res, err, attempts := s.computeWithRetry(ctx, key, sc, n, cs.Seed, ev, m)
 	cs.Attempt, cs.Elapsed = attempts, time.Since(start)
@@ -677,6 +690,13 @@ func (s *Scheduler) Cell(ctx context.Context, sc scenario.Scenario, n int, topoS
 	cs.State = CellDone
 	switch {
 	case err == nil:
+		if sp := ev.Spans; sp != nil {
+			sp.Append(obs.SpanRecord{
+				Level: obs.SpanCell, Name: "cell",
+				StartUS: spanStart, DurUS: sp.Now() - spanStart,
+				Scenario: sc.Name, N: n,
+			})
+		}
 		if j := s.Journal(); j != nil {
 			if jerr := j.Append(key, res); jerr == nil && m != nil {
 				m.Core.JournalWrites.Inc()
@@ -706,6 +726,11 @@ func (s *Scheduler) Cell(ctx context.Context, sc scenario.Scenario, n int, topoS
 	// set exactly on CellDone.
 	cs.Err, cs.Result = err, res
 	return s.record(cs)
+}
+
+// newCellStatus returns the identity fields every event of one cell carries.
+func newCellStatus(scName string, n int, topoSeed uint64, ev Config) CellStatus {
+	return CellStatus{Scenario: scName, N: n, Key: cellKey(scName, n, topoSeed, ev), Seed: CellSeed(topoSeed, n)}
 }
 
 // cancelCell records one cell abandoned before computation started; cs
@@ -902,10 +927,7 @@ func (s *Scheduler) RunGrid(ctx context.Context, reqs []GridRequest) ([]*SweepRe
 	// their empty slots for successful (nil) results.
 	for _, jb := range jobs[min(int(claimed.Load()), len(jobs)):] {
 		r := &reqs[jb.req]
-		n := r.Sizes[jb.idx]
-		slots[jb.req][jb.idx] = s.cancelCell(CellStatus{
-			Scenario: r.Scenario.Name, N: n, Key: cellKey(r.Scenario.Name, n, r.TopologySeed, r.Event), Seed: r.TopologySeed + uint64(n),
-		}, ctx.Err())
+		slots[jb.req][jb.idx] = s.cancelCell(newCellStatus(r.Scenario.Name, r.Sizes[jb.idx], r.TopologySeed, r.Event), ctx.Err())
 	}
 
 	// Deterministic assembly: each cell was stored in its (request, size)

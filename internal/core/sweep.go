@@ -14,10 +14,16 @@ type SweepConfig struct {
 	// 1000..10000 step 1000).
 	Sizes []int
 	// TopologySeed seeds topology generation; each size uses
-	// TopologySeed+size so instances differ but reruns reproduce.
+	// CellSeed(TopologySeed, size) so instances differ but reruns reproduce.
 	TopologySeed uint64
 	// Event is the per-topology C-event experiment configuration.
 	Event Config
+}
+
+// CellSeed returns the topology seed of a sweep's cell at size n: the one
+// place that derives it from the sweep's topology seed.
+func CellSeed(topoSeed uint64, n int) uint64 {
+	return topoSeed + uint64(n)
 }
 
 // PaperSizes returns the paper's x-axis: 1000..10000 step 1000.
@@ -52,7 +58,7 @@ func Sweep(sc scenario.Scenario, cfg SweepConfig) (*SweepResult, error) {
 	}
 	out := &SweepResult{Scenario: sc.Name}
 	for _, n := range cfg.Sizes {
-		topo, err := sc.Generate(n, cfg.TopologySeed+uint64(n))
+		topo, err := sc.Generate(n, CellSeed(cfg.TopologySeed, n))
 		if err != nil {
 			return out, fmt.Errorf("core: %s at n=%d: %w", sc.Name, n, err)
 		}

@@ -74,10 +74,15 @@ func TestMetricCatalogue(t *testing.T) {
 // citedTest matches a test name cited in prose.
 var citedTest = regexp.MustCompile(`\bTest[A-Z][A-Za-z0-9_]*`)
 
+// roadmapItem matches a reference to a ROADMAP item by number ("ROADMAP
+// item 8", "ROADMAP 3(b)"), which goes stale when ROADMAP.md is renumbered.
+var roadmapItem = regexp.MustCompile(`ROADMAP (item )?[0-9]+`)
+
 // TestDocsCiteDeclaredTests holds DESIGN.md and EXPERIMENTS.md to the test
 // files: every Test… name either document cites is declared in some
 // _test.go of the module, so a renamed or deleted test cannot leave a
-// claim behind that names it.
+// claim behind that names it. Neither document names a ROADMAP item by
+// number.
 func TestDocsCiteDeclaredTests(t *testing.T) {
 	const root = "../.."
 	cited := map[string]bool{}
@@ -88,6 +93,11 @@ func TestDocsCiteDeclaredTests(t *testing.T) {
 		}
 		for _, name := range citedTest.FindAllString(string(src), -1) {
 			cited[name] = true
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			if ref := roadmapItem.FindString(line); ref != "" {
+				t.Errorf("%s:%d names %q; name the subject, not its ROADMAP number", doc, i+1, ref)
+			}
 		}
 	}
 	if len(cited) == 0 {

@@ -35,8 +35,9 @@ type Manifest struct {
 	Seed uint64 `json:"seed"`
 	// Figures lists the figure IDs rendered, sorted.
 	Figures []string `json:"figures,omitempty"`
-	// Cells holds one entry per grid-cell progress event in emission
-	// order. Scenario/N/Seed/State are deterministic; ElapsedMS is not.
+	// Cells holds one record per grid-cell progress event but start, in
+	// emission order. Scenario/N/Seed/State are deterministic; ElapsedMS is
+	// not.
 	Cells []CellTiming `json:"cells"`
 	// Cache is the scheduler's cache traffic, matching the printed
 	// summary.
@@ -59,19 +60,20 @@ type Manifest struct {
 	WallSeconds float64 `json:"wall_seconds,omitempty"`
 }
 
-// CellTiming records one grid-cell progress event.
+// CellTiming is the one JSON form of a scheduler cell event
+// (core.CellStatus.Record): the /progress "cell" payload, a -log-format json
+// line and, for every state but start, a manifest entry.
 type CellTiming struct {
 	Scenario string `json:"scenario"`
 	N        int    `json:"n"`
 	// Seed is the cell's effective topology seed.
 	Seed uint64 `json:"seed"`
-	// State is "done", "cached", "failed", "resumed", "retried",
+	// State is "start", "done", "cached", "failed", "resumed", "retried",
 	// "quarantined" or "cancelled".
 	State string `json:"state"`
-	// Attempts is the number of computation attempts, when more than the
-	// event implies (a "done" cell that needed retries, a "quarantined"
-	// cell's exhausted budget).
-	Attempts int `json:"attempts,omitempty"`
+	// Attempt is the number of computation attempts made so far (see
+	// core.CellStatus.Attempt); omitted for events that never computed.
+	Attempt int `json:"attempt,omitempty"`
 	// ElapsedMS is the computation (or cache-wait) wall time.
 	ElapsedMS float64 `json:"elapsed_ms"`
 	// Err carries the failure message for failed cells.
@@ -90,8 +92,10 @@ type CacheCounts struct {
 	Cancelled   int `json:"cancelled,omitempty"`
 }
 
-// ManifestSchemaVersion is the current Manifest layout version.
-const ManifestSchemaVersion = 1
+// ManifestSchemaVersion is the current Manifest layout version. Version 2
+// made each cell entry the scheduler's cell record: "attempts" (set above 1)
+// became "attempt" (set on every computed cell).
+const ManifestSchemaVersion = 2
 
 // MarshalIndented renders the manifest as stable, indented JSON (map keys
 // sorted by encoding/json), the exact bytes WriteFile stores.

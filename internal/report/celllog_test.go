@@ -2,18 +2,18 @@ package report
 
 import (
 	"encoding/json"
-	"errors"
 	"strings"
 	"testing"
-	"time"
+
+	"bgpchurn/internal/obs"
 )
 
-func sampleCellEvents() []CellEvent {
-	return []CellEvent{
+func sampleCellEvents() []obs.CellTiming {
+	return []obs.CellTiming{
 		{Scenario: "Baseline", N: 1000, Seed: 1001, State: "start"},
-		{Scenario: "Baseline", N: 1000, Seed: 1001, State: "done", Elapsed: 1503 * time.Millisecond},
+		{Scenario: "Baseline", N: 1000, Seed: 1001, State: "done", Attempt: 1, ElapsedMS: 1503},
 		{Scenario: "Baseline", N: 2000, Seed: 2001, State: "cached"},
-		{Scenario: "Tree", N: 1000, Seed: 1001, State: "failed", Err: errors.New("boom")},
+		{Scenario: "Tree", N: 1000, Seed: 1001, State: "failed", Attempt: 1, Err: "boom"},
 	}
 }
 
@@ -45,6 +45,8 @@ func TestCellLoggerDefaultIsText(t *testing.T) {
 	}
 }
 
+// TestNewCellLoggerJSON holds -log-format json to the record: each line is
+// the event's record marshalled, and nothing else.
 func TestNewCellLoggerJSON(t *testing.T) {
 	var buf strings.Builder
 	logCell, err := NewCellLogger(&buf, "json")
@@ -58,19 +60,31 @@ func TestNewCellLoggerJSON(t *testing.T) {
 	if len(lines) != len(sampleCellEvents()) {
 		t.Fatalf("got %d JSON lines, want %d", len(lines), len(sampleCellEvents()))
 	}
+	for i, e := range sampleCellEvents() {
+		want, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lines[i] != string(want) {
+			t.Errorf("line %d = %s, want %s", i+1, lines[i], want)
+		}
+	}
+	if want := `{"scenario":"Baseline","n":1000,"seed":1001,"state":"done","attempt":1,"elapsed_ms":1503}`; lines[1] != want {
+		t.Errorf("done line = %s, want %s", lines[1], want)
+	}
 	var rec map[string]any
-	if err := json.Unmarshal([]byte(lines[1]), &rec); err != nil {
-		t.Fatalf("line 2 is not JSON: %v", err)
-	}
-	if rec["scenario"] != "Baseline" || rec["n"] != float64(1000) || rec["seed"] != float64(1001) ||
-		rec["state"] != "done" || rec["level"] != "INFO" {
-		t.Errorf("unexpected JSON record: %v", rec)
-	}
 	if err := json.Unmarshal([]byte(lines[3]), &rec); err != nil {
 		t.Fatal(err)
 	}
-	if rec["level"] != "ERROR" || rec["err"] != "boom" {
-		t.Errorf("failed cell should log at ERROR with err attr: %v", rec)
+	if rec["state"] != "failed" || rec["err"] != "boom" {
+		t.Errorf("failed cell should carry its err: %v", rec)
+	}
+	var start map[string]any
+	if err := json.Unmarshal([]byte(lines[0]), &start); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := start["attempt"]; ok {
+		t.Errorf("start line carries an attempt: %s", lines[0])
 	}
 }
 

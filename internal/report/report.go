@@ -11,6 +11,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"bgpchurn/internal/obs"
 )
 
 // Table is a titled grid of cells with a header row.
@@ -157,36 +159,14 @@ func Float(v float64, decimals int) string {
 	return s
 }
 
-// CellEvent is one experiment-grid progress event in renderer form: the
-// scheduler's per-cell notifications, decoupled from the core package so
-// any driver can log them.
-type CellEvent struct {
-	// Scenario and N name the grid cell.
-	Scenario string
-	N        int
-	// Seed is the cell's effective topology seed.
-	Seed uint64
-	// State is "start", "done", "cached", "failed", "resumed", "retried",
-	// "quarantined" or "cancelled".
-	State string
-	// Attempt is the computation attempt count, when the scheduler reports
-	// one (the failed attempt for "retried", the exhausted budget for
-	// "quarantined").
-	Attempt int
-	// Elapsed is the cell's computation (or cache-wait) time.
-	Elapsed time.Duration
-	// Err is set for failed, retried, quarantined and cancelled cells.
-	Err error
-}
-
 // FormatCellEvent renders one progress line for a grid cell event.
-func FormatCellEvent(e CellEvent) string {
+func FormatCellEvent(e obs.CellTiming) string {
 	cell := fmt.Sprintf("%s n=%d", e.Scenario, e.N)
 	switch e.State {
 	case "start":
 		return fmt.Sprintf("  run    %s", cell)
 	case "done":
-		return fmt.Sprintf("  done   %s  (%v)", cell, e.Elapsed.Round(time.Millisecond))
+		return fmt.Sprintf("  done   %s  (%v)", cell, time.Duration(math.Round(e.ElapsedMS))*time.Millisecond)
 	case "cached":
 		return fmt.Sprintf("  cached %s", cell)
 	case "failed":

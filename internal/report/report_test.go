@@ -2,10 +2,10 @@ package report
 
 import (
 	"bytes"
-	"errors"
 	"strings"
 	"testing"
-	"time"
+
+	"bgpchurn/internal/obs"
 )
 
 func TestTableFprintAlignment(t *testing.T) {
@@ -120,23 +120,23 @@ func TestAsciiPlotDownsamplesLongSeries(t *testing.T) {
 
 func TestFormatCellEvent(t *testing.T) {
 	cases := []struct {
-		e    CellEvent
+		e    obs.CellTiming
 		want string
 	}{
-		{CellEvent{Scenario: "BASELINE", N: 1000, State: "start"}, "  run    BASELINE n=1000"},
-		{CellEvent{Scenario: "BASELINE", N: 1000, State: "done", Elapsed: 1500 * time.Millisecond}, "  done   BASELINE n=1000  (1.5s)"},
-		{CellEvent{Scenario: "TREE", N: 200, State: "cached"}, "  cached TREE n=200"},
+		{obs.CellTiming{Scenario: "BASELINE", N: 1000, State: "start"}, "  run    BASELINE n=1000"},
+		{obs.CellTiming{Scenario: "BASELINE", N: 1000, State: "done", ElapsedMS: 1500}, "  done   BASELINE n=1000  (1.5s)"},
+		{obs.CellTiming{Scenario: "TREE", N: 200, State: "cached"}, "  cached TREE n=200"},
 	}
 	for _, c := range cases {
 		if got := FormatCellEvent(c.e); got != c.want {
 			t.Errorf("FormatCellEvent(%+v) = %q, want %q", c.e, got, c.want)
 		}
 	}
-	failed := FormatCellEvent(CellEvent{Scenario: "X", N: 5, State: "failed", Err: errors.New("boom")})
+	failed := FormatCellEvent(obs.CellTiming{Scenario: "X", N: 5, State: "failed", Err: "boom"})
 	if !strings.Contains(failed, "FAIL") || !strings.Contains(failed, "boom") {
 		t.Errorf("failed event rendering: %q", failed)
 	}
-	odd := FormatCellEvent(CellEvent{Scenario: "X", N: 5, State: "odd"})
+	odd := FormatCellEvent(obs.CellTiming{Scenario: "X", N: 5, State: "odd"})
 	if !strings.Contains(odd, "odd") {
 		t.Errorf("unknown state dropped: %q", odd)
 	}
@@ -148,8 +148,8 @@ func TestCellLogger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log(CellEvent{Scenario: "BASELINE", N: 1000, State: "start"})
-	log(CellEvent{Scenario: "BASELINE", N: 1000, State: "cached"})
+	log(obs.CellTiming{Scenario: "BASELINE", N: 1000, State: "start"})
+	log(obs.CellTiming{Scenario: "BASELINE", N: 1000, State: "cached"})
 	out := buf.String()
 	if strings.Count(out, "\n") != 2 || !strings.Contains(out, "cached BASELINE n=1000") {
 		t.Fatalf("logger output:\n%s", out)

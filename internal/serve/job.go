@@ -108,7 +108,8 @@ type SubmitRequest struct {
 	Scenarios []string `json:"scenarios"`
 	// Sizes are the network sizes to sweep; duplicates are rejected.
 	Sizes []int `json:"sizes"`
-	// Seed is the sweep-level topology seed (each size uses Seed+size).
+	// Seed is the sweep-level topology seed (each size uses
+	// core.CellSeed(Seed, size)).
 	Seed uint64 `json:"seed,omitempty"`
 	// Origins overrides the C-events per cell (default core.DefaultConfig).
 	Origins int `json:"origins,omitempty"`

@@ -413,8 +413,9 @@ func TestTenantCancellationIsolation(t *testing.T) {
 
 // TestGlobalProgressIsSharedFeed streams churnd's /progress during a stubbed
 // two-cell job: it carries core.Scheduler.PublishProgress's schema, the one
-// cmd/experiments serves — "cell" and "attribution" events with exactly
-// these payload keys.
+// cmd/experiments serves — "cell" events carrying the cell record and
+// "attribution" events, with exactly these payload keys (a start record
+// omits its zero attempt).
 func TestGlobalProgressIsSharedFeed(t *testing.T) {
 	srv, hs := newTestServer(t, Config{Workers: 2})
 	installStub(srv, false)
@@ -432,7 +433,8 @@ func TestGlobalProgressIsSharedFeed(t *testing.T) {
 	_, v, _ := submit(t, hs.URL, `{"scenarios":["BASELINE"],"sizes":[100,200]}`)
 
 	wantKeys := map[string][]string{
-		"cell":                     {"attempt", "elapsed_ms", "n", "scenario", "state"},
+		"cell":                     {"attempt", "elapsed_ms", "n", "scenario", "seed", "state"},
+		"cell.start":               {"elapsed_ms", "n", "scenario", "seed", "state"},
 		"attribution":              {"cell", "cells", "rolling_mean"},
 		"attribution.cell":         {"n", "peak_rate", "scenario", "total_updates", "u_C", "u_CP", "u_M", "u_T"},
 		"attribution.rolling_mean": {"u_C", "u_CP", "u_M", "u_T"},
@@ -463,7 +465,11 @@ func TestGlobalProgressIsSharedFeed(t *testing.T) {
 			if _, ok := wantKeys[event]; !ok {
 				t.Fatalf("unexpected event %q on /progress", event)
 			}
-			checkKeys(event, payload)
+			if event == "cell" && payload["state"] == "start" {
+				checkKeys("cell.start", payload)
+			} else {
+				checkKeys(event, payload)
+			}
 			if event == "attribution" {
 				checkKeys("attribution.cell", payload["cell"].(map[string]any))
 				checkKeys("attribution.rolling_mean", payload["rolling_mean"].(map[string]any))

@@ -5,7 +5,8 @@
 # so both get the same assertions:
 #
 #   leg 1: cmd/experiments runs a -fast grid with the obs server on a free
-#          port and /progress is streamed with curl while the grid runs;
+#          port and /progress is streamed with curl while the grid runs; its
+#          cell events must carry the cell record (a "seed" field);
 #   leg 2: cmd/churnd starts on a free port, /progress is opened, a two-cell
 #          job is POSTed and streamed until both cells' attribution arrives.
 #
@@ -102,6 +103,12 @@ if [ "$curl_code" -ne 0 ] && [ "$curl_code" -ne 28 ] && [ "$curl_code" -ne 18 ];
     exit 1
 fi
 check_stream "$work/exp-stream.txt" experiments
+# A cell event's data is the scheduler's cell record, which names the seed.
+if ! grep -A2 '^event: cell$' "$work/exp-stream.txt" | grep -q '^data: {.*"seed":'; then
+    echo "FAIL (experiments): no cell data line carries the record's seed" >&2
+    head -20 "$work/exp-stream.txt" >&2
+    exit 1
+fi
 exp_events=$(grep -c '^event: ' "$work/exp-stream.txt")
 echo "== waiting for grid to finish"
 wait "$exp_pid"
