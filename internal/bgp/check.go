@@ -44,18 +44,19 @@ func (net *Network) CheckConsistency() error {
 				return fmt.Errorf("bgp: node %d slot %d: output queue in use but not marked touched", nd.id, j)
 			}
 			// (2) no residual queued updates.
-			if n := q.pending.len(q.pendingMap()); n != 0 {
+			if n := len(q.pendingKeys(nil)); n != 0 {
 				return fmt.Errorf("bgp: node %d slot %d: %d updates still queued on a quiescent network",
 					nd.id, j, n)
 			}
 			// A down link has nothing on the wire, so by (1) the receiver holds
 			// nothing from it either: no update sent before the reset survives.
-			if q.down && q.sent.len(q.sentMap()) != 0 {
+			sent := q.sentKeys(nil)
+			if q.down() && len(sent) != 0 {
 				return fmt.Errorf("bgp: node %d slot %d: adj-rib-out persists on a down link", nd.id, j)
 			}
 			peer := &net.nodes[ids[j]]
 			rev := net.reverse(nd)[j]
-			for _, f := range q.sent.keysInto(q.sentMap(), nil) {
+			for _, f := range sent {
 				id, _ := q.wire(f)
 				// (1) wire agreement: both ends hold IDs of the one table.
 				pps, ok := peer.prefixes.Get(f)
@@ -121,13 +122,14 @@ func (net *Network) checkAdvertisement(nd *node, j int, f Prefix, sent Path) err
 	return nil
 }
 
-// pristine reports whether q is in the state New leaves it in: no wire or
-// queued entry for any prefix, every MRAI timer idle and unarmed, the link
-// up. A queue not marked in Network.touched must be.
+// pristine reports whether q is in the state New leaves it in:
+// no wire or queued entry for any prefix, every MRAI timer idle and
+// unarmed, the link up. A queue not marked in Network.touched must be.
 func (q *outQueue) pristine() bool {
-	clean := !q.down && !q.scheduled && q.expiry == 0 &&
-		q.sent.len(q.sentMap()) == 0 && q.pending.len(q.pendingMap()) == 0
-	if sp := q.spill; sp != nil {
+	// A spilled queue's inline entries are empty.
+	clean := q.flags&(qDown|qScheduled|qPending) == 0 && q.expiry == 0 && q.sent == NoPath
+	if sp := q.spill(); sp != nil {
+		clean = clean && len(sp.sent) == 0 && len(sp.pending) == 0
 		for _, t := range sp.timers {
 			clean = clean && !t.scheduled && t.expiry == 0
 		}
@@ -198,7 +200,7 @@ func (net *Network) checkReconciled(nd *node, f Prefix, ps *prefixState) {
 		if net.touched[int(nd.row)+j] == 0 && !q.pristine() {
 			panic(fmt.Sprintf("bgp: check: node %d slot %d: output queue in use but not marked touched", nd.id, j))
 		}
-		if q.down {
+		if q.down() {
 			continue
 		}
 		sentID, onWire := q.wire(f)

@@ -104,10 +104,13 @@ func (s *dampState) decayedPenalty(now des.Time, halfLife des.Time) float64 {
 func (net *Network) recordFlap(nd *node, slot int32, f Prefix, add float64) (changed bool) {
 	d := &net.cfg.Dampening
 	ps := net.state(nd, f)
-	if ps.damp == nil {
-		ps.damp, ps.dampened = make([]dampState, nd.deg), true
+	if !ps.dampened {
+		if ps.cold == nil {
+			ps.cold = new(prefixCold)
+		}
+		ps.cold.damp, ps.dampened = make([]dampState, nd.deg), true
 	}
-	s := &ps.damp[slot]
+	s := &ps.cold.damp[slot]
 	now := nd.sh.sched.Now()
 	p := s.decayedPenalty(now, d.HalfLife) + add
 	if ceil := d.ceiling(); p > ceil {
@@ -157,10 +160,10 @@ func (e *reuseEvent) Fire(*des.Scheduler) {
 	net := e.sh.net
 	nd := &net.nodes[e.node]
 	ps, ok := nd.prefixes.Get(e.prefix)
-	if !ok || ps.damp == nil {
+	if !ok || !ps.dampened {
 		return
 	}
-	s := &ps.damp[e.slot]
+	s := &ps.cold.damp[e.slot]
 	s.reuseScheduled = false
 	if !s.suppressed {
 		return
@@ -176,7 +179,7 @@ func (e *reuseEvent) Fire(*des.Scheduler) {
 
 // suppressedAt reports whether the route from slot is currently dampened.
 func (ps *prefixState) suppressedAt(slot int) bool {
-	return ps.dampened && ps.damp[slot].suppressed
+	return ps.dampened && ps.cold.damp[slot].suppressed
 }
 
 // Suppressions returns how many times node id suppressed a route since the

@@ -27,29 +27,29 @@ func TestKernelLayoutBudget(t *testing.T) {
 		{"session", unsafe.Sizeof(session{}), 16},
 		{"inMsg", unsafe.Sizeof(inMsg{}), 32},
 		{"wireMsg", unsafe.Sizeof(wireMsg{}), 32},
-		{"outQueue", unsafe.Sizeof(outQueue{}), line},
+		{"outQueue", unsafe.Sizeof(outQueue{}), line / 2},
 		{"queued update", unsafe.Sizeof(PathID(0)), 4},
-		{"prefixState", unsafe.Sizeof(prefixState{}), line},
-		{"node", unsafe.Sizeof(node{}), 4 * line},
+		{"prefixState", unsafe.Sizeof(prefixState{}), line / 2},
+		{"node", unsafe.Sizeof(node{}), 3 * line},
 	}
 	for _, s := range sizes {
 		if s.got > s.ceil {
 			t.Errorf("sizeof(%s) = %d bytes, budget %d", s.name, s.got, s.ceil)
 		}
 	}
-	// The node array is walked by index from a page-aligned base; a size
-	// that is a whole number of lines keeps every node's field groups on the
-	// lines the budget assigns them.
-	if sz := unsafe.Sizeof(node{}); sz%line != 0 {
-		t.Errorf("sizeof(node) = %d is not a multiple of the %d-byte cache line", sz, line)
+	// The node array is walked by index from a page-aligned base; a node of
+	// exactly three lines keeps every node's field groups on the lines the
+	// budget assigns them.
+	if sz := unsafe.Sizeof(node{}); sz != 3*line {
+		t.Errorf("sizeof(node) = %d, want exactly three %d-byte cache lines", sz, line)
 	}
 	if sz := unsafe.Sizeof(outQueue{}); sz&(sz-1) != 0 {
 		t.Errorf("sizeof(outQueue) = %d is not a power of two", sz)
 	}
 	// An update — queued, parked, in flight between windows — is an ID,
-	// never a path: the queues' inline slots, the inboxes and the outboxes
-	// stay pointer-free.
-	for _, v := range []any{queueSlot{}, inMsg{}, wireMsg{}} {
+	// never a path: the inboxes and the outboxes stay pointer-free, and a
+	// queue's inline entries are PathIDs.
+	for _, v := range []any{inMsg{}, wireMsg{}} {
 		if typ := reflect.TypeOf(v); holdsPointer(typ) {
 			t.Errorf("%v holds a pointer", typ)
 		}
@@ -85,24 +85,23 @@ func TestKernelLayoutBudget(t *testing.T) {
 	// it is the node's event or deliver completes it at admission — the
 	// node's identity and row, the receive counters, the prefix key and the
 	// hot head of the inline prefixState, ends inside the third line.
-	hotEnd := unsafe.Offsetof(nd.prefixes) + unsafe.Offsetof(nd.prefixes.first) + unsafe.Offsetof(nd.prefixes.first.damp)
+	hotEnd := unsafe.Offsetof(nd.prefixes) + unsafe.Offsetof(nd.prefixes.first) + unsafe.Offsetof(nd.prefixes.first.cold)
 	if hotEnd > 3*line {
 		t.Errorf("node's unchanged-route fields end at byte %d, budget %d", hotEnd, 3*line)
 	}
 
 	// The scheduler prefetches des.LookaheadBytes of the next event's object
 	// one event ahead, and the engine's events are these objects. The span
-	// must be whole lines (owners are line-aligned: a node is four lines, a
-	// queue one, in page-aligned arrays) and must hold the node lines the
-	// DESIGN.md table says node.Fire touches when the best route stays put —
-	// deliver's group and the unchanged-route group above — and the whole
-	// output queue, which a flush reads end to end.
+	// must be whole lines (owners are line-aligned: a node is three lines, a
+	// queue half of one, in page-aligned arrays) and must hold the whole
+	// node — deliver's group, the unchanged-route group above and the rest —
+	// and the whole output queue, which a flush reads end to end.
 	span := uintptr(des.LookaheadBytes)
 	if span%line != 0 {
 		t.Errorf("des.LookaheadBytes = %d is not a whole number of %d-byte lines", span, line)
 	}
-	if hotEnd > span {
-		t.Errorf("node.Fire's unchanged-route fields end at byte %d, beyond the %d the look-ahead prefetches", hotEnd, span)
+	if sz := unsafe.Sizeof(node{}); sz > span {
+		t.Errorf("sizeof(node) = %d exceeds the %d bytes the look-ahead prefetches", sz, span)
 	}
 	if sz := unsafe.Sizeof(outQueue{}); sz > span {
 		t.Errorf("sizeof(outQueue) = %d exceeds the %d bytes the look-ahead prefetches", sz, span)
@@ -136,9 +135,9 @@ func holdsPointer(typ reflect.Type) bool {
 // the heap a fresh Network takes over a session-dense topology, per session.
 // TRANSIT-CLIQUE has the most sessions per node of the paper's scenarios, so
 // the per-session arrays (session row, output queue) dominate; a queue grown
-// back to 128 bytes, or a map or path slice per session, fails here.
+// back to 64 bytes, or a map or path slice per session, fails here.
 func TestNetworkBytesPerSession(t *testing.T) {
-	const budget = 96
+	const budget = 64
 	topo, err := scenario.TransitClique.Generate(1500, 1)
 	if err != nil {
 		t.Fatal(err)

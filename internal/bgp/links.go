@@ -21,11 +21,11 @@ func (net *Network) FailLink(a, b topology.NodeID) error {
 		return err
 	}
 	na, nb := &net.nodes[a], &net.nodes[b]
-	if net.out(na)[ja].down {
+	if net.out(na)[ja].down() {
 		return fmt.Errorf("bgp: link %d-%d already down", a, b)
 	}
-	net.sessionDown(na, ja)
-	net.sessionDown(nb, jb)
+	net.sessionDown(na, int32(ja))
+	net.sessionDown(nb, int32(jb))
 	return nil
 }
 
@@ -39,13 +39,13 @@ func (net *Network) RestoreLink(a, b topology.NodeID) error {
 		return err
 	}
 	na, nb := &net.nodes[a], &net.nodes[b]
-	if !net.out(na)[ja].down {
+	if !net.out(na)[ja].down() {
 		return fmt.Errorf("bgp: link %d-%d is not down", a, b)
 	}
-	net.out(na)[ja].down = false
-	net.out(nb)[jb].down = false
-	net.resyncSlot(na, ja)
-	net.resyncSlot(nb, jb)
+	net.out(na)[ja].flags &^= qDown
+	net.out(nb)[jb].flags &^= qDown
+	net.resyncSlot(na, int32(ja))
+	net.resyncSlot(nb, int32(jb))
 	return nil
 }
 
@@ -55,7 +55,7 @@ func (net *Network) LinkDown(a, b topology.NodeID) bool {
 	if err != nil {
 		return false
 	}
-	return net.out(&net.nodes[a])[ja].down
+	return net.out(&net.nodes[a])[ja].down()
 }
 
 // slots resolves the slot of b in a's neighbor list and vice versa.
@@ -83,12 +83,12 @@ func (net *Network) slots(a, b topology.NodeID) (ja, jb int, err error) {
 // the wire and queued toward the neighbor, and what the neighbor sent that nd
 // has not processed yet — and re-runs the decision process for every prefix
 // that was learned over it.
-func (net *Network) sessionDown(nd *node, j int) {
-	net.dropInFlight(nd, int32(j))
+func (net *Network) sessionDown(nd *node, j int32) {
+	net.dropInFlight(nd, j)
 	q := &net.out(nd)[j]
-	net.touch(nd, q)
-	q.down = true
-	q.clearRoutes() // a queued flush event will find down=true and bail
+	net.touch(q)
+	q.flags |= qDown
+	q.clearRoutes() // a queued flush event will find the link down and bail
 	for _, f := range nd.prefixes.sortedKeys() {
 		ps, _ := nd.prefixes.Get(f)
 		r := &net.rib(nd, ps)[j]
@@ -129,7 +129,7 @@ func (net *Network) dropInFlight(nd *node, j int32) {
 
 // resyncSlot advertises nd's current best routes to the neighbor at slot j,
 // as on session (re-)establishment.
-func (net *Network) resyncSlot(nd *node, j int) {
+func (net *Network) resyncSlot(nd *node, j int32) {
 	q := &net.out(nd)[j]
 	nbr, rel := net.nbrIDs(nd)[j], net.nbrRels(nd)[j]
 	for _, f := range nd.prefixes.sortedKeys() {

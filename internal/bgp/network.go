@@ -174,7 +174,8 @@ func (net *Network) build(topo *topology.Topology) error {
 	net.shards = make([]*netShard, s)
 	net.order = make([]int32, s)
 	for k := range net.shards {
-		net.shards[k] = &netShard{net: net, idx: k}
+		lo, hi := adj.Offsets[bounds[k]], adj.Offsets[bounds[k+1]]
+		net.shards[k] = &netShard{net: net, idx: k, outq: net.outq[lo:hi]}
 		net.order[k] = int32(k)
 	}
 	net.partOf = nil
@@ -200,9 +201,8 @@ func (net *Network) build(topo *topology.Topology) error {
 		nd.sh = sh
 		nd.row, nd.deg = lo, hi-lo
 		nd.prefixes.first.bestSlot = noneSlot
-		out := net.out(nd)
-		for j := range out {
-			out[j].nd, out[j].slot = nd, int32(j)
+		for k := lo; k < hi; k++ {
+			net.outq[k].nd = nd
 		}
 	}
 	return nil
@@ -441,7 +441,7 @@ func (net *Network) reinit(seed uint64) {
 		out := net.out(nd)
 		for j, t := range net.touched[nd.row : nd.row+nd.deg] {
 			if t != 0 {
-				out[j].down = false
+				out[j].flags &^= qDown
 				out[j].clearRoutes()
 			}
 		}
@@ -514,7 +514,7 @@ func (net *Network) NextHop(id topology.NodeID, f Prefix) topology.NodeID {
 // kinds is a long-lived object that some piece of state already guarantees
 // is pending at most once, so the object itself is handed to the scheduler:
 // a node is the completion of the update it is processing (delivering), an
-// outQueue the expiry of its per-interface MRAI timer (scheduled), a
+// outQueue the expiry of its per-interface MRAI timer (qScheduled), a
 // prefixTimer the expiry of its per-prefix one. Ownership rules are in
 // DESIGN.md (kernel memory model).
 
@@ -572,7 +572,7 @@ func (net *Network) process(nd *node, at des.Time, fromSlot int32, prefix Prefix
 	// bumped — and the dampening "did the path change" test an ID compare.
 	r := row
 	if ps != &nd.prefixes.first {
-		r = &ps.own[fromSlot]
+		r = &ps.cold.own[fromSlot]
 	}
 	had := r.id
 	same, hadNone := had == pathID, had == NoPath
@@ -601,13 +601,16 @@ func (q *outQueue) Fire(*des.Scheduler) {
 	nd := q.nd
 	sh := nd.sh
 	net := sh.net
-	q.scheduled = false
+	q.flags &^= qScheduled
 	sh.tally.flushes++
-	if q.down || q.pending.len(q.pendingMap()) == 0 {
+	if q.down() {
 		sh.tally.emptyFlushes++
 		return
 	}
-	sh.scratch = q.pending.keysInto(q.pendingMap(), sh.scratch)
+	if sh.scratch = q.pendingKeys(sh.scratch); len(sh.scratch) == 0 {
+		sh.tally.emptyFlushes++
+		return
+	}
 	for _, f := range sh.scratch {
 		id, _ := q.dequeue(f)
 		net.send(nd, q, f, id)
@@ -624,7 +627,7 @@ func (t *prefixTimer) Fire(*des.Scheduler) {
 	net := sh.net
 	t.scheduled = false
 	sh.tally.prefixFlushes++
-	if q.down {
+	if q.down() {
 		sh.tally.emptyFlushes++
 		return
 	}
@@ -688,7 +691,7 @@ func (net *Network) reconcile(nd *node, f Prefix, ps *prefixState) {
 			continue
 		}
 		q := &out[j]
-		if q.down {
+		if q.down() {
 			continue
 		}
 		net.setDesired(nd, q, f, wantID)
@@ -738,8 +741,8 @@ func (net *Network) ensureFlush(nd *node, q *outQueue, f Prefix) {
 		}
 		return
 	}
-	if !q.scheduled {
-		q.scheduled = true
+	if q.flags&qScheduled == 0 {
+		q.flags |= qScheduled
 		sched.At(q.expiry, q)
 	}
 }
@@ -748,8 +751,8 @@ func (net *Network) ensureFlush(nd *node, q *outQueue, f Prefix) {
 // Adj-RIB-Out (pathID is NoPath for a withdrawal).
 func (net *Network) send(nd *node, q *outQueue, f Prefix, pathID PathID) {
 	nd.spoke = true
-	net.touch(nd, q)
-	net.transmit(nd, int(q.slot), f, pathID)
+	net.touch(q)
+	net.transmit(nd, int(net.slot(q)), f, pathID)
 	q.setWire(f, pathID)
 }
 
@@ -783,14 +786,16 @@ func (net *Network) setDesired(nd *node, q *outQueue, f Prefix, wantID PathID) {
 		net.restartTimer(nd, q, f)
 		return
 	}
-	net.touch(nd, q)
+	net.touch(q)
 	q.enqueue(f, wantID)
 	net.ensureFlush(nd, q, f)
 }
 
-// touch marks q, one of nd's output queues, as no longer pristine (see
-// Network.touched).
-func (net *Network) touch(nd *node, q *outQueue) { net.touched[nd.row+q.slot] = 1 }
+// touch marks q as no longer pristine (see Network.touched).
+func (net *Network) touch(q *outQueue) { net.touched[queueIndex(net.outq, q)] = 1 }
+
+// slot returns q's neighbor slot at its node.
+func (net *Network) slot(q *outQueue) int32 { return queueIndex(net.outq, q) - q.nd.row }
 
 // transmit sends one update to the neighbor at slot j. With zero LinkDelay
 // (the inline engine) the update is admitted to the receiver's processor
@@ -826,7 +831,7 @@ func (net *Network) transmit(nd *node, j int, f Prefix, pathID PathID) {
 		*ob = append(*ob, wireMsg{
 			arrival:  arrival,
 			sender:   nd.id,
-			seq:      uint32(nd.msgSeq),
+			seq:      nd.msgSeq,
 			to:       to,
 			fromSlot: fromSlot,
 			prefix:   f,

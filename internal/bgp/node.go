@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"slices"
+	"unsafe"
 
 	"bgpchurn/internal/des"
 	"bgpchurn/internal/rng"
@@ -69,8 +70,8 @@ func (s session) blank() session {
 
 // prefixState is a node's routing state for one prefix: the Adj-RIB-In
 // (best route learned per neighbor) and the selected best route, every path
-// held as its interned ID. One cache line; the fields an update that leaves
-// the best route alone needs come first.
+// held as its interned ID. 24 bytes: the fields every update reads, and one
+// pointer to what only dampening and a node's later prefixes use.
 type prefixState struct {
 	// bestSlot is the neighbor slot of the selected route, selfSlot or
 	// noneSlot.
@@ -91,9 +92,17 @@ type prefixState struct {
 	// selfOrigin marks the node as the owner currently announcing the
 	// prefix.
 	selfOrigin bool
-	// dampened is damp != nil, kept beside the other hot flags so the
-	// decision scan of an undampened prefix never reads the slice header.
+	// dampened is cold.damp != nil, kept beside the other hot flags so the
+	// decision scan of an undampened prefix never follows cold.
 	dampened bool
+	// cold is allocated on first use: by the first flap of a dampened
+	// prefix, or with the state of a prefix other than the node's first.
+	cold *prefixCold
+}
+
+// prefixCold is the part of a prefixState that only dampening and a node's
+// second and later prefixes use.
+type prefixCold struct {
 	// damp is the per-neighbor flap-dampening state, allocated on the
 	// first flap (nil while the prefix never flapped or dampening is off).
 	damp []dampState
@@ -110,15 +119,17 @@ type prefixState struct {
 // (own rows and damp storage), so Network.Reset can recycle it. The flat
 // session row behind a node's first prefix is rewound by reinit.
 func (ps *prefixState) reset() {
-	for j := range ps.own {
-		ps.own[j] = ps.own[j].blank()
+	if c := ps.cold; c != nil {
+		for j := range c.own {
+			c.own[j] = c.own[j].blank()
+		}
+		clear(c.damp)
 	}
 	ps.bestSlot = noneSlot
 	ps.bestID = NoPath
 	ps.fullValid = false
 	ps.fullID = NoPath
 	ps.selfOrigin = false
-	clear(ps.damp)
 }
 
 // prefixTable holds a node's per-prefix routing state. The paper's workload
@@ -202,102 +213,6 @@ func (pt *prefixTable) recycle() {
 	}
 }
 
-// queueSlot is the inline entry of one of an outQueue's prefix-keyed tables
-// (the Adj-RIB-Out and the pending updates), each mapping a prefix to a
-// PathID: what is on the wire, or the update waiting for its MRAI timer
-// (NoPath a withdrawal). The paper's workload is one prefix per C-event, so
-// a table lives in its slot — no map, no hashing — until a second distinct
-// prefix appears. Then it moves into a map in the queue's queueSpill, which
-// stays authoritative, and allocated across clears, for the rest of the
-// queue's life. Every method takes that map: nil while the table is inline.
-type queueSlot struct {
-	val PathID
-	key Prefix
-	has bool
-}
-
-// get returns the value for f and whether it is present.
-func (s *queueSlot) get(m map[Prefix]PathID, f Prefix) (PathID, bool) {
-	if m != nil {
-		v, ok := m[f]
-		return v, ok
-	}
-	if s.has && s.key == f {
-		return s.val, true
-	}
-	return NoPath, false
-}
-
-// set inserts or replaces the value for f and reports true, unless f is a
-// second distinct prefix of an inline table: then it changes nothing and
-// the caller spills the table.
-func (s *queueSlot) set(m map[Prefix]PathID, f Prefix, v PathID) bool {
-	if m != nil {
-		m[f] = v
-		return true
-	}
-	if s.has && s.key != f {
-		return false
-	}
-	s.key, s.val, s.has = f, v, true
-	return true
-}
-
-// spill moves the inline entry and (f, v) into a new map and returns it.
-func (s *queueSlot) spill(f Prefix, v PathID) map[Prefix]PathID {
-	m := map[Prefix]PathID{s.key: s.val, f: v}
-	*s = queueSlot{}
-	return m
-}
-
-// take removes the entry for f and returns it, if present.
-func (s *queueSlot) take(m map[Prefix]PathID, f Prefix) (PathID, bool) {
-	v, ok := s.get(m, f)
-	if ok {
-		if m != nil {
-			delete(m, f)
-		} else {
-			*s = queueSlot{}
-		}
-	}
-	return v, ok
-}
-
-// len returns the number of entries.
-func (s *queueSlot) len(m map[Prefix]PathID) int {
-	if m != nil {
-		return len(m)
-	}
-	if s.has {
-		return 1
-	}
-	return 0
-}
-
-// clear removes every entry; a spilled map stays allocated.
-func (s *queueSlot) clear(m map[Prefix]PathID) {
-	clear(m)
-	*s = queueSlot{}
-}
-
-// keysInto appends the prefixes in ascending order to buf[:0] and returns
-// it. It allocates only when buf is too small, so a flush that drains into
-// the shard's scratch buffer allocates nothing.
-func (s *queueSlot) keysInto(m map[Prefix]PathID, buf []Prefix) []Prefix {
-	buf = buf[:0]
-	if m == nil {
-		if s.has {
-			buf = append(buf, s.key)
-		}
-		return buf
-	}
-	for f := range m {
-		buf = append(buf, f)
-	}
-	slices.Sort(buf)
-	return buf
-}
-
 // prefixTimer is the PerPrefix-scope MRAI timer of one (session, prefix)
 // pair and, like outQueue for the per-interface timer, its own flush event:
 // scheduled admits at most one pending firing, so the object is never in
@@ -311,12 +226,20 @@ type prefixTimer struct {
 
 // outQueue is the per-neighbor output state: the MRAI timer, the queue of
 // rate-limited updates, and the Adj-RIB-Out (what is currently on the wire),
-// both tables holding interned PathIDs only. One 64-byte line: each table
-// keeps its single-prefix entry inline (queueSlot), and everything else sits
-// behind one lazily allocated spill pointer.
+// both tables holding interned PathIDs only. 32 bytes, two queues to a line.
+//
+// The paper's workload is one prefix per C-event, so both tables share one
+// inline prefix key: the Adj-RIB-Out entry is (key, sent), present iff sent
+// != NoPath (the Adj-RIB-Out never stores a withdrawal), and the pending
+// update is (key, pending), present iff qPending is set. A second distinct
+// prefix in either table moves both tables into maps of the queue's spill
+// record (qSpilled), which stay authoritative, and allocated across clears,
+// for the rest of the queue's life. The records live in the owning shard,
+// beside the PerPrefix timers. The queue stores neither its session index
+// nor its slot: both follow from its address (queueIndex).
 //
 // An outQueue is also the flush event of its own per-interface MRAI timer
-// (see Fire): scheduled admits at most one pending flush per queue, and the
+// (see Fire): qScheduled admits at most one pending flush per queue, and the
 // event carries no payload beyond the queue's identity, so no event object
 // is ever allocated or pooled.
 type outQueue struct {
@@ -325,102 +248,221 @@ type outQueue struct {
 	// expiry is when the per-interface MRAI timer expires; a value <= now
 	// means the timer is idle. Used only with PerInterface scope.
 	expiry des.Time
-	// spill holds what the inline slots do not: the maps of tables that have
-	// met a second prefix, and the PerPrefix-scope timers. Allocated on
-	// first use and kept, with its maps and timers, across Reset.
-	spill *queueSpill
-	// slot is the queue's neighbor slot at nd.
-	slot int32
-	// sent is the Adj-RIB-Out: the ID of the path currently advertised to
-	// this neighbor per prefix. Absence means not advertised (never, or
-	// withdrawn).
-	sent queueSlot
-	// pending holds the latest not-yet-sent update per prefix. A newer
-	// update for the same prefix replaces the queued one (the paper's
-	// "queued update invalidated by a new update is removed").
-	pending queueSlot
-	// scheduled marks a pending flush event for this queue (PerInterface).
-	scheduled bool
-	// down marks a failed link; no updates flow and state is cleared.
-	down bool
-	_    [8]byte // rounds the queue up to one line
+	// key is the prefix of the inline entries.
+	key Prefix
+	// sent is the inline Adj-RIB-Out entry: the ID of the path currently
+	// advertised to this neighbor for key, NoPath when none is.
+	sent PathID
+	// pending is the inline queued update for key (NoPath a withdrawal),
+	// valid while qPending is set. A newer update for the same prefix
+	// replaces the queued one (the paper's "queued update invalidated by a
+	// new update is removed").
+	pending PathID
+	flags   uint8
 }
 
-// queueSpill is the out-of-line part of an outQueue.
+// outQueue flags.
+const (
+	qPending   uint8 = 1 << iota // an update for key is queued inline
+	qScheduled                   // a flush event for this queue is pending (PerInterface)
+	qDown                        // the link failed; no updates flow and state is cleared
+	qSpilled                     // both tables live in the spill record's maps
+)
+
+// queueSpill is the out-of-line part of an outQueue, kept in its shard's
+// spills: the tables' maps once the queue met a second prefix, and the
+// PerPrefix-scope timers. Allocated on first use and kept, with its maps and
+// timers, across Reset.
 type queueSpill struct {
 	sent    map[Prefix]PathID
 	pending map[Prefix]PathID
 	timers  map[Prefix]*prefixTimer
 }
 
-// spilled returns the queue's spill, allocating it on first use.
-func (q *outQueue) spilled() *queueSpill {
-	if q.spill == nil {
-		q.spill = new(queueSpill)
-	}
-	return q.spill
+// queueIndex returns q's index in qs, a run of output queues that holds it:
+// its session index in Network.outq, or its offset in its shard's queues.
+func queueIndex(qs []outQueue, q *outQueue) int32 {
+	base := uintptr(unsafe.Pointer(unsafe.SliceData(qs)))
+	return int32((uintptr(unsafe.Pointer(q)) - base) / unsafe.Sizeof(outQueue{}))
 }
 
-// sentMap and pendingMap return the tables' spilled maps (nil while inline).
-func (q *outQueue) sentMap() map[Prefix]PathID {
-	if q.spill == nil {
+func (q *outQueue) down() bool { return q.flags&qDown != 0 }
+
+// spill returns q's spill record, nil when it has none.
+func (q *outQueue) spill() *queueSpill {
+	sh := q.nd.sh
+	if sh.spills == nil {
 		return nil
 	}
-	return q.spill.sent
+	return sh.spills[queueIndex(sh.outq, q)]
 }
 
-func (q *outQueue) pendingMap() map[Prefix]PathID {
-	if q.spill == nil {
-		return nil
+// spillRecord returns q's spill record, creating it (and, at the shard's
+// first spill, the shard's table of records) on first use.
+func (q *outQueue) spillRecord() *queueSpill {
+	sh := q.nd.sh
+	if sh.spills == nil {
+		sh.spills = make([]*queueSpill, len(sh.outq))
 	}
-	return q.spill.pending
+	k := queueIndex(sh.outq, q)
+	sp := sh.spills[k]
+	if sp == nil {
+		sp = new(queueSpill)
+		sh.spills[k] = sp
+	}
+	return sp
+}
+
+// holds reports whether the inline key can take an entry for f: it is f, or
+// no inline entry uses it.
+func (q *outQueue) holds(f Prefix) bool {
+	return q.key == f || (q.sent == NoPath && q.flags&qPending == 0)
+}
+
+// spillTables moves both inline tables into maps of q's spill record and
+// returns the record.
+func (q *outQueue) spillTables() *queueSpill {
+	sp := q.spillRecord()
+	sp.sent, sp.pending = make(map[Prefix]PathID, 2), make(map[Prefix]PathID, 2)
+	if q.sent != NoPath {
+		sp.sent[q.key] = q.sent
+	}
+	if q.flags&qPending != 0 {
+		sp.pending[q.key] = q.pending
+	}
+	q.key, q.sent, q.pending = 0, NoPath, NoPath
+	q.flags = q.flags&^qPending | qSpilled
+	return sp
 }
 
 // wire returns the ID of the path on the wire for f, and whether there is
 // one.
-func (q *outQueue) wire(f Prefix) (PathID, bool) { return q.sent.get(q.sentMap(), f) }
+func (q *outQueue) wire(f Prefix) (PathID, bool) {
+	if q.flags&qSpilled != 0 {
+		id, ok := q.spill().sent[f]
+		return id, ok
+	}
+	if q.sent != NoPath && q.key == f {
+		return q.sent, true
+	}
+	return NoPath, false
+}
 
 // setWire records id as what the neighbor holds for f; NoPath (after a
 // withdrawal) removes the entry.
 func (q *outQueue) setWire(f Prefix, id PathID) {
-	if id == NoPath {
-		q.sent.take(q.sentMap(), f)
-	} else if !q.sent.set(q.sentMap(), f, id) {
-		q.spilled().sent = q.sent.spill(f, id)
+	switch {
+	case q.flags&qSpilled != 0:
+		if m := q.spill().sent; id == NoPath {
+			delete(m, f)
+		} else {
+			m[f] = id
+		}
+	case id == NoPath:
+		if q.key == f {
+			q.sent = NoPath
+		}
+	case q.holds(f):
+		q.key, q.sent = f, id
+	default:
+		q.spillTables().sent[f] = id
 	}
 }
 
 // queued returns the update pending for f, if any.
 func (q *outQueue) queued(f Prefix) (PathID, bool) {
-	return q.pending.get(q.pendingMap(), f)
+	if q.flags&qSpilled != 0 {
+		id, ok := q.spill().pending[f]
+		return id, ok
+	}
+	if q.flags&qPending != 0 && q.key == f {
+		return q.pending, true
+	}
+	return NoPath, false
 }
 
 // enqueue makes id the update pending for f, replacing any queued one.
 func (q *outQueue) enqueue(f Prefix, id PathID) {
-	if !q.pending.set(q.pendingMap(), f, id) {
-		q.spilled().pending = q.pending.spill(f, id)
+	switch {
+	case q.flags&qSpilled != 0:
+		q.spill().pending[f] = id
+	case q.holds(f):
+		q.key, q.pending = f, id
+		q.flags |= qPending
+	default:
+		q.spillTables().pending[f] = id
 	}
 }
 
 // dequeue removes the update pending for f and returns it, if any.
 func (q *outQueue) dequeue(f Prefix) (PathID, bool) {
-	return q.pending.take(q.pendingMap(), f)
+	if q.flags&qSpilled != 0 {
+		m := q.spill().pending
+		id, ok := m[f]
+		if ok {
+			delete(m, f)
+		}
+		return id, ok
+	}
+	if q.flags&qPending != 0 && q.key == f {
+		id := q.pending
+		q.pending = NoPath
+		q.flags &^= qPending
+		return id, true
+	}
+	return NoPath, false
+}
+
+// pendingKeys and sentKeys append the prefixes of the pending updates and
+// of the Adj-RIB-Out, ascending, to buf[:0] and return it. They allocate
+// only when buf is too small, so a flush that drains into the shard's
+// scratch buffer allocates nothing.
+func (q *outQueue) pendingKeys(buf []Prefix) []Prefix {
+	if q.flags&qSpilled != 0 {
+		return sortedInto(q.spill().pending, buf)
+	}
+	buf = buf[:0]
+	if q.flags&qPending != 0 {
+		buf = append(buf, q.key)
+	}
+	return buf
+}
+
+func (q *outQueue) sentKeys(buf []Prefix) []Prefix {
+	if q.flags&qSpilled != 0 {
+		return sortedInto(q.spill().sent, buf)
+	}
+	buf = buf[:0]
+	if q.sent != NoPath {
+		buf = append(buf, q.key)
+	}
+	return buf
+}
+
+// sortedInto appends m's keys in ascending order to buf[:0].
+func sortedInto(m map[Prefix]PathID, buf []Prefix) []Prefix {
+	buf = buf[:0]
+	for f := range m {
+		buf = append(buf, f)
+	}
+	slices.Sort(buf)
+	return buf
 }
 
 // timer returns the PerPrefix timer for f, nil before its first use.
 func (q *outQueue) timer(f Prefix) *prefixTimer {
-	if q.spill == nil {
-		return nil
+	if sp := q.spill(); sp != nil {
+		return sp.timers[f]
 	}
-	return q.spill.timers[f]
+	return nil
 }
 
 // prefixTimer returns the PerPrefix timer for f, creating it on first use.
 func (q *outQueue) prefixTimer(f Prefix) *prefixTimer {
-	if t := q.timer(f); t != nil {
+	sp := q.spillRecord()
+	if t := sp.timers[f]; t != nil {
 		return t
 	}
-	sp := q.spilled()
 	if sp.timers == nil {
 		sp.timers = make(map[Prefix]*prefixTimer, 1)
 	}
@@ -430,14 +472,15 @@ func (q *outQueue) prefixTimer(f Prefix) *prefixTimer {
 }
 
 // clearRoutes empties the Adj-RIB-Out and the pending updates and rewinds
-// every MRAI timer to idle and unarmed, keeping spilled maps and timers
-// allocated. Flush events already in the scheduler stay there; they find
-// nothing to do.
+// every MRAI timer to idle and unarmed, keeping the spill record with its
+// maps and timers. Flush events already in the scheduler stay there; they
+// find nothing to do.
 func (q *outQueue) clearRoutes() {
-	q.sent.clear(q.sentMap())
-	q.pending.clear(q.pendingMap())
-	q.expiry, q.scheduled = 0, false
-	if sp := q.spill; sp != nil {
+	q.expiry, q.key, q.sent, q.pending = 0, 0, NoPath, NoPath
+	q.flags &^= qPending | qScheduled
+	if sp := q.spill(); sp != nil {
+		clear(sp.sent)
+		clear(sp.pending)
 		for _, t := range sp.timers {
 			t.expiry, t.scheduled = 0, false
 		}
@@ -469,7 +512,8 @@ type inMsg struct {
 // everything deliver touches sits in the first 128 bytes; what Fire and the
 // decision process read when the best route stays put follows and ends
 // inside the third line; the rest is read only with dampening on, a second
-// prefix or the windowed executor. The struct is exactly four 64-byte lines, so in the
+// prefix or the windowed executor. The struct is exactly three 64-byte
+// lines, the span the scheduler's look-ahead prefetches, so in the
 // (page-aligned) node array no field group ever straddles more lines than
 // it has to. TestKernelLayoutBudget pins it.
 //
@@ -528,9 +572,9 @@ type node struct {
 	prefixes prefixTable
 	// msgSeq numbers this node's transmitted updates in windowed mode; the
 	// (arrival, sender, msgSeq) triple is the canonical barrier-admission
-	// order that makes results independent of the shard count.
-	msgSeq uint64
-	_      [24]byte // rounds the struct up to its fourth line
+	// order that makes results independent of the shard count. 32 bits, as
+	// in wireMsg; transmit panics rather than wrap it.
+	msgSeq uint32
 }
 
 // silent reports whether processing an update at nd can have no effect
@@ -570,7 +614,7 @@ func (net *Network) rib(nd *node, ps *prefixState) []session {
 	if ps == &nd.prefixes.first {
 		return net.sessions(nd)
 	}
-	return ps.own
+	return ps.cold.own
 }
 
 // precedes is the decision order, the one definition of it: whether route
@@ -618,12 +662,18 @@ func (net *Network) state(nd *node, f Prefix) *prefixState {
 		sp.free[n-1] = nil
 		sp.free = sp.free[:n-1]
 	} else {
-		ps = &prefixState{bestSlot: noneSlot, own: make([]session, nd.deg)}
+		// The state and its cold part are one allocation.
+		b := &struct {
+			ps prefixState
+			c  prefixCold
+		}{ps: prefixState{bestSlot: noneSlot}, c: prefixCold{own: make([]session, nd.deg)}}
+		b.ps.cold = &b.c
+		ps = &b.ps
 	}
 	// Private rows: the flat row's relations and this epoch's tie-breaks (a
 	// recycled state carries the last epoch's), no routes.
 	for j, s := range net.sessions(nd) {
-		ps.own[j] = s.blank()
+		ps.cold.own[j] = s.blank()
 	}
 	sp.m[f] = ps
 	return ps

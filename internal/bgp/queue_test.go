@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -16,30 +17,37 @@ type timerModel struct {
 	scheduled bool
 }
 
-// TestOutQueueModel drives output queues through random operation sequences
-// — Adj-RIB-Out and pending-update writes, reads and removals over 1–4
-// prefixes, clears (Reset), link down/up and PerPrefix timer creation — and
-// after every step compares both tables, their lengths and sorted keys, and
-// every timer against plain Go maps. A table's spilled map, once allocated,
-// must survive every later clear as the same map.
+// TestOutQueueModel drives one output queue of a network through random
+// operation sequences — Adj-RIB-Out and pending-update writes, reads and
+// removals over 1–4 prefixes, Resets, link down/up and PerPrefix timer
+// creation — and after every step compares both tables, their sorted keys,
+// and every timer against plain Go maps. Both tables share one inline key,
+// so two distinct prefixes across them must have spilled the queue; its
+// spill record in the shard, once allocated, must survive every later
+// clear and Reset as the same record, and each table's map as the same map.
 func TestOutQueueModel(t *testing.T) {
+	t.Run("shared key", testOutQueueSharedKey)
 	const sequences, steps = 2000, 60
 	r := rand.New(rand.NewSource(1))
+	topo := fanTopo(4)
 	var keys []Prefix
 	for seq := 0; seq < sequences; seq++ {
 		prefixes := 1 + r.Intn(4)
-		q := new(outQueue)
+		net := MustNew(topo, DefaultConfig(1))
+		m, j := &net.nodes[1], int32(0)
+		q := &net.out(m)[j]
 		sent := map[Prefix]PathID{}
 		pending := map[Prefix]PathID{}
 		timers := map[Prefix]*prefixTimer{}
 		timerState := map[Prefix]timerModel{}
 		var iface timerModel
+		var down bool
 		var spill *queueSpill
 		var sentMap, pendingMap uintptr
 		clearModel := func() {
 			clear(sent)
 			clear(pending)
-			iface = timerModel{}
+			iface, down = timerModel{}, false
 			for f := range timerState {
 				timerState[f] = timerModel{}
 			}
@@ -51,6 +59,7 @@ func TestOutQueueModel(t *testing.T) {
 			case 0, 1:
 				op = "setWire"
 				id := PathID(r.Intn(4)) // NoPath withdraws
+				net.touch(q)
 				q.setWire(f, id)
 				if id == NoPath {
 					delete(sent, f)
@@ -60,6 +69,7 @@ func TestOutQueueModel(t *testing.T) {
 			case 2, 3:
 				op = "enqueue"
 				id := PathID(r.Intn(4)) // NoPath queues a withdrawal
+				net.touch(q)
 				q.enqueue(f, id)
 				pending[f] = id
 			case 4, 5:
@@ -72,24 +82,25 @@ func TestOutQueueModel(t *testing.T) {
 				delete(pending, f)
 			case 6:
 				op = "reset"
-				q.down = false
-				q.clearRoutes()
+				net.Reset(uint64(step))
 				clearModel()
 			case 7:
 				op = "link down"
-				q.down = true
-				q.clearRoutes()
+				net.sessionDown(m, j)
 				clearModel()
+				down = true
 			case 8:
 				op = "link up"
-				q.down = false
+				q.flags &^= qDown
+				down = false
 			case 9:
 				op = "prefix timer"
+				net.touch(q)
 				tm := q.prefixTimer(f)
 				if old := timers[f]; old != nil && old != tm {
 					t.Fatalf("seq %d step %d: prefixTimer(%d) replaced its timer", seq, step, f)
 				}
-				if tm.q != q || tm.prefix != f {
+				if tm.q != q || tm.prefix != f || net.slot(tm.q) != j {
 					t.Fatalf("seq %d step %d: prefixTimer(%d) is bound to queue %p prefix %d", seq, step, f, tm.q, tm.prefix)
 				}
 				timers[f] = tm
@@ -98,8 +109,13 @@ func TestOutQueueModel(t *testing.T) {
 				timerState[f] = st
 			case 10:
 				op = "interface timer"
+				net.touch(q)
 				iface = timerModel{expiry: des.Time(1 + r.Intn(100)), scheduled: r.Intn(2) == 0}
-				q.expiry, q.scheduled = iface.expiry, iface.scheduled
+				q.expiry = iface.expiry
+				q.flags &^= qScheduled
+				if iface.scheduled {
+					q.flags |= qScheduled
+				}
 			}
 
 			// Every prefix in use, and one never used.
@@ -124,41 +140,112 @@ func TestOutQueueModel(t *testing.T) {
 					}
 				}
 			}
-			if got := (timerModel{q.expiry, q.scheduled}); got != iface {
+			if got := (timerModel{q.expiry, q.flags&qScheduled != 0}); got != iface {
 				t.Fatalf("seq %d step %d (%s): interface timer %+v, want %+v", seq, step, op, got, iface)
 			}
-			if n := q.sent.len(q.sentMap()); n != len(sent) {
-				t.Fatalf("seq %d step %d (%s): Adj-RIB-Out len %d, want %d", seq, step, op, n, len(sent))
-			}
-			if n := q.pending.len(q.pendingMap()); n != len(pending) {
-				t.Fatalf("seq %d step %d (%s): pending len %d, want %d", seq, step, op, n, len(pending))
-			}
-			keys = q.sent.keysInto(q.sentMap(), keys)
+			keys = q.sentKeys(keys)
 			if want := sortedKeys(sent); !slices.Equal(keys, want) {
 				t.Fatalf("seq %d step %d (%s): Adj-RIB-Out keys %v, want %v", seq, step, op, keys, want)
 			}
-			keys = q.pending.keysInto(q.pendingMap(), keys)
+			keys = q.pendingKeys(keys)
 			if want := sortedKeys(pending); !slices.Equal(keys, want) {
 				t.Fatalf("seq %d step %d (%s): pending keys %v, want %v", seq, step, op, keys, want)
 			}
+			// The tables share one inline key: two distinct prefixes across
+			// them live in the spill.
+			inUse := map[Prefix]bool{}
+			for g := range sent {
+				inUse[g] = true
+			}
+			for g := range pending {
+				inUse[g] = true
+			}
+			if len(inUse) > 1 && q.flags&qSpilled == 0 {
+				t.Fatalf("seq %d step %d (%s): %d prefixes in use on an unspilled queue", seq, step, op, len(inUse))
+			}
+			pristine := len(inUse) == 0 && iface == (timerModel{}) && !down
+			for _, st := range timerState {
+				pristine = pristine && st == (timerModel{})
+			}
+			if q.down() != down || q.pristine() != pristine {
+				t.Fatalf("seq %d step %d (%s): down() = %v, pristine() = %v; want %v, %v",
+					seq, step, op, q.down(), q.pristine(), down, pristine)
+			}
 
-			// Spill storage is allocated once and then kept: the spill
-			// itself, and each table's map from the moment it spilled.
-			if spill != nil && q.spill != spill {
+			// Spill storage is allocated once and then kept: the record
+			// itself, and the tables' maps from the moment they spilled.
+			if spill != nil && q.spill() != spill {
 				t.Fatalf("seq %d step %d (%s): queue spill reallocated", seq, step, op)
 			}
-			if spill = q.spill; spill == nil {
+			if spill = q.spill(); spill == nil {
 				continue
 			}
-			if sentMap != 0 && mapPtr(spill.sent) != sentMap {
-				t.Fatalf("seq %d step %d (%s): spilled Adj-RIB-Out map dropped or reallocated", seq, step, op)
+			if (q.flags&qSpilled != 0) != (spill.sent != nil) || (spill.sent != nil) != (spill.pending != nil) {
+				t.Fatalf("seq %d step %d (%s): spilled flag %v, maps %v %v", seq, step, op,
+					q.flags&qSpilled != 0, spill.sent != nil, spill.pending != nil)
 			}
-			if pendingMap != 0 && mapPtr(spill.pending) != pendingMap {
-				t.Fatalf("seq %d step %d (%s): spilled pending map dropped or reallocated", seq, step, op)
+			if sentMap != 0 && (mapPtr(spill.sent) != sentMap || mapPtr(spill.pending) != pendingMap) {
+				t.Fatalf("seq %d step %d (%s): spilled map dropped or reallocated", seq, step, op)
 			}
 			sentMap, pendingMap = mapPtr(spill.sent), mapPtr(spill.pending)
 		}
 	}
+}
+
+// testOutQueueSharedKey pins the spill rules of the shared inline key: an
+// Adj-RIB-Out entry on one prefix and a pending update on another move both
+// tables into the shard's spill record; Reset clears the record but keeps it
+// and the queue spilled; Grow builds new shards and queues, so it drops it.
+func testOutQueueSharedKey(t *testing.T) {
+	topo := fanTopo(4)
+	net := MustNew(topo, DefaultConfig(1))
+	m, j := &net.nodes[1], int32(0)
+	q := &net.out(m)[j]
+	k := queueIndex(m.sh.outq, q)
+
+	net.touch(q)
+	q.setWire(1, 7)
+	q.enqueue(1, 8) // the same prefix shares the inline key
+	if q.flags&qSpilled != 0 || q.spill() != nil {
+		t.Fatal("one prefix in both tables spilled the queue")
+	}
+	q.enqueue(2, 9)
+	sp := m.sh.spills[k]
+	if q.flags&qSpilled == 0 || sp == nil {
+		t.Fatal("a pending update on a second prefix left the queue inline")
+	}
+	if !maps.Equal(sp.sent, map[Prefix]PathID{1: 7}) || !maps.Equal(sp.pending, map[Prefix]PathID{1: 8, 2: 9}) {
+		t.Fatalf("spilled tables sent=%v pending=%v, want both tables moved", sp.sent, sp.pending)
+	}
+	if q.sent != NoPath || q.flags&qPending != 0 {
+		t.Fatal("the inline entries outlived the spill")
+	}
+
+	net.Reset(2)
+	if m.sh.spills[k] != sp || q.flags&qSpilled == 0 {
+		t.Fatal("Reset dropped the queue's spill record")
+	}
+	if len(sp.sent)+len(sp.pending) != 0 || !q.pristine() {
+		t.Fatal("Reset left routes in the spill record")
+	}
+	q.setWire(3, 4)
+	if sp.sent[3] != 4 {
+		t.Fatal("a spilled queue wrote inline after Reset")
+	}
+
+	if err := net.Grow(fanTopoStubs(4, 2), 3); err != nil {
+		t.Fatal(err)
+	}
+	m = &net.nodes[1]
+	if q = &net.out(m)[j]; q.flags != 0 {
+		t.Fatalf("a grown queue starts with flags %#x", q.flags)
+	}
+	for _, sh := range net.shards {
+		if sh.spills != nil {
+			t.Fatal("Grow kept the shard's spill records")
+		}
+	}
+	mustConsistent(t, net, "after Grow")
 }
 
 // TestTouchedMarksEveryExit pins, site by site, the invariant reconcile and

@@ -116,6 +116,15 @@ type netShard struct {
 	// scratch is a reused buffer for sorted per-prefix iteration in MRAI
 	// flush drains. Valid only within one event's Fire; never retained.
 	scratch []Prefix
+
+	// outq is the output queues of this shard's nodes, whose rows are
+	// contiguous: a window of Network.outq. spills holds their spill records
+	// by offset in outq (see queueSpill), allocated at the shard's first
+	// spill, so a run that never meets a second prefix pays nothing for it.
+	// No two shards share a record; windowed shards write theirs
+	// concurrently. build starts spills nil; reinit keeps it.
+	outq   []outQueue
+	spills []*queueSpill
 }
 
 // shardTally is what a shard counts for the metrics hub between two

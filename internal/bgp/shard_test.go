@@ -261,6 +261,12 @@ func TestWindowedDeadlineInvariance(t *testing.T) {
 		if inflight != 0 {
 			t.Fatalf("parts=%d: %d messages left unadmitted across RunUntil deadlines", parts, inflight)
 		}
+		// The second prefix spills queues on several partitions, so the
+		// windows after "originate 2" write shard-local spill records
+		// concurrently (the race tier runs this test ten times).
+		if spilled := spilledShards(net); parts > 1 && spilled < 2 {
+			t.Fatalf("parts=%d: spilled queues on %d shards, want at least 2", parts, spilled)
+		}
 		return out
 	}
 	want := run(1, 1)
@@ -383,4 +389,19 @@ func TestPartitions(t *testing.T) {
 			t.Errorf("partitions(%d workers, %d nodes) = %d, want %d", c.workers, c.n, got, c.want)
 		}
 	}
+}
+
+// spilledShards returns how many of net's shards hold a queue whose tables
+// have moved to its spill record.
+func spilledShards(net *Network) int {
+	n := 0
+	for _, sh := range net.shards {
+		for k, sp := range sh.spills {
+			if sp != nil && sh.outq[k].flags&qSpilled != 0 {
+				n++
+				break
+			}
+		}
+	}
+	return n
 }

@@ -215,7 +215,7 @@ func (net *Network) WarmStart(origin topology.NodeID, f Prefix) {
 			if !exportable(nbr, rels[j], full, fromCustomerOrSelf) {
 				continue
 			}
-			net.touch(nd, &out[j])
+			net.touch(&out[j])
 			out[j].setWire(f, advID[i])
 			to := &net.nodes[nbr]
 			net.rib(to, net.state(to, f))[rev[j]].install(advID[i], len(full))

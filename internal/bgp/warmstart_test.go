@@ -87,7 +87,7 @@ func compareConverged(t *testing.T, cold, warm *Network, label string, n int, se
 					i, j, cIDs[j], cRib, wRib)
 			}
 			cq, wq := &cOut[j], &wOut[j]
-			if cLen, wLen := cq.pending.len(cq.pendingMap()), wq.pending.len(wq.pendingMap()); cLen != 0 || wLen != 0 {
+			if cLen, wLen := len(cq.pendingKeys(nil)), len(wq.pendingKeys(nil)); cLen != 0 || wLen != 0 {
 				t.Errorf("node %d slot %d: queued updates on a converged network (cold=%d warm=%d)",
 					i, j, cLen, wLen)
 			}
