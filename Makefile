@@ -30,22 +30,24 @@ cross:
 # PathID validity, export closure and untouched-queue pristineness after
 # every decision), the warm-start, journal, span and serve chaos tiers all
 # run raced on every invocation. Then the windowed executor's own tests
-# (worker crew, partition and deadline invariance) ten times over: the race
-# tier starts Config.Shards workers whatever the CPU count, so a lost
-# wake-up or a claim that crosses windows gets many schedules to show
-# itself, and the timeout turns a hung barrier into a failure instead of a
-# stuck job. The same ten rounds run the admission-time-completion
-# differential (bare against all-evented networks), whose windowed cases
-# complete updates on the worker that admits them, and the
+# (worker crew, its sizing from the core budget, partition and deadline
+# invariance) ten times over: they fix crews of up to four workers whatever
+# the CPU count, so a lost wake-up or a claim that crosses windows gets
+# many schedules to show itself, and the timeout turns a hung barrier into
+# a failure instead of a stuck job. The same ten rounds run the
+# admission-time-completion differential (bare against all-evented
+# networks), whose windowed cases complete updates on the worker that
+# admits them, and the
 # change-proportional tiers (the one-row decision step against the scan,
 # and the touched-queue marks windowed shards write concurrently), the
 # session-reset drain (a failed link discards the updates parked on it in
 # inboxes, delivery events and the windowed outbox), and the
 # core-budget tests: helper origin workers joining and leaving concurrent
-# grid cells, the budget's high-water bound, and its release on
-# cancellation and panics. Last, the metrics hand-off: the engine publishes
-# its per-run tallies to the hub after the window crew has joined, and that
-# join is the only thing ordering the workers' tally writes before the
+# grid cells, the budget's high-water bound with window crews taking
+# units too, and its release on cancellation and panics. Last, the metrics
+# hand-off: the engine publishes its per-run tallies to the hub after the
+# window crew has joined, and that join is the only thing ordering the
+# workers' tally writes before the
 # coordinator's reads — so an instrumented sharded cell (root package) and a
 # grid scraped while its networks publish run ten times too. So does the
 # per-event counter window, because window workers write the shards' update

@@ -33,7 +33,7 @@ func spanVariant(cfg Experiment) (Experiment, *SpanRecorder) {
 }
 
 // TestResultIdenticalWithSpans proves span recording inert: spans on vs off,
-// across scenarios, protocol variants and shard counts, results are
+// across scenarios, protocol variants, executors and CPU counts, results are
 // byte-identical — and spans were actually recorded.
 func TestResultIdenticalWithSpans(t *testing.T) {
 	for _, sc := range []Scenario{Baseline, Tree} {
@@ -42,19 +42,21 @@ func TestResultIdenticalWithSpans(t *testing.T) {
 			t.Fatal(err)
 		}
 		for variant, cfg := range protocolVariants(37, 5) {
-			for _, shards := range []int{0, 1, 4} { // 0 = unsharded executor
+			for _, cpus := range []int{0, 1, 4} { // 0 = inline executor
 				base := cfg
-				label := "unsharded"
-				if shards > 0 {
-					base = shardedVariant(base, shards)
-					label = fmt.Sprintf("shards=%d", shards)
+				label := "inline"
+				if cpus > 0 {
+					base = shardedVariant(base)
+					label = fmt.Sprintf("%d CPUs", cpus)
 				}
-				bare, err := RunCEvents(topo, base)
-				if err != nil {
-					t.Fatal(err)
-				}
+				var bare, got *Result
+				var err error
 				traced, spans := spanVariant(base)
-				got, err := RunCEvents(topo, traced)
+				withCPUs(max(cpus, 1), func() {
+					if bare, err = RunCEvents(topo, base); err == nil {
+						got, err = RunCEvents(topo, traced)
+					}
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -225,7 +227,7 @@ func TestEq1AttributionReconcilesWithAggregates(t *testing.T) {
 // TestAttributionGolden freezes what each event's counter window yields:
 // the kind, cause, origin, virtual extent and every Stats value of every
 // event span of a few small BASELINE cells — C-events and link events, both
-// protocol variants, inline and on the windowed executor at two shards.
+// protocol variants, inline and on the windowed executor at two CPUs.
 // With one origin worker the spans arrive in origin order and the cause IDs
 // count up from 1, so the file is a byte-exact record
 // (testdata/golden/attribution.golden, regenerated with -update-goldens).
@@ -237,15 +239,18 @@ func TestAttributionGolden(t *testing.T) {
 	var buf strings.Builder
 	for _, kind := range []EventKind{CEventKind, LinkEventKind} {
 		for _, variant := range []string{"NO-WRATE", "WRATE"} {
-			for _, shards := range []int{0, 2} { // 0 = inline executor
+			for _, cpus := range []int{0, 2} { // 0 = inline executor
 				cfg := protocolVariants(5, 4)[variant]
 				cfg.Kind, cfg.Parallelism = kind, 1
 				label := "inline"
-				if shards > 0 {
-					cfg, label = shardedVariant(cfg, shards), fmt.Sprintf("windowed shards=%d", shards)
+				if cpus > 0 {
+					// The golden file's label predates the CPU axis.
+					cfg, label = shardedVariant(cfg), fmt.Sprintf("windowed shards=%d", cpus)
 				}
 				traced, spans := spanVariant(cfg)
-				if _, err := RunCEvents(topo, traced); err != nil {
+				var err error
+				withCPUs(max(cpus, 1), func() { _, err = RunCEvents(topo, traced) })
+				if err != nil {
 					t.Fatal(err)
 				}
 				fmt.Fprintf(&buf, "## %v %s %s\n", kind, variant, label)

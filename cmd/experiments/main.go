@@ -186,8 +186,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		resume      = fs.Bool("resume", false, "replay the cell journal into the scheduler cache before running, so only missing cells are recomputed")
 		retries     = fs.Int("retries", 0, "recompute a cell up to this many times after a transient fault (panic, timeout) before quarantining it")
 		cellTimeout = fs.Duration("cell-timeout", 0, "per-cell wall-clock deadline (0 = none); a timed-out cell counts as a transient fault")
-		shards      = fs.Int("shards", 0, "worker goroutines per simulation run on the windowed executor (0/1 = the caller alone; >1 requires -link-delay); results are byte-identical at every value")
-		linkDelay   = fs.Duration("link-delay", 0, "per-session propagation latency (0 = the paper's instant-admission model); positive values select the windowed executor that -shards parallelizes")
+		linkDelay   = fs.Duration("link-delay", 0, "per-session propagation latency (0 = the paper's instant-admission model); positive values select the windowed executor, which runs a simulation on the idle cores")
 		spansPath   = fs.String("spans", "", "write sweep/cell/origin/event causal spans as JSONL to this file (enables root-cause tracing; results stay byte-identical)")
 		chromePath  = fs.String("chrome-trace", "", "write the causal spans as Chrome trace_event JSON to this file (open in chrome://tracing or Perfetto); implies span recording")
 		metricsOut  = fs.String("metrics-out", "", "write a one-shot Prometheus-text metrics snapshot to this file at exit, for runs that never start the -obs server")
@@ -204,8 +203,8 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	// An unknown scenario, an impossible size or a negative count or
-	// duration is rejected before any file is created, as is a flag
-	// combination no cell can run (e.g. -shards 2 without -link-delay).
+	// duration is rejected before any file is created, as is a protocol
+	// configuration no cell can run (e.g. a negative -link-delay).
 	sc, err := bgpchurn.ScenarioByName(*scName)
 	if err != nil {
 		return fail(err)
@@ -231,7 +230,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		parallel:    *parallel,
 		warm:        *warm,
 		cellTimeout: *cellTimeout,
-		shards:      *shards,
 		linkDelay:   *linkDelay,
 		sched:       bgpchurn.NewScheduler(*parallel),
 		stdout:      stdout,
@@ -421,10 +419,7 @@ type runner struct {
 	warm bool
 	// cellTimeout is the per-cell deadline (-cell-timeout; 0 = none).
 	cellTimeout time.Duration
-	// shards/linkDelay select the sharded windowed executor (-shards,
-	// -link-delay). Recorded in the manifest like every flag; shards is
-	// excluded from the cell cache key (results are shard-invariant).
-	shards    int
+	// linkDelay selects the windowed executor (-link-delay).
 	linkDelay time.Duration
 	// interrupted records that the run was cancelled by a signal, for the
 	// manifest.
@@ -680,7 +675,6 @@ func (r *runner) experiment(wrate bool) bgpchurn.Experiment {
 	cfg.WarmStart = r.warm
 	cfg.CellTimeout = r.cellTimeout
 	cfg.BGP.LinkDelay = des.Time(r.linkDelay)
-	cfg.BGP.Shards = r.shards
 	cfg.Obs = r.metrics
 	cfg.Spans = r.spans
 	return cfg

@@ -332,8 +332,12 @@ func TestKillAndResumeByteIdenticalCSV(t *testing.T) {
 
 // TestRunExitCodes drives the whole binary through its testable seam.
 func TestRunExitCodes(t *testing.T) {
-	if code := run(context.Background(), []string{"-no-such-flag"}, io.Discard, io.Discard); code != exitUsage {
-		t.Fatalf("bad flag: exit %d, want %d", code, exitUsage)
+	// -shards is not a flag: the windowed executor's crew comes from the
+	// core budget.
+	for _, args := range [][]string{{"-no-such-flag"}, {"-fig", "4", "-shards", "2"}} {
+		if code := run(context.Background(), args, io.Discard, io.Discard); code != exitUsage {
+			t.Fatalf("%v: exit %d, want %d", args, code, exitUsage)
+		}
 	}
 	// A selection that names an unknown figure, or nothing at all, is
 	// rejected before any work — with the valid ids — not silently skipped.
@@ -358,7 +362,7 @@ func TestRunExitCodes(t *testing.T) {
 		args   []string
 		reason string
 	}{
-		{[]string{"-fig", "4", "-shards", "2"}, "requires a positive LinkDelay"},
+		{[]string{"-fig", "4", "-link-delay", "-1ms"}, "negative LinkDelay"},
 		{[]string{"-fig", "cell", "-scenario", "NOPE"}, "unknown scenario \"NOPE\" (known: ["},
 		{[]string{"-fig", "cell", "-n", "0"}, "-n must be positive"},
 		{[]string{"-fig", "table1", "-origins", "-5"}, "-origins must be non-negative, got -5"},

@@ -44,24 +44,33 @@ func protocolVariants(seed uint64, origins int) map[string]Experiment {
 }
 
 // shardedVariant returns cfg running on the windowed executor (a positive
-// link delay is the conservative lookahead) split across the given number
-// of node shards. All sharded-determinism comparisons hold the link delay
-// fixed and vary only the shard count: the delay is part of the simulated
-// model, the shard count is not.
-func shardedVariant(cfg Experiment, shards int) Experiment {
+// link delay is the conservative lookahead) with one origin worker, so the
+// window crew, not helper origin workers, takes the idle cores. All
+// sharded-determinism comparisons hold the link delay fixed and vary only
+// the CPU count (withCPUs): the delay is part of the simulated model, the
+// partition and crew sizes the cores imply are not.
+func shardedVariant(cfg Experiment) Experiment {
 	c := cfg
 	c.BGP.LinkDelay = 10 * des.Millisecond
-	c.BGP.Shards = shards
+	c.Parallelism = 1
 	return c
 }
 
-// shardCounts is the shard axis every sharded-determinism test sweeps.
-var shardCounts = []int{1, 2, 4, 8}
+// withCPUs runs fn at GOMAXPROCS cpus: a windowed network is cut into
+// partitions by GOMAXPROCS when it is built, and its crew takes the units of
+// the core budget that are idle.
+func withCPUs(cpus int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(cpus))
+	fn()
+}
+
+// cpuCounts is the CPU-count axis every sharded-determinism test sweeps.
+var cpuCounts = []int{1, 2, 4, 8}
 
 // TestShardedResultInvariantAcrossShardCounts demands that the windowed
-// executor produce byte-identical results at every shard count, for both
-// protocol variants. Shards=1 is the reference: the same windowed schedule
-// executed on a single shard.
+// executor produce byte-identical results at every CPU count, for both
+// protocol variants. One CPU is the reference: the same windowed schedule
+// executed on a single partition by the caller alone.
 func TestShardedResultInvariantAcrossShardCounts(t *testing.T) {
 	topo, err := Baseline.Generate(400, 21)
 	if err != nil {
@@ -69,8 +78,10 @@ func TestShardedResultInvariantAcrossShardCounts(t *testing.T) {
 	}
 	for variant, cfg := range protocolVariants(21, 6) {
 		var want string
-		for _, shards := range shardCounts {
-			res, err := RunCEvents(topo, shardedVariant(cfg, shards))
+		for _, cpus := range cpuCounts {
+			var res *Result
+			var err error
+			withCPUs(cpus, func() { res, err = RunCEvents(topo, shardedVariant(cfg)) })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,8 +89,8 @@ func TestShardedResultInvariantAcrossShardCounts(t *testing.T) {
 			if want == "" {
 				want = got
 			} else if got != want {
-				t.Fatalf("%s: Shards=%d changed the result:\nwant %s\ngot  %s",
-					variant, shards, want, got)
+				t.Fatalf("%s: %d CPUs changed the result:\nwant %s\ngot  %s",
+					variant, cpus, want, got)
 			}
 		}
 	}
@@ -88,10 +99,10 @@ func TestShardedResultInvariantAcrossShardCounts(t *testing.T) {
 // TestRaceShardedCell runs one sharded grid cell with a metrics hub
 // attached — exercising the barrier coordinator's skew histogram, the
 // concurrent intern table and the publication of the shard tallies after
-// the window workers join — and demands the result
-// match an unsharded, uninstrumented run of the same windowed config. It
+// the window workers join — on four CPUs, and demands the result match an
+// uninstrumented one-CPU run of the same windowed config. It
 // is the -race tier's entry point for the sharded executor (the race
-// target's -run pattern matches "Sharded").
+// target's ten-fold -run pattern names it).
 func TestRaceShardedCell(t *testing.T) {
 	topo, err := Baseline.Generate(1000, 43)
 	if err != nil {
@@ -99,18 +110,19 @@ func TestRaceShardedCell(t *testing.T) {
 	}
 	cfg := DefaultExperiment(43)
 	cfg.Origins = 4
-	ref, err := RunCEvents(topo, shardedVariant(cfg, 1))
+	var ref, got *Result
+	withCPUs(1, func() { ref, err = RunCEvents(topo, shardedVariant(cfg)) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded := shardedVariant(cfg, 4)
+	sharded := shardedVariant(cfg)
 	sharded.Obs = NewObsMetrics()
-	got, err := RunCEvents(topo, sharded)
+	withCPUs(4, func() { got, err = RunCEvents(topo, sharded) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fingerprint(got) != fingerprint(ref) {
-		t.Fatalf("sharded instrumented cell diverges from unsharded:\nshards=1 %s\nshards=4 %s",
+		t.Fatalf("instrumented four-CPU cell diverges from the one-CPU run:\n1 CPU  %s\n4 CPUs %s",
 			fingerprint(ref), fingerprint(got))
 	}
 	snap := sharded.Obs.Snapshot()

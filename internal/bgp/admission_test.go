@@ -66,13 +66,13 @@ func TestAdmissionCompletionMatchesEvented(t *testing.T) {
 		if src.Bernoulli(0.2) {
 			cfg.MRAI = 0
 		}
-		w, parts := 50*des.Millisecond, 0
+		w, parts, workers := 50*des.Millisecond, 0, 0
 		if src.Bernoulli(0.5) {
 			w = []des.Time{des.Millisecond, 7 * des.Millisecond, 20 * des.Millisecond, 50 * des.Millisecond, 250 * des.Millisecond}[src.Intn(5)]
-			cfg.LinkDelay, cfg.Shards, parts = w, 1+src.Intn(4), 1+src.Intn(12)
+			cfg.LinkDelay, workers, parts = w, 1+src.Intn(4), 1+src.Intn(12)
 		}
 		name := fmt.Sprintf("case %d: %s n=%d seed=%#x wrate=%v scope=%v mrai=%v delay=%v parts=%d workers=%d",
-			c, sc.Name, n, seed, cfg.RateLimitWithdrawals, cfg.Scope, cfg.MRAI, cfg.LinkDelay, parts, cfg.Shards)
+			c, sc.Name, n, seed, cfg.RateLimitWithdrawals, cfg.Scope, cfg.MRAI, cfg.LinkDelay, parts, workers)
 		topo, err := sc.Generate(n, seed)
 		if err != nil {
 			// Some scenarios fix absolute node counts that small n cannot hold.
@@ -82,7 +82,7 @@ func TestAdmissionCompletionMatchesEvented(t *testing.T) {
 		}
 		ops := randomScript(src, topo, w)
 
-		evented, err := newNetwork(topo, cfg, parts)
+		evented, err := newNetwork(topo, cfg, parts, workers)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -90,7 +90,7 @@ func TestAdmissionCompletionMatchesEvented(t *testing.T) {
 		want, fired := replayEveryStep(t, evented, ops)
 		hookFired += fired
 
-		bare, err := newNetwork(topo, cfg, parts)
+		bare, err := newNetwork(topo, cfg, parts, workers)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -81,10 +81,10 @@ func TestCauseIsCounterWindow(t *testing.T) {
 			if src.Bernoulli(0.3) {
 				cfg.Scope = PerPrefix
 			}
-			w, parts := 50*des.Millisecond, 0
+			w, parts, workers := 50*des.Millisecond, 0, 0
 			if src.Bernoulli(0.5) {
 				w = []des.Time{des.Millisecond, 20 * des.Millisecond, 250 * des.Millisecond}[src.Intn(3)]
-				cfg.LinkDelay, cfg.Shards, parts = w, 1+src.Intn(4), 1+src.Intn(12)
+				cfg.LinkDelay, workers, parts = w, 1+src.Intn(4), 1+src.Intn(12)
 			}
 			topo, err := sc.Generate(n, seed)
 			if err != nil {
@@ -110,9 +110,9 @@ func TestCauseIsCounterWindow(t *testing.T) {
 			kind := kinds[src.Intn(len(kinds))]
 			origin := topology.NodeID(src.Intn(topo.N()))
 			name := fmt.Sprintf("case %d: %s n=%d seed=%#x wrate=%v scope=%v delay=%v parts=%d workers=%d cause=[%d,%d] of %d",
-				c, sc.Name, n, seed, cfg.RateLimitWithdrawals, cfg.Scope, cfg.LinkDelay, parts, cfg.Shards, open, end, len(ops))
+				c, sc.Name, n, seed, cfg.RateLimitWithdrawals, cfg.Scope, cfg.LinkDelay, parts, workers, open, end, len(ops))
 
-			net, err := newNetwork(topo, cfg, parts)
+			net, err := newNetwork(topo, cfg, parts, workers)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

@@ -10,7 +10,8 @@
 // send time) a Network is single-threaded and parallel experiments run one
 // Network per goroutine. With a positive LinkDelay the engine runs a
 // barrier-synchronized windowed executor that partitions the node array and
-// can run each window's partitions on Config.Shards worker goroutines — with
+// runs each window's partitions on a crew of worker goroutines, one per unit
+// of the process-wide core budget (des.Cores) it can take — with
 // byte-identical results at every worker and partition count (see DESIGN.md,
 // "Sharded DES").
 package bgp
@@ -63,17 +64,14 @@ type Config struct {
 	// at t+LinkDelay. Zero (the default, and the paper's model) admits
 	// updates at send time, preserving the historical single-threaded
 	// event order bit for bit. A positive LinkDelay switches the engine to
-	// the windowed executor whose results are invariant under Shards: the
-	// delay is the conservative lookahead that spaces the time barriers.
+	// the windowed executor, whose results are invariant under its worker
+	// and partition counts: the delay is the conservative lookahead that
+	// spaces the time barriers.
 	LinkDelay des.Time
-	// Shards is the number of worker goroutines a single run executes its
-	// windows on (0 or 1 = the calling goroutine alone; never more than
-	// GOMAXPROCS are started). The engine cuts the node array into its own,
-	// finer set of partitions and the workers claim them window by window.
-	// Values above 1 require a positive LinkDelay — the lookahead that
-	// makes parallel windows causally safe. Shards never affects results,
-	// only wall-clock, and is therefore excluded from the experiment cell
-	// cache key.
+	// Shards once set the windowed executor's worker count.
+	//
+	// Deprecated: ignored, the crew takes its workers from the core budget
+	// (des.Cores); kept only so benchmark/ compiles.
 	Shards int
 	// Seed drives all protocol randomness (jitter, processing delays,
 	// tie-break hashing).
@@ -128,10 +126,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("bgp: unknown MRAI scope %d", c.Scope)
 	case c.LinkDelay < 0:
 		return fmt.Errorf("bgp: negative LinkDelay")
-	case c.Shards < 0:
-		return fmt.Errorf("bgp: negative Shards")
-	case c.Shards > 1 && c.LinkDelay == 0:
-		return fmt.Errorf("bgp: Shards > 1 requires a positive LinkDelay (the conservative lookahead)")
 	}
 	return c.Dampening.validate()
 }

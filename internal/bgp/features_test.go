@@ -156,10 +156,14 @@ func TestSessionResetDropsInFlight(t *testing.T) {
 	for _, windowed := range []bool{false, true} {
 		cfg := DefaultConfig(7)
 		cfg.Scope, cfg.Check = PerPrefix, true
+		workers := 0
 		if windowed {
-			cfg.LinkDelay, cfg.Shards = 20*des.Millisecond, 2
+			cfg.LinkDelay, workers = 20*des.Millisecond, 2
 		}
-		net := MustNew(topo, cfg)
+		net, err := newNetwork(topo, cfg, 0, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
 		ja, jb, err := net.slots(a, b)
 		if err != nil {
 			t.Fatal(err)

@@ -19,7 +19,7 @@ import (
 // link failure/recovery (also with updates in flight on the failing
 // session) and MRAI=0. Each workload is recorded once per executor (inline,
 // windowed) and must be reproduced byte for byte — on the windowed executor
-// at 1 and 4 shards, and whatever the deprecated Config.CompactRIB says. The
+// by crews of 1 and 4 workers, and whatever the deprecated Config.CompactRIB says. The
 // files under testdata/golden were written while a second, slice-path RIB
 // engine still cross-checked them, at the commit before the kernel state was
 // re-laid-out — all but the link_flap_inflight pair, recorded by this engine
@@ -300,11 +300,14 @@ func TestFrozenGoldens(t *testing.T) {
 					cfg.CompactRIB = compact
 					cfg.Check = true
 					if windowed {
-						cfg.LinkDelay, cfg.Shards = goldenLinkDelay, shards
+						cfg.LinkDelay = goldenLinkDelay
 					}
 					t.Run(fmt.Sprintf("%s/%s/compact=%v/shards=%d", gc.name, executor, compact, shards), func(t *testing.T) {
 						var g goldenRecorder
-						net := MustNew(topo, cfg)
+						net, err := newNetwork(topo, cfg, 0, shards)
+						if err != nil {
+							t.Fatal(err)
+						}
 						gc.run(t, &g, net)
 						if err := net.CheckConsistency(); err != nil {
 							t.Fatal(err)
@@ -319,7 +322,6 @@ func TestFrozenGoldens(t *testing.T) {
 									t.Fatal(err)
 								}
 							}
-							var err error
 							if want, err = os.ReadFile(file); err != nil {
 								t.Fatal(err)
 							}

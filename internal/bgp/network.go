@@ -3,6 +3,7 @@ package bgp
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"time"
 
@@ -14,9 +15,9 @@ import (
 
 // Network is a running BGP simulation over a fixed topology. Construct with
 // New, originate or withdraw prefixes, then Run to quiescence. A Network is
-// not safe for concurrent use; run one per goroutine. (A Network with
-// Config.Shards > 1 uses multiple goroutines internally during Run, but its
-// public API remains single-caller.)
+// not safe for concurrent use; run one per goroutine. (A windowed Network
+// may run a crew of goroutines inside Run, but its public API remains
+// single-caller.)
 type Network struct {
 	topo *topology.Topology
 	// adj is the topology's shared CSR adjacency; every node's neighbor
@@ -29,12 +30,13 @@ type Network struct {
 	// shards partitions the node array into contiguous ranges, each with a
 	// private event queue and runtime counters (see netShard). The inline
 	// zero-LinkDelay engine always runs one shard; the windowed engine runs
-	// partitions(workerLimit, n) of them in barrier-synchronized lockstep
-	// on up to Config.Shards workers.
+	// partitions(GOMAXPROCS, n) of them in barrier-synchronized lockstep on
+	// a crew sized by the core budget (see runWindowed).
 	shards []*netShard
-	// forceParts, when positive, overrides the partition count (tests only:
-	// the public Shards values reach few distinct counts).
-	forceParts int
+	// forceParts and forceWorkers, when positive, override the partition
+	// count and fix the crew size outside the core budget (tests only: see
+	// newNetwork).
+	forceParts, forceWorkers int
 	// windowed selects the barrier-synchronized executor (LinkDelay > 0).
 	windowed bool
 	// partOf[i] is the index of the shard owning node i, so transmit can
@@ -117,18 +119,20 @@ type Network struct {
 // New builds the per-node protocol state for the topology. The topology
 // must be valid (see topology.Validate); New does not re-validate it.
 func New(topo *topology.Topology, cfg Config) (*Network, error) {
-	return newNetwork(topo, cfg, 0)
+	return newNetwork(topo, cfg, 0, 0)
 }
 
-// newNetwork is New with the windowed executor's partition count forced to
-// parts when positive (at most maxPartitions; ignored by the inline engine).
-// The count never affects results; the seam exists so tests can prove that
-// at counts the public Shards values do not reach.
-func newNetwork(topo *topology.Topology, cfg Config, parts int) (*Network, error) {
+// newNetwork is New with the windowed executor's crew fixed at workers and
+// its partition count forced to parts, each when positive (parts at most
+// maxPartitions, by default partitions(workers, n); both ignored by the
+// inline engine). A fixed crew takes nothing from the core budget. Neither
+// count affects results; the seam exists so tests can prove that at counts
+// the host's cores do not reach.
+func newNetwork(topo *topology.Topology, cfg Config, parts, workers int) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	net := &Network{cfg: cfg, forceParts: parts, intern: newInternTable()}
+	net := &Network{cfg: cfg, forceParts: parts, forceWorkers: workers, intern: newInternTable()}
 	if err := net.build(topo); err != nil {
 		return nil, err
 	}
@@ -165,7 +169,11 @@ func (net *Network) build(topo *topology.Topology) error {
 	net.windowed = net.cfg.LinkDelay > 0
 	s := 1
 	if net.windowed {
-		s = partitions(net.workerLimit(), topo.N())
+		workers := runtime.GOMAXPROCS(0)
+		if net.forceWorkers > 0 {
+			workers = net.forceWorkers
+		}
+		s = partitions(workers, topo.N())
 		if net.forceParts > 0 {
 			s = min(net.forceParts, maxPartitions)
 		}

@@ -104,17 +104,19 @@ func testPublishedAcrossRewinds(t *testing.T) {
 	published("after a detached Run")
 }
 
-// testPublishedWindowed: the same windowed C-event at Shards=4 and at
-// Shards=1 leaves the same counts in the hub.
+// testPublishedWindowed: the same windowed C-event on four workers and on
+// one leaves the same counts in the hub.
 func testPublishedWindowed(t *testing.T) {
 	withWorkerCPUs(t, 4)
 	topo := topology.MustGenerate(growTestParams(600, 73))
 	origin := multihomedStubs(t, topo, 1)[0]
-	run := func(shards int) *obs.Metrics {
+	run := func(workers int) *obs.Metrics {
 		cfg := DefaultConfig(3)
 		cfg.LinkDelay = des.Millisecond
-		cfg.Shards = shards
-		net := MustNew(topo, cfg)
+		net, err := newNetwork(topo, cfg, 0, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
 		m := obs.New()
 		net.SetObs(m)
 		windowedCEvent(net, origin)
@@ -134,14 +136,14 @@ func testPublishedWindowed(t *testing.T) {
 		{"barriers", one.Shards.Barriers, four.Shards.Barriers},
 	} {
 		if c.one.Value() != c.got.Value() {
-			t.Errorf("%s: Shards=4 published %d, Shards=1 %d", c.name, c.got.Value(), c.one.Value())
+			t.Errorf("%s: four workers published %d, one %d", c.name, c.got.Value(), c.one.Value())
 		}
 	}
 	if one.BGP.UpdatesProcessed.Value() == 0 {
 		t.Fatal("the windowed C-event processed no updates")
 	}
 	if four.Shards.CrossUpdates.Value() == 0 {
-		t.Fatal("Shards=4 exchanged no cross-partition updates")
+		t.Fatal("four workers exchanged no cross-partition updates")
 	}
 	// The coordinator observes the worker skew once per window.
 	for _, m := range []*obs.Metrics{one, four} {

@@ -7,9 +7,10 @@ package bgp
 // per receiving partition, the messages emitted in the previous window in
 // the canonical (arrival, sender, senderSeq) order and then runs that
 // partition to the window end. The node array is cut into more partitions
-// than there are workers (see partitions); Config.Shards worker goroutines
-// claim them one by one, heaviest first, so a light partition's worker picks
-// up the next one instead of idling at the barrier. Because every message
+// than there are cores (see partitions); a crew of worker goroutines, one per
+// unit of the core budget the run can take (see runWindowed), claims them one
+// by one, heaviest first, so a light partition's worker picks up the next one
+// instead of idling at the barrier. Because every message
 // takes exactly LinkDelay to propagate and windows never span more than W of
 // fired events (NextWindow rounds up to a multiple of W), nothing fired
 // inside a window can affect any partition before the following barrier,
@@ -145,10 +146,10 @@ type shardTally struct {
 // claim them dynamically bounds the stall by one small partition instead.
 // Finer is not free — outboxes are partitions², and every window pays a
 // scheduler peek and an admission pass per partition — so the factor is a
-// measured constant (DESIGN.md, "Sharded DES", has the table), not an
-// option. partMinNodes keeps small topologies from being cut into ranges
-// too small to amortize that per-partition cost, and maxPartitions is what
-// a partOf entry can name.
+// measured constant (HISTORY.md has the table), not an option. partMinNodes
+// keeps small topologies from being cut into ranges too small to amortize
+// that per-partition cost, and maxPartitions is what a partOf entry can
+// name.
 const (
 	partsPerWorker = 8
 	partMinNodes   = 64
@@ -156,8 +157,9 @@ const (
 )
 
 // partitions returns the number of node ranges a windowed network of n nodes
-// run by the given number of workers is cut into. A single worker has no
-// barrier to stall at: one worker, one partition.
+// is cut into when at most the given number of workers run it (build passes
+// GOMAXPROCS). A single worker has no barrier to stall at: one worker, one
+// partition.
 func partitions(workers, n int) int {
 	if workers <= 1 {
 		return 1
@@ -165,29 +167,16 @@ func partitions(workers, n int) int {
 	return max(1, min(partsPerWorker*workers, n/partMinNodes, maxPartitions))
 }
 
-// workerLimit returns how many window workers this network may use:
-// Config.Shards, but never more than there are CPUs to run them. (Race-
-// instrumented builds ignore the CPU count so the race tier exercises the
-// concurrent paths, and the partition counts they imply, on any host.)
-func (net *Network) workerLimit() int {
-	k := max(net.cfg.Shards, 1)
-	if !raceEnabled {
-		k = min(k, runtime.GOMAXPROCS(0))
-	}
-	return k
-}
-
-// windowWorkers returns how many goroutines execute a window: workerLimit,
-// bounded by the partitions there are to claim.
-func (net *Network) windowWorkers() int {
-	return min(net.workerLimit(), len(net.shards))
-}
-
 // runWindowed is the barrier-synchronized executor. Each iteration is one
 // window: bound the earliest pending event from below, fix the window end,
 // and have the workers admit-then-run every partition to it — one release
 // and one join per window. A negative deadline means run to quiescence.
 // Returns the number of events fired.
+//
+// The crew is the caller plus one worker per unit the core budget grants
+// while a core is idle, up to the partition count and GOMAXPROCS (a caller
+// outside the budget holds no unit of its own). It never waits for a unit,
+// and it gives back every unit it took when the run returns.
 //
 // Outboxes are double-buffered by window parity: a window reads the
 // generation the previous one wrote and writes the other, so a worker may
@@ -201,7 +190,18 @@ func (net *Network) windowWorkers() int {
 func (net *Network) runWindowed(deadline des.Time) uint64 {
 	// A crew of one is the caller alone: no goroutine, and a join that has
 	// nothing to wait for.
-	k := net.windowWorkers()
+	k := min(net.forceWorkers, len(net.shards))
+	if k <= 0 {
+		k = 1
+		for k < min(len(net.shards), runtime.GOMAXPROCS(0)) && des.Cores.TryAcquire() {
+			k++
+		}
+		defer func(took int) {
+			for range took {
+				des.Cores.Release()
+			}
+		}(k - 1)
+	}
 	crew := des.StartCrew(k, len(net.shards), net.windowTask)
 	defer crew.Stop()
 	m := net.obs

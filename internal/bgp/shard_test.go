@@ -17,15 +17,16 @@ import (
 
 // Tests of the windowed executor proper: that neither the partition count
 // nor the worker count can be observed in any result, at deadlines as well
-// as at quiescence, and that a Run costs a fixed number of allocations and
-// leaves no goroutine behind. The public Config.Shards values reach only a
-// few partition counts (partitions), so these tests go through newNetwork.
+// as at quiescence, that a Run costs a fixed number of allocations and
+// leaves no goroutine behind, and that its crew draws on the core budget. The
+// host's cores reach only a few partition counts and crew sizes (partitions),
+// so most of these tests fix both through newNetwork.
 
 var partitionCases = flag.Int("partition-cases", 40,
 	"random cases TestPartitionInvariance runs (the executor's acceptance run is 1000+)")
 
-// withWorkerCPUs lets non-race builds start real crews on small hosts: the
-// executor never runs more workers than GOMAXPROCS.
+// withWorkerCPUs sets GOMAXPROCS for the test: the core budget, the
+// partition count and the crew's choice to poll before it parks read it.
 func withWorkerCPUs(t *testing.T, n int) {
 	prev := runtime.GOMAXPROCS(n)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
@@ -191,14 +192,13 @@ func TestPartitionInvariance(t *testing.T) {
 		}
 		ops := randomScript(src, topo, cfg.LinkDelay)
 
-		ref, err := newNetwork(topo, cfg, 1)
+		ref, err := newNetwork(topo, cfg, 1, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		want := replay(t, ref, ops)
 
-		cfg.Shards = workers
-		net, err := newNetwork(topo, cfg, parts)
+		net, err := newNetwork(topo, cfg, parts, workers)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -225,8 +225,7 @@ func TestWindowedDeadlineInvariance(t *testing.T) {
 	run := func(parts, workers int) []byte {
 		cfg := WRATEConfig(17)
 		cfg.LinkDelay = 20 * des.Millisecond
-		cfg.Shards = workers
-		net, err := newNetwork(topo, cfg, parts)
+		net, err := newNetwork(topo, cfg, parts, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,11 +298,11 @@ func TestWindowedSteadyStateZeroAlloc(t *testing.T) {
 	withWorkerCPUs(t, 4)
 	topo := topology.MustGenerate(growTestParams(600, 9))
 	origin := multihomedStubs(t, topo, 1)[0]
-	for _, workers := range []int{1, 3} {
+	// Zero workers: the crew the idle core budget grants, four at GOMAXPROCS 4.
+	for _, workers := range []int{1, 3, 0} {
 		cfg := DefaultConfig(3)
 		cfg.LinkDelay = des.Millisecond
-		cfg.Shards = workers
-		net, err := newNetwork(topo, cfg, 9)
+		net, err := newNetwork(topo, cfg, 9, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,32 +335,94 @@ func TestWindowedSteadyStateZeroAlloc(t *testing.T) {
 		allocs := after.Mallocs - before.Mallocs
 		// Five Run/Settle calls, each starting one crew: the Crew, the task
 		// method value and a goroutine per extra worker.
-		if budget := uint64(5 * (4 + 2*workers)); allocs > budget {
+		crew := workers
+		if crew == 0 {
+			crew = 4
+		}
+		if budget := uint64(5 * (4 + 2*crew)); allocs > budget {
 			t.Errorf("workers=%d: %d allocations over %v windows, budget %d (independent of the window count)", workers, allocs, windows, budget)
 		}
 	}
 }
 
+// crewRun runs fn and returns the size of the largest crew it started: the
+// caller plus the units its crews took, read from the core budget's
+// high-water mark. It fails the test unless every unit came back.
+func crewRun(t *testing.T, fn func()) int {
+	t.Helper()
+	held, _ := des.Cores.Held()
+	des.Cores.ResetPeak()
+	fn()
+	after, peak := des.Cores.Held()
+	if after != held {
+		t.Fatalf("%d units held before the run, %d after", held, after)
+	}
+	return 1 + peak - held
+}
+
+// TestWindowedCrewTakesIdleUnits checks how a windowed Run sizes its crew at
+// GOMAXPROCS 4: the caller plus one worker per unit of the core budget it
+// can take while a core is idle, up to the partition count and GOMAXPROCS,
+// with every unit back once the Run returns. Each case holds units first, as
+// the caller's own cell (origin worker 0) and other cells would.
+func TestWindowedCrewTakesIdleUnits(t *testing.T) {
+	withWorkerCPUs(t, 4)
+	for _, c := range []struct {
+		n, held, want int
+	}{
+		{400, 4, 1}, // every unit taken: the caller alone
+		{400, 5, 1}, // over-subscribed
+		{400, 3, 2},
+		{400, 2, 3},
+		{400, 1, 4}, // only the caller's own unit held: three idle
+		{400, 0, 4}, // a caller outside the budget still runs GOMAXPROCS
+		{150, 1, 2}, // two partitions
+	} {
+		func() {
+			topo := topology.MustGenerate(growTestParams(c.n, 5))
+			origin := multihomedStubs(t, topo, 1)[0]
+			cfg := DefaultConfig(1)
+			cfg.LinkDelay = 10 * des.Millisecond
+			net := MustNew(topo, cfg)
+			net.SetObs(obs.New()) // busy then has one entry per crew member
+			for i := 0; i < c.held; i++ {
+				des.Cores.Acquire()
+				defer des.Cores.Release()
+			}
+			got := crewRun(t, func() {
+				net.Originate(origin, 1)
+				net.Run()
+			})
+			if got != c.want || len(net.busy) != c.want {
+				t.Errorf("n=%d (%d partitions), %d units held: crew of %d (%d timed), want %d",
+					c.n, len(net.shards), c.held, got, len(net.busy), c.want)
+			}
+		}()
+	}
+}
+
 // TestWindowedRunLeavesNoGoroutines checks that the crew of every Run,
-// RunUntil and Settle is joined before the call returns.
+// RunUntil and Settle is joined, and its units returned, before the call
+// returns.
 func TestWindowedRunLeavesNoGoroutines(t *testing.T) {
 	withWorkerCPUs(t, 4)
 	topo := topology.MustGenerate(growTestParams(400, 5))
 	origin := multihomedStubs(t, topo, 1)[0]
 	cfg := DefaultConfig(1)
 	cfg.LinkDelay = 10 * des.Millisecond
-	cfg.Shards = 4
-	net, err := newNetwork(topo, cfg, 12)
+	net, err := newNetwork(topo, cfg, 12, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := net.windowWorkers(); got != 4 {
-		t.Fatalf("network runs %d workers, want 4", got)
-	}
 	before := runtime.NumGoroutine()
-	net.Originate(origin, 1)
-	net.RunUntil(35 * des.Millisecond) // mid-flight deadline
-	windowedCEvent(net, origin)
+	crew := crewRun(t, func() {
+		net.Originate(origin, 1)
+		net.RunUntil(35 * des.Millisecond) // mid-flight deadline
+		windowedCEvent(net, origin)
+	})
+	if crew != 4 {
+		t.Fatalf("network ran %d workers on an idle budget, want 4", crew)
+	}
 	// The calls above have joined their workers; the loop only covers the
 	// instant between a goroutine's last statement and the runtime retiring
 	// it.

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"bgpchurn/internal/des"
 	"bgpchurn/internal/obs"
 	"bgpchurn/internal/scenario"
 	"bgpchurn/internal/topology"
@@ -19,23 +20,9 @@ import (
 // The core-budget tests read and reset the process-wide budget, so none of
 // them may run in parallel with other tests of this package.
 
-// resetPeak starts a new high-water measurement at the units held now.
-func resetPeak() {
-	cores.mu.Lock()
-	cores.peak = cores.held
-	cores.mu.Unlock()
-}
-
-// budgetState returns the units held and the high-water mark since resetPeak.
-func budgetState() (held, peak int) {
-	cores.mu.Lock()
-	defer cores.mu.Unlock()
-	return cores.held, cores.peak
-}
-
 func assertBudgetIdle(t *testing.T, after string) {
 	t.Helper()
-	if held, _ := budgetState(); held != 0 {
+	if held, _ := des.Cores.Held(); held != 0 {
 		t.Fatalf("after %s the budget still holds %d units", after, held)
 	}
 }
@@ -52,32 +39,42 @@ func budgetGrid(parallelism int) []GridRequest {
 }
 
 // TestCoreBudgetGridHighWater runs a grid on two cell workers with
-// Parallelism 0 on two cores: units held never exceed GOMAXPROCS plus the
+// Parallelism 0 on two cores, on the inline and on the windowed executor,
+// whose crews take units too: units held never exceed GOMAXPROCS plus the
 // cell workers minus one (the helpers that have not reached their yield
 // boundary yet; DESIGN.md, "Core budget"), and the results equal a
 // one-worker-per-cell run.
 func TestCoreBudgetGridHighWater(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	const cellWorkers = 2
-	resetPeak()
-	got, err := NewScheduler(cellWorkers).RunGrid(context.Background(), budgetGrid(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, peak := budgetState()
-	t.Logf("budget high-water mark: %d units", peak)
-	assertBudgetIdle(t, "a grid")
-	if bound := runtime.GOMAXPROCS(0) + cellWorkers - 1; peak > bound {
-		t.Fatalf("budget high-water mark %d exceeds GOMAXPROCS + cell workers - 1 = %d", peak, bound)
-	}
-	want, err := NewScheduler(cellWorkers).RunGrid(context.Background(), budgetGrid(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		for j := range want[i].Points {
-			if !reflect.DeepEqual(got[i].Points[j], want[i].Points[j]) {
-				t.Fatalf("%s n=%d: Parallelism 0 result differs from Parallelism 1", want[i].Scenario, want[i].Points[j].N)
+	for _, linkDelay := range []des.Time{0, 10 * des.Millisecond} {
+		grid := func(parallelism int) []GridRequest {
+			reqs := budgetGrid(parallelism)
+			for i := range reqs {
+				reqs[i].Event.BGP.LinkDelay = linkDelay
+			}
+			return reqs
+		}
+		des.Cores.ResetPeak()
+		got, err := NewScheduler(cellWorkers).RunGrid(context.Background(), grid(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, peak := des.Cores.Held()
+		t.Logf("link delay %v: budget high-water mark %d units", linkDelay, peak)
+		assertBudgetIdle(t, "a grid")
+		if bound := runtime.GOMAXPROCS(0) + cellWorkers - 1; peak > bound {
+			t.Fatalf("link delay %v: budget high-water mark %d exceeds GOMAXPROCS + cell workers - 1 = %d", linkDelay, peak, bound)
+		}
+		want, err := NewScheduler(cellWorkers).RunGrid(context.Background(), grid(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			for j := range want[i].Points {
+				if !reflect.DeepEqual(got[i].Points[j], want[i].Points[j]) {
+					t.Fatalf("link delay %v, %s n=%d: Parallelism 0 result differs from Parallelism 1", linkDelay, want[i].Scenario, want[i].Points[j].N)
+				}
 			}
 		}
 	}
@@ -95,15 +92,15 @@ func TestCoreBudgetHelpers(t *testing.T) {
 	run := func(procs, preheld int) (res *Result, workers int) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		for i := 0; i < preheld; i++ {
-			cores.acquire()
-			defer cores.release()
+			des.Cores.Acquire()
+			defer des.Cores.Release()
 		}
-		resetPeak()
+		des.Cores.ResetPeak()
 		res, err := RunCEvents(topo, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, peak := budgetState()
+		_, peak := des.Cores.Held()
 		return res, peak - preheld
 	}
 	idle, workers := run(2, 0)
@@ -153,13 +150,13 @@ func TestCoreBudgetHelperYields(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		if !taken {
-			cores.acquire() // another cell starts: more units held than cores
+			des.Cores.Acquire() // another cell starts: more units held than cores
 			taken = true
 			return
 		}
 		after[goroutineID()]++
 	})
-	defer cores.release()
+	defer des.Cores.Release()
 	worker0 := goroutineID()
 	if _, err := RunCEvents(topo, cfg); err != nil {
 		t.Fatal(err)

@@ -64,8 +64,10 @@ type Config struct {
 	// simulating on its own Network. 0 runs one worker plus helpers that
 	// join while the process-wide core budget has an idle core and leave
 	// when it is over-subscribed, so concurrent cells share GOMAXPROCS
-	// instead of multiplying it (DESIGN.md, "Core budget"). Results are
-	// independent of this value.
+	// instead of multiplying it (DESIGN.md, "Core budget"). A windowed
+	// Network's crew takes idle cores from the same budget, so with a
+	// positive BGP.LinkDelay, 1 leaves the spare cores to the crews. Results
+	// are independent of this value.
 	Parallelism int
 	// Kind selects the routing event (default: CEvent).
 	Kind EventKind
@@ -253,7 +255,7 @@ func RunCEventsContext(ctx context.Context, topo *topology.Topology, cfg Config)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer cores.release()
+			defer des.Cores.Release()
 			defer func() {
 				if r := recover(); r != nil {
 					claimed.Store(int64(len(origins)))
@@ -285,10 +287,10 @@ func RunCEventsContext(ctx context.Context, topo *topology.Topology, cfg Config)
 			// core budget is over-subscribed, and any worker recruits a
 			// helper while a core is idle and it would have an origin to run.
 			if cfg.Parallelism <= 0 {
-				if helper && cores.over() {
+				if helper && des.Cores.Over() {
 					return
 				}
-				if len(origins)-int(claimed.Load()) >= 2 && cores.tryAcquire() {
+				if len(origins)-int(claimed.Load()) >= 2 && des.Cores.TryAcquire() {
 					spawn(true)
 				}
 			}
@@ -305,8 +307,8 @@ func RunCEventsContext(ctx context.Context, topo *topology.Topology, cfg Config)
 
 	// The calling goroutine is origin worker 0 and holds one budget unit for
 	// the whole experiment; a fixed Parallelism starts the rest up front.
-	cores.acquire()
-	defer cores.release()
+	des.Cores.Acquire()
+	defer des.Cores.Release()
 	defer func() {
 		// On a panic in worker 0 or re-raised from a spawned worker
 		// (recovered by the scheduler as a cell fault), leave the others no
@@ -315,7 +317,7 @@ func RunCEventsContext(ctx context.Context, topo *topology.Topology, cfg Config)
 		wg.Wait()
 	}()
 	for w := 1; w < min(cfg.Parallelism, len(origins)); w++ {
-		cores.acquire()
+		des.Cores.Acquire()
 		spawn(false)
 	}
 	work(false)

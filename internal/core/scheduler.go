@@ -26,11 +26,9 @@ import (
 // determinism tier proves it for the attachments) — so the same experiment
 // requested at different worker counts or probe settings still hits the
 // cache. CellTimeout is excluded for the same reason: a deadline decides
-// whether a result arrives, never what it is. So is bgp.Config.Shards: the
-// sharded executor is byte-identical at every shard count (the determinism
-// tier enforces it), so cells dedupe across shard counts — but LinkDelay
-// stays in the key, because the propagation latency does change results.
-// bgp.Config.CompactRIB, which the engine ignores, is zeroed too.
+// whether a result arrives, never what it is. LinkDelay stays in the key,
+// because the propagation latency does change results; bgp.Config.Shards
+// and CompactRIB, which the engine ignores, are zeroed.
 // Scenario names are unique across the package, which makes the name a
 // faithful stand-in for the (unexported) parameter transform.
 type CellKey struct {
@@ -835,8 +833,8 @@ func (s *Scheduler) computeOnce(ctx context.Context, key CellKey, sc scenario.Sc
 		}
 	}()
 	topo, err := func() (*topology.Topology, error) {
-		cores.acquire()
-		defer cores.release()
+		des.Cores.Acquire()
+		defer des.Cores.Release()
 		return s.generate(sc, n, seed)
 	}()
 	if err == nil {

@@ -108,9 +108,9 @@ func TestGridSharedSweepComputedOnce(t *testing.T) {
 }
 
 func TestShardCountExcludedFromCacheKey(t *testing.T) {
-	// Results are shard-count invariant, so cells differing only in
-	// BGP.Shards must dedupe to one cache entry — while LinkDelay, a model
-	// parameter, must keep distinct cells distinct.
+	// The engine ignores BGP.Shards, so cells differing only in it must
+	// dedupe to one cache entry — while LinkDelay, a model parameter, must
+	// keep distinct cells distinct.
 	ev := testConfig(5, 3)
 	ev.BGP.LinkDelay = 10 * des.Millisecond
 	sharded := ev

@@ -38,9 +38,10 @@ func NextWindow(tmin, width Time) Time {
 // tens of microseconds away — the coordinator's serial section, or the tail
 // of the last task — which is what parking and waking a goroutine costs, so
 // polling that long first saves the round trip when the wait is short and
-// at most doubles it when it is long. A crew larger than the machine does
-// not poll at all: its waiting members would hold the CPUs the working ones
-// need (the race tier runs 8 members on 2 CPUs).
+// at most doubles it when it is long. A crew larger than the machine — than
+// GOMAXPROCS or than the CPUs the process may run on, whichever is fewer —
+// does not poll at all: its waiting members would hold the CPUs the working
+// ones need (the determinism tier runs 8 members at GOMAXPROCS 8 on 2 CPUs).
 const crewSpin = 30000
 
 // Crew is a fixed set of workers that repeatedly execute a phase of n
@@ -83,7 +84,7 @@ type Crew struct {
 // returns. Every StartCrew must be paired with a Stop.
 func StartCrew(workers, n int, task func(worker, i int)) *Crew {
 	c := &Crew{task: task, n: n}
-	if workers <= runtime.GOMAXPROCS(0) {
+	if workers <= min(runtime.GOMAXPROCS(0), runtime.NumCPU()) {
 		c.spin = crewSpin
 	}
 	c.cond.L = &c.mu

@@ -82,12 +82,10 @@ func (s *Server) nextCellLocked() *cellRun {
 func (s *Server) runCell(c *cellRun) {
 	j := c.job
 	j.broker.Publish("cell", CellView{Scenario: c.scenario.Name, N: c.n, State: cellRunning})
-	start := time.Now()
 	cs := s.sched.Cell(j.ctx, c.scenario, c.n, j.seed, j.event)
-	elapsed := time.Since(start)
 
 	s.mu.Lock()
-	c.elapsed = elapsed
+	c.elapsed = cs.Elapsed
 	// Provenance is what the scheduler did for this call: computed, cached,
 	// resumed, failed, quarantined or cancelled.
 	c.detail = cs.State.String()

@@ -73,7 +73,7 @@ type cellRun struct {
 	detail   string // compute provenance: computed/cached/resumed/failed/quarantined/cancelled
 	res      *core.Result
 	errMsg   string
-	elapsed  time.Duration
+	elapsed  time.Duration // the scheduler's CellStatus.Elapsed
 }
 
 // tenant groups a client's active jobs for weighted round-robin dispatch.
@@ -305,17 +305,14 @@ func (j *Job) viewLocked(withCells bool) JobView {
 	for _, c := range j.cells {
 		v.Counts[c.state]++
 		if withCells {
-			cv := CellView{
-				Scenario: c.scenario.Name,
-				N:        c.n,
-				State:    c.state,
-				Detail:   c.detail,
-				Err:      c.errMsg,
-			}
-			if c.elapsed > 0 {
-				cv.ElapsedMS = float64(c.elapsed) / float64(time.Millisecond)
-			}
-			v.Cells = append(v.Cells, cv)
+			v.Cells = append(v.Cells, CellView{
+				Scenario:  c.scenario.Name,
+				N:         c.n,
+				State:     c.state,
+				Detail:    c.detail,
+				ElapsedMS: float64(c.elapsed) / float64(time.Millisecond),
+				Err:       c.errMsg,
+			})
 		}
 	}
 	return v

@@ -145,20 +145,22 @@ func TestCompactEngineEquivalentAcrossScenarios(t *testing.T) {
 
 // TestShardedSweepEquivalentAcrossScenarios sweeps every growth model at
 // n ∈ {1000, 3000} on the windowed executor and demands byte-identical
-// results and U(X) CSV artifacts for shards ∈ {1, 2, 4, 8}. The shards=1
-// sweep is the reference.
+// results and U(X) CSV artifacts at 1, 2, 4 and 8 CPUs. The one-CPU sweep is
+// the reference. The scenarios run one after another: GOMAXPROCS is
+// process-wide.
 func TestShardedSweepEquivalentAcrossScenarios(t *testing.T) {
 	sizes := []int{1000, 3000}
 	for _, sc := range Scenarios() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			t.Parallel()
-			ev := DefaultExperiment(7)
+			ev := shardedVariant(DefaultExperiment(7))
 			ev.Origins = 4
 			var wantFP string
 			var wantCSV []byte
-			for _, shards := range shardCounts {
-				sw, err := Sweep(sc, SweepConfig{Sizes: sizes, TopologySeed: 7, Event: shardedVariant(ev, shards)})
+			for _, cpus := range cpuCounts {
+				var sw *SweepResult
+				var err error
+				withCPUs(cpus, func() { sw, err = Sweep(sc, SweepConfig{Sizes: sizes, TopologySeed: 7, Event: ev}) })
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -168,10 +170,10 @@ func TestShardedSweepEquivalentAcrossScenarios(t *testing.T) {
 					continue
 				}
 				if fp != wantFP {
-					t.Fatalf("shards=%d diverges:\nwant %s\ngot  %s", shards, wantFP, fp)
+					t.Fatalf("%d CPUs diverge:\nwant %s\ngot  %s", cpus, wantFP, fp)
 				}
 				if !bytes.Equal(csv, wantCSV) {
-					t.Fatalf("shards=%d U(X) CSV differs:\nwant:\n%s\ngot:\n%s", shards, wantCSV, csv)
+					t.Fatalf("%d CPUs: U(X) CSV differs:\nwant:\n%s\ngot:\n%s", cpus, wantCSV, csv)
 				}
 			}
 		})
