@@ -92,7 +92,9 @@ fuzz-smoke:
 #     SIGKILLs mid-grid, and requires a restart on the same journal to
 #     recover the checkpointed cells and serve a byte-identical CSV;
 #   - sse_smoke.sh streams /progress from a live cmd/experiments -fast grid
-#     and a two-cell churnd job, and asserts the SSE framing.
+#     and a two-cell churnd job, and asserts the SSE framing; then the
+#     finished job's own /jobs/{id}/stream, which must answer 200 with the
+#     terminal job event.
 smoke:
 	./scripts/resume_smoke.sh
 	./scripts/churnd_smoke.sh

@@ -86,8 +86,7 @@ func GenerateTopology(p TopologyParams) (*Topology, error) { return topology.Gen
 // without regenerating it: every pre-existing node keeps its ID, type,
 // regions and links, and new nodes attach preferentially exactly as the
 // generator would attach them. Size sweeps can thus reuse structure across
-// sizes (and reuse the protocol engine's interned paths via Network.Grow)
-// instead of rebuilding each point from scratch. The source is not
+// sizes instead of rebuilding each point from scratch. The source is not
 // modified. Scenario.Params with a fixed seed yields growth-compatible
 // parameter sets across sizes.
 func GrowTopology(t *Topology, p TopologyParams) (*Topology, error) { return topology.Grow(t, p) }

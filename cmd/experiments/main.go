@@ -202,9 +202,10 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	// An unknown scenario, an impossible size or a negative count or
-	// duration is rejected before any file is created, as is a protocol
-	// configuration no cell can run (e.g. a negative -link-delay).
+	// An unknown scenario, an impossible size, a negative count or
+	// duration or an unknown log format is rejected before any file is
+	// created, as is a protocol configuration no cell can run (e.g. a
+	// negative -link-delay).
 	sc, err := bgpchurn.ScenarioByName(*scName)
 	if err != nil {
 		return fail(err)
@@ -240,6 +241,10 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		if err := cfg.BGP.Validate(); err != nil {
 			return fail(err)
 		}
+	}
+	logCell, err := report.NewCellLogger(stdout, *logFormat)
+	if err != nil {
+		return fail(err)
 	}
 
 	if *cpuprof != "" {
@@ -306,10 +311,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stdout, "resume: dropped a torn final journal line (crash mid-append); that cell will be recomputed\n")
 			}
 		}
-	}
-	logCell, err := report.NewCellLogger(stdout, *logFormat)
-	if err != nil {
-		return fail(err)
 	}
 	r.sched.SubscribeCells(func(cs bgpchurn.CellStatus) {
 		r.recordCell(cs)

@@ -369,6 +369,7 @@ func TestRunExitCodes(t *testing.T) {
 		{[]string{"-fig", "table1", "-parallel", "-3"}, "-parallel must be non-negative, got -3"},
 		{[]string{"-fig", "table1", "-retries", "-1"}, "-retries must be non-negative, got -1"},
 		{[]string{"-fig", "table1", "-cell-timeout", "-1s"}, "-cell-timeout must be non-negative, got -1s"},
+		{[]string{"-fig", "table1", "-log-format", "xml"}, "unknown log format \"xml\""},
 	} {
 		stdout.Reset()
 		stderr.Reset()

@@ -57,6 +57,21 @@ func fanTopoStubs(m, stubs int) *topology.Topology {
 	return benchTopo(types, transit, nil)
 }
 
+// baselineParams returns a baseline-shaped parameter set at size n with a
+// five-node tier-1 clique.
+func baselineParams(n int, seed uint64) topology.Params {
+	fn := float64(n)
+	nT, nM, nCP := 5, int(0.15*fn), int(0.05*fn)
+	return topology.Params{
+		N: n, Regions: 5, Seed: seed,
+		NT: nT, NM: nM, NCP: nCP, NC: n - nT - nM - nCP,
+		DM: 2.5, DCP: 2, DC: 1.2, PM: 1, PCPM: 0.3, PCPCP: 0.1,
+		TM: 0.375, TCP: 0.375, TC: 0.125,
+		MaxTProvidersPerM: topology.Unlimited, MaxMProviders: topology.Unlimited,
+		MSpread: 0.20, CPSpread: 0.05,
+	}
+}
+
 const benchPrefix Prefix = 1
 
 // steadyNet returns a converged MRAI-0 network on fanTopo(8) with the

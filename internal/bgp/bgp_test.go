@@ -476,12 +476,7 @@ func TestPathHelpers(t *testing.T) {
 	if !p.Contains(2) || p.Contains(9) {
 		t.Fatal("Contains broken")
 	}
-	q := p.Clone()
-	q[0] = 9
-	if p[0] != 3 {
-		t.Fatal("Clone aliases")
-	}
-	if p.Equal(q) || !p.Equal(Path{3, 2, 1}) {
+	if p.Equal(Path{9, 2, 1}) || p.Equal(Path{3, 2}) || !p.Equal(Path{3, 2, 1}) {
 		t.Fatal("Equal broken")
 	}
 	if got := p.Prepend(4); !got.Equal(Path{4, 3, 2, 1}) {
@@ -489,9 +484,6 @@ func TestPathHelpers(t *testing.T) {
 	}
 	if p.String() != "3 2 1" {
 		t.Fatalf("String = %q", p.String())
-	}
-	if Path(nil).Clone() != nil {
-		t.Fatal("nil Clone not nil")
 	}
 	if PerInterface.String() != "per-interface" || PerPrefix.String() != "per-prefix" {
 		t.Fatal("scope strings")

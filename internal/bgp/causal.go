@@ -252,7 +252,7 @@ func (net *Network) BeginCause(kind CauseKind, origin topology.NodeID) CauseID {
 // receive counts that grew (typeCells), and the shards' kind counts folded
 // into the four update classes. Call it at quiescence (after Run); the zero
 // value is returned when no cause is open — none was begun, or a counter
-// reset (ResetCounters, Reset, Grow) discarded it.
+// reset (ResetCounters, Reset) discarded it.
 func (net *Network) EndCause() EventAttribution {
 	c := &net.cause
 	if c.id == 0 {
@@ -286,7 +286,7 @@ func (net *Network) EndCause() EventAttribution {
 }
 
 // Attribution returns the Eq.-1 cells of the whole measurement window, every
-// update received since the last counter reset (ResetCounters, Reset, Grow):
+// update received since the last counter reset (ResetCounters, Reset):
 // the same cells and arithmetic as an event's, from a zero baseline. Call it
 // at quiescence.
 func (net *Network) Attribution() [4]TypeAttribution {

@@ -150,7 +150,7 @@ func TestLinkEventsDuringMRAIConvergence(t *testing.T) {
 // consistent. PerPrefix scope lets each prefix go out at once instead of
 // behind the first one's MRAI timer.
 func TestSessionResetDropsInFlight(t *testing.T) {
-	topo := topology.MustGenerate(growTestParams(300, 7))
+	topo := topology.MustGenerate(baselineParams(300, 7))
 	a := multihomedStubs(t, topo, 1)[0]
 	b := topo.Nodes[a].Providers[0]
 	for _, windowed := range []bool{false, true} {

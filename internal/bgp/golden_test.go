@@ -281,7 +281,7 @@ var goldenCases = []goldenCase{
 }
 
 func TestFrozenGoldens(t *testing.T) {
-	topo := topology.MustGenerate(growTestParams(500, 77))
+	topo := topology.MustGenerate(baselineParams(500, 77))
 	for _, gc := range goldenCases {
 		for _, windowed := range []bool{false, true} {
 			executor, shardCounts := "inline", []int{1}

@@ -182,7 +182,7 @@ func permuteTopology(t *topology.Topology, perm []topology.NodeID) *topology.Top
 // The two runs keep the names the test ledgers outside the repository know
 // them by: compact=true is the one with the RIB invariant checker on.
 func TestRelabelingIsomorphismInvariance(t *testing.T) {
-	base := topology.MustGenerate(growTestParams(400, 71))
+	base := topology.MustGenerate(baselineParams(400, 71))
 	n := base.N()
 	perm := make([]topology.NodeID, n)
 	for i := range perm {

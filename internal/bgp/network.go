@@ -85,9 +85,9 @@ type Network struct {
 	salt uint64
 
 	// intern is the path intern table: every AS path the engine holds is an
-	// entry of it. It survives Reset and Grow: the distinct paths of one
-	// topology recur across events, and PathIDs handed out earlier stay
-	// valid (see PathID). All shards share it (mutex writers, lock-free
+	// entry of it. It survives Reset: the distinct paths of one topology
+	// recur across events, and PathIDs handed out earlier stay valid (see
+	// PathID). All shards share it (mutex writers, lock-free
 	// readers; see intern.go).
 	intern *internTable
 
@@ -140,13 +140,11 @@ func newNetwork(topo *topology.Topology, cfg Config, parts, workers int) (*Netwo
 	return net, nil
 }
 
-// build (re)creates the structural wiring for topo: the shard array, the
-// node array and the flat per-session state blocks, with every node's
+// build creates the structural wiring for topo: the shard array, the node
+// array and the flat per-session state blocks, with every node's
 // per-neighbor state a row of a shared flat array (the topology's CSR block
-// or this network's own session arrays). It is the structural half of construction,
-// shared by New and Grow; runtime state is initialized separately by reinit.
-// The intern table is not touched — interned paths are content-addressed and
-// node IDs survive growth, so existing PathIDs stay valid (see PathID).
+// or this network's own session arrays). It is the structural half of New;
+// runtime state is initialized separately by reinit.
 func (net *Network) build(topo *topology.Topology) error {
 	adj := topo.CSR()
 	if !adj.Symmetric() {
@@ -186,7 +184,6 @@ func (net *Network) build(topo *topology.Topology) error {
 		net.shards[k] = &netShard{net: net, idx: k, outq: net.outq[lo:hi]}
 		net.order[k] = int32(k)
 	}
-	net.partOf = nil
 	if net.windowed {
 		net.partOf = make([]uint8, topo.N())
 		net.outbox = [2][][]wireMsg{make([][]wireMsg, s*s), make([][]wireMsg, s*s)}
@@ -216,33 +213,6 @@ func (net *Network) build(topo *topology.Topology) error {
 	return nil
 }
 
-// Grow rewires the network onto a grown topology (see topology.Grow) and
-// reinitializes it from seed, preserving the Config, the attached hub and
-// the path intern table, whose entries remain valid because growth
-// preserves node IDs. Grow and Reset share the same
-// reinitialization path (reinit), so a grown network is observably identical
-// to one freshly built with New(topo, cfg-with-seed): the grow-then-reset
-// regression test pins that equivalence. The topology must contain at least
-// as many nodes as the current one, with the existing prefix unchanged.
-func (net *Network) Grow(topo *topology.Topology, seed uint64) error {
-	old := net.topo
-	if topo.N() < old.N() {
-		return fmt.Errorf("bgp: Grow to %d nodes from %d — topologies only grow", topo.N(), old.N())
-	}
-	for i := range old.Nodes {
-		if topo.Nodes[i].Type != old.Nodes[i].Type {
-			return fmt.Errorf("bgp: Grow topology changes node %d's type (%v -> %v); not a grown version of the current one",
-				i, old.Nodes[i].Type, topo.Nodes[i].Type)
-		}
-	}
-	net.publish(0) // build replaces the shards and their tallies
-	if err := net.build(topo); err != nil {
-		return err
-	}
-	net.reinit(seed)
-	return nil
-}
-
 // MustNew is New for known-valid inputs; it panics on error.
 func MustNew(topo *topology.Topology, cfg Config) *Network {
 	net, err := New(topo, cfg)
@@ -254,11 +224,10 @@ func MustNew(topo *topology.Topology, cfg Config) *Network {
 
 // SetObs attaches the metrics hub to this network; pass nil to detach. The
 // network publishes what it has counted to the hub at the end of every
-// Run, RunUntil and Settle call, and before anything that rebuilds or
-// rewinds its state (Grow, Reset) — so a scrape during a run
-// sees the hub as the previous run left it. SetObs publishes what is pending
-// to the hub it replaces, and counts from then on go to m; it may be called
-// at any time between runs. Metrics never feed back into the simulation, so
+// Run, RunUntil and Settle call, and before Reset rewinds its state — so a
+// scrape during a run sees the hub as the previous run left it. SetObs
+// publishes what is pending to the hub it replaces, and counts from then on
+// go to m; it may be called at any time between runs. Metrics never feed back into the simulation, so
 // instrumented runs are byte-identical to bare ones.
 func (net *Network) SetObs(m *obs.Metrics) {
 	net.publish(0)
@@ -312,9 +281,6 @@ func (net *Network) publish(fired uint64) {
 
 // Topology returns the underlying topology.
 func (net *Network) Topology() *topology.Topology { return net.topo }
-
-// Config returns the protocol configuration.
-func (net *Network) Config() Config { return net.cfg }
 
 // Now returns the current virtual time. In windowed mode all shard clocks
 // agree whenever the network is quiescent (between Run/Settle calls).
@@ -404,9 +370,8 @@ func (net *Network) Reset(seed uint64) { net.reinit(seed) }
 // tables — to the pristine post-New condition. New calls it on
 // freshly zeroed structures, Reset on used ones; both end in the identical
 // observable state for a given seed, which is what lets experiment sweeps
-// (and the grow-then-reset regression test) treat "Reset(s)" and "rebuilt
-// with New(s)" as interchangeable. The intern table is intentionally NOT
-// cleared (see PathID).
+// treat "Reset(s)" and "rebuilt with New(s)" as interchangeable. The intern
+// table is intentionally NOT cleared (see PathID).
 func (net *Network) reinit(seed uint64) {
 	net.publish(0)
 	net.cause.id = 0 // a counter window across a reset means nothing

@@ -20,7 +20,7 @@ func sentUpdates(net *Network) uint64 {
 
 // TestObsPublishedAtRunBoundary pins when the engine's counts reach the
 // metrics hub: at the end of every run, and before anything that rewinds
-// the counts (Reset, Grow) or detaches the hub — never per
+// the counts (Reset) or detaches the hub — never per
 // event, and never lost. A windowed run publishes after its workers join,
 // so the partition count leaves the totals alone.
 func TestObsPublishedAtRunBoundary(t *testing.T) {
@@ -29,12 +29,11 @@ func TestObsPublishedAtRunBoundary(t *testing.T) {
 }
 
 func testPublishedAcrossRewinds(t *testing.T) {
-	small := topology.MustGenerate(growTestParams(300, 71))
-	big := topology.MustGrow(small, growTestParams(500, 72))
-	origin := topology.NodeID(small.N() - 1)
+	topo := topology.MustGenerate(baselineParams(300, 71))
+	origin := topology.NodeID(topo.N() - 1)
 
 	m := obs.New()
-	net := MustNew(small, DefaultConfig(5))
+	net := MustNew(topo, DefaultConfig(5))
 	net.SetObs(m)
 	// baseSent and baseUpdates hold the window counts every rewind zeroed;
 	// fired sums what the runs returned.
@@ -83,17 +82,9 @@ func testPublishedAcrossRewinds(t *testing.T) {
 	net.ResetCounters()
 	published("after ResetCounters")
 
-	// Grow publishes before it replaces the shards.
-	net.WithdrawPrefix(origin, 1)
-	rewind()
-	if err := net.Grow(big, 7); err != nil {
-		t.Fatal(err)
-	}
-	published("after Grow")
-
 	// SetObs(nil) publishes what is pending; the detached network's later
 	// counts go nowhere.
-	net.Originate(origin, 1)
+	net.WithdrawPrefix(origin, 1)
 	net.SetObs(nil)
 	published("after SetObs(nil)")
 	rewind()
@@ -108,7 +99,7 @@ func testPublishedAcrossRewinds(t *testing.T) {
 // one leaves the same counts in the hub.
 func testPublishedWindowed(t *testing.T) {
 	withWorkerCPUs(t, 4)
-	topo := topology.MustGenerate(growTestParams(600, 73))
+	topo := topology.MustGenerate(baselineParams(600, 73))
 	origin := multihomedStubs(t, topo, 1)[0]
 	run := func(workers int) *obs.Metrics {
 		cfg := DefaultConfig(3)

@@ -195,7 +195,7 @@ func TestOutQueueModel(t *testing.T) {
 // testOutQueueSharedKey pins the spill rules of the shared inline key: an
 // Adj-RIB-Out entry on one prefix and a pending update on another move both
 // tables into the shard's spill record; Reset clears the record but keeps it
-// and the queue spilled; Grow builds new shards and queues, so it drops it.
+// and the queue spilled.
 func testOutQueueSharedKey(t *testing.T) {
 	topo := fanTopo(4)
 	net := MustNew(topo, DefaultConfig(1))
@@ -232,20 +232,6 @@ func testOutQueueSharedKey(t *testing.T) {
 	if sp.sent[3] != 4 {
 		t.Fatal("a spilled queue wrote inline after Reset")
 	}
-
-	if err := net.Grow(fanTopoStubs(4, 2), 3); err != nil {
-		t.Fatal(err)
-	}
-	m = &net.nodes[1]
-	if q = &net.out(m)[j]; q.flags != 0 {
-		t.Fatalf("a grown queue starts with flags %#x", q.flags)
-	}
-	for _, sh := range net.shards {
-		if sh.spills != nil {
-			t.Fatal("Grow kept the shard's spill records")
-		}
-	}
-	mustConsistent(t, net, "after Grow")
 }
 
 // TestTouchedMarksEveryExit pins, site by site, the invariant reconcile and

@@ -47,16 +47,6 @@ func (p Path) Equal(q Path) bool {
 	return true
 }
 
-// Clone returns an independent copy.
-func (p Path) Clone() Path {
-	if p == nil {
-		return nil
-	}
-	c := make(Path, len(p))
-	copy(c, p)
-	return c
-}
-
 // Prepend returns a new path with id in front.
 func (p Path) Prepend(id topology.NodeID) Path {
 	c := make(Path, 0, len(p)+1)

@@ -123,7 +123,7 @@ type netShard struct {
 	// by offset in outq (see queueSpill), allocated at the shard's first
 	// spill, so a run that never meets a second prefix pays nothing for it.
 	// No two shards share a record; windowed shards write theirs
-	// concurrently. build starts spills nil; reinit keeps it.
+	// concurrently. reinit keeps them.
 	outq   []outQueue
 	spills []*queueSpill
 }

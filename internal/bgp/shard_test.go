@@ -220,7 +220,7 @@ func TestPartitionInvariance(t *testing.T) {
 // end.
 func TestWindowedDeadlineInvariance(t *testing.T) {
 	withWorkerCPUs(t, 4)
-	topo := topology.MustGenerate(growTestParams(400, 5))
+	topo := topology.MustGenerate(baselineParams(400, 5))
 	stubs := multihomedStubs(t, topo, 2)
 	run := func(parts, workers int) []byte {
 		cfg := WRATEConfig(17)
@@ -296,7 +296,7 @@ func TestWindowedSteadyStateZeroAlloc(t *testing.T) {
 		t.Skip("the race detector allocates on its own")
 	}
 	withWorkerCPUs(t, 4)
-	topo := topology.MustGenerate(growTestParams(600, 9))
+	topo := topology.MustGenerate(baselineParams(600, 9))
 	origin := multihomedStubs(t, topo, 1)[0]
 	// Zero workers: the crew the idle core budget grants, four at GOMAXPROCS 4.
 	for _, workers := range []int{1, 3, 0} {
@@ -379,7 +379,7 @@ func TestWindowedCrewTakesIdleUnits(t *testing.T) {
 		{150, 1, 2}, // two partitions
 	} {
 		func() {
-			topo := topology.MustGenerate(growTestParams(c.n, 5))
+			topo := topology.MustGenerate(baselineParams(c.n, 5))
 			origin := multihomedStubs(t, topo, 1)[0]
 			cfg := DefaultConfig(1)
 			cfg.LinkDelay = 10 * des.Millisecond
@@ -406,7 +406,7 @@ func TestWindowedCrewTakesIdleUnits(t *testing.T) {
 // returns.
 func TestWindowedRunLeavesNoGoroutines(t *testing.T) {
 	withWorkerCPUs(t, 4)
-	topo := topology.MustGenerate(growTestParams(400, 5))
+	topo := topology.MustGenerate(baselineParams(400, 5))
 	origin := multihomedStubs(t, topo, 1)[0]
 	cfg := DefaultConfig(1)
 	cfg.LinkDelay = 10 * des.Millisecond

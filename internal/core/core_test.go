@@ -245,10 +245,6 @@ func TestSweepSeries(t *testing.T) {
 			t.Fatalf("series length %d", len(series))
 		}
 	}
-	rel := sw.RelativeU(topology.T)
-	if math.Abs(rel[0]-1) > 1e-12 {
-		t.Fatalf("relative series starts at %v", rel[0])
-	}
 	if _, err := Sweep(scenario.Baseline, SweepConfig{}); err == nil {
 		t.Fatal("empty sweep accepted")
 	}

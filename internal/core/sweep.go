@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"bgpchurn/internal/scenario"
-	"bgpchurn/internal/stats"
 	"bgpchurn/internal/topology"
 )
 
@@ -125,10 +124,4 @@ func (sr *SweepResult) SeriesE(t topology.NodeType, rel topology.Relation) []flo
 		ys[i] = p.R.ByType[t].ByRel[rel].E
 	}
 	return ys
-}
-
-// RelativeU returns SeriesU normalized to its first point, the paper's
-// "relative increase" form (Figs. 6, 8, 9, 11).
-func (sr *SweepResult) RelativeU(t topology.NodeType) []float64 {
-	return stats.RelativeSeries(sr.SeriesU(t))
 }

@@ -84,8 +84,9 @@ func (b *ProgressBroker) Subscribers() int {
 	return len(b.subs)
 }
 
-// Close disconnects every subscriber and rejects future ones; Publish
-// becomes a no-op. Safe to call more than once.
+// Close disconnects every subscriber and freezes the broker: Publish becomes
+// a no-op, and a later subscriber gets the retained events and the end of
+// the stream. Safe to call more than once.
 func (b *ProgressBroker) Close() {
 	b.mu.Lock()
 	if b.closed {
@@ -100,20 +101,21 @@ func (b *ProgressBroker) Close() {
 	b.mu.Unlock()
 }
 
-// subscribe registers a new subscriber and returns its channel plus the
-// replay of the latest message per event type. Returns nil if closed.
+// subscribe returns the replay of the latest message per event type and,
+// unless the broker is closed, registers a new subscriber and returns its
+// channel (nil when closed: the replay is all there is).
 func (b *ProgressBroker) subscribe() (chan progressMsg, []progressMsg) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.closed {
-		return nil, nil
-	}
-	ch := make(chan progressMsg, subBuffer)
-	b.subs[ch] = struct{}{}
 	replay := make([]progressMsg, 0, len(b.order))
 	for _, ev := range b.order {
 		replay = append(replay, b.latest[ev])
 	}
+	if b.closed {
+		return nil, replay
+	}
+	ch := make(chan progressMsg, subBuffer)
+	b.subs[ch] = struct{}{}
 	return ch, replay
 }
 
@@ -128,7 +130,8 @@ func (b *ProgressBroker) unsubscribe(ch chan progressMsg) {
 
 // ServeHTTP implements the SSE endpoint: text/event-stream framing with
 // per-event `event:`, `id:` and `data:` fields. The stream runs until the
-// client disconnects or the broker closes.
+// client disconnects or the broker closes; on a closed broker it is the
+// replay alone.
 func (b *ProgressBroker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -136,11 +139,9 @@ func (b *ProgressBroker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ch, replay := b.subscribe()
-	if ch == nil {
-		http.Error(w, "progress stream closed", http.StatusServiceUnavailable)
-		return
+	if ch != nil {
+		defer b.unsubscribe(ch)
 	}
-	defer b.unsubscribe(ch)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
@@ -160,6 +161,9 @@ func (b *ProgressBroker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if !writeMsg(m) {
 			return
 		}
+	}
+	if ch == nil {
+		return
 	}
 	ctx := r.Context()
 	for {

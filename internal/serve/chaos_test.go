@@ -125,7 +125,7 @@ func TestJournalLockRefusesSecondServer(t *testing.T) {
 // submission is shed with 429 + Retry-After (never queued), the shed
 // counter moves, and admission recovers once the queue drains.
 func TestOverloadShedding(t *testing.T) {
-	srv, hs := newTestServer(t, Config{Workers: 1, QueueCap: 1, RetryAfter: 7 * time.Second})
+	srv, hs := newTestServer(t, Config{Workers: 1, QueueCap: 1})
 	st := installStub(srv, true)
 
 	status, v1, _ := submit(t, hs.URL, `{"scenarios":["BASELINE"],"sizes":[100]}`)
@@ -143,8 +143,8 @@ func TestOverloadShedding(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overflow status = %d, want 429 (%s)", resp.StatusCode, raw)
 	}
-	if got := resp.Header.Get("Retry-After"); got != "7" {
-		t.Fatalf("Retry-After = %q, want \"7\"", got)
+	if got := resp.Header.Get("Retry-After"); got != "5" {
+		t.Fatalf("Retry-After = %q, want \"5\"", got)
 	}
 
 	metrics := fetchText(t, hs.URL+"/metrics")
@@ -288,7 +288,7 @@ func TestSlowSSESubscriberDoesNotBlock(t *testing.T) {
 		t.Fatalf("job state = %s with a slow subscriber attached", final.State)
 	}
 
-	// A post-completion stream yields the one-shot terminal snapshot.
+	// A post-completion stream replays the terminal job event.
 	resp2, err := http.Get(hs.URL + "/jobs/" + v.ID + "/stream")
 	if err != nil {
 		t.Fatal(err)
@@ -297,6 +297,40 @@ func TestSlowSSESubscriberDoesNotBlock(t *testing.T) {
 	snap, _ := io.ReadAll(resp2.Body)
 	if !strings.Contains(string(snap), "event: job") || !strings.Contains(string(snap), `"state":"done"`) {
 		t.Fatalf("terminal stream snapshot missing job event:\n%s", snap)
+	}
+}
+
+// TestStreamOpenedAsJobFinishes builds the interleaving in which a stream
+// sees its job still running while the job finishes and closes its broker
+// before the stream subscribes. The closed broker replays what it retained,
+// the terminal job event among it, so the stream still answers 200 with
+// exactly one job event, not 503.
+func TestStreamOpenedAsJobFinishes(t *testing.T) {
+	srv, hs := newTestServer(t, Config{Workers: 1})
+	st := installStub(srv, true)
+	defer st.releaseAll()
+
+	_, v, _ := submit(t, hs.URL, `{"scenarios":["BASELINE"],"sizes":[100]}`)
+	j := srv.lookup(v.ID)
+	srv.publishFinished(j) // the job event and Close, while the state reads unfinished
+	srv.mu.Lock()
+	state := j.state
+	srv.mu.Unlock()
+	if state != JobQueued && state != JobRunning {
+		t.Fatalf("job state %s: the interleaving needs an unfinished job", state)
+	}
+
+	resp, err := http.Get(hs.URL + "/jobs/" + v.ID + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream status %d: %s", resp.StatusCode, body)
+	}
+	if n := strings.Count(string(body), "event: job\n"); n != 1 {
+		t.Fatalf("stream carries %d job events, want 1:\n%s", n, body)
 	}
 }
 

@@ -79,9 +79,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		j.cancel(errors.New("serve: shed"))
 		s.metrics.Serve.JobsShed.Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds())))
+		w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter.Seconds())))
 		writeError(w, http.StatusTooManyRequests,
-			"admission queue full (%d jobs); retry after %s", s.cfg.QueueCap, s.cfg.RetryAfter)
+			"admission queue full (%d jobs); retry after %s", s.cfg.QueueCap, retryAfter)
 		return
 	}
 	s.nextID++
@@ -174,25 +174,14 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStream is the per-job SSE feed: "cell" events as cells advance and
-// one terminal "job" event. A finished job gets a one-shot snapshot (the
-// broker is closed at finish). Slow subscribers lose intermediate events
-// rather than blocking computation — the broker publish path never waits.
+// one terminal "job" event. The broker is closed when the job finishes, after
+// the job event, so a stream opened later replays that event and ends. Slow
+// subscribers lose intermediate events rather than blocking computation —
+// the broker publish path never waits.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(r.PathValue("id"))
 	if j == nil {
 		writeError(w, http.StatusNotFound, "no such job")
-		return
-	}
-	s.mu.Lock()
-	terminal := j.state != JobQueued && j.state != JobRunning
-	view := j.viewLocked(true)
-	s.mu.Unlock()
-	if terminal {
-		data, _ := json.Marshal(view)
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintf(w, ": bgpchurn job stream (finished)\n\nevent: job\ndata: %s\n\n", data)
 		return
 	}
 	j.broker.ServeHTTP(w, r)

@@ -183,8 +183,8 @@ func (s *Server) buildJob(req SubmitRequest) (*Job, error) {
 			continue
 		}
 		seenN[n] = true
-		if n < s.cfg.MinN || n > s.cfg.MaxN {
-			bad("size %d: must be in %d..%d", n, s.cfg.MinN, s.cfg.MaxN)
+		if n < minN || n > s.cfg.MaxN {
+			bad("size %d: must be in %d..%d", n, minN, s.cfg.MaxN)
 		}
 	}
 	if cells := len(req.Scenarios) * len(req.Sizes); cells > s.cfg.MaxJobCells {

@@ -36,16 +36,17 @@ import (
 	"bgpchurn/internal/obs"
 )
 
-// Defaults for Config's zero values.
+// Defaults for Config's zero values, and the settings no Config changes.
 const (
 	DefaultQueueCap    = 64
 	DefaultMaxJobCells = 64
 	DefaultMaxN        = 100_000
 	DefaultMaxWeight   = 16
-	DefaultRetryAfter  = 5 * time.Second
-	// DefaultMinN keeps submissions above the smallest size the topology
+	// retryAfter is the hint sent with 429 responses.
+	retryAfter = 5 * time.Second
+	// minN keeps submissions above the smallest size the topology
 	// generator supports meaningfully (the clique plus a few of each tier).
-	DefaultMinN = 50
+	minN = 50
 	// finishedRetentionBytes bounds what the finished jobs that stay
 	// queryable keep alive, by Job.retainedBytesLocked. The oldest are
 	// forgotten first and the newest is always kept, so a long-lived
@@ -66,8 +67,9 @@ type Config struct {
 	QueueCap int
 	// MaxJobCells bounds scenarios x sizes per job (0 = DefaultMaxJobCells).
 	MaxJobCells int
-	// MinN/MaxN bound admissible network sizes (0 = DefaultMinN/DefaultMaxN).
-	MinN, MaxN int
+	// MaxN bounds admissible network sizes from above (0 = DefaultMaxN);
+	// minN bounds them from below.
+	MaxN int
 	// CellTimeout, when > 0, is the per-cell deadline applied to every job
 	// (a job may only tighten it, never exceed it).
 	CellTimeout time.Duration
@@ -76,10 +78,6 @@ type Config struct {
 	// Journal is the shared checkpoint journal path; "" disables
 	// checkpointing and restart recovery.
 	Journal string
-	// RetryAfter is the hint sent with 429 responses (0 = DefaultRetryAfter).
-	RetryAfter time.Duration
-	// Metrics is the hub to instrument into; nil builds a private one.
-	Metrics *obs.Metrics
 }
 
 // Server is the serving layer: one shared scheduler, a bounded fair
@@ -131,19 +129,10 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxJobCells <= 0 {
 		cfg.MaxJobCells = DefaultMaxJobCells
 	}
-	if cfg.MinN <= 0 {
-		cfg.MinN = DefaultMinN
-	}
 	if cfg.MaxN <= 0 {
 		cfg.MaxN = DefaultMaxN
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = DefaultRetryAfter
-	}
-	m := cfg.Metrics
-	if m == nil {
-		m = obs.New()
-	}
+	m := obs.New()
 	s := &Server{
 		cfg:      cfg,
 		sched:    core.NewScheduler(1),

@@ -4,10 +4,11 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strings"
 )
 
-// The serialization format is a line-oriented text format:
+// WriteTo prints a topology in a line-oriented text format. Nothing reads
+// it back: its bytes are the topology's fingerprint, which byte-identity
+// checks hash to compare generator versions. The format is:
 //
 //	bgpchurn-topology v1
 //	meta n=<N> regions=<R> seed=<seed>
@@ -19,8 +20,7 @@ import (
 
 const formatHeader = "bgpchurn-topology v1"
 
-// WriteTo serializes t in the text format. It implements enough of
-// io.WriterTo to be used with bufio and files.
+// WriteTo writes t in the text format. It implements io.WriterTo.
 func (t *Topology) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var n int64
@@ -53,111 +53,4 @@ func (t *Topology) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	return n, bw.Flush()
-}
-
-// Read parses a topology in the text format produced by WriteTo.
-func Read(r io.Reader) (*Topology, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("topology: empty input")
-	}
-	if strings.TrimSpace(sc.Text()) != formatHeader {
-		return nil, fmt.Errorf("topology: bad header %q", sc.Text())
-	}
-	if !sc.Scan() {
-		return nil, fmt.Errorf("topology: missing meta line")
-	}
-	var n, regions int
-	var seed uint64
-	if _, err := fmt.Sscanf(strings.TrimSpace(sc.Text()), "meta n=%d regions=%d seed=%d", &n, &regions, &seed); err != nil {
-		return nil, fmt.Errorf("topology: bad meta line %q: %v", sc.Text(), err)
-	}
-	if n < 0 || n > 1<<24 {
-		return nil, fmt.Errorf("topology: implausible node count %d", n)
-	}
-	t := &Topology{Nodes: make([]Node, n), NumRegions: regions, Seed: seed}
-	for i := range t.Nodes {
-		t.Nodes[i] = Node{ID: NodeID(i)}
-	}
-	line := 2
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Fields(text)
-		switch fields[0] {
-		case "node":
-			var id int
-			var typ string
-			var mask uint32
-			if _, err := fmt.Sscanf(text, "node %d %s %d", &id, &typ, &mask); err != nil {
-				return nil, fmt.Errorf("topology: line %d: %v", line, err)
-			}
-			if id < 0 || id >= n {
-				return nil, fmt.Errorf("topology: line %d: node id %d out of range", line, id)
-			}
-			nt, err := parseNodeType(typ)
-			if err != nil {
-				return nil, fmt.Errorf("topology: line %d: %v", line, err)
-			}
-			t.Nodes[id].Type = nt
-			t.Nodes[id].Regions = RegionSet(mask)
-		case "transit":
-			var prov, cust int
-			if _, err := fmt.Sscanf(text, "transit %d %d", &prov, &cust); err != nil {
-				return nil, fmt.Errorf("topology: line %d: %v", line, err)
-			}
-			if err := checkID(prov, n); err != nil {
-				return nil, fmt.Errorf("topology: line %d: %v", line, err)
-			}
-			if err := checkID(cust, n); err != nil {
-				return nil, fmt.Errorf("topology: line %d: %v", line, err)
-			}
-			t.Nodes[prov].Customers = append(t.Nodes[prov].Customers, NodeID(cust))
-			t.Nodes[cust].Providers = append(t.Nodes[cust].Providers, NodeID(prov))
-		case "peer":
-			var a, b int
-			if _, err := fmt.Sscanf(text, "peer %d %d", &a, &b); err != nil {
-				return nil, fmt.Errorf("topology: line %d: %v", line, err)
-			}
-			if err := checkID(a, n); err != nil {
-				return nil, fmt.Errorf("topology: line %d: %v", line, err)
-			}
-			if err := checkID(b, n); err != nil {
-				return nil, fmt.Errorf("topology: line %d: %v", line, err)
-			}
-			t.Nodes[a].Peers = append(t.Nodes[a].Peers, NodeID(b))
-			t.Nodes[b].Peers = append(t.Nodes[b].Peers, NodeID(a))
-		default:
-			return nil, fmt.Errorf("topology: line %d: unknown record %q", line, fields[0])
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-func checkID(id, n int) error {
-	if id < 0 || id >= n {
-		return fmt.Errorf("node id %d out of range [0,%d)", id, n)
-	}
-	return nil
-}
-
-func parseNodeType(s string) (NodeType, error) {
-	switch s {
-	case "T":
-		return T, nil
-	case "M":
-		return M, nil
-	case "CP":
-		return CP, nil
-	case "C":
-		return C, nil
-	}
-	return 0, fmt.Errorf("unknown node type %q", s)
 }

@@ -216,57 +216,6 @@ func TestParamsValidate(t *testing.T) {
 	}
 }
 
-func TestSerializationRoundTrip(t *testing.T) {
-	topo := MustGenerate(baselineParams(300, 21))
-	var buf bytes.Buffer
-	if _, err := topo.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.N() != topo.N() || got.NumRegions != topo.NumRegions || got.Seed != topo.Seed {
-		t.Fatal("metadata mismatch after round trip")
-	}
-	var buf2 bytes.Buffer
-	if _, err := got.WriteTo(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	// Note: neighbor-list order inside a node may differ after Read, so
-	// compare via Validate + relation spot checks rather than bytes.
-	if err := got.Validate(); err != nil {
-		t.Fatalf("round-tripped topology invalid: %v", err)
-	}
-	for i := 0; i < topo.N(); i += 17 {
-		for j := 1; j < topo.N(); j += 37 {
-			a, b := NodeID(i), NodeID(j)
-			if topo.Relation(a, b) != got.Relation(a, b) {
-				t.Fatalf("relation %d-%d changed after round trip", a, b)
-			}
-		}
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	cases := []string{
-		"",
-		"not-a-topology\n",
-		formatHeader + "\n",
-		formatHeader + "\nmeta n=x regions=5 seed=0\n",
-		formatHeader + "\nmeta n=2 regions=1 seed=0\nnode 5 T 1\n",
-		formatHeader + "\nmeta n=2 regions=1 seed=0\nnode 0 X 1\n",
-		formatHeader + "\nmeta n=2 regions=1 seed=0\ntransit 0 9\n",
-		formatHeader + "\nmeta n=2 regions=1 seed=0\npeer 0 9\n",
-		formatHeader + "\nmeta n=2 regions=1 seed=0\nfrobnicate 0 1\n",
-	}
-	for i, c := range cases {
-		if _, err := Read(bytes.NewBufferString(c)); err == nil {
-			t.Errorf("case %d: garbage accepted", i)
-		}
-	}
-}
-
 func TestInCustomerTree(t *testing.T) {
 	// Hand-built: 0(T) -> 1(M) -> 2(C); 0 -> 3(C).
 	topo := &Topology{NumRegions: 1, Nodes: []Node{
@@ -289,12 +238,6 @@ func TestInCustomerTree(t *testing.T) {
 	}
 	if topo.InCustomerTree(0, 0) {
 		t.Fatal("a node is not in its own customer tree")
-	}
-	if got := topo.CustomerConeSize(0); got != 3 {
-		t.Fatalf("cone(0) = %d, want 3", got)
-	}
-	if got := topo.CustomerConeSize(2); got != 0 {
-		t.Fatalf("cone(2) = %d, want 0", got)
 	}
 }
 
@@ -352,12 +295,6 @@ func TestNodeTypeStrings(t *testing.T) {
 		if typ.String() == "" {
 			t.Fatal("empty type string")
 		}
-	}
-	if !T.IsTransit() || !M.IsTransit() || T.IsStub() {
-		t.Fatal("transit classification broken")
-	}
-	if !CP.IsStub() || !C.IsStub() || C.IsTransit() {
-		t.Fatal("stub classification broken")
 	}
 }
 

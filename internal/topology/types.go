@@ -58,12 +58,6 @@ func (t NodeType) String() string {
 	return fmt.Sprintf("NodeType(%d)", uint8(t))
 }
 
-// IsStub reports whether the type is a stub (no customers): CP or C.
-func (t NodeType) IsStub() bool { return t == CP || t == C }
-
-// IsTransit reports whether the type provides transit: T or M.
-func (t NodeType) IsTransit() bool { return t == T || t == M }
-
 // Relation is the business relationship of a neighbor, from the local
 // node's point of view.
 type Relation int8
@@ -233,20 +227,4 @@ func (t *Topology) InCustomerTree(ancestor, descendant NodeID) bool {
 		stack = append(stack, t.Nodes[u].Customers...)
 	}
 	return false
-}
-
-// CustomerConeSize returns the number of nodes in a's customer cone.
-func (t *Topology) CustomerConeSize(a NodeID) int {
-	seen := make(map[NodeID]struct{})
-	stack := append([]NodeID(nil), t.Nodes[a].Customers...)
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if _, ok := seen[u]; ok {
-			continue
-		}
-		seen[u] = struct{}{}
-		stack = append(stack, t.Nodes[u].Customers...)
-	}
-	return len(seen)
 }

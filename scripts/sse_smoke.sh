@@ -8,7 +8,9 @@
 #          port and /progress is streamed with curl while the grid runs; its
 #          cell events must carry the cell record (a "seed" field);
 #   leg 2: cmd/churnd starts on a free port, /progress is opened, a two-cell
-#          job is POSTed and streamed until both cells' attribution arrives.
+#          job is POSTed and streamed until both cells' attribution arrives;
+#          once the job is done, its own /jobs/{id}/stream must answer 200
+#          with the banner and the terminal job event, then end.
 #
 # Each stream must:
 #
@@ -129,8 +131,12 @@ for _ in $(seq 1 100); do
     [ -s "$work/churnd-stream.txt" ] && break
     sleep 0.05
 done
-curl -sf -X POST -d '{"scenarios":["BASELINE"],"sizes":[100,200],"seed":1,"origins":3}' \
-    "http://$addr/jobs" >/dev/null
+job_id=$(curl -sf -X POST -d '{"scenarios":["BASELINE"],"sizes":[100,200],"seed":1,"origins":3}' \
+    "http://$addr/jobs" | sed -n 's/^ *"id": "\([^"]*\)".*/\1/p')
+if [ -z "$job_id" ]; then
+    echo "FAIL (churnd): POST /jobs returned no job id" >&2
+    exit 1
+fi
 attrs=0
 for _ in $(seq 1 200); do
     attrs=$(grep -c '^event: attribution$' "$work/churnd-stream.txt" || true)
@@ -145,7 +151,31 @@ if [ "$attrs" -lt 2 ]; then
 fi
 check_stream "$work/churnd-stream.txt" churnd
 churnd_events=$(grep -c '^event: ' "$work/churnd-stream.txt")
+
+echo "== streaming the finished job's /jobs/$job_id/stream"
+for _ in $(seq 1 200); do
+    curl -sf "http://$addr/jobs/$job_id" | grep -q '^  "state": "done"' && break
+    sleep 0.05
+done
+# A finished job's stream replays its retained events and ends by itself.
+status=$(curl -sN --max-time 10 -o "$work/job-stream.txt" -w '%{http_code}' \
+    "http://$addr/jobs/$job_id/stream") || true
+if [ "$status" != 200 ]; then
+    echo "FAIL (churnd job stream): status $status, want 200" >&2
+    cat "$work/job-stream.txt" >&2
+    exit 1
+fi
+if ! head -1 "$work/job-stream.txt" | grep -q '^:'; then
+    echo "FAIL (churnd job stream): stream does not open with the SSE comment banner" >&2
+    head -5 "$work/job-stream.txt" >&2
+    exit 1
+fi
+if ! grep -A2 '^event: job$' "$work/job-stream.txt" | grep -q '^data: {.*"state":"done"'; then
+    echo "FAIL (churnd job stream): no event: job frame with the done job" >&2
+    cat "$work/job-stream.txt" >&2
+    exit 1
+fi
 kill -TERM "$churnd_pid"
 wait "$churnd_pid"
 
-echo "ok: streamed $exp_events (experiments) and $churnd_events (churnd) well-formed SSE events from live grids"
+echo "ok: streamed $exp_events (experiments) and $churnd_events (churnd) well-formed SSE events from live grids, and job $job_id's own stream"
